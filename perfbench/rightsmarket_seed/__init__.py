@@ -1,0 +1,90 @@
+"""Deterministic simulator and analysis toolkit for repeated markets with
+tradable buying rights.
+
+A central authority distributes per-round buying rights for a scarce good;
+traders then exchange the good, the rights and money. The package computes
+the greedy equilibrium prices, simulates trading under several
+rights-distribution mechanisms and supply schedules, measures buyer
+frustration against free-market and myopic baselines, and audits the
+equilibrium and convergence claims empirically.
+"""
+
+from .core import (
+    BuyerSpec,
+    BuyerState,
+    MarketConfig,
+    MarketState,
+    Quantity,
+    SellerSpec,
+    SellerState,
+    apply_transition,
+    consumed_utility,
+    initial_state,
+)
+from .engine import (
+    BidAdjustment,
+    RoundRecord,
+    SupplySchedule,
+    Trace,
+    evaluate_schedule,
+    frustration,
+    generate_dirichlet_scenario,
+    run,
+)
+from .mechanism import BuyerBid, ClearingResult, SellerOffer, clear, useful_useless_split
+from .pricing import (
+    GreedyPriceSolution,
+    canonical_closed_form,
+    canonical_lower_bound,
+    free_market_clearing_price,
+    greedy_buyer_bid,
+    greedy_seller_bid,
+    solve_implicit_price,
+)
+from .rights import (
+    DistributionMechanism,
+    allocate,
+    contested_garment_rule,
+    proportional_rule,
+    verify_axioms,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "BidAdjustment",
+    "BuyerBid",
+    "BuyerSpec",
+    "BuyerState",
+    "ClearingResult",
+    "DistributionMechanism",
+    "GreedyPriceSolution",
+    "MarketConfig",
+    "MarketState",
+    "Quantity",
+    "RoundRecord",
+    "SellerOffer",
+    "SellerSpec",
+    "SellerState",
+    "SupplySchedule",
+    "Trace",
+    "allocate",
+    "apply_transition",
+    "canonical_closed_form",
+    "canonical_lower_bound",
+    "clear",
+    "consumed_utility",
+    "contested_garment_rule",
+    "evaluate_schedule",
+    "free_market_clearing_price",
+    "frustration",
+    "generate_dirichlet_scenario",
+    "greedy_buyer_bid",
+    "greedy_seller_bid",
+    "initial_state",
+    "proportional_rule",
+    "run",
+    "solve_implicit_price",
+    "useful_useless_split",
+    "verify_axioms",
+]

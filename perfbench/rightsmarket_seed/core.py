@@ -1,0 +1,272 @@
+"""Domain types, market state and the inter-round transition.
+
+One round moves Good from sellers to buyers under per-round entitlements
+(Right). Between rounds the transition tops up seller stock and buyer income,
+consumes each buyer's Good up to their claim, zeroes seller money (sellers
+consume it as utility) and expires all rights.
+
+All quantities are 64-bit floats. Closed-form checks use ``EQ_TOL`` and
+per-round accounting balances use ``CONSERVATION_TOL``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Protocol, Sequence
+
+from .errors import ConfigError, NegativeQuantityError
+
+EQ_TOL = 1e-12
+CONSERVATION_TOL = 1e-9
+
+VARIANTS = ("rights", "free_market", "myopic_rights")
+
+
+class Quantity(float):
+    """A non-negative amount of Good, Money or Right.
+
+    Arithmetic degrades to plain ``float``; the class only guards
+    construction, so validation happens where amounts enter the system
+    (configs, states) rather than in inner loops.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: float) -> "Quantity":
+        v = float(value)
+        if not v >= 0.0:  # also rejects NaN
+            raise NegativeQuantityError(f"quantity must be non-negative, got {value!r}")
+        return super().__new__(cls, v)
+
+
+class ScheduleLike(Protocol):
+    """Anything that yields a per-round amount (see engine.SupplySchedule)."""
+
+    def value_at(self, round_index: int) -> float: ...
+
+
+@dataclass(frozen=True)
+class SellerSpec:
+    """Static description of one seller: Good received each round."""
+
+    resupply: ScheduleLike
+
+
+@dataclass(frozen=True)
+class BuyerSpec:
+    """Static description of one buyer: Money received each round and the
+    constant per-round claim for Good."""
+
+    income: ScheduleLike
+    claim: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "claim", float(Quantity(self.claim)))
+
+
+@dataclass(frozen=True)
+class MarketConfig:
+    """Immutable scenario description.
+
+    ``variant`` selects the trading regime: "rights" (right-sale proceeds
+    deferred to the next round), "free_market" (no rights), or
+    "myopic_rights" (proceeds spendable in the same round, sellers post the
+    free-market clearing price).
+
+    ``greedy_price_factor`` multiplies the price greedy sellers post; values
+    other than 1.0 deliberately move the profile off the equilibrium and are
+    used as a negative control in audits.
+    """
+
+    sellers: tuple[SellerSpec, ...]
+    buyers: tuple[BuyerSpec, ...]
+    mechanism: object  # rights.DistributionMechanism
+    variant: str = "rights"
+    horizon: int = 100
+    seller_storage_cost: float = 1.0
+    tolerance: float = CONSERVATION_TOL
+    greedy_price_factor: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sellers", tuple(self.sellers))
+        object.__setattr__(self, "buyers", tuple(self.buyers))
+        if not self.sellers:
+            raise ConfigError("at least one seller is required")
+        if not self.buyers:
+            raise ConfigError("at least one buyer is required")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.horizon < 1:
+            raise ConfigError("horizon must be a positive integer")
+        if self.seller_storage_cost < 0:
+            raise ConfigError("seller_storage_cost must be non-negative")
+        if not self.tolerance > 0:
+            raise ConfigError("tolerance must be positive")
+        if self.greedy_price_factor <= 0:
+            raise ConfigError("greedy_price_factor must be positive")
+
+    @property
+    def num_sellers(self) -> int:
+        return len(self.sellers)
+
+    @property
+    def num_buyers(self) -> int:
+        return len(self.buyers)
+
+    @property
+    def claims(self) -> tuple[float, ...]:
+        return tuple(b.claim for b in self.buyers)
+
+    def resupply_at(self, round_index: int) -> tuple[float, ...]:
+        return tuple(s.resupply.value_at(round_index) for s in self.sellers)
+
+    def income_at(self, round_index: int) -> tuple[float, ...]:
+        return tuple(b.income.value_at(round_index) for b in self.buyers)
+
+    def is_normalized(self, round_index: int = 1, tol: float = EQ_TOL) -> bool:
+        """True when total resupply and total income are both 1 in a round,
+        the regime the closed-form and audit results assume."""
+        return (
+            abs(sum(self.resupply_at(round_index)) - 1.0) <= tol
+            and abs(sum(self.income_at(round_index)) - 1.0) <= tol
+        )
+
+
+@dataclass
+class SellerState:
+    """Per-round snapshot of one seller. Money is zero at round start."""
+
+    good: float
+    money: float = 0.0
+
+    def copy(self) -> "SellerState":
+        return SellerState(self.good, self.money)
+
+
+@dataclass
+class BuyerState:
+    """Per-round snapshot of one buyer.
+
+    ``right`` is zero before the distribution mechanism runs and zero again
+    after the transition; rights never persist across rounds.
+    """
+
+    good: float
+    money: float
+    right: float = 0.0
+
+    def copy(self) -> "BuyerState":
+        return BuyerState(self.good, self.money, self.right)
+
+
+@dataclass
+class MarketState:
+    """Full mutable snapshot of round ``round_index``."""
+
+    round_index: int
+    sellers: list[SellerState]
+    buyers: list[BuyerState]
+
+    def copy(self) -> "MarketState":
+        return MarketState(
+            self.round_index,
+            [s.copy() for s in self.sellers],
+            [b.copy() for b in self.buyers],
+        )
+
+    def total_money(self) -> float:
+        return sum(s.money for s in self.sellers) + sum(b.money for b in self.buyers)
+
+    def total_good(self) -> float:
+        return sum(s.good for s in self.sellers) + sum(b.good for b in self.buyers)
+
+
+def initial_state(config: MarketConfig) -> MarketState:
+    """State at the start of round 1: sellers hold their first resupply,
+    buyers their first income, nobody holds rights yet."""
+    g = config.resupply_at(1)
+    m = config.income_at(1)
+    sellers = [SellerState(good=float(Quantity(gi)), money=0.0) for gi in g]
+    buyers = [BuyerState(good=0.0, money=float(Quantity(mi)), right=0.0) for mi in m]
+    return MarketState(1, sellers, buyers)
+
+
+def apply_transition(state: MarketState, config: MarketConfig) -> MarketState:
+    """Map the post-clearing state of round t to the start state of t+1.
+
+    Sellers: stock grows by the next resupply, money is zeroed (consumed as
+    utility, and kept out of future rounds). Buyers: Good is consumed up to
+    the claim, the next income is added to whatever money is left, and all
+    rights expire.
+    """
+    nxt = state.round_index + 1
+    g = config.resupply_at(nxt)
+    m = config.income_at(nxt)
+    sellers = [SellerState(good=s.good + g[i], money=0.0) for i, s in enumerate(state.sellers)]
+    buyers = [
+        BuyerState(
+            good=max(0.0, b.good - config.buyers[j].claim),
+            money=m[j] + b.money,
+            right=0.0,
+        )
+        for j, b in enumerate(state.buyers)
+    ]
+    return MarketState(nxt, sellers, buyers)
+
+
+def consumed_utility(
+    state: MarketState, config: MarketConfig
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-round utilities on a post-clearing state.
+
+    Sellers value money net of a storage cost on unsold Good; buyers value
+    only the Good they consume, capped by their claim. Callers sum these
+    over the horizon.
+    """
+    c = config.seller_storage_cost
+    seller_u = tuple(s.money - c * s.good for s in state.sellers)
+    buyer_u = tuple(min(config.buyers[j].claim, b.good) for j, b in enumerate(state.buyers))
+    return seller_u, buyer_u
+
+
+def water_level(caps: Sequence[float], total: float) -> float:
+    """Level t with sum_i min(caps[i], t) == total, by exact breakpoint walk.
+
+    The communicating-vessels primitive shared by the contested-garment rule
+    and equal-rate depletion in clearing. ``total`` above ``sum(caps)``
+    saturates at the largest cap.
+    """
+    caps_sorted = sorted(float(c) for c in caps)
+    if not caps_sorted:
+        raise ValueError("water_level needs at least one cap")
+    if total <= 0.0:
+        return 0.0
+    n = len(caps_sorted)
+    consumed = 0.0
+    prev = 0.0
+    for i, cap in enumerate(caps_sorted):
+        step = (cap - prev) * (n - i)
+        if consumed + step >= total:
+            return prev + (total - consumed) / (n - i)
+        consumed += step
+        prev = cap
+    return caps_sorted[-1]
+
+
+def equal_rate_fill(amounts: Sequence[float], total: float) -> list[float]:
+    """Split ``total`` across entities holding ``amounts`` at an equal rate.
+
+    Every entity contributes min(amount, t) for the common level t; small
+    holders exhaust first ("treated as a single trader until one runs out").
+    Requires ``total <= sum(amounts)`` up to rounding.
+    """
+    if total <= 0.0:
+        return [0.0 for _ in amounts]
+    level = water_level(amounts, total)
+    out = [min(float(a), level) for a in amounts]
+    # distribute any rounding residue onto the largest holder
+    residue = total - sum(out)
+    if out and abs(residue) > 0.0:
+        k = max(range(len(out)), key=lambda i: float(amounts[i]))
+        out[k] = min(float(amounts[k]), max(0.0, out[k] + residue))
+    return out

@@ -1,0 +1,527 @@
+"""The repeated-market loop: distribution, trading, transition.
+
+Each round, sellers post offers, the distribution mechanism turns the
+offered volume into per-buyer rights, buyers bid, the two-stage mechanism
+clears, metrics are recorded and the transition carries state to the next
+round. Three variants share the loop: "rights" (the hybrid system),
+"free_market" (no rights, price = total money / offered volume) and
+"myopic_rights" (right-sale proceeds spendable in the same round).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
+
+from .core import (
+    BuyerSpec,
+    MarketConfig,
+    MarketState,
+    SellerSpec,
+    apply_transition,
+    consumed_utility,
+    initial_state,
+)
+from .errors import ConfigError, ConservationError, SimulationError
+from .mechanism import BuyerBid, SellerOffer, clear, useful_useless_split
+from .pricing import greedy_buyer_bid, posted_greedy_price
+from .rights import DistributionMechanism, allocate
+
+SCHEDULE_PARAMS: dict[str, tuple[str, ...]] = {
+    "constant": ("level",),
+    "cosine": ("amplitude", "period", "offset"),
+    "linear": ("slope", "intercept"),
+    "step": ("before", "after", "switch_round"),
+    "logistic": ("high", "rate", "midpoint"),
+    "bullwhip": ("base", "amplitude", "period", "decay"),
+    "hubbert": ("peak", "width", "center"),
+}
+
+
+@dataclass(frozen=True)
+class SupplySchedule:
+    """Deterministic per-round amount for seller resupply or buyer income.
+
+    Emitted values are clamped at zero. Parameter meaning per kind is listed
+    in ``SCHEDULE_PARAMS``; use the classmethod constructors.
+    """
+
+    kind: str
+    args: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in SCHEDULE_PARAMS:
+            raise ConfigError(f"unknown schedule kind {self.kind!r}")
+        expected = len(SCHEDULE_PARAMS[self.kind])
+        if len(self.args) != expected:
+            raise ConfigError(
+                f"schedule {self.kind!r} takes {expected} parameters, got {len(self.args)}"
+            )
+
+    @classmethod
+    def constant(cls, level: float) -> "SupplySchedule":
+        return cls("constant", (float(level),))
+
+    @classmethod
+    def cosine(cls, amplitude: float, period: float, offset: float) -> "SupplySchedule":
+        return cls("cosine", (float(amplitude), float(period), float(offset)))
+
+    @classmethod
+    def linear(cls, slope: float, intercept: float) -> "SupplySchedule":
+        return cls("linear", (float(slope), float(intercept)))
+
+    @classmethod
+    def step(cls, before: float, after: float, switch_round: int) -> "SupplySchedule":
+        return cls("step", (float(before), float(after), float(switch_round)))
+
+    @classmethod
+    def logistic(cls, high: float, rate: float, midpoint: float) -> "SupplySchedule":
+        return cls("logistic", (float(high), float(rate), float(midpoint)))
+
+    @classmethod
+    def bullwhip(
+        cls, base: float, amplitude: float, period: float, decay: float
+    ) -> "SupplySchedule":
+        return cls("bullwhip", (float(base), float(amplitude), float(period), float(decay)))
+
+    @classmethod
+    def hubbert(cls, peak: float, width: float, center: float) -> "SupplySchedule":
+        return cls("hubbert", (float(peak), float(width), float(center)))
+
+    def value_at(self, round_index: int) -> float:
+        if round_index < 1:
+            raise ConfigError("round index starts at 1")
+        t = float(round_index)
+        k = self.kind
+        a = self.args
+        if k == "constant":
+            v = a[0]
+        elif k == "cosine":
+            amplitude, period, offset = a
+            v = amplitude * math.cos(2.0 * math.pi * t / period) + offset
+        elif k == "linear":
+            slope, intercept = a
+            v = slope * t + intercept
+        elif k == "step":
+            before, after, switch_round = a
+            v = before if t < switch_round else after
+        elif k == "logistic":
+            high, rate, midpoint = a
+            v = high / (1.0 + math.exp(-rate * (t - midpoint)))
+        elif k == "bullwhip":
+            base, amplitude, period, decay = a
+            v = base + amplitude * math.cos(2.0 * math.pi * t / period) * math.exp(-decay * t)
+        else:  # hubbert: logistic pulse peaking at `peak` for t == center
+            peak, width, center = a
+            z = math.exp(-(t - center) / width)
+            v = peak * 4.0 * z / (1.0 + z) ** 2
+        return max(0.0, v)
+
+
+def evaluate_schedule(sched: SupplySchedule, round_index: int) -> float:
+    return sched.value_at(round_index)
+
+
+def frustration(right_assigned: float, good_end: float) -> float:
+    """Normalized shortfall of a buyer's Good against their assigned Right;
+    zero when no Right was assigned."""
+    if right_assigned <= 0.0:
+        return 0.0
+    return max(0.0, (right_assigned - good_end) / right_assigned)
+
+
+@dataclass(frozen=True)
+class RoundRecord:
+    """Everything observable about one cleared round."""
+
+    round_index: int
+    price_good: float
+    price_right: float
+    money_start: tuple[float, ...]
+    good_end: tuple[float, ...]
+    right_assigned: tuple[float, ...]
+    frustration: tuple[float, ...]
+    right_offered: tuple[float, ...]
+    right_demanded: tuple[float, ...]
+    useful_money: float
+    useless_money: float
+    volume_offered: float
+    volume_sold: float
+    flags: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Ordered round records plus aggregate metrics for one simulation."""
+
+    records: tuple[RoundRecord, ...]
+    expected_frustration_path: tuple[float, ...]
+    seller_utilities: tuple[float, ...]
+    buyer_utilities: tuple[float, ...]
+    max_money_residual: float
+    max_good_residual: float
+
+    @property
+    def horizon(self) -> int:
+        return len(self.records)
+
+    @property
+    def num_buyers(self) -> int:
+        return len(self.records[0].frustration) if self.records else 0
+
+    def price_path(self) -> list[float]:
+        return [r.price_good for r in self.records]
+
+    def frustration_matrix(self) -> list[tuple[float, ...]]:
+        return [r.frustration for r in self.records]
+
+    def expected_frustration(self) -> float:
+        return self.expected_frustration_path[-1] if self.records else 0.0
+
+    def per_round_mean_frustration(self, window: int | None = None) -> float:
+        """Mean per-buyer frustration over the trailing ``window`` rounds.
+
+        The greedy money recursion settles into a two-round cycle, so use an
+        even window (the default is) to average it out.
+        """
+        if not self.records:
+            return 0.0
+        w = window if window is not None else min(len(self.records), 100)
+        recs = self.records[-w:]
+        return sum(sum(r.frustration) for r in recs) / (len(recs) * self.num_buyers)
+
+    def per_buyer_mean_frustration(self, window: int | None = None) -> list[float]:
+        w = window if window is not None else min(len(self.records), 100)
+        recs = self.records[-w:]
+        nb = self.num_buyers
+        return [sum(r.frustration[b] for r in recs) / len(recs) for b in range(nb)]
+
+    def first_all_zero_frustration_round(self, tol: float = 1e-12) -> int | None:
+        """First round index from which every buyer's frustration stays zero
+        through the end of the trace, or None."""
+        start = None
+        for r in self.records:
+            if all(f <= tol for f in r.frustration):
+                if start is None:
+                    start = r.round_index
+            else:
+                start = None
+        return start
+
+
+@dataclass(frozen=True)
+class BidAdjustment:
+    """A one-round modification of one trader's greedy bid.
+
+    ``trader`` is ("seller", i) or ("buyer", j). Volume deltas apply to the
+    seller's offered volume; factors multiply the posted price, the buyer's
+    right-sale volume, or the buyer's right-purchase cap.
+    """
+
+    round_index: int
+    trader: tuple[str, int]
+    volume_delta: float = 0.0
+    price_factor: float = 1.0
+    right_offer_factor: float = 1.0
+    right_demand_factor: float = 1.0
+
+
+def run(
+    config: MarketConfig,
+    horizon: int | None = None,
+    adjustments: Sequence[BidAdjustment] = (),
+    check_conservation: bool = True,
+) -> Trace:
+    """Simulate the repeated market and return its trace.
+
+    Every trader plays greedy except where ``adjustments`` modify a bid
+    (used by the equilibrium audit). Money, Good and the rights cap are
+    checked every round against ``config.tolerance``; a violation aborts the
+    trace with the failing round index.
+    """
+    T = horizon if horizon is not None else config.horizon
+    if T < 1:
+        raise ConfigError("horizon must be >= 1")
+    state = initial_state(config)
+    records: list[RoundRecord] = []
+    ef_path: list[float] = []
+    nb, ns = config.num_buyers, config.num_sellers
+    seller_total = [0.0] * ns
+    buyer_total = [0.0] * nb
+    frustration_sum = 0.0
+    max_money_res = 0.0
+    max_good_res = 0.0
+
+    for tau in range(1, T + 1):
+        try:
+            if config.variant == "free_market":
+                record, state, util, residuals = _run_free_round(state, config, tau)
+            else:
+                record, state, util, residuals = _run_rights_round(
+                    state, config, tau, adjustments
+                )
+            money_res, good_res = residuals
+            max_money_res = max(max_money_res, money_res)
+            max_good_res = max(max_good_res, good_res)
+            if check_conservation and (
+                money_res > config.tolerance or good_res > config.tolerance
+            ):
+                raise ConservationError(
+                    f"accounting residual money={money_res:g} good={good_res:g} "
+                    f"exceeds tolerance {config.tolerance:g}"
+                )
+        except SimulationError:
+            raise
+        except Exception as exc:
+            raise SimulationError(tau, str(exc)) from exc
+
+        records.append(record)
+        frustration_sum += sum(record.frustration)
+        ef_path.append(frustration_sum / (tau * nb))
+        su, bu = util
+        for i in range(ns):
+            seller_total[i] += su[i]
+        for j in range(nb):
+            buyer_total[j] += bu[j]
+        state = apply_transition(state, config)
+
+    return Trace(
+        records=tuple(records),
+        expected_frustration_path=tuple(ef_path),
+        seller_utilities=tuple(seller_total),
+        buyer_utilities=tuple(buyer_total),
+        max_money_residual=max_money_res,
+        max_good_residual=max_good_res,
+    )
+
+
+def _adjustments_for(
+    adjustments: Sequence[BidAdjustment], tau: int, kind: str, index: int
+) -> list[BidAdjustment]:
+    return [
+        a
+        for a in adjustments
+        if a.round_index == tau and a.trader[0] == kind and a.trader[1] == index
+    ]
+
+
+def _run_rights_round(
+    state: MarketState,
+    config: MarketConfig,
+    tau: int,
+    adjustments: Sequence[BidAdjustment],
+):
+    nb, ns = config.num_buyers, config.num_sellers
+    money_start = tuple(b.money for b in state.buyers)
+
+    # offered volumes first: a volume deviation changes the rights everyone
+    # sees, and with public state the posted price accounts for the true
+    # offered volume
+    volumes = list(config.resupply_at(tau))
+    for s in range(ns):
+        for adj in _adjustments_for(adjustments, tau, "seller", s):
+            volumes[s] += adj.volume_delta
+        volumes[s] = min(max(0.0, volumes[s]), state.sellers[s].good)
+    offered = sum(volumes)
+    if offered <= 0.0:
+        raise SimulationError(tau, "no good offered for sale")
+
+    posted, rights = posted_greedy_price(state, config, offered)
+    offers = []
+    for s in range(ns):
+        price = posted
+        for adj in _adjustments_for(adjustments, tau, "seller", s):
+            price *= adj.price_factor
+        offers.append(SellerOffer(volume=volumes[s], price=price))
+
+    for b in range(nb):
+        state.buyers[b].right = rights[b]
+
+    flags: list[str] = []
+    price_avg = sum(o.price for o in offers) / len(offers)
+    bids: list[BuyerBid] = []
+    for b in range(nb):
+        bid = greedy_buyer_bid(b, offers, state, config)
+        if price_avg <= 0.0 and state.buyers[b].money > 0.0 and rights[b] > 0.0:
+            flags.append(f"buyer {b}: degenerate free goods (P=0)")
+        for adj in _adjustments_for(adjustments, tau, "buyer", b):
+            bid = replace(
+                bid,
+                right_offer_volume=bid.right_offer_volume * adj.right_offer_factor,
+                right_offer_price=bid.right_offer_price * adj.price_factor,
+                max_right_volume=bid.max_right_volume * adj.right_demand_factor,
+            )
+        bids.append(bid)
+
+    result = clear(offers, bids, state, config.variant, config.tolerance)
+    flags.extend(result.rejected)
+
+    # fold the clearing into the state; deferred proceeds join the balance
+    # only now, after the trading window closed
+    for s in range(ns):
+        state.sellers[s].good -= result.seller_sold[s]
+        state.sellers[s].money += result.seller_revenue[s]
+    for b in range(nb):
+        state.buyers[b].good += result.good_bought[b]
+        state.buyers[b].money = (
+            money_start[b]
+            - result.money_spent_good[b]
+            - result.money_spent_right[b]
+            + result.money_earned_right[b]
+        )
+        if state.buyers[b].money < 0.0:
+            if state.buyers[b].money < -config.tolerance:
+                raise SimulationError(tau, f"buyer {b} money went negative")
+            state.buyers[b].money = 0.0
+
+    # money only changes hands; good shipped must equal good received
+    money_res = abs(state.total_money() - sum(money_start))
+    good_res = abs(sum(result.good_bought) - sum(result.seller_sold))
+    for s in range(ns):
+        good_res = max(
+            good_res, abs(result.seller_sold[s] + result.unsold_good[s] - offers[s].volume)
+        )
+    # rights cap: purchases in the round never exceed licence held + bought
+    for b in range(nb):
+        cap = rights[b] + result.right_bought[b]
+        if result.good_bought[b] > cap + config.tolerance:
+            raise SimulationError(tau, f"buyer {b} bought good beyond their rights")
+
+    useful, useless = useful_useless_split(result)
+    good_end = tuple(b.good for b in state.buyers)
+    frus = tuple(frustration(rights[b], good_end[b]) for b in range(nb))
+    q_offers = [
+        (bids[b].right_offer_volume, bids[b].right_offer_price) for b in range(nb)
+    ]
+    offered_right = sum(w for w, _ in q_offers)
+    price_right = (
+        sum(w * q for w, q in q_offers) / offered_right if offered_right > 0.0 else 0.0
+    )
+
+    record = RoundRecord(
+        round_index=tau,
+        price_good=price_avg,
+        price_right=price_right,
+        money_start=money_start,
+        good_end=good_end,
+        right_assigned=tuple(rights),
+        frustration=frus,
+        right_offered=tuple(b.right_offer_volume for b in bids),
+        right_demanded=tuple(b.max_right_volume for b in bids),
+        useful_money=useful,
+        useless_money=useless,
+        volume_offered=offered,
+        volume_sold=result.volume_sold,
+        flags=tuple(flags),
+    )
+    util = consumed_utility(state, config)
+    return record, state, util, (money_res, good_res)
+
+
+def _run_free_round(state: MarketState, config: MarketConfig, tau: int):
+    """Free-market baseline: no rights, everyone spends all money at the
+    market-clearing price, frustration is still measured against the
+    mechanism's hypothetical allocation."""
+    nb, ns = config.num_buyers, config.num_sellers
+    money_start = tuple(b.money for b in state.buyers)
+    volumes = list(config.resupply_at(tau))
+    offered = sum(volumes)
+    if offered <= 0.0:
+        raise SimulationError(tau, "no good offered for sale")
+    rights_hyp = allocate(config.mechanism, offered, config.claims)
+    total_money = sum(money_start)
+    price = (total_money / offered) * config.greedy_price_factor
+
+    bought = [0.0] * nb
+    if price > 0.0:
+        bought = [money_start[b] / price for b in range(nb)]
+    demand = sum(bought)
+    # at the exact clearing price demand matches supply; an off-path price
+    # factor below one makes demand outstrip the offer and gets rationed
+    if demand > offered:
+        bought = [x * offered / demand for x in bought]
+    sold_total = min(offered, demand)
+    share = [v / offered for v in volumes]
+    for s in range(ns):
+        state.sellers[s].good -= sold_total * share[s]
+        state.sellers[s].money += price * sold_total * share[s]
+    for b in range(nb):
+        state.buyers[b].good += bought[b]
+        # buyers spend their whole balance at the clearing price; keep real
+        # leftovers from off-path rationing, snap away rounding dust
+        leftover = money_start[b] - bought[b] * price
+        state.buyers[b].money = leftover if leftover > config.tolerance else 0.0
+
+    money_res = abs(
+        sum(money_start)
+        - sum(s.money for s in state.sellers)
+        - sum(b.money for b in state.buyers)
+    )
+    good_res = abs(sum(bought) - sold_total)
+
+    good_end = tuple(b.good for b in state.buyers)
+    frus = tuple(frustration(rights_hyp[b], good_end[b]) for b in range(nb))
+    record = RoundRecord(
+        round_index=tau,
+        price_good=price,
+        price_right=0.0,
+        money_start=money_start,
+        good_end=good_end,
+        right_assigned=tuple(rights_hyp),
+        frustration=frus,
+        right_offered=(0.0,) * nb,
+        right_demanded=(0.0,) * nb,
+        useful_money=price * sold_total,
+        useless_money=0.0,
+        volume_offered=offered,
+        volume_sold=sold_total,
+    )
+    util = consumed_utility(state, config)
+    return record, state, util, (money_res, good_res)
+
+
+def generate_dirichlet_scenario(
+    num_buyers: int,
+    concentration: float,
+    rng_seed: int,
+    claim_scale: float = 1.0,
+    mechanism: DistributionMechanism | None = None,
+    variant: str = "rights",
+    horizon: int | None = None,
+) -> MarketConfig:
+    """Random normalized scenario with ordered claim and income profiles.
+
+    Mean claims fall with the buyer's position (proportional to 1/i) while
+    mean incomes rise (the reverse ordering); actual shares are Dirichlet
+    draws around those means, or the exact means when ``concentration`` is
+    infinite. Total claim is 2 * ``claim_scale`` against a unit resupply, so
+    the default regime is twice-over-demanded; incomes sum to 1.
+    """
+    if num_buyers < 2:
+        raise ConfigError("need at least two buyers")
+    rng = np.random.default_rng(rng_seed)
+    pos = np.arange(1, num_buyers + 1, dtype=float)
+    claim_means = (1.0 / pos) / np.sum(1.0 / pos)
+    income_means = claim_means[::-1].copy()
+    if math.isinf(concentration):
+        claim_shares, income_shares = claim_means, income_means
+    else:
+        if concentration <= 0:
+            raise ConfigError("concentration must be positive")
+        claim_shares = rng.dirichlet(concentration * claim_means)
+        income_shares = rng.dirichlet(concentration * income_means)
+    claims = 2.0 * claim_scale * claim_shares
+    buyers = tuple(
+        BuyerSpec(income=SupplySchedule.constant(float(income_shares[j])), claim=float(claims[j]))
+        for j in range(num_buyers)
+    )
+    return MarketConfig(
+        sellers=(SellerSpec(resupply=SupplySchedule.constant(1.0)),),
+        buyers=buyers,
+        mechanism=mechanism if mechanism is not None else DistributionMechanism.proportional(),
+        variant=variant,
+        horizon=horizon if horizon is not None else 10 * num_buyers,
+    )

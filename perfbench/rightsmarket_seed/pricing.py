@@ -1,0 +1,230 @@
+"""The greedy price solver and greedy bid construction.
+
+Under the greedy profile every seller posts the same price p, the unique
+solution of
+
+    sum_b [ M_b - max(0, p * R_b - M_b) ] = p * sum_b R_b.
+
+The left side is the money that actually reaches sellers this round (right-
+sale proceeds are deferred, so a poor buyer's shortfall is subtracted); it
+is piecewise linear and decreasing in p, while the right side is linear and
+increasing, so at most one breakpoint interval contains the root. Buyers
+sell exactly the Right they cannot back with money at that price, or buy
+exactly the Right their spare money can license.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .core import EQ_TOL, MarketConfig, MarketState
+from .errors import ConfigError, PricingError
+from .mechanism import BuyerBid, SellerOffer
+from .rights import allocate, claim_rank_order
+
+
+@dataclass(frozen=True)
+class GreedyPriceSolution:
+    """Solved round price plus its accounting split.
+
+    ``poor`` holds the indices of buyers whose money cannot back their
+    rights at the solved price (p * R_b > M_b); buyers exactly on the
+    boundary count as rich. ``useful_money`` is what sellers will collect,
+    ``useless_money`` the right-sale proceeds deferred to the next round;
+    they add up to the buyers' total money.
+    """
+
+    price: float
+    poor: tuple[int, ...]
+    useful_money: float
+    useless_money: float
+
+
+def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> GreedyPriceSolution:
+    """Solve the implicit price equation by an ascending breakpoint scan.
+
+    Candidate poor sets only change at the breakpoints M_b/R_b. On the
+    interval between two breakpoints the equation is linear with solution
+
+        p = (sum(M) + sum_poor(M)) / (sum(R) + sum_poor(R)),
+
+    and uniqueness means exactly one candidate lands inside its own
+    interval. O(n log n) in the number of buyers.
+    """
+    m = [float(x) for x in money]
+    r = [float(x) for x in rights]
+    if len(m) != len(r):
+        raise PricingError("money and rights vectors differ in length")
+    if any(x < 0.0 for x in m) or any(x < 0.0 for x in r):
+        raise PricingError("money and rights must be non-negative")
+    total_rights = sum(r)
+    if total_rights <= 0.0:
+        raise PricingError("no rights in circulation")
+    total_money = sum(m)
+    if total_money == 0.0:
+        # LHS == RHS == 0 at p = 0; every buyer sits on the rich boundary
+        return GreedyPriceSolution(0.0, (), 0.0, 0.0)
+
+    n = len(m)
+    # sweep intervals in ascending breakpoint order, growing the poor set
+    # incrementally: membership is decided on the exact float ratios, so a
+    # buyer sitting on a breakpoint lands in a well-defined interval
+    holders = sorted((m[b] / r[b], b) for b in range(n) if r[b] > 0.0)
+    slack = EQ_TOL  # admit candidates within one rounding step of an edge
+    poor_money = 0.0
+    poor_rights = 0.0
+    k = 0
+    lo = 0.0
+    first = True
+    while True:
+        # absorb every holder whose breakpoint is at or below the interval floor
+        while k < len(holders) and holders[k][0] <= lo:
+            poor_money += m[holders[k][1]]
+            poor_rights += r[holders[k][1]]
+            k += 1
+        hi = holders[k][0] if k < len(holders) else float("inf")
+        p = (total_money + poor_money) / (total_rights + poor_rights)
+        lo_ok = p >= 0.0 if first else p > lo - slack * max(1.0, lo)
+        hi_ok = p <= hi + slack * max(1.0, p) if hi != float("inf") else True
+        if lo_ok and hi_ok:
+            poor = tuple(b for b in range(n) if r[b] > 0.0 and p * r[b] > m[b])
+            useless = sum(max(0.0, p * r[b] - m[b]) for b in range(n))
+            return GreedyPriceSolution(p, poor, p * total_rights, useless)
+        if hi == float("inf"):
+            raise PricingError("interval scan found no admissible price")
+        lo = hi
+        first = False
+
+
+def free_market_clearing_price(money: Sequence[float], offered_good: float) -> float:
+    """Price at which the buyers' total money buys exactly the offered Good."""
+    if offered_good <= 0.0:
+        raise PricingError("offered good must be positive")
+    return sum(float(x) for x in money) / float(offered_good)
+
+
+def canonical_closed_form(n: int, incomes: Sequence[float], round_index: int) -> float:
+    """Closed-form greedy price under the rank-n canonical mechanism.
+
+    ``incomes`` must be listed in claim-rank order (largest claim first) and
+    sum to 1; the receiving buyer's income is then ``incomes[n - 1]``. The
+    first round clears at (1 + m_bn) / 2 and every later round at 1.
+    """
+    if round_index < 1:
+        raise ConfigError("round index starts at 1")
+    if not 1 <= n <= len(incomes):
+        raise ConfigError(f"rank {n} out of range for {len(incomes)} buyers")
+    if abs(sum(incomes) - 1.0) > 1e-9:
+        raise ConfigError("closed form requires incomes summing to 1")
+    if round_index == 1:
+        return (1.0 + float(incomes[n - 1])) / 2.0
+    return 1.0
+
+
+def canonical_lower_bound(weights: Sequence[float], money: Sequence[float]) -> float:
+    """Price lower bound from the canonical decomposition of a mechanism.
+
+    Each rank-n canonical subproblem clears at (M_bn + sum(M)) / 2; weighing
+    by the decomposition gives sum_n alpha_n (M_bn + sum(M)) / 2. ``weights``
+    must be aligned with ``money`` in claim-rank order, under which this
+    equals the per-buyer form sum_b (alpha_b + 1) M_b / 2.
+    """
+    if len(weights) != len(money):
+        raise ConfigError("weights and money vectors differ in length")
+    if abs(sum(weights) - 1.0) > 1e-9:
+        raise ConfigError("decomposition weights must sum to 1")
+    total = sum(float(x) for x in money)
+    return sum(float(w) * (float(mb) + total) / 2.0 for w, mb in zip(weights, money))
+
+
+def mechanism_rank_weights(mech, claims: Sequence[float]) -> list[float]:
+    """Decomposition weights alpha_n (indexed by claim rank) of a mechanism.
+
+    Canonical and weighted mechanisms carry their weights explicitly; for
+    the others the weights are read off one allocation of a unit volume
+    (exact for proportional, a per-volume proxy for contested garment).
+    """
+    nb = len(claims)
+    order = claim_rank_order(claims)
+    if getattr(mech, "kind", None) == "canonical":
+        return [1.0 if n == mech.rank else 0.0 for n in range(1, nb + 1)]
+    if getattr(mech, "kind", None) == "weighted":
+        out = [0.0] * nb
+        for alpha, rank in mech.components:
+            out[rank - 1] += alpha
+        return out
+    shares = allocate(mech, 1.0, claims)
+    return [shares[order[n]] for n in range(nb)]
+
+
+def posted_greedy_price(
+    state: MarketState, config: MarketConfig, offered_volume: float
+) -> tuple[float, list[float]]:
+    """Price greedy sellers post, and the rights the mechanism will assign.
+
+    In the rights variant this is the implicit-equation solution on the
+    mechanism-implied rights for the offered volume; the myopic variant
+    posts the free-market clearing price instead. ``greedy_price_factor``
+    scales the result (1.0 on the equilibrium path).
+    """
+    money = [b.money for b in state.buyers]
+    rights = allocate(config.mechanism, offered_volume, config.claims)
+    if config.variant == "myopic_rights" or config.variant == "free_market":
+        price = free_market_clearing_price(money, offered_volume) if offered_volume > 0 else 0.0
+    else:
+        price = solve_implicit_price(money, rights).price
+    return price * config.greedy_price_factor, rights
+
+
+def greedy_seller_bid(
+    seller_index: int, state: MarketState, config: MarketConfig
+) -> SellerOffer:
+    """Greedy offer of one seller: the round's resupply at the common price.
+
+    Assumes every seller is greedy, so the offered volume used to query the
+    distribution mechanism is the total resupply of the round.
+    """
+    g = config.resupply_at(state.round_index)
+    price, _ = posted_greedy_price(state, config, sum(g))
+    return SellerOffer(volume=g[seller_index], price=price)
+
+
+def greedy_buyer_bid(
+    buyer_index: int,
+    seller_offers: Sequence[SellerOffer],
+    state: MarketState,
+    config: MarketConfig,
+) -> BuyerBid:
+    """Greedy six-part bid of one buyer.
+
+    A buyer cannot see the other buyers' money, so the Right price is
+    estimated as the plain average P of the posted Good prices. The buyer
+    offers the Right they cannot back with money (psi = max(0, R - M/P)) and
+    is willing to buy the Right their spare money can license
+    (xi = max(0, M/P - R)), everything at price P. In the myopic variant
+    only half the surplus Right goes on sale: the proceeds arrive inside the
+    round and the kept half licenses the repurchase.
+    """
+    if not seller_offers:
+        raise PricingError("buyers need at least one posted seller price")
+    price_avg = sum(o.price for o in seller_offers) / len(seller_offers)
+    buyer = state.buyers[buyer_index]
+    money, right = buyer.money, buyer.right
+    if price_avg > 0.0:
+        backing = money / price_avg
+        psi = max(0.0, right - backing)
+        xi = max(0.0, backing - right)
+    else:
+        # degenerate free goods: nothing to sell, demand capped by volume
+        psi = 0.0
+        xi = max(0.0, sum(o.volume for o in seller_offers) - right) if money >= 0.0 else 0.0
+    offer = psi / 2.0 if config.variant == "myopic_rights" else psi
+    return BuyerBid(
+        right_offer_volume=offer,
+        right_offer_price=price_avg,
+        max_good_volume=right + xi,
+        max_good_price=price_avg,
+        max_right_volume=xi,
+        max_right_price=price_avg,
+    )
