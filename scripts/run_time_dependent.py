@@ -12,7 +12,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from rightsmarket.cli import load_scenario, write_trace_csv
-from rightsmarket.core import MarketConfig
 from rightsmarket.engine import run
 
 PRESETS = [
@@ -25,31 +24,19 @@ PRESETS = [
 ]
 
 
-def with_variant(config: MarketConfig, variant: str) -> MarketConfig:
-    return MarketConfig(
-        sellers=config.sellers,
-        buyers=config.buyers,
-        mechanism=config.mechanism,
-        variant=variant,
-        horizon=config.horizon,
-        seller_storage_cost=config.seller_storage_cost,
-        tolerance=config.tolerance,
-    )
-
-
 def main() -> None:
     outdir = Path(sys.argv[1] if len(sys.argv) > 1 else "results")
     outdir.mkdir(parents=True, exist_ok=True)
     for name in PRESETS:
         scenario = load_scenario(name)
+        ef = {}
         for variant in ("rights", "free_market"):
-            trace = run(with_variant(scenario.config, variant))
+            trace = run(replace(scenario.config, variant=variant))
             target = outdir / f"{name}-{variant}.csv"
             with open(target, "w", newline="") as fh:
                 write_trace_csv(trace, fh)
-        rights_ef = run(with_variant(scenario.config, "rights")).expected_frustration()
-        free_ef = run(with_variant(scenario.config, "free_market")).expected_frustration()
-        print(f"{name}: E_f rights {rights_ef:.4f} vs free market {free_ef:.4f}")
+            ef[variant] = trace.expected_frustration()
+        print(f"{name}: E_f rights {ef['rights']:.4f} vs free market {ef['free_market']:.4f}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Empirical audit of the equilibrium and dynamics claims.
 
-The audit replays full traces in which exactly one trader (or a small
-coalition) deviates from greedy in one round and reverts afterwards, and
-compares total utilities against the all-greedy baseline. A finite grid
-cannot certify the equilibrium; it is a falsification harness. The module
+The audit replays the market with exactly one trader (or a small coalition)
+deviating from greedy in one round and reverting afterwards, and compares
+total utilities against the all-greedy baseline. Rounds before the first
+deviating round are the baseline's, so each replay resumes from the
+baseline's checkpoint at that round instead of re-simulating from round 1;
+its gains equal those of a full replay bit for bit. A finite grid cannot
+certify the equilibrium; it is a falsification harness. The module
 also checks the price map's non-expansiveness along traces and
 cross-validates the interval-scan price solver against bisection.
 """
@@ -17,7 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import MarketConfig
-from .engine import BidAdjustment, Trace, run
+from .engine import (
+    BidAdjustment,
+    Checkpoint,
+    Trace,
+    replay_from,
+    run,  # noqa: F401  kept importable: perfbench's tracer patches ``analysis.run``
+    run_with_checkpoints,
+)
 from .errors import ConfigError
 from .pricing import solve_implicit_price
 
@@ -138,9 +148,31 @@ class AuditReport:
         )
 
 
-def _trader_utility(trace: Trace, key: tuple[str, int]) -> float:
+def _utility(
+    sellers: Sequence[float], buyers: Sequence[float], key: tuple[str, int]
+) -> float:
     side, idx = key
-    return trace.seller_utilities[idx] if side == "seller" else trace.buyer_utilities[idx]
+    return sellers[idx] if side == "seller" else buyers[idx]
+
+
+def _replay_gains(
+    config: MarketConfig,
+    horizon: int,
+    baseline: Trace,
+    checkpoints: Sequence[Checkpoint],
+    deviations: Sequence[Deviation],
+) -> tuple[float, ...]:
+    """Each deviator's utility gain over the baseline when ``deviations``
+    are played together, replayed from the earliest deviating round."""
+    adjustments = [a for d in deviations for a in d.to_adjustments(config)]
+    first = min(max(1, a.round_index) for a in adjustments)
+    checkpoint = checkpoints[min(first, horizon + 1) - 1]
+    sellers, buyers = replay_from(config, checkpoint, horizon, adjustments)
+    return tuple(
+        _utility(sellers, buyers, d.trader_key())
+        - _utility(baseline.seller_utilities, baseline.buyer_utilities, d.trader_key())
+        for d in deviations
+    )
 
 
 def _require_constant_normalized(config: MarketConfig, horizon: int) -> None:
@@ -195,14 +227,14 @@ def audit_unilateral(
     deviation_grid: Sequence[Deviation] | None = None,
     gain_tolerance: float = 1e-9,
 ) -> AuditReport:
-    """Replay the trace once per deviation and report utility gains.
+    """Replay the market once per deviation and report utility gains.
 
     The deviating trader plays greedy in every other round. Any gain above
     ``gain_tolerance`` is a witness against the equilibrium claim.
     """
     T = horizon if horizon is not None else config.horizon
     _require_constant_normalized(config, T)
-    baseline = run(config, T)
+    baseline, checkpoints = run_with_checkpoints(config, T)
     if deviation_grid is None:
         deviation_grid = default_deviation_grid(config, T, baseline)
 
@@ -229,11 +261,8 @@ def audit_unilateral(
                 DeviationTrial((dev,), (), skipped=True, reason="no right offer to reprice")
             )
             continue
-        trace = run(config, T, adjustments=dev.to_adjustments(config))
-        gain = _trader_utility(trace, dev.trader_key()) - _trader_utility(
-            baseline, dev.trader_key()
-        )
-        trials.append(DeviationTrial((dev,), (gain,)))
+        gains = _replay_gains(config, T, baseline, checkpoints, (dev,))
+        trials.append(DeviationTrial((dev,), gains))
 
     return AuditReport(
         baseline_seller_utilities=baseline.seller_utilities,
@@ -281,7 +310,7 @@ def audit_coalition(
         raise ConfigError("a coalition needs at least two members")
     T = horizon if horizon is not None else config.horizon
     _require_constant_normalized(config, T)
-    baseline = run(config, T)
+    baseline, checkpoints = run_with_checkpoints(config, T)
     if joint_grid is None:
         mid = max(1, T // 2)
         menus = [default_coalition_menu(m, mid, baseline) for m in coalition]
@@ -293,14 +322,7 @@ def audit_coalition(
                 DeviationTrial(tuple(combo), (), skipped=True, reason="menu/member mismatch")
             )
             continue
-        adjustments: list[BidAdjustment] = []
-        for d in combo:
-            adjustments.extend(d.to_adjustments(config))
-        trace = run(config, T, adjustments=adjustments)
-        gains = tuple(
-            _trader_utility(trace, d.trader_key()) - _trader_utility(baseline, d.trader_key())
-            for d in combo
-        )
+        gains = _replay_gains(config, T, baseline, checkpoints, combo)
         trials.append(DeviationTrial(tuple(combo), gains))
     return AuditReport(
         baseline_seller_utilities=baseline.seller_utilities,

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import IO, Sequence
@@ -22,7 +23,7 @@ from typing import IO, Sequence
 from .analysis import audit_coalition, audit_unilateral
 from .core import BuyerSpec, MarketConfig, SellerSpec
 from .engine import SCHEDULE_PARAMS, SupplySchedule, Trace, generate_dirichlet_scenario, run
-from .errors import RightsMarketError, ScenarioError
+from .errors import ConfigError, NegativeQuantityError, RightsMarketError, ScenarioError
 from .rights import DistributionMechanism, verify_axioms
 
 EXIT_OK = 0
@@ -81,6 +82,25 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number; strings, booleans, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def parse_schedule(data: dict, where: str) -> SupplySchedule:
     data = _expect_mapping(data, where)
     kind = data.get("kind")
@@ -88,13 +108,14 @@ def parse_schedule(data: dict, where: str) -> SupplySchedule:
         raise ScenarioError(f"{where}: unknown schedule kind {kind!r}")
     params = SCHEDULE_PARAMS[kind]
     _reject_unknown(data, {"kind", *params}, where)
+    missing = [p for p in params if p not in data]
+    if missing:
+        raise ScenarioError(f"{where}: schedule {kind!r} is missing {missing}")
+    args = tuple(_number(data[p], f"{where}.{p}") for p in params)
     try:
-        args = tuple(float(data[p]) for p in params)
-    except KeyError as exc:
-        raise ScenarioError(f"{where}: schedule {kind!r} is missing {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: bad schedule parameter ({exc})") from None
-    return SupplySchedule(kind, args)
+        return SupplySchedule(kind, args)
+    except ConfigError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def schedule_to_dict(sched: SupplySchedule) -> dict:
@@ -139,6 +160,9 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     for key in ("mechanism", "sellers", "buyers", "horizon", "variant"):
         if key not in data:
             raise ScenarioError(f"{source}: missing required key {key!r}")
+    for key in ("sellers", "buyers"):
+        if not isinstance(data[key], list):
+            raise ScenarioError(f"{source}.{key}: expected a list")
 
     sellers = []
     for i, entry in enumerate(data["sellers"]):
@@ -150,16 +174,17 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
 
     buyers = []
     for j, entry in enumerate(data["buyers"]):
-        entry = _expect_mapping(entry, f"{source}.buyers[{j}]")
-        _reject_unknown(entry, {"claim", "income"}, f"{source}.buyers[{j}]")
+        where = f"{source}.buyers[{j}]"
+        entry = _expect_mapping(entry, where)
+        _reject_unknown(entry, {"claim", "income"}, where)
         if "claim" not in entry or "income" not in entry:
-            raise ScenarioError(f"{source}.buyers[{j}]: needs 'claim' and 'income'")
-        buyers.append(
-            BuyerSpec(
-                income=parse_schedule(entry["income"], f"{source}.buyers[{j}].income"),
-                claim=float(entry["claim"]),
-            )
-        )
+            raise ScenarioError(f"{where}: needs 'claim' and 'income'")
+        income = parse_schedule(entry["income"], f"{where}.income")
+        claim = _number(entry["claim"], f"{where}.claim")
+        try:
+            buyers.append(BuyerSpec(income=income, claim=claim))
+        except NegativeQuantityError as exc:
+            raise ScenarioError(f"{where}.claim: {exc}") from None
 
     output = OutputOptions()
     if "output" in data:
@@ -174,7 +199,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
                 raise ScenarioError(f"{source}.output.columns: unknown column(s) {bad}")
             columns = tuple(columns)
         output = OutputOptions(
-            seed=int(out.get("seed", 0)),
+            seed=_integer(out.get("seed", 0), f"{source}.output.seed"),
             columns=columns,
             csv=out.get("csv"),
         )
@@ -185,11 +210,17 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             buyers=tuple(buyers),
             mechanism=parse_mechanism(data["mechanism"], f"{source}.mechanism"),
             variant=data["variant"],
-            horizon=int(data["horizon"]),
-            seller_storage_cost=float(data.get("seller_storage_cost", 1.0)),
-            tolerance=float(data.get("tolerance", 1e-9)),
-            greedy_price_factor=float(data.get("greedy_price_factor", 1.0)),
+            horizon=_integer(data["horizon"], f"{source}.horizon"),
+            seller_storage_cost=_number(
+                data.get("seller_storage_cost", 1.0), f"{source}.seller_storage_cost"
+            ),
+            tolerance=_number(data.get("tolerance", 1e-9), f"{source}.tolerance"),
+            greedy_price_factor=_number(
+                data.get("greedy_price_factor", 1.0), f"{source}.greedy_price_factor"
+            ),
         )
+    except ScenarioError:
+        raise
     except RightsMarketError as exc:
         raise ScenarioError(f"{source}: {exc}") from None
     return Scenario(name=data.get("name", "unnamed"), config=config, output=output)
@@ -384,16 +415,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     nb, args.concentration, rng_seed=args.seed + k, claim_scale=scale
                 )
                 tr_rights = run(cfg, horizon)
-                tr_free = run(
-                    MarketConfig(
-                        sellers=cfg.sellers,
-                        buyers=cfg.buyers,
-                        mechanism=cfg.mechanism,
-                        variant="free_market",
-                        horizon=horizon,
-                    ),
-                    horizon,
-                )
+                tr_free = run(replace(cfg, variant="free_market"), horizon)
                 stats["rf"].append(tr_rights.per_round_mean_frustration(window))
                 stats["ff"].append(tr_free.per_round_mean_frustration(window))
                 stats["rp"].append(float(np.mean(tr_rights.price_path()[-window:])))
@@ -455,18 +477,7 @@ def _apply_overrides(config: MarketConfig, args: argparse.Namespace) -> MarketCo
         kwargs["horizon"] = args.horizon
     if getattr(args, "variant", None) is not None:
         kwargs["variant"] = args.variant
-    if not kwargs:
-        return config
-    return MarketConfig(
-        sellers=config.sellers,
-        buyers=config.buyers,
-        mechanism=config.mechanism,
-        variant=kwargs.get("variant", config.variant),
-        horizon=kwargs.get("horizon", config.horizon),
-        seller_storage_cost=config.seller_storage_cost,
-        tolerance=config.tolerance,
-        greedy_price_factor=config.greedy_price_factor,
-    )
+    return replace(config, **kwargs) if kwargs else config
 
 
 def build_parser() -> argparse.ArgumentParser:

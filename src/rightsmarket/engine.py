@@ -46,7 +46,8 @@ class SupplySchedule:
     """Deterministic per-round amount for seller resupply or buyer income.
 
     Emitted values are clamped at zero. Parameter meaning per kind is listed
-    in ``SCHEDULE_PARAMS``; use the classmethod constructors.
+    in ``SCHEDULE_PARAMS``; use the classmethod constructors. Parameters must
+    be finite, and a period or width non-zero.
     """
 
     kind: str
@@ -55,11 +56,19 @@ class SupplySchedule:
     def __post_init__(self) -> None:
         if self.kind not in SCHEDULE_PARAMS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        expected = len(SCHEDULE_PARAMS[self.kind])
-        if len(self.args) != expected:
+        params = SCHEDULE_PARAMS[self.kind]
+        if len(self.args) != len(params):
             raise ConfigError(
-                f"schedule {self.kind!r} takes {expected} parameters, got {len(self.args)}"
+                f"schedule {self.kind!r} takes {len(params)} parameters, got {len(self.args)}"
             )
+        named = dict(zip(params, self.args))
+        for name, value in named.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"schedule {self.kind!r}: {name} must be finite, got {value!r}")
+        # value_at divides by these
+        for name in ("period", "width"):
+            if named.get(name) == 0.0:
+                raise ConfigError(f"schedule {self.kind!r}: {name} must be non-zero")
 
     @classmethod
     def constant(cls, level: float) -> "SupplySchedule":
@@ -229,6 +238,30 @@ class BidAdjustment:
     right_demand_factor: float = 1.0
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """The start of one round of a run: the state before the round is played
+    and every trader's utility summed over the rounds before it.
+
+    ``state`` is never played; ``replay_from`` works on a copy.
+    """
+
+    state: MarketState
+    seller_utilities: tuple[float, ...]
+    buyer_utilities: tuple[float, ...]
+
+
+AdjustmentIndex = dict[tuple[int, str, int], list[BidAdjustment]]
+
+
+def _index_adjustments(adjustments: Sequence[BidAdjustment]) -> AdjustmentIndex:
+    """Adjustments keyed by (round, side, trader index), in their given order."""
+    index: AdjustmentIndex = {}
+    for a in adjustments:
+        index.setdefault((a.round_index, *a.trader), []).append(a)
+    return index
+
+
 def run(
     config: MarketConfig,
     horizon: int | None = None,
@@ -242,20 +275,111 @@ def run(
     checked every round against ``config.tolerance``; a violation aborts the
     trace with the failing round index.
     """
+    return _run(config, horizon, adjustments, check_conservation)
+
+
+def run_with_checkpoints(
+    config: MarketConfig, horizon: int | None = None
+) -> tuple[Trace, tuple[Checkpoint, ...]]:
+    """The all-greedy ``run`` plus a checkpoint at the start of every round.
+
+    Checkpoint ``k`` is the start of round ``k + 1``; the last one, past the
+    horizon, holds the final state and the trace's utility totals.
+    """
+    checkpoints: list[Checkpoint] = []
+    trace = _run(config, horizon, (), True, checkpoints)
+    return trace, tuple(checkpoints)
+
+
+def replay_from(
+    config: MarketConfig,
+    checkpoint: Checkpoint,
+    horizon: int,
+    adjustments: Sequence[BidAdjustment],
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Seller and buyer utility totals over ``horizon`` rounds when play
+    resumes at ``checkpoint`` under ``adjustments``.
+
+    Utilities accumulate in the same order as in ``run``. So for a checkpoint
+    of ``run_with_checkpoints(config, horizon)`` and no adjustment before its
+    round, the totals equal those of ``run(config, horizon, adjustments)``
+    bit for bit. The replayed rounds keep their conservation checks.
+    """
+    seller_total = list(checkpoint.seller_utilities)
+    buyer_total = list(checkpoint.buyer_utilities)
+    _play_rounds(
+        config,
+        checkpoint.state.copy(),
+        horizon,
+        _index_adjustments(adjustments),
+        seller_total,
+        buyer_total,
+    )
+    return tuple(seller_total), tuple(buyer_total)
+
+
+def _run(
+    config: MarketConfig,
+    horizon: int | None,
+    adjustments: Sequence[BidAdjustment],
+    check_conservation: bool,
+    checkpoints: list[Checkpoint] | None = None,
+) -> Trace:
     T = horizon if horizon is not None else config.horizon
     if T < 1:
         raise ConfigError("horizon must be >= 1")
-    state = initial_state(config)
-    records: list[RoundRecord] = []
-    ef_path: list[float] = []
-    nb, ns = config.num_buyers, config.num_sellers
-    seller_total = [0.0] * ns
+    nb = config.num_buyers
+    seller_total = [0.0] * config.num_sellers
     buyer_total = [0.0] * nb
+    records, max_money_res, max_good_res = _play_rounds(
+        config,
+        initial_state(config),
+        T,
+        _index_adjustments(adjustments),
+        seller_total,
+        buyer_total,
+        check_conservation,
+        checkpoints,
+    )
+    ef_path: list[float] = []
     frustration_sum = 0.0
+    for record in records:
+        frustration_sum += sum(record.frustration)
+        ef_path.append(frustration_sum / (record.round_index * nb))
+    return Trace(
+        records=tuple(records),
+        expected_frustration_path=tuple(ef_path),
+        seller_utilities=tuple(seller_total),
+        buyer_utilities=tuple(buyer_total),
+        max_money_residual=max_money_res,
+        max_good_residual=max_good_res,
+    )
+
+
+def _play_rounds(
+    config: MarketConfig,
+    state: MarketState,
+    horizon: int,
+    adjustments: AdjustmentIndex,
+    seller_total: list[float],
+    buyer_total: list[float],
+    check_conservation: bool = True,
+    checkpoints: list[Checkpoint] | None = None,
+) -> tuple[list[RoundRecord], float, float]:
+    """Play rounds ``state.round_index`` through ``horizon``, adding each
+    round's utilities to ``seller_total`` and ``buyer_total`` in place.
+
+    ``state`` is mutated. When ``checkpoints`` is a list, a checkpoint is
+    appended at the start of every round and once more after the last.
+    Returns the round records and the largest money and Good residuals.
+    """
+    records: list[RoundRecord] = []
     max_money_res = 0.0
     max_good_res = 0.0
 
-    for tau in range(1, T + 1):
+    for tau in range(state.round_index, horizon + 1):
+        if checkpoints is not None:
+            checkpoints.append(Checkpoint(state.copy(), tuple(seller_total), tuple(buyer_total)))
         try:
             if config.variant == "free_market":
                 record, state, util, residuals = _run_free_round(state, config, tau)
@@ -279,40 +403,23 @@ def run(
             raise SimulationError(tau, str(exc)) from exc
 
         records.append(record)
-        frustration_sum += sum(record.frustration)
-        ef_path.append(frustration_sum / (tau * nb))
         su, bu = util
-        for i in range(ns):
+        for i in range(len(seller_total)):
             seller_total[i] += su[i]
-        for j in range(nb):
+        for j in range(len(buyer_total)):
             buyer_total[j] += bu[j]
         state = apply_transition(state, config)
 
-    return Trace(
-        records=tuple(records),
-        expected_frustration_path=tuple(ef_path),
-        seller_utilities=tuple(seller_total),
-        buyer_utilities=tuple(buyer_total),
-        max_money_residual=max_money_res,
-        max_good_residual=max_good_res,
-    )
-
-
-def _adjustments_for(
-    adjustments: Sequence[BidAdjustment], tau: int, kind: str, index: int
-) -> list[BidAdjustment]:
-    return [
-        a
-        for a in adjustments
-        if a.round_index == tau and a.trader[0] == kind and a.trader[1] == index
-    ]
+    if checkpoints is not None:
+        checkpoints.append(Checkpoint(state.copy(), tuple(seller_total), tuple(buyer_total)))
+    return records, max_money_res, max_good_res
 
 
 def _run_rights_round(
     state: MarketState,
     config: MarketConfig,
     tau: int,
-    adjustments: Sequence[BidAdjustment],
+    adjustments: AdjustmentIndex,
 ):
     nb, ns = config.num_buyers, config.num_sellers
     money_start = tuple(b.money for b in state.buyers)
@@ -322,7 +429,7 @@ def _run_rights_round(
     # offered volume
     volumes = list(config.resupply_at(tau))
     for s in range(ns):
-        for adj in _adjustments_for(adjustments, tau, "seller", s):
+        for adj in adjustments.get((tau, "seller", s), ()):
             volumes[s] += adj.volume_delta
         volumes[s] = min(max(0.0, volumes[s]), state.sellers[s].good)
     offered = sum(volumes)
@@ -333,7 +440,7 @@ def _run_rights_round(
     offers = []
     for s in range(ns):
         price = posted
-        for adj in _adjustments_for(adjustments, tau, "seller", s):
+        for adj in adjustments.get((tau, "seller", s), ()):
             price *= adj.price_factor
         offers.append(SellerOffer(volume=volumes[s], price=price))
 
@@ -347,7 +454,7 @@ def _run_rights_round(
         bid = greedy_buyer_bid(b, offers, state, config)
         if price_avg <= 0.0 and state.buyers[b].money > 0.0 and rights[b] > 0.0:
             flags.append(f"buyer {b}: degenerate free goods (P=0)")
-        for adj in _adjustments_for(adjustments, tau, "buyer", b):
+        for adj in adjustments.get((tau, "buyer", b), ()):
             bid = replace(
                 bid,
                 right_offer_volume=bid.right_offer_volume * adj.right_offer_factor,

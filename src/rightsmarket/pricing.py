@@ -205,6 +205,12 @@ def greedy_buyer_bid(
     (xi = max(0, M/P - R)), everything at price P. In the myopic variant
     only half the surplus Right goes on sale: the proceeds arrive inside the
     round and the kept half licenses the repurchase.
+
+    Known overstatement: each Good+Right pair costs 2P, so spare money
+    affords only (M - P R) / (2P) pairs, not M/P - R. In greedy play the
+    budget cap in ``mechanism.clear`` binds first and xi never does, so the
+    audit's ``buyer_buy_less_right`` deviation, which scales xi, changes
+    nothing and reports a gain of exactly 0.
     """
     if not seller_offers:
         raise PricingError("buyers need at least one posted seller price")

@@ -1,8 +1,11 @@
 """Equilibrium audit, convergence checks and solver cross-validation."""
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rightsmarket.analysis import (
+    DEFAULT_MAGNITUDES,
+    DEVIATION_KINDS,
     Deviation,
     audit_coalition,
     audit_unilateral,
@@ -11,6 +14,7 @@ from rightsmarket.analysis import (
     check_price_lower_bound,
     cross_validate_price_solver,
 )
+from rightsmarket.cli import load_scenario
 from rightsmarket.engine import generate_dirichlet_scenario, run
 from rightsmarket.errors import ConfigError
 from rightsmarket.pricing import mechanism_rank_weights
@@ -127,6 +131,99 @@ class TestCoalitionAudit:
     def test_coalition_needs_two_members(self):
         with pytest.raises(ConfigError):
             audit_coalition(make_benchmark(horizon=AUDIT_HORIZON), coalition=[("buyer", 0)])
+
+
+# -- incremental replay against full replays ---------------------------------
+
+DIFF_HORIZON = 7
+DIFF_CONFIGS = {
+    name: load_scenario(name).config
+    for name in ("scenario-a-proportional", "scenario-a-contested-garment")
+}
+
+
+@st.composite
+def deviations(draw, buyer=None):
+    kind = draw(st.sampled_from(DEVIATION_KINDS))
+    if kind.startswith("seller"):
+        trader = 0
+    else:
+        trader = buyer if buyer is not None else draw(st.integers(0, 2))
+    magnitude = draw(st.sampled_from(DEFAULT_MAGNITUDES))
+    if kind.endswith("price") and draw(st.booleans()):
+        magnitude = -magnitude
+    return Deviation(kind, trader, draw(st.integers(1, DIFF_HORIZON)), magnitude)
+
+
+def full_replay_gains(config, devs):
+    """Gains from re-simulating every round with the deviations applied."""
+    adjustments = [a for d in devs for a in d.to_adjustments(config)]
+    baseline = run(config, DIFF_HORIZON)
+    trace = run(config, DIFF_HORIZON, adjustments=adjustments)
+
+    def utility(tr, d):
+        side, idx = d.trader_key()
+        return tr.seller_utilities[idx] if side == "seller" else tr.buyer_utilities[idx]
+
+    return tuple(utility(trace, d) - utility(baseline, d) for d in devs)
+
+
+def assert_baseline_matches(report, config):
+    full = run(config, DIFF_HORIZON)
+    assert report.baseline_seller_utilities == full.seller_utilities
+    assert report.baseline_buyer_utilities == full.buyer_utilities
+
+
+class TestIncrementalReplayIsExact:
+    """Audit replays resume at the first deviating round; their gains must
+    equal those of a full replay bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(DIFF_CONFIGS)), dev=deviations())
+    @example(name="scenario-a-proportional", dev=Deviation("buyer_sell_less_right", 0, 1, 0.5))
+    @example(
+        name="scenario-a-contested-garment",
+        dev=Deviation("seller_price", 0, DIFF_HORIZON, -0.5),
+    )
+    @example(  # the release round falls beyond the horizon
+        name="scenario-a-proportional",
+        dev=Deviation("seller_withhold", 0, DIFF_HORIZON, 0.25),
+    )
+    def test_unilateral_gains_equal_full_replay(self, name, dev):
+        config = DIFF_CONFIGS[name]
+        report = audit_unilateral(config, DIFF_HORIZON, deviation_grid=[dev])
+        assert_baseline_matches(report, config)
+        for trial in report.tested:
+            assert trial.gains == full_replay_gains(config, trial.deviations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(DIFF_CONFIGS)),
+        first=deviations(buyer=0),
+        second=deviations(buyer=1),
+    )
+    @example(  # members deviating in the first and in the last round
+        name="scenario-a-contested-garment",
+        first=Deviation("seller_withhold", 0, DIFF_HORIZON, 0.5),
+        second=Deviation("buyer_price", 1, 1, 0.1),
+    )
+    def test_joint_gains_equal_full_replay(self, name, first, second):
+        assume(first.trader_key() != second.trader_key())
+        config = DIFF_CONFIGS[name]
+        coalition = [first.trader_key(), second.trader_key()]
+        report = audit_coalition(
+            config, DIFF_HORIZON, coalition=coalition, joint_grid=[(first, second)]
+        )
+        assert_baseline_matches(report, config)
+        (trial,) = report.tested
+        assert trial.gains == full_replay_gains(config, trial.deviations)
+
+    def test_every_default_trial_equals_full_replay(self):
+        config = DIFF_CONFIGS["scenario-a-proportional"]
+        report = audit_unilateral(config, DIFF_HORIZON)
+        assert len(report.tested) > 30
+        for trial in report.tested:
+            assert trial.gains == full_replay_gains(config, trial.deviations)
 
 
 class TestNonexpansive:

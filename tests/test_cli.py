@@ -66,6 +66,11 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="mechanism"):
             parse_scenario(minimal_scenario(mechanism={"kind": "lottery"}))
 
+    @pytest.mark.parametrize("key", ["sellers", "buyers"])
+    def test_traders_must_be_a_list(self, key):
+        with pytest.raises(ScenarioError, match=key):
+            parse_scenario(minimal_scenario(**{key: 5}))
+
     def test_weighted_mechanism_round_trips(self):
         data = minimal_scenario(
             mechanism={"kind": "weighted", "components": [[0.6, 1], [0.4, 2]]}
@@ -177,6 +182,40 @@ class TestCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_scenario(frobnicate=1)))
         assert main(["simulate", "--scenario", str(bad)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "buyer",
+        [
+            {"claim": 1.0, "income": {"kind": "constant", "level": float("nan")}},
+            {
+                "claim": 1.0,
+                "income": {"kind": "cosine", "amplitude": 0.1, "period": 0, "offset": 0.5},
+            },
+            {
+                "claim": 1.0,
+                "income": {"kind": "hubbert", "peak": 1.0, "width": 0, "center": 5},
+            },
+            {"claim": "lots", "income": {"kind": "constant", "level": 0.0}},
+            {"claim": -1.0, "income": {"kind": "constant", "level": 0.0}},
+            {"claim": float("inf"), "income": {"kind": "constant", "level": 0.0}},
+        ],
+        ids=(
+            "nan-income",
+            "cosine-period-0",
+            "hubbert-width-0",
+            "string-claim",
+            "negative-claim",
+            "infinite-claim",
+        ),
+    )
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_bad_buyer_is_a_parse_error(self, tmp_path, capsys, buyer, command):
+        scn = minimal_scenario()
+        scn["buyers"] = [buyer, *scn["buyers"][1:]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scn))
+        assert main([command, "--scenario", str(bad)]) == EXIT_PARSE
+        assert "buyers[0]" in capsys.readouterr().err
 
     def test_simulate_unknown_preset_exit_code(self):
         assert main(["simulate", "--scenario", "no-such-preset"]) == EXIT_PARSE

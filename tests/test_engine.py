@@ -8,11 +8,14 @@ from hypothesis import given, strategies as st
 
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import (
+    BidAdjustment,
     SupplySchedule,
     evaluate_schedule,
     frustration,
     generate_dirichlet_scenario,
+    replay_from,
     run,
+    run_with_checkpoints,
 )
 from rightsmarket.errors import ConfigError, SimulationError
 from rightsmarket.rights import DistributionMechanism
@@ -67,6 +70,69 @@ class TestSchedules:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             SupplySchedule("sawtooth", (1.0,))
+
+    @pytest.mark.parametrize(
+        "sched",
+        [
+            lambda: SupplySchedule.constant(float("nan")),
+            lambda: SupplySchedule.linear(float("inf"), 0.0),
+            lambda: SupplySchedule.cosine(0.25, 0.0, 0.75),
+            lambda: SupplySchedule.bullwhip(1.0, 0.5, 0.0, 0.1),
+            lambda: SupplySchedule.hubbert(1.5, 0.0, 50.0),
+        ],
+        ids=("nan", "inf", "cosine-period-0", "bullwhip-period-0", "hubbert-width-0"),
+    )
+    def test_unusable_parameters_rejected(self, sched):
+        with pytest.raises(ConfigError):
+            sched()
+
+
+class TestCheckpoints:
+    def test_checkpointed_run_equals_run(self):
+        cfg = make_benchmark(horizon=12)
+        trace, checkpoints = run_with_checkpoints(cfg)
+        assert trace == run(cfg)
+        assert len(checkpoints) == 13
+        assert [c.state.round_index for c in checkpoints] == list(range(1, 14))
+        assert checkpoints[0].seller_utilities == (0.0,)
+        assert checkpoints[-1].buyer_utilities == trace.buyer_utilities
+
+    def test_replay_without_adjustments_reproduces_totals(self):
+        cfg = make_benchmark(mechanism=DistributionMechanism.contested_garment(), horizon=12)
+        trace, checkpoints = run_with_checkpoints(cfg)
+        for checkpoint in checkpoints:
+            assert replay_from(cfg, checkpoint, 12, ()) == (
+                trace.seller_utilities,
+                trace.buyer_utilities,
+            )
+
+    def test_replay_leaves_checkpoint_untouched(self):
+        cfg = make_benchmark(horizon=8)
+        _, checkpoints = run_with_checkpoints(cfg)
+        before = checkpoints[3].state.copy()
+        replay_from(cfg, checkpoints[3], 8, [BidAdjustment(4, ("seller", 0), price_factor=0.9)])
+        assert checkpoints[3].state == before
+
+    def test_adjustments_apply_in_list_order(self):
+        cfg = make_benchmark(horizon=4)
+        seller = ("seller", 0)
+        price = run(cfg).records[1].price_good
+        repriced = run(
+            cfg,
+            adjustments=[
+                BidAdjustment(2, seller, price_factor=1.1),
+                BidAdjustment(2, seller, price_factor=0.7),
+            ],
+        )
+        assert repriced.records[1].price_good == price * 1.1 * 0.7
+        resized = run(
+            cfg,
+            adjustments=[
+                BidAdjustment(2, seller, volume_delta=-0.1),
+                BidAdjustment(2, seller, volume_delta=0.05),
+            ],
+        )
+        assert resized.records[1].volume_offered == 1.0 - 0.1 + 0.05
 
 
 class TestBenchmarkTrace:
