@@ -14,31 +14,29 @@ from .core import (
     BuyerState,
     MarketConfig,
     MarketState,
-    Quantity,
     SellerSpec,
     SellerState,
     apply_transition,
     consumed_utility,
     initial_state,
+    non_negative,
 )
 from .engine import (
     BidAdjustment,
     RoundRecord,
     SupplySchedule,
     Trace,
-    evaluate_schedule,
     frustration,
     generate_dirichlet_scenario,
     run,
 )
-from .mechanism import BuyerBid, ClearingResult, SellerOffer, clear, useful_useless_split
+from .mechanism import BuyerBid, ClearingResult, Rejection, SellerOffer, clear, useful_useless_split
 from .pricing import (
     GreedyPriceSolution,
     canonical_closed_form,
     canonical_lower_bound,
     free_market_clearing_price,
     greedy_buyer_bid,
-    greedy_seller_bid,
     solve_implicit_price,
 )
 from .rights import (
@@ -61,7 +59,7 @@ __all__ = [
     "GreedyPriceSolution",
     "MarketConfig",
     "MarketState",
-    "Quantity",
+    "Rejection",
     "RoundRecord",
     "SellerOffer",
     "SellerSpec",
@@ -75,13 +73,12 @@ __all__ = [
     "clear",
     "consumed_utility",
     "contested_garment_rule",
-    "evaluate_schedule",
     "free_market_clearing_price",
     "frustration",
     "generate_dirichlet_scenario",
     "greedy_buyer_bid",
-    "greedy_seller_bid",
     "initial_state",
+    "non_negative",
     "proportional_rule",
     "run",
     "solve_implicit_price",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MarketConfig
+from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig
 from .engine import (
     BidAdjustment,
     Checkpoint,
@@ -179,12 +179,33 @@ def _require_constant_normalized(config: MarketConfig, horizon: int) -> None:
     total_g1 = sum(config.resupply_at(1))
     total_m1 = sum(config.income_at(1))
     for tau in (1, max(1, horizon // 2), horizon):
-        if abs(sum(config.resupply_at(tau)) - total_g1) > 1e-9 or abs(
+        if abs(sum(config.resupply_at(tau)) - total_g1) > CONSERVATION_TOL or abs(
             sum(config.income_at(tau)) - total_m1
-        ) > 1e-9:
+        ) > CONSERVATION_TOL:
             raise ConfigError("audit requires constant supply and income")
-    if abs(total_g1 - 1.0) > 1e-9 or abs(total_m1 - 1.0) > 1e-9:
+    if abs(total_g1 - 1.0) > CONSERVATION_TOL or abs(total_m1 - 1.0) > CONSERVATION_TOL:
         raise ConfigError("audit requires the normalized regime (sum g = sum m = 1)")
+
+
+def _skip_reason(dev: Deviation, baseline: Trace) -> str:
+    """Why ``dev`` cannot be played against ``baseline``, or "" if it can.
+
+    Selling less Right and repricing the Right offer need a buyer who
+    offered some that round (poor); buying less needs one who demanded some.
+    """
+    if not 1 <= dev.round_index <= baseline.horizon:
+        return "round outside horizon"
+    if dev.kind.startswith("seller"):
+        return ""
+    rec = baseline.records[dev.round_index - 1]
+    offered = rec.right_offered[dev.trader] > EQ_TOL
+    if dev.kind == "buyer_sell_less_right" and not offered:
+        return "buyer offered no right"
+    if dev.kind == "buyer_buy_less_right" and not rec.right_demanded[dev.trader] > EQ_TOL:
+        return "buyer demanded no right"
+    if dev.kind == "buyer_price" and not offered:
+        return "no right offer to reprice"
+    return ""
 
 
 def default_deviation_grid(
@@ -194,11 +215,8 @@ def default_deviation_grid(
     magnitudes: Sequence[float] = DEFAULT_MAGNITUDES,
     rounds: Sequence[int] | None = None,
 ) -> list[Deviation]:
-    """Every supported one-round deviation over the magnitude/round grid.
-
-    Selling less Right only applies to buyers who offered some (poor that
-    round); buying less only to buyers who demanded some. Feasibility is
-    read off the baseline trace.
+    """Every supported one-round deviation over the magnitude/round grid,
+    less those ``_skip_reason`` rules out on the baseline trace.
     """
     rounds = tuple(rounds) if rounds is not None else (1, max(1, horizon // 2), horizon)
     grid: list[Deviation] = []
@@ -210,14 +228,14 @@ def default_deviation_grid(
                 grid.append(Deviation("seller_price", s, r, -m))
     for b in range(config.num_buyers):
         for r in rounds:
-            rec = baseline.records[r - 1]
             for m in magnitudes:
-                if rec.right_offered[b] > 1e-12:
-                    grid.append(Deviation("buyer_sell_less_right", b, r, m))
-                    grid.append(Deviation("buyer_price", b, r, +m))
-                    grid.append(Deviation("buyer_price", b, r, -m))
-                if rec.right_demanded[b] > 1e-12:
-                    grid.append(Deviation("buyer_buy_less_right", b, r, m))
+                candidates = (
+                    Deviation("buyer_sell_less_right", b, r, m),
+                    Deviation("buyer_price", b, r, +m),
+                    Deviation("buyer_price", b, r, -m),
+                    Deviation("buyer_buy_less_right", b, r, m),
+                )
+                grid.extend(d for d in candidates if not _skip_reason(d, baseline))
     return grid
 
 
@@ -225,7 +243,7 @@ def audit_unilateral(
     config: MarketConfig,
     horizon: int | None = None,
     deviation_grid: Sequence[Deviation] | None = None,
-    gain_tolerance: float = 1e-9,
+    gain_tolerance: float = CONSERVATION_TOL,
 ) -> AuditReport:
     """Replay the market once per deviation and report utility gains.
 
@@ -240,26 +258,9 @@ def audit_unilateral(
 
     trials: list[DeviationTrial] = []
     for dev in deviation_grid:
-        if dev.round_index < 1 or dev.round_index > T:
-            trials.append(
-                DeviationTrial((dev,), (), skipped=True, reason="round outside horizon")
-            )
-            continue
-        rec = baseline.records[dev.round_index - 1]
-        if dev.kind == "buyer_sell_less_right" and rec.right_offered[dev.trader] <= 1e-12:
-            trials.append(
-                DeviationTrial((dev,), (), skipped=True, reason="buyer offered no right")
-            )
-            continue
-        if dev.kind == "buyer_buy_less_right" and rec.right_demanded[dev.trader] <= 1e-12:
-            trials.append(
-                DeviationTrial((dev,), (), skipped=True, reason="buyer demanded no right")
-            )
-            continue
-        if dev.kind == "buyer_price" and rec.right_offered[dev.trader] <= 1e-12:
-            trials.append(
-                DeviationTrial((dev,), (), skipped=True, reason="no right offer to reprice")
-            )
+        reason = _skip_reason(dev, baseline)
+        if reason:
+            trials.append(DeviationTrial((dev,), (), skipped=True, reason=reason))
             continue
         gains = _replay_gains(config, T, baseline, checkpoints, (dev,))
         trials.append(DeviationTrial((dev,), gains))
@@ -282,15 +283,13 @@ def default_coalition_menu(
             Deviation("seller_price", idx, round_index, +0.10),
             Deviation("seller_price", idx, round_index, -0.10),
         ]
-    rec = baseline.records[round_index - 1]
-    menu: list[Deviation] = []
-    if rec.right_offered[idx] > 1e-12:
-        menu.append(Deviation("buyer_sell_less_right", idx, round_index, 0.50))
-        menu.append(Deviation("buyer_price", idx, round_index, +0.10))
-        menu.append(Deviation("buyer_price", idx, round_index, -0.10))
-    if rec.right_demanded[idx] > 1e-12:
-        menu.append(Deviation("buyer_buy_less_right", idx, round_index, 0.50))
-    return menu
+    menu = (
+        Deviation("buyer_sell_less_right", idx, round_index, 0.50),
+        Deviation("buyer_price", idx, round_index, +0.10),
+        Deviation("buyer_price", idx, round_index, -0.10),
+        Deviation("buyer_buy_less_right", idx, round_index, 0.50),
+    )
+    return [d for d in menu if not _skip_reason(d, baseline)]
 
 
 def audit_coalition(
@@ -298,7 +297,7 @@ def audit_coalition(
     horizon: int | None = None,
     coalition: Sequence[tuple[str, int]] = (),
     joint_grid: Sequence[Sequence[Deviation]] | None = None,
-    gain_tolerance: float = 1e-9,
+    gain_tolerance: float = CONSERVATION_TOL,
     max_trials: int = 500,
 ) -> AuditReport:
     """Joint-deviation scan for one coalition.
@@ -344,7 +343,7 @@ class NonexpansiveReport:
 
 
 def check_nonexpansive(
-    trace: Trace, tol: float = 1e-12, oscillation_guard: float = 1e-9
+    trace: Trace, tol: float = EQ_TOL, oscillation_guard: float = CONSERVATION_TOL
 ) -> NonexpansiveReport:
     """Check |p(t+1) - 1| <= |p(t) - 1| and the oscillation direction along
     a greedy constant-supply trace.
@@ -389,7 +388,7 @@ def bisection_price(
 
     lo, hi = 0.0, total_m / total_r
     if residual(hi) > 0.0:  # guard against rounding at the upper bracket
-        hi *= 1.0 + 1e-12
+        hi *= 1.0 + EQ_TOL
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         if residual(mid) > 0.0:
@@ -485,6 +484,6 @@ def check_price_lower_bound(
         if rank_order is not None:
             money = [rec.money_start[b] for b in rank_order]
         bound = canonical_lower_bound(weights, money)
-        if bound > rec.price_good + 1e-9:
+        if bound > rec.price_good + CONSERVATION_TOL:
             violations.append((rec.round_index, bound, rec.price_good))
     return LowerBoundReport(len(trace.records), tuple(violations))

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .analysis import audit_coalition, audit_unilateral
-from .core import BuyerSpec, MarketConfig, SellerSpec
+from .core import CONSERVATION_TOL, BuyerSpec, MarketConfig, SellerSpec
 from .engine import SCHEDULE_PARAMS, SupplySchedule, Trace, generate_dirichlet_scenario, run
 from .errors import ConfigError, NegativeQuantityError, RightsMarketError, ScenarioError
 from .rights import DistributionMechanism, verify_axioms
@@ -214,7 +214,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             seller_storage_cost=_number(
                 data.get("seller_storage_cost", 1.0), f"{source}.seller_storage_cost"
             ),
-            tolerance=_number(data.get("tolerance", 1e-9), f"{source}.tolerance"),
+            tolerance=_number(data.get("tolerance", CONSERVATION_TOL), f"{source}.tolerance"),
             greedy_price_factor=_number(
                 data.get("greedy_price_factor", 1.0), f"{source}.greedy_price_factor"
             ),
@@ -490,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one scenario and emit a CSV trace")
     sim.add_argument("--scenario", required=True, help="scenario file or preset name")
     sim.add_argument("--out", help="output CSV path (default: scenario setting or stdout)")
-    sim.add_argument("--seed", type=int, default=None, help="unused for deterministic runs")
     sim.add_argument("--horizon", type=int, default=None)
     sim.add_argument("--variant", choices=("rights", "free_market", "myopic_rights"))
     sim.set_defaults(func=cmd_simulate)
@@ -498,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser("audit", help="search for profitable deviations from greedy")
     aud.add_argument("--scenario", required=True)
     aud.add_argument("--out", help="report file (default stdout)")
-    aud.add_argument("--seed", type=int, default=None)
     aud.add_argument("--horizon", type=int, default=None)
     aud.add_argument("--variant", choices=("rights", "free_market", "myopic_rights"))
     aud.add_argument("--unilateral-only", action="store_true")

@@ -5,8 +5,12 @@ One round moves Good from sellers to buyers under per-round entitlements
 consumes each buyer's Good up to their claim, zeroes seller money (sellers
 consume it as utility) and expires all rights.
 
-All quantities are 64-bit floats. Closed-form checks use ``EQ_TOL`` and
-per-round accounting balances use ``CONSERVATION_TOL``.
+All quantities are 64-bit floats. The package's two tolerances live here:
+``EQ_TOL`` is rounding slack on single values (closed-form checks, trade
+volumes treated as exhausted, the price solver's interval edges, whether a
+buyer offered or demanded Right); ``CONSERVATION_TOL`` bounds accumulated
+rounding (per-round accounting balances, sums that must equal 1, audit
+gains that count as real).
 """
 
 from __future__ import annotations
@@ -22,21 +26,14 @@ CONSERVATION_TOL = 1e-9
 VARIANTS = ("rights", "free_market", "myopic_rights")
 
 
-class Quantity(float):
-    """A non-negative amount of Good, Money or Right.
-
-    Arithmetic degrades to plain ``float``; the class only guards
-    construction, so validation happens where amounts enter the system
-    (configs, states) rather than in inner loops.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: float) -> "Quantity":
-        v = float(value)
-        if not v >= 0.0:  # also rejects NaN
-            raise NegativeQuantityError(f"quantity must be non-negative, got {value!r}")
-        return super().__new__(cls, v)
+def non_negative(value: float) -> float:
+    """``value`` as a float, or ``NegativeQuantityError`` if it is negative
+    or NaN. Amounts are checked where they enter the system (configs,
+    states), not in inner loops."""
+    v = float(value)
+    if not v >= 0.0:  # also rejects NaN
+        raise NegativeQuantityError(f"quantity must be non-negative, got {value!r}")
+    return v
 
 
 class ScheduleLike(Protocol):
@@ -61,7 +58,7 @@ class BuyerSpec:
     claim: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "claim", float(Quantity(self.claim)))
+        object.__setattr__(self, "claim", non_negative(self.claim))
 
 
 @dataclass(frozen=True)
@@ -186,8 +183,8 @@ def initial_state(config: MarketConfig) -> MarketState:
     buyers their first income, nobody holds rights yet."""
     g = config.resupply_at(1)
     m = config.income_at(1)
-    sellers = [SellerState(good=float(Quantity(gi)), money=0.0) for gi in g]
-    buyers = [BuyerState(good=0.0, money=float(Quantity(mi)), right=0.0) for mi in m]
+    sellers = [SellerState(good=non_negative(gi), money=0.0) for gi in g]
+    buyers = [BuyerState(good=0.0, money=non_negative(mi), right=0.0) for mi in m]
     return MarketState(1, sellers, buyers)
 
 

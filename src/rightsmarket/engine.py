@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    EQ_TOL,
     BuyerSpec,
     MarketConfig,
     MarketState,
@@ -26,8 +27,8 @@ from .core import (
     initial_state,
 )
 from .errors import ConfigError, ConservationError, SimulationError
-from .mechanism import BuyerBid, SellerOffer, clear, useful_useless_split
-from .pricing import greedy_buyer_bid, posted_greedy_price
+from .mechanism import BuyerBid, Rejection, SellerOffer, clear, useful_useless_split
+from .pricing import free_market_clearing_price, greedy_buyer_bid, posted_greedy_price
 from .rights import DistributionMechanism, allocate
 
 SCHEDULE_PARAMS: dict[str, tuple[str, ...]] = {
@@ -47,7 +48,9 @@ class SupplySchedule:
 
     Emitted values are clamped at zero. Parameter meaning per kind is listed
     in ``SCHEDULE_PARAMS``; use the classmethod constructors. Parameters must
-    be finite, and a period or width non-zero.
+    be finite, and a period or width non-zero. A logistic or hubbert value
+    whose exponential overflows is below 1e-150 of its height and reads as
+    zero; a bullwhip that overflows grows without bound, a ``ConfigError``.
     """
 
     kind: str
@@ -119,19 +122,24 @@ class SupplySchedule:
             v = before if t < switch_round else after
         elif k == "logistic":
             high, rate, midpoint = a
-            v = high / (1.0 + math.exp(-rate * (t - midpoint)))
+            try:
+                v = high / (1.0 + math.exp(-rate * (t - midpoint)))
+            except OverflowError:
+                v = 0.0
         elif k == "bullwhip":
             base, amplitude, period, decay = a
-            v = base + amplitude * math.cos(2.0 * math.pi * t / period) * math.exp(-decay * t)
+            try:
+                v = base + amplitude * math.cos(2.0 * math.pi * t / period) * math.exp(-decay * t)
+            except OverflowError:
+                raise ConfigError(f"bullwhip schedule overflows at round {round_index}") from None
         else:  # hubbert: logistic pulse peaking at `peak` for t == center
             peak, width, center = a
-            z = math.exp(-(t - center) / width)
-            v = peak * 4.0 * z / (1.0 + z) ** 2
+            try:
+                z = math.exp(-(t - center) / width)
+                v = peak * 4.0 * z / (1.0 + z) ** 2
+            except OverflowError:
+                v = 0.0
         return max(0.0, v)
-
-
-def evaluate_schedule(sched: SupplySchedule, round_index: int) -> float:
-    return sched.value_at(round_index)
 
 
 def frustration(right_assigned: float, good_end: float) -> float:
@@ -159,7 +167,7 @@ class RoundRecord:
     useless_money: float
     volume_offered: float
     volume_sold: float
-    flags: tuple[str, ...] = ()
+    rejections: tuple[Rejection, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -208,7 +216,7 @@ class Trace:
         nb = self.num_buyers
         return [sum(r.frustration[b] for r in recs) / len(recs) for b in range(nb)]
 
-    def first_all_zero_frustration_round(self, tol: float = 1e-12) -> int | None:
+    def first_all_zero_frustration_round(self, tol: float = EQ_TOL) -> int | None:
         """First round index from which every buyer's frustration stays zero
         through the end of the trace, or None."""
         start = None
@@ -266,7 +274,6 @@ def run(
     config: MarketConfig,
     horizon: int | None = None,
     adjustments: Sequence[BidAdjustment] = (),
-    check_conservation: bool = True,
 ) -> Trace:
     """Simulate the repeated market and return its trace.
 
@@ -275,7 +282,7 @@ def run(
     checked every round against ``config.tolerance``; a violation aborts the
     trace with the failing round index.
     """
-    return _run(config, horizon, adjustments, check_conservation)
+    return _run(config, horizon, adjustments)
 
 
 def run_with_checkpoints(
@@ -287,7 +294,7 @@ def run_with_checkpoints(
     horizon, holds the final state and the trace's utility totals.
     """
     checkpoints: list[Checkpoint] = []
-    trace = _run(config, horizon, (), True, checkpoints)
+    trace = _run(config, horizon, (), checkpoints)
     return trace, tuple(checkpoints)
 
 
@@ -322,7 +329,6 @@ def _run(
     config: MarketConfig,
     horizon: int | None,
     adjustments: Sequence[BidAdjustment],
-    check_conservation: bool,
     checkpoints: list[Checkpoint] | None = None,
 ) -> Trace:
     T = horizon if horizon is not None else config.horizon
@@ -331,14 +337,17 @@ def _run(
     nb = config.num_buyers
     seller_total = [0.0] * config.num_sellers
     buyer_total = [0.0] * nb
+    try:
+        state = initial_state(config)
+    except Exception as exc:
+        raise SimulationError(1, str(exc)) from exc
     records, max_money_res, max_good_res = _play_rounds(
         config,
-        initial_state(config),
+        state,
         T,
         _index_adjustments(adjustments),
         seller_total,
         buyer_total,
-        check_conservation,
         checkpoints,
     )
     ef_path: list[float] = []
@@ -363,7 +372,6 @@ def _play_rounds(
     adjustments: AdjustmentIndex,
     seller_total: list[float],
     buyer_total: list[float],
-    check_conservation: bool = True,
     checkpoints: list[Checkpoint] | None = None,
 ) -> tuple[list[RoundRecord], float, float]:
     """Play rounds ``state.round_index`` through ``horizon``, adding each
@@ -371,16 +379,23 @@ def _play_rounds(
 
     ``state`` is mutated. When ``checkpoints`` is a list, a checkpoint is
     appended at the start of every round and once more after the last.
-    Returns the round records and the largest money and Good residuals.
+    Returns the round records and the largest money and Good residuals. A
+    failure, including one in the transition into round t, aborts with
+    round index t.
     """
     records: list[RoundRecord] = []
     max_money_res = 0.0
     max_good_res = 0.0
 
-    for tau in range(state.round_index, horizon + 1):
-        if checkpoints is not None:
-            checkpoints.append(Checkpoint(state.copy(), tuple(seller_total), tuple(buyer_total)))
-        try:
+    tau = state.round_index
+    try:
+        while True:
+            if checkpoints is not None:
+                checkpoints.append(
+                    Checkpoint(state.copy(), tuple(seller_total), tuple(buyer_total))
+                )
+            if tau > horizon:
+                break
             if config.variant == "free_market":
                 record, state, util, residuals = _run_free_round(state, config, tau)
             else:
@@ -390,28 +405,23 @@ def _play_rounds(
             money_res, good_res = residuals
             max_money_res = max(max_money_res, money_res)
             max_good_res = max(max_good_res, good_res)
-            if check_conservation and (
-                money_res > config.tolerance or good_res > config.tolerance
-            ):
+            if money_res > config.tolerance or good_res > config.tolerance:
                 raise ConservationError(
                     f"accounting residual money={money_res:g} good={good_res:g} "
                     f"exceeds tolerance {config.tolerance:g}"
                 )
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(tau, str(exc)) from exc
-
-        records.append(record)
-        su, bu = util
-        for i in range(len(seller_total)):
-            seller_total[i] += su[i]
-        for j in range(len(buyer_total)):
-            buyer_total[j] += bu[j]
-        state = apply_transition(state, config)
-
-    if checkpoints is not None:
-        checkpoints.append(Checkpoint(state.copy(), tuple(seller_total), tuple(buyer_total)))
+            records.append(record)
+            su, bu = util
+            for i in range(len(seller_total)):
+                seller_total[i] += su[i]
+            for j in range(len(buyer_total)):
+                buyer_total[j] += bu[j]
+            tau += 1
+            state = apply_transition(state, config)
+    except SimulationError:
+        raise
+    except Exception as exc:
+        raise SimulationError(tau, str(exc)) from exc
     return records, max_money_res, max_good_res
 
 
@@ -447,13 +457,10 @@ def _run_rights_round(
     for b in range(nb):
         state.buyers[b].right = rights[b]
 
-    flags: list[str] = []
     price_avg = sum(o.price for o in offers) / len(offers)
     bids: list[BuyerBid] = []
     for b in range(nb):
         bid = greedy_buyer_bid(b, offers, state, config)
-        if price_avg <= 0.0 and state.buyers[b].money > 0.0 and rights[b] > 0.0:
-            flags.append(f"buyer {b}: degenerate free goods (P=0)")
         for adj in adjustments.get((tau, "buyer", b), ()):
             bid = replace(
                 bid,
@@ -464,7 +471,6 @@ def _run_rights_round(
         bids.append(bid)
 
     result = clear(offers, bids, state, config.variant, config.tolerance)
-    flags.extend(result.rejected)
 
     # fold the clearing into the state; deferred proceeds join the balance
     # only now, after the trading window closed
@@ -522,7 +528,7 @@ def _run_rights_round(
         useless_money=useless,
         volume_offered=offered,
         volume_sold=result.volume_sold,
-        flags=tuple(flags),
+        rejections=result.rejected,
     )
     util = consumed_utility(state, config)
     return record, state, util, (money_res, good_res)
@@ -539,8 +545,7 @@ def _run_free_round(state: MarketState, config: MarketConfig, tau: int):
     if offered <= 0.0:
         raise SimulationError(tau, "no good offered for sale")
     rights_hyp = allocate(config.mechanism, offered, config.claims)
-    total_money = sum(money_start)
-    price = (total_money / offered) * config.greedy_price_factor
+    price = free_market_clearing_price(money_start, offered) * config.greedy_price_factor
 
     bought = [0.0] * nb
     if price > 0.0:

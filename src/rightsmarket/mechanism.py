@@ -12,13 +12,10 @@ backed by their unused Right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import MarketState, equal_rate_fill
+from .core import CONSERVATION_TOL, EQ_TOL, MarketState, equal_rate_fill
 from .errors import ClearingError
-
-# progress threshold: trades below this volume are treated as exhausted
-_PROGRESS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,6 +45,16 @@ class BuyerBid:
 
 
 @dataclass(frozen=True)
+class Rejection:
+    """A malformed offer or bid that ``clear`` excluded from the round;
+    ``side`` is "seller" or "buyer"."""
+
+    side: str
+    index: int
+    reason: str
+
+
+@dataclass(frozen=True)
 class ClearingResult:
     good_bought: tuple[float, ...]
     right_bought: tuple[float, ...]
@@ -59,7 +66,7 @@ class ClearingResult:
     seller_sold: tuple[float, ...]
     unsold_good: tuple[float, ...]
     proceeds_deferred: bool
-    rejected: tuple[str, ...] = ()
+    rejected: tuple[Rejection, ...] = ()
 
     @property
     def volume_sold(self) -> float:
@@ -80,19 +87,22 @@ def clear(
     bids: list[BuyerBid],
     state: MarketState,
     variant: str = "rights",
-    tolerance: float = 1e-9,
+    tolerance: float = CONSERVATION_TOL,
 ) -> ClearingResult:
     """Clear one round of bids against the current state.
 
     Malformed offers/bids (volume above the trader's holding, negative
-    entries) exclude that trader from the round; everyone else still trades.
+    entries) exclude that trader from the round and are listed in
+    ``rejected``; everyone else still trades. Volumes at or below
+    ``EQ_TOL`` count as exhausted.
     """
     ns, nb = len(state.sellers), len(state.buyers)
     if len(offers) != ns or len(bids) != nb:
         raise ClearingError("offers/bids do not match the trader lists")
     myopic = variant == "myopic_rights"
 
-    rejected: list[str] = []
+    rejected: list[Rejection] = []
+    accepted_volume = [0.0] * ns
     sell_rem = [0.0] * ns
     sell_price = [0.0] * ns
     for s, off in enumerate(offers):
@@ -102,9 +112,10 @@ def clear(
             or off.volume > state.sellers[s].good + tolerance
         )
         if bad:
-            rejected.append(f"seller {s}: offer {off} infeasible against stock "
-                            f"{state.sellers[s].good!r}")
+            reason = f"offer {off} infeasible against stock {state.sellers[s].good!r}"
+            rejected.append(Rejection("seller", s, reason))
             continue
+        accepted_volume[s] = off.volume
         sell_rem[s] = float(off.volume)
         sell_price[s] = float(off.price)
 
@@ -124,8 +135,8 @@ def clear(
             bid.right_offer_volume > state.buyers[b].right + tolerance
         )
         if bad:
-            rejected.append(f"buyer {b}: bid {bid} infeasible against right "
-                            f"{state.buyers[b].right!r}")
+            reason = f"bid {bid} infeasible against right {state.buyers[b].right!r}"
+            rejected.append(Rejection("buyer", b, reason))
             continue
         active[b] = True
         spend[b] = float(state.buyers[b].money)
@@ -149,7 +160,7 @@ def clear(
     def run_good_for_rights_pass(licence: list[float]) -> None:
         """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
         for _ in range(guard):
-            live = [s for s in range(ns) if sell_rem[s] > _PROGRESS]
+            live = [s for s in range(ns) if sell_rem[s] > EQ_TOL]
             if not live:
                 return
             pg = min(sell_price[s] for s in live)
@@ -163,13 +174,13 @@ def clear(
                     cap = min(cap, spend[b] / pg)
                 demand[b] = max(0.0, cap)
             total_demand = sum(demand)
-            if total_demand <= _PROGRESS:
+            if total_demand <= EQ_TOL:
                 # the cheapest level is the easiest to be compatible with,
                 # so no demand here means no demand anywhere
                 return
             supply = sum(sell_rem[s] for s in level)
             volume = min(total_demand, supply)
-            if volume <= _PROGRESS:
+            if volume <= EQ_TOL:
                 return
             take = equal_rate_fill([sell_rem[s] for s in level], volume)
             for k, s in enumerate(level):
@@ -193,8 +204,8 @@ def clear(
 
     # -- stage 2: paired Good+Right purchases -----------------------------
     for _ in range(guard):
-        live_good = [s for s in range(ns) if sell_rem[s] > _PROGRESS]
-        live_right = [b for b in range(nb) if offer_rem[b] > _PROGRESS]
+        live_good = [s for s in range(ns) if sell_rem[s] > EQ_TOL]
+        live_right = [b for b in range(nb) if offer_rem[b] > EQ_TOL]
         if not live_good or not live_right:
             break
         pairs = sorted(
@@ -225,10 +236,10 @@ def clear(
                     cap = min(cap, spend[b] / unit)
                 demand[b] = max(0.0, cap)
             total_demand = sum(demand)
-            if total_demand <= _PROGRESS:
+            if total_demand <= EQ_TOL:
                 continue
             volume = min(total_demand, good_avail, right_avail)
-            if volume <= _PROGRESS:
+            if volume <= EQ_TOL:
                 continue
 
             take_good = equal_rate_fill([sell_rem[s] for s in good_level], volume)
@@ -279,15 +290,7 @@ def clear(
         money_earned_right=tuple(earned),
         seller_revenue=tuple(revenue),
         seller_sold=tuple(sold),
-        unsold_good=tuple(
-            max(0.0, (offers[s].volume if not _offer_rejected(rejected, s) else 0.0) - sold[s])
-            for s in range(ns)
-        ),
+        unsold_good=tuple(max(0.0, accepted_volume[s] - sold[s]) for s in range(ns)),
         proceeds_deferred=not myopic,
         rejected=tuple(rejected),
     )
-
-
-def _offer_rejected(rejected: list[str], seller_index: int) -> bool:
-    prefix = f"seller {seller_index}:"
-    return any(r.startswith(prefix) for r in rejected)

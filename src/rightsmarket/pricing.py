@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import EQ_TOL, MarketConfig, MarketState
+from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
 from .errors import ConfigError, PricingError
 from .mechanism import BuyerBid, SellerOffer
 from .rights import allocate, claim_rank_order
@@ -115,7 +115,7 @@ def canonical_closed_form(n: int, incomes: Sequence[float], round_index: int) ->
         raise ConfigError("round index starts at 1")
     if not 1 <= n <= len(incomes):
         raise ConfigError(f"rank {n} out of range for {len(incomes)} buyers")
-    if abs(sum(incomes) - 1.0) > 1e-9:
+    if abs(sum(incomes) - 1.0) > CONSERVATION_TOL:
         raise ConfigError("closed form requires incomes summing to 1")
     if round_index == 1:
         return (1.0 + float(incomes[n - 1])) / 2.0
@@ -132,7 +132,7 @@ def canonical_lower_bound(weights: Sequence[float], money: Sequence[float]) -> f
     """
     if len(weights) != len(money):
         raise ConfigError("weights and money vectors differ in length")
-    if abs(sum(weights) - 1.0) > 1e-9:
+    if abs(sum(weights) - 1.0) > CONSERVATION_TOL:
         raise ConfigError("decomposition weights must sum to 1")
     total = sum(float(x) for x in money)
     return sum(float(w) * (float(mb) + total) / 2.0 for w, mb in zip(weights, money))
@@ -170,24 +170,11 @@ def posted_greedy_price(
     """
     money = [b.money for b in state.buyers]
     rights = allocate(config.mechanism, offered_volume, config.claims)
-    if config.variant == "myopic_rights" or config.variant == "free_market":
+    if config.variant == "myopic_rights":
         price = free_market_clearing_price(money, offered_volume) if offered_volume > 0 else 0.0
     else:
         price = solve_implicit_price(money, rights).price
     return price * config.greedy_price_factor, rights
-
-
-def greedy_seller_bid(
-    seller_index: int, state: MarketState, config: MarketConfig
-) -> SellerOffer:
-    """Greedy offer of one seller: the round's resupply at the common price.
-
-    Assumes every seller is greedy, so the offered volume used to query the
-    distribution mechanism is the total resupply of the round.
-    """
-    g = config.resupply_at(state.round_index)
-    price, _ = posted_greedy_price(state, config, sum(g))
-    return SellerOffer(volume=g[seller_index], price=price)
 
 
 def greedy_buyer_bid(

@@ -10,6 +10,7 @@ from rightsmarket.cli import (
     EXIT_DEVIATION,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RUNTIME,
     list_presets,
     load_scenario,
     main,
@@ -216,6 +217,31 @@ class TestCommands:
         bad.write_text(json.dumps(scn))
         assert main([command, "--scenario", str(bad)]) == EXIT_PARSE
         assert "buyers[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("income", "code"),
+        [
+            ({"kind": "hubbert", "peak": 1.0, "width": 0.01, "center": 60}, EXIT_OK),
+            ({"kind": "logistic", "high": 1.0, "rate": 100, "midpoint": 50}, EXIT_OK),
+            ({"kind": "logistic", "high": 1.0, "rate": -100, "midpoint": 50}, EXIT_OK),
+            (
+                {"kind": "bullwhip", "base": 0.0, "amplitude": 0.0, "period": 10, "decay": -20},
+                EXIT_RUNTIME,
+            ),
+        ],
+        ids=("hubbert", "logistic", "logistic-falling", "bullwhip"),
+    )
+    def test_overflowing_schedule_exit_code(self, tmp_path, capsys, income, code):
+        scn = scenario_to_dict(load_scenario("scenario-a-proportional"))
+        scn["buyers"][0]["income"] = income
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(scn))
+        out = tmp_path / "steep.csv"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == code
+        if code == EXIT_RUNTIME:
+            assert "round 36" in capsys.readouterr().err
+        else:
+            assert len(out.read_text().splitlines()) == 61
 
     def test_simulate_unknown_preset_exit_code(self):
         assert main(["simulate", "--scenario", "no-such-preset"]) == EXIT_PARSE

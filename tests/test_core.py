@@ -10,13 +10,13 @@ from rightsmarket.core import (
     BuyerState,
     MarketConfig,
     MarketState,
-    Quantity,
     SellerSpec,
     SellerState,
     apply_transition,
     consumed_utility,
     equal_rate_fill,
     initial_state,
+    non_negative,
     water_level,
 )
 from rightsmarket.engine import SupplySchedule
@@ -25,15 +25,15 @@ from rightsmarket.rights import DistributionMechanism
 
 
 def test_quantity_accepts_non_negative():
-    assert Quantity(0.0) == 0.0
-    assert Quantity(1.5) == 1.5
-    assert float(Quantity(2)) == 2.0
+    assert non_negative(0.0) == 0.0
+    assert non_negative(1.5) == 1.5
+    assert non_negative(2) == 2.0
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan")])
 def test_quantity_rejects_negative_and_nan(bad):
     with pytest.raises(NegativeQuantityError):
-        Quantity(bad)
+        non_negative(bad)
 
 
 def _config(claims, incomes, resupply=(1.0,), **kw):

@@ -1,6 +1,7 @@
 """Repeated-market loop: price paths, frustration metrics, schedules,
 variants and the scenario generator."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import (
     BidAdjustment,
     SupplySchedule,
-    evaluate_schedule,
     frustration,
     generate_dirichlet_scenario,
     replay_from,
@@ -43,29 +43,43 @@ class TestFrustration:
 class TestSchedules:
     def test_cosine_reproduces_benchmark_wave(self):
         sched = SupplySchedule.cosine(0.25, 10, 0.75)
-        assert evaluate_schedule(sched, 10) == pytest.approx(1.0, abs=1e-12)
-        assert evaluate_schedule(sched, 5) == pytest.approx(0.5, abs=1e-12)
+        assert sched.value_at(10) == pytest.approx(1.0, abs=1e-12)
+        assert sched.value_at(5) == pytest.approx(0.5, abs=1e-12)
 
     def test_constant(self):
-        assert evaluate_schedule(SupplySchedule.constant(1.0), 7) == 1.0
+        assert SupplySchedule.constant(1.0).value_at(7) == 1.0
 
     def test_step(self):
         sched = SupplySchedule.step(1.0, 0.5, 20)
-        assert evaluate_schedule(sched, 19) == 1.0
-        assert evaluate_schedule(sched, 20) == 0.5
+        assert sched.value_at(19) == 1.0
+        assert sched.value_at(20) == 0.5
 
     def test_hubbert_peaks_at_center(self):
         sched = SupplySchedule.hubbert(1.5, 8.0, 50.0)
-        assert evaluate_schedule(sched, 50) == pytest.approx(1.5, abs=1e-12)
-        assert evaluate_schedule(sched, 10) < 0.1
+        assert sched.value_at(50) == pytest.approx(1.5, abs=1e-12)
+        assert sched.value_at(10) < 0.1
 
     def test_clamped_at_zero(self):
         sched = SupplySchedule.linear(-1.0, 2.0)
-        assert evaluate_schedule(sched, 5) == 0.0
+        assert sched.value_at(5) == 0.0
+
+    @pytest.mark.parametrize(
+        "sched",
+        [SupplySchedule.hubbert(1.0, 0.01, 60.0), SupplySchedule.logistic(1.0, 100.0, 50.0)],
+        ids=("hubbert", "logistic"),
+    )
+    def test_overflowing_exponential_reads_zero(self, sched):
+        assert sched.value_at(1) == 0.0
+
+    def test_overflowing_bullwhip_names_its_round(self):
+        sched = SupplySchedule.bullwhip(0.0, 0.0, 10.0, -20.0)
+        assert sched.value_at(35) == 0.0
+        with pytest.raises(ConfigError, match="round 36"):
+            sched.value_at(36)
 
     def test_round_index_starts_at_one(self):
         with pytest.raises(ConfigError):
-            evaluate_schedule(SupplySchedule.constant(1.0), 0)
+            SupplySchedule.constant(1.0).value_at(0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -459,3 +473,33 @@ class TestRunValidation:
         with pytest.raises(SimulationError) as err:
             run(cfg)
         assert err.value.round_index == 3
+
+    @pytest.mark.parametrize("fails_at", [1, 36])
+    def test_schedule_failure_aborts_with_round_index(self, fails_at):
+        # exp(20 t) overflows from t = 36 on; decay -1000 overflows at t = 1,
+        # when the initial state is built
+        decay = -20.0 if fails_at == 36 else -1000.0
+        cfg = replace(
+            make_benchmark(),
+            buyers=(
+                BuyerSpec(income=SupplySchedule.bullwhip(0.0, 0.0, 10.0, decay), claim=1.0),
+                *make_benchmark().buyers[1:],
+            ),
+        )
+        with pytest.raises(SimulationError) as err:
+            run(cfg)
+        assert err.value.round_index == fails_at
+
+
+class TestRejections:
+    def test_over_offered_right_is_rejected_in_its_round_only(self):
+        # buyer 0 is poor in round 3 and offers more than half its right, so
+        # doubling the offer exceeds the right it holds
+        cfg = make_benchmark(horizon=8)
+        trace = run(cfg, adjustments=[BidAdjustment(3, ("buyer", 0), right_offer_factor=2.0)])
+        for rec in trace.records:
+            if rec.round_index == 3:
+                assert [(r.side, r.index) for r in rec.rejections] == [("buyer", 0)]
+            else:
+                assert rec.rejections == ()
+        assert all(rec.rejections == () for rec in run(cfg).records)

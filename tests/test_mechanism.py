@@ -114,15 +114,16 @@ class TestSimpleRounds:
             BuyerBid(0.0, 1.0, 0.5, 1.0, 0.0, 1.0),
         ]
         result = clear([SellerOffer(1.0, 1.0)], bids, state)
-        assert result.rejected and "buyer 0" in result.rejected[0]
+        assert [(r.side, r.index) for r in result.rejected] == [("buyer", 0)]
         assert result.good_bought[0] == 0.0
         assert result.good_bought[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_malformed_offer_excluded(self):
         state = MarketState(1, [SellerState(0.5)], [BuyerState(0.0, 1.0, right=0.5)])
         result = clear([SellerOffer(1.0, 1.0)], [BuyerBid(0, 1, 0.5, 1, 0, 1)], state)
-        assert result.rejected
+        assert [(r.side, r.index) for r in result.rejected] == [("seller", 0)]
         assert result.volume_sold == 0.0
+        assert result.unsold_good == (0.0,)  # a rejected offer never reached the market
 
     def test_cheaper_seller_trades_first(self):
         state = MarketState(
@@ -285,7 +286,7 @@ class TestConservationProperties:
             sum(result.good_bought), sum(result.seller_sold), abs_tol=1e-9
         )
         for s in range(ns):
-            if not any(r.startswith(f"seller {s}:") for r in result.rejected):
+            if ("seller", s) not in {(r.side, r.index) for r in result.rejected}:
                 assert math.isclose(
                     result.seller_sold[s] + result.unsold_good[s],
                     offers[s].volume,

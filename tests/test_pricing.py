@@ -19,8 +19,8 @@ from rightsmarket.pricing import (
     canonical_lower_bound,
     free_market_clearing_price,
     greedy_buyer_bid,
-    greedy_seller_bid,
     mechanism_rank_weights,
+    posted_greedy_price,
     solve_implicit_price,
 )
 from rightsmarket.rights import DistributionMechanism
@@ -186,10 +186,18 @@ def _benchmark_config(mech=None, incomes=(0.0, 0.25, 0.75), variant="rights"):
     )
 
 
+def _greedy_offer(cfg):
+    """Seller 0's round-1 offer when every seller is greedy: its resupply at
+    the price posted for the total resupply."""
+    volumes = cfg.resupply_at(1)
+    price, _ = posted_greedy_price(initial_state(cfg), cfg, sum(volumes))
+    return SellerOffer(volume=volumes[0], price=price)
+
+
 class TestGreedyBids:
     def test_seller_posts_solved_price_on_full_resupply(self):
         cfg = _benchmark_config()
-        offer = greedy_seller_bid(0, initial_state(cfg), cfg)
+        offer = _greedy_offer(cfg)
         assert offer.volume == 1.0
         assert offer.price == pytest.approx(75 / 116, abs=1e-12)
 
@@ -200,14 +208,14 @@ class TestGreedyBids:
             mechanism=DistributionMechanism.proportional(),
             horizon=5,
         )
-        offer = greedy_seller_bid(0, initial_state(cfg), cfg)
+        offer = _greedy_offer(cfg)
         assert (offer.volume, offer.price) == (1.0, 1.0)
 
     def test_canonical_top_rank_price(self):
         cfg = _benchmark_config(
             DistributionMechanism.canonical(1), incomes=(0.75, 0.25, 0.0)
         )
-        offer = greedy_seller_bid(0, initial_state(cfg), cfg)
+        offer = _greedy_offer(cfg)
         assert offer.price == pytest.approx(7 / 8, abs=1e-12)
 
     def test_poor_buyer_sells_surplus_right(self):
