@@ -9,8 +9,9 @@ All quantities are 64-bit floats. The package's two tolerances live here:
 ``EQ_TOL`` is rounding slack on single values (closed-form checks, trade
 volumes treated as exhausted, the price solver's interval edges, whether a
 buyer offered or demanded Right); ``CONSERVATION_TOL`` bounds accumulated
-rounding (per-round accounting balances, sums that must equal 1, audit
-gains that count as real).
+rounding (per-round accounting balances, relative to the money or Good in
+play once that exceeds 1; sums that must equal 1; audit gains that count as
+real).
 """
 
 from __future__ import annotations

@@ -279,8 +279,9 @@ def run(
 
     Every trader plays greedy except where ``adjustments`` modify a bid
     (used by the equilibrium audit). Money, Good and the rights cap are
-    checked every round against ``config.tolerance``; a violation aborts the
-    trace with the failing round index.
+    checked every round against ``config.tolerance``, scaled by the money or
+    Good in play where that exceeds 1; a violation aborts the trace with the
+    failing round index.
     """
     return _run(config, horizon, adjustments)
 
@@ -406,10 +407,15 @@ def _play_rounds(
             max_money_res = max(max_money_res, money_res)
             max_good_res = max(max_good_res, good_res)
             if money_res > config.tolerance or good_res > config.tolerance:
-                raise ConservationError(
-                    f"accounting residual money={money_res:g} good={good_res:g} "
-                    f"exceeds tolerance {config.tolerance:g}"
-                )
+                # rounding grows with the amounts traded, so above 1 the
+                # tolerance scales with the money and Good in play
+                money_tol = config.tolerance * max(1.0, sum(record.money_start))
+                good_tol = config.tolerance * max(1.0, record.volume_offered)
+                if money_res > money_tol or good_res > good_tol:
+                    raise ConservationError(
+                        f"accounting residual money={money_res:g} good={good_res:g} "
+                        f"exceeds tolerance money={money_tol:g} good={good_tol:g}"
+                    )
             records.append(record)
             su, bu = util
             for i in range(len(seller_total)):
@@ -486,7 +492,9 @@ def _run_rights_round(
             + result.money_earned_right[b]
         )
         if state.buyers[b].money < 0.0:
-            if state.buyers[b].money < -config.tolerance:
+            # rounding dust scales with the buyer's money in play
+            scale = max(1.0, money_start[b] + result.money_earned_right[b])
+            if state.buyers[b].money < -config.tolerance * scale:
                 raise SimulationError(tau, f"buyer {b} money went negative")
             state.buyers[b].money = 0.0
 
@@ -498,9 +506,10 @@ def _run_rights_round(
             good_res, abs(result.seller_sold[s] + result.unsold_good[s] - offers[s].volume)
         )
     # rights cap: purchases in the round never exceed licence held + bought
+    good_tol = config.tolerance * max(1.0, offered)
     for b in range(nb):
         cap = rights[b] + result.right_bought[b]
-        if result.good_bought[b] > cap + config.tolerance:
+        if result.good_bought[b] > cap + good_tol:
             raise SimulationError(tau, f"buyer {b} bought good beyond their rights")
 
     useful, useless = useful_useless_split(result)

@@ -8,6 +8,20 @@ rationed pro-rata by residual demand. Money earned by selling Right is
 deferred to the next round, except in the ``myopic_rights`` variant where it
 is spendable immediately and a final pass lets buyers put it toward Good
 backed by their unused Right.
+
+Each stage-2 step trades at one pair of a live good price ``pg`` and a live
+right-offer price ``qr``: the first pair, in ascending order of unit price
+``pg + qr`` with ties broken by the lower ``pg``, at which buyers demand
+anything. That pair always has the cheapest live good price. Lowering ``pg``
+at a fixed ``qr`` keeps the Right on sale, lowers the unit price and passes
+more price ceilings, so no buyer's demand falls; and as float addition never
+decreases in either argument, the cheaper pair also comes first in the
+order. A step therefore walks the Right levels upward at the cheapest good
+price and trades at the first with demand, almost always the first it looks
+at; stage 2 ends when none has any. So the tie-break on equal unit prices
+never decides which pair trades. A step costs one pass over the live
+sellers plus, per Right level it looks at, one pass over the buyers that
+still have Good and Right cap left, not a pass over every pair and buyer.
 """
 
 from __future__ import annotations
@@ -91,8 +105,8 @@ def clear(
 ) -> ClearingResult:
     """Clear one round of bids against the current state.
 
-    Malformed offers/bids (volume above the trader's holding, negative
-    entries) exclude that trader from the round and are listed in
+    Malformed offers/bids (volume above the trader's holding, negative or
+    NaN entries) exclude that trader from the round and are listed in
     ``rejected``; everyone else still trades. Volumes at or below
     ``EQ_TOL`` count as exhausted.
     """
@@ -101,14 +115,15 @@ def clear(
         raise ClearingError("offers/bids do not match the trader lists")
     myopic = variant == "myopic_rights"
 
+    # ``not x >= 0.0`` also catches NaN, which fails every comparison
     rejected: list[Rejection] = []
     accepted_volume = [0.0] * ns
     sell_rem = [0.0] * ns
     sell_price = [0.0] * ns
     for s, off in enumerate(offers):
         bad = (
-            off.volume < 0.0
-            or off.price < 0.0
+            not off.volume >= 0.0
+            or not off.price >= 0.0
             or off.volume > state.sellers[s].good + tolerance
         )
         if bad:
@@ -131,7 +146,7 @@ def clear(
             bid.max_good_volume, bid.max_good_price,
             bid.max_right_volume, bid.max_right_price,
         )
-        bad = any(x < 0.0 for x in fields) or (
+        bad = any(not x >= 0.0 for x in fields) or (
             bid.right_offer_volume > state.buyers[b].right + tolerance
         )
         if bad:
@@ -145,6 +160,9 @@ def clear(
         rights_use[b] = float(state.buyers[b].right) - offer_rem[b]
         vbar_rem[b] = float(bid.max_good_volume)
         wbar_rem[b] = float(bid.max_right_volume)
+    good_ceiling = [bid.max_good_price for bid in bids]
+    right_ceiling = [bid.max_right_price for bid in bids]
+    right_price = [bid.right_offer_price for bid in bids]
 
     good_bought = [0.0] * nb
     right_bought = [0.0] * nb
@@ -157,22 +175,43 @@ def clear(
 
     guard = 20 * (ns + nb) + 200
 
+    def cheapest_good_level() -> tuple[float, list[int]] | None:
+        """The lowest live good price and its sellers in index order."""
+        live = [s for s in range(ns) if sell_rem[s] > EQ_TOL]
+        if not live:
+            return None
+        pg = min(sell_price[s] for s in live)
+        return pg, [s for s in live if sell_price[s] == pg]
+
+    def sell_good(level: list[int], pg: float, volume: float) -> None:
+        take = equal_rate_fill([sell_rem[s] for s in level], volume)
+        for k, s in enumerate(level):
+            sell_rem[s] -= take[k]
+            sold[s] += take[k]
+            revenue[s] += take[k] * pg
+
     def run_good_for_rights_pass(licence: list[float]) -> None:
         """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
+        # a buyer without Good cap or licence left demands nothing, and
+        # neither comes back during a pass
+        buyers = [b for b in range(nb) if active[b] and vbar_rem[b] > 0.0 and licence[b] > 0.0]
         for _ in range(guard):
-            live = [s for s in range(ns) if sell_rem[s] > EQ_TOL]
-            if not live:
+            cheapest = cheapest_good_level()
+            if cheapest is None:
                 return
-            pg = min(sell_price[s] for s in live)
-            level = [s for s in live if sell_price[s] == pg]
-            demand = [0.0] * nb
-            for b in range(nb):
-                if not active[b] or bids[b].max_good_price < pg:
+            pg, level = cheapest
+            # positive demands only, in buyer order: the zeros a scan of
+            # every buyer would add leave each sum bit-identical
+            demanders, demand = [], []
+            for b in buyers:
+                if good_ceiling[b] < pg:
                     continue
                 cap = min(vbar_rem[b], licence[b])
                 if pg > 0.0:
                     cap = min(cap, spend[b] / pg)
-                demand[b] = max(0.0, cap)
+                if cap > 0.0:
+                    demanders.append(b)
+                    demand.append(cap)
             total_demand = sum(demand)
             if total_demand <= EQ_TOL:
                 # the cheapest level is the easiest to be compatible with,
@@ -182,59 +221,55 @@ def clear(
             volume = min(total_demand, supply)
             if volume <= EQ_TOL:
                 return
-            take = equal_rate_fill([sell_rem[s] for s in level], volume)
-            for k, s in enumerate(level):
-                sell_rem[s] -= take[k]
-                sold[s] += take[k]
-                revenue[s] += take[k] * pg
-            for b in range(nb):
-                if demand[b] <= 0.0:
-                    continue
-                x = volume * demand[b] / total_demand
+            sell_good(level, pg, volume)
+            for b, d in zip(demanders, demand):
+                x = volume * d / total_demand
                 good_bought[b] += x
                 licence[b] = max(0.0, licence[b] - x)
                 vbar_rem[b] = max(0.0, vbar_rem[b] - x)
                 pay = x * pg
                 spend[b] = max(0.0, spend[b] - pay)
                 spent_good[b] += pay
+            buyers = [b for b in buyers if vbar_rem[b] > 0.0 and licence[b] > 0.0]
         raise ClearingError("good-for-rights pass failed to converge")
 
     # -- stage 1: right-licensed Good purchases --------------------------
     run_good_for_rights_pass(rights_use)
 
     # -- stage 2: paired Good+Right purchases -----------------------------
+    # Right on sale grouped by price in buyer order, and the buyers with
+    # Good and Right cap left: both only shrink, so they are kept across
+    # steps and trimmed after each trade.
+    right_levels: dict[float, list[int]] = {}
+    for b in range(nb):
+        if offer_rem[b] > EQ_TOL:
+            right_levels.setdefault(right_price[b], []).append(b)
+    right_prices = sorted(right_levels)
+    buyers = [b for b in range(nb) if active[b] and vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
     for _ in range(guard):
-        live_good = [s for s in range(ns) if sell_rem[s] > EQ_TOL]
-        live_right = [b for b in range(nb) if offer_rem[b] > EQ_TOL]
-        if not live_good or not live_right:
+        cheapest = cheapest_good_level()
+        if cheapest is None or not right_prices:
             break
-        pairs = sorted(
-            {
-                (sell_price[s], bids[b].right_offer_price)
-                for s in live_good
-                for b in live_right
-            },
-            key=lambda t: (t[0] + t[1], t[0], t[1]),
-        )
-        traded = False
-        for pg, qr in pairs:
-            good_level = [s for s in live_good if sell_price[s] == pg]
-            right_level = [b for b in live_right if bids[b].right_offer_price == qr]
-            good_avail = sum(sell_rem[s] for s in good_level)
+        # the first pair with demand has the cheapest good price (see the
+        # module docstring), so walk its Right levels upward
+        pg, good_level = cheapest
+        good_avail = sum(sell_rem[s] for s in good_level)
+        for qr in right_prices:
+            right_level = right_levels[qr]
             right_avail = sum(offer_rem[b] for b in right_level)
             unit = pg + qr
-            demand = [0.0] * nb
-            for b in range(nb):
-                if not active[b]:
-                    continue
-                if bids[b].max_good_price < pg or bids[b].max_right_price < qr:
+            demanders, demand = [], []
+            for b in buyers:
+                if good_ceiling[b] < pg or right_ceiling[b] < qr:
                     continue
                 # a buyer never buys their own offered Right
-                own = offer_rem[b] if b in right_level else 0.0
+                own = offer_rem[b] if offer_rem[b] > EQ_TOL and right_price[b] == qr else 0.0
                 cap = min(vbar_rem[b], wbar_rem[b], right_avail - own)
-                if unit > 0.0:
+                if unit > 0.0:  # at unit price 0 even a buyer without money buys
                     cap = min(cap, spend[b] / unit)
-                demand[b] = max(0.0, cap)
+                if cap > 0.0:
+                    demanders.append(b)
+                    demand.append(cap)
             total_demand = sum(demand)
             if total_demand <= EQ_TOL:
                 continue
@@ -242,11 +277,7 @@ def clear(
             if volume <= EQ_TOL:
                 continue
 
-            take_good = equal_rate_fill([sell_rem[s] for s in good_level], volume)
-            for k, s in enumerate(good_level):
-                sell_rem[s] -= take_good[k]
-                sold[s] += take_good[k]
-                revenue[s] += take_good[k] * pg
+            sell_good(good_level, pg, volume)
             take_right = equal_rate_fill([offer_rem[b] for b in right_level], volume)
             for k, b in enumerate(right_level):
                 offer_rem[b] -= take_right[k]
@@ -255,10 +286,8 @@ def clear(
                 earned[b] += proceeds
                 if myopic:
                     spend[b] += proceeds
-            for b in range(nb):
-                if demand[b] <= 0.0:
-                    continue
-                x = volume * demand[b] / total_demand
+            for b, d in zip(demanders, demand):
+                x = volume * d / total_demand
                 good_bought[b] += x
                 right_bought[b] += x
                 vbar_rem[b] = max(0.0, vbar_rem[b] - x)
@@ -266,10 +295,18 @@ def clear(
                 spend[b] = max(0.0, spend[b] - x * unit)
                 spent_good[b] += x * pg
                 spent_right[b] += x * qr
-            traded = True
             break
-        if not traded:
+        else:
+            # no Right level has demand at the cheapest good price, so no
+            # pair has any
             break
+        right_level = [b for b in right_level if offer_rem[b] > EQ_TOL]
+        if right_level:
+            right_levels[qr] = right_level
+        else:
+            del right_levels[qr]
+            right_prices.remove(qr)
+        buyers = [b for b in buyers if vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
     else:
         raise ClearingError("stage 2 failed to converge")
 

@@ -1,10 +1,15 @@
 """Shared scenario builders for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import SupplySchedule
 from rightsmarket.rights import DistributionMechanism
+
+# ``--hypothesis-profile=ci`` runs the property tests that leave
+# ``max_examples`` unset ten times longer than the default
+settings.register_profile("ci", max_examples=1000)
 
 # the constant-supply benchmark: one unit of good per round against claims
 # (1, 3/4, 1/8) and incomes (0, 1/4, 3/4); "scenario B" shrinks every claim

@@ -503,3 +503,35 @@ class TestRejections:
             else:
                 assert rec.rejections == ()
         assert all(rec.rejections == () for rec in run(cfg).records)
+
+
+class TestScaledMarkets:
+    """The conservation checks scale with the money and Good in play, so
+    scenario A in large units runs like the normalized one."""
+
+    @pytest.mark.parametrize("factor", [1e8, 1e10])
+    @pytest.mark.parametrize("kind", ["proportional", "contested_garment"])
+    def test_scaled_incomes(self, kind, factor):
+        base = make_benchmark(mechanism=getattr(DistributionMechanism, kind)(), horizon=10)
+        scaled = replace(base, buyers=tuple(
+            replace(b, income=SupplySchedule.constant(m * factor))
+            for b, m in zip(base.buyers, A_INCOMES)
+        ))
+        self.assert_same_frustration(run(base), run(scaled))
+
+    @pytest.mark.parametrize("factor", [1e8, 1e10])
+    @pytest.mark.parametrize("kind", ["proportional", "contested_garment"])
+    def test_scaled_good(self, kind, factor):
+        base = make_benchmark(mechanism=getattr(DistributionMechanism, kind)(), horizon=10)
+        scaled = replace(
+            base,
+            sellers=(SellerSpec(SupplySchedule.constant(factor)),),
+            buyers=tuple(replace(b, claim=b.claim * factor) for b in base.buyers),
+        )
+        self.assert_same_frustration(run(base), run(scaled))
+
+    @staticmethod
+    def assert_same_frustration(want, got):
+        assert len(got.records) == len(want.records) == 10
+        for a, b in zip(want.records, got.records):
+            assert b.frustration == pytest.approx(a.frustration, rel=0, abs=1e-12)

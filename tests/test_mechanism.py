@@ -217,6 +217,79 @@ def benchmark_two_buyer_state():
     )
 
 
+class TestNaNRejection:
+    """Every comparison with NaN is false, so ``x < 0.0`` lets NaN through;
+    ``clear`` rejects a NaN field like a negative one."""
+
+    def test_nan_offer_price(self):
+        # a NaN minimum price once hid the valid seller at 0.5 from every buyer
+        state = MarketState(
+            1, [SellerState(1.0), SellerState(1.0)], [BuyerState(0.0, 1.0, right=1.0)]
+        )
+        offers = [SellerOffer(1.0, math.nan), SellerOffer(1.0, 0.5)]
+        result = clear(offers, [BuyerBid(0, 1, 1, 1, 0, 1)], state)
+        assert [(r.side, r.index) for r in result.rejected] == [("seller", 0)]
+        assert result.seller_sold == (0.0, 1.0)
+        assert result.seller_revenue == (0.0, 0.5)
+        assert result.good_bought == (1.0,)
+
+    def test_nan_offer_volume(self):
+        state = MarketState(
+            1, [SellerState(1.0), SellerState(1.0)], [BuyerState(0.0, 1.0, right=1.0)]
+        )
+        offers = [SellerOffer(math.nan, 0.5), SellerOffer(1.0, 0.5)]
+        result = clear(offers, [BuyerBid(0, 1, 1, 1, 0, 1)], state)
+        assert [(r.side, r.index) for r in result.rejected] == [("seller", 0)]
+        assert result.seller_sold == (0.0, 1.0)
+        assert result.unsold_good == (0.0, 0.0)
+
+    def test_nan_max_good_volume(self):
+        state = MarketState(
+            1,
+            [SellerState(1.0)],
+            [BuyerState(0.0, 1.0, right=0.5), BuyerState(0.0, 1.0, right=0.5)],
+        )
+        bids = [BuyerBid(0, 1, math.nan, 1, 0, 1), BuyerBid(0, 1, 0.5, 1, 0, 1)]
+        result = clear([SellerOffer(1.0, 1.0)], bids, state)
+        assert [(r.side, r.index) for r in result.rejected] == [("buyer", 0)]
+        assert result.good_bought == (0.0, 0.5)
+
+    def test_infinite_caps_and_ceilings_accepted(self):
+        state = MarketState(1, [SellerState(1.0)], [BuyerState(0.0, 0.25, right=1.0)])
+        bid = BuyerBid(0, 1, math.inf, math.inf, 0, math.inf)
+        result = clear([SellerOffer(1.0, 0.5)], [bid], state)
+        assert result.rejected == ()
+        assert result.good_bought == (0.5,)  # money-bound: 0.25 / 0.5
+
+
+class TestPairOrder:
+    """Stage 2 tries (good price, Right price) pairs by unit price
+    ``pg + qr``, the lower good price first on equal sums. The prices are
+    exact in binary, so 0.5 + 0.5 == 0.75 + 0.25 holds exactly."""
+
+    def test_tied_pair_with_lower_good_price_trades(self):
+        # buyer 0 offers its Right at 0.25 and cannot buy it back, so the
+        # cheapest pair (0.5, 0.25) has no demand; of the tied pairs at 1.0,
+        # (0.5, 0.5) sells buyer 1's Right with seller 0's Good
+        state = MarketState(
+            1,
+            [SellerState(1.0), SellerState(1.0)],
+            [BuyerState(0.0, 2.0, right=1.0), BuyerState(0.0, 0.0, right=1.0)],
+        )
+        offers = [SellerOffer(1.0, 0.5), SellerOffer(1.0, 0.75)]
+        bids = [BuyerBid(1.0, 0.25, 1.0, 1.0, 1.0, 1.0), BuyerBid(1.0, 0.5, 0.0, 0.0, 0.0, 0.0)]
+        result = clear(offers, bids, state)
+        assert result.seller_sold == (1.0, 0.0)
+        assert result.seller_revenue == (0.5, 0.0)
+        assert result.unsold_good == (0.0, 1.0)
+        assert result.good_bought == (1.0, 0.0)
+        assert result.right_bought == (1.0, 0.0)
+        assert result.right_sold == (0.0, 1.0)
+        assert result.money_spent_good == (0.5, 0.0)
+        assert result.money_spent_right == (0.5, 0.0)
+        assert result.money_earned_right == (0.0, 0.5)
+
+
 class TestPermutationInvariance:
     def test_buyer_order_does_not_matter(self):
         state = benchmark_state()
