@@ -37,6 +37,7 @@ from .pricing import (
     canonical_lower_bound,
     free_market_clearing_price,
     greedy_buyer_bid,
+    greedy_buyer_bids,
     solve_implicit_price,
 )
 from .rights import (
@@ -77,6 +78,7 @@ __all__ = [
     "frustration",
     "generate_dirichlet_scenario",
     "greedy_buyer_bid",
+    "greedy_buyer_bids",
     "initial_state",
     "non_negative",
     "proportional_rule",

@@ -5,8 +5,8 @@ serialized scenario reproduces the same configuration. Presets named after
 the experiments ship with the package (``list_presets``) and can be passed
 to ``--scenario`` by name instead of a path.
 
-Exit codes: 0 success, 2 scenario parse error, 3 audit found a profitable
-deviation, 4 runtime failure.
+Exit codes: 0 success, 2 scenario parse error or invalid flag, 3 audit
+found a profitable deviation, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -406,7 +406,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     try:
         for nb in range(lo, hi + 1):
-            scale = 1.0 / nb if args.claim_scale == "inv" else float(args.claim_scale)
+            scale = 1.0 / nb if args.claim_scale == "inv" else args.claim_scale
             horizon = 10 * nb
             window = _asymptotic_window(horizon)
             stats = {"rf": [], "ff": [], "rp": [], "fp": []}
@@ -471,6 +471,46 @@ def cmd_verify_mechanisms(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_RUNTIME
 
 
+def _integer_flag(least: int):
+    """An argparse ``type`` that accepts integers of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+def _float_flag(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _concentration_flag(text: str) -> float:
+    """A positive Dirichlet concentration; ``inf`` means the exact means."""
+    value = _float_flag(text)
+    if not value > 0.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _claim_scale_flag(text: str) -> float | str:
+    """A finite non-negative claim scale, or ``inv`` for 1/|B|."""
+    if text == "inv":
+        return text
+    value = _float_flag(text)
+    if not 0.0 <= value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
+
+
 def _apply_overrides(config: MarketConfig, args: argparse.Namespace) -> MarketConfig:
     kwargs = {}
     if getattr(args, "horizon", None) is not None:
@@ -490,30 +530,35 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one scenario and emit a CSV trace")
     sim.add_argument("--scenario", required=True, help="scenario file or preset name")
     sim.add_argument("--out", help="output CSV path (default: scenario setting or stdout)")
-    sim.add_argument("--horizon", type=int, default=None)
+    sim.add_argument("--horizon", type=_integer_flag(1), default=None)
     sim.add_argument("--variant", choices=("rights", "free_market", "myopic_rights"))
     sim.set_defaults(func=cmd_simulate)
 
     aud = sub.add_parser("audit", help="search for profitable deviations from greedy")
     aud.add_argument("--scenario", required=True)
     aud.add_argument("--out", help="report file (default stdout)")
-    aud.add_argument("--horizon", type=int, default=None)
+    aud.add_argument("--horizon", type=_integer_flag(1), default=None)
     aud.add_argument("--variant", choices=("rights", "free_market", "myopic_rights"))
     aud.add_argument("--unilateral-only", action="store_true")
     aud.set_defaults(func=cmd_audit)
 
     sw = sub.add_parser("sweep", help="asymptotic frustration vs number of buyers")
     sw.add_argument("--sizes", default="3:10", help="buyer-count range lo:hi")
-    sw.add_argument("--seeds", type=int, default=10, help="scenarios per size")
-    sw.add_argument("--seed", type=int, default=0, help="base rng seed")
-    sw.add_argument("--claim-scale", default="1.0", help="claim scale, a float or 'inv' for 1/|B|")
-    sw.add_argument("--concentration", type=float, default=20.0)
+    sw.add_argument("--seeds", type=_integer_flag(1), default=10, help="scenarios per size")
+    sw.add_argument("--seed", type=_integer_flag(0), default=0, help="base rng seed")
+    sw.add_argument(
+        "--claim-scale",
+        type=_claim_scale_flag,
+        default="1.0",
+        help="claim scale, a float or 'inv' for 1/|B|",
+    )
+    sw.add_argument("--concentration", type=_concentration_flag, default=20.0)
     sw.add_argument("--out", help="output CSV path (default stdout)")
     sw.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify-mechanisms", help="check the distribution-mechanism axioms")
-    ver.add_argument("--samples", type=int, default=1000)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--samples", type=_integer_flag(1), default=1000)
+    ver.add_argument("--seed", type=_integer_flag(0), default=0)
     ver.set_defaults(func=cmd_verify_mechanisms)
     return parser
 

@@ -17,6 +17,7 @@ real).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, Sequence
 
 from .errors import ConfigError, NegativeQuantityError
@@ -111,7 +112,7 @@ class MarketConfig:
     def num_buyers(self) -> int:
         return len(self.buyers)
 
-    @property
+    @cached_property
     def claims(self) -> tuple[float, ...]:
         return tuple(b.claim for b in self.buyers)
 
@@ -172,9 +173,6 @@ class MarketState:
             [b.copy() for b in self.buyers],
         )
 
-    def total_money(self) -> float:
-        return sum(s.money for s in self.sellers) + sum(b.money for b in self.buyers)
-
     def total_good(self) -> float:
         return sum(s.good for s in self.sellers) + sum(b.good for b in self.buyers)
 
@@ -190,7 +188,8 @@ def initial_state(config: MarketConfig) -> MarketState:
 
 
 def apply_transition(state: MarketState, config: MarketConfig) -> MarketState:
-    """Map the post-clearing state of round t to the start state of t+1.
+    """Advance the post-clearing state of round t, in place, to the start
+    state of t+1, and return it.
 
     Sellers: stock grows by the next resupply, money is zeroed (consumed as
     utility, and kept out of future rounds). Buyers: Good is consumed up to
@@ -200,16 +199,16 @@ def apply_transition(state: MarketState, config: MarketConfig) -> MarketState:
     nxt = state.round_index + 1
     g = config.resupply_at(nxt)
     m = config.income_at(nxt)
-    sellers = [SellerState(good=s.good + g[i], money=0.0) for i, s in enumerate(state.sellers)]
-    buyers = [
-        BuyerState(
-            good=max(0.0, b.good - config.buyers[j].claim),
-            money=m[j] + b.money,
-            right=0.0,
-        )
-        for j, b in enumerate(state.buyers)
-    ]
-    return MarketState(nxt, sellers, buyers)
+    for seller, resupply in zip(state.sellers, g):
+        seller.good = seller.good + resupply
+        seller.money = 0.0
+    for buyer, claim, income in zip(state.buyers, config.claims, m):
+        left = buyer.good - claim
+        buyer.good = left if left > 0.0 else 0.0
+        buyer.money = income + buyer.money
+        buyer.right = 0.0
+    state.round_index = nxt
+    return state
 
 
 def consumed_utility(
@@ -223,7 +222,10 @@ def consumed_utility(
     """
     c = config.seller_storage_cost
     seller_u = tuple(s.money - c * s.good for s in state.sellers)
-    buyer_u = tuple(min(config.buyers[j].claim, b.good) for j, b in enumerate(state.buyers))
+    # min(claim, good), spelled as the builtin compares
+    buyer_u = tuple(
+        b.good if b.good < claim else claim for claim, b in zip(config.claims, state.buyers)
+    )
     return seller_u, buyer_u
 
 
@@ -261,10 +263,13 @@ def equal_rate_fill(amounts: Sequence[float], total: float) -> list[float]:
     if total <= 0.0:
         return [0.0 for _ in amounts]
     level = water_level(amounts, total)
-    out = [min(float(a), level) for a in amounts]
-    # distribute any rounding residue onto the largest holder
+    held = [float(a) for a in amounts]
+    # min(a, level) as the builtin compares, without its call cost
+    out = [level if level < a else a for a in held]
+    # distribute any rounding residue onto the largest holder, the first of
+    # them on a tie
     residue = total - sum(out)
     if out and abs(residue) > 0.0:
-        k = max(range(len(out)), key=lambda i: float(amounts[i]))
-        out[k] = min(float(amounts[k]), max(0.0, out[k] + residue))
+        k = held.index(max(held))
+        out[k] = min(held[k], max(0.0, out[k] + residue))
     return out

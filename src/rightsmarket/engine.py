@@ -11,7 +11,7 @@ round. Three variants share the loop: "rights" (the hybrid system),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +27,13 @@ from .core import (
     initial_state,
 )
 from .errors import ConfigError, ConservationError, SimulationError
-from .mechanism import BuyerBid, Rejection, SellerOffer, clear, useful_useless_split
-from .pricing import free_market_clearing_price, greedy_buyer_bid, posted_greedy_price
+from .mechanism import Rejection, SellerOffer, clear, useful_useless_split
+from .pricing import (
+    free_market_clearing_price,
+    greedy_buyer_bid,  # noqa: F401  kept importable: perfbench's tracer patches ``engine.greedy_buyer_bid``
+    greedy_buyer_bids,
+    posted_greedy_price,
+)
 from .rights import DistributionMechanism, allocate
 
 SCHEDULE_PARAMS: dict[str, tuple[str, ...]] = {
@@ -139,7 +144,7 @@ class SupplySchedule:
                 v = peak * 4.0 * z / (1.0 + z) ** 2
             except OverflowError:
                 v = 0.0
-        return max(0.0, v)
+        return v if v > 0.0 else 0.0  # max(0.0, v), without the builtin's call cost
 
 
 def frustration(right_assigned: float, good_end: float) -> float:
@@ -147,7 +152,8 @@ def frustration(right_assigned: float, good_end: float) -> float:
     zero when no Right was assigned."""
     if right_assigned <= 0.0:
         return 0.0
-    return max(0.0, (right_assigned - good_end) / right_assigned)
+    f = (right_assigned - good_end) / right_assigned
+    return f if f > 0.0 else 0.0  # max(0.0, f), without the builtin's call cost
 
 
 @dataclass(frozen=True)
@@ -198,21 +204,30 @@ class Trace:
     def expected_frustration(self) -> float:
         return self.expected_frustration_path[-1] if self.records else 0.0
 
+    def _trailing(self, window: int | None) -> tuple[RoundRecord, ...]:
+        """The last ``window`` records (all of them if fewer), by default the
+        last 100."""
+        if window is None:
+            return self.records[-100:]
+        if window < 1:
+            # records[-0:] would be the whole trace
+            raise ValueError(f"window must be at least 1, got {window!r}")
+        return self.records[-window:]
+
     def per_round_mean_frustration(self, window: int | None = None) -> float:
         """Mean per-buyer frustration over the trailing ``window`` rounds.
 
         The greedy money recursion settles into a two-round cycle, so use an
         even window (the default is) to average it out.
         """
-        if not self.records:
+        recs = self._trailing(window)
+        if not recs:
             return 0.0
-        w = window if window is not None else min(len(self.records), 100)
-        recs = self.records[-w:]
         return sum(sum(r.frustration) for r in recs) / (len(recs) * self.num_buyers)
 
     def per_buyer_mean_frustration(self, window: int | None = None) -> list[float]:
-        w = window if window is not None else min(len(self.records), 100)
-        recs = self.records[-w:]
+        """Each buyer's mean frustration over the trailing ``window`` rounds."""
+        recs = self._trailing(window)
         nb = self.num_buyers
         return [sum(r.frustration[b] for r in recs) / len(recs) for b in range(nb)]
 
@@ -259,14 +274,15 @@ class Checkpoint:
     buyer_utilities: tuple[float, ...]
 
 
-AdjustmentIndex = dict[tuple[int, str, int], list[BidAdjustment]]
+AdjustmentIndex = dict[int, dict[tuple[str, int], list[BidAdjustment]]]
 
 
 def _index_adjustments(adjustments: Sequence[BidAdjustment]) -> AdjustmentIndex:
-    """Adjustments keyed by (round, side, trader index), in their given order."""
+    """Adjustments keyed by round, then by (side, trader index), in their
+    given order."""
     index: AdjustmentIndex = {}
     for a in adjustments:
-        index.setdefault((a.round_index, *a.trader), []).append(a)
+        index.setdefault(a.round_index, {}).setdefault(tuple(a.trader), []).append(a)
     return index
 
 
@@ -418,10 +434,8 @@ def _play_rounds(
                     )
             records.append(record)
             su, bu = util
-            for i in range(len(seller_total)):
-                seller_total[i] += su[i]
-            for j in range(len(buyer_total)):
-                buyer_total[j] += bu[j]
+            seller_total[:] = [total + u for total, u in zip(seller_total, su)]
+            buyer_total[:] = [total + u for total, u in zip(buyer_total, bu)]
             tau += 1
             state = apply_transition(state, config)
     except SimulationError:
@@ -438,14 +452,16 @@ def _run_rights_round(
     adjustments: AdjustmentIndex,
 ):
     nb, ns = config.num_buyers, config.num_sellers
-    money_start = tuple(b.money for b in state.buyers)
+    buyers = state.buyers
+    money_start = tuple(b.money for b in buyers)
+    round_adjustments = adjustments.get(tau, {})
 
     # offered volumes first: a volume deviation changes the rights everyone
     # sees, and with public state the posted price accounts for the true
     # offered volume
     volumes = list(config.resupply_at(tau))
     for s in range(ns):
-        for adj in adjustments.get((tau, "seller", s), ()):
+        for adj in round_adjustments.get(("seller", s), ()):
             volumes[s] += adj.volume_delta
         volumes[s] = min(max(0.0, volumes[s]), state.sellers[s].good)
     offered = sum(volumes)
@@ -456,71 +472,79 @@ def _run_rights_round(
     offers = []
     for s in range(ns):
         price = posted
-        for adj in adjustments.get((tau, "seller", s), ()):
+        for adj in round_adjustments.get(("seller", s), ()):
             price *= adj.price_factor
         offers.append(SellerOffer(volume=volumes[s], price=price))
 
-    for b in range(nb):
-        state.buyers[b].right = rights[b]
+    for buyer, right in zip(buyers, rights):
+        buyer.right = right
 
     price_avg = sum(o.price for o in offers) / len(offers)
-    bids: list[BuyerBid] = []
-    for b in range(nb):
-        bid = greedy_buyer_bid(b, offers, state, config)
-        for adj in adjustments.get((tau, "buyer", b), ()):
-            bid = replace(
-                bid,
-                right_offer_volume=bid.right_offer_volume * adj.right_offer_factor,
-                right_offer_price=bid.right_offer_price * adj.price_factor,
-                max_right_volume=bid.max_right_volume * adj.right_demand_factor,
-            )
-        bids.append(bid)
+    bids = greedy_buyer_bids(price_avg, offered, money_start, rights, config.variant)
+    if round_adjustments:
+        for b in range(nb):
+            for adj in round_adjustments.get(("buyer", b), ()):
+                bid = bids[b]
+                bids[b] = bid._replace(
+                    right_offer_volume=bid.right_offer_volume * adj.right_offer_factor,
+                    right_offer_price=bid.right_offer_price * adj.price_factor,
+                    max_right_volume=bid.max_right_volume * adj.right_demand_factor,
+                )
 
     result = clear(offers, bids, state, config.variant, config.tolerance)
 
-    # fold the clearing into the state; deferred proceeds join the balance
-    # only now, after the trading window closed
     for s in range(ns):
         state.sellers[s].good -= result.seller_sold[s]
         state.sellers[s].money += result.seller_revenue[s]
-    for b in range(nb):
-        state.buyers[b].good += result.good_bought[b]
-        state.buyers[b].money = (
-            money_start[b]
-            - result.money_spent_good[b]
-            - result.money_spent_right[b]
-            + result.money_earned_right[b]
+    # one pass over the buyers folds the clearing into their state, checks
+    # it and collects the round's record; deferred proceeds join the
+    # balance only now, after the trading window closed
+    tol = config.tolerance
+    good_tol = tol * max(1.0, offered)
+    over_cap = -1
+    money_end: list[float] = []
+    good_end: list[float] = []
+    frus: list[float] = []
+    for b, (buyer, m0, right, bought, bought_right, spent_good, spent_right, earned) in enumerate(
+        zip(
+            buyers, money_start, rights, result.good_bought, result.right_bought,
+            result.money_spent_good, result.money_spent_right, result.money_earned_right,
         )
-        if state.buyers[b].money < 0.0:
+    ):
+        good = buyer.good + bought
+        buyer.good = good
+        money = m0 - spent_good - spent_right + earned
+        if money < 0.0:
             # rounding dust scales with the buyer's money in play
-            scale = max(1.0, money_start[b] + result.money_earned_right[b])
-            if state.buyers[b].money < -config.tolerance * scale:
+            if money < -tol * max(1.0, m0 + earned):
                 raise SimulationError(tau, f"buyer {b} money went negative")
-            state.buyers[b].money = 0.0
+            money = 0.0
+        buyer.money = money
+        # rights cap: purchases in the round never exceed licence held +
+        # bought; a negative balance of any buyer is reported first
+        if over_cap < 0 and bought > right + bought_right + good_tol:
+            over_cap = b
+        money_end.append(money)
+        good_end.append(good)
+        frus.append(frustration(right, good))
+    if over_cap >= 0:
+        raise SimulationError(tau, f"buyer {over_cap} bought good beyond their rights")
 
     # money only changes hands; good shipped must equal good received
-    money_res = abs(state.total_money() - sum(money_start))
+    money_res = abs(sum(s.money for s in state.sellers) + sum(money_end) - sum(money_start))
     good_res = abs(sum(result.good_bought) - sum(result.seller_sold))
     for s in range(ns):
         good_res = max(
             good_res, abs(result.seller_sold[s] + result.unsold_good[s] - offers[s].volume)
         )
-    # rights cap: purchases in the round never exceed licence held + bought
-    good_tol = config.tolerance * max(1.0, offered)
-    for b in range(nb):
-        cap = rights[b] + result.right_bought[b]
-        if result.good_bought[b] > cap + good_tol:
-            raise SimulationError(tau, f"buyer {b} bought good beyond their rights")
 
     useful, useless = useful_useless_split(result)
-    good_end = tuple(b.good for b in state.buyers)
-    frus = tuple(frustration(rights[b], good_end[b]) for b in range(nb))
-    q_offers = [
-        (bids[b].right_offer_volume, bids[b].right_offer_price) for b in range(nb)
-    ]
-    offered_right = sum(w for w, _ in q_offers)
+    right_offered, right_prices, _, _, right_demanded, _ = zip(*bids)
+    offered_right = sum(right_offered)
     price_right = (
-        sum(w * q for w, q in q_offers) / offered_right if offered_right > 0.0 else 0.0
+        sum(w * q for w, q in zip(right_offered, right_prices)) / offered_right
+        if offered_right > 0.0
+        else 0.0
     )
 
     record = RoundRecord(
@@ -528,11 +552,11 @@ def _run_rights_round(
         price_good=price_avg,
         price_right=price_right,
         money_start=money_start,
-        good_end=good_end,
+        good_end=tuple(good_end),
         right_assigned=tuple(rights),
-        frustration=frus,
-        right_offered=tuple(b.right_offer_volume for b in bids),
-        right_demanded=tuple(b.max_right_volume for b in bids),
+        frustration=tuple(frus),
+        right_offered=right_offered,
+        right_demanded=right_demanded,
         useful_money=useful,
         useless_money=useless,
         volume_offered=offered,

@@ -27,6 +27,7 @@ still have Good and Right cap left, not a pass over every pair and buyer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketState, equal_rate_fill
 from .errors import ClearingError
@@ -40,14 +41,17 @@ class SellerOffer:
     price: float
 
 
-@dataclass(frozen=True)
-class BuyerBid:
+class BuyerBid(NamedTuple):
     """One buyer's complete declaration for a round.
 
     ``right_offer_volume``/``right_offer_price``: Right put up for sale.
     ``max_good_volume``/``max_good_price``: cap and price ceiling for Good.
     ``max_right_volume``/``max_right_price``: cap and ceiling for Right
     purchases (stage 2 trades Good and Right in equal volume).
+
+    A named tuple rather than a dataclass because a greedy round builds one
+    per buyer: it is immutable, builds positionally or by keyword, has the
+    dataclass's repr, and ``bid._replace(...)`` returns a modified copy.
     """
 
     right_offer_volume: float
@@ -134,35 +138,39 @@ def clear(
         sell_rem[s] = float(off.volume)
         sell_price[s] = float(off.price)
 
+    # the buyer loops below spell min(a, b) as ``b if b < a else a`` and
+    # max(0.0, v) as ``v if v > 0.0 else 0.0``, which is how the builtins
+    # compare, so every result is the same bit for bit, NaN included
     spend = [0.0] * nb          # money usable for purchases
     rights_use = [0.0] * nb     # right usable to license stage-1 purchases
     offer_rem = [0.0] * nb      # right currently up for sale
     vbar_rem = [0.0] * nb
     wbar_rem = [0.0] * nb
     active = [False] * nb
-    for b, bid in enumerate(bids):
-        fields = (
-            bid.right_offer_volume, bid.right_offer_price,
-            bid.max_good_volume, bid.max_good_price,
-            bid.max_right_volume, bid.max_right_price,
-        )
-        bad = any(not x >= 0.0 for x in fields) or (
-            bid.right_offer_volume > state.buyers[b].right + tolerance
-        )
-        if bad:
-            reason = f"bid {bid} infeasible against right {state.buyers[b].right!r}"
+    good_ceiling = [0.0] * nb
+    right_ceiling = [0.0] * nb
+    right_price = [0.0] * nb
+    for b, (bid, buyer) in enumerate(zip(bids, state.buyers)):
+        offer, q_offer, vbar, p_good, wbar, p_right = bid
+        good_ceiling[b] = p_good
+        right_ceiling[b] = p_right
+        right_price[b] = q_offer
+        right = buyer.right
+        if not (
+            offer >= 0.0 and q_offer >= 0.0 and vbar >= 0.0
+            and p_good >= 0.0 and wbar >= 0.0 and p_right >= 0.0
+        ) or offer > right + tolerance:
+            reason = f"bid {bid} infeasible against right {right!r}"
             rejected.append(Rejection("buyer", b, reason))
             continue
         active[b] = True
-        spend[b] = float(state.buyers[b].money)
+        spend[b] = float(buyer.money)
         # right committed for sale cannot double as a stage-1 licence
-        offer_rem[b] = min(float(bid.right_offer_volume), float(state.buyers[b].right))
-        rights_use[b] = float(state.buyers[b].right) - offer_rem[b]
-        vbar_rem[b] = float(bid.max_good_volume)
-        wbar_rem[b] = float(bid.max_right_volume)
-    good_ceiling = [bid.max_good_price for bid in bids]
-    right_ceiling = [bid.max_right_price for bid in bids]
-    right_price = [bid.right_offer_price for bid in bids]
+        offer, right = float(offer), float(right)
+        offer_rem[b] = right if right < offer else offer
+        rights_use[b] = right - offer_rem[b]
+        vbar_rem[b] = float(vbar)
+        wbar_rem[b] = float(wbar)
 
     good_bought = [0.0] * nb
     right_bought = [0.0] * nb
@@ -206,9 +214,14 @@ def clear(
             for b in buyers:
                 if good_ceiling[b] < pg:
                     continue
-                cap = min(vbar_rem[b], licence[b])
+                cap = vbar_rem[b]
+                v = licence[b]
+                if v < cap:
+                    cap = v
                 if pg > 0.0:
-                    cap = min(cap, spend[b] / pg)
+                    v = spend[b] / pg
+                    if v < cap:
+                        cap = v
                 if cap > 0.0:
                     demanders.append(b)
                     demand.append(cap)
@@ -218,17 +231,20 @@ def clear(
                 # so no demand here means no demand anywhere
                 return
             supply = sum(sell_rem[s] for s in level)
-            volume = min(total_demand, supply)
+            volume = supply if supply < total_demand else total_demand
             if volume <= EQ_TOL:
                 return
             sell_good(level, pg, volume)
             for b, d in zip(demanders, demand):
                 x = volume * d / total_demand
                 good_bought[b] += x
-                licence[b] = max(0.0, licence[b] - x)
-                vbar_rem[b] = max(0.0, vbar_rem[b] - x)
+                v = licence[b] - x
+                licence[b] = v if v > 0.0 else 0.0
+                v = vbar_rem[b] - x
+                vbar_rem[b] = v if v > 0.0 else 0.0
                 pay = x * pg
-                spend[b] = max(0.0, spend[b] - pay)
+                v = spend[b] - pay
+                spend[b] = v if v > 0.0 else 0.0
                 spent_good[b] += pay
             buyers = [b for b in buyers if vbar_rem[b] > 0.0 and licence[b] > 0.0]
         raise ClearingError("good-for-rights pass failed to converge")
@@ -264,16 +280,26 @@ def clear(
                     continue
                 # a buyer never buys their own offered Right
                 own = offer_rem[b] if offer_rem[b] > EQ_TOL and right_price[b] == qr else 0.0
-                cap = min(vbar_rem[b], wbar_rem[b], right_avail - own)
+                cap = vbar_rem[b]
+                v = wbar_rem[b]
+                if v < cap:
+                    cap = v
+                v = right_avail - own
+                if v < cap:
+                    cap = v
                 if unit > 0.0:  # at unit price 0 even a buyer without money buys
-                    cap = min(cap, spend[b] / unit)
+                    v = spend[b] / unit
+                    if v < cap:
+                        cap = v
                 if cap > 0.0:
                     demanders.append(b)
                     demand.append(cap)
             total_demand = sum(demand)
             if total_demand <= EQ_TOL:
                 continue
-            volume = min(total_demand, good_avail, right_avail)
+            volume = good_avail if good_avail < total_demand else total_demand
+            if right_avail < volume:
+                volume = right_avail
             if volume <= EQ_TOL:
                 continue
 
@@ -290,9 +316,12 @@ def clear(
                 x = volume * d / total_demand
                 good_bought[b] += x
                 right_bought[b] += x
-                vbar_rem[b] = max(0.0, vbar_rem[b] - x)
-                wbar_rem[b] = max(0.0, wbar_rem[b] - x)
-                spend[b] = max(0.0, spend[b] - x * unit)
+                v = vbar_rem[b] - x
+                vbar_rem[b] = v if v > 0.0 else 0.0
+                v = wbar_rem[b] - x
+                wbar_rem[b] = v if v > 0.0 else 0.0
+                v = spend[b] - x * unit
+                spend[b] = v if v > 0.0 else 0.0
                 spent_good[b] += x * pg
                 spent_right[b] += x * qr
             break

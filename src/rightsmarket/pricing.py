@@ -15,7 +15,8 @@ exactly the Right their spare money can license.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
@@ -26,19 +27,33 @@ from .rights import allocate, claim_rank_order
 
 @dataclass(frozen=True)
 class GreedyPriceSolution:
-    """Solved round price plus its accounting split.
+    """Solved round price and the money and rights it was solved on.
 
-    ``poor`` holds the indices of buyers whose money cannot back their
-    rights at the solved price (p * R_b > M_b); buyers exactly on the
-    boundary count as rich. ``useful_money`` is what sellers will collect,
-    ``useless_money`` the right-sale proceeds deferred to the next round;
-    they add up to the buyers' total money.
+    The accounting split is computed on access, since a simulated round
+    reads only ``price``. ``poor`` holds the indices of buyers whose money
+    cannot back their rights at the solved price (p * R_b > M_b); buyers
+    exactly on the boundary count as rich. ``useful_money`` is what sellers
+    will collect, ``useless_money`` the right-sale proceeds deferred to the
+    next round; they add up to the buyers' total money.
     """
 
     price: float
-    poor: tuple[int, ...]
-    useful_money: float
-    useless_money: float
+    money: Sequence[float] = field(repr=False)
+    rights: Sequence[float] = field(repr=False)
+
+    @property
+    def poor(self) -> tuple[int, ...]:
+        p, m, r = self.price, self.money, self.rights
+        return tuple(b for b in range(len(m)) if r[b] > 0.0 and p * r[b] > m[b])
+
+    @property
+    def useful_money(self) -> float:
+        return self.price * sum(self.rights)
+
+    @property
+    def useless_money(self) -> float:
+        p = self.price
+        return sum(max(0.0, p * r - m) for m, r in zip(self.money, self.rights))
 
 
 def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> GreedyPriceSolution:
@@ -64,13 +79,14 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> Gre
     total_money = sum(m)
     if total_money == 0.0:
         # LHS == RHS == 0 at p = 0; every buyer sits on the rich boundary
-        return GreedyPriceSolution(0.0, (), 0.0, 0.0)
+        return GreedyPriceSolution(0.0, m, r)
 
     n = len(m)
     # sweep intervals in ascending breakpoint order, growing the poor set
     # incrementally: membership is decided on the exact float ratios, so a
     # buyer sitting on a breakpoint lands in a well-defined interval
     holders = sorted((m[b] / r[b], b) for b in range(n) if r[b] > 0.0)
+    num_holders = len(holders)
     slack = EQ_TOL  # admit candidates within one rounding step of an edge
     poor_money = 0.0
     poor_rights = 0.0
@@ -79,19 +95,20 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> Gre
     first = True
     while True:
         # absorb every holder whose breakpoint is at or below the interval floor
-        while k < len(holders) and holders[k][0] <= lo:
-            poor_money += m[holders[k][1]]
-            poor_rights += r[holders[k][1]]
+        while k < num_holders and holders[k][0] <= lo:
+            b = holders[k][1]
+            poor_money += m[b]
+            poor_rights += r[b]
             k += 1
-        hi = holders[k][0] if k < len(holders) else float("inf")
+        hi = holders[k][0] if k < num_holders else math.inf
         p = (total_money + poor_money) / (total_rights + poor_rights)
-        lo_ok = p >= 0.0 if first else p > lo - slack * max(1.0, lo)
-        hi_ok = p <= hi + slack * max(1.0, p) if hi != float("inf") else True
-        if lo_ok and hi_ok:
-            poor = tuple(b for b in range(n) if r[b] > 0.0 and p * r[b] > m[b])
-            useless = sum(max(0.0, p * r[b] - m[b]) for b in range(n))
-            return GreedyPriceSolution(p, poor, p * total_rights, useless)
-        if hi == float("inf"):
+        # the roots of the intervals below the solution lie above their
+        # ceilings, so test the ceiling first; ``x if x > 1.0 else 1.0`` is
+        # max(1.0, x), as the builtin compares
+        if hi == math.inf or p <= hi + slack * (p if p > 1.0 else 1.0):
+            if p >= 0.0 if first else p > lo - slack * (lo if lo > 1.0 else 1.0):
+                return GreedyPriceSolution(p, m, r)
+        if hi == math.inf:
             raise PricingError("interval scan found no admissible price")
         lo = hi
         first = False
@@ -177,21 +194,24 @@ def posted_greedy_price(
     return price * config.greedy_price_factor, rights
 
 
-def greedy_buyer_bid(
-    buyer_index: int,
-    seller_offers: Sequence[SellerOffer],
-    state: MarketState,
-    config: MarketConfig,
-) -> BuyerBid:
-    """Greedy six-part bid of one buyer.
+def greedy_buyer_bids(
+    price_avg: float,
+    offered_volume: float,
+    money: Sequence[float],
+    rights: Sequence[float],
+    variant: str,
+) -> list[BuyerBid]:
+    """Greedy six-part bids of all buyers, from their money and Right.
 
     A buyer cannot see the other buyers' money, so the Right price is
-    estimated as the plain average P of the posted Good prices. The buyer
-    offers the Right they cannot back with money (psi = max(0, R - M/P)) and
-    is willing to buy the Right their spare money can license
-    (xi = max(0, M/P - R)), everything at price P. In the myopic variant
-    only half the surplus Right goes on sale: the proceeds arrive inside the
-    round and the kept half licenses the repurchase.
+    estimated as the plain average P of the posted Good prices,
+    ``price_avg``. The buyer offers the Right they cannot back with money
+    (psi = max(0, R - M/P)) and is willing to buy the Right their spare
+    money can license (xi = max(0, M/P - R)), everything at price P. In the
+    myopic variant only half the surplus Right goes on sale: the proceeds
+    arrive inside the round and the kept half licenses the repurchase. If P
+    is not positive, Good is free: nobody sells Right, and a buyer's demand
+    is capped by ``offered_volume``, the total Good on sale.
 
     Known overstatement: each Good+Right pair costs 2P, so spare money
     affords only (M - P R) / (2P) pairs, not M/P - R. In greedy play the
@@ -199,25 +219,35 @@ def greedy_buyer_bid(
     audit's ``buyer_buy_less_right`` deviation, which scales xi, changes
     nothing and reports a gain of exactly 0.
     """
+    half = variant == "myopic_rights"
+    bids = []
+    if price_avg > 0.0:
+        for m, r in zip(money, rights):
+            backing = m / price_avg
+            psi, xi = r - backing, backing - r
+            psi = psi if psi > 0.0 else 0.0
+            xi = xi if xi > 0.0 else 0.0
+            offer = psi / 2.0 if half else psi
+            bids.append(BuyerBid(offer, price_avg, r + xi, price_avg, xi, price_avg))
+    else:
+        for m, r in zip(money, rights):
+            xi = max(0.0, offered_volume - r) if m >= 0.0 else 0.0
+            bids.append(BuyerBid(0.0, price_avg, r + xi, price_avg, xi, price_avg))
+    return bids
+
+
+def greedy_buyer_bid(
+    buyer_index: int,
+    seller_offers: Sequence[SellerOffer],
+    state: MarketState,
+    config: MarketConfig,
+) -> BuyerBid:
+    """Greedy bid of one buyer against the posted ``seller_offers``, as
+    ``greedy_buyer_bids`` makes it: P is the mean posted price, and the
+    buyer's money and Right are read from ``state``."""
     if not seller_offers:
         raise PricingError("buyers need at least one posted seller price")
     price_avg = sum(o.price for o in seller_offers) / len(seller_offers)
+    offered = sum(o.volume for o in seller_offers)
     buyer = state.buyers[buyer_index]
-    money, right = buyer.money, buyer.right
-    if price_avg > 0.0:
-        backing = money / price_avg
-        psi = max(0.0, right - backing)
-        xi = max(0.0, backing - right)
-    else:
-        # degenerate free goods: nothing to sell, demand capped by volume
-        psi = 0.0
-        xi = max(0.0, sum(o.volume for o in seller_offers) - right) if money >= 0.0 else 0.0
-    offer = psi / 2.0 if config.variant == "myopic_rights" else psi
-    return BuyerBid(
-        right_offer_volume=offer,
-        right_offer_price=price_avg,
-        max_good_volume=right + xi,
-        max_good_price=price_avg,
-        max_right_volume=xi,
-        max_right_price=price_avg,
-    )
+    return greedy_buyer_bids(price_avg, offered, [buyer.money], [buyer.right], config.variant)[0]

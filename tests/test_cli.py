@@ -302,3 +302,42 @@ class TestCommands:
         rights = [float(r.split(",")[3]) for r in out.read_text().splitlines()[1:]]
         assert all(b <= a + 1e-9 for a, b in zip(rights, rights[1:]))
         assert rights[-1] < rights[0]
+
+
+class TestFlagValidation:
+    """Bad flag values stop argparse with exit code 2, before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scenario", "scenario-a-proportional", "--horizon", "0"],
+            ["audit", "--scenario", "scenario-a-proportional", "--horizon", "-5"],
+            ["simulate", "--scenario", "scenario-a-proportional", "--horizon", "2.5"],
+            ["sweep", "--sizes", "3:3", "--seeds", "0"],
+            ["sweep", "--sizes", "3:3", "--seeds", "-2"],
+            ["sweep", "--sizes", "3:3", "--seed", "-1"],
+            ["sweep", "--sizes", "3:3", "--claim-scale", "abc"],
+            ["sweep", "--sizes", "3:3", "--claim-scale", "-1"],
+            ["sweep", "--sizes", "3:3", "--claim-scale", "nan"],
+            ["sweep", "--sizes", "3:3", "--claim-scale", "inf"],
+            ["sweep", "--sizes", "3:3", "--concentration", "-1"],
+            ["sweep", "--sizes", "3:3", "--concentration", "0"],
+            ["sweep", "--sizes", "3:3", "--concentration", "nan"],
+            ["verify-mechanisms", "--samples", "-3"],
+            ["verify-mechanisms", "--samples", "0"],
+            ["verify-mechanisms", "--seed", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_bad_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+    def test_edge_values_are_accepted(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--sizes", "3:3", "--seeds", "1", "--claim-scale", "0",
+                "--concentration", "inf", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert out.read_text().splitlines()[1].startswith("3,0.0,1,")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from rightsmarket import engine
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import (
     BidAdjustment,
@@ -489,6 +490,59 @@ class TestRunValidation:
         with pytest.raises(SimulationError) as err:
             run(cfg)
         assert err.value.round_index == fails_at
+
+    @pytest.mark.parametrize(
+        ("overspent", "overbought", "message"),
+        [
+            ((), (1,), "buyer 1 bought good beyond their rights"),
+            ((), (2, 0), "buyer 0 bought good beyond their rights"),
+            ((2,), (), "buyer 2 money went negative"),
+            ((2,), (0, 1), "buyer 2 money went negative"),
+        ],
+        ids=("over-cap", "two-over-cap", "negative", "negative-and-over-cap"),
+    )
+    def test_failed_checks_report_the_first_in_order(
+        self, monkeypatch, overspent, overbought, message
+    ):
+        # round 3's clearing makes some buyers overspend or buy beyond their
+        # rights; a negative balance is reported before a rights-cap breach,
+        # and among buyers the lowest index first
+        real_clear = engine.clear
+
+        def faulty_clear(offers, bids, state, variant, tolerance):
+            result = real_clear(offers, bids, state, variant, tolerance)
+            if state.round_index != 3:
+                return result
+            good, spent = list(result.good_bought), list(result.money_spent_good)
+            for b in overbought:
+                good[b] = state.buyers[b].right + result.right_bought[b] + 0.5
+            for b in overspent:
+                spent[b] = state.buyers[b].money + 0.5
+            return replace(result, good_bought=tuple(good), money_spent_good=tuple(spent))
+
+        monkeypatch.setattr(engine, "clear", faulty_clear)
+        with pytest.raises(SimulationError) as err:
+            run(make_benchmark(horizon=6))
+        assert err.value.round_index == 3
+        assert str(err.value) == f"round 3: {message}"
+
+
+class TestTraceWindows:
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_is_rejected(self, window):
+        # records[-0:] is the whole trace, so a window of 0 must not reach it
+        trace = run(make_benchmark(), horizon=20)
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            trace.per_round_mean_frustration(window)
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            trace.per_buyer_mean_frustration(window)
+
+    def test_window_longer_than_the_trace_averages_all_of_it(self):
+        trace = run(make_benchmark(), horizon=20)
+        assert trace.per_round_mean_frustration(50) == trace.per_round_mean_frustration(20)
+        assert trace.per_round_mean_frustration() == trace.per_round_mean_frustration(20)
+        assert trace.per_round_mean_frustration(2) != trace.per_round_mean_frustration(20)
+        assert trace.per_buyer_mean_frustration(50) == trace.per_buyer_mean_frustration(20)
 
 
 class TestRejections:

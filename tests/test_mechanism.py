@@ -115,6 +115,11 @@ class TestSimpleRounds:
         ]
         result = clear([SellerOffer(1.0, 1.0)], bids, state)
         assert [(r.side, r.index) for r in result.rejected] == [("buyer", 0)]
+        assert result.rejected[0].reason == (
+            "bid BuyerBid(right_offer_volume=0.9, right_offer_price=1.0, max_good_volume=1.0, "
+            "max_good_price=1.0, max_right_volume=0.0, max_right_price=1.0) "
+            "infeasible against right 0.5"
+        )
         assert result.good_bought[0] == 0.0
         assert result.good_bought[1] == pytest.approx(0.5, abs=1e-12)
 
@@ -250,6 +255,19 @@ class TestNaNRejection:
             [BuyerState(0.0, 1.0, right=0.5), BuyerState(0.0, 1.0, right=0.5)],
         )
         bids = [BuyerBid(0, 1, math.nan, 1, 0, 1), BuyerBid(0, 1, 0.5, 1, 0, 1)]
+        result = clear([SellerOffer(1.0, 1.0)], bids, state)
+        assert [(r.side, r.index) for r in result.rejected] == [("buyer", 0)]
+        assert result.good_bought == (0.0, 0.5)
+
+    @pytest.mark.parametrize("field", BuyerBid._fields)
+    def test_nan_in_any_bid_field(self, field):
+        state = MarketState(
+            1,
+            [SellerState(1.0)],
+            [BuyerState(0.0, 1.0, right=0.5), BuyerState(0.0, 1.0, right=0.5)],
+        )
+        valid = BuyerBid(0.0, 1.0, 0.5, 1.0, 0.0, 1.0)
+        bids = [valid._replace(**{field: math.nan}), valid]
         result = clear([SellerOffer(1.0, 1.0)], bids, state)
         assert [(r.side, r.index) for r in result.rejected] == [("buyer", 0)]
         assert result.good_bought == (0.0, 0.5)

@@ -19,6 +19,7 @@ from rightsmarket.pricing import (
     canonical_lower_bound,
     free_market_clearing_price,
     greedy_buyer_bid,
+    greedy_buyer_bids,
     mechanism_rank_weights,
     posted_greedy_price,
     solve_implicit_price,
@@ -249,6 +250,28 @@ class TestGreedyBids:
         state = _benchmark_state(cfg)
         bid = greedy_buyer_bid(0, [SellerOffer(1.0, 1.0)], state, cfg)
         assert bid.right_offer_volume == pytest.approx(0.5 * 8 / 15, abs=1e-12)
+
+    def test_single_bid_is_its_entry_of_the_batch(self):
+        cfg = _benchmark_config(variant="myopic_rights")
+        state = _benchmark_state(cfg)
+        offers = [SellerOffer(0.4, 0.7), SellerOffer(0.6, 0.9)]
+        price_avg = sum(o.price for o in offers) / len(offers)
+        batch = greedy_buyer_bids(
+            price_avg,
+            1.0,
+            [b.money for b in state.buyers],
+            [b.right for b in state.buyers],
+            cfg.variant,
+        )
+        assert batch == [greedy_buyer_bid(b, offers, state, cfg) for b in range(3)]
+        assert batch[0].right_offer_volume > 0.0 and batch[2].max_right_volume > 0.0
+
+    def test_free_goods_demand_is_capped_by_the_offered_volume(self):
+        bids = greedy_buyer_bids(0.0, 1.5, [0.0, 0.3], [0.5, 2.0], "rights")
+        assert [tuple(b) for b in bids] == [
+            (0.0, 0.0, 1.5, 0.0, 1.0, 0.0),
+            (0.0, 0.0, 2.0, 0.0, 0.0, 0.0),
+        ]
 
     @given(
         money=st.floats(0.0, 3.0),
