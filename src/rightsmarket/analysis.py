@@ -29,7 +29,7 @@ from .engine import (
     run_with_checkpoints,
 )
 from .errors import ConfigError
-from .pricing import solve_implicit_price
+from .pricing import canonical_lower_bound, solve_implicit_price
 
 DEVIATION_KINDS = (
     "seller_withhold",
@@ -90,8 +90,11 @@ class Deviation:
 class DeviationTrial:
     deviations: tuple[Deviation, ...]
     gains: tuple[float, ...]  # one per deviating trader, vs. baseline utility
-    skipped: bool = False
-    reason: str = ""
+    reason: str = ""  # why the trial was skipped; empty when it was played
+
+    @property
+    def skipped(self) -> bool:
+        return bool(self.reason)
 
     @property
     def max_gain(self) -> float:
@@ -110,7 +113,6 @@ class AuditReport:
     baseline_seller_utilities: tuple[float, ...]
     baseline_buyer_utilities: tuple[float, ...]
     trials: tuple[DeviationTrial, ...]
-    gain_tolerance: float
     coalition: tuple[tuple[str, int], ...] = ()
 
     @property
@@ -124,13 +126,14 @@ class AuditReport:
 
     @property
     def witnesses(self) -> tuple[DeviationTrial, ...]:
-        """Unilateral: any positive gain; coalition: every member gains."""
+        """Unilateral: any gain above ``CONSERVATION_TOL``; coalition: every
+        member gains more than that."""
         out = []
         for t in self.tested:
             if self.coalition:
-                if all(g > self.gain_tolerance for g in t.gains):
+                if all(g > CONSERVATION_TOL for g in t.gains):
                     out.append(t)
-            elif t.max_gain > self.gain_tolerance:
+            elif t.max_gain > CONSERVATION_TOL:
                 out.append(t)
         return tuple(out)
 
@@ -208,27 +211,22 @@ def _skip_reason(dev: Deviation, baseline: Trace) -> str:
     return ""
 
 
-def default_deviation_grid(
-    config: MarketConfig,
-    horizon: int,
-    baseline: Trace,
-    magnitudes: Sequence[float] = DEFAULT_MAGNITUDES,
-    rounds: Sequence[int] | None = None,
-) -> list[Deviation]:
-    """Every supported one-round deviation over the magnitude/round grid,
-    less those ``_skip_reason`` rules out on the baseline trace.
+def default_deviation_grid(config: MarketConfig, horizon: int, baseline: Trace) -> list[Deviation]:
+    """Every supported one-round deviation of each ``DEFAULT_MAGNITUDES``
+    size in rounds 1, T/2 and T, less those ``_skip_reason`` rules out on
+    the baseline trace.
     """
-    rounds = tuple(rounds) if rounds is not None else (1, max(1, horizon // 2), horizon)
+    rounds = (1, max(1, horizon // 2), horizon)
     grid: list[Deviation] = []
     for s in range(config.num_sellers):
         for r in rounds:
-            for m in magnitudes:
+            for m in DEFAULT_MAGNITUDES:
                 grid.append(Deviation("seller_withhold", s, r, m))
                 grid.append(Deviation("seller_price", s, r, +m))
                 grid.append(Deviation("seller_price", s, r, -m))
     for b in range(config.num_buyers):
         for r in rounds:
-            for m in magnitudes:
+            for m in DEFAULT_MAGNITUDES:
                 candidates = (
                     Deviation("buyer_sell_less_right", b, r, m),
                     Deviation("buyer_price", b, r, +m),
@@ -243,12 +241,11 @@ def audit_unilateral(
     config: MarketConfig,
     horizon: int | None = None,
     deviation_grid: Sequence[Deviation] | None = None,
-    gain_tolerance: float = CONSERVATION_TOL,
 ) -> AuditReport:
     """Replay the market once per deviation and report utility gains.
 
     The deviating trader plays greedy in every other round. Any gain above
-    ``gain_tolerance`` is a witness against the equilibrium claim.
+    ``CONSERVATION_TOL`` is a witness against the equilibrium claim.
     """
     T = horizon if horizon is not None else config.horizon
     _require_constant_normalized(config, T)
@@ -260,7 +257,7 @@ def audit_unilateral(
     for dev in deviation_grid:
         reason = _skip_reason(dev, baseline)
         if reason:
-            trials.append(DeviationTrial((dev,), (), skipped=True, reason=reason))
+            trials.append(DeviationTrial((dev,), (), reason))
             continue
         gains = _replay_gains(config, T, baseline, checkpoints, (dev,))
         trials.append(DeviationTrial((dev,), gains))
@@ -269,7 +266,6 @@ def audit_unilateral(
         baseline_seller_utilities=baseline.seller_utilities,
         baseline_buyer_utilities=baseline.buyer_utilities,
         trials=tuple(trials),
-        gain_tolerance=gain_tolerance,
     )
 
 
@@ -297,13 +293,13 @@ def audit_coalition(
     horizon: int | None = None,
     coalition: Sequence[tuple[str, int]] = (),
     joint_grid: Sequence[Sequence[Deviation]] | None = None,
-    gain_tolerance: float = CONSERVATION_TOL,
-    max_trials: int = 500,
 ) -> AuditReport:
     """Joint-deviation scan for one coalition.
 
-    A joint deviation wins only if every member strictly gains; the default
-    grid is the cartesian product of small per-member menus at mid-horizon.
+    A joint deviation wins only if every member gains more than
+    ``CONSERVATION_TOL``. Every combo of ``joint_grid`` is played; the
+    default grid is the cartesian product of small per-member menus at
+    mid-horizon.
     """
     if len(coalition) < 2:
         raise ConfigError("a coalition needs at least two members")
@@ -313,13 +309,11 @@ def audit_coalition(
     if joint_grid is None:
         mid = max(1, T // 2)
         menus = [default_coalition_menu(m, mid, baseline) for m in coalition]
-        joint_grid = [combo for combo in itertools.product(*menus)]
+        joint_grid = list(itertools.product(*menus))
     trials: list[DeviationTrial] = []
-    for combo in joint_grid[:max_trials]:
+    for combo in joint_grid:
         if len({d.trader_key() for d in combo}) != len(coalition):
-            trials.append(
-                DeviationTrial(tuple(combo), (), skipped=True, reason="menu/member mismatch")
-            )
+            trials.append(DeviationTrial(tuple(combo), (), "menu/member mismatch"))
             continue
         gains = _replay_gains(config, T, baseline, checkpoints, combo)
         trials.append(DeviationTrial(tuple(combo), gains))
@@ -327,7 +321,6 @@ def audit_coalition(
         baseline_seller_utilities=baseline.seller_utilities,
         baseline_buyer_utilities=baseline.buyer_utilities,
         trials=tuple(trials),
-        gain_tolerance=gain_tolerance,
         coalition=tuple(coalition),
     )
 
@@ -342,37 +335,34 @@ class NonexpansiveReport:
         return "non-expansive: pass" if self.passed else f"FAIL: {self.detail}"
 
 
-def check_nonexpansive(
-    trace: Trace, tol: float = EQ_TOL, oscillation_guard: float = CONSERVATION_TOL
-) -> NonexpansiveReport:
-    """Check |p(t+1) - 1| <= |p(t) - 1| and the oscillation direction along
-    a greedy constant-supply trace.
+def check_nonexpansive(trace: Trace) -> NonexpansiveReport:
+    """Check |p(t+1) - 1| <= |p(t) - 1| + ``EQ_TOL`` and the oscillation
+    direction along a greedy constant-supply trace.
 
     The strict oscillation claim (below 1 the price rises, above 1 it falls)
-    is only tested while the price is farther than ``oscillation_guard``
+    is only tested while the price is farther than ``CONSERVATION_TOL``
     from the fixed point, where float comparisons are meaningful.
     """
     prices = trace.price_path()
     for t in range(len(prices) - 1):
         p, q = prices[t], prices[t + 1]
-        if abs(q - 1.0) > abs(p - 1.0) + tol:
+        if abs(q - 1.0) > abs(p - 1.0) + EQ_TOL:
             return NonexpansiveReport(
                 False, t + 1, f"|p-1| grew from {abs(p - 1.0):g} to {abs(q - 1.0):g}"
             )
-        if p < 1.0 - oscillation_guard and not q > p:
+        if p < 1.0 - CONSERVATION_TOL and not q > p:
             return NonexpansiveReport(False, t + 1, f"p={p!r} < 1 but next price {q!r} <= p")
-        if p > 1.0 + oscillation_guard and not q < p:
+        if p > 1.0 + CONSERVATION_TOL and not q < p:
             return NonexpansiveReport(False, t + 1, f"p={p!r} > 1 but next price {q!r} >= p")
     return NonexpansiveReport(True, None, "")
 
 
-def bisection_price(
-    money: Sequence[float], rights: Sequence[float], iterations: int = 200
-) -> float:
+def bisection_price(money: Sequence[float], rights: Sequence[float]) -> float:
     """Independent root finder for the implicit price equation.
 
     Bisects the monotone residual sum(M - max(0, pR - M)) - p sum(R) on
-    [0, sum(M)/sum(R)]; used only as an oracle against the interval scan.
+    [0, sum(M)/sum(R)] 200 times; used only as an oracle against the
+    interval scan.
     """
     m = [float(x) for x in money]
     r = [float(x) for x in rights]
@@ -389,7 +379,7 @@ def bisection_price(
     lo, hi = 0.0, total_m / total_r
     if residual(hi) > 0.0:  # guard against rounding at the upper bracket
         hi *= 1.0 + EQ_TOL
-    for _ in range(iterations):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if residual(mid) > 0.0:
             lo = mid
@@ -416,10 +406,9 @@ class SolverCrossCheck:
         )
 
 
-def cross_validate_price_solver(
-    instances: int = 1000, rng_seed: int = 0, tolerance: float = 1e-10
-) -> SolverCrossCheck:
-    """Compare the interval-scan solver against bisection on random cases.
+def cross_validate_price_solver(instances: int = 1000, rng_seed: int = 0) -> SolverCrossCheck:
+    """Compare the interval-scan solver against bisection on random cases;
+    they agree when no price differs by more than 1e-10.
 
     Instances draw 1..8 buyers, money in [0, 2] with occasional exact zeros,
     and rights scaled to a random total in (0, 10].
@@ -442,7 +431,7 @@ def cross_validate_price_solver(
         p_scan = solve_implicit_price(money, rights).price
         p_bis = bisection_price(money, rights)
         worst = max(worst, abs(p_scan - p_bis))
-    return SolverCrossCheck(instances, worst, tolerance)
+    return SolverCrossCheck(instances, worst, 1e-10)
 
 
 @dataclass(frozen=True)
@@ -476,8 +465,6 @@ def check_price_lower_bound(
     Violations are reported, not raised: outside canonical mechanisms the
     bound is a diagnostic.
     """
-    from .pricing import canonical_lower_bound
-
     violations = []
     for rec in trace.records:
         money = rec.money_start

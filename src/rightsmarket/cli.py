@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .analysis import audit_coalition, audit_unilateral
-from .core import CONSERVATION_TOL, BuyerSpec, MarketConfig, SellerSpec
+from .core import BuyerSpec, MarketConfig, SellerSpec
 from .engine import SCHEDULE_PARAMS, SupplySchedule, Trace, generate_dirichlet_scenario, run
 from .errors import ConfigError, NegativeQuantityError, RightsMarketError, ScenarioError
 from .rights import DistributionMechanism, verify_axioms
@@ -49,7 +49,6 @@ _TOP_KEYS = {
     "sellers",
     "buyers",
     "seller_storage_cost",
-    "tolerance",
     "greedy_price_factor",
     "output",
 }
@@ -214,7 +213,6 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             seller_storage_cost=_number(
                 data.get("seller_storage_cost", 1.0), f"{source}.seller_storage_cost"
             ),
-            tolerance=_number(data.get("tolerance", CONSERVATION_TOL), f"{source}.tolerance"),
             greedy_price_factor=_number(
                 data.get("greedy_price_factor", 1.0), f"{source}.greedy_price_factor"
             ),
@@ -238,7 +236,6 @@ def scenario_to_dict(scn: Scenario) -> dict:
             {"claim": b.claim, "income": schedule_to_dict(b.income)} for b in cfg.buyers
         ],
         "seller_storage_cost": cfg.seller_storage_cost,
-        "tolerance": cfg.tolerance,
         "greedy_price_factor": cfg.greedy_price_factor,
         "output": {
             "seed": scn.output.seed,
@@ -347,7 +344,7 @@ def default_coalitions(config: MarketConfig) -> list[list[tuple[str, int]]]:
     out.append([("seller", 0), ("buyer", 0)])
     if config.num_buyers >= 2 and len(out) < 3:
         out.append([("seller", 0), ("buyer", config.num_buyers - 1)])
-    return out[:3] if len(out) >= 3 else out
+    return out[:3]
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

@@ -5,13 +5,20 @@ One round moves Good from sellers to buyers under per-round entitlements
 consumes each buyer's Good up to their claim, zeroes seller money (sellers
 consume it as utility) and expires all rights.
 
-All quantities are 64-bit floats. The package's two tolerances live here:
-``EQ_TOL`` is rounding slack on single values (closed-form checks, trade
-volumes treated as exhausted, the price solver's interval edges, whether a
-buyer offered or demanded Right); ``CONSERVATION_TOL`` bounds accumulated
-rounding (per-round accounting balances, relative to the money or Good in
-play once that exceeds 1; sums that must equal 1; audit gains that count as
-real).
+All quantities are 64-bit floats. The package's two tolerances live here,
+and no function or scenario key takes another value:
+
+- ``EQ_TOL`` is rounding slack on single values: closed-form checks and
+  ``is_normalized``, volumes treated as exhausted, the price solver's
+  interval edges, whether a buyer offered or demanded Right, zero
+  frustration, the axiom checks' non-negativity and monotonicity, and how
+  far ``|p - 1|`` may grow in one round in the non-expansiveness check.
+- ``CONSERVATION_TOL`` bounds accumulated rounding: the per-round money and
+  Good balances (relative to the amounts in play once they exceed 1), an
+  offer's excess over its stock or Right, sums that must equal 1 or the
+  offered volume (the axioms' volume balance), the audit's witness
+  threshold on gains, and the non-expansiveness guard: the distance from
+  price 1 inside which the oscillation direction is not tested.
 """
 
 from __future__ import annotations
@@ -83,7 +90,6 @@ class MarketConfig:
     variant: str = "rights"
     horizon: int = 100
     seller_storage_cost: float = 1.0
-    tolerance: float = CONSERVATION_TOL
     greedy_price_factor: float = 1.0
 
     def __post_init__(self) -> None:
@@ -99,8 +105,6 @@ class MarketConfig:
             raise ConfigError("horizon must be a positive integer")
         if self.seller_storage_cost < 0:
             raise ConfigError("seller_storage_cost must be non-negative")
-        if not self.tolerance > 0:
-            raise ConfigError("tolerance must be positive")
         if self.greedy_price_factor <= 0:
             raise ConfigError("greedy_price_factor must be positive")
 
@@ -122,12 +126,13 @@ class MarketConfig:
     def income_at(self, round_index: int) -> tuple[float, ...]:
         return tuple(b.income.value_at(round_index) for b in self.buyers)
 
-    def is_normalized(self, round_index: int = 1, tol: float = EQ_TOL) -> bool:
+    def is_normalized(self, round_index: int = 1) -> bool:
         """True when total resupply and total income are both 1 in a round,
-        the regime the closed-form and audit results assume."""
+        up to ``EQ_TOL``: the regime the closed-form and audit results
+        assume."""
         return (
-            abs(sum(self.resupply_at(round_index)) - 1.0) <= tol
-            and abs(sum(self.income_at(round_index)) - 1.0) <= tol
+            abs(sum(self.resupply_at(round_index)) - 1.0) <= EQ_TOL
+            and abs(sum(self.income_at(round_index)) - 1.0) <= EQ_TOL
         )
 
 
@@ -172,9 +177,6 @@ class MarketState:
             [s.copy() for s in self.sellers],
             [b.copy() for b in self.buyers],
         )
-
-    def total_good(self) -> float:
-        return sum(s.good for s in self.sellers) + sum(b.good for b in self.buyers)
 
 
 def initial_state(config: MarketConfig) -> MarketState:

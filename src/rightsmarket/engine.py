@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    CONSERVATION_TOL,
     EQ_TOL,
     BuyerSpec,
     MarketConfig,
@@ -198,9 +199,6 @@ class Trace:
     def price_path(self) -> list[float]:
         return [r.price_good for r in self.records]
 
-    def frustration_matrix(self) -> list[tuple[float, ...]]:
-        return [r.frustration for r in self.records]
-
     def expected_frustration(self) -> float:
         return self.expected_frustration_path[-1] if self.records else 0.0
 
@@ -231,12 +229,12 @@ class Trace:
         nb = self.num_buyers
         return [sum(r.frustration[b] for r in recs) / len(recs) for b in range(nb)]
 
-    def first_all_zero_frustration_round(self, tol: float = EQ_TOL) -> int | None:
+    def first_all_zero_frustration_round(self) -> int | None:
         """First round index from which every buyer's frustration stays zero
-        through the end of the trace, or None."""
+        (at most ``EQ_TOL``) through the end of the trace, or None."""
         start = None
         for r in self.records:
-            if all(f <= tol for f in r.frustration):
+            if all(f <= EQ_TOL for f in r.frustration):
                 if start is None:
                     start = r.round_index
             else:
@@ -295,7 +293,7 @@ def run(
 
     Every trader plays greedy except where ``adjustments`` modify a bid
     (used by the equilibrium audit). Money, Good and the rights cap are
-    checked every round against ``config.tolerance``, scaled by the money or
+    checked every round against ``CONSERVATION_TOL``, scaled by the money or
     Good in play where that exceeds 1; a violation aborts the trace with the
     failing round index.
     """
@@ -422,11 +420,11 @@ def _play_rounds(
             money_res, good_res = residuals
             max_money_res = max(max_money_res, money_res)
             max_good_res = max(max_good_res, good_res)
-            if money_res > config.tolerance or good_res > config.tolerance:
+            if money_res > CONSERVATION_TOL or good_res > CONSERVATION_TOL:
                 # rounding grows with the amounts traded, so above 1 the
                 # tolerance scales with the money and Good in play
-                money_tol = config.tolerance * max(1.0, sum(record.money_start))
-                good_tol = config.tolerance * max(1.0, record.volume_offered)
+                money_tol = CONSERVATION_TOL * max(1.0, sum(record.money_start))
+                good_tol = CONSERVATION_TOL * max(1.0, record.volume_offered)
                 if money_res > money_tol or good_res > good_tol:
                     raise ConservationError(
                         f"accounting residual money={money_res:g} good={good_res:g} "
@@ -491,7 +489,7 @@ def _run_rights_round(
                     max_right_volume=bid.max_right_volume * adj.right_demand_factor,
                 )
 
-    result = clear(offers, bids, state, config.variant, config.tolerance)
+    result = clear(offers, bids, state, config.variant)
 
     for s in range(ns):
         state.sellers[s].good -= result.seller_sold[s]
@@ -499,8 +497,7 @@ def _run_rights_round(
     # one pass over the buyers folds the clearing into their state, checks
     # it and collects the round's record; deferred proceeds join the
     # balance only now, after the trading window closed
-    tol = config.tolerance
-    good_tol = tol * max(1.0, offered)
+    good_tol = CONSERVATION_TOL * max(1.0, offered)
     over_cap = -1
     money_end: list[float] = []
     good_end: list[float] = []
@@ -516,7 +513,7 @@ def _run_rights_round(
         money = m0 - spent_good - spent_right + earned
         if money < 0.0:
             # rounding dust scales with the buyer's money in play
-            if money < -tol * max(1.0, m0 + earned):
+            if money < -CONSERVATION_TOL * max(1.0, m0 + earned):
                 raise SimulationError(tau, f"buyer {b} money went negative")
             money = 0.0
         buyer.money = money
@@ -598,7 +595,7 @@ def _run_free_round(state: MarketState, config: MarketConfig, tau: int):
         # buyers spend their whole balance at the clearing price; keep real
         # leftovers from off-path rationing, snap away rounding dust
         leftover = money_start[b] - bought[b] * price
-        state.buyers[b].money = leftover if leftover > config.tolerance else 0.0
+        state.buyers[b].money = leftover if leftover > CONSERVATION_TOL else 0.0
 
     money_res = abs(
         sum(money_start)

@@ -105,14 +105,13 @@ def clear(
     bids: list[BuyerBid],
     state: MarketState,
     variant: str = "rights",
-    tolerance: float = CONSERVATION_TOL,
 ) -> ClearingResult:
     """Clear one round of bids against the current state.
 
-    Malformed offers/bids (volume above the trader's holding, negative or
-    NaN entries) exclude that trader from the round and are listed in
-    ``rejected``; everyone else still trades. Volumes at or below
-    ``EQ_TOL`` count as exhausted.
+    Malformed offers/bids (volume above the trader's holding by more than
+    ``CONSERVATION_TOL``, negative or NaN entries) exclude that trader from
+    the round and are listed in ``rejected``; everyone else still trades.
+    Volumes at or below ``EQ_TOL`` count as exhausted.
     """
     ns, nb = len(state.sellers), len(state.buyers)
     if len(offers) != ns or len(bids) != nb:
@@ -128,7 +127,7 @@ def clear(
         bad = (
             not off.volume >= 0.0
             or not off.price >= 0.0
-            or off.volume > state.sellers[s].good + tolerance
+            or off.volume > state.sellers[s].good + CONSERVATION_TOL
         )
         if bad:
             reason = f"offer {off} infeasible against stock {state.sellers[s].good!r}"
@@ -159,7 +158,7 @@ def clear(
         if not (
             offer >= 0.0 and q_offer >= 0.0 and vbar >= 0.0
             and p_good >= 0.0 and wbar >= 0.0 and p_right >= 0.0
-        ) or offer > right + tolerance:
+        ) or offer > right + CONSERVATION_TOL:
             reason = f"bid {bid} infeasible against right {right!r}"
             rejected.append(Rejection("buyer", b, reason))
             continue

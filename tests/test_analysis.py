@@ -132,6 +132,17 @@ class TestCoalitionAudit:
         with pytest.raises(ConfigError):
             audit_coalition(make_benchmark(horizon=AUDIT_HORIZON), coalition=[("buyer", 0)])
 
+    def test_plays_every_combo_of_a_long_joint_grid(self):
+        # a caller's grid is played whole, with no cap on its length
+        grid = [
+            (Deviation("seller_price", 0, 1 + k % 4, k / 1000), Deviation("buyer_price", 0, 1, 0.1))
+            for k in range(501)
+        ]
+        report = audit_coalition(
+            make_benchmark(horizon=4), coalition=[("seller", 0), ("buyer", 0)], joint_grid=grid
+        )
+        assert len(report.tested) == len(report.trials) == 501
+
 
 # -- incremental replay against full replays ---------------------------------
 

@@ -184,6 +184,15 @@ class TestCommands:
         bad.write_text(json.dumps(minimal_scenario(frobnicate=1)))
         assert main(["simulate", "--scenario", str(bad)]) == EXIT_PARSE
 
+    # the tolerances are package constants, not scenario settings
+    @pytest.mark.parametrize("key", ["frobnicate", "tolerance"])
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_unknown_top_level_key_exit_code(self, tmp_path, capsys, key, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(minimal_scenario(**{key: 1e-9})))
+        assert main([command, "--scenario", str(bad)]) == EXIT_PARSE
+        assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "buyer",
         [

@@ -509,8 +509,8 @@ class TestRunValidation:
         # and among buyers the lowest index first
         real_clear = engine.clear
 
-        def faulty_clear(offers, bids, state, variant, tolerance):
-            result = real_clear(offers, bids, state, variant, tolerance)
+        def faulty_clear(offers, bids, state, variant):
+            result = real_clear(offers, bids, state, variant)
             if state.round_index != 3:
                 return result
             good, spent = list(result.good_bought), list(result.money_spent_good)
