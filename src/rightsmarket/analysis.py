@@ -297,12 +297,16 @@ def audit_coalition(
     """Joint-deviation scan for one coalition.
 
     A joint deviation wins only if every member gains more than
-    ``CONSERVATION_TOL``. Every combo of ``joint_grid`` is played; the
-    default grid is the cartesian product of small per-member menus at
-    mid-horizon.
+    ``CONSERVATION_TOL``. Every combo of ``joint_grid`` whose traders are
+    exactly the coalition's members is played, and any other is skipped as
+    a menu/member mismatch; the default grid is the cartesian product of
+    small per-member menus at mid-horizon.
     """
+    members = set(coalition)
     if len(coalition) < 2:
         raise ConfigError("a coalition needs at least two members")
+    if len(members) != len(coalition):
+        raise ConfigError(f"coalition members must be distinct, got {list(coalition)!r}")
     T = horizon if horizon is not None else config.horizon
     _require_constant_normalized(config, T)
     baseline, checkpoints = run_with_checkpoints(config, T)
@@ -312,7 +316,7 @@ def audit_coalition(
         joint_grid = list(itertools.product(*menus))
     trials: list[DeviationTrial] = []
     for combo in joint_grid:
-        if len({d.trader_key() for d in combo}) != len(coalition):
+        if {d.trader_key() for d in combo} != members:
             trials.append(DeviationTrial(tuple(combo), (), "menu/member mismatch"))
             continue
         gains = _replay_gains(config, T, baseline, checkpoints, combo)

@@ -46,7 +46,9 @@ def non_negative(value: float) -> float:
 
 
 class ScheduleLike(Protocol):
-    """Anything that yields a per-round amount (see engine.SupplySchedule)."""
+    """Anything that yields a per-round amount (see engine.SupplySchedule).
+    ``value_at`` must depend on the round index alone: ``MarketConfig``
+    memoizes it."""
 
     def value_at(self, round_index: int) -> float: ...
 
@@ -116,15 +118,46 @@ class MarketConfig:
     def num_buyers(self) -> int:
         return len(self.buyers)
 
+    # Values derived from the fields are computed once per config, on first
+    # use. They live in the instance ``__dict__``, so they take no part in
+    # ``==``, ``repr`` or ``dataclasses.replace``, which builds a new config
+    # with empty memos.
     @cached_property
     def claims(self) -> tuple[float, ...]:
         return tuple(b.claim for b in self.buyers)
 
+    @cached_property
+    def _resupply_memo(self) -> dict[int, tuple[float, ...]]:
+        return {}
+
+    @cached_property
+    def _income_memo(self) -> dict[int, tuple[float, ...]]:
+        return {}
+
+    @cached_property
+    def _rights_memo(self) -> dict[float, tuple[float, ...]]:
+        # rights per offered volume, filled by ``pricing.mechanism_rights``
+        return {}
+
     def resupply_at(self, round_index: int) -> tuple[float, ...]:
-        return tuple(s.resupply.value_at(round_index) for s in self.sellers)
+        """Every seller's resupply in a round. Schedules are pure, so the
+        tuple is memoized; one that raises stores nothing and raises again
+        on the next call."""
+        memo = self._resupply_memo
+        g = memo.get(round_index)
+        if g is None:
+            g = tuple(s.resupply.value_at(round_index) for s in self.sellers)
+            memo[round_index] = g
+        return g
 
     def income_at(self, round_index: int) -> tuple[float, ...]:
-        return tuple(b.income.value_at(round_index) for b in self.buyers)
+        """Every buyer's income in a round, memoized as ``resupply_at``."""
+        memo = self._income_memo
+        m = memo.get(round_index)
+        if m is None:
+            m = tuple(b.income.value_at(round_index) for b in self.buyers)
+            memo[round_index] = m
+        return m
 
     def is_normalized(self, round_index: int = 1) -> bool:
         """True when total resupply and total income are both 1 in a round,
@@ -264,6 +297,11 @@ def equal_rate_fill(amounts: Sequence[float], total: float) -> list[float]:
     """
     if total <= 0.0:
         return [0.0 for _ in amounts]
+    if len(amounts) == 1:
+        # the general path bit for bit: the level is min(total, a), and a
+        # residue above ``a`` is clamped back to it; NaN reads as ``a``
+        a = float(amounts[0])
+        return [total if total < a else a]
     level = water_level(amounts, total)
     held = [float(a) for a in amounts]
     # min(a, level) as the builtin compares, without its call cost

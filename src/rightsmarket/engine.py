@@ -33,9 +33,11 @@ from .pricing import (
     free_market_clearing_price,
     greedy_buyer_bid,  # noqa: F401  kept importable: perfbench's tracer patches ``engine.greedy_buyer_bid``
     greedy_buyer_bids,
+    mechanism_rights,
     posted_greedy_price,
 )
-from .rights import DistributionMechanism, allocate
+# ``allocate`` kept importable: perfbench's tracer patches ``engine.allocate``
+from .rights import DistributionMechanism, allocate  # noqa: F401
 
 SCHEDULE_PARAMS: dict[str, tuple[str, ...]] = {
     "constant": ("level",),
@@ -325,7 +327,9 @@ def replay_from(
     Utilities accumulate in the same order as in ``run``. So for a checkpoint
     of ``run_with_checkpoints(config, horizon)`` and no adjustment before its
     round, the totals equal those of ``run(config, horizon, adjustments)``
-    bit for bit. The replayed rounds keep their conservation checks.
+    bit for bit. The replayed rounds build no ``RoundRecord``, but they make
+    every check a run makes: the money and Good residuals, negative
+    balances and the rights cap, so a failure raises what ``run`` raises.
     """
     seller_total = list(checkpoint.seller_utilities)
     buyer_total = list(checkpoint.buyer_utilities)
@@ -336,6 +340,7 @@ def replay_from(
         _index_adjustments(adjustments),
         seller_total,
         buyer_total,
+        None,
     )
     return tuple(seller_total), tuple(buyer_total)
 
@@ -356,13 +361,15 @@ def _run(
         state = initial_state(config)
     except Exception as exc:
         raise SimulationError(1, str(exc)) from exc
-    records, max_money_res, max_good_res = _play_rounds(
+    records: list[RoundRecord] = []
+    max_money_res, max_good_res = _play_rounds(
         config,
         state,
         T,
         _index_adjustments(adjustments),
         seller_total,
         buyer_total,
+        records,
         checkpoints,
     )
     ef_path: list[float] = []
@@ -387,18 +394,20 @@ def _play_rounds(
     adjustments: AdjustmentIndex,
     seller_total: list[float],
     buyer_total: list[float],
+    records: list[RoundRecord] | None,
     checkpoints: list[Checkpoint] | None = None,
-) -> tuple[list[RoundRecord], float, float]:
+) -> tuple[float, float]:
     """Play rounds ``state.round_index`` through ``horizon``, adding each
     round's utilities to ``seller_total`` and ``buyer_total`` in place.
 
-    ``state`` is mutated. When ``checkpoints`` is a list, a checkpoint is
-    appended at the start of every round and once more after the last.
-    Returns the round records and the largest money and Good residuals. A
+    ``state`` is mutated. When ``records`` is a list, each round's record is
+    appended to it; a replay that needs only the totals passes None and
+    skips building them, but not any check. When ``checkpoints`` is a list,
+    a checkpoint is appended at the start of every round and once more
+    after the last. Returns the largest money and Good residuals. A
     failure, including one in the transition into round t, aborts with
     round index t.
     """
-    records: list[RoundRecord] = []
     max_money_res = 0.0
     max_good_res = 0.0
 
@@ -412,25 +421,15 @@ def _play_rounds(
             if tau > horizon:
                 break
             if config.variant == "free_market":
-                record, state, util, residuals = _run_free_round(state, config, tau)
+                util, money_res, good_res = _run_free_round(state, config, tau, records)
             else:
-                record, state, util, residuals = _run_rights_round(
-                    state, config, tau, adjustments
+                util, money_res, good_res = _run_rights_round(
+                    state, config, tau, adjustments, records
                 )
-            money_res, good_res = residuals
-            max_money_res = max(max_money_res, money_res)
-            max_good_res = max(max_good_res, good_res)
-            if money_res > CONSERVATION_TOL or good_res > CONSERVATION_TOL:
-                # rounding grows with the amounts traded, so above 1 the
-                # tolerance scales with the money and Good in play
-                money_tol = CONSERVATION_TOL * max(1.0, sum(record.money_start))
-                good_tol = CONSERVATION_TOL * max(1.0, record.volume_offered)
-                if money_res > money_tol or good_res > good_tol:
-                    raise ConservationError(
-                        f"accounting residual money={money_res:g} good={good_res:g} "
-                        f"exceeds tolerance money={money_tol:g} good={good_tol:g}"
-                    )
-            records.append(record)
+            if money_res > max_money_res:
+                max_money_res = money_res
+            if good_res > max_good_res:
+                max_good_res = good_res
             su, bu = util
             seller_total[:] = [total + u for total, u in zip(seller_total, su)]
             buyer_total[:] = [total + u for total, u in zip(buyer_total, bu)]
@@ -440,7 +439,23 @@ def _play_rounds(
         raise
     except Exception as exc:
         raise SimulationError(tau, str(exc)) from exc
-    return records, max_money_res, max_good_res
+    return max_money_res, max_good_res
+
+
+def _check_residuals(
+    money_res: float, good_res: float, money_start: Sequence[float], offered: float
+) -> None:
+    """Raise ``ConservationError`` when a round's money or Good residual
+    exceeds ``CONSERVATION_TOL``; above 1 the tolerance scales with the
+    money or Good in play, since rounding grows with the amounts traded."""
+    if money_res > CONSERVATION_TOL or good_res > CONSERVATION_TOL:
+        money_tol = CONSERVATION_TOL * max(1.0, sum(money_start))
+        good_tol = CONSERVATION_TOL * max(1.0, offered)
+        if money_res > money_tol or good_res > good_tol:
+            raise ConservationError(
+                f"accounting residual money={money_res:g} good={good_res:g} "
+                f"exceeds tolerance money={money_tol:g} good={good_tol:g}"
+            )
 
 
 def _run_rights_round(
@@ -448,7 +463,11 @@ def _run_rights_round(
     config: MarketConfig,
     tau: int,
     adjustments: AdjustmentIndex,
+    records: list[RoundRecord] | None,
 ):
+    """Play round ``tau`` of a rights variant on ``state``, in place, and
+    check it. Appends the round's record to ``records`` unless it is None;
+    returns the round's utilities and its money and Good residuals."""
     nb, ns = config.num_buyers, config.num_sellers
     buyers = state.buyers
     money_start = tuple(b.money for b in buyers)
@@ -494,22 +513,19 @@ def _run_rights_round(
     for s in range(ns):
         state.sellers[s].good -= result.seller_sold[s]
         state.sellers[s].money += result.seller_revenue[s]
-    # one pass over the buyers folds the clearing into their state, checks
-    # it and collects the round's record; deferred proceeds join the
-    # balance only now, after the trading window closed
+    # one pass over the buyers folds the clearing into their state and
+    # checks it; deferred proceeds join the balance only now, after the
+    # trading window closed
     good_tol = CONSERVATION_TOL * max(1.0, offered)
     over_cap = -1
     money_end: list[float] = []
-    good_end: list[float] = []
-    frus: list[float] = []
     for b, (buyer, m0, right, bought, bought_right, spent_good, spent_right, earned) in enumerate(
         zip(
             buyers, money_start, rights, result.good_bought, result.right_bought,
             result.money_spent_good, result.money_spent_right, result.money_earned_right,
         )
     ):
-        good = buyer.good + bought
-        buyer.good = good
+        buyer.good += bought
         money = m0 - spent_good - spent_right + earned
         if money < 0.0:
             # rounding dust scales with the buyer's money in play
@@ -522,8 +538,6 @@ def _run_rights_round(
         if over_cap < 0 and bought > right + bought_right + good_tol:
             over_cap = b
         money_end.append(money)
-        good_end.append(good)
-        frus.append(frustration(right, good))
     if over_cap >= 0:
         raise SimulationError(tau, f"buyer {over_cap} bought good beyond their rights")
 
@@ -534,47 +548,53 @@ def _run_rights_round(
         good_res = max(
             good_res, abs(result.seller_sold[s] + result.unsold_good[s] - offers[s].volume)
         )
+    _check_residuals(money_res, good_res, money_start, offered)
 
-    useful, useless = useful_useless_split(result)
-    right_offered, right_prices, _, _, right_demanded, _ = zip(*bids)
-    offered_right = sum(right_offered)
-    price_right = (
-        sum(w * q for w, q in zip(right_offered, right_prices)) / offered_right
-        if offered_right > 0.0
-        else 0.0
-    )
+    if records is not None:
+        useful, useless = useful_useless_split(result)
+        right_offered, right_prices, _, _, right_demanded, _ = zip(*bids)
+        offered_right = sum(right_offered)
+        price_right = (
+            sum(w * q for w, q in zip(right_offered, right_prices)) / offered_right
+            if offered_right > 0.0
+            else 0.0
+        )
+        good_end = tuple(b.good for b in buyers)
+        records.append(
+            RoundRecord(
+                round_index=tau,
+                price_good=price_avg,
+                price_right=price_right,
+                money_start=money_start,
+                good_end=good_end,
+                right_assigned=tuple(rights),
+                frustration=tuple(map(frustration, rights, good_end)),
+                right_offered=right_offered,
+                right_demanded=right_demanded,
+                useful_money=useful,
+                useless_money=useless,
+                volume_offered=offered,
+                volume_sold=result.volume_sold,
+                rejections=result.rejected,
+            )
+        )
+    return consumed_utility(state, config), money_res, good_res
 
-    record = RoundRecord(
-        round_index=tau,
-        price_good=price_avg,
-        price_right=price_right,
-        money_start=money_start,
-        good_end=tuple(good_end),
-        right_assigned=tuple(rights),
-        frustration=tuple(frus),
-        right_offered=right_offered,
-        right_demanded=right_demanded,
-        useful_money=useful,
-        useless_money=useless,
-        volume_offered=offered,
-        volume_sold=result.volume_sold,
-        rejections=result.rejected,
-    )
-    util = consumed_utility(state, config)
-    return record, state, util, (money_res, good_res)
 
-
-def _run_free_round(state: MarketState, config: MarketConfig, tau: int):
+def _run_free_round(
+    state: MarketState, config: MarketConfig, tau: int, records: list[RoundRecord] | None
+):
     """Free-market baseline: no rights, everyone spends all money at the
     market-clearing price, frustration is still measured against the
-    mechanism's hypothetical allocation."""
+    mechanism's hypothetical allocation. Records, checks and returns as
+    ``_run_rights_round`` does."""
     nb, ns = config.num_buyers, config.num_sellers
     money_start = tuple(b.money for b in state.buyers)
     volumes = list(config.resupply_at(tau))
     offered = sum(volumes)
     if offered <= 0.0:
         raise SimulationError(tau, "no good offered for sale")
-    rights_hyp = allocate(config.mechanism, offered, config.claims)
+    rights_hyp = mechanism_rights(config, offered)
     price = free_market_clearing_price(money_start, offered) * config.greedy_price_factor
 
     bought = [0.0] * nb
@@ -603,26 +623,28 @@ def _run_free_round(state: MarketState, config: MarketConfig, tau: int):
         - sum(b.money for b in state.buyers)
     )
     good_res = abs(sum(bought) - sold_total)
+    _check_residuals(money_res, good_res, money_start, offered)
 
-    good_end = tuple(b.good for b in state.buyers)
-    frus = tuple(frustration(rights_hyp[b], good_end[b]) for b in range(nb))
-    record = RoundRecord(
-        round_index=tau,
-        price_good=price,
-        price_right=0.0,
-        money_start=money_start,
-        good_end=good_end,
-        right_assigned=tuple(rights_hyp),
-        frustration=frus,
-        right_offered=(0.0,) * nb,
-        right_demanded=(0.0,) * nb,
-        useful_money=price * sold_total,
-        useless_money=0.0,
-        volume_offered=offered,
-        volume_sold=sold_total,
-    )
-    util = consumed_utility(state, config)
-    return record, state, util, (money_res, good_res)
+    if records is not None:
+        good_end = tuple(b.good for b in state.buyers)
+        records.append(
+            RoundRecord(
+                round_index=tau,
+                price_good=price,
+                price_right=0.0,
+                money_start=money_start,
+                good_end=good_end,
+                right_assigned=rights_hyp,
+                frustration=tuple(map(frustration, rights_hyp, good_end)),
+                right_offered=(0.0,) * nb,
+                right_demanded=(0.0,) * nb,
+                useful_money=price * sold_total,
+                useless_money=0.0,
+                volume_offered=offered,
+                volume_sold=sold_total,
+            )
+        )
+    return consumed_utility(state, config), money_res, good_res
 
 
 def generate_dirichlet_scenario(

@@ -19,9 +19,15 @@ decreases in either argument, the cheaper pair also comes first in the
 order. A step therefore walks the Right levels upward at the cheapest good
 price and trades at the first with demand, almost always the first it looks
 at; stage 2 ends when none has any. So the tie-break on equal unit prices
-never decides which pair trades. A step costs one pass over the live
-sellers plus, per Right level it looks at, one pass over the buyers that
-still have Good and Right cap left, not a pass over every pair and buyer.
+never decides which pair trades.
+
+The live sellers are grouped into good levels by price and the levels
+sorted once per clear; as a seller's remaining volume only falls, the
+cheapest level is trimmed as it sells and dropped once it empties. So a
+step finds the cheapest good level at once and costs, per Right level it
+looks at, one pass over the buyers that still have Good and Right cap left,
+not a pass over every seller, pair and buyer. A stage-1 pass or stage 2
+stops as soon as no buyer has cap left.
 """
 
 from __future__ import annotations
@@ -118,11 +124,14 @@ def clear(
         raise ClearingError("offers/bids do not match the trader lists")
     myopic = variant == "myopic_rights"
 
-    # ``not x >= 0.0`` also catches NaN, which fails every comparison
+    # ``not x >= 0.0`` also catches NaN, which fails every comparison. The
+    # live sellers go into good levels by price, in index order, and
+    # ``good_levels`` lists them cheapest last (see the module docstring)
     rejected: list[Rejection] = []
     accepted_volume = [0.0] * ns
     sell_rem = [0.0] * ns
     sell_price = [0.0] * ns
+    by_price: dict[float, list[int]] = {}
     for s, off in enumerate(offers):
         bad = (
             not off.volume >= 0.0
@@ -136,6 +145,9 @@ def clear(
         accepted_volume[s] = off.volume
         sell_rem[s] = float(off.volume)
         sell_price[s] = float(off.price)
+        if sell_rem[s] > EQ_TOL:
+            by_price.setdefault(sell_price[s], []).append(s)
+    good_levels = [by_price[p] for p in sorted(by_price, reverse=True)]
 
     # the buyer loops below spell min(a, b) as ``b if b < a else a`` and
     # max(0.0, v) as ``v if v > 0.0 else 0.0``, which is how the builtins
@@ -182,20 +194,17 @@ def clear(
 
     guard = 20 * (ns + nb) + 200
 
-    def cheapest_good_level() -> tuple[float, list[int]] | None:
-        """The lowest live good price and its sellers in index order."""
-        live = [s for s in range(ns) if sell_rem[s] > EQ_TOL]
-        if not live:
-            return None
-        pg = min(sell_price[s] for s in live)
-        return pg, [s for s in live if sell_price[s] == pg]
-
-    def sell_good(level: list[int], pg: float, volume: float) -> None:
+    def sell_good(pg: float, volume: float) -> None:
+        """Sell ``volume`` from the cheapest good level at ``pg``."""
+        level = good_levels[-1]
         take = equal_rate_fill([sell_rem[s] for s in level], volume)
         for k, s in enumerate(level):
             sell_rem[s] -= take[k]
             sold[s] += take[k]
             revenue[s] += take[k] * pg
+        level[:] = [s for s in level if sell_rem[s] > EQ_TOL]
+        if not level:
+            good_levels.pop()
 
     def run_good_for_rights_pass(licence: list[float]) -> None:
         """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
@@ -203,10 +212,13 @@ def clear(
         # neither comes back during a pass
         buyers = [b for b in range(nb) if active[b] and vbar_rem[b] > 0.0 and licence[b] > 0.0]
         for _ in range(guard):
-            cheapest = cheapest_good_level()
-            if cheapest is None:
+            # with no buyer left the demand sum below would be 0.0
+            if not buyers or not good_levels:
                 return
-            pg, level = cheapest
+            level = good_levels[-1]
+            # a level's price is its first live seller's, which settles
+            # whether a level holding -0.0 and 0.0 trades at -0.0 or 0.0
+            pg = sell_price[level[0]]
             # positive demands only, in buyer order: the zeros a scan of
             # every buyer would add leave each sum bit-identical
             demanders, demand = [], []
@@ -229,11 +241,11 @@ def clear(
                 # the cheapest level is the easiest to be compatible with,
                 # so no demand here means no demand anywhere
                 return
-            supply = sum(sell_rem[s] for s in level)
+            supply = sum([sell_rem[s] for s in level])
             volume = supply if supply < total_demand else total_demand
             if volume <= EQ_TOL:
                 return
-            sell_good(level, pg, volume)
+            sell_good(pg, volume)
             for b, d in zip(demanders, demand):
                 x = volume * d / total_demand
                 good_bought[b] += x
@@ -262,16 +274,16 @@ def clear(
     right_prices = sorted(right_levels)
     buyers = [b for b in range(nb) if active[b] and vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
     for _ in range(guard):
-        cheapest = cheapest_good_level()
-        if cheapest is None or not right_prices:
+        if not buyers or not good_levels or not right_prices:
             break
         # the first pair with demand has the cheapest good price (see the
         # module docstring), so walk its Right levels upward
-        pg, good_level = cheapest
-        good_avail = sum(sell_rem[s] for s in good_level)
+        good_level = good_levels[-1]
+        pg = sell_price[good_level[0]]
+        good_avail = sum([sell_rem[s] for s in good_level])
         for qr in right_prices:
             right_level = right_levels[qr]
-            right_avail = sum(offer_rem[b] for b in right_level)
+            right_avail = sum([offer_rem[b] for b in right_level])
             unit = pg + qr
             demanders, demand = [], []
             for b in buyers:
@@ -302,7 +314,7 @@ def clear(
             if volume <= EQ_TOL:
                 continue
 
-            sell_good(good_level, pg, volume)
+            sell_good(pg, volume)
             take_right = equal_rate_fill([offer_rem[b] for b in right_level], volume)
             for k, b in enumerate(right_level):
                 offer_rem[b] -= take_right[k]
@@ -355,7 +367,9 @@ def clear(
         money_earned_right=tuple(earned),
         seller_revenue=tuple(revenue),
         seller_sold=tuple(sold),
-        unsold_good=tuple(max(0.0, accepted_volume[s] - sold[s]) for s in range(ns)),
+        unsold_good=tuple(
+            [v if (v := a - x) > 0.0 else 0.0 for a, x in zip(accepted_volume, sold)]
+        ),
         proceeds_deferred=not myopic,
         rejected=tuple(rejected),
     )

@@ -71,8 +71,9 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> Gre
     r = [float(x) for x in rights]
     if len(m) != len(r):
         raise PricingError("money and rights vectors differ in length")
-    if any(x < 0.0 for x in m) or any(x < 0.0 for x in r):
-        raise PricingError("money and rights must be non-negative")
+    for x, y in zip(m, r):
+        if x < 0.0 or y < 0.0:
+            raise PricingError("money and rights must be non-negative")
     total_rights = sum(r)
     if total_rights <= 0.0:
         raise PricingError("no rights in circulation")
@@ -85,7 +86,7 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> Gre
     # sweep intervals in ascending breakpoint order, growing the poor set
     # incrementally: membership is decided on the exact float ratios, so a
     # buyer sitting on a breakpoint lands in a well-defined interval
-    holders = sorted((m[b] / r[b], b) for b in range(n) if r[b] > 0.0)
+    holders = sorted([(m[b] / r[b], b) for b in range(n) if r[b] > 0.0])
     num_holders = len(holders)
     slack = EQ_TOL  # admit candidates within one rounding step of an edge
     poor_money = 0.0
@@ -175,9 +176,21 @@ def mechanism_rank_weights(mech, claims: Sequence[float]) -> list[float]:
     return [shares[order[n]] for n in range(nb)]
 
 
+def mechanism_rights(config: MarketConfig, offered_volume: float) -> tuple[float, ...]:
+    """The rights ``config.mechanism`` assigns when ``offered_volume`` is on
+    sale. The allocation depends on nothing else, so it is memoized per
+    config and offered volume."""
+    memo = config._rights_memo
+    rights = memo.get(offered_volume)
+    if rights is None:
+        rights = tuple(allocate(config.mechanism, offered_volume, config.claims))
+        memo[offered_volume] = rights
+    return rights
+
+
 def posted_greedy_price(
     state: MarketState, config: MarketConfig, offered_volume: float
-) -> tuple[float, list[float]]:
+) -> tuple[float, tuple[float, ...]]:
     """Price greedy sellers post, and the rights the mechanism will assign.
 
     In the rights variant this is the implicit-equation solution on the
@@ -186,7 +199,7 @@ def posted_greedy_price(
     scales the result (1.0 on the equilibrium path).
     """
     money = [b.money for b in state.buyers]
-    rights = allocate(config.mechanism, offered_volume, config.claims)
+    rights = mechanism_rights(config, offered_volume)
     if config.variant == "myopic_rights":
         price = free_market_clearing_price(money, offered_volume) if offered_volume > 0 else 0.0
     else:

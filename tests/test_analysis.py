@@ -132,6 +132,13 @@ class TestCoalitionAudit:
         with pytest.raises(ConfigError):
             audit_coalition(make_benchmark(horizon=AUDIT_HORIZON), coalition=[("buyer", 0)])
 
+    def test_coalition_members_must_be_distinct(self):
+        # a repeated member would let one trader's combos pass as a coalition's
+        with pytest.raises(ConfigError, match="must be distinct"):
+            audit_coalition(
+                make_benchmark(horizon=AUDIT_HORIZON), coalition=[("buyer", 0), ("buyer", 0)]
+            )
+
     def test_plays_every_combo_of_a_long_joint_grid(self):
         # a caller's grid is played whole, with no cap on its length
         grid = [
@@ -142,6 +149,18 @@ class TestCoalitionAudit:
             make_benchmark(horizon=4), coalition=[("seller", 0), ("buyer", 0)], joint_grid=grid
         )
         assert len(report.tested) == len(report.trials) == 501
+
+    def test_skips_a_combo_played_by_outsiders(self):
+        # two traders, as in the coalition, but not its members
+        outsiders = (Deviation("buyer_price", 1, 1, 0.1), Deviation("buyer_price", 2, 1, 0.1))
+        report = audit_coalition(
+            load_scenario("scenario-a-proportional").config,
+            6,
+            coalition=[("seller", 0), ("buyer", 0)],
+            joint_grid=[outsiders],
+        )
+        assert report.tested == ()
+        assert [t.reason for t in report.trials] == ["menu/member mismatch"]
 
 
 # -- incremental replay against full replays ---------------------------------

@@ -168,3 +168,23 @@ class TestWaterLevel:
         partial = [f for f, c in zip(fill, caps) if f < c - 1e-9]
         if len(partial) > 1:
             assert max(partial) - min(partial) < 1e-6
+
+    @given(
+        a=st.floats(0.0, 1e6),
+        where=st.sampled_from(["below", "at", "above", "nan"]),
+        frac=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_one_holder_matches_the_general_fill(self, a, where, frac):
+        # ``equal_rate_fill`` fills a single holder directly; the general
+        # path below must give the same float, including at a == 0, where
+        # the residue above ``a`` is clamped back, and for a NaN total
+        total = {"below": a * frac, "at": a, "above": a + frac, "nan": math.nan}[where]
+        if not total > 0.0 and where != "nan":
+            return  # a total of 0 takes the all-zero path before either
+        level = water_level([a], total)
+        general = level if level < a else a
+        residue = total - general
+        if abs(residue) > 0.0:
+            general = min(a, max(0.0, general + residue))
+        (got,) = equal_rate_fill([a], total)
+        assert got.hex() == general.hex()

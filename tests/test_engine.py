@@ -463,6 +463,135 @@ class TestDirichletGenerator:
             generate_dirichlet_scenario(1, 10.0, rng_seed=0)
 
 
+class TestConfigMemos:
+    """A config memoizes its schedules per round and its rights per offered
+    volume; a memo must never change what a run gives."""
+
+    SCHEDULES = (
+        SupplySchedule.constant(0.4),
+        SupplySchedule.cosine(0.3, 12.0, 0.5),
+        SupplySchedule.linear(-0.01, 0.6),
+        SupplySchedule.step(0.2, 0.7, 9),
+        SupplySchedule.logistic(1.0, 0.4, 20.0),
+        SupplySchedule.bullwhip(0.5, 0.3, 8.0, 0.05),
+        SupplySchedule.hubbert(0.6, 5.0, 25.0),
+    )
+
+    def test_memoized_schedules_equal_fresh_values(self):
+        cfg = replace(
+            make_benchmark(),
+            sellers=tuple(SellerSpec(s) for s in self.SCHEDULES),
+            buyers=tuple(BuyerSpec(income=s, claim=0.5) for s in self.SCHEDULES),
+        )
+        for _ in range(2):  # the second pass reads the memo
+            for t in range(1, 61):
+                fresh = tuple(s.value_at(t) for s in self.SCHEDULES)
+                assert cfg.resupply_at(t) == fresh
+                assert cfg.income_at(t) == fresh
+
+    def test_overflowing_schedule_raises_on_every_call(self):
+        cfg = replace(
+            make_benchmark(),
+            buyers=(
+                BuyerSpec(income=SupplySchedule.bullwhip(0.0, 0.0, 10.0, -20.0), claim=1.0),
+                *make_benchmark().buyers[1:],
+            ),
+        )
+        assert cfg.resupply_at(36) == (1.0,)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="overflows at round 36"):
+                cfg.income_at(36)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"buyers": make_benchmark(claim_scale=0.2).buyers},
+            {"mechanism": DistributionMechanism.contested_garment()},
+            {"greedy_price_factor": 1.2},
+        ],
+        ids=("buyers", "mechanism", "price-factor"),
+    )
+    def test_replaced_config_of_a_run_config_runs_fresh(self, change):
+        used = make_benchmark(horizon=12)
+        run(used)
+        fresh = replace(make_benchmark(horizon=12), **change)
+        assert run(replace(used, **change)) == run(fresh)
+
+    @pytest.mark.parametrize("variant", ["rights", "free_market", "myopic_rights"])
+    def test_a_run_changes_neither_equality_nor_repr(self, variant):
+        cfg = make_benchmark(variant=variant, horizon=8)
+        before = repr(cfg)
+        run(cfg)
+        assert cfg == make_benchmark(variant=variant, horizon=8)
+        assert repr(cfg) == before
+
+
+class TestReplayChecks:
+    """``replay_from`` builds no round records, but every check a round
+    makes still runs: a fault in a replayed round raises exactly what the
+    full run raises."""
+
+    FAULT_ROUND = 5
+
+    @staticmethod
+    def break_money(result, state):
+        revenue = list(result.seller_revenue)
+        revenue[0] += 0.01
+        return replace(result, seller_revenue=tuple(revenue))
+
+    @staticmethod
+    def break_good(result, state):
+        sold = list(result.seller_sold)
+        sold[0] -= 0.01
+        return replace(result, seller_sold=tuple(sold))
+
+    @staticmethod
+    def overspend(result, state):
+        spent = list(result.money_spent_good)
+        spent[2] = state.buyers[2].money + 0.5
+        return replace(result, money_spent_good=tuple(spent))
+
+    @staticmethod
+    def overbuy(result, state):
+        good = list(result.good_bought)
+        good[1] = state.buyers[1].right + result.right_bought[1] + 0.5
+        return replace(result, good_bought=tuple(good))
+
+    @pytest.mark.parametrize(
+        ("fault", "message"),
+        [
+            ("break_money", "accounting residual money=0.01 good=0 exceeds tolerance"),
+            ("break_good", "accounting residual money=0 good=0.01 exceeds tolerance"),
+            ("overspend", "buyer 2 money went negative"),
+            ("overbuy", "buyer 1 bought good beyond their rights"),
+        ],
+    )
+    def test_replay_raises_what_the_run_raises(self, monkeypatch, fault, message):
+        horizon = 8
+        cfg = make_benchmark(horizon=horizon)
+        _, checkpoints = run_with_checkpoints(cfg)
+        adjustments = [BidAdjustment(3, ("seller", 0), price_factor=0.9)]
+        real_clear = engine.clear
+        breaks = getattr(self, fault)
+
+        def faulty_clear(offers, bids, state, variant):
+            result = real_clear(offers, bids, state, variant)
+            if state.round_index != self.FAULT_ROUND:
+                return result
+            return breaks(result, state)
+
+        monkeypatch.setattr(engine, "clear", faulty_clear)
+        with pytest.raises(SimulationError) as full:
+            run(cfg, horizon, adjustments)
+        assert full.value.round_index == self.FAULT_ROUND
+        assert message in str(full.value)
+        for checkpoint in checkpoints[:3]:  # rounds 1 to 3, before the deviation
+            with pytest.raises(SimulationError) as replayed:
+                replay_from(cfg, checkpoint, horizon, adjustments)
+            assert replayed.value.round_index == full.value.round_index
+            assert str(replayed.value) == str(full.value)
+
+
 class TestRunValidation:
     def test_zero_supply_round_aborts_with_round_index(self):
         cfg = MarketConfig(

@@ -308,6 +308,92 @@ class TestPairOrder:
         assert result.money_earned_right == (0.0, 0.5)
 
 
+class TestGoodLevels:
+    """``clear`` groups the live sellers into price levels once and trims
+    the cheapest as it sells. These markets empty a level mid-pass and check
+    that the next level up trades. Every amount is exact in binary, so each
+    result is pinned exactly."""
+
+    def test_stage_one_moves_up_when_the_cheap_level_empties(self):
+        # the level at 0.5 holds sellers 1 and 2 in index order; it fills
+        # 0.5 of the buyer's demand at an equal rate and empties, and the
+        # rest comes from seller 0 at 1.0
+        state = MarketState(
+            1,
+            [SellerState(0.5), SellerState(0.125), SellerState(0.375)],
+            [BuyerState(0.0, 2.0, right=1.0)],
+        )
+        offers = [SellerOffer(0.5, 1.0), SellerOffer(0.125, 0.5), SellerOffer(0.375, 0.5)]
+        result = clear(offers, [BuyerBid(0.0, 1.0, 1.0, 1.0, 0.0, 1.0)], state)
+        assert result.seller_sold == (0.5, 0.125, 0.375)
+        assert result.seller_revenue == (0.5, 0.0625, 0.1875)
+        assert result.unsold_good == (0.0, 0.0, 0.0)
+        assert result.good_bought == (1.0,)
+        assert result.money_spent_good == (0.75,)
+
+    def test_stage_two_moves_up_when_the_cheap_level_empties(self):
+        # buyer 0 holds no Right, so stage 1 has no buyer; stage 2 sells
+        # buyer 1's Right with all of seller 1's Good at 0.25, then the
+        # rest of the Right with seller 0's Good at 0.75
+        state = MarketState(
+            1,
+            [SellerState(1.0), SellerState(0.5)],
+            [BuyerState(0.0, 1.0, right=0.0), BuyerState(0.0, 0.0, right=1.0)],
+        )
+        offers = [SellerOffer(1.0, 0.75), SellerOffer(0.5, 0.25)]
+        bids = [BuyerBid(0.0, 1.0, 1.0, 1.0, 1.0, 1.0), BuyerBid(1.0, 0.25, 0.0, 0.0, 0.0, 0.0)]
+        result = clear(offers, bids, state)
+        assert result.seller_sold == (0.5, 0.5)
+        assert result.seller_revenue == (0.375, 0.125)
+        assert result.unsold_good == (0.5, 0.0)
+        assert result.good_bought == (1.0, 0.0)
+        assert result.right_bought == (1.0, 0.0)
+        assert result.right_sold == (0.0, 1.0)
+        assert result.money_spent_good == (0.5, 0.0)
+        assert result.money_spent_right == (0.25, 0.0)
+        assert result.money_earned_right == (0.0, 0.25)
+
+    @pytest.mark.parametrize(
+        "prices", [(0.0, -0.0), (-0.0, 0.0)], ids=("zero-first", "minus-zero-first")
+    )
+    def test_minus_zero_and_zero_are_one_level(self, prices):
+        # one level depletes at an equal rate: the buyer's 0.25 comes half
+        # from each seller, not all from the one listed first
+        state = MarketState(
+            1,
+            [SellerState(0.25), SellerState(0.5), SellerState(1.0)],
+            [BuyerState(0.0, 0.0, right=1.0)],
+        )
+        offers = [SellerOffer(0.25, prices[0]), SellerOffer(0.5, prices[1]), SellerOffer(1.0, 0.5)]
+        result = clear(offers, [BuyerBid(0.0, 1.0, 0.25, 1.0, 0.0, 1.0)], state)
+        assert result.seller_sold == (0.125, 0.125, 0.0)
+        assert result.good_bought == (0.25,)
+        assert [math.copysign(1.0, r) for r in result.seller_revenue] == [1.0, 1.0, 1.0]
+        assert math.copysign(1.0, result.money_spent_good[0]) == 1.0
+
+    def test_myopic_pass_skips_a_level_stage_two_emptied(self):
+        # stage 2 sells buyer 1's offered Right to buyer 0 with all the Good
+        # at 0.5; the myopic pass then spends buyer 1's proceeds at 1.0
+        state = MarketState(
+            1,
+            [SellerState(0.5), SellerState(1.0)],
+            [BuyerState(0.0, 1.0, right=0.0), BuyerState(0.0, 0.0, right=1.0)],
+        )
+        offers = [SellerOffer(0.5, 0.5), SellerOffer(1.0, 1.0)]
+        bids = [BuyerBid(0.0, 1.0, 1.0, 1.0, 0.5, 1.0), BuyerBid(0.5, 0.5, 1.0, 1.0, 0.0, 1.0)]
+        result = clear(offers, bids, state, variant="myopic_rights")
+        assert result.seller_sold == (0.5, 0.25)
+        assert result.seller_revenue == (0.25, 0.25)
+        assert result.unsold_good == (0.0, 0.75)
+        assert result.good_bought == (0.5, 0.25)
+        assert result.right_bought == (0.5, 0.0)
+        assert result.right_sold == (0.0, 0.5)
+        assert result.money_spent_good == (0.25, 0.25)
+        assert result.money_spent_right == (0.25, 0.0)
+        assert result.money_earned_right == (0.0, 0.25)
+        assert not result.proceeds_deferred
+
+
 class TestPermutationInvariance:
     def test_buyer_order_does_not_matter(self):
         state = benchmark_state()
