@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig
 from .engine import (
     BidAdjustment,
-    Checkpoint,
     Trace,
     replay_from,
     run,  # noqa: F401  kept importable: perfbench's tracer patches ``analysis.run``
@@ -73,12 +72,11 @@ class Deviation:
             hold = BidAdjustment(r, (side, idx), volume_delta=-amount)
             release = BidAdjustment(r + 1, (side, idx), volume_delta=amount)
             return (hold, release)
-        if self.kind == "seller_price":
-            return (BidAdjustment(r, (side, idx), price_factor=1.0 + self.magnitude),)
         if self.kind == "buyer_sell_less_right":
             return (BidAdjustment(r, (side, idx), right_offer_factor=1.0 - self.magnitude),)
         if self.kind == "buyer_buy_less_right":
             return (BidAdjustment(r, (side, idx), right_demand_factor=1.0 - self.magnitude),)
+        # seller_price scales the posted Good price, buyer_price the Right offer's
         return (BidAdjustment(r, (side, idx), price_factor=1.0 + self.magnitude),)
 
     def describe(self) -> str:
@@ -126,16 +124,9 @@ class AuditReport:
 
     @property
     def witnesses(self) -> tuple[DeviationTrial, ...]:
-        """Unilateral: any gain above ``CONSERVATION_TOL``; coalition: every
-        member gains more than that."""
-        out = []
-        for t in self.tested:
-            if self.coalition:
-                if all(g > CONSERVATION_TOL for g in t.gains):
-                    out.append(t)
-            elif t.max_gain > CONSERVATION_TOL:
-                out.append(t)
-        return tuple(out)
+        """The tested trials in which every deviator gains more than
+        ``CONSERVATION_TOL``."""
+        return tuple(t for t in self.tested if all(g > CONSERVATION_TOL for g in t.gains))
 
     @property
     def passed(self) -> bool:
@@ -158,36 +149,9 @@ def _utility(
     return sellers[idx] if side == "seller" else buyers[idx]
 
 
-def _replay_gains(
-    config: MarketConfig,
-    horizon: int,
-    baseline: Trace,
-    checkpoints: Sequence[Checkpoint],
-    deviations: Sequence[Deviation],
-) -> tuple[float, ...]:
-    """Each deviator's utility gain over the baseline when ``deviations``
-    are played together, replayed from the earliest deviating round."""
-    adjustments = [a for d in deviations for a in d.to_adjustments(config)]
-    first = min(max(1, a.round_index) for a in adjustments)
-    checkpoint = checkpoints[min(first, horizon + 1) - 1]
-    sellers, buyers = replay_from(config, checkpoint, horizon, adjustments)
-    return tuple(
-        _utility(sellers, buyers, d.trader_key())
-        - _utility(baseline.seller_utilities, baseline.buyer_utilities, d.trader_key())
-        for d in deviations
-    )
-
-
-def _require_constant_normalized(config: MarketConfig, horizon: int) -> None:
-    total_g1 = sum(config.resupply_at(1))
-    total_m1 = sum(config.income_at(1))
-    for tau in (1, max(1, horizon // 2), horizon):
-        if abs(sum(config.resupply_at(tau)) - total_g1) > CONSERVATION_TOL or abs(
-            sum(config.income_at(tau)) - total_m1
-        ) > CONSERVATION_TOL:
-            raise ConfigError("audit requires constant supply and income")
-    if abs(total_g1 - 1.0) > CONSERVATION_TOL or abs(total_m1 - 1.0) > CONSERVATION_TOL:
-        raise ConfigError("audit requires the normalized regime (sum g = sum m = 1)")
+def _rounds(horizon: int) -> tuple[int, int, int]:
+    """The rounds the audit samples: 1, T/2 and T."""
+    return (1, max(1, horizon // 2), horizon)
 
 
 def _skip_reason(dev: Deviation, baseline: Trace) -> str:
@@ -211,30 +175,91 @@ def _skip_reason(dev: Deviation, baseline: Trace) -> str:
     return ""
 
 
+def _menu(
+    member: tuple[str, int], round_index: int, amount: float, step: float, baseline: Trace
+) -> list[Deviation]:
+    """One trader's deviations in a round, less those ``_skip_reason`` rules
+    out: a seller withholds ``amount`` of its resupply or moves its price by
+    ``step`` either way; a buyer sells ``amount`` less Right, moves its Right
+    price by ``step`` either way, or buys ``amount`` less Right."""
+    side, idx = member
+    if side == "seller":
+        moves = (("seller_withhold", amount), ("seller_price", +step), ("seller_price", -step))
+    else:
+        moves = (
+            ("buyer_sell_less_right", amount),
+            ("buyer_price", +step),
+            ("buyer_price", -step),
+            ("buyer_buy_less_right", amount),
+        )
+    menu = (Deviation(kind, idx, round_index, m) for kind, m in moves)
+    return [d for d in menu if not _skip_reason(d, baseline)]
+
+
 def default_deviation_grid(config: MarketConfig, horizon: int, baseline: Trace) -> list[Deviation]:
-    """Every supported one-round deviation of each ``DEFAULT_MAGNITUDES``
-    size in rounds 1, T/2 and T, less those ``_skip_reason`` rules out on
-    the baseline trace.
+    """Every trader's menu at each ``DEFAULT_MAGNITUDES`` size in rounds 1,
+    T/2 and T, sellers first."""
+    members = [("seller", s) for s in range(config.num_sellers)]
+    members += [("buyer", b) for b in range(config.num_buyers)]
+    return [
+        d
+        for member in members
+        for r in _rounds(horizon)
+        for m in DEFAULT_MAGNITUDES
+        for d in _menu(member, r, m, m, baseline)
+    ]
+
+
+def default_coalition_menu(
+    member: tuple[str, int], round_index: int, baseline: Trace
+) -> list[Deviation]:
+    """A member's menu in one round: withhold 0.25 or sell or buy 0.50 less
+    Right, and prices moved by 0.10."""
+    amount = 0.25 if member[0] == "seller" else 0.50
+    return _menu(member, round_index, amount, 0.10, baseline)
+
+
+# builds the (deviations, skip reason) pairs an audit plays from (T, baseline)
+_Combos = Callable[[int, Trace], list[tuple[Sequence[Deviation], str]]]
+
+
+def _audit(
+    config: MarketConfig,
+    horizon: int | None,
+    combos: _Combos,
+    coalition: tuple[tuple[str, int], ...] = (),
+) -> AuditReport:
+    """Play every pair of ``combos`` against the all-greedy baseline.
+
+    The audit covers the regime the equilibrium claim is stated for: total
+    resupply and total income 1 in rounds 1, T/2 and T, and a variant whose
+    round applies deviations, which ``free_market``'s does not. A played
+    combo resumes at the baseline checkpoint of its first deviating round.
     """
-    rounds = (1, max(1, horizon // 2), horizon)
-    grid: list[Deviation] = []
-    for s in range(config.num_sellers):
-        for r in rounds:
-            for m in DEFAULT_MAGNITUDES:
-                grid.append(Deviation("seller_withhold", s, r, m))
-                grid.append(Deviation("seller_price", s, r, +m))
-                grid.append(Deviation("seller_price", s, r, -m))
-    for b in range(config.num_buyers):
-        for r in rounds:
-            for m in DEFAULT_MAGNITUDES:
-                candidates = (
-                    Deviation("buyer_sell_less_right", b, r, m),
-                    Deviation("buyer_price", b, r, +m),
-                    Deviation("buyer_price", b, r, -m),
-                    Deviation("buyer_buy_less_right", b, r, m),
-                )
-                grid.extend(d for d in candidates if not _skip_reason(d, baseline))
-    return grid
+    T = horizon if horizon is not None else config.horizon
+    if config.variant == "free_market":
+        raise ConfigError(
+            f"variant {config.variant!r} cannot be audited: its round ignores deviations"
+        )
+    if not all(config.is_normalized(r) for r in _rounds(T)):
+        raise ConfigError("audit needs sum g = sum m = 1 in rounds 1, T/2 and T")
+    baseline, checkpoints = run_with_checkpoints(config, T)
+    base_sellers, base_buyers = baseline.seller_utilities, baseline.buyer_utilities
+    trials: list[DeviationTrial] = []
+    for devs, reason in combos(T, baseline):
+        gains: tuple[float, ...] = ()
+        if not reason:
+            adjustments = [a for d in devs for a in d.to_adjustments(config)]
+            first = min(max(1, a.round_index) for a in adjustments)
+            checkpoint = checkpoints[min(first, T + 1) - 1]
+            sellers, buyers = replay_from(config, checkpoint, T, adjustments)
+            gains = tuple(
+                _utility(sellers, buyers, d.trader_key())
+                - _utility(base_sellers, base_buyers, d.trader_key())
+                for d in devs
+            )
+        trials.append(DeviationTrial(tuple(devs), gains, reason))
+    return AuditReport(base_sellers, base_buyers, tuple(trials), coalition)
 
 
 def audit_unilateral(
@@ -247,45 +272,14 @@ def audit_unilateral(
     The deviating trader plays greedy in every other round. Any gain above
     ``CONSERVATION_TOL`` is a witness against the equilibrium claim.
     """
-    T = horizon if horizon is not None else config.horizon
-    _require_constant_normalized(config, T)
-    baseline, checkpoints = run_with_checkpoints(config, T)
-    if deviation_grid is None:
-        deviation_grid = default_deviation_grid(config, T, baseline)
 
-    trials: list[DeviationTrial] = []
-    for dev in deviation_grid:
-        reason = _skip_reason(dev, baseline)
-        if reason:
-            trials.append(DeviationTrial((dev,), (), reason))
-            continue
-        gains = _replay_gains(config, T, baseline, checkpoints, (dev,))
-        trials.append(DeviationTrial((dev,), gains))
+    def combos(T: int, baseline: Trace) -> list[tuple[Sequence[Deviation], str]]:
+        grid = deviation_grid
+        if grid is None:
+            grid = default_deviation_grid(config, T, baseline)
+        return [((d,), _skip_reason(d, baseline)) for d in grid]
 
-    return AuditReport(
-        baseline_seller_utilities=baseline.seller_utilities,
-        baseline_buyer_utilities=baseline.buyer_utilities,
-        trials=tuple(trials),
-    )
-
-
-def default_coalition_menu(
-    member: tuple[str, int], round_index: int, baseline: Trace
-) -> list[Deviation]:
-    side, idx = member
-    if side == "seller":
-        return [
-            Deviation("seller_withhold", idx, round_index, 0.25),
-            Deviation("seller_price", idx, round_index, +0.10),
-            Deviation("seller_price", idx, round_index, -0.10),
-        ]
-    menu = (
-        Deviation("buyer_sell_less_right", idx, round_index, 0.50),
-        Deviation("buyer_price", idx, round_index, +0.10),
-        Deviation("buyer_price", idx, round_index, -0.10),
-        Deviation("buyer_buy_less_right", idx, round_index, 0.50),
-    )
-    return [d for d in menu if not _skip_reason(d, baseline)]
+    return _audit(config, horizon, combos)
 
 
 def audit_coalition(
@@ -307,26 +301,18 @@ def audit_coalition(
         raise ConfigError("a coalition needs at least two members")
     if len(members) != len(coalition):
         raise ConfigError(f"coalition members must be distinct, got {list(coalition)!r}")
-    T = horizon if horizon is not None else config.horizon
-    _require_constant_normalized(config, T)
-    baseline, checkpoints = run_with_checkpoints(config, T)
-    if joint_grid is None:
-        mid = max(1, T // 2)
-        menus = [default_coalition_menu(m, mid, baseline) for m in coalition]
-        joint_grid = list(itertools.product(*menus))
-    trials: list[DeviationTrial] = []
-    for combo in joint_grid:
-        if {d.trader_key() for d in combo} != members:
-            trials.append(DeviationTrial(tuple(combo), (), "menu/member mismatch"))
-            continue
-        gains = _replay_gains(config, T, baseline, checkpoints, combo)
-        trials.append(DeviationTrial(tuple(combo), gains))
-    return AuditReport(
-        baseline_seller_utilities=baseline.seller_utilities,
-        baseline_buyer_utilities=baseline.buyer_utilities,
-        trials=tuple(trials),
-        coalition=tuple(coalition),
-    )
+
+    def combos(T: int, baseline: Trace) -> list[tuple[Sequence[Deviation], str]]:
+        grid = joint_grid
+        if grid is None:
+            mid = _rounds(T)[1]
+            grid = itertools.product(*(default_coalition_menu(m, mid, baseline) for m in coalition))
+        return [
+            (combo, "" if {d.trader_key() for d in combo} == members else "menu/member mismatch")
+            for combo in grid
+        ]
+
+    return _audit(config, horizon, combos, tuple(coalition))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ serialized scenario reproduces the same configuration. Presets named after
 the experiments ship with the package (``list_presets``) and can be passed
 to ``--scenario`` by name instead of a path.
 
-Exit codes: 0 success, 2 scenario parse error or invalid flag, 3 audit
-found a profitable deviation, 4 runtime failure.
+Exit codes: 0 success, 2 scenario parse error, invalid flag or a scenario
+the audit does not cover, 3 audit found a profitable deviation, 4 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -371,6 +372,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 for w in crep.witnesses:
                     lines.append("  winner: " + w.describe())
                 found = found or not crep.passed
+    except ConfigError as exc:  # a scenario outside the audited regime
+        print(f"audit error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except RightsMarketError as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

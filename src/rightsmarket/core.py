@@ -8,17 +8,18 @@ consume it as utility) and expires all rights.
 All quantities are 64-bit floats. The package's two tolerances live here,
 and no function or scenario key takes another value:
 
-- ``EQ_TOL`` is rounding slack on single values: closed-form checks and
-  ``is_normalized``, volumes treated as exhausted, the price solver's
-  interval edges, whether a buyer offered or demanded Right, zero
-  frustration, the axiom checks' non-negativity and monotonicity, and how
-  far ``|p - 1|`` may grow in one round in the non-expansiveness check.
+- ``EQ_TOL`` is rounding slack on single values: closed-form checks,
+  volumes treated as exhausted, the price solver's interval edges, whether
+  a buyer offered or demanded Right, zero frustration, the axiom checks'
+  non-negativity and monotonicity, and how far ``|p - 1|`` may grow in one
+  round in the non-expansiveness check.
 - ``CONSERVATION_TOL`` bounds accumulated rounding: the per-round money and
   Good balances (relative to the amounts in play once they exceed 1), an
-  offer's excess over its stock or Right, sums that must equal 1 or the
-  offered volume (the axioms' volume balance), the audit's witness
-  threshold on gains, and the non-expansiveness guard: the distance from
-  price 1 inside which the oscillation direction is not tested.
+  offer's excess over its stock or Right, sums that must equal 1
+  (``is_normalized``) or the offered volume (the axioms' volume balance),
+  the audit's witness threshold on gains, and the non-expansiveness guard:
+  the distance from price 1 inside which the oscillation direction is not
+  tested.
 """
 
 from __future__ import annotations
@@ -161,11 +162,11 @@ class MarketConfig:
 
     def is_normalized(self, round_index: int = 1) -> bool:
         """True when total resupply and total income are both 1 in a round,
-        up to ``EQ_TOL``: the regime the closed-form and audit results
-        assume."""
+        up to ``CONSERVATION_TOL``: the regime the closed-form and audit
+        results assume."""
         return (
-            abs(sum(self.resupply_at(round_index)) - 1.0) <= EQ_TOL
-            and abs(sum(self.income_at(round_index)) - 1.0) <= EQ_TOL
+            abs(sum(self.resupply_at(round_index)) - 1.0) <= CONSERVATION_TOL
+            and abs(sum(self.income_at(round_index)) - 1.0) <= CONSERVATION_TOL
         )
 
 

@@ -157,7 +157,6 @@ def clear(
     offer_rem = [0.0] * nb      # right currently up for sale
     vbar_rem = [0.0] * nb
     wbar_rem = [0.0] * nb
-    active = [False] * nb
     good_ceiling = [0.0] * nb
     right_ceiling = [0.0] * nb
     right_price = [0.0] * nb
@@ -173,8 +172,7 @@ def clear(
         ) or offer > right + CONSERVATION_TOL:
             reason = f"bid {bid} infeasible against right {right!r}"
             rejected.append(Rejection("buyer", b, reason))
-            continue
-        active[b] = True
+            continue  # zero caps and no Right on sale keep them out of every pass
         spend[b] = float(buyer.money)
         # right committed for sale cannot double as a stage-1 licence
         offer, right = float(offer), float(right)
@@ -210,7 +208,7 @@ def clear(
         """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
         # a buyer without Good cap or licence left demands nothing, and
         # neither comes back during a pass
-        buyers = [b for b in range(nb) if active[b] and vbar_rem[b] > 0.0 and licence[b] > 0.0]
+        buyers = [b for b in range(nb) if vbar_rem[b] > 0.0 and licence[b] > 0.0]
         for _ in range(guard):
             # with no buyer left the demand sum below would be 0.0
             if not buyers or not good_levels:
@@ -272,7 +270,7 @@ def clear(
         if offer_rem[b] > EQ_TOL:
             right_levels.setdefault(right_price[b], []).append(b)
     right_prices = sorted(right_levels)
-    buyers = [b for b in range(nb) if active[b] and vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
+    buyers = [b for b in range(nb) if vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
     for _ in range(guard):
         if not buyers or not good_levels or not right_prices:
             break

@@ -201,7 +201,7 @@ def posted_greedy_price(
     money = [b.money for b in state.buyers]
     rights = mechanism_rights(config, offered_volume)
     if config.variant == "myopic_rights":
-        price = free_market_clearing_price(money, offered_volume) if offered_volume > 0 else 0.0
+        price = free_market_clearing_price(money, offered_volume)
     else:
         price = solve_implicit_price(money, rights).price
     return price * config.greedy_price_factor, rights

@@ -1,5 +1,9 @@
 """Equilibrium audit, convergence checks and solver cross-validation."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -13,9 +17,12 @@ from rightsmarket.analysis import (
     check_nonexpansive,
     check_price_lower_bound,
     cross_validate_price_solver,
+    default_coalition_menu,
+    default_deviation_grid,
 )
-from rightsmarket.cli import load_scenario
-from rightsmarket.engine import generate_dirichlet_scenario, run
+from rightsmarket.cli import default_coalitions, load_scenario
+from rightsmarket.core import SellerSpec
+from rightsmarket.engine import SupplySchedule, generate_dirichlet_scenario, run
 from rightsmarket.errors import ConfigError
 from rightsmarket.pricing import mechanism_rank_weights
 from rightsmarket.rights import DistributionMechanism
@@ -104,6 +111,48 @@ class TestUnilateralAudit:
         )
         with pytest.raises(ConfigError):
             audit_unilateral(bad, horizon=6)
+
+
+class TestAuditScope:
+    """What the audit plays: its default menus and the regime it covers."""
+
+    def test_default_menus_are_pinned(self):
+        # recorded when the unilateral grid and the coalition menus were
+        # still listed separately, as (kind, trader, round, magnitude)
+        pins = json.loads((Path(__file__).parent / "audit_menus.json").read_text())
+        config = load_scenario(pins["scenario"]).config
+        T = pins["horizon"]
+        baseline = run(config, T)
+
+        def rows(devs):
+            return [[d.kind, d.trader, d.round_index, d.magnitude] for d in devs]
+
+        assert rows(default_deviation_grid(config, T, baseline)) == pins["grid"]
+        for coalition in default_coalitions(config):
+            for side, idx in coalition:
+                menu = default_coalition_menu((side, idx), T // 2, baseline)
+                assert rows(menu) == pins["coalition_menus"][f"{side} {idx}"]
+
+    def test_free_market_is_refused(self):
+        # the free-market round ignores deviations, so every gain would be 0
+        config = make_benchmark(variant="free_market", horizon=6)
+        with pytest.raises(ConfigError, match="'free_market'"):
+            audit_unilateral(config)
+        with pytest.raises(ConfigError, match="'free_market'"):
+            audit_coalition(config, coalition=[("buyer", 0), ("buyer", 1)])
+
+    @pytest.mark.parametrize(("excess", "normalized"), [(5e-10, True), (2e-9, False)])
+    def test_normalized_up_to_conservation_tol(self, excess, normalized):
+        config = dataclasses.replace(
+            make_benchmark(horizon=6),
+            sellers=(SellerSpec(SupplySchedule.constant(1.0 + excess)),),
+        )
+        assert config.is_normalized() is normalized
+        if normalized:
+            assert audit_unilateral(config).tested
+        else:
+            with pytest.raises(ConfigError, match="sum g = sum m = 1"):
+                audit_unilateral(config)
 
 
 class TestCoalitionAudit:

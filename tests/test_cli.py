@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from rightsmarket import cli
 from rightsmarket.cli import (
     BASE_COLUMNS,
     EXIT_DEVIATION,
@@ -19,7 +20,7 @@ from rightsmarket.cli import (
     write_trace_csv,
 )
 from rightsmarket.engine import run
-from rightsmarket.errors import ScenarioError
+from rightsmarket.errors import ScenarioError, SimulationError
 
 
 def minimal_scenario(**overrides):
@@ -268,6 +269,30 @@ class TestCommands:
         )
         assert code == EXIT_DEVIATION
         assert "witness" in (tmp_path / "r.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scenario", "free-market-a"],
+            ["--scenario", "scenario-a-proportional", "--variant", "free_market"],
+        ],
+        ids=("preset", "override"),
+    )
+    def test_audit_refuses_free_market(self, capsys, argv):
+        assert main(["audit", *argv, "--horizon", "10"]) == EXIT_PARSE
+        assert "'free_market'" in capsys.readouterr().err
+
+    def test_audit_of_unnormalized_scenario_exits_2(self, capsys):
+        assert main(["audit", "--scenario", "supply-cosine", "--horizon", "10"]) == EXIT_PARSE
+        assert "sum g = sum m = 1" in capsys.readouterr().err
+
+    def test_audit_failure_inside_a_round_exits_4(self, monkeypatch, capsys):
+        def fail(config, horizon):
+            raise SimulationError(3, "no good offered for sale")
+
+        monkeypatch.setattr(cli, "audit_unilateral", fail)
+        assert main(["audit", "--scenario", "scenario-a-proportional"]) == EXIT_RUNTIME
+        assert "round 3" in capsys.readouterr().err
 
     def test_verify_mechanisms(self, capsys):
         assert main(["verify-mechanisms", "--samples", "200"]) == EXIT_OK
