@@ -134,10 +134,13 @@ def parse_mechanism(data: dict, where: str) -> DistributionMechanism:
             return DistributionMechanism(kind)
         if kind == "canonical":
             _reject_unknown(data, {"kind", "rank"}, where)
-            return DistributionMechanism.canonical(int(data["rank"]))
+            return DistributionMechanism.canonical(_integer(data["rank"], f"{where}.rank"))
         if kind == "weighted":
             _reject_unknown(data, {"kind", "components"}, where)
-            comps = [(float(a), int(n)) for a, n in data["components"]]
+            comps = []
+            for i, (weight, rank) in enumerate(data["components"]):
+                at = f"{where}.components[{i}]"
+                comps.append((_number(weight, f"{at}[0]"), _integer(rank, f"{at}[1]")))
             return DistributionMechanism.weighted(comps)
     except ScenarioError:
         raise
@@ -198,10 +201,14 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
             if bad:
                 raise ScenarioError(f"{source}.output.columns: unknown column(s) {bad}")
             columns = tuple(columns)
+        csv = out.get("csv")
+        # ``open`` would take an integer as a file descriptor
+        if csv is not None and not isinstance(csv, str):
+            raise ScenarioError(f"{source}.output.csv: expected a path string, got {csv!r}")
         output = OutputOptions(
             seed=_integer(out.get("seed", 0), f"{source}.output.seed"),
             columns=columns,
-            csv=out.get("csv"),
+            csv=csv,
         )
 
     try:

@@ -23,6 +23,7 @@ from .core import (
     MarketConfig,
     MarketState,
     SellerSpec,
+    SellerState,
     apply_transition,
     consumed_utility,
     initial_state,
@@ -387,6 +388,14 @@ def _run(
     )
 
 
+# The buyer count from which a rights-variant market is played on numpy
+# columns (``wide``). Below it the fixed cost of each numpy call outweighs
+# the per-buyer loops it replaces. Measured on 20-round greedy runs, the two
+# paths break even between 50 buyers (10 sellers) and 60 (one seller); at 3
+# buyers the kernel is about 3x slower, at 300 about 3x faster.
+WIDE_MIN_BUYERS = 60
+
+
 def _play_rounds(
     config: MarketConfig,
     state: MarketState,
@@ -400,14 +409,23 @@ def _play_rounds(
     """Play rounds ``state.round_index`` through ``horizon``, adding each
     round's utilities to ``seller_total`` and ``buyer_total`` in place.
 
-    ``state`` is mutated. When ``records`` is a list, each round's record is
-    appended to it; a replay that needs only the totals passes None and
-    skips building them, but not any check. When ``checkpoints`` is a list,
-    a checkpoint is appended at the start of every round and once more
-    after the last. Returns the largest money and Good residuals. A
-    failure, including one in the transition into round t, aborts with
-    round index t.
+    A rights-variant market of at least ``WIDE_MIN_BUYERS`` buyers is
+    played by ``wide.play_rounds`` on numpy columns, with the same results
+    bit for bit. ``state`` is used up: the scalar rounds mutate it. When
+    ``records`` is a list, each round's record is appended to it; a replay
+    that needs only the totals passes None and skips building them, but not
+    any check. When ``checkpoints`` is a list, a checkpoint is appended at
+    the start of every round and once more after the last. Returns the
+    largest money and Good residuals. A failure, including one in the
+    transition into round t, aborts with round index t.
     """
+    if config.num_buyers >= WIDE_MIN_BUYERS and config.variant != "free_market":
+        # imported here: the kernel builds this module's records
+        from .wide import play_rounds
+
+        return play_rounds(
+            config, state, horizon, adjustments, seller_total, buyer_total, records, checkpoints
+        )
     max_money_res = 0.0
     max_good_res = 0.0
 
@@ -443,19 +461,57 @@ def _play_rounds(
 
 
 def _check_residuals(
-    money_res: float, good_res: float, money_start: Sequence[float], offered: float
+    money_res: float, good_res: float, money_total: float, offered: float
 ) -> None:
     """Raise ``ConservationError`` when a round's money or Good residual
     exceeds ``CONSERVATION_TOL``; above 1 the tolerance scales with the
-    money or Good in play, since rounding grows with the amounts traded."""
+    money or Good in play (``money_total``, the buyers' money at the start
+    of the round, and ``offered``), since rounding grows with the amounts
+    traded."""
     if money_res > CONSERVATION_TOL or good_res > CONSERVATION_TOL:
-        money_tol = CONSERVATION_TOL * max(1.0, sum(money_start))
+        money_tol = CONSERVATION_TOL * max(1.0, money_total)
         good_tol = CONSERVATION_TOL * max(1.0, offered)
         if money_res > money_tol or good_res > good_tol:
             raise ConservationError(
                 f"accounting residual money={money_res:g} good={good_res:g} "
                 f"exceeds tolerance money={money_tol:g} good={good_tol:g}"
             )
+
+
+def _offer_volumes(
+    config: MarketConfig,
+    tau: int,
+    round_adjustments: dict[tuple[str, int], list[BidAdjustment]],
+    sellers: Sequence[SellerState],
+) -> tuple[list[float], float]:
+    """Each seller's offered volume in round ``tau`` and their total: the
+    resupply moved by any volume deviation, clamped to [0, stock]. Raises
+    when nothing is offered."""
+    volumes = list(config.resupply_at(tau))
+    for s in range(len(volumes)):
+        for adj in round_adjustments.get(("seller", s), ()):
+            volumes[s] += adj.volume_delta
+        volumes[s] = min(max(0.0, volumes[s]), sellers[s].good)
+    offered = sum(volumes)
+    if offered <= 0.0:
+        raise SimulationError(tau, "no good offered for sale")
+    return volumes, offered
+
+
+def _seller_offers(
+    posted: float,
+    volumes: Sequence[float],
+    round_adjustments: dict[tuple[str, int], list[BidAdjustment]],
+) -> list[SellerOffer]:
+    """The sellers' offers: their volumes at the posted price, scaled by any
+    price deviation."""
+    offers = []
+    for s, volume in enumerate(volumes):
+        price = posted
+        for adj in round_adjustments.get(("seller", s), ()):
+            price *= adj.price_factor
+        offers.append(SellerOffer(volume=volume, price=price))
+    return offers
 
 
 def _run_rights_round(
@@ -476,22 +532,9 @@ def _run_rights_round(
     # offered volumes first: a volume deviation changes the rights everyone
     # sees, and with public state the posted price accounts for the true
     # offered volume
-    volumes = list(config.resupply_at(tau))
-    for s in range(ns):
-        for adj in round_adjustments.get(("seller", s), ()):
-            volumes[s] += adj.volume_delta
-        volumes[s] = min(max(0.0, volumes[s]), state.sellers[s].good)
-    offered = sum(volumes)
-    if offered <= 0.0:
-        raise SimulationError(tau, "no good offered for sale")
-
+    volumes, offered = _offer_volumes(config, tau, round_adjustments, state.sellers)
     posted, rights = posted_greedy_price(state, config, offered)
-    offers = []
-    for s in range(ns):
-        price = posted
-        for adj in round_adjustments.get(("seller", s), ()):
-            price *= adj.price_factor
-        offers.append(SellerOffer(volume=volumes[s], price=price))
+    offers = _seller_offers(posted, volumes, round_adjustments)
 
     for buyer, right in zip(buyers, rights):
         buyer.right = right
@@ -542,13 +585,14 @@ def _run_rights_round(
         raise SimulationError(tau, f"buyer {over_cap} bought good beyond their rights")
 
     # money only changes hands; good shipped must equal good received
-    money_res = abs(sum(s.money for s in state.sellers) + sum(money_end) - sum(money_start))
+    money_total = sum(money_start)
+    money_res = abs(sum(s.money for s in state.sellers) + sum(money_end) - money_total)
     good_res = abs(sum(result.good_bought) - sum(result.seller_sold))
     for s in range(ns):
         good_res = max(
             good_res, abs(result.seller_sold[s] + result.unsold_good[s] - offers[s].volume)
         )
-    _check_residuals(money_res, good_res, money_start, offered)
+    _check_residuals(money_res, good_res, money_total, offered)
 
     if records is not None:
         useful, useless = useful_useless_split(result)
@@ -617,13 +661,14 @@ def _run_free_round(
         leftover = money_start[b] - bought[b] * price
         state.buyers[b].money = leftover if leftover > CONSERVATION_TOL else 0.0
 
+    money_total = sum(money_start)
     money_res = abs(
-        sum(money_start)
+        money_total
         - sum(s.money for s in state.sellers)
         - sum(b.money for b in state.buyers)
     )
     good_res = abs(sum(bought) - sold_total)
-    _check_residuals(money_res, good_res, money_start, offered)
+    _check_residuals(money_res, good_res, money_total, offered)
 
     if records is not None:
         good_end = tuple(b.good for b in state.buyers)

@@ -33,9 +33,9 @@ stops as soon as no buyer has cap left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .core import CONSERVATION_TOL, EQ_TOL, MarketState, equal_rate_fill
+from .core import CONSERVATION_TOL, EQ_TOL, MarketState, SellerState, equal_rate_fill
 from .errors import ClearingError
 
 
@@ -97,6 +97,67 @@ class ClearingResult:
         return sum(self.seller_sold)
 
 
+class GoodLevels:
+    """The sellers' side of one clearing.
+
+    An offer with a negative or NaN entry, or a volume above its seller's
+    ``good`` by more than ``CONSERVATION_TOL``, is appended to ``rejected``
+    and keeps the seller out of the round. The live sellers go into good
+    levels by price, in index order, and ``levels`` lists them cheapest
+    last (see the module docstring). ``remaining``, ``sold`` and
+    ``revenue`` are per seller.
+    """
+
+    __slots__ = ("levels", "price", "remaining", "accepted", "sold", "revenue")
+
+    def __init__(
+        self,
+        offers: Sequence[SellerOffer],
+        sellers: Sequence[SellerState],
+        rejected: list[Rejection],
+    ) -> None:
+        ns = len(offers)
+        self.accepted = accepted = [0.0] * ns
+        self.remaining = remaining = [0.0] * ns
+        self.price = price = [0.0] * ns
+        self.sold = [0.0] * ns
+        self.revenue = [0.0] * ns
+        by_price: dict[float, list[int]] = {}
+        for s, off in enumerate(offers):
+            # ``not x >= 0.0`` also catches NaN, which fails every comparison
+            stock = sellers[s].good
+            volume = off.volume
+            if not volume >= 0.0 or not off.price >= 0.0 or volume > stock + CONSERVATION_TOL:
+                reason = f"offer {off} infeasible against stock {stock!r}"
+                rejected.append(Rejection("seller", s, reason))
+                continue
+            accepted[s] = volume
+            remaining[s] = float(volume)
+            price[s] = float(off.price)
+            if remaining[s] > EQ_TOL:
+                by_price.setdefault(price[s], []).append(s)
+        self.levels = [by_price[p] for p in sorted(by_price, reverse=True)]
+
+    def sell(self, pg: float, volume: float) -> None:
+        """Sell ``volume`` from the cheapest good level at ``pg``."""
+        level = self.levels[-1]
+        remaining, sold, revenue = self.remaining, self.sold, self.revenue
+        take = equal_rate_fill([remaining[s] for s in level], volume)
+        for k, s in enumerate(level):
+            remaining[s] -= take[k]
+            sold[s] += take[k]
+            revenue[s] += take[k] * pg
+        level[:] = [s for s in level if remaining[s] > EQ_TOL]
+        if not level:
+            self.levels.pop()
+
+    def unsold(self) -> tuple[float, ...]:
+        """Each seller's accepted volume left unsold."""
+        return tuple(
+            [v if (v := a - x) > 0.0 else 0.0 for a, x in zip(self.accepted, self.sold)]
+        )
+
+
 def useful_useless_split(result: ClearingResult) -> tuple[float, float]:
     """Split the round's money flow into seller revenue ("useful") and
     deferred right-sale proceeds ("useless" until the next round). The two
@@ -124,30 +185,10 @@ def clear(
         raise ClearingError("offers/bids do not match the trader lists")
     myopic = variant == "myopic_rights"
 
-    # ``not x >= 0.0`` also catches NaN, which fails every comparison. The
-    # live sellers go into good levels by price, in index order, and
-    # ``good_levels`` lists them cheapest last (see the module docstring)
     rejected: list[Rejection] = []
-    accepted_volume = [0.0] * ns
-    sell_rem = [0.0] * ns
-    sell_price = [0.0] * ns
-    by_price: dict[float, list[int]] = {}
-    for s, off in enumerate(offers):
-        bad = (
-            not off.volume >= 0.0
-            or not off.price >= 0.0
-            or off.volume > state.sellers[s].good + CONSERVATION_TOL
-        )
-        if bad:
-            reason = f"offer {off} infeasible against stock {state.sellers[s].good!r}"
-            rejected.append(Rejection("seller", s, reason))
-            continue
-        accepted_volume[s] = off.volume
-        sell_rem[s] = float(off.volume)
-        sell_price[s] = float(off.price)
-        if sell_rem[s] > EQ_TOL:
-            by_price.setdefault(sell_price[s], []).append(s)
-    good_levels = [by_price[p] for p in sorted(by_price, reverse=True)]
+    book = GoodLevels(offers, state.sellers, rejected)
+    good_levels, sell_price, sell_rem = book.levels, book.price, book.remaining
+    sell_good = book.sell
 
     # the buyer loops below spell min(a, b) as ``b if b < a else a`` and
     # max(0.0, v) as ``v if v > 0.0 else 0.0``, which is how the builtins
@@ -187,22 +228,8 @@ def clear(
     spent_good = [0.0] * nb
     spent_right = [0.0] * nb
     earned = [0.0] * nb
-    revenue = [0.0] * ns
-    sold = [0.0] * ns
 
     guard = 20 * (ns + nb) + 200
-
-    def sell_good(pg: float, volume: float) -> None:
-        """Sell ``volume`` from the cheapest good level at ``pg``."""
-        level = good_levels[-1]
-        take = equal_rate_fill([sell_rem[s] for s in level], volume)
-        for k, s in enumerate(level):
-            sell_rem[s] -= take[k]
-            sold[s] += take[k]
-            revenue[s] += take[k] * pg
-        level[:] = [s for s in level if sell_rem[s] > EQ_TOL]
-        if not level:
-            good_levels.pop()
 
     def run_good_for_rights_pass(licence: list[float]) -> None:
         """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
@@ -363,11 +390,9 @@ def clear(
         money_spent_good=tuple(spent_good),
         money_spent_right=tuple(spent_right),
         money_earned_right=tuple(earned),
-        seller_revenue=tuple(revenue),
-        seller_sold=tuple(sold),
-        unsold_good=tuple(
-            [v if (v := a - x) > 0.0 else 0.0 for a, x in zip(accepted_volume, sold)]
-        ),
+        seller_revenue=tuple(book.revenue),
+        seller_sold=tuple(book.sold),
+        unsold_good=book.unsold(),
         proceeds_deferred=not myopic,
         rejected=tuple(rejected),
     )

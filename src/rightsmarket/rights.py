@@ -111,7 +111,8 @@ def _check_weights(components: Sequence[tuple[float, int]]) -> None:
     if not components:
         raise ConfigError("weighted mechanism needs at least one component")
     weights = [float(a) for a, _ in components]
-    if any(w < 0.0 or w > 1.0 for w in weights):
+    # spelled so that NaN, which fails every comparison, is out of range
+    if any(not 0.0 <= w <= 1.0 for w in weights):
         raise ConfigError("weighted coefficients must lie in [0, 1]")
     if abs(sum(weights) - 1.0) > EQ_TOL:
         raise ConfigError(f"weighted coefficients must sum to 1, got {sum(weights)!r}")

@@ -8,6 +8,10 @@ markets, and the benchmark's 300-buyer references are compared to within
 1e-9 and only under the rights variant. The markets are drawn with
 ``random.Random``, whose stream is fixed across Python versions, so the
 digests do not depend on the installed numpy.
+
+Every case but the free market runs on the wide kernel (``wide``), since
+300 buyers is above ``engine.WIDE_MIN_BUYERS``; the digests predate it, so
+they also pin the kernel to the scalar round.
 """
 
 import hashlib
@@ -16,6 +20,7 @@ import random
 
 import pytest
 
+from rightsmarket import wide
 from rightsmarket.cli import write_trace_csv
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import BidAdjustment, SupplySchedule, run
@@ -95,3 +100,23 @@ def test_trace_csv_is_byte_identical(case):
 def test_adjustments_change_the_trace():
     mechanism, variant, adjustments, _ = CASES["rights-adjusted"]
     assert trace_digest(mechanism, variant, adjustments) != trace_digest(mechanism, variant)
+
+
+def test_all_but_the_free_market_run_on_the_wide_kernel(monkeypatch):
+    played = []
+    real = wide.play_rounds
+
+    def spy(config, *args):
+        played.append(config.variant)
+        return real(config, *args)
+
+    monkeypatch.setattr(wide, "play_rounds", spy)
+    on_wide = []
+    for case, (mechanism, variant, adjustments, _) in CASES.items():
+        before = len(played)
+        trace_digest(mechanism, variant, adjustments)
+        if len(played) > before:
+            on_wide.append(case)
+    assert on_wide == [
+        "rights-proportional", "rights-contested-garment", "myopic-rights", "rights-adjusted"
+    ]

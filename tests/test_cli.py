@@ -229,6 +229,34 @@ class TestCommands:
         assert "buyers[0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "mechanism",
+        [
+            {"kind": "canonical", "rank": 2.7},
+            {"kind": "canonical", "rank": "3"},
+            {"kind": "weighted", "components": [[0.5, 1.9], [0.5, 2.2]]},
+            {"kind": "weighted", "components": [["0.5", 1], [0.5, 2]]},
+            {"kind": "weighted", "components": [[float("nan"), 1], [1.0, 2]]},
+        ],
+        ids=("float-rank", "string-rank", "float-component-ranks", "string-weight", "nan-weight"),
+    )
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_bad_mechanism_number_is_a_parse_error(self, tmp_path, capsys, mechanism, command):
+        # int() and float() would run these as ranks 2, 3, 1 and 2 and weight 0.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(minimal_scenario(mechanism=mechanism)))
+        assert main([command, "--scenario", str(bad)]) == EXIT_PARSE
+        assert "mechanism" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("csv", [7, 1, True, ["out.csv"]])
+    def test_output_csv_must_be_a_path(self, tmp_path, capsys, csv):
+        # open() takes an integer as a file descriptor: 7 is a bad one, and 1
+        # would write into stdout and then close it
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(minimal_scenario(output={"csv": csv})))
+        assert main(["simulate", "--scenario", str(bad)]) == EXIT_PARSE
+        assert "output.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         ("income", "code"),
         [
             ({"kind": "hubbert", "peak": 1.0, "width": 0.01, "center": 60}, EXIT_OK),

@@ -113,6 +113,15 @@ class TestCanonicalAndWeighted:
         with pytest.raises(ConfigError):
             weighted_rule(1.0, BENCH_CLAIMS, [(0.5, 1), (0.4, 2)])
 
+    @pytest.mark.parametrize("weight", [math.nan, -0.5, 1.5])
+    def test_weights_outside_the_unit_interval_are_rejected(self, weight):
+        # a NaN weight fails every comparison, so it must not pass as in range
+        components = [(weight, 1), (1.0, 2)]
+        with pytest.raises(ConfigError, match="must lie in"):
+            DistributionMechanism.weighted(components)
+        with pytest.raises(ConfigError, match="must lie in"):
+            weighted_rule(1.0, BENCH_CLAIMS, components)
+
     def test_mechanism_descriptor_dispatch(self):
         mech = DistributionMechanism.weighted([(0.6, 1), (0.4, 2)])
         direct = weighted_rule(2.0, BENCH_CLAIMS, [(0.6, 1), (0.4, 2)])

@@ -1,0 +1,384 @@
+"""The wide kernel against the scalar round, bit for bit.
+
+``engine`` plays a rights-variant market on numpy columns (``wide``) once it
+has ``engine.WIDE_MIN_BUYERS`` buyers, and on the scalar round below that.
+These tests play the same markets both ways, whatever their size, by moving
+that constant for the duration of a call, and require the same ``repr`` of
+every trace, checkpoint and replay total, and the same ``SimulationError``
+round and message when a run fails.
+"""
+
+import re
+import sys
+from contextlib import contextmanager
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rightsmarket import engine, wide
+from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
+from rightsmarket.engine import (
+    BidAdjustment,
+    SupplySchedule,
+    replay_from,
+    run,
+    run_with_checkpoints,
+)
+from rightsmarket.errors import SimulationError
+from rightsmarket.rights import DistributionMechanism
+
+from conftest import make_benchmark
+
+PATHS = ("scalar", "wide")
+
+
+@contextmanager
+def playing(path: str):
+    """Play every rights-variant market on ``path``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "WIDE_MIN_BUYERS", 1 if path == "wide" else sys.maxsize)
+        yield
+
+
+def outcome(call):
+    """``repr`` of what ``call`` returns, or the round and message of the
+    ``SimulationError`` it raises."""
+    try:
+        return repr(call())
+    except SimulationError as exc:
+        return ("SimulationError", exc.round_index, str(exc))
+
+
+def both(call):
+    """The outcome of ``call`` on the scalar rounds and on the wide kernel."""
+    out = []
+    for path in PATHS:
+        with playing(path):
+            out.append(outcome(call))
+    return out
+
+
+def test_each_path_runs_where_the_constant_says(monkeypatch):
+    calls = []
+    real = wide.play_rounds
+
+    def spy(config, *args):
+        calls.append(config.num_buyers)
+        return real(config, *args)
+
+    monkeypatch.setattr(wide, "play_rounds", spy)
+    small = make_benchmark(horizon=3)
+    run(small)
+    assert calls == []
+    with playing("wide"):
+        run(small)
+        run(make_benchmark(variant="free_market", horizon=3))
+    assert calls == [3]
+
+
+# -- random markets ----------------------------------------------------------
+
+
+def mechanisms(num_buyers: int):
+    ranks = st.integers(1, num_buyers)
+    weighted = st.lists(st.tuples(st.integers(1, 4), ranks), min_size=1, max_size=3).map(
+        lambda parts: DistributionMechanism.weighted(
+            [(n / sum(n for n, _ in parts), r) for n, r in parts]
+        )
+    )
+    return st.one_of(
+        st.just(DistributionMechanism.proportional()),
+        st.just(DistributionMechanism.contested_garment()),
+        ranks.map(DistributionMechanism.canonical),
+        weighted,
+    )
+
+
+# volume, price, right-offer and right-demand deviations; an offer factor
+# above one puts more Right on sale than a poor buyer holds, and a negative
+# seller price gets the offer rejected, which fails the Good balance
+deviations = st.fixed_dictionaries(
+    {},
+    optional={
+        "volume_delta": st.sampled_from([-0.05, -0.02, 0.01]),
+        "price_factor": st.sampled_from([0.5, 0.9, 1.1, 1.3, 2.0, -1.0]),
+        "right_offer_factor": st.sampled_from([0.0, 0.25, 0.5, 1.5, 3.0]),
+        "right_demand_factor": st.sampled_from([0.0, 0.5, 2.0]),
+    },
+)
+
+
+@st.composite
+def markets(draw):
+    wide_from = engine.WIDE_MIN_BUYERS
+    num_buyers = draw(st.sampled_from([2, 3, 7, wide_from - 1, wide_from, wide_from + 7]))
+    num_sellers = draw(st.integers(1, 12))
+    horizon = draw(st.integers(1, 8))
+    positive = st.floats(0.01, 1.0)
+    claims = draw(
+        st.lists(st.one_of(st.just(0.0), positive), min_size=num_buyers, max_size=num_buyers)
+    )
+    incomes = draw(
+        st.lists(st.one_of(st.just(0.0), positive), min_size=num_buyers, max_size=num_buyers)
+    )
+    resupply = draw(st.lists(positive, min_size=num_sellers, max_size=num_sellers))
+    config = MarketConfig(
+        sellers=tuple(
+            SellerSpec(SupplySchedule.constant(g / num_sellers)) for g in resupply
+        ),
+        buyers=tuple(
+            BuyerSpec(income=SupplySchedule.constant(m), claim=d) for d, m in zip(claims, incomes)
+        ),
+        mechanism=draw(mechanisms(num_buyers)),
+        variant=draw(st.sampled_from(["rights", "myopic_rights"])),
+        horizon=horizon,
+        greedy_price_factor=draw(st.sampled_from([1.0, 1.0, 0.8, 1.25])),
+    )
+    traders = st.one_of(
+        st.tuples(st.just("seller"), st.integers(0, num_sellers - 1)),
+        st.tuples(st.just("buyer"), st.integers(0, num_buyers - 1)),
+    )
+    adjustments = draw(
+        st.lists(
+            st.builds(
+                lambda r, t, kw: BidAdjustment(r, t, **kw),
+                st.integers(1, horizon),
+                traders,
+                deviations,
+            ),
+            max_size=8,
+        )
+    )
+    return config, adjustments
+
+
+@settings(deadline=None)
+@given(markets())
+def test_both_paths_give_the_same_results(market):
+    config, adjustments = market
+    scalar, wide_ = both(lambda: run(config, adjustments=adjustments))
+    assert scalar == wide_
+
+    with playing("scalar"):
+        try:
+            _, checkpoints = run_with_checkpoints(config)
+        except SimulationError:
+            checkpoints = ()
+    scalar, wide_ = both(lambda: run_with_checkpoints(config))
+    assert scalar == wide_
+
+    for k in {0, len(checkpoints) // 2} if checkpoints else ():
+        # a replay from checkpoint k plays rounds k + 1 on
+        later = [a for a in adjustments if a.round_index > k]
+        scalar, wide_ = both(lambda: replay_from(config, checkpoints[k], config.horizon, later))
+        assert scalar == wide_
+
+
+def test_many_good_and_right_levels():
+    # every seller posts its own price and poor buyers put their Right on
+    # sale at four prices, some of it beyond what they hold
+    config = replace(
+        engine.generate_dirichlet_scenario(engine.WIDE_MIN_BUYERS, 5.0, rng_seed=3, horizon=6),
+        sellers=tuple(SellerSpec(SupplySchedule.constant(0.2)) for _ in range(5)),
+    )
+    adjustments = [
+        BidAdjustment(t, ("seller", s), price_factor=0.8 + 0.1 * s)
+        for t in (2, 4) for s in range(5)
+    ] + [
+        BidAdjustment(t, ("buyer", b), price_factor=1.0 + 0.1 * (b % 4),
+                      right_offer_factor=1.5 if b % 9 == 0 else 0.75)
+        for t in (2, 3) for b in range(engine.WIDE_MIN_BUYERS)
+    ]
+    scalar, wide_ = both(lambda: run(config, adjustments=adjustments))
+    assert scalar == wide_
+    assert "Rejection(side='buyer'" in scalar
+
+
+@pytest.mark.parametrize("variant", ["rights", "myopic_rights"])
+def test_nan_rights_agree(variant):
+    # an infinite claim gives its holder a NaN right under the proportional
+    # rule: the implicit price fails on it, the myopic price does not
+    config = replace(
+        make_benchmark(variant=variant, horizon=5),
+        buyers=(
+            BuyerSpec(income=SupplySchedule.constant(0.3), claim=float("inf")),
+            *make_benchmark().buyers[1:],
+        ),
+    )
+    scalar, wide_ = both(lambda: run(config))
+    assert scalar == wide_
+    if variant == "rights":
+        assert scalar == (
+            "SimulationError", 1, "round 1: interval scan found no admissible price"
+        )
+    else:
+        assert "right_assigned=(nan, 0.0, 0.0)" in scalar
+
+
+# -- failing runs --------------------------------------------------------------
+
+
+FAULT_ROUND = 5
+FLOW_FIELDS = (
+    "good_bought", "right_bought", "money_spent_good", "seller_revenue", "seller_sold",
+)
+
+
+def break_money(flows, money, right):
+    flows["seller_revenue"][0] += 0.01
+
+
+def break_good(flows, money, right):
+    flows["seller_sold"][0] -= 0.01
+
+
+def overspend(*buyers):
+    def fault(flows, money, right):
+        for b in buyers:
+            flows["money_spent_good"][b] = money[b] + 0.5
+
+    return fault
+
+
+def overbuy(*buyers):
+    def fault(flows, money, right):
+        for b in buyers:
+            flows["good_bought"][b] = right[b] + flows["right_bought"][b] + 0.5
+
+    return fault
+
+
+def both_faults(*faults):
+    def fault(flows, money, right):
+        for f in faults:
+            f(flows, money, right)
+
+    return fault
+
+
+def scalar_clear(fault):
+    real = engine.clear
+
+    def faulty(offers, bids, state, variant):
+        result = real(offers, bids, state, variant)
+        if state.round_index != FAULT_ROUND:
+            return result
+        flows = {name: list(getattr(result, name)) for name in FLOW_FIELDS}
+        fault(flows, [b.money for b in state.buyers], [b.right for b in state.buyers])
+        return replace(result, **{name: tuple(v) for name, v in flows.items()})
+
+    return faulty
+
+
+def wide_clear(fault):
+    real = wide.clear
+
+    def faulty(offers, bids, market, variant):
+        result = real(offers, bids, market, variant)
+        if market.round_index != FAULT_ROUND:
+            return result
+        flows = {name: list(getattr(result, name)) for name in FLOW_FIELDS}
+        fault(flows, market.money.tolist(), market.right.tolist())
+        return result._replace(
+            **{
+                name: v if name.startswith("seller") else np.array(v, dtype=float)
+                for name, v in flows.items()
+            }
+        )
+
+    return faulty
+
+
+FAULTS = {
+    "money": (break_money, "accounting residual money=0.01 good="),
+    "good": (break_good, " good=0.01 exceeds tolerance"),
+    "negative": (overspend(2), "buyer 2 money went negative"),
+    "over-cap": (overbuy(1), "buyer 1 bought good beyond their rights"),
+    "two-over-cap": (overbuy(2, 0), "buyer 0 bought good beyond their rights"),
+    "negative-and-over-cap": (
+        both_faults(overspend(2), overbuy(0, 1)), "buyer 2 money went negative"
+    ),
+}
+
+
+@pytest.mark.parametrize("num_buyers", [3, engine.WIDE_MIN_BUYERS])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_faulty_clearing_fails_both_paths_alike(monkeypatch, fault, num_buyers):
+    breaks, message = FAULTS[fault]
+    horizon = 8
+    config = make_benchmark(horizon=horizon)
+    if num_buyers > 3:
+        config = engine.generate_dirichlet_scenario(num_buyers, 20.0, rng_seed=1, horizon=horizon)
+    _, checkpoints = run_with_checkpoints(config)
+    adjustments = [BidAdjustment(3, ("seller", 0), price_factor=0.9)]
+    monkeypatch.setattr(engine, "clear", scalar_clear(breaks))
+    monkeypatch.setattr(wide, "clear", wide_clear(breaks))
+    runs = both(lambda: run(config, horizon, adjustments))
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == ("SimulationError", FAULT_ROUND)
+    assert message in runs[0][2]
+    for checkpoint in checkpoints[:3]:  # rounds 1 to 3, before the deviation
+        replays = both(lambda: replay_from(config, checkpoint, horizon, adjustments))
+        assert replays == runs
+
+
+@pytest.mark.parametrize("num_buyers", [3, engine.WIDE_MIN_BUYERS])
+def test_a_round_with_no_good_offered_fails_both_paths_alike(num_buyers):
+    config = replace(
+        engine.generate_dirichlet_scenario(num_buyers, 20.0, rng_seed=2, horizon=10),
+        sellers=(SellerSpec(SupplySchedule.step(1.0, 0.0, 3)),),
+    )
+    runs = both(lambda: run(config))
+    assert runs[0] == runs[1] == ("SimulationError", 3, "round 3: no good offered for sale")
+    with playing("scalar"):
+        _, checkpoints = run_with_checkpoints(replace(config, horizon=2))
+    replays = both(lambda: replay_from(config, checkpoints[1], 10, ()))
+    assert replays == runs
+
+
+# -- the kernel's pieces -------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0.0, 2.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+             min_size=1, max_size=60)
+)
+def test_implicit_price_matches_the_scan(pairs):
+    from rightsmarket.errors import PricingError
+    from rightsmarket.pricing import solve_implicit_price
+
+    money = [m for m, _ in pairs]
+    rights = [r for _, r in pairs]
+    try:
+        want = solve_implicit_price(money, rights).price
+    except PricingError as exc:
+        with pytest.raises(PricingError, match=re.escape(str(exc))), np.errstate(all="ignore"):
+            wide.implicit_price(np.array(money), np.array(rights))
+        return
+    with np.errstate(all="ignore"):
+        got = wide.implicit_price(np.array(money), np.array(rights))
+    assert repr(got) == repr(want)
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40), st.floats(0.0, 1.0))
+def test_equal_rate_fill_matches_the_scalar_fill(amounts, share):
+    from rightsmarket.core import equal_rate_fill
+
+    total = share * sum(amounts)
+    want = equal_rate_fill(amounts, total)
+    got = wide._equal_rate_fill(np.array(amounts), total)
+    assert repr(got.tolist()) == repr(want)
+
+
+@given(st.lists(st.floats(-1e8, 1e8), max_size=300))
+def test_sum_adds_left_to_right_from_zero(values):
+    assert repr(wide._sum(np.array(values, dtype=float))) == repr(float(sum(values)))
+
+
+def test_sum_of_negative_zeros_is_zero():
+    # sum() starts from the integer 0, np.cumsum from the first entry
+    assert repr(wide._sum(np.array([-0.0, -0.0]))) == repr(sum([-0.0, -0.0])) == "0.0"
