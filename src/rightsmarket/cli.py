@@ -53,12 +53,11 @@ _TOP_KEYS = {
     "greedy_price_factor",
     "output",
 }
-_OUTPUT_KEYS = {"seed", "columns", "csv"}
+_OUTPUT_KEYS = {"columns", "csv"}
 
 
 @dataclass(frozen=True)
 class OutputOptions:
-    seed: int = 0
     columns: str | tuple[str, ...] = "all"
     csv: str | None = None
 
@@ -205,11 +204,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         # ``open`` would take an integer as a file descriptor
         if csv is not None and not isinstance(csv, str):
             raise ScenarioError(f"{source}.output.csv: expected a path string, got {csv!r}")
-        output = OutputOptions(
-            seed=_integer(out.get("seed", 0), f"{source}.output.seed"),
-            columns=columns,
-            csv=csv,
-        )
+        output = OutputOptions(columns=columns, csv=csv)
 
     try:
         config = MarketConfig(
@@ -246,7 +241,6 @@ def scenario_to_dict(scn: Scenario) -> dict:
         "seller_storage_cost": cfg.seller_storage_cost,
         "greedy_price_factor": cfg.greedy_price_factor,
         "output": {
-            "seed": scn.output.seed,
             "columns": "all" if scn.output.columns == "all" else list(scn.output.columns),
             **({"csv": scn.output.csv} if scn.output.csv else {}),
         },

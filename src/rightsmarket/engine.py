@@ -510,7 +510,7 @@ def _seller_offers(
         price = posted
         for adj in round_adjustments.get(("seller", s), ()):
             price *= adj.price_factor
-        offers.append(SellerOffer(volume=volume, price=price))
+        offers.append(SellerOffer(volume, price))
     return offers
 
 

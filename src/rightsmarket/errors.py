@@ -18,7 +18,9 @@ class PricingError(RightsMarketError):
 
 
 class ClearingError(RightsMarketError):
-    """The two-stage clearing could not complete."""
+    """The offers or bids handed to the clearing do not match its trader
+    lists. Clearing itself always completes: its loops end by construction
+    (see ``rightsmarket.mechanism``)."""
 
 
 class ConservationError(RightsMarketError):

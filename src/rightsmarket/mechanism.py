@@ -9,25 +9,40 @@ deferred to the next round, except in the ``myopic_rights`` variant where it
 is spendable immediately and a final pass lets buyers put it toward Good
 backed by their unused Right.
 
-Each stage-2 step trades at one pair of a live good price ``pg`` and a live
-right-offer price ``qr``: the first pair, in ascending order of unit price
-``pg + qr`` with ties broken by the lower ``pg``, at which buyers demand
-anything. That pair always has the cheapest live good price. Lowering ``pg``
-at a fixed ``qr`` keeps the Right on sale, lowers the unit price and passes
-more price ceilings, so no buyer's demand falls; and as float addition never
-decreases in either argument, the cheaper pair also comes first in the
-order. A step therefore walks the Right levels upward at the cheapest good
-price and trades at the first with demand, almost always the first it looks
-at; stage 2 ends when none has any. So the tie-break on equal unit prices
-never decides which pair trades.
+A buyer who puts more than ``EQ_TOL`` of Right on sale gets a Right cap
+of 0: as in the paper's greedy profile, a buyer sells the Right their money
+cannot back or buys the Right their spare money licenses, never both. So no
+buyer buys back Right, from themselves or from anyone else.
+
+Each stage-2 step trades at the cheapest live good price ``pg`` and the
+cheapest live right-offer price ``qr``, and stage 2 ends once buyers demand
+nothing there, because then no pair has demand. A dearer pair passes no
+price ceiling the cheapest one fails, and as float addition and division
+are monotone it allows no buyer more money-bound volume. Only the Right on
+sale can be larger at a dearer Right level. But the cheapest level holds
+more than ``EQ_TOL``, so a demand it caps exceeds ``EQ_TOL`` by itself.
+Without the rule above, a buyer's offer could sit in that level and
+could not count toward that buyer's demand.
+
+The loops end by construction. Every seller in a good level and every
+buyer in a Right level holds more than ``EQ_TOL``, so a step with demand
+above ``EQ_TOL`` trades more than ``EQ_TOL``: the smallest of the good
+level's supply, the Right level's supply and the demand. It therefore
+empties its good level, empties its Right level or fills every demand it
+met, down to rounding dust in the caps it used; dust above ``EQ_TOL``,
+which only large amounts leave, is a few units in the last place of a cap
+and shrinks as fast again at each later step. A stage-1 pass or stage 2
+ends when no level or no buyer with cap is left, or when the demand at the
+cheapest level is at most ``EQ_TOL``. ``tests/test_clear_oracle.py``
+checks, at amounts up to 1e100, that a clearing makes no more trades than
+there are good levels, Right levels and buyers together.
 
 The live sellers are grouped into good levels by price and the levels
 sorted once per clear; as a seller's remaining volume only falls, the
-cheapest level is trimmed as it sells and dropped once it empties. So a
-step finds the cheapest good level at once and costs, per Right level it
-looks at, one pass over the buyers that still have Good and Right cap left,
-not a pass over every seller, pair and buyer. A stage-1 pass or stage 2
-stops as soon as no buyer has cap left.
+cheapest level is trimmed as it sells and dropped once it empties. Right
+on sale is grouped the same way. So a step finds both cheapest levels at
+once and costs one pass over the buyers that still have cap left, not a
+pass over every seller, pair and buyer.
 """
 
 from __future__ import annotations
@@ -39,9 +54,10 @@ from .core import CONSERVATION_TOL, EQ_TOL, MarketState, SellerState, equal_rate
 from .errors import ClearingError
 
 
-@dataclass(frozen=True)
-class SellerOffer:
-    """Volume of Good posted for sale at a unit price."""
+class SellerOffer(NamedTuple):
+    """Volume of Good posted for sale at a unit price. A named tuple, as
+    ``BuyerBid`` is: a round builds one per seller, and it keeps the
+    dataclass's repr, which rejection reasons print."""
 
     volume: float
     price: float
@@ -220,7 +236,8 @@ def clear(
         offer_rem[b] = right if right < offer else offer
         rights_use[b] = right - offer_rem[b]
         vbar_rem[b] = float(vbar)
-        wbar_rem[b] = float(wbar)
+        # a buyer who sells Right buys none (module docstring)
+        wbar_rem[b] = float(wbar) if offer_rem[b] <= EQ_TOL else 0.0
 
     good_bought = [0.0] * nb
     right_bought = [0.0] * nb
@@ -229,17 +246,13 @@ def clear(
     spent_right = [0.0] * nb
     earned = [0.0] * nb
 
-    guard = 20 * (ns + nb) + 200
-
     def run_good_for_rights_pass(licence: list[float]) -> None:
         """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
         # a buyer without Good cap or licence left demands nothing, and
         # neither comes back during a pass
         buyers = [b for b in range(nb) if vbar_rem[b] > 0.0 and licence[b] > 0.0]
-        for _ in range(guard):
-            # with no buyer left the demand sum below would be 0.0
-            if not buyers or not good_levels:
-                return
+        # with no buyer left the demand sum below would be 0.0
+        while buyers and good_levels:
             level = good_levels[-1]
             # a level's price is its first live seller's, which settles
             # whether a level holding -0.0 and 0.0 trades at -0.0 or 0.0
@@ -268,8 +281,6 @@ def clear(
                 return
             supply = sum([sell_rem[s] for s in level])
             volume = supply if supply < total_demand else total_demand
-            if volume <= EQ_TOL:
-                return
             sell_good(pg, volume)
             for b, d in zip(demanders, demand):
                 x = volume * d / total_demand
@@ -283,97 +294,78 @@ def clear(
                 spend[b] = v if v > 0.0 else 0.0
                 spent_good[b] += pay
             buyers = [b for b in buyers if vbar_rem[b] > 0.0 and licence[b] > 0.0]
-        raise ClearingError("good-for-rights pass failed to converge")
 
     # -- stage 1: right-licensed Good purchases --------------------------
     run_good_for_rights_pass(rights_use)
 
     # -- stage 2: paired Good+Right purchases -----------------------------
-    # Right on sale grouped by price in buyer order, and the buyers with
-    # Good and Right cap left: both only shrink, so they are kept across
-    # steps and trimmed after each trade.
-    right_levels: dict[float, list[int]] = {}
+    # Right on sale grouped by price in buyer order, cheapest last, and the
+    # buyers with Good and Right cap left: both only shrink, so they are
+    # kept across steps and trimmed after each trade.
+    by_price: dict[float, list[int]] = {}
     for b in range(nb):
         if offer_rem[b] > EQ_TOL:
-            right_levels.setdefault(right_price[b], []).append(b)
-    right_prices = sorted(right_levels)
+            by_price.setdefault(right_price[b], []).append(b)
+    right_levels = [(q, by_price[q]) for q in sorted(by_price, reverse=True)]
     buyers = [b for b in range(nb) if vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
-    for _ in range(guard):
-        if not buyers or not good_levels or not right_prices:
-            break
-        # the first pair with demand has the cheapest good price (see the
-        # module docstring), so walk its Right levels upward
+    while buyers and good_levels and right_levels:
         good_level = good_levels[-1]
         pg = sell_price[good_level[0]]
+        qr, right_level = right_levels[-1]
         good_avail = sum([sell_rem[s] for s in good_level])
-        for qr in right_prices:
-            right_level = right_levels[qr]
-            right_avail = sum([offer_rem[b] for b in right_level])
-            unit = pg + qr
-            demanders, demand = [], []
-            for b in buyers:
-                if good_ceiling[b] < pg or right_ceiling[b] < qr:
-                    continue
-                # a buyer never buys their own offered Right
-                own = offer_rem[b] if offer_rem[b] > EQ_TOL and right_price[b] == qr else 0.0
-                cap = vbar_rem[b]
-                v = wbar_rem[b]
+        right_avail = sum([offer_rem[b] for b in right_level])
+        unit = pg + qr
+        demanders, demand = [], []
+        for b in buyers:
+            if good_ceiling[b] < pg or right_ceiling[b] < qr:
+                continue
+            cap = vbar_rem[b]
+            v = wbar_rem[b]
+            if v < cap:
+                cap = v
+            if right_avail < cap:
+                cap = right_avail
+            if unit > 0.0:  # at unit price 0 even a buyer without money buys
+                v = spend[b] / unit
                 if v < cap:
                     cap = v
-                v = right_avail - own
-                if v < cap:
-                    cap = v
-                if unit > 0.0:  # at unit price 0 even a buyer without money buys
-                    v = spend[b] / unit
-                    if v < cap:
-                        cap = v
-                if cap > 0.0:
-                    demanders.append(b)
-                    demand.append(cap)
-            total_demand = sum(demand)
-            if total_demand <= EQ_TOL:
-                continue
-            volume = good_avail if good_avail < total_demand else total_demand
-            if right_avail < volume:
-                volume = right_avail
-            if volume <= EQ_TOL:
-                continue
+            if cap > 0.0:
+                demanders.append(b)
+                demand.append(cap)
+        total_demand = sum(demand)
+        if total_demand <= EQ_TOL:
+            # the cheapest pair is the easiest to be compatible with, so no
+            # demand here means no demand at any pair (module docstring)
+            break
+        volume = good_avail if good_avail < total_demand else total_demand
+        if right_avail < volume:
+            volume = right_avail
 
-            sell_good(pg, volume)
-            take_right = equal_rate_fill([offer_rem[b] for b in right_level], volume)
-            for k, b in enumerate(right_level):
-                offer_rem[b] -= take_right[k]
-                right_sold[b] += take_right[k]
-                proceeds = take_right[k] * qr
-                earned[b] += proceeds
-                if myopic:
-                    spend[b] += proceeds
-            for b, d in zip(demanders, demand):
-                x = volume * d / total_demand
-                good_bought[b] += x
-                right_bought[b] += x
-                v = vbar_rem[b] - x
-                vbar_rem[b] = v if v > 0.0 else 0.0
-                v = wbar_rem[b] - x
-                wbar_rem[b] = v if v > 0.0 else 0.0
-                v = spend[b] - x * unit
-                spend[b] = v if v > 0.0 else 0.0
-                spent_good[b] += x * pg
-                spent_right[b] += x * qr
-            break
-        else:
-            # no Right level has demand at the cheapest good price, so no
-            # pair has any
-            break
-        right_level = [b for b in right_level if offer_rem[b] > EQ_TOL]
-        if right_level:
-            right_levels[qr] = right_level
-        else:
-            del right_levels[qr]
-            right_prices.remove(qr)
+        sell_good(pg, volume)
+        take_right = equal_rate_fill([offer_rem[b] for b in right_level], volume)
+        for k, b in enumerate(right_level):
+            offer_rem[b] -= take_right[k]
+            right_sold[b] += take_right[k]
+            proceeds = take_right[k] * qr
+            earned[b] += proceeds
+            if myopic:
+                spend[b] += proceeds
+        for b, d in zip(demanders, demand):
+            x = volume * d / total_demand
+            good_bought[b] += x
+            right_bought[b] += x
+            v = vbar_rem[b] - x
+            vbar_rem[b] = v if v > 0.0 else 0.0
+            v = wbar_rem[b] - x
+            wbar_rem[b] = v if v > 0.0 else 0.0
+            v = spend[b] - x * unit
+            spend[b] = v if v > 0.0 else 0.0
+            spent_good[b] += x * pg
+            spent_right[b] += x * qr
+        right_level[:] = [b for b in right_level if offer_rem[b] > EQ_TOL]
+        if not right_level:
+            right_levels.pop()
         buyers = [b for b in buyers if vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
-    else:
-        raise ClearingError("stage 2 failed to converge")
 
     # -- myopic extra pass: spend same-round proceeds on licensed Good ----
     if myopic:

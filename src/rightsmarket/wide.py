@@ -48,7 +48,7 @@ from .engine import (
     _offer_volumes,
     _seller_offers,
 )
-from .errors import ClearingError, PricingError, SimulationError
+from .errors import PricingError, SimulationError
 from .mechanism import BuyerBid, GoodLevels, Rejection, SellerOffer
 from .pricing import mechanism_rights
 
@@ -388,12 +388,17 @@ def clear(
     offers: list[SellerOffer], bids: np.ndarray, market: WideState, variant: str
 ) -> WideClearing:
     """``mechanism.clear`` on columns, for a bid matrix laid out as
-    ``greedy_bids`` builds it; see that function for the rules.
+    ``greedy_bids`` builds it; the rules are in ``mechanism``'s docstring.
 
-    The walk over good and Right levels is ``clear``'s. Each pass over the
-    buyers is an array operation over all of them: a buyer the scalar pass
-    skips (no Good cap, licence or Right cap left, or a price ceiling below
-    the price) has a demand of at most 0 here and is not updated.
+    As there, a buyer with more than ``EQ_TOL`` of Right on sale gets a
+    Right cap of 0, and each stage-2 step trades at the cheapest good level
+    and the cheapest Right level. So every step empties a level or fills
+    the demand it met, and the loops end without an iteration cap.
+
+    Each pass over the buyers is an array operation over all of them: a
+    buyer the scalar pass skips (no Good cap, licence or Right cap left, or
+    a price ceiling below the price) has a demand of at most 0 here and is
+    not updated.
     ``vbar_rem`` and ``wbar_rem`` are never NaN (a NaN cap is rejected and a
     cap only falls through ``_positive``), so an ``np.fmin`` chain that
     starts from them skips a NaN bound as the scalar ``v if v < cap else
@@ -401,7 +406,7 @@ def clear(
     left out of a stage-1 pass explicitly, as the scalar pass leaves them
     out.
     """
-    ns, nb = len(offers), market.money.size
+    nb = market.money.size
     myopic = variant == "myopic_rights"
 
     rejected: list[Rejection] = []
@@ -415,6 +420,8 @@ def clear(
     spend = market.money.copy()
     vbar_rem = bids[GOOD_CAP].copy()
     wbar_rem = bids[RIGHT_CAP].copy()
+    # a buyer who sells Right buys none (``mechanism``'s docstring)
+    wbar_rem[offer_rem > EQ_TOL] = 0.0
     # ``not x >= 0.0`` also catches NaN
     feasible = bids >= 0.0
     over = offer > right + CONSERVATION_TOL
@@ -435,13 +442,9 @@ def clear(
     flows = np.zeros((6, nb))
     good_bought, right_bought, right_sold, spent_good, spent_right, earned = flows
 
-    guard = 20 * (ns + nb) + 200
-
     def run_good_for_rights_pass(licence: np.ndarray) -> None:
         """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
-        for _ in range(guard):
-            if not good_levels:
-                return
+        while good_levels:
             level = good_levels[-1]
             pg = sell_price[level[0]]
             cap = np.fmin(vbar_rem, licence)
@@ -458,8 +461,6 @@ def clear(
                 return
             supply = sum([sell_rem[s] for s in level])
             volume = supply if supply < total_demand else total_demand
-            if volume <= EQ_TOL:
-                return
             book.sell(pg, volume)
             x = volume * demand / total_demand
             good_bought[demanders] += x
@@ -468,76 +469,60 @@ def clear(
             pay = x * pg
             spend[demanders] = _positive(spend[demanders] - pay)
             spent_good[demanders] += pay
-        raise ClearingError("good-for-rights pass failed to converge")
 
     # -- stage 1: right-licensed Good purchases --------------------------
     run_good_for_rights_pass(rights_use)
 
     # -- stage 2: paired Good+Right purchases -----------------------------
-    # Right levels ascending by price, each listing its sellers in buyer
-    # order. A set keeps the first of equal keys, as the scalar dict does,
-    # so a level holding -0.0 and 0.0 trades at its first seller's price.
-    # A level lists exactly the buyers whose own Right on sale is kept out
-    # of their demand at its price
+    # Right levels by price, cheapest last, each listing its sellers in
+    # buyer order. A set keeps the first of equal keys, as the scalar dict
+    # does, so a level holding -0.0 and 0.0 trades at its first seller's
+    # price.
     sellers = (offer_rem > EQ_TOL).nonzero()[0]
     prices = right_price[sellers]
-    right_levels = [(q, sellers[prices == q]) for q in sorted(set(prices.tolist()))]
-    for _ in range(guard):
-        if not good_levels or not right_levels:
-            break
+    right_levels = [(q, sellers[prices == q]) for q in sorted(set(prices.tolist()), reverse=True)]
+    while good_levels and right_levels:
         good_level = good_levels[-1]
         pg = sell_price[good_level[0]]
+        qr, members = right_levels[-1]
         good_avail = sum([sell_rem[s] for s in good_level])
-        pair_cap = np.fmin(vbar_rem, wbar_rem)
-        good_ok = good_ceiling >= pg
-        for li, (qr, members) in enumerate(right_levels):
-            right_avail = _sum(offer_rem[members])
-            unit = pg + qr
-            # a buyer never buys their own offered Right
-            own = np.zeros(nb)
-            own[members] = offer_rem[members]
-            cap = np.fmin(pair_cap, right_avail - own)
-            if unit > 0.0:  # at unit price 0 even a buyer without money buys
-                cap = np.fmin(cap, spend / unit)
-            demanders = ((cap > 0.0) & good_ok & (right_ceiling >= qr)).nonzero()[0]
-            demand = cap[demanders]
-            total_demand = _sum(demand)
-            if total_demand <= EQ_TOL:
-                continue
-            volume = good_avail if good_avail < total_demand else total_demand
-            if right_avail < volume:
-                volume = right_avail
-            if volume <= EQ_TOL:
-                continue
+        right_avail = _sum(offer_rem[members])
+        unit = pg + qr
+        cap = np.fmin(np.fmin(vbar_rem, wbar_rem), right_avail)
+        if unit > 0.0:  # at unit price 0 even a buyer without money buys
+            cap = np.fmin(cap, spend / unit)
+        demanders = ((cap > 0.0) & (good_ceiling >= pg) & (right_ceiling >= qr)).nonzero()[0]
+        demand = cap[demanders]
+        total_demand = _sum(demand)
+        if total_demand <= EQ_TOL:
+            # the cheapest pair is the easiest to be compatible with, so no
+            # demand here means no demand at any pair
+            break
+        volume = good_avail if good_avail < total_demand else total_demand
+        if right_avail < volume:
+            volume = right_avail
 
-            book.sell(pg, volume)
-            take = _equal_rate_fill(offer_rem[members], volume)
-            offer_rem[members] -= take
-            right_sold[members] += take
-            proceeds = take * qr
-            earned[members] += proceeds
-            if myopic:
-                spend[members] += proceeds
-            x = volume * demand / total_demand
-            good_bought[demanders] += x
-            right_bought[demanders] += x
-            vbar_rem[demanders] = _positive(vbar_rem[demanders] - x)
-            wbar_rem[demanders] = _positive(wbar_rem[demanders] - x)
-            spend[demanders] = _positive(spend[demanders] - x * unit)
-            spent_good[demanders] += x * pg
-            spent_right[demanders] += x * qr
-            break
-        else:
-            # no Right level has demand at the cheapest good price, so no
-            # pair has any
-            break
+        book.sell(pg, volume)
+        take = _equal_rate_fill(offer_rem[members], volume)
+        offer_rem[members] -= take
+        right_sold[members] += take
+        proceeds = take * qr
+        earned[members] += proceeds
+        if myopic:
+            spend[members] += proceeds
+        x = volume * demand / total_demand
+        good_bought[demanders] += x
+        right_bought[demanders] += x
+        vbar_rem[demanders] = _positive(vbar_rem[demanders] - x)
+        wbar_rem[demanders] = _positive(wbar_rem[demanders] - x)
+        spend[demanders] = _positive(spend[demanders] - x * unit)
+        spent_good[demanders] += x * pg
+        spent_right[demanders] += x * qr
         members = members[offer_rem[members] > EQ_TOL]
         if members.size:
-            right_levels[li] = (qr, members)
+            right_levels[-1] = (qr, members)
         else:
-            del right_levels[li]
-    else:
-        raise ClearingError("stage 2 failed to converge")
+            right_levels.pop()
 
     # -- myopic extra pass: spend same-round proceeds on licensed Good ----
     if myopic:

@@ -1,10 +1,14 @@
 """``rightsmarket.mechanism.clear`` as it was before stage 2 walked only the
-cheapest good price, kept verbatim as a differential oracle.
+cheapest good price, kept as a differential oracle.
 
 ``tests/test_clear_oracle.py`` requires the current ``clear`` to return a
 ``ClearingResult`` equal field for field (``==`` on every float) to this one.
 On each stage-2 step it rebuilds and sorts every live (good price, Right
 price) pair and scans every buyer for demand. It is not part of the package.
+
+One rule changed since, in both: a buyer who puts more than ``EQ_TOL`` of
+Right on sale gets a Right cap of 0. It replaced a term that kept only the
+buyer's own offer out of their demand.
 """
 
 from __future__ import annotations
@@ -76,7 +80,8 @@ def clear(
         offer_rem[b] = min(float(bid.right_offer_volume), float(state.buyers[b].right))
         rights_use[b] = float(state.buyers[b].right) - offer_rem[b]
         vbar_rem[b] = float(bid.max_good_volume)
-        wbar_rem[b] = float(bid.max_right_volume)
+        # a buyer who sells Right buys none
+        wbar_rem[b] = float(bid.max_right_volume) if offer_rem[b] <= EQ_TOL else 0.0
 
     good_bought = [0.0] * nb
     right_bought = [0.0] * nb
@@ -161,9 +166,7 @@ def clear(
                     continue
                 if bids[b].max_good_price < pg or bids[b].max_right_price < qr:
                     continue
-                # a buyer never buys their own offered Right
-                own = offer_rem[b] if b in right_level else 0.0
-                cap = min(vbar_rem[b], wbar_rem[b], right_avail - own)
+                cap = min(vbar_rem[b], wbar_rem[b], right_avail)
                 if unit > 0.0:
                     cap = min(cap, spend[b] / unit)
                 demand[b] = max(0.0, cap)

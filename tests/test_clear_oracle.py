@@ -1,11 +1,16 @@
 """Differential oracle: ``mechanism.clear`` must return exactly what the
-previous clearing, kept in ``clear_reference.py``, returns, bit for bit.
+previous clearing, kept in ``clear_reference.py``, returns, bit for bit, and
+``wide.clear`` exactly what ``mechanism.clear`` returns.
 
 Prices come from a five-value grid so that price levels tie, pairs share a
 unit price and zero-price pairs occur; buyers may hold no money, and offers
 or bids may exceed the trader's holding so that rejections occur too. The
 benchmark's ``hetero-clear`` profiles add the many-level case, and two
 hand-built markets leave a trader with a remainder at or below ``EQ_TOL``.
+
+The same markets, scaled up to 1e100, bound the number of trades both
+clearings make: they stop because every trade empties a level or fills the
+demand of the buyers it serves, not because of an iteration cap.
 
     PYTHONPATH=src python -m pytest tests/test_clear_oracle.py --hypothesis-profile=ci
 """
@@ -21,9 +26,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clear_reference
-from rightsmarket import mechanism
+from rightsmarket import mechanism, wide
 from rightsmarket.core import EQ_TOL, BuyerState, MarketState, SellerState
-from rightsmarket.mechanism import BuyerBid, SellerOffer
+from rightsmarket.mechanism import BuyerBid, ClearingResult, GoodLevels, SellerOffer
 
 PRICE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 # hypothesis starts from and shrinks toward the first value of each list
@@ -135,26 +140,27 @@ DUST_VOLUME = 3.0 - 3e-13
 
 
 def test_good_dust_leaves_its_level():
-    # buyer 0 takes DUST_VOLUME from the three sellers at 0.5 with buyer
-    # 1's Right; buyer 1 then buys at (0.5, 0.5) from seller 2 alone
+    # buyer 0 takes DUST_VOLUME from the three sellers at 0.5 with all of
+    # buyer 1's Right; buyer 0 then buys buyer 2's unit of Right at
+    # (0.5, 0.5) with Good from seller 2 alone
     state = MarketState(
         1,
         [SellerState(good=1.0), SellerState(good=1.0), SellerState(good=5.0)],
         [
             BuyerState(good=0.0, money=100.0, right=0.0),
-            BuyerState(good=0.0, money=100.0, right=10.0),
+            BuyerState(good=0.0, money=0.0, right=3.0),
             BuyerState(good=0.0, money=0.0, right=1.0),
         ],
     )
     offers = [SellerOffer(1.0, 0.5), SellerOffer(1.0, 0.5), SellerOffer(5.0, 0.5)]
     bids = [
-        BuyerBid(0.0, 0.0, DUST_VOLUME, 1.0, DUST_VOLUME, 1.0),
-        BuyerBid(10.0, 0.25, 1.0, 1.0, 1.0, 1.0),
+        BuyerBid(0.0, 0.0, 4.0, 1.0, 4.0, 1.0),
+        BuyerBid(DUST_VOLUME, 0.25, 0.0, 0.0, 0.0, 0.0),
         BuyerBid(1.0, 0.5, 0.0, 0.0, 0.0, 0.0),
     ]
     result = mechanism.clear(offers, bids, state)
     assert 0.0 < 1.0 - result.seller_sold[0] <= EQ_TOL
-    assert result.good_bought[1] == 1.0
+    assert result.right_sold == (0.0, DUST_VOLUME, 1.0)
     assert_same(offers, bids, state, "rights")
 
 
@@ -182,3 +188,127 @@ def test_right_dust_leaves_its_level():
     assert 0.0 < 1.0 - result.right_sold[1] <= EQ_TOL
     assert result.seller_sold[1] > 0.0
     assert_same(offers, bids, state, "rights")
+
+
+# -- wide.clear against mechanism.clear ----------------------------------------
+
+
+def clear_wide(offers, bids, state, variant):
+    """``wide.clear`` on the bid matrix of ``bids``, as a ``ClearingResult``."""
+    matrix = np.array(bids, dtype=float).T.copy()
+    with np.errstate(all="ignore"):
+        got = wide.clear(offers, matrix, wide.WideState(state), variant)
+    return ClearingResult(
+        *(tuple(v.tolist()) for v in got[:6]),
+        seller_revenue=tuple(got.seller_revenue),
+        seller_sold=tuple(got.seller_sold),
+        unsold_good=got.unsold_good,
+        proceeds_deferred=variant != "myopic_rights",
+        rejected=got.rejected,
+    )
+
+
+KERNELS = {"scalar": mechanism.clear, "wide": clear_wide}
+
+
+@settings(deadline=None)
+@given(market=market(), variant=st.sampled_from(VARIANTS))
+def test_wide_clear_matches_clear(market, variant):
+    # ``repr`` tells -0.0 from 0.0, and lists every rejection reason
+    assert repr(clear_wide(*market, variant)) == repr(mechanism.clear(*market, variant))
+
+
+# -- termination ---------------------------------------------------------------
+
+
+def scaled(offers, bids, state, k):
+    """The market with every amount, money included, times ``k``; prices
+    stay as they are."""
+    offers = [SellerOffer(o.volume * k, o.price) for o in offers]
+    bids = [
+        b._replace(
+            right_offer_volume=b.right_offer_volume * k,
+            max_good_volume=b.max_good_volume * k,
+            max_right_volume=b.max_right_volume * k,
+        )
+        for b in bids
+    ]
+    state = MarketState(
+        1,
+        [SellerState(good=s.good * k) for s in state.sellers],
+        [BuyerState(good=0.0, money=b.money * k, right=b.right * k) for b in state.buyers],
+    )
+    return offers, bids, state
+
+
+def counting_trades(call, *args):
+    """What ``call(*args)`` returns, and how many trades it made: every
+    trade of either stage sells Good through ``GoodLevels.sell``."""
+    trades = []
+    real = GoodLevels.sell
+
+    def sell(self, pg, volume):
+        trades.append(volume)
+        real(self, pg, volume)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GoodLevels, "sell", sell)
+        return call(*args), len(trades)
+
+
+@settings(deadline=None)
+@given(
+    market=market(),
+    variant=st.sampled_from(VARIANTS),
+    scale=st.sampled_from([1.0, 1e50, 1e100]),
+    kernel=st.sampled_from(sorted(KERNELS)),
+)
+def test_trades_are_bounded_by_levels_and_buyers(market, variant, scale, kernel):
+    offers, bids, state = scaled(*market, scale)
+    result, trades = counting_trades(KERNELS[kernel], offers, bids, state, variant)
+    good_levels = len(GoodLevels(offers, state.sellers, []).levels)
+    rejected = {r.index for r in result.rejected if r.side == "buyer"}
+    right_levels = len({
+        bid.right_offer_price
+        for b, (bid, buyer) in enumerate(zip(bids, state.buyers))
+        if b not in rejected and min(bid.right_offer_volume, buyer.right) > EQ_TOL
+    })
+    assert trades <= good_levels + right_levels + len(bids)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e50, 1e100])
+def test_a_right_seller_buys_no_right(kernel, scale):
+    # buyers 0 and 1 each offer 1 Right at 0.5, and buyer 0 also bids for
+    # 10; stage 2 used to sell buyer 0 their own Right back, in ever
+    # smaller steps, until it gave up at 1e100
+    state = MarketState(
+        1,
+        [SellerState(good=10.0 * scale)],
+        [
+            BuyerState(good=0.0, money=10.0 * scale, right=scale),
+            BuyerState(good=0.0, money=0.0, right=scale),
+        ],
+    )
+    offers = [SellerOffer(10.0 * scale, 0.5)]
+    bids = [
+        BuyerBid(scale, 0.5, 10.0 * scale, 1.0, 10.0 * scale, 1.0),
+        BuyerBid(scale, 0.5, 0.0, 0.0, 0.0, 0.0),
+    ]
+    result = KERNELS[kernel](offers, bids, state, "rights")
+    assert result == ClearingResult(
+        (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
+        (0.0,), (0.0,), (10.0 * scale,), True,
+    )
+    # in the myopic variant buyer 0's unsold offer becomes a licence
+    result = KERNELS[kernel](offers, bids, state, "myopic_rights")
+    assert result == ClearingResult(
+        (scale, 0.0), (0.0, 0.0), (0.0, 0.0), (0.5 * scale, 0.0), (0.0, 0.0), (0.0, 0.0),
+        (0.5 * scale,), (scale,), (10.0 * scale - scale,), False,
+    )
+    # an offer of at most EQ_TOL counts as none: buyer 0 keeps their Right
+    # cap and buys buyer 1's Right
+    bids[0] = bids[0]._replace(right_offer_volume=EQ_TOL)
+    result = KERNELS[kernel](offers, bids, state, "rights")
+    assert result.right_bought == (scale, 0.0)
+    assert result.right_sold == (0.0, scale)

@@ -81,7 +81,7 @@ class TestScenarioParsing:
         assert scenario_to_dict(scn)["mechanism"] == data["mechanism"]
 
     def test_bad_columns_rejected(self):
-        bad = minimal_scenario(output={"columns": ["price_good", "volume"], "seed": 0})
+        bad = minimal_scenario(output={"columns": ["price_good", "volume"]})
         with pytest.raises(ScenarioError, match="volume"):
             parse_scenario(bad)
 
@@ -193,6 +193,14 @@ class TestCommands:
         bad.write_text(json.dumps(minimal_scenario(**{key: 1e-9})))
         assert main([command, "--scenario", str(bad)]) == EXIT_PARSE
         assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+
+    # runs are deterministic: no scenario setting seeds anything
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_output_seed_exit_code(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(minimal_scenario(output={"seed": 0, "columns": "all"})))
+        assert main([command, "--scenario", str(bad)]) == EXIT_PARSE
+        assert "json.output: unknown key(s) ['seed']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "buyer",

@@ -201,17 +201,24 @@ class TestSimpleRounds:
         assert useful == pytest.approx(1.0, abs=1e-12)
 
     def test_no_self_purchase_of_own_right(self):
-        # sole moneyed buyer also offers the only right at the level; the
-        # pair trade must not launder their own offer back to them
+        # a buyer who puts Right on sale buys no Right: not their own at
+        # 1.0, and not buyer 1's at 0.5 either
         state = MarketState(
             1,
             [SellerState(1.0)],
-            [BuyerState(0.0, 1.0, right=0.3)],
+            [BuyerState(0.0, 1.0, right=0.3), BuyerState(0.0, 0.0, right=1.0)],
         )
-        bids = [BuyerBid(0.3, 1.0, 1.0, 1.0, 1.0, 1.0)]
-        result = clear([SellerOffer(1.0, 1.0)], bids, state)
-        assert result.right_bought[0] == 0.0
-        assert result.right_sold[0] == 0.0
+        offers = [SellerOffer(1.0, 0.25)]
+        right_seller = BuyerBid(1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
+        bids = [BuyerBid(0.3, 1.0, 1.0, 1.0, 1.0, 1.0), right_seller]
+        result = clear(offers, bids, state)
+        assert result.right_bought == (0.0, 0.0)
+        assert result.right_sold == (0.0, 0.0)
+        assert result.good_bought == (0.0, 0.0)
+        # myopic: the unsold offer licenses Good after stage 2, still no Right
+        result = clear(offers, bids, state, variant="myopic_rights")
+        assert result.right_bought == (0.0, 0.0)
+        assert result.good_bought == (0.3, 0.0)
 
 
 def benchmark_two_buyer_state():
@@ -278,34 +285,6 @@ class TestNaNRejection:
         result = clear([SellerOffer(1.0, 0.5)], [bid], state)
         assert result.rejected == ()
         assert result.good_bought == (0.5,)  # money-bound: 0.25 / 0.5
-
-
-class TestPairOrder:
-    """Stage 2 tries (good price, Right price) pairs by unit price
-    ``pg + qr``, the lower good price first on equal sums. The prices are
-    exact in binary, so 0.5 + 0.5 == 0.75 + 0.25 holds exactly."""
-
-    def test_tied_pair_with_lower_good_price_trades(self):
-        # buyer 0 offers its Right at 0.25 and cannot buy it back, so the
-        # cheapest pair (0.5, 0.25) has no demand; of the tied pairs at 1.0,
-        # (0.5, 0.5) sells buyer 1's Right with seller 0's Good
-        state = MarketState(
-            1,
-            [SellerState(1.0), SellerState(1.0)],
-            [BuyerState(0.0, 2.0, right=1.0), BuyerState(0.0, 0.0, right=1.0)],
-        )
-        offers = [SellerOffer(1.0, 0.5), SellerOffer(1.0, 0.75)]
-        bids = [BuyerBid(1.0, 0.25, 1.0, 1.0, 1.0, 1.0), BuyerBid(1.0, 0.5, 0.0, 0.0, 0.0, 0.0)]
-        result = clear(offers, bids, state)
-        assert result.seller_sold == (1.0, 0.0)
-        assert result.seller_revenue == (0.5, 0.0)
-        assert result.unsold_good == (0.0, 1.0)
-        assert result.good_bought == (1.0, 0.0)
-        assert result.right_bought == (1.0, 0.0)
-        assert result.right_sold == (0.0, 1.0)
-        assert result.money_spent_good == (0.5, 0.0)
-        assert result.money_spent_right == (0.5, 0.0)
-        assert result.money_earned_right == (0.0, 0.5)
 
 
 class TestGoodLevels:
