@@ -32,7 +32,6 @@ from .engine import (
 )
 from .mechanism import BuyerBid, ClearingResult, Rejection, SellerOffer, clear, useful_useless_split
 from .pricing import (
-    GreedyPriceSolution,
     canonical_closed_form,
     canonical_lower_bound,
     free_market_clearing_price,
@@ -57,7 +56,6 @@ __all__ = [
     "BuyerState",
     "ClearingResult",
     "DistributionMechanism",
-    "GreedyPriceSolution",
     "MarketConfig",
     "MarketState",
     "Rejection",

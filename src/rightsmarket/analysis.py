@@ -418,7 +418,7 @@ def cross_validate_price_solver(instances: int = 1000, rng_seed: int = 0) -> Sol
         if rights.sum() <= 0.0:
             rights[int(rng.integers(0, nb))] = 1.0
         rights *= float(rng.uniform(0.05, 10.0)) / rights.sum()
-        p_scan = solve_implicit_price(money, rights).price
+        p_scan = solve_implicit_price(money, rights)
         p_bis = bisection_price(money, rights)
         worst = max(worst, abs(p_scan - p_bis))
     return SolverCrossCheck(instances, worst, 1e-10)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .analysis import audit_coalition, audit_unilateral
-from .core import BuyerSpec, MarketConfig, SellerSpec
+from .core import VARIANTS, BuyerSpec, MarketConfig, SellerSpec
 from .engine import SCHEDULE_PARAMS, SupplySchedule, Trace, generate_dirichlet_scenario, run
 from .errors import ConfigError, NegativeQuantityError, RightsMarketError, ScenarioError
 from .rights import DistributionMechanism, verify_axioms
@@ -124,7 +124,15 @@ def schedule_to_dict(sched: SupplySchedule) -> dict:
     return out
 
 
-def parse_mechanism(data: dict, where: str) -> DistributionMechanism:
+def _rank(value, where: str, num_buyers: int) -> int:
+    """A 1-based claim rank that one of ``num_buyers`` buyers holds."""
+    rank = _integer(value, where)
+    if not 1 <= rank <= num_buyers:
+        raise ScenarioError(f"{where}: rank {rank} out of range for {num_buyers} buyers")
+    return rank
+
+
+def parse_mechanism(data: dict, where: str, num_buyers: int) -> DistributionMechanism:
     data = _expect_mapping(data, where)
     kind = data.get("kind")
     try:
@@ -133,13 +141,15 @@ def parse_mechanism(data: dict, where: str) -> DistributionMechanism:
             return DistributionMechanism(kind)
         if kind == "canonical":
             _reject_unknown(data, {"kind", "rank"}, where)
-            return DistributionMechanism.canonical(_integer(data["rank"], f"{where}.rank"))
+            return DistributionMechanism.canonical(
+                _rank(data["rank"], f"{where}.rank", num_buyers)
+            )
         if kind == "weighted":
             _reject_unknown(data, {"kind", "components"}, where)
             comps = []
             for i, (weight, rank) in enumerate(data["components"]):
                 at = f"{where}.components[{i}]"
-                comps.append((_number(weight, f"{at}[0]"), _integer(rank, f"{at}[1]")))
+                comps.append((_number(weight, f"{at}[0]"), _rank(rank, f"{at}[1]", num_buyers)))
             return DistributionMechanism.weighted(comps)
     except ScenarioError:
         raise
@@ -210,7 +220,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         config = MarketConfig(
             sellers=tuple(sellers),
             buyers=tuple(buyers),
-            mechanism=parse_mechanism(data["mechanism"], f"{source}.mechanism"),
+            mechanism=parse_mechanism(data["mechanism"], f"{source}.mechanism", len(buyers)),
             variant=data["variant"],
             horizon=_integer(data["horizon"], f"{source}.horizon"),
             seller_storage_cost=_number(
@@ -533,14 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", required=True, help="scenario file or preset name")
     sim.add_argument("--out", help="output CSV path (default: scenario setting or stdout)")
     sim.add_argument("--horizon", type=_integer_flag(1), default=None)
-    sim.add_argument("--variant", choices=("rights", "free_market", "myopic_rights"))
+    sim.add_argument("--variant", choices=VARIANTS)
     sim.set_defaults(func=cmd_simulate)
 
     aud = sub.add_parser("audit", help="search for profitable deviations from greedy")
     aud.add_argument("--scenario", required=True)
     aud.add_argument("--out", help="report file (default stdout)")
     aud.add_argument("--horizon", type=_integer_flag(1), default=None)
-    aud.add_argument("--variant", choices=("rights", "free_market", "myopic_rights"))
+    aud.add_argument("--variant", choices=VARIANTS)
     aud.add_argument("--unilateral-only", action="store_true")
     aud.set_defaults(func=cmd_audit)
 

@@ -34,6 +34,7 @@ from .pricing import (
     free_market_clearing_price,
     greedy_buyer_bid,  # noqa: F401  kept importable: perfbench's tracer patches ``engine.greedy_buyer_bid``
     greedy_buyer_bids,
+    mean_posted_price,
     mechanism_rights,
     posted_greedy_price,
 )
@@ -249,9 +250,11 @@ class Trace:
 class BidAdjustment:
     """A one-round modification of one trader's greedy bid.
 
-    ``trader`` is ("seller", i) or ("buyer", j). Volume deltas apply to the
-    seller's offered volume; factors multiply the posted price, the buyer's
-    right-sale volume, or the buyer's right-purchase cap.
+    ``trader`` is ("seller", i) or ("buyer", j); any other side is a
+    ``ConfigError``, while an index with no such trader changes nothing.
+    Volume deltas apply to the seller's offered volume; factors multiply the
+    posted price, the buyer's right-sale volume, or the buyer's
+    right-purchase cap.
     """
 
     round_index: int
@@ -260,6 +263,10 @@ class BidAdjustment:
     price_factor: float = 1.0
     right_offer_factor: float = 1.0
     right_demand_factor: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.trader[0] not in ("seller", "buyer"):
+            raise ConfigError(f"trader side must be 'seller' or 'buyer', got {self.trader[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -539,7 +546,7 @@ def _run_rights_round(
     for buyer, right in zip(buyers, rights):
         buyer.right = right
 
-    price_avg = sum(o.price for o in offers) / len(offers)
+    price_avg = mean_posted_price(offers)
     bids = greedy_buyer_bids(price_avg, offered, money_start, rights, config.variant)
     if round_adjustments:
         for b in range(nb):

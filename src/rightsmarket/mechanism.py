@@ -94,14 +94,24 @@ class Rejection:
     reason: str
 
 
-@dataclass(frozen=True)
-class ClearingResult:
-    good_bought: tuple[float, ...]
-    right_bought: tuple[float, ...]
-    right_sold: tuple[float, ...]
-    money_spent_good: tuple[float, ...]
-    money_spent_right: tuple[float, ...]
-    money_earned_right: tuple[float, ...]
+class ClearingResult(NamedTuple):
+    """What one clearing traded: the six buyer fields, then the three
+    seller fields, each with one entry per trader.
+
+    ``mechanism.clear`` returns the buyer fields as tuples of floats and
+    ``wide.clear`` as float64 columns; the seller fields and ``rejected``
+    are tuples from both. ``proceeds_deferred`` is False in the
+    ``myopic_rights`` variant, where right-sale proceeds are spent inside
+    the round. A named tuple, as ``BuyerBid`` is: a round builds one, and
+    ``result._replace(...)`` returns a modified copy.
+    """
+
+    good_bought: Sequence[float]
+    right_bought: Sequence[float]
+    right_sold: Sequence[float]
+    money_spent_good: Sequence[float]
+    money_spent_right: Sequence[float]
+    money_earned_right: Sequence[float]
     seller_revenue: tuple[float, ...]
     seller_sold: tuple[float, ...]
     unsold_good: tuple[float, ...]

@@ -16,7 +16,6 @@ exactly the Right their spare money can license.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
@@ -25,38 +24,7 @@ from .mechanism import BuyerBid, SellerOffer
 from .rights import allocate, claim_rank_order
 
 
-@dataclass(frozen=True)
-class GreedyPriceSolution:
-    """Solved round price and the money and rights it was solved on.
-
-    The accounting split is computed on access, since a simulated round
-    reads only ``price``. ``poor`` holds the indices of buyers whose money
-    cannot back their rights at the solved price (p * R_b > M_b); buyers
-    exactly on the boundary count as rich. ``useful_money`` is what sellers
-    will collect, ``useless_money`` the right-sale proceeds deferred to the
-    next round; they add up to the buyers' total money.
-    """
-
-    price: float
-    money: Sequence[float] = field(repr=False)
-    rights: Sequence[float] = field(repr=False)
-
-    @property
-    def poor(self) -> tuple[int, ...]:
-        p, m, r = self.price, self.money, self.rights
-        return tuple(b for b in range(len(m)) if r[b] > 0.0 and p * r[b] > m[b])
-
-    @property
-    def useful_money(self) -> float:
-        return self.price * sum(self.rights)
-
-    @property
-    def useless_money(self) -> float:
-        p = self.price
-        return sum(max(0.0, p * r - m) for m, r in zip(self.money, self.rights))
-
-
-def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> GreedyPriceSolution:
+def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> float:
     """Solve the implicit price equation by an ascending breakpoint scan.
 
     Candidate poor sets only change at the breakpoints M_b/R_b. On the
@@ -65,7 +33,9 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> Gre
         p = (sum(M) + sum_poor(M)) / (sum(R) + sum_poor(R)),
 
     and uniqueness means exactly one candidate lands inside its own
-    interval. O(n log n) in the number of buyers.
+    interval. Returns that price. A buyer is poor when p * R_b > M_b, so a
+    buyer exactly on a breakpoint counts as rich. O(n log n) in the number
+    of buyers.
     """
     m = [float(x) for x in money]
     r = [float(x) for x in rights]
@@ -80,7 +50,7 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> Gre
     total_money = sum(m)
     if total_money == 0.0:
         # LHS == RHS == 0 at p = 0; every buyer sits on the rich boundary
-        return GreedyPriceSolution(0.0, m, r)
+        return 0.0
 
     n = len(m)
     # sweep intervals in ascending breakpoint order, growing the poor set
@@ -108,7 +78,7 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> Gre
         # max(1.0, x), as the builtin compares
         if hi == math.inf or p <= hi + slack * (p if p > 1.0 else 1.0):
             if p >= 0.0 if first else p > lo - slack * (lo if lo > 1.0 else 1.0):
-                return GreedyPriceSolution(p, m, r)
+                return p
         if hi == math.inf:
             raise PricingError("interval scan found no admissible price")
         lo = hi
@@ -203,8 +173,14 @@ def posted_greedy_price(
     if config.variant == "myopic_rights":
         price = free_market_clearing_price(money, offered_volume)
     else:
-        price = solve_implicit_price(money, rights).price
+        price = solve_implicit_price(money, rights)
     return price * config.greedy_price_factor, rights
+
+
+def mean_posted_price(offers: Sequence[SellerOffer]) -> float:
+    """P, the plain mean of the posted Good prices, which greedy buyers take
+    as the price of the Right (``greedy_buyer_bids``)."""
+    return sum(o.price for o in offers) / len(offers)
 
 
 def greedy_buyer_bids(
@@ -218,13 +194,14 @@ def greedy_buyer_bids(
 
     A buyer cannot see the other buyers' money, so the Right price is
     estimated as the plain average P of the posted Good prices,
-    ``price_avg``. The buyer offers the Right they cannot back with money
-    (psi = max(0, R - M/P)) and is willing to buy the Right their spare
-    money can license (xi = max(0, M/P - R)), everything at price P. In the
-    myopic variant only half the surplus Right goes on sale: the proceeds
-    arrive inside the round and the kept half licenses the repurchase. If P
-    is not positive, Good is free: nobody sells Right, and a buyer's demand
-    is capped by ``offered_volume``, the total Good on sale.
+    ``price_avg`` (``mean_posted_price``). The buyer offers the Right they
+    cannot back with money (psi = max(0, R - M/P)) and is willing to buy the
+    Right their spare money can license (xi = max(0, M/P - R)), everything
+    at price P. In the myopic variant only half the surplus Right goes on
+    sale: the proceeds arrive inside the round and the kept half licenses
+    the repurchase. If P is not positive, Good is free: nobody sells Right,
+    and a buyer's demand is capped by ``offered_volume``, the total Good on
+    sale.
 
     Known overstatement: each Good+Right pair costs 2P, so spare money
     affords only (M - P R) / (2P) pairs, not M/P - R. In greedy play the
@@ -260,7 +237,7 @@ def greedy_buyer_bid(
     buyer's money and Right are read from ``state``."""
     if not seller_offers:
         raise PricingError("buyers need at least one posted seller price")
-    price_avg = sum(o.price for o in seller_offers) / len(seller_offers)
+    price_avg = mean_posted_price(seller_offers)
     offered = sum(o.volume for o in seller_offers)
     buyer = state.buyers[buyer_index]
     return greedy_buyer_bids(price_avg, offered, [buyer.money], [buyer.right], config.variant)[0]

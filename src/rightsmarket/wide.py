@@ -9,7 +9,9 @@ balance and rights-cap checks, the record, the utilities and the
 transition) as array operations. Sellers are few: they stay
 ``SellerState`` objects and share the scalar code (``mechanism.GoodLevels``
 and ``engine``'s offer helpers), and so does ``clear``'s walk over good and
-Right levels.
+Right levels. Both rounds take the buyers' price P from
+``pricing.mean_posted_price``, and ``clear`` returns the scalar
+``mechanism.ClearingResult``, with a float64 column in each buyer field.
 
 Every result equals the scalar round's bit for bit:
 
@@ -29,8 +31,6 @@ the per-buyer work they save, so small markets keep the scalar round.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .core import (
@@ -49,8 +49,8 @@ from .engine import (
     _seller_offers,
 )
 from .errors import PricingError, SimulationError
-from .mechanism import BuyerBid, GoodLevels, Rejection, SellerOffer
-from .pricing import mechanism_rights
+from .mechanism import BuyerBid, ClearingResult, GoodLevels, Rejection, SellerOffer
+from .pricing import mean_posted_price, mechanism_rights
 
 # rows of a bid matrix, in ``BuyerBid`` field order: one column per buyer
 OFFER, OFFER_PRICE, GOOD_CAP, GOOD_PRICE, RIGHT_CAP, RIGHT_PRICE = range(6)
@@ -100,21 +100,6 @@ class WideState:
                 for g, m, r in zip(self.good.tolist(), self.money.tolist(), self.right.tolist())
             ],
         )
-
-
-class WideClearing(NamedTuple):
-    """``mechanism.ClearingResult`` with a column per buyer field."""
-
-    good_bought: np.ndarray
-    right_bought: np.ndarray
-    right_sold: np.ndarray
-    money_spent_good: np.ndarray
-    money_spent_right: np.ndarray
-    money_earned_right: np.ndarray
-    seller_revenue: list[float]
-    seller_sold: list[float]
-    unsold_good: tuple[float, ...]
-    rejected: tuple[Rejection, ...]
 
 
 def play_rounds(
@@ -194,7 +179,7 @@ def _rights(memo, config: MarketConfig, offered: float) -> tuple[tuple[float, ..
 
 
 def implicit_price(money: np.ndarray, rights: np.ndarray) -> float:
-    """``pricing.solve_implicit_price(money, rights).price``, bit for bit.
+    """``pricing.solve_implicit_price(money, rights)``, bit for bit.
 
     The scalar scan visits interval 0, whose floor is 0.0, and then one
     interval per distinct positive breakpoint M/R, in ascending order, with
@@ -300,7 +285,7 @@ def _play_round(
     offers = _seller_offers(price * config.greedy_price_factor, volumes, round_adjustments)
     market.right = rights
 
-    price_avg = sum(o.price for o in offers) / len(offers)
+    price_avg = mean_posted_price(offers)
     bids = greedy_bids(price_avg, offered, money_start, rights, config.variant)
     for (side, b), adjs in round_adjustments.items():
         if side == "buyer" and 0 <= b < nb:
@@ -373,7 +358,7 @@ def _play_round(
                 useful_money=sum(result.seller_revenue),
                 useless_money=0.0 if myopic else _sum(result.money_earned_right),
                 volume_offered=offered,
-                volume_sold=sum(result.seller_sold),
+                volume_sold=result.volume_sold,
                 rejections=result.rejected,
             )
         )
@@ -386,9 +371,10 @@ def _play_round(
 
 def clear(
     offers: list[SellerOffer], bids: np.ndarray, market: WideState, variant: str
-) -> WideClearing:
+) -> ClearingResult:
     """``mechanism.clear`` on columns, for a bid matrix laid out as
     ``greedy_bids`` builds it; the rules are in ``mechanism``'s docstring.
+    The ``ClearingResult`` holds a float64 column in each buyer field.
 
     As there, a buyer with more than ``EQ_TOL`` of Right on sale gets a
     Right cap of 0, and each stage-2 step trades at the cheapest good level
@@ -531,16 +517,17 @@ def clear(
         offer_rem[:] = 0.0
         run_good_for_rights_pass(rights_use)
 
-    return WideClearing(
+    return ClearingResult(
         good_bought=good_bought,
         right_bought=right_bought,
         right_sold=right_sold,
         money_spent_good=spent_good,
         money_spent_right=spent_right,
         money_earned_right=earned,
-        seller_revenue=book.revenue,
-        seller_sold=book.sold,
+        seller_revenue=tuple(book.revenue),
+        seller_sold=tuple(book.sold),
         unsold_good=book.unsold(),
+        proceeds_deferred=not myopic,
         rejected=tuple(rejected),
     )
 

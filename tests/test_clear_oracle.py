@@ -15,7 +15,6 @@ demand of the buyers it serves, not because of an iteration cap.
     PYTHONPATH=src python -m pytest tests/test_clear_oracle.py --hypothesis-profile=ci
 """
 
-import dataclasses
 import functools
 import importlib.util
 import sys
@@ -42,7 +41,7 @@ VARIANTS = ("rights", "myopic_rights")
 def assert_same(offers, bids, state, variant):
     want = clear_reference.clear(offers, bids, state, variant)
     got = mechanism.clear(offers, bids, state, variant)
-    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert tuple(got) == tuple(want)
 
 
 def some_of(grid):
@@ -194,18 +193,13 @@ def test_right_dust_leaves_its_level():
 
 
 def clear_wide(offers, bids, state, variant):
-    """``wide.clear`` on the bid matrix of ``bids``, as a ``ClearingResult``."""
+    """``wide.clear`` on the bid matrix of ``bids``, with its buyer columns
+    turned into tuples as ``mechanism.clear`` returns them."""
     matrix = np.array(bids, dtype=float).T.copy()
     with np.errstate(all="ignore"):
         got = wide.clear(offers, matrix, wide.WideState(state), variant)
-    return ClearingResult(
-        *(tuple(v.tolist()) for v in got[:6]),
-        seller_revenue=tuple(got.seller_revenue),
-        seller_sold=tuple(got.seller_sold),
-        unsold_good=got.unsold_good,
-        proceeds_deferred=variant != "myopic_rights",
-        rejected=got.rejected,
-    )
+    buyer_fields = got._fields[:6]
+    return got._replace(**{name: tuple(getattr(got, name).tolist()) for name in buyer_fields})
 
 
 KERNELS = {"scalar": mechanism.clear, "wide": clear_wide}

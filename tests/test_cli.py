@@ -255,6 +255,32 @@ class TestCommands:
         assert main([command, "--scenario", str(bad)]) == EXIT_PARSE
         assert "mechanism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mechanism, where",
+        [
+            ({"kind": "canonical", "rank": 5}, "mechanism.rank: rank 5"),
+            ({"kind": "canonical", "rank": 4}, "mechanism.rank: rank 4"),
+            (
+                {"kind": "weighted", "components": [[0.5, 1], [0.5, 4]]},
+                "mechanism.components[1][1]: rank 4",
+            ),
+            (
+                {"kind": "weighted", "components": [[0.5, 0], [0.5, 2]]},
+                "mechanism.components[0][1]: rank 0",
+            ),
+        ],
+        ids=("canonical-5", "canonical-4", "weighted-4", "weighted-0"),
+    )
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_out_of_range_rank_is_a_parse_error(
+        self, tmp_path, capsys, mechanism, where, command
+    ):
+        # the scenario has 3 buyers; the round would fail only once played
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(minimal_scenario(mechanism=mechanism)))
+        assert main([command, "--scenario", str(bad)]) == EXIT_PARSE
+        assert f"{where} out of range for 3 buyers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("csv", [7, 1, True, ["out.csv"]])
     def test_output_csv_must_be_a_path(self, tmp_path, capsys, csv):
         # open() takes an integer as a file descriptor: 7 is a bad one, and 1

@@ -149,6 +149,20 @@ class TestCheckpoints:
         )
         assert resized.records[1].volume_offered == 1.0 - 0.1 + 0.05
 
+    @pytest.mark.parametrize("side", ["sellers", "Seller", "buyers", ""])
+    def test_unknown_trader_side_rejected(self, side):
+        # a misspelt side would otherwise change no bid and go unnoticed
+        with pytest.raises(ConfigError, match=f"got {side!r}"):
+            BidAdjustment(2, (side, 0), price_factor=2.0)
+
+    def test_trader_without_such_index_changes_nothing(self):
+        cfg = make_benchmark(horizon=5)
+        adjustments = [
+            BidAdjustment(2, ("seller", 7), price_factor=2.0),
+            BidAdjustment(2, ("buyer", -1), right_offer_factor=0.0),
+        ]
+        assert run(cfg, adjustments=adjustments) == run(cfg)
+
 
 class TestBenchmarkTrace:
     def test_price_path_contracts_oscillating(self):
@@ -537,25 +551,25 @@ class TestReplayChecks:
     def break_money(result, state):
         revenue = list(result.seller_revenue)
         revenue[0] += 0.01
-        return replace(result, seller_revenue=tuple(revenue))
+        return result._replace(seller_revenue=tuple(revenue))
 
     @staticmethod
     def break_good(result, state):
         sold = list(result.seller_sold)
         sold[0] -= 0.01
-        return replace(result, seller_sold=tuple(sold))
+        return result._replace(seller_sold=tuple(sold))
 
     @staticmethod
     def overspend(result, state):
         spent = list(result.money_spent_good)
         spent[2] = state.buyers[2].money + 0.5
-        return replace(result, money_spent_good=tuple(spent))
+        return result._replace(money_spent_good=tuple(spent))
 
     @staticmethod
     def overbuy(result, state):
         good = list(result.good_bought)
         good[1] = state.buyers[1].right + result.right_bought[1] + 0.5
-        return replace(result, good_bought=tuple(good))
+        return result._replace(good_bought=tuple(good))
 
     @pytest.mark.parametrize(
         ("fault", "message"),
@@ -647,7 +661,7 @@ class TestRunValidation:
                 good[b] = state.buyers[b].right + result.right_bought[b] + 0.5
             for b in overspent:
                 spent[b] = state.buyers[b].money + 0.5
-            return replace(result, good_bought=tuple(good), money_spent_good=tuple(spent))
+            return result._replace(good_bought=tuple(good), money_spent_good=tuple(spent))
 
         monkeypatch.setattr(engine, "clear", faulty_clear)
         with pytest.raises(SimulationError) as err:

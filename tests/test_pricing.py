@@ -20,6 +20,7 @@ from rightsmarket.pricing import (
     free_market_clearing_price,
     greedy_buyer_bid,
     greedy_buyer_bids,
+    mean_posted_price,
     mechanism_rank_weights,
     posted_greedy_price,
     solve_implicit_price,
@@ -38,28 +39,26 @@ class TestImplicitPriceSolver:
     def test_benchmark_round_one(self):
         oracle = bisection_price(BENCH_MONEY, BENCH_RIGHTS)
         assert oracle == pytest.approx(75 / 116, abs=1e-12)
-        sol = solve_implicit_price(BENCH_MONEY, BENCH_RIGHTS)
-        assert sol.price == pytest.approx(75 / 116, abs=1e-12)
-        assert sol.poor == (0, 1)
-        assert sol.useful_money == pytest.approx(75 / 116, abs=1e-12)
-        assert sol.useless_money == pytest.approx(41 / 116, abs=1e-12)
-        assert sol.useful_money + sol.useless_money == pytest.approx(1.0, abs=1e-12)
+        price = solve_implicit_price(BENCH_MONEY, BENCH_RIGHTS)
+        assert price == pytest.approx(75 / 116, abs=1e-12)
+        # buyers 0 and 1 cannot back their Right at that price
+        poor = [b for b in range(3) if price * BENCH_RIGHTS[b] > BENCH_MONEY[b]]
+        assert poor == [0, 1]
 
     def test_benchmark_round_two(self):
         money = [0.34483, 0.25862, 0.75]
         oracle = bisection_price(money, BENCH_RIGHTS)
         assert oracle == pytest.approx(1.01219, abs=5e-6)
-        assert solve_implicit_price(money, BENCH_RIGHTS).price == pytest.approx(oracle, abs=1e-10)
+        assert solve_implicit_price(money, BENCH_RIGHTS) == pytest.approx(oracle, abs=1e-10)
 
     def test_balanced_single_buyer_boundary_is_rich(self):
-        sol = solve_implicit_price([1.0], [1.0])
-        assert sol.price == 1.0
-        assert sol.poor == ()
+        price = solve_implicit_price([1.0], [1.0])
+        assert price == 1.0
+        # p * R == M exactly: the boundary, which counts as rich
+        assert not price * 1.0 > 1.0
 
     def test_zero_money(self):
-        sol = solve_implicit_price([0.0, 0.0], [0.5, 0.5])
-        assert sol.price == 0.0
-        assert sol.useful_money == 0.0 and sol.useless_money == 0.0
+        assert solve_implicit_price([0.0, 0.0], [0.5, 0.5]) == 0.0
 
     def test_no_rights_is_an_error(self):
         with pytest.raises(PricingError, match="no rights"):
@@ -74,12 +73,12 @@ class TestImplicitPriceSolver:
         # breakpoint of the next round's equation; the scan must not lose
         # the root to rounding (regression)
         money = [0.10771756993328188, 0.4772167486323613, 0.7500000000000002]
-        sol = solve_implicit_price(money, BENCH_RIGHTS)
-        assert abs(residual(sol.price, money, BENCH_RIGHTS)) < 1e-12
+        price = solve_implicit_price(money, BENCH_RIGHTS)
+        assert abs(residual(price, money, BENCH_RIGHTS)) < 1e-12
 
     def test_price_bounded_by_free_market(self):
-        sol = solve_implicit_price(BENCH_MONEY, BENCH_RIGHTS)
-        assert sol.price <= sum(BENCH_MONEY) / sum(BENCH_RIGHTS) + 1e-12
+        price = solve_implicit_price(BENCH_MONEY, BENCH_RIGHTS)
+        assert price <= sum(BENCH_MONEY) / sum(BENCH_RIGHTS) + 1e-12
 
     @given(
         money=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=7),
@@ -91,10 +90,10 @@ class TestImplicitPriceSolver:
         money, rights = money[:n], rights[:n]
         if sum(rights) <= 1e-9:
             return
-        sol = solve_implicit_price(money, rights)
-        scale = max(1.0, sol.price)
-        assert abs(sol.price - bisection_price(money, rights)) < 1e-9 * scale
-        assert abs(residual(sol.price, money, rights)) < 1e-9 * scale
+        price = solve_implicit_price(money, rights)
+        scale = max(1.0, price)
+        assert abs(price - bisection_price(money, rights)) < 1e-9 * scale
+        assert abs(residual(price, money, rights)) < 1e-9 * scale
 
     @given(
         money=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=6),
@@ -110,9 +109,23 @@ class TestImplicitPriceSolver:
         bumped = list(money)
         bumped[who % n] += bump
         higher = solve_implicit_price(bumped, rights)
-        assert higher.price >= base.price - 1e-12
-        if base.poor:
-            assert higher.price > base.price
+        assert higher >= base - 1e-12
+        if any(r > 0.0 and base * r > m for m, r in zip(money, rights)):
+            assert higher > base
+
+
+class TestMeanPostedPrice:
+    def test_one_offer_gives_its_price(self):
+        assert mean_posted_price([SellerOffer(0.3, 1.0001748401014516)]) == 1.0001748401014516
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the float sum of ten equal prices rounds one ulp below the price, "
+        "so no greedy buyer reaches any offer (README Known divergences)",
+    )
+    def test_equal_prices_give_that_price(self):
+        price = 1.0001748401014516
+        assert mean_posted_price([SellerOffer(0.1, price)] * 10) == price
 
 
 class TestFreeMarketPrice:
@@ -154,7 +167,7 @@ class TestCanonicalLowerBound:
         bound = canonical_lower_bound(BENCH_RIGHTS, BENCH_MONEY)
         assert bound == pytest.approx(0.575, abs=1e-12)
         # the bound is honored by the solved round-one price
-        assert bound <= solve_implicit_price(BENCH_MONEY, BENCH_RIGHTS).price
+        assert bound <= solve_implicit_price(BENCH_MONEY, BENCH_RIGHTS)
 
     def test_single_buyer(self):
         assert canonical_lower_bound([1.0], [1.0]) == 1.0
@@ -255,7 +268,7 @@ class TestGreedyBids:
         cfg = _benchmark_config(variant="myopic_rights")
         state = _benchmark_state(cfg)
         offers = [SellerOffer(0.4, 0.7), SellerOffer(0.6, 0.9)]
-        price_avg = sum(o.price for o in offers) / len(offers)
+        price_avg = mean_posted_price(offers)
         batch = greedy_buyer_bids(
             price_avg,
             1.0,

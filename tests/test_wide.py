@@ -267,7 +267,7 @@ def scalar_clear(fault):
             return result
         flows = {name: list(getattr(result, name)) for name in FLOW_FIELDS}
         fault(flows, [b.money for b in state.buyers], [b.right for b in state.buyers])
-        return replace(result, **{name: tuple(v) for name, v in flows.items()})
+        return result._replace(**{name: tuple(v) for name, v in flows.items()})
 
     return faulty
 
@@ -353,7 +353,7 @@ def test_implicit_price_matches_the_scan(pairs):
     money = [m for m, _ in pairs]
     rights = [r for _, r in pairs]
     try:
-        want = solve_implicit_price(money, rights).price
+        want = solve_implicit_price(money, rights)
     except PricingError as exc:
         with pytest.raises(PricingError, match=re.escape(str(exc))), np.errstate(all="ignore"):
             wide.implicit_price(np.array(money), np.array(rights))
