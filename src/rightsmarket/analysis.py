@@ -5,9 +5,13 @@ deviating from greedy in one round and reverting afterwards, and compares
 total utilities against the all-greedy baseline. Rounds before the first
 deviating round are the baseline's, so each replay resumes from the
 baseline's checkpoint at that round instead of re-simulating from round 1;
-its gains equal those of a full replay bit for bit. A finite grid cannot
-certify the equilibrium; it is a falsification harness. The module
-also checks the price map's non-expansiveness along traces and
+its gains equal those of a full replay bit for bit. The trials that resume
+at one checkpoint are replayed in one call of ``engine.replay_batch``,
+which plays them side by side on numpy arrays once trials x buyers
+reaches ``engine.WIDE_MIN_BUYERS``; the report keeps trial order, and a
+failing trial raises what replaying the trials one at a time would. A
+finite grid cannot certify the equilibrium; it is a falsification harness.
+The module also checks the price map's non-expansiveness along traces and
 cross-validates the interval-scan price solver against bisection.
 """
 
@@ -23,11 +27,12 @@ from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig
 from .engine import (
     BidAdjustment,
     Trace,
+    replay_batch,
     replay_from,
     run,  # noqa: F401  kept importable: perfbench's tracer patches ``analysis.run``
     run_with_checkpoints,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .pricing import canonical_lower_bound, solve_implicit_price
 
 DEVIATION_KINDS = (
@@ -154,6 +159,9 @@ def _rounds(horizon: int) -> tuple[int, int, int]:
     return (1, max(1, horizon // 2), horizon)
 
 
+OUTSIDE_HORIZON = "round outside horizon"
+
+
 def _skip_reason(dev: Deviation, baseline: Trace) -> str:
     """Why ``dev`` cannot be played against ``baseline``, or "" if it can.
 
@@ -161,7 +169,7 @@ def _skip_reason(dev: Deviation, baseline: Trace) -> str:
     offered some that round (poor); buying less needs one who demanded some.
     """
     if not 1 <= dev.round_index <= baseline.horizon:
-        return "round outside horizon"
+        return OUTSIDE_HORIZON
     if dev.kind.startswith("seller"):
         return ""
     rec = baseline.records[dev.round_index - 1]
@@ -234,7 +242,8 @@ def _audit(
     The audit covers the regime the equilibrium claim is stated for: total
     resupply and total income 1 in rounds 1, T/2 and T, and a variant whose
     round applies deviations, which ``free_market``'s does not. A played
-    combo resumes at the baseline checkpoint of its first deviating round.
+    combo resumes at the baseline checkpoint of its first deviating round,
+    together with the other combos that resume there.
     """
     T = horizon if horizon is not None else config.horizon
     if config.variant == "free_market":
@@ -245,14 +254,33 @@ def _audit(
         raise ConfigError("audit needs sum g = sum m = 1 in rounds 1, T/2 and T")
     baseline, checkpoints = run_with_checkpoints(config, T)
     base_sellers, base_buyers = baseline.seller_utilities, baseline.buyer_utilities
-    trials: list[DeviationTrial] = []
-    for devs, reason in combos(T, baseline):
-        gains: tuple[float, ...] = ()
+    played = combos(T, baseline)
+    # each played combo's adjustments, and the combos by the round their
+    # replays resume at, in trial order
+    replays: dict[int, tuple[int, list[BidAdjustment]]] = {}
+    groups: dict[int, list[int]] = {}
+    for i, (devs, reason) in enumerate(played):
         if not reason:
             adjustments = [a for d in devs for a in d.to_adjustments(config)]
-            first = min(max(1, a.round_index) for a in adjustments)
-            checkpoint = checkpoints[min(first, T + 1) - 1]
-            sellers, buyers = replay_from(config, checkpoint, T, adjustments)
+            first = min(a.round_index for a in adjustments)
+            replays[i] = (first, adjustments)
+            groups.setdefault(first, []).append(i)
+    totals = {}
+    try:
+        for first, members in groups.items():
+            lists = [replays[i][1] for i in members]
+            totals.update(zip(members, replay_batch(config, checkpoints[first - 1], T, lists)))
+    except SimulationError:
+        # a later trial may have failed first: replay one at a time in trial
+        # order, so that the first failing trial raises its own error
+        for first, adjustments in replays.values():
+            replay_from(config, checkpoints[first - 1], T, adjustments)
+        raise
+    trials: list[DeviationTrial] = []
+    for i, (devs, reason) in enumerate(played):
+        gains: tuple[float, ...] = ()
+        if not reason:
+            sellers, buyers = totals[i]
             gains = tuple(
                 _utility(sellers, buyers, d.trader_key())
                 - _utility(base_sellers, base_buyers, d.trader_key())
@@ -293,8 +321,9 @@ def audit_coalition(
     A joint deviation wins only if every member gains more than
     ``CONSERVATION_TOL``. Every combo of ``joint_grid`` whose traders are
     exactly the coalition's members is played, and any other is skipped as
-    a menu/member mismatch; the default grid is the cartesian product of
-    small per-member menus at mid-horizon.
+    a menu/member mismatch; so is a combo with a deviation outside rounds
+    1 to T, as the unilateral audit skips one. The default grid is the
+    cartesian product of small per-member menus at mid-horizon.
     """
     members = set(coalition)
     if len(coalition) < 2:
@@ -307,10 +336,15 @@ def audit_coalition(
         if grid is None:
             mid = _rounds(T)[1]
             grid = itertools.product(*(default_coalition_menu(m, mid, baseline) for m in coalition))
-        return [
-            (combo, "" if {d.trader_key() for d in combo} == members else "menu/member mismatch")
-            for combo in grid
-        ]
+
+        def reason(combo: Sequence[Deviation]) -> str:
+            if {d.trader_key() for d in combo} != members:
+                return "menu/member mismatch"
+            if not all(1 <= d.round_index <= T for d in combo):
+                return OUTSIDE_HORIZON
+            return ""
+
+        return [(combo, reason(combo)) for combo in grid]
 
     return _audit(config, horizon, combos, tuple(coalition))
 

@@ -1,0 +1,657 @@
+"""Batches of markets that differ only in their bid adjustments, played in
+lockstep on numpy arrays.
+
+An audit replays one market many times from one checkpoint, each time with
+one trader's bid changed in one round. ``engine.replay_batch`` hands such a
+batch here once markets x buyers reaches ``engine.WIDE_MIN_BUYERS``, and
+``play_batch`` plays the M markets as the rows of one array: every buyer
+quantity is an (M, N) float64 array and every seller quantity an (M, S)
+one. Each round runs the same steps as ``engine._run_rights_round`` and
+makes the same checks (the offered volumes, the implicit-price solve, the
+bids, each clearing step, the balance and rights-cap checks, the
+utilities and the transition), each step as array operations over all
+markets at once, so numpy's fixed cost per call is paid once per batch
+instead of once per market. ``clear`` walks each market's own good and
+Right levels, one step of every market per pass, until the last market is
+done; a market that is done trades no more.
+
+Every market's utility totals equal those of its own replay bit for bit:
+
+- an elementwise numpy operation is the same IEEE operation as the scalar
+  one, and ``min``/``max`` are spelled so that NaN and signed zeros come
+  out as the scalar code compares them;
+- every sum that feeds a result adds left to right along its own row, as
+  Python's ``sum`` does (``_sum``); ``np.sum`` adds pairwise and would not;
+- sorts are stable along each row, so ties keep their order as Python's
+  ``sorted`` keeps them;
+- a step updates only the traders the scalar step updates.
+
+A check that fails in any market raises ``SimulationError``; the caller
+then replays the markets one at a time, so that the first failing one
+raises its own error. ``tests/test_batch.py`` compares batches with
+replays one at a time, and ``batch.clear`` with ``mechanism.clear``.
+
+A single market of many buyers stays with ``wide``, whose arrays are one
+market's columns. Played here as a batch of one, a 300-buyer, 10-seller
+market's round measured about 1.5x slower, since every per-market number
+becomes an array and every per-market test a numpy call.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
+from .engine import AdjustmentIndex, _check_residuals
+from .errors import PricingError, SimulationError
+from .mechanism import BuyerBid, ClearingResult, Rejection, SellerOffer
+from .pricing import mechanism_rights
+
+# rows of a bid array, in ``BuyerBid`` field order: one (M, N) slice each
+OFFER, OFFER_PRICE, GOOD_CAP, GOOD_PRICE, RIGHT_CAP, RIGHT_PRICE = range(6)
+
+
+def _sum(a: np.ndarray) -> np.ndarray:
+    """Python's ``sum`` of each row of ``a``, bit for bit.
+
+    ``np.add.accumulate`` adds left to right as ``sum`` does, but starts
+    from the first entry where ``sum`` starts from 0: the two differ only
+    while every entry so far is -0.0, and adding 0.0 turns that -0.0 into
+    ``sum``'s 0.0 and leaves every other value alone. So a 0.0 put in place
+    of an entry a sum leaves out does not change it either.
+    """
+    return np.add.accumulate(a, axis=-1)[..., -1] + 0.0
+
+
+def _positive(a: np.ndarray) -> np.ndarray:
+    """``v if v > 0.0 else 0.0`` of each entry: ``np.fmax`` turns NaN and
+    negatives into 0.0, and adding 0.0 turns the -0.0 it may keep into 0.0."""
+    return np.fmax(a, 0.0) + 0.0
+
+
+class Markets:
+    """``markets`` copies of a ``MarketState``, one per row: each buyer's
+    Good, money and Right and each seller's Good and money as (M, N) and
+    (M, S) float64 arrays. Every array is replaced, never written in place,
+    so an array read at the start of a round keeps its values."""
+
+    __slots__ = ("round_index", "seller_good", "seller_money", "good", "money", "right")
+
+    def __init__(self, state: MarketState, markets: int) -> None:
+        def rows(values: list[float]) -> np.ndarray:
+            return np.tile(np.array(values, dtype=float), (markets, 1))
+
+        self.round_index = state.round_index
+        self.seller_good = rows([s.good for s in state.sellers])
+        self.seller_money = rows([s.money for s in state.sellers])
+        self.good = rows([b.good for b in state.buyers])
+        self.money = rows([b.money for b in state.buyers])
+        self.right = rows([b.right for b in state.buyers])
+
+
+def play_batch(
+    config: MarketConfig,
+    state: MarketState,
+    horizon: int,
+    adjustments: Sequence[AdjustmentIndex],
+    seller_total: Sequence[float],
+    buyer_total: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``engine._play_rounds`` of a rights variant for one market per entry
+    of ``adjustments``, without records: every market starts from
+    ``state`` and from the utility totals ``seller_total`` and
+    ``buyer_total``, and plays rounds ``state.round_index`` through
+    ``horizon`` under its own adjustments. Returns every market's seller
+    and buyer utility totals as (M, S) and (M, N) arrays. ``state`` is read
+    once and left as it was.
+    """
+    markets = len(adjustments)
+    market = Markets(state, markets)
+    claims = np.array(config.claims, dtype=float)
+    seller_sum = np.tile(np.array(seller_total, dtype=float), (markets, 1))
+    buyer_sum = np.tile(np.array(buyer_total, dtype=float), (markets, 1))
+    rights_memo: dict[float, np.ndarray] = {}
+
+    tau = market.round_index
+    try:
+        # divisions and comparisons run over whole arrays, NaN included;
+        # the scalar round reads only the entries it would have computed
+        with np.errstate(all="ignore"):
+            while tau <= horizon:
+                # each market's adjustments of this round, by trader
+                moves = [
+                    (m, key, adjs)
+                    for m, index in enumerate(adjustments)
+                    if tau in index
+                    for key, adjs in index[tau].items()
+                ]
+                seller_u, buyer_u = _play_round(market, config, tau, moves, claims, rights_memo)
+                seller_sum = seller_sum + seller_u
+                buyer_sum = buyer_sum + buyer_u
+                tau += 1
+                _transition(market, config, claims)
+    except SimulationError:
+        raise
+    except Exception as exc:
+        raise SimulationError(tau, str(exc)) from exc
+    return seller_sum, buyer_sum
+
+
+def _transition(market: Markets, config: MarketConfig, claims: np.ndarray) -> None:
+    """``core.apply_transition`` of every market."""
+    nxt = market.round_index + 1
+    market.seller_good = market.seller_good + np.array(config.resupply_at(nxt), dtype=float)
+    market.seller_money = np.zeros(market.seller_money.shape)
+    market.good = _positive(market.good - claims)
+    market.money = np.array(config.income_at(nxt), dtype=float) + market.money
+    market.right = np.zeros(market.right.shape)
+    market.round_index = nxt
+
+
+def _rights(memo: dict[float, np.ndarray], config: MarketConfig, offered: float) -> np.ndarray:
+    """The mechanism's rights for ``offered`` as a row."""
+    row = memo.get(offered)
+    if row is None:
+        row = memo[offered] = np.array(mechanism_rights(config, offered), dtype=float)
+    return row
+
+
+def implicit_price(money: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """``pricing.solve_implicit_price`` of each row of ``money`` and
+    ``rights``, bit for bit; it raises if it raises for any row.
+
+    The scalar scan visits interval 0, whose floor is 0.0, and then one
+    interval per distinct positive breakpoint M/R, in ascending order, with
+    every holder at or below the floor in the poor set. Each row's holders
+    are sorted once (stably, as ``sorted`` orders ties by index), ahead of
+    the buyers without Right, whose breakpoints read as infinity. Interval
+    k of a row is the one whose poor set is its first k holders: interval
+    0, then each k past the zero breakpoints whose floor and ceiling,
+    breakpoints k - 1 and k, differ. Its poor sums are read off running
+    sums, and the row's price is the first candidate that lands inside its
+    interval, as in the scan. A breakpoint of infinity ends the scan as it
+    does there.
+    """
+    if np.count_nonzero(np.fmin(money, rights) < 0.0):
+        raise PricingError("money and rights must be non-negative")
+    total_rights = _sum(rights)
+    if np.count_nonzero(total_rights <= 0.0):
+        raise PricingError("no rights in circulation")
+    total_money = _sum(money)
+
+    markets, n = money.shape
+    held = rights > 0.0
+    ratio = money / rights
+    rows = np.arange(markets)
+    index = (rows[:, None], np.lexsort((ratio, ~held), axis=-1))
+    # breakpoint 0 is interval 0's floor; the ceiling of interval k is
+    # breakpoint k + 1, and past the holders every breakpoint is infinity
+    breakpoints = np.full((markets, n + 2), np.inf)
+    breakpoints[:, 0] = 0.0
+    breakpoints[:, 1:-1] = np.where(held, ratio, np.inf)[index]
+    lo, hi = breakpoints[:, :-1], breakpoints[:, 1:]
+    # the poor money and Right of interval k, summed from 0.0 as the scan does
+    poor = np.zeros((2, markets, n + 1))
+    poor[0, :, 1:] = money[index]
+    poor[1, :, 1:] = rights[index]
+    poor_money, poor_rights = np.add.accumulate(poor, axis=2)
+    # the zero breakpoints are in interval 0's poor set; before interval 0
+    # floor and ceiling are both 0.0
+    first = np.add.reduce(hi <= 0.0, axis=1)[:, None]
+    interval = (hi != lo) | (np.arange(n + 1) == first)
+
+    # money and Right are not negative, so a candidate is at least 0.0 or
+    # NaN, and the scan's ``p >= 0.0`` on interval 0, whose floor is 0.0,
+    # is the slack test of the other floors; a NaN candidate fails both,
+    # so an infinite ceiling needs no test of its own
+    p = (total_money[:, None] + poor_money) / (total_rights[:, None] + poor_rights)
+    slack = EQ_TOL
+    inside = p <= hi + slack * np.where(p > 1.0, p, 1.0)
+    inside &= p > lo - slack * np.where(lo > 1.0, lo, 1.0)
+    # the scan stops at the first interval without a ceiling
+    last = (interval & (hi == np.inf)).argmax(axis=1)[:, None]
+    found = interval & inside & (np.arange(n + 1) <= last)
+    pick = found.argmax(axis=1)
+    # a row without money clears at 0.0 before any scan
+    broke = total_money == 0.0
+    if np.count_nonzero(~(found[rows, pick] | broke)):
+        raise PricingError("interval scan found no admissible price")
+    return np.where(broke, 0.0, p[rows, pick])
+
+
+def greedy_bids(
+    price_avg: np.ndarray,
+    offered_volume: np.ndarray,
+    money: np.ndarray,
+    rights: np.ndarray,
+    variant: str,
+) -> np.ndarray:
+    """``pricing.greedy_buyer_bids`` of every market as a (6, M, N) array:
+    slice ``OFFER`` and the others in ``BuyerBid`` field order. Row m takes
+    P = ``price_avg[m]`` and the Good on sale ``offered_volume[m]``."""
+    bids = np.empty((6,) + money.shape)
+    price = price_avg[:, None]
+    bids[OFFER_PRICE] = bids[GOOD_PRICE] = bids[RIGHT_PRICE] = price
+    backing = money / price
+    psi = _positive(rights - backing)
+    xi = _positive(backing - rights)
+    free = ~(price > 0.0)
+    if np.count_nonzero(free):
+        # Good is free: nobody sells Right, and demand is capped by the
+        # Good on sale
+        free_xi = offered_volume[:, None] - rights
+        free_xi = np.where((money >= 0.0) & (free_xi > 0.0), free_xi, 0.0)
+        xi = np.where(free, free_xi, xi)
+        psi = np.where(free, 0.0, psi)
+    bids[OFFER] = psi / 2.0 if variant == "myopic_rights" else psi
+    bids[GOOD_CAP] = rights + xi
+    bids[RIGHT_CAP] = xi
+    return bids
+
+
+def _play_round(
+    market: Markets,
+    config: MarketConfig,
+    tau: int,
+    moves: list,
+    claims: np.ndarray,
+    rights_memo: dict,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``engine._run_rights_round`` of every market: play round ``tau``,
+    check it and return the seller and buyer utilities, one row per market.
+    ``moves`` lists each market's adjustments of the round as (market,
+    (side, index), adjustments)."""
+    markets, nb = market.money.shape
+    ns = market.seller_good.shape[1]
+    money_start = market.money
+
+    # offered volumes first: a volume deviation changes the rights everyone
+    # sees (``engine._offer_volumes``)
+    volumes = np.empty((markets, ns))
+    volumes[:] = config.resupply_at(tau)
+    for m, (side, s), adjs in moves:
+        if side == "seller" and 0 <= s < ns:
+            for adj in adjs:
+                volumes[m, s] += adj.volume_delta
+    volumes = np.where(volumes > 0.0, volumes, 0.0)
+    stock = market.seller_good
+    volumes = np.where(stock < volumes, stock, volumes)
+    offered = _sum(volumes)
+    if np.count_nonzero(offered <= 0.0):
+        raise SimulationError(tau, "no good offered for sale")
+
+    rights = np.empty((markets, nb))
+    offered_list = offered.tolist()
+    if len(set(offered_list)) == 1:
+        rights[:] = _rights(rights_memo, config, offered_list[0])
+    else:
+        rights[:] = [_rights(rights_memo, config, o) for o in offered_list]
+    if config.variant == "myopic_rights":
+        price = _sum(money_start) / offered
+    else:
+        price = implicit_price(money_start, rights)
+    # the sellers' offers: the posted price, scaled by any price deviation
+    # (``engine._seller_offers``)
+    prices = np.empty((markets, ns))
+    prices[:] = (price * config.greedy_price_factor)[:, None]
+    for m, (side, s), adjs in moves:
+        if side == "seller" and 0 <= s < ns:
+            for adj in adjs:
+                prices[m, s] *= adj.price_factor
+    market.right = rights
+
+    # ``pricing.mean_posted_price`` of each market
+    price_avg = _sum(prices) / ns
+    bids = greedy_bids(price_avg, offered, money_start, rights, config.variant)
+    for m, (side, b), adjs in moves:
+        if side == "buyer" and 0 <= b < nb:
+            for adj in adjs:
+                bids[OFFER, m, b] *= adj.right_offer_factor
+                bids[OFFER_PRICE, m, b] *= adj.price_factor
+                bids[RIGHT_CAP, m, b] *= adj.right_demand_factor
+
+    result = clear(volumes, prices, bids, market, config.variant)
+
+    market.seller_good = stock - result.seller_sold
+    market.seller_money = market.seller_money + result.seller_revenue
+    bought = result.good_bought
+    market.good = market.good + bought
+    # deferred proceeds join the balance only now, after the trading window
+    # closed; rounding dust scales with the buyer's money in play
+    earned = result.money_earned_right
+    money = money_start - result.money_spent_good - result.money_spent_right
+    money = money + earned
+    short = money < 0.0
+    if np.count_nonzero(short):
+        in_play = money_start + earned
+        broke = short & (money < -CONSERVATION_TOL * np.where(in_play > 1.0, in_play, 1.0))
+        if np.count_nonzero(broke):
+            b = int(np.argwhere(broke)[0, 1])
+            raise SimulationError(tau, f"buyer {b} money went negative")
+        money = np.where(short, 0.0, money)
+    market.money = money
+    # rights cap: purchases in the round never exceed licence held + bought
+    good_tol = CONSERVATION_TOL * np.where(offered > 1.0, offered, 1.0)
+    over_cap = bought > rights + result.right_bought + good_tol[:, None]
+    if np.count_nonzero(over_cap):
+        b = int(np.argwhere(over_cap)[0, 1])
+        raise SimulationError(tau, f"buyer {b} bought good beyond their rights")
+
+    # money only changes hands; good shipped must equal good received
+    money_total = _sum(money_start)
+    money_res = np.abs(_sum(market.seller_money) + _sum(money) - money_total)
+    good_res = np.abs(_sum(bought) - _sum(result.seller_sold))
+    # each seller's residual raises the round's unless it is NaN, as the
+    # scalar ``max`` compares; a NaN round residual stays NaN
+    sellers_res = np.fmax.reduce(np.abs(result.seller_sold + result.unsold_good - volumes), axis=1)
+    good_res = np.where(np.isnan(good_res), good_res, np.fmax(good_res, sellers_res))
+    failing = (money_res > CONSERVATION_TOL) | (good_res > CONSERVATION_TOL)
+    for m in failing.nonzero()[0].tolist():
+        _check_residuals(
+            float(money_res[m]), float(good_res[m]), float(money_total[m]), float(offered[m])
+        )
+
+    c = config.seller_storage_cost
+    seller_u = market.seller_money - c * market.seller_good
+    good = market.good
+    return seller_u, np.where(good < claims, good, claims)
+
+
+class GoodColumns:
+    """``mechanism.GoodLevels`` of M markets: each seller's accepted,
+    remaining, sold and revenue as (M, S) arrays.
+
+    An offer with a negative or NaN entry, or a volume above its seller's
+    stock by more than ``CONSERVATION_TOL``, is appended to its market's
+    list in ``rejected`` and keeps the seller out of the round. A market's
+    live sellers are those with more than ``EQ_TOL`` left; its cheapest
+    good level, ``level``, is its live sellers at the lowest price, and
+    ``price_level`` is the price of the level's first live seller, as
+    ``GoodLevels`` reads it. Both are found again whenever a sale leaves a
+    seller of a level with ``EQ_TOL`` or less; ``has_level`` tells the
+    markets with a level left.
+    """
+
+    __slots__ = (
+        "price", "remaining", "accepted", "sold", "revenue", "level", "price_level", "has_level"
+    )
+
+    def __init__(
+        self,
+        volumes: np.ndarray,
+        prices: np.ndarray,
+        stock: np.ndarray,
+        rejected: list[list[Rejection]],
+    ) -> None:
+        # ``not x >= 0.0`` also catches NaN
+        ok = (volumes >= 0.0) & (prices >= 0.0) & ~(volumes > stock + CONSERVATION_TOL)
+        if np.count_nonzero(~ok):
+            for m, s in np.argwhere(~ok).tolist():
+                offer = SellerOffer(float(volumes[m, s]), float(prices[m, s]))
+                reason = f"offer {offer} infeasible against stock {float(stock[m, s])!r}"
+                rejected[m].append(Rejection("seller", s, reason))
+            volumes = np.where(ok, volumes, 0.0)
+        self.accepted = volumes
+        self.remaining = volumes.copy()
+        self.price = prices
+        self.sold = np.zeros(volumes.shape)
+        self.revenue = np.zeros(volumes.shape)
+        self._find_levels()
+
+    def _find_levels(self) -> None:
+        live = self.remaining > EQ_TOL
+        if live.shape[1] == 1:
+            self.level, self.price_level, self.has_level = live, self.price[:, 0], live[:, 0]
+            return
+        prices = np.where(live, self.price, np.inf)
+        self.level = level = live & (prices == np.minimum.reduce(prices, axis=1)[:, None])
+        self.price_level = self.price[np.arange(len(level)), level.argmax(axis=1)]
+        self.has_level = np.logical_or.reduce(live, axis=1)
+
+    def supply(self) -> np.ndarray:
+        """Each market's Good on sale at its cheapest level."""
+        return _sum(np.where(self.level, self.remaining, 0.0))
+
+    def sell(self, go: np.ndarray, volume: np.ndarray) -> None:
+        """Sell ``volume[m]`` from the cheapest good level of each market m
+        that ``go`` marks, at the level's price."""
+        level = self.level & go[:, None]
+        take = _equal_rate_fill(self.remaining, level, volume, self.remaining.shape[1] > 1)
+        np.copyto(self.remaining, self.remaining - take, where=level)
+        np.copyto(self.sold, self.sold + take, where=level)
+        np.copyto(self.revenue, self.revenue + take * self.price_level[:, None], where=level)
+        if np.count_nonzero(level & ~(self.remaining > EQ_TOL)):
+            self._find_levels()
+
+    def unsold(self) -> np.ndarray:
+        """Each seller's accepted volume left unsold."""
+        return _positive(self.accepted - self.sold)
+
+
+def clear(
+    volumes: np.ndarray,
+    prices: np.ndarray,
+    bids: np.ndarray,
+    market: Markets,
+    variant: str,
+) -> ClearingResult:
+    """``mechanism.clear`` of every market: market m's sellers offer
+    ``volumes[m]`` at ``prices[m]``, and its buyers bid ``bids[:, m]``, laid
+    out as ``greedy_bids`` builds them. The rules are in ``mechanism``'s
+    docstring. Each field of the ``ClearingResult`` holds one row per
+    market, and ``rejected`` one tuple per market.
+
+    As there, a buyer with more than ``EQ_TOL`` of Right on sale gets a
+    Right cap of 0, and each stage-2 step trades at the cheapest good level
+    and the cheapest Right level. So every step empties a level or fills
+    the demand it met, and the loops end without an iteration cap. A pass
+    steps every market with demand at its cheapest level. A market without
+    one stops there, as the scalar pass does: it trades no more, so its
+    demand stays as it was.
+
+    Each pass over the buyers is an array operation over all of them: a
+    buyer the scalar pass skips (no Good cap, licence or Right cap left, or
+    a price ceiling below the price) has a demand of at most 0 here and is
+    not updated. ``vbar_rem`` and ``wbar_rem`` are never NaN (a NaN cap is
+    rejected and a cap only falls through ``_positive``), so an ``np.fmin``
+    chain that starts from them skips a NaN bound as the scalar ``v if v <
+    cap else cap`` does. A buyer whose licence is not positive, NaN
+    included, is left out of a stage-1 pass explicitly, as the scalar pass
+    leaves them out.
+    """
+    markets, nb = market.money.shape
+    myopic = variant == "myopic_rights"
+
+    rejected: list[list[Rejection]] = [[] for _ in range(markets)]
+    book = GoodColumns(volumes, prices, market.seller_good, rejected)
+
+    right = market.right
+    offer = bids[OFFER]
+    offer_rem = np.where(right < offer, right, offer)
+    rights_use = right - offer_rem
+    spend = market.money.copy()
+    vbar_rem = bids[GOOD_CAP].copy()
+    # a buyer who sells Right buys none (``mechanism``'s docstring)
+    wbar_rem = np.where(offer_rem > EQ_TOL, 0.0, bids[RIGHT_CAP])
+    # ``not x >= 0.0`` also catches NaN
+    feasible = np.logical_and.reduce(bids >= 0.0) & ~(offer > right + CONSERVATION_TOL)
+    if np.count_nonzero(~feasible):
+        for m, b in np.argwhere(~feasible).tolist():
+            bid = BuyerBid(*bids[:, m, b].tolist())
+            reason = f"bid {bid} infeasible against right {float(right[m, b])!r}"
+            rejected[m].append(Rejection("buyer", b, reason))
+        # zero caps and no Right on sale keep them out of every pass
+        spend, offer_rem, rights_use, vbar_rem, wbar_rem = (
+            np.where(feasible, column, 0.0)
+            for column in (spend, offer_rem, rights_use, vbar_rem, wbar_rem)
+        )
+    # a rejected buyer's ceilings may be NaN; their zero caps decide first
+    good_ceiling = bids[GOOD_PRICE]
+    right_ceiling = bids[RIGHT_PRICE]
+    right_price = bids[OFFER_PRICE]
+
+    # every column below is written in place, only where a step trades
+    flows = np.zeros((6, markets, nb))
+    good_bought, right_bought, right_sold, spent_good, spent_right, earned = flows
+
+    def buy(wants, demand, total_demand, volume, unit, licence) -> np.ndarray:
+        """Share ``volume`` among the demanders ``wants`` marks pro rata to
+        their ``demand``, as the scalar step does, charging ``unit`` per
+        unit and drawing down ``vbar_rem`` and ``licence``; return each
+        buyer's share."""
+        x = volume[:, None] * demand / total_demand[:, None]
+        np.copyto(good_bought, good_bought + x, where=wants)
+        np.copyto(vbar_rem, _positive(vbar_rem - x), where=wants)
+        np.copyto(licence, _positive(licence - x), where=wants)
+        np.copyto(spend, _positive(spend - x * unit), where=wants)
+        return x
+
+    def run_good_for_rights_pass(licence: np.ndarray) -> None:
+        """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
+        while np.count_nonzero(book.has_level):
+            price = book.price_level[:, None]
+            cap = np.fmin(vbar_rem, licence)
+            np.fmin(cap, spend / price, out=cap, where=price > 0.0)
+            wants = (cap > 0.0) & (licence > 0.0) & (good_ceiling >= price)
+            demand = np.where(wants, cap, 0.0)
+            total_demand = _sum(demand)
+            # the cheapest level is the easiest to be compatible with, so
+            # no demand here means no demand anywhere
+            go = book.has_level & (total_demand > EQ_TOL)
+            if not np.count_nonzero(go):
+                return
+            wants &= go[:, None]
+            supply = book.supply()
+            volume = np.where(supply < total_demand, supply, total_demand)
+            book.sell(go, volume)
+            x = buy(wants, demand, total_demand, volume, price, licence)
+            np.copyto(spent_good, spent_good + x * price, where=wants)
+
+    # -- stage 1: right-licensed Good purchases --------------------------
+    run_good_for_rights_pass(rights_use)
+
+    # -- stage 2: paired Good+Right purchases -----------------------------
+    # Each market's Right levels are its buyers with more than ``EQ_TOL``
+    # on sale, by price; as a dict does, a level holding -0.0 and 0.0
+    # trades at the price of its first buyer, read once here.
+    selling = offer_rem > EQ_TOL
+    zero_price = selling & (right_price == 0.0)
+    if np.count_nonzero(zero_price):
+        first_zero = right_price[np.arange(markets), zero_price.argmax(axis=1)]
+        right_price = np.where(zero_price, first_zero[:, None], right_price)
+    while np.count_nonzero(book.has_level):
+        selling = offer_rem > EQ_TOL
+        if not np.count_nonzero(selling):
+            break
+        # a market without Right on sale asks infinity, which leaves every
+        # buyer a cap of 0 there
+        asks = np.where(selling, right_price, np.inf)
+        qr = np.minimum.reduce(asks, axis=1)[:, None]
+        members = selling & (asks == qr)
+        good_avail = book.supply()
+        right_avail = _sum(np.where(members, offer_rem, 0.0))
+        price = book.price_level[:, None]
+        unit = price + qr
+        cap = np.fmin(np.fmin(vbar_rem, wbar_rem), right_avail[:, None])
+        # at unit price 0 even a buyer without money buys
+        np.fmin(cap, spend / unit, out=cap, where=unit > 0.0)
+        wants = (cap > 0.0) & (good_ceiling >= price) & (right_ceiling >= qr)
+        demand = np.where(wants, cap, 0.0)
+        total_demand = _sum(demand)
+        # the cheapest pair is the easiest to be compatible with, so no
+        # demand here means no demand at any pair
+        go = book.has_level & (total_demand > EQ_TOL)
+        if not np.count_nonzero(go):
+            break
+        wants &= go[:, None]
+        members &= go[:, None]
+        volume = np.where(good_avail < total_demand, good_avail, total_demand)
+        volume = np.where(right_avail < volume, right_avail, volume)
+
+        book.sell(go, volume)
+        take = _equal_rate_fill(offer_rem, members, volume)
+        np.copyto(offer_rem, offer_rem - take, where=members)
+        np.copyto(right_sold, right_sold + take, where=members)
+        proceeds = take * qr
+        np.copyto(earned, earned + proceeds, where=members)
+        if myopic:
+            np.copyto(spend, spend + proceeds, where=members)
+        x = buy(wants, demand, total_demand, volume, unit, wbar_rem)
+        np.copyto(right_bought, right_bought + x, where=wants)
+        np.copyto(spent_good, spent_good + x * price, where=wants)
+        np.copyto(spent_right, spent_right + x * qr, where=wants)
+
+    # -- myopic extra pass: spend same-round proceeds on licensed Good ----
+    if myopic:
+        # the right-sale window is closed; unsold offers revert to licences
+        rights_use += offer_rem
+        run_good_for_rights_pass(rights_use)
+
+    return ClearingResult(
+        good_bought=good_bought,
+        right_bought=right_bought,
+        right_sold=right_sold,
+        money_spent_good=spent_good,
+        money_spent_right=spent_right,
+        money_earned_right=earned,
+        seller_revenue=book.revenue,
+        seller_sold=book.sold,
+        unsold_good=book.unsold(),
+        proceeds_deferred=not myopic,
+        rejected=tuple(tuple(r) for r in rejected),
+    )
+
+
+def _equal_rate_fill(
+    held: np.ndarray, members: np.ndarray, total: np.ndarray, several: bool = True
+) -> np.ndarray:
+    """``core.equal_rate_fill`` of the holdings ``members`` marks in each
+    row of ``held``, for ``total[m]`` in row m, bit for bit; 0.0 elsewhere.
+    ``total`` is positive wherever a row has members, as in a clearing;
+    ``several`` is False when no row can have more than one member.
+
+    A row of one member takes ``total if total < a else a``, as the scalar
+    fill does. Rows of more walk the water level's breakpoints: the walk
+    becomes running sums of the steps between each row's sorted holdings,
+    and it stops at the first step that reaches the row's total. Past a
+    row's members the holdings read as infinity, and the running sums turn
+    NaN there, so no step past them reaches the total.
+    """
+    limit = total[:, None]
+    out = np.where(members, np.where(limit < held, limit, held), 0.0)
+    if not several:
+        return out
+    count = np.add.reduce(members, axis=1)
+    multi = (count > 1).nonzero()[0]
+    if not multi.size:
+        return out
+    if multi.size < len(held):
+        held, members, total, count = held[multi], members[multi], total[multi], count[multi]
+    markets, width = held.shape
+    # step i raises the level from holding i - 1 (0.0 before the first) to
+    # holding i for the count - i members at or above it; the water consumed
+    # before each step is summed from 0.0 as the walk sums it
+    below, consumed = np.zeros((2, markets, width + 1))
+    below[:, 1:] = np.sort(np.where(members, held, np.inf), axis=1)
+    consumed[:, 1:] = (below[:, 1:] - below[:, :-1]) * (count[:, None] - np.arange(width))
+    consumed = np.add.accumulate(consumed, axis=1)
+    rows = np.arange(markets)
+    i = (consumed[:, 1:] >= total[:, None]).argmax(axis=1)
+    walked = below[rows, i] + (total - consumed[rows, i]) / (count - i)
+    level = np.where(consumed[rows, i + 1] >= total, walked, below[rows, count])[:, None]
+    fill = np.where(members, np.where(level < held, level, held), 0.0)
+    # any rounding residue goes onto the largest holder, the first on a tie
+    residue = total - _sum(fill)
+    fix = (np.abs(residue) > 0.0).nonzero()[0]
+    if fix.size:
+        k = np.where(members, held, -np.inf).argmax(axis=1)[fix]
+        top = held[fix, k]
+        v = fill[fix, k] + residue[fix]
+        v = np.where(v > 0.0, v, 0.0)
+        fill[fix, k] = np.where(v < top, v, top)
+    if multi.size < len(out):
+        out[multi] = fill
+        return out
+    return fill

@@ -110,6 +110,14 @@ class MarketConfig:
             raise ConfigError("seller_storage_cost must be non-negative")
         if self.greedy_price_factor <= 0:
             raise ConfigError("greedy_price_factor must be positive")
+        # the claim ranks a canonical or weighted mechanism gives Right to
+        kind = getattr(self.mechanism, "kind", None)
+        ranks = [self.mechanism.rank] if kind == "canonical" else []
+        if kind == "weighted":
+            ranks = [rank for _, rank in self.mechanism.components]
+        for rank in ranks:
+            if not 1 <= rank <= len(self.buyers):
+                raise ConfigError(f"rank {rank} out of range for {len(self.buyers)} buyers")
 
     @property
     def num_sellers(self) -> int:

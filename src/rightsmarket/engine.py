@@ -252,6 +252,7 @@ class BidAdjustment:
 
     ``trader`` is ("seller", i) or ("buyer", j); any other side is a
     ``ConfigError``, while an index with no such trader changes nothing.
+    A delta or factor that is NaN or infinite is a ``ConfigError`` too.
     Volume deltas apply to the seller's offered volume; factors multiply the
     posted price, the buyer's right-sale volume, or the buyer's
     right-purchase cap.
@@ -267,6 +268,9 @@ class BidAdjustment:
     def __post_init__(self) -> None:
         if self.trader[0] not in ("seller", "buyer"):
             raise ConfigError(f"trader side must be 'seller' or 'buyer', got {self.trader[0]!r}")
+        for name in ("volume_delta", "price_factor", "right_offer_factor", "right_demand_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -338,19 +342,55 @@ def replay_from(
     bit for bit. The replayed rounds build no ``RoundRecord``, but they make
     every check a run makes: the money and Good residuals, negative
     balances and the rights cap, so a failure raises what ``run`` raises.
+    This is ``replay_batch`` of one list.
     """
-    seller_total = list(checkpoint.seller_utilities)
-    buyer_total = list(checkpoint.buyer_utilities)
-    _play_rounds(
-        config,
-        checkpoint.state.copy(),
-        horizon,
-        _index_adjustments(adjustments),
-        seller_total,
-        buyer_total,
-        None,
-    )
-    return tuple(seller_total), tuple(buyer_total)
+    return replay_batch(config, checkpoint, horizon, [adjustments])[0]
+
+
+def replay_batch(
+    config: MarketConfig,
+    checkpoint: Checkpoint,
+    horizon: int,
+    adjustment_lists: Sequence[Sequence[BidAdjustment]],
+) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """``replay_from`` of each list of ``adjustment_lists``, all resuming at
+    ``checkpoint``: one pair of seller and buyer utility totals per list,
+    each equal bit for bit to that list's replay on its own.
+
+    The replays are the same market with different bids, so once lists x
+    buyers reaches ``WIDE_MIN_BUYERS`` they run in lockstep, one market per
+    list, as the rows of ``batch.play_batch``'s arrays. If any of them
+    fails there, every list is replayed one at a time, in order, so that
+    the first failing list raises its own error, as a loop of
+    ``replay_from`` would.
+    """
+    indexes = [_index_adjustments(adjustments) for adjustments in adjustment_lists]
+    if len(indexes) > 1 and _on_wide(config, len(indexes)):
+        # imported here: the kernel reads this module's helpers
+        from .batch import play_batch
+
+        try:
+            sellers, buyers = play_batch(
+                config,
+                checkpoint.state,
+                horizon,
+                indexes,
+                checkpoint.seller_utilities,
+                checkpoint.buyer_utilities,
+            )
+        except SimulationError:
+            pass
+        else:
+            return [(tuple(s), tuple(b)) for s, b in zip(sellers.tolist(), buyers.tolist())]
+    totals = []
+    for index in indexes:
+        seller_total = list(checkpoint.seller_utilities)
+        buyer_total = list(checkpoint.buyer_utilities)
+        _play_rounds(
+            config, checkpoint.state.copy(), horizon, index, seller_total, buyer_total, None
+        )
+        totals.append((tuple(seller_total), tuple(buyer_total)))
+    return totals
 
 
 def _run(
@@ -395,12 +435,22 @@ def _run(
     )
 
 
-# The buyer count from which a rights-variant market is played on numpy
-# columns (``wide``). Below it the fixed cost of each numpy call outweighs
-# the per-buyer loops it replaces. Measured on 20-round greedy runs, the two
-# paths break even between 50 buyers (10 sellers) and 60 (one seller); at 3
-# buyers the kernel is about 3x slower, at 300 about 3x faster.
+# The number of buyers, summed over the markets played side by side, from
+# which a rights-variant market, or a batch of replays, is played on numpy
+# arrays (``wide``, ``batch``). Below it the fixed cost of each numpy call
+# outweighs the per-buyer loops it replaces. Measured on 20-round greedy
+# runs of one market, the two paths break even between 50 buyers (10
+# sellers) and 60 (one seller); at 3 buyers the kernel is about 3x slower,
+# at 300 about 3x faster. A batch of 40 audit replays of 3 buyers plays a
+# round in about 0.5 ms, against about 4 ms for 40 scalar rounds.
 WIDE_MIN_BUYERS = 60
+
+
+def _on_wide(config: MarketConfig, markets: int) -> bool:
+    """Whether ``markets`` markets of ``config``, played side by side, go to
+    numpy arrays (``wide`` for one market, ``batch`` for more): rights
+    variants of at least ``WIDE_MIN_BUYERS`` buyers in all."""
+    return markets * config.num_buyers >= WIDE_MIN_BUYERS and config.variant != "free_market"
 
 
 def _play_rounds(
@@ -426,7 +476,7 @@ def _play_rounds(
     largest money and Good residuals. A failure, including one in the
     transition into round t, aborts with round index t.
     """
-    if config.num_buyers >= WIDE_MIN_BUYERS and config.variant != "free_market":
+    if _on_wide(config, 1):
         # imported here: the kernel builds this module's records
         from .wide import play_rounds
 

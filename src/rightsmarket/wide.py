@@ -27,6 +27,11 @@ Every result equals the scalar round's bit for bit:
 
 Below ``engine.WIDE_MIN_BUYERS`` the fixed cost of numpy calls outweighs
 the per-buyer work they save, so small markets keep the scalar round.
+
+An audit's replays of one market are played by ``batch`` instead, one
+market per row, once replays x buyers reaches ``engine.WIDE_MIN_BUYERS``;
+this kernel keeps a single market, where a market axis would make every
+per-market number an array.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Equilibrium audit, convergence checks and solver cross-validation."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -210,6 +211,63 @@ class TestCoalitionAudit:
         )
         assert report.tested == ()
         assert [t.reason for t in report.trials] == ["menu/member mismatch"]
+
+
+    @pytest.mark.parametrize("round_index", [25, 0])
+    def test_skips_a_combo_outside_the_horizon(self, round_index):
+        # it used to be played, and reported with gains of exactly 0.0
+        config = load_scenario("scenario-a-proportional").config
+        joint = (
+            Deviation("seller_price", 0, round_index, 0.1),
+            Deviation("buyer_price", 0, 10, 0.1),
+        )
+        report = audit_coalition(
+            config, 20, coalition=[("seller", 0), ("buyer", 0)], joint_grid=[joint]
+        )
+        assert report.tested == ()
+        assert [t.reason for t in report.trials] == ["round outside horizon"]
+        unilateral = audit_unilateral(config, 20, deviation_grid=[joint[0]])
+        assert [t.reason for t in unilateral.trials] == ["round outside horizon"]
+
+
+# -- every trial of the benchmark's audits, pinned -----------------------------
+
+# SHA-256 of the ``repr`` of every trial's (deviations, gains, reason), the
+# unilateral audit's and then each ``cli.default_coalitions`` audit's, of the
+# configs the benchmark's ``audit`` workload plays, taken before audits
+# replayed trials in batches: ``repr`` tells every bit of every gain
+TRIAL_DIGESTS = {
+    (20, "scenario-a-proportional"):
+        "4a03a2f8cba887b38f4d3a36ff5cc685d4ac715c84bba0d88f5f4c9869c30480",
+    (20, "scenario-a-contested-garment"):
+        "131df55b3c616e8a64f613a84d4646b8974dab9c5b7f989afafca60a4185f589",
+    (20, "canonical-rank3-a"):
+        "cb3339b56219c2e3f8e8b7a704d95a8d22f3eeebb391323c8468a31be9fce872",
+    (20, "scenario-a-proportional@price-factor-1.2"):
+        "be61e6e3967388ca1761eabbd54dd6a8003950d0e5970b0687965a0f30fa6b9d",
+    (40, "scenario-a-proportional"):
+        "269d8e956eff11b866ebe80cc84a85588e7dd0cb249fe8617ea9a0ebe6999c3f",
+    (40, "scenario-a-contested-garment"):
+        "4d3c203620d54edfab964dae34916defaa703082b35c5c92b8b1d63eefcb81fd",
+    (40, "canonical-rank3-a"):
+        "28d9b9aa9ebe996a576fcff05ac2ed3aa6d62cd1818a2966abee2eeb2c34b67f",
+    (40, "scenario-a-proportional@price-factor-1.2"):
+        "4e86e4ba7a9f4ca4c77656295583cf798cc216b851532a208a87da6f9cac62b4",
+}
+
+
+@pytest.mark.parametrize("horizon, name", TRIAL_DIGESTS)
+def test_every_audit_trial_is_pinned(horizon, name):
+    preset, _, factor = name.partition("@price-factor-")
+    config = load_scenario(preset).config
+    if factor:
+        config = dataclasses.replace(config, greedy_price_factor=float(factor))
+    config = dataclasses.replace(config, horizon=horizon)
+    reports = [audit_unilateral(config, horizon)]
+    reports += [audit_coalition(config, horizon, c) for c in default_coalitions(config)]
+    trials = [(t.deviations, t.gains, t.reason) for r in reports for t in r.trials]
+    digest = hashlib.sha256(repr(trials).encode()).hexdigest()
+    assert digest == TRIAL_DIGESTS[horizon, name]
 
 
 # -- incremental replay against full replays ---------------------------------

@@ -1,6 +1,7 @@
 """Differential oracle: ``mechanism.clear`` must return exactly what the
 previous clearing, kept in ``clear_reference.py``, returns, bit for bit, and
-``wide.clear`` exactly what ``mechanism.clear`` returns.
+``wide.clear`` exactly what ``mechanism.clear`` returns; ``tests/test_batch.py``
+holds ``batch.clear`` to it too.
 
 Prices come from a five-value grid so that price levels tie, pairs share a
 unit price and zero-price pairs occur; buyers may hold no money, and offers
@@ -8,8 +9,8 @@ or bids may exceed the trader's holding so that rejections occur too. The
 benchmark's ``hetero-clear`` profiles add the many-level case, and two
 hand-built markets leave a trader with a remainder at or below ``EQ_TOL``.
 
-The same markets, scaled up to 1e100, bound the number of trades both
-clearings make: they stop because every trade empties a level or fills the
+The same markets, scaled up to 1e100, bound the number of trades every
+clearing makes: they stop because every trade empties a level or fills the
 demand of the buyers it serves, not because of an iteration cap.
 
     PYTHONPATH=src python -m pytest tests/test_clear_oracle.py --hypothesis-profile=ci
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clear_reference
-from rightsmarket import mechanism, wide
+from rightsmarket import batch, mechanism, wide
 from rightsmarket.core import EQ_TOL, BuyerState, MarketState, SellerState
 from rightsmarket.mechanism import BuyerBid, ClearingResult, GoodLevels, SellerOffer
 
@@ -202,7 +203,43 @@ def clear_wide(offers, bids, state, variant):
     return got._replace(**{name: tuple(getattr(got, name).tolist()) for name in buyer_fields})
 
 
-KERNELS = {"scalar": mechanism.clear, "wide": clear_wide}
+def clear_batch(markets, variant):
+    """``batch.clear`` of ``markets`` as the rows of one batch, each padded
+    to the widest with sellers and buyers who hold, offer and bid nothing,
+    and so trade nothing; every market's row, cut back to its traders, with
+    each field a tuple as ``mechanism.clear`` returns them."""
+    ns = max(len(offers) for offers, _, _ in markets)
+    nb = max(len(bids) for _, bids, _ in markets)
+    volumes, prices, stock = np.zeros((3, len(markets), ns))
+    bid_rows = np.zeros((6, len(markets), nb))
+    money, right = np.zeros((2, len(markets), nb))
+    for m, (offers, bids, state) in enumerate(markets):
+        for s, (offer, seller) in enumerate(zip(offers, state.sellers)):
+            volumes[m, s], prices[m, s], stock[m, s] = offer.volume, offer.price, seller.good
+        for b, (bid, buyer) in enumerate(zip(bids, state.buyers)):
+            bid_rows[:, m, b] = bid
+            money[m, b], right[m, b] = buyer.money, buyer.right
+    rows = batch.Markets(MarketState(1, [SellerState(0.0)] * ns, [BuyerState(0.0, 0.0)] * nb), 1)
+    rows.seller_good, rows.money, rows.right = stock, money, right
+    with np.errstate(all="ignore"):
+        got = batch.clear(volumes, prices, bid_rows, rows, variant)
+    out = []
+    for m, (offers, bids, _) in enumerate(markets):
+        width = {name: len(offers) if name.startswith(("seller", "unsold")) else len(bids)
+                 for name in got._fields[:9]}
+        out.append(got._replace(
+            **{name: tuple(getattr(got, name)[m, :n].tolist()) for name, n in width.items()},
+            rejected=got.rejected[m],
+        ))
+    return out
+
+
+KERNELS = {
+    "scalar": mechanism.clear,
+    "wide": clear_wide,
+    # the market and a copy of it as one batch
+    "batch": lambda offers, bids, state, variant: clear_batch([(offers, bids, state)] * 2, variant)[0],
+}
 
 
 @settings(deadline=None)
@@ -237,16 +274,24 @@ def scaled(offers, bids, state, k):
 
 def counting_trades(call, *args):
     """What ``call(*args)`` returns, and how many trades it made: every
-    trade of either stage sells Good through ``GoodLevels.sell``."""
+    trade of either stage sells Good through ``GoodLevels.sell``, or
+    through ``batch.GoodColumns.sell``, counted for the first market."""
     trades = []
     real = GoodLevels.sell
+    real_batch = batch.GoodColumns.sell
 
     def sell(self, pg, volume):
         trades.append(volume)
         real(self, pg, volume)
 
+    def sell_batch(self, go, volume):
+        if go[0] and self.has_level[0]:
+            trades.append(volume[0])
+        real_batch(self, go, volume)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GoodLevels, "sell", sell)
+        mp.setattr(batch.GoodColumns, "sell", sell_batch)
         return call(*args), len(trades)
 
 

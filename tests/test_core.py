@@ -23,6 +23,8 @@ from rightsmarket.engine import SupplySchedule
 from rightsmarket.errors import ConfigError, NegativeQuantityError
 from rightsmarket.rights import DistributionMechanism
 
+from conftest import make_benchmark
+
 
 def test_quantity_accepts_non_negative():
     assert non_negative(0.0) == 0.0
@@ -126,6 +128,26 @@ class TestConfigValidation:
     def test_rejects_negative_claim(self):
         with pytest.raises(NegativeQuantityError):
             _config([-0.1], [0.5])
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            DistributionMechanism.canonical(5),
+            DistributionMechanism.canonical(4),
+            DistributionMechanism.weighted([(0.5, 1), (0.5, 4)]),
+            DistributionMechanism.weighted([(0.5, 0), (0.5, 2)]),
+        ],
+        ids=("canonical-5", "canonical-4", "weighted-4", "weighted-0"),
+    )
+    def test_rejects_a_rank_no_buyer_holds(self, mechanism):
+        # the config used to build, and ``run`` failed in round 1
+        with pytest.raises(ConfigError, match="out of range for 3 buyers"):
+            make_benchmark(mechanism=mechanism, horizon=3)
+
+    def test_accepts_every_rank_a_buyer_holds(self):
+        for rank in (1, 2, 3):
+            make_benchmark(mechanism=DistributionMechanism.canonical(rank), horizon=3)
+        make_benchmark(mechanism=DistributionMechanism.weighted([(0.5, 1), (0.5, 3)]), horizon=3)
 
     def test_normalized_regime_detection(self):
         assert _config([1.0, 0.5], [0.25, 0.75]).is_normalized()

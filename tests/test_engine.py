@@ -155,6 +155,16 @@ class TestCheckpoints:
         with pytest.raises(ConfigError, match=f"got {side!r}"):
             BidAdjustment(2, (side, 0), price_factor=2.0)
 
+    @pytest.mark.parametrize(
+        "field", ["volume_delta", "price_factor", "right_offer_factor", "right_demand_factor"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delta_or_factor_rejected(self, field, value):
+        # a NaN volume_delta used to fall through min(max(0.0, v), stock)
+        # to an offer of 0
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            BidAdjustment(2, ("seller", 0), **{field: value})
+
     def test_trader_without_such_index_changes_nothing(self):
         cfg = make_benchmark(horizon=5)
         adjustments = [

@@ -110,10 +110,15 @@ deviations = st.fixed_dictionaries(
 )
 
 
+WIDE_FROM = engine.WIDE_MIN_BUYERS
+BUYER_COUNTS = (2, 3, 7, WIDE_FROM - 1, WIDE_FROM, WIDE_FROM + 7)
+
+
 @st.composite
-def markets(draw):
-    wide_from = engine.WIDE_MIN_BUYERS
-    num_buyers = draw(st.sampled_from([2, 3, 7, wide_from - 1, wide_from, wide_from + 7]))
+def markets(draw, buyer_counts=BUYER_COUNTS):
+    """A random config of one of ``buyer_counts`` buyers, with up to eight
+    bid adjustments."""
+    num_buyers = draw(st.sampled_from(buyer_counts))
     num_sellers = draw(st.integers(1, 12))
     horizon = draw(st.integers(1, 8))
     positive = st.floats(0.01, 1.0)
@@ -136,22 +141,24 @@ def markets(draw):
         horizon=horizon,
         greedy_price_factor=draw(st.sampled_from([1.0, 1.0, 0.8, 1.25])),
     )
+    return config, draw(adjustment_lists(config))
+
+
+def adjustment_lists(config):
+    """Up to eight random bid adjustments of ``config``'s traders."""
     traders = st.one_of(
-        st.tuples(st.just("seller"), st.integers(0, num_sellers - 1)),
-        st.tuples(st.just("buyer"), st.integers(0, num_buyers - 1)),
+        st.tuples(st.just("seller"), st.integers(0, config.num_sellers - 1)),
+        st.tuples(st.just("buyer"), st.integers(0, config.num_buyers - 1)),
     )
-    adjustments = draw(
-        st.lists(
-            st.builds(
-                lambda r, t, kw: BidAdjustment(r, t, **kw),
-                st.integers(1, horizon),
-                traders,
-                deviations,
-            ),
-            max_size=8,
-        )
+    return st.lists(
+        st.builds(
+            lambda r, t, kw: BidAdjustment(r, t, **kw),
+            st.integers(1, config.horizon),
+            traders,
+            deviations,
+        ),
+        max_size=8,
     )
-    return config, adjustments
 
 
 @settings(deadline=None)
