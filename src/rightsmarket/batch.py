@@ -7,24 +7,17 @@ batch here once markets x buyers reaches ``engine.WIDE_MIN_BUYERS``, and
 ``play_batch`` plays the M markets as the rows of one array: every buyer
 quantity is an (M, N) float64 array and every seller quantity an (M, S)
 one. Each round runs the same steps as ``engine._run_rights_round`` and
-makes the same checks (the offered volumes, the implicit-price solve, the
-bids, each clearing step, the balance and rights-cap checks, the
-utilities and the transition), each step as array operations over all
-markets at once, so numpy's fixed cost per call is paid once per batch
-instead of once per market. ``clear`` walks each market's own good and
-Right levels, one step of every market per pass, until the last market is
-done; a market that is done trades no more.
+makes the same checks, each step as array operations over all markets at
+once, so numpy's fixed cost per call is paid once per batch instead of once
+per market. ``clear`` walks each market's own good and Right levels, one
+step of every market per pass, until the last market is done; a market that
+is done trades no more.
 
-Every market's utility totals equal those of its own replay bit for bit:
-
-- an elementwise numpy operation is the same IEEE operation as the scalar
-  one, and ``min``/``max`` are spelled so that NaN and signed zeros come
-  out as the scalar code compares them;
-- every sum that feeds a result adds left to right along its own row, as
-  Python's ``sum`` does (``_sum``); ``np.sum`` adds pairwise and would not;
-- sorts are stable along each row, so ties keep their order as Python's
-  ``sorted`` keeps them;
-- a step updates only the traders the scalar step updates.
+The sums, bids, P, rights rows and settlement checks are ``wide``'s column
+layer, applied along each row, and every market's utility totals equal
+those of its own replay bit for bit by the rules in ``wide``'s docstring.
+The round, ``clear``, the implicit-price solve and the Right fill are this
+kernel's own.
 
 A check that fails in any market raises ``SimulationError``; the caller
 then replays the markets one at a time, so that the first failing one
@@ -47,28 +40,20 @@ from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
 from .engine import AdjustmentIndex, _check_residuals
 from .errors import PricingError, SimulationError
 from .mechanism import BuyerBid, ClearingResult, Rejection, SellerOffer
-from .pricing import mechanism_rights
-
-# rows of a bid array, in ``BuyerBid`` field order: one (M, N) slice each
-OFFER, OFFER_PRICE, GOOD_CAP, GOOD_PRICE, RIGHT_CAP, RIGHT_PRICE = range(6)
-
-
-def _sum(a: np.ndarray) -> np.ndarray:
-    """Python's ``sum`` of each row of ``a``, bit for bit.
-
-    ``np.add.accumulate`` adds left to right as ``sum`` does, but starts
-    from the first entry where ``sum`` starts from 0: the two differ only
-    while every entry so far is -0.0, and adding 0.0 turns that -0.0 into
-    ``sum``'s 0.0 and leaves every other value alone. So a 0.0 put in place
-    of an entry a sum leaves out does not change it either.
-    """
-    return np.add.accumulate(a, axis=-1)[..., -1] + 0.0
-
-
-def _positive(a: np.ndarray) -> np.ndarray:
-    """``v if v > 0.0 else 0.0`` of each entry: ``np.fmax`` turns NaN and
-    negatives into 0.0, and adding 0.0 turns the -0.0 it may keep into 0.0."""
-    return np.fmax(a, 0.0) + 0.0
+from .wide import (
+    GOOD_CAP,
+    GOOD_PRICE,
+    OFFER,
+    OFFER_PRICE,
+    RIGHT_CAP,
+    RIGHT_PRICE,
+    _positive,
+    _sum,
+    greedy_bids,
+    mean_price,
+    rights_row,
+    settle,
+)
 
 
 class Markets:
@@ -150,21 +135,11 @@ def _transition(market: Markets, config: MarketConfig, claims: np.ndarray) -> No
     market.round_index = nxt
 
 
-def _rights(memo: dict[float, np.ndarray], config: MarketConfig, offered: float) -> np.ndarray:
-    """The mechanism's rights for ``offered`` as a row."""
-    row = memo.get(offered)
-    if row is None:
-        row = memo[offered] = np.array(mechanism_rights(config, offered), dtype=float)
-    return row
-
-
 def implicit_price(money: np.ndarray, rights: np.ndarray) -> np.ndarray:
     """``pricing.solve_implicit_price`` of each row of ``money`` and
     ``rights``, bit for bit; it raises if it raises for any row.
 
-    The scalar scan visits interval 0, whose floor is 0.0, and then one
-    interval per distinct positive breakpoint M/R, in ascending order, with
-    every holder at or below the floor in the poor set. Each row's holders
+    The scan is described at ``wide.implicit_price``. Each row's holders
     are sorted once (stably, as ``sorted`` orders ties by index), ahead of
     the buyers without Right, whose breakpoints read as infinity. Interval
     k of a row is the one whose poor set is its first k holders: interval
@@ -221,36 +196,6 @@ def implicit_price(money: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return np.where(broke, 0.0, p[rows, pick])
 
 
-def greedy_bids(
-    price_avg: np.ndarray,
-    offered_volume: np.ndarray,
-    money: np.ndarray,
-    rights: np.ndarray,
-    variant: str,
-) -> np.ndarray:
-    """``pricing.greedy_buyer_bids`` of every market as a (6, M, N) array:
-    slice ``OFFER`` and the others in ``BuyerBid`` field order. Row m takes
-    P = ``price_avg[m]`` and the Good on sale ``offered_volume[m]``."""
-    bids = np.empty((6,) + money.shape)
-    price = price_avg[:, None]
-    bids[OFFER_PRICE] = bids[GOOD_PRICE] = bids[RIGHT_PRICE] = price
-    backing = money / price
-    psi = _positive(rights - backing)
-    xi = _positive(backing - rights)
-    free = ~(price > 0.0)
-    if np.count_nonzero(free):
-        # Good is free: nobody sells Right, and demand is capped by the
-        # Good on sale
-        free_xi = offered_volume[:, None] - rights
-        free_xi = np.where((money >= 0.0) & (free_xi > 0.0), free_xi, 0.0)
-        xi = np.where(free, free_xi, xi)
-        psi = np.where(free, 0.0, psi)
-    bids[OFFER] = psi / 2.0 if variant == "myopic_rights" else psi
-    bids[GOOD_CAP] = rights + xi
-    bids[RIGHT_CAP] = xi
-    return bids
-
-
 def _play_round(
     market: Markets,
     config: MarketConfig,
@@ -285,9 +230,9 @@ def _play_round(
     rights = np.empty((markets, nb))
     offered_list = offered.tolist()
     if len(set(offered_list)) == 1:
-        rights[:] = _rights(rights_memo, config, offered_list[0])
+        rights[:] = rights_row(rights_memo, config, offered_list[0])
     else:
-        rights[:] = [_rights(rights_memo, config, o) for o in offered_list]
+        rights[:] = [rights_row(rights_memo, config, o) for o in offered_list]
     if config.variant == "myopic_rights":
         price = _sum(money_start) / offered
     else:
@@ -302,9 +247,8 @@ def _play_round(
                 prices[m, s] *= adj.price_factor
     market.right = rights
 
-    # ``pricing.mean_posted_price`` of each market
-    price_avg = _sum(prices) / ns
-    bids = greedy_bids(price_avg, offered, money_start, rights, config.variant)
+    price_avg = mean_price(prices)
+    bids = greedy_bids(price_avg[:, None], offered[:, None], money_start, rights, config.variant)
     for m, (side, b), adjs in moves:
         if side == "buyer" and 0 <= b < nb:
             for adj in adjs:
@@ -316,33 +260,12 @@ def _play_round(
 
     market.seller_good = stock - result.seller_sold
     market.seller_money = market.seller_money + result.seller_revenue
-    bought = result.good_bought
-    market.good = market.good + bought
-    # deferred proceeds join the balance only now, after the trading window
-    # closed; rounding dust scales with the buyer's money in play
-    earned = result.money_earned_right
-    money = money_start - result.money_spent_good - result.money_spent_right
-    money = money + earned
-    short = money < 0.0
-    if np.count_nonzero(short):
-        in_play = money_start + earned
-        broke = short & (money < -CONSERVATION_TOL * np.where(in_play > 1.0, in_play, 1.0))
-        if np.count_nonzero(broke):
-            b = int(np.argwhere(broke)[0, 1])
-            raise SimulationError(tau, f"buyer {b} money went negative")
-        money = np.where(short, 0.0, money)
-    market.money = money
-    # rights cap: purchases in the round never exceed licence held + bought
-    good_tol = CONSERVATION_TOL * np.where(offered > 1.0, offered, 1.0)
-    over_cap = bought > rights + result.right_bought + good_tol[:, None]
-    if np.count_nonzero(over_cap):
-        b = int(np.argwhere(over_cap)[0, 1])
-        raise SimulationError(tau, f"buyer {b} bought good beyond their rights")
+    settle(market, tau, money_start, result, rights, offered[:, None])
 
     # money only changes hands; good shipped must equal good received
     money_total = _sum(money_start)
-    money_res = np.abs(_sum(market.seller_money) + _sum(money) - money_total)
-    good_res = np.abs(_sum(bought) - _sum(result.seller_sold))
+    money_res = np.abs(_sum(market.seller_money) + _sum(market.money) - money_total)
+    good_res = np.abs(_sum(result.good_bought) - _sum(result.seller_sold))
     # each seller's residual raises the round's unless it is NaN, as the
     # scalar ``max`` compares; a NaN round residual stays NaN
     sellers_res = np.fmax.reduce(np.abs(result.seller_sold + result.unsold_good - volumes), axis=1)
@@ -439,27 +362,14 @@ def clear(
 ) -> ClearingResult:
     """``mechanism.clear`` of every market: market m's sellers offer
     ``volumes[m]`` at ``prices[m]``, and its buyers bid ``bids[:, m]``, laid
-    out as ``greedy_bids`` builds them. The rules are in ``mechanism``'s
-    docstring. Each field of the ``ClearingResult`` holds one row per
-    market, and ``rejected`` one tuple per market.
+    out as ``greedy_bids`` builds them. Each field of the ``ClearingResult``
+    holds one row per market, and ``rejected`` one tuple per market.
 
-    As there, a buyer with more than ``EQ_TOL`` of Right on sale gets a
-    Right cap of 0, and each stage-2 step trades at the cheapest good level
-    and the cheapest Right level. So every step empties a level or fills
-    the demand it met, and the loops end without an iteration cap. A pass
-    steps every market with demand at its cheapest level. A market without
-    one stops there, as the scalar pass does: it trades no more, so its
-    demand stays as it was.
-
-    Each pass over the buyers is an array operation over all of them: a
-    buyer the scalar pass skips (no Good cap, licence or Right cap left, or
-    a price ceiling below the price) has a demand of at most 0 here and is
-    not updated. ``vbar_rem`` and ``wbar_rem`` are never NaN (a NaN cap is
-    rejected and a cap only falls through ``_positive``), so an ``np.fmin``
-    chain that starts from them skips a NaN bound as the scalar ``v if v <
-    cap else cap`` does. A buyer whose licence is not positive, NaN
-    included, is left out of a stage-1 pass explicitly, as the scalar pass
-    leaves them out.
+    The rules, and why the loops end, are in ``mechanism``'s docstring, and
+    why each pass matches the scalar one in ``wide.clear``'s. A pass steps
+    every market with demand at its cheapest level. A market without one
+    stops there, as the scalar pass does: it trades no more, so its demand
+    stays as it was.
     """
     markets, nb = market.money.shape
     myopic = variant == "myopic_rights"
@@ -613,9 +523,7 @@ def _equal_rate_fill(
     ``several`` is False when no row can have more than one member.
 
     A row of one member takes ``total if total < a else a``, as the scalar
-    fill does. Rows of more walk the water level's breakpoints: the walk
-    becomes running sums of the steps between each row's sorted holdings,
-    and it stops at the first step that reaches the row's total. Past a
+    fill does; rows of more walk as ``wide._equal_rate_fill`` does. Past a
     row's members the holdings read as infinity, and the running sums turn
     NaN there, so no step past them reaches the total.
     """

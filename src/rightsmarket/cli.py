@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -335,14 +336,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except RightsMarketError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    target = args.out or scn.output.csv
-    if target:
-        with open(target, "w", newline="") as fh:
-            write_trace_csv(trace, fh, scn.output.columns)
-        print(f"wrote {trace.horizon} rounds to {target}")
-    else:
-        write_trace_csv(trace, sys.stdout, scn.output.columns)
-    return EXIT_OK
+    csv = io.StringIO()
+    write_trace_csv(trace, csv, scn.output.columns)
+    return _write_out(args.out or scn.output.csv, csv.getvalue(), f"{trace.horizon} rounds")
+
+
+def _write_out(path: str | None, text: str, what: str, code: int = EXIT_OK) -> int:
+    """Write a command's output ``text`` to ``path``, or to stdout when
+    there is none, and return ``code``; a path that cannot be written is bad
+    input, reported in one line."""
+    if not path:
+        sys.stdout.write(text)
+        return code
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
+    print(f"wrote {what} to {path}")
+    return code
 
 
 def default_coalitions(config: MarketConfig) -> list[list[tuple[str, int]]]:
@@ -390,12 +402,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(f"audit failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     report = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(report)
-        print(f"wrote audit report to {args.out}")
-    else:
-        sys.stdout.write(report)
-    return EXIT_DEVIATION if found else EXIT_OK
+    return _write_out(args.out, report, "audit report", EXIT_DEVIATION if found else EXIT_OK)
 
 
 def _asymptotic_window(horizon: int) -> int:
@@ -457,13 +464,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         nb, scale, seeds, *metrics = row
         lines.append(",".join([str(nb), _fmt(scale), str(seeds)] + [_fmt(x) for x in metrics]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote sweep to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_out(args.out, "\n".join(lines) + "\n", "sweep")
 
 
 def cmd_verify_mechanisms(args: argparse.Namespace) -> int:

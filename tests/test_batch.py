@@ -7,24 +7,28 @@ every batch of two or more replays of a small market goes to the batch
 kernel, and require the ``repr`` of every total to equal that of the
 replays one at a time on the scalar round; when one of them fails, the
 batch must raise the first failure of the replays one at a time. The
-kernel's pieces are compared with their scalar counterparts as well.
+kernel's pieces, and the column layer it shares with ``wide``, are
+compared with their scalar counterparts row by row, and with ``wide``'s
+one-market forms, on batches of one to five rows.
 
     PYTHONPATH=src python -m pytest tests/test_batch.py --hypothesis-profile=ci
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rightsmarket import batch, mechanism
+from rightsmarket import batch, mechanism, wide
 from rightsmarket.analysis import Deviation, audit_coalition
 from rightsmarket.cli import load_scenario
 from rightsmarket.core import equal_rate_fill
 from rightsmarket.engine import replay_batch, replay_from, run_with_checkpoints
 from rightsmarket.errors import PricingError, SimulationError
-from rightsmarket.pricing import solve_implicit_price
+from rightsmarket.mechanism import SellerOffer
+from rightsmarket.pricing import greedy_buyer_bids, mean_posted_price, solve_implicit_price
 
 from test_clear_oracle import clear_batch, market
 from test_wide import adjustment_lists, markets, outcome, playing
@@ -95,28 +99,33 @@ def test_a_batch_clears_each_market_as_clear_does(markets, variant):
         assert repr(row) == repr(mechanism.clear(*markets[m], variant))
 
 
-@settings(deadline=None)
-@given(
-    st.lists(
-        st.lists(
-            st.tuples(st.floats(0.0, 2.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
-            min_size=4, max_size=4,
-        ),
-        min_size=1, max_size=5,
+def rows(cell, min_width, max_width):
+    """One to five rows of one width, from ``min_width`` to ``max_width``
+    cells drawn from ``cell``: a batch of M markets, M = 1 among them."""
+    return st.integers(min_width, max_width).flatmap(
+        lambda n: st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=5)
     )
-)
-def test_implicit_price_matches_the_scan_row_by_row(rows):
-    money = np.array([[m for m, _ in row] for row in rows])
-    rights = np.array([[r for _, r in row] for row in rows])
+
+
+@settings(deadline=None)
+@given(rows(st.tuples(st.floats(0.0, 2.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0))), 1, 60))
+def test_implicit_price_matches_the_scan_row_by_row(cells):
+    # each row on wide's one-market form too, which raises the scan's error
+    money = np.array([[m for m, _ in row] for row in cells])
+    rights = np.array([[r for _, r in row] for row in cells])
     want = []
-    for m, r in zip(money.tolist(), rights.tolist()):
+    for m, r in zip(money, rights):
         try:
-            want.append(solve_implicit_price(m, r))
-        except PricingError:
+            want.append(solve_implicit_price(m.tolist(), r.tolist()))
+        except PricingError as exc:
+            with pytest.raises(PricingError, match=re.escape(str(exc))), np.errstate(all="ignore"):
+                wide.implicit_price(m, r)
             # a row that fails the scan fails the batch
             with pytest.raises(PricingError), np.errstate(all="ignore"):
                 batch.implicit_price(money, rights)
             return
+        with np.errstate(all="ignore"):
+            assert repr(wide.implicit_price(m, r)) == repr(want[-1])
     with np.errstate(all="ignore"):
         got = batch.implicit_price(money, rights)
     assert repr(got.tolist()) == repr(want)
@@ -124,36 +133,90 @@ def test_implicit_price_matches_the_scan_row_by_row(rows):
 
 @settings(deadline=None)
 @given(
-    st.lists(
-        st.tuples(
-            st.lists(st.tuples(st.floats(0.0, 5.0), st.booleans()), min_size=6, max_size=6),
-            st.floats(0.0, 1.0),
-        ),
-        min_size=1, max_size=5,
-    )
+    rows(st.tuples(st.floats(0.0, 5.0), st.booleans()), 1, 40),
+    st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
 )
-def test_equal_rate_fill_matches_the_scalar_fill_row_by_row(rows):
-    held = np.array([[a for a, _ in row] for row, _ in rows])
-    members = np.array([[member for _, member in row] for row, _ in rows])
+def test_equal_rate_fill_matches_the_scalar_fill_row_by_row(cells, shares):
+    # each row's members on wide's one-market form too
+    held = np.array([[a for a, _ in row] for row in cells])
+    members = np.array([[member for _, member in row] for row in cells])
     # a share of the members' holdings, as a clearing step takes
-    total = np.array([share * sum(h[chosen].tolist()) for h, chosen, (_, share) in zip(
-        held, members, rows)])
+    total = np.array([share * sum(h[chosen].tolist()) for h, chosen, share in zip(
+        held, members, shares)])
     with np.errstate(all="ignore"):
         got = batch._equal_rate_fill(held, members, total)
-    for m in range(len(rows)):
+    for m in range(len(cells)):
         want = [0.0] * held.shape[1]
         chosen = members[m].nonzero()[0].tolist()
         if chosen:
-            for b, v in zip(chosen, equal_rate_fill(held[m, chosen].tolist(), float(total[m]))):
+            fill = equal_rate_fill(held[m, chosen].tolist(), float(total[m]))
+            assert repr(wide._equal_rate_fill(held[m, chosen], float(total[m])).tolist()) == repr(
+                fill
+            )
+            for b, v in zip(chosen, fill):
                 want[b] = v
         assert repr(got[m].tolist()) == repr(want)
 
 
-@given(st.lists(st.lists(st.floats(-1e8, 1e8), min_size=3, max_size=3), min_size=1, max_size=4))
-def test_sum_adds_each_row_left_to_right_from_zero(rows):
-    assert repr(batch._sum(np.array(rows)).tolist()) == repr([float(sum(row)) for row in rows])
+@given(rows(st.floats(-1e8, 1e8), 0, 300))
+def test_sum_adds_each_row_left_to_right_from_zero(cells):
+    # an empty row sums to 0.0; one column sums to a float, as records need
+    a = np.array(cells, dtype=float).reshape(len(cells), -1)
+    want = [float(sum(row)) for row in cells]
+    assert repr(batch._sum(a).tolist()) == repr(want)
+    for row, total in zip(a, want):
+        got = wide._sum(row)
+        assert type(got) is float and repr(got) == repr(total)
 
 
 def test_sum_of_negative_zeros_is_zero():
     # sum() starts from the integer 0, np.add.accumulate from the first entry
     assert repr(batch._sum(np.array([[-0.0, -0.0]])).tolist()) == "[0.0]"
+
+
+@given(rows(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 10.0)), 1, 30))
+def test_mean_price_is_the_mean_posted_price(cells):
+    prices = np.array(cells)
+    want = [mean_posted_price([SellerOffer(1.0, p) for p in row]) for row in cells]
+    assert repr(wide.mean_price(prices).tolist()) == repr(want)
+    assert repr([wide.mean_price(row) for row in prices]) == repr(want)
+
+
+def test_mean_price_of_equal_prices_is_the_mean_posted_price():
+    # ten offers whose float mean rounds one ulp below their price
+    # (``tests/test_pricing.py``): a fix to either P must land in both
+    prices = np.full(10, 1.0001748401014516)
+    want = mean_posted_price([SellerOffer(0.1, p) for p in prices.tolist()])
+    assert repr(wide.mean_price(prices)) == repr(want)
+    assert repr(wide.mean_price(prices[None]).tolist()) == repr([want])
+
+
+@settings(deadline=None)
+@given(
+    rows(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), st.floats(0.0, 1.0)), 1, 8),
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.3, float("nan")]), min_size=5, max_size=5),
+    st.floats(0.01, 2.0),
+    st.sampled_from(["rights", "myopic_rights"]),
+)
+def test_greedy_bids_match_the_scalar_bids_row_by_row(cells, prices, offered, variant):
+    # P not positive, NaN included, takes the free-Good branch in any row
+    money = np.array([[m for m, _ in row] for row in cells])
+    rights = np.array([[r for _, r in row] for row in cells])
+    price = np.array(prices[: len(cells)])[:, None]
+    with np.errstate(all="ignore"):
+        got = wide.greedy_bids(price, np.full(price.shape, offered), money, rights, variant)
+        for m, (p, mm, r) in enumerate(zip(prices, money, rights)):
+            want = greedy_buyer_bids(p, offered, mm.tolist(), r.tolist(), variant)
+            assert repr(got[:, m].T.tolist()) == repr([list(bid) for bid in want])
+            one = wide.greedy_bids(p, offered, mm, r, variant)
+            assert repr(one.tolist()) == repr(got[:, m].tolist())
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["_sum", "_positive", "OFFER", "OFFER_PRICE", "GOOD_CAP", "GOOD_PRICE", "RIGHT_CAP",
+     "RIGHT_PRICE", "greedy_bids", "mean_price", "rights_row", "settle"],
+)
+def test_the_column_layer_is_shared_with_wide(name):
+    # one definition each: a rule fixed in one kernel is fixed in both
+    assert getattr(batch, name) is getattr(wide, name)

@@ -290,6 +290,23 @@ class TestCommands:
         assert main(["simulate", "--scenario", str(bad)]) == EXIT_PARSE
         assert "output.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["simulate", "scenario-csv", "audit", "sweep"])
+    def test_an_unwritable_output_is_bad_input(self, tmp_path, capsys, case):
+        # a directory, or a file in a directory that does not exist
+        target = str(tmp_path / "missing" / "x.txt") if case == "audit" else str(tmp_path)
+        scenario = tmp_path / "unit.json"
+        scenario.write_text(json.dumps(minimal_scenario(horizon=4, output={"csv": target})))
+        argv = {
+            "simulate": ["simulate", "--scenario", "scenario-a-proportional", "--out", target],
+            "scenario-csv": ["simulate", "--scenario", str(scenario)],
+            "audit": ["audit", "--scenario", str(scenario), "--unilateral-only", "--out", target],
+            "sweep": ["sweep", "--sizes", "3:3", "--seeds", "1", "--out", target],
+        }[case]
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {target}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         ("income", "code"),
         [

@@ -5,7 +5,9 @@ has ``engine.WIDE_MIN_BUYERS`` buyers, and on the scalar round below that.
 These tests play the same markets both ways, whatever their size, by moving
 that constant for the duration of a call, and require the same ``repr`` of
 every trace, checkpoint and replay total, and the same ``SimulationError``
-round and message when a run fails.
+round and message when a run fails. The kernel's pieces are compared with
+the scalar ones here on single columns, and row by row in
+``tests/test_batch.py``.
 """
 
 import re
@@ -345,7 +347,7 @@ def test_a_round_with_no_good_offered_fails_both_paths_alike(num_buyers):
     assert replays == runs
 
 
-# -- the kernel's pieces -------------------------------------------------------
+# -- the kernel's pieces (row by row in tests/test_batch.py) ------------------
 
 
 @settings(deadline=None)
@@ -387,5 +389,5 @@ def test_sum_adds_left_to_right_from_zero(values):
 
 
 def test_sum_of_negative_zeros_is_zero():
-    # sum() starts from the integer 0, np.cumsum from the first entry
+    # sum() starts from the integer 0, np.add.accumulate from the first entry
     assert repr(wide._sum(np.array([-0.0, -0.0]))) == repr(sum([-0.0, -0.0])) == "0.0"
