@@ -24,10 +24,11 @@ then replays the markets one at a time, so that the first failing one
 raises its own error. ``tests/test_batch.py`` compares batches with
 replays one at a time, and ``batch.clear`` with ``mechanism.clear``.
 
-A single market of many buyers stays with ``wide``, whose arrays are one
-market's columns. Played here as a batch of one, a 300-buyer, 10-seller
-market's round measured about 1.5x slower, since every per-market number
-becomes an array and every per-market test a numpy call.
+A replay of a single market of many buyers is played here too, as a batch
+of one: a 20-round replay of a 300-buyer, 10-seller market takes about
+15 ms here against about 29 ms on the scalar round (raw, 2-core host).
+An all-greedy run of such a market goes to ``wide``, whose arrays are one
+market's columns: there a ``crowd`` round is about 1.5x faster than here.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def implicit_price(money: np.ndarray, rights: np.ndarray) -> np.ndarray:
     interval, as in the scan. A breakpoint of infinity ends the scan as it
     does there.
     """
-    if np.count_nonzero(np.fmin(money, rights) < 0.0):
+    # ``not x >= 0.0`` also catches NaN, which ``np.minimum`` propagates
+    if np.count_nonzero(~(np.minimum(money, rights) >= 0.0)):
         raise PricingError("money and rights must be non-negative")
     total_rights = _sum(rights)
     if np.count_nonzero(total_rights <= 0.0):
@@ -270,7 +272,8 @@ def _play_round(
     # scalar ``max`` compares; a NaN round residual stays NaN
     sellers_res = np.fmax.reduce(np.abs(result.seller_sold + result.unsold_good - volumes), axis=1)
     good_res = np.where(np.isnan(good_res), good_res, np.fmax(good_res, sellers_res))
-    failing = (money_res > CONSERVATION_TOL) | (good_res > CONSERVATION_TOL)
+    # ``not x <= tol`` also catches a NaN residual
+    failing = ~((money_res <= CONSERVATION_TOL) & (good_res <= CONSERVATION_TOL))
     for m in failing.nonzero()[0].tolist():
         _check_residuals(
             float(money_res[m]), float(good_res[m]), float(money_total[m]), float(offered[m])

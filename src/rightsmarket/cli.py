@@ -13,9 +13,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -357,6 +359,24 @@ def _write_out(path: str | None, text: str, what: str, code: int = EXIT_OK) -> i
     return code
 
 
+def _unwritable(path: str | None) -> bool:
+    """Report ``cannot write <path>: <reason>`` and return True when
+    ``path``, a command's ``--out``, visibly cannot be written: its directory
+    is missing or it is a directory. Checked before a long command's work;
+    ``_write_out`` still catches every other unwritable path."""
+    if not path:
+        return False
+    target = Path(path)
+    if target.is_dir():
+        reason = errno.EISDIR
+    elif not target.parent.is_dir():
+        reason = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return False
+    print(f"cannot write {path}: {os.strerror(reason)}", file=sys.stderr)
+    return True
+
+
 def default_coalitions(config: MarketConfig) -> list[list[tuple[str, int]]]:
     """Up to three two-member coalitions spanning the proof's case split:
     buyers only, sellers only (when possible), and mixed."""
@@ -378,6 +398,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     config = _apply_overrides(scn.config, args)
+    if _unwritable(args.out):
+        return EXIT_PARSE
     horizon = config.horizon
     lines: list[str] = [f"equilibrium audit of {scn.name} (horizon {horizon})"]
     found = False
@@ -420,6 +442,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     if lo < 2 or hi < lo:
         print("sweep error: need 2 <= lo <= hi", file=sys.stderr)
+        return EXIT_PARSE
+    if _unwritable(args.out):
         return EXIT_PARSE
 
     rows = []

@@ -6,6 +6,13 @@ clears, metrics are recorded and the transition carries state to the next
 round. Three variants share the loop: "rights" (the hybrid system),
 "free_market" (no rights, price = total money / offered volume) and
 "myopic_rights" (right-sale proceeds spendable in the same round).
+
+The scalar round here is the reference. Two numpy kernels play the same
+rights-variant rounds bit for bit, each for one job, once the buyers they
+play reach ``WIDE_MIN_BUYERS``: ``wide`` plays all-greedy runs, and
+``batch`` plays the replays of ``replay_batch``, one market per row. Runs
+with adjustments or checkpoints, small markets and ``free_market`` stay
+here.
 """
 
 from __future__ import annotations
@@ -60,7 +67,9 @@ class SupplySchedule:
     in ``SCHEDULE_PARAMS``; use the classmethod constructors. Parameters must
     be finite, and a period or width non-zero. A logistic or hubbert value
     whose exponential overflows is below 1e-150 of its height and reads as
-    zero; a bullwhip that overflows grows without bound, a ``ConfigError``.
+    zero. Any other value that is not finite, such as a ``linear`` slope
+    times the round that overflows to infinity or a bullwhip whose
+    exponential overflows, is a ``ConfigError`` naming the round.
     """
 
     kind: str
@@ -141,7 +150,7 @@ class SupplySchedule:
             try:
                 v = base + amplitude * math.cos(2.0 * math.pi * t / period) * math.exp(-decay * t)
             except OverflowError:
-                raise ConfigError(f"bullwhip schedule overflows at round {round_index}") from None
+                v = math.inf
         else:  # hubbert: logistic pulse peaking at `peak` for t == center
             peak, width, center = a
             try:
@@ -149,6 +158,9 @@ class SupplySchedule:
                 v = peak * 4.0 * z / (1.0 + z) ** 2
             except OverflowError:
                 v = 0.0
+        # a float ``*`` or ``+`` overflows to infinity without raising
+        if not math.isfinite(v):
+            raise ConfigError(f"{k} schedule overflows at round {round_index}")
         return v if v > 0.0 else 0.0  # max(0.0, v), without the builtin's call cost
 
 
@@ -359,13 +371,14 @@ def replay_batch(
 
     The replays are the same market with different bids, so once lists x
     buyers reaches ``WIDE_MIN_BUYERS`` they run in lockstep, one market per
-    list, as the rows of ``batch.play_batch``'s arrays. If any of them
+    list, as the rows of ``batch.play_batch``'s arrays; a single list of a
+    large market runs there too, as a batch of one. If any of them
     fails there, every list is replayed one at a time, in order, so that
     the first failing list raises its own error, as a loop of
     ``replay_from`` would.
     """
     indexes = [_index_adjustments(adjustments) for adjustments in adjustment_lists]
-    if len(indexes) > 1 and _on_wide(config, len(indexes)):
+    if _on_wide(config, len(indexes)):
         # imported here: the kernel reads this module's helpers
         from .batch import play_batch
 
@@ -410,16 +423,24 @@ def _run(
     except Exception as exc:
         raise SimulationError(1, str(exc)) from exc
     records: list[RoundRecord] = []
-    max_money_res, max_good_res = _play_rounds(
-        config,
-        state,
-        T,
-        _index_adjustments(adjustments),
-        seller_total,
-        buyer_total,
-        records,
-        checkpoints,
-    )
+    if not adjustments and checkpoints is None and _on_wide(config, 1):
+        # imported here: the kernel builds this module's records
+        from .wide import play_rounds
+
+        max_money_res, max_good_res = play_rounds(
+            config, state, T, seller_total, buyer_total, records
+        )
+    else:
+        max_money_res, max_good_res = _play_rounds(
+            config,
+            state,
+            T,
+            _index_adjustments(adjustments),
+            seller_total,
+            buyer_total,
+            records,
+            checkpoints,
+        )
     ef_path: list[float] = []
     frustration_sum = 0.0
     for record in records:
@@ -436,20 +457,25 @@ def _run(
 
 
 # The number of buyers, summed over the markets played side by side, from
-# which a rights-variant market, or a batch of replays, is played on numpy
-# arrays (``wide``, ``batch``). Below it the fixed cost of each numpy call
-# outweighs the per-buyer loops it replaces. Measured on 20-round greedy
-# runs of one market, the two paths break even between 50 buyers (10
-# sellers) and 60 (one seller); at 3 buyers the kernel is about 3x slower,
-# at 300 about 3x faster. A batch of 40 audit replays of 3 buyers plays a
-# round in about 0.5 ms, against about 4 ms for 40 scalar rounds.
+# which a rights-variant market is played on numpy arrays: an all-greedy
+# run on ``wide``, a batch of replays, one replay included, on ``batch``.
+# Below it the fixed cost of each numpy call outweighs the per-buyer loops
+# it replaces. Measured on 20-round greedy runs of one market, the two
+# paths break even between 50 buyers (10 sellers) and 60 (one seller); at
+# 3 buyers the kernel is about 3x slower, at 300 about 3x faster. A batch
+# of 40 audit replays of 3 buyers plays a round in about 0.5 ms, against
+# about 4 ms for 40 scalar rounds; one 20-round replay of a 300-buyer,
+# 10-seller market takes about 15 ms on ``batch`` and 29 ms on the scalar
+# round. A run with adjustments or checkpoints stays scalar whatever its
+# size: no workload or command plays one of this size but an audit's one
+# baseline (about 40 ms scalar against 18 ms on ``wide`` at 300 buyers).
 WIDE_MIN_BUYERS = 60
 
 
 def _on_wide(config: MarketConfig, markets: int) -> bool:
     """Whether ``markets`` markets of ``config``, played side by side, go to
-    numpy arrays (``wide`` for one market, ``batch`` for more): rights
-    variants of at least ``WIDE_MIN_BUYERS`` buyers in all."""
+    numpy arrays (``wide`` for an all-greedy run, ``batch`` for replays):
+    rights variants of at least ``WIDE_MIN_BUYERS`` buyers in all."""
     return markets * config.num_buyers >= WIDE_MIN_BUYERS and config.variant != "free_market"
 
 
@@ -466,9 +492,8 @@ def _play_rounds(
     """Play rounds ``state.round_index`` through ``horizon``, adding each
     round's utilities to ``seller_total`` and ``buyer_total`` in place.
 
-    A rights-variant market of at least ``WIDE_MIN_BUYERS`` buyers is
-    played by ``wide.play_rounds`` on numpy columns, with the same results
-    bit for bit. ``state`` is used up: the scalar rounds mutate it. When
+    This is the scalar round, the reference ``wide`` and ``batch`` are
+    tested against. ``state`` is used up: the rounds mutate it. When
     ``records`` is a list, each round's record is appended to it; a replay
     that needs only the totals passes None and skips building them, but not
     any check. When ``checkpoints`` is a list, a checkpoint is appended at
@@ -476,13 +501,6 @@ def _play_rounds(
     largest money and Good residuals. A failure, including one in the
     transition into round t, aborts with round index t.
     """
-    if _on_wide(config, 1):
-        # imported here: the kernel builds this module's records
-        from .wide import play_rounds
-
-        return play_rounds(
-            config, state, horizon, adjustments, seller_total, buyer_total, records, checkpoints
-        )
     max_money_res = 0.0
     max_good_res = 0.0
 
@@ -524,11 +542,12 @@ def _check_residuals(
     exceeds ``CONSERVATION_TOL``; above 1 the tolerance scales with the
     money or Good in play (``money_total``, the buyers' money at the start
     of the round, and ``offered``), since rounding grows with the amounts
-    traded."""
-    if money_res > CONSERVATION_TOL or good_res > CONSERVATION_TOL:
+    traded. A NaN residual, left by money or Good that overflowed, fails
+    too: ``not x <= tol`` catches it where ``x > tol`` would not."""
+    if not (money_res <= CONSERVATION_TOL and good_res <= CONSERVATION_TOL):
         money_tol = CONSERVATION_TOL * max(1.0, money_total)
         good_tol = CONSERVATION_TOL * max(1.0, offered)
-        if money_res > money_tol or good_res > good_tol:
+        if not (money_res <= money_tol and good_res <= good_tol):
             raise ConservationError(
                 f"accounting residual money={money_res:g} good={good_res:g} "
                 f"exceeds tolerance money={money_tol:g} good={good_tol:g}"

@@ -42,7 +42,8 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> flo
     if len(m) != len(r):
         raise PricingError("money and rights vectors differ in length")
     for x, y in zip(m, r):
-        if x < 0.0 or y < 0.0:
+        # ``not x >= 0.0`` also catches NaN, on which the scan never ends
+        if not (x >= 0.0 and y >= 0.0):
             raise PricingError("money and rights must be non-negative")
     total_rights = sum(r)
     if total_rights <= 0.0:

@@ -1,26 +1,32 @@
-"""Rounds of many buyers, played on numpy columns, and the column rules
-that ``batch`` shares.
+"""All-greedy runs of many buyers, played on numpy columns, and the column
+rules that ``batch`` shares.
 
-``engine`` hands a ``rights`` or ``myopic_rights`` market to
-``play_rounds`` once it has ``engine.WIDE_MIN_BUYERS`` buyers. The kernel
+``engine.run`` hands a ``rights`` or ``myopic_rights`` market to
+``play_rounds`` once it has ``engine.WIDE_MIN_BUYERS`` buyers and every
+trader plays greedy: no bid adjustments and no checkpoints. The kernel
 plays the same round as ``engine._run_rights_round`` and makes the same
-checks, but holds each buyer quantity as one float64 column and runs every
-per-buyer pass (the implicit-price solve, the bids, each clearing step, the
-balance and rights-cap checks, the record, the utilities and the
-transition) as array operations. Sellers are few: they stay
-``SellerState`` objects and share the scalar code (``mechanism.GoodLevels``
-and ``engine``'s offer helpers), and so does ``clear``'s walk over good and
-Right levels. The buyers' price P is ``pricing.mean_posted_price``, and
-``clear`` returns the scalar ``mechanism.ClearingResult``, with a float64
-column in each buyer field.
+checks and records, but holds each buyer quantity as one float64 column
+and runs every per-buyer pass (the implicit-price solve, the bids, each
+clearing step, the balance and rights-cap checks, the record, the
+utilities and the transition) as array operations. Sellers are few: they
+stay ``SellerState`` objects and share the scalar code
+(``mechanism.GoodLevels`` and ``engine``'s offer helpers), and so does
+``clear``'s walk over good and Right levels. The buyers' price P is
+``pricing.mean_posted_price``, and ``clear`` returns the scalar
+``mechanism.ClearingResult``, with a float64 column in each buyer field.
 
-An audit's replays of one market are played by ``batch`` instead, one
-market per row, once replays x buyers reaches ``engine.WIDE_MIN_BUYERS``.
-The column rules the two kernels share, ``_sum`` through ``settle`` below,
-are stated once, here, over arrays of any leading shape: one market's
-columns, or the rows of M markets. Each kernel keeps its own round and
-``clear``; the implicit-price solve and the Right fill keep a one-market
-form here, which is faster (see their docstrings).
+Every replay, the audit's one-round deviations, is played by ``batch``
+instead, one market per row, once replays x buyers reaches
+``engine.WIDE_MIN_BUYERS``; runs with adjustments or checkpoints, small
+markets and ``free_market`` stay on the scalar round, the reference both
+kernels are tested against. The column rules the two kernels share,
+``_sum`` through ``settle`` below, are stated once, here, over arrays of
+any leading shape: one market's columns, or the rows of M markets. Each
+kernel keeps its own round and ``clear``; the implicit-price solve and the
+Right fill keep a one-market form here, which is faster (see their
+docstrings). ``clear`` also keeps the rejections and the several Right
+levels that greedy play never reaches: ``tests/test_clear_oracle.py``
+calls it directly.
 
 Every result equals the scalar round's bit for bit, in both kernels:
 
@@ -33,30 +39,18 @@ Every result equals the scalar round's bit for bit, in both kernels:
 - sorts are stable, so ties keep buyer order as Python's ``sorted`` does;
 - a step updates only the buyers the scalar loop updates.
 
-``tests/test_wide.py`` plays random markets both ways and compares them.
-Below ``engine.WIDE_MIN_BUYERS`` the fixed cost of numpy calls outweighs
-the per-buyer work they save, so small markets keep the scalar round.
+``tests/test_wide.py`` plays random all-greedy markets both ways and
+compares them. Below ``engine.WIDE_MIN_BUYERS`` the fixed cost of numpy
+calls outweighs the per-buyer work they save, so small markets keep the
+scalar round.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    CONSERVATION_TOL,
-    EQ_TOL,
-    BuyerState,
-    MarketConfig,
-    MarketState,
-)
-from .engine import (
-    AdjustmentIndex,
-    Checkpoint,
-    RoundRecord,
-    _check_residuals,
-    _offer_volumes,
-    _seller_offers,
-)
+from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
+from .engine import RoundRecord, _check_residuals, _offer_volumes, _seller_offers
 from .errors import PricingError, SimulationError
 from .mechanism import BuyerBid, ClearingResult, GoodLevels, Rejection, SellerOffer
 from .pricing import mean_posted_price, mechanism_rights
@@ -176,29 +170,17 @@ class WideState:
         self.money = np.array([b.money for b in state.buyers], dtype=float)
         self.right = np.array([b.right for b in state.buyers], dtype=float)
 
-    def to_state(self) -> MarketState:
-        return MarketState(
-            self.round_index,
-            [s.copy() for s in self.sellers],
-            [
-                BuyerState(g, m, r)
-                for g, m, r in zip(self.good.tolist(), self.money.tolist(), self.right.tolist())
-            ],
-        )
-
 
 def play_rounds(
     config: MarketConfig,
     state: MarketState,
     horizon: int,
-    adjustments: AdjustmentIndex,
     seller_total: list[float],
     buyer_total: list[float],
-    records: list[RoundRecord] | None,
-    checkpoints: list[Checkpoint] | None = None,
+    records: list[RoundRecord],
 ) -> tuple[float, float]:
-    """``engine._play_rounds`` for a rights variant, on columns: the same
-    rounds, checks, records, checkpoints, utility totals and residuals.
+    """``engine._play_rounds`` of an all-greedy rights-variant run, on
+    columns: the same rounds, checks, records, utility totals and residuals.
     ``state`` is read once and left as it was."""
     market = WideState(state)
     claims = np.array(config.claims, dtype=float)
@@ -212,17 +194,9 @@ def play_rounds(
         # divisions and comparisons run over whole columns, NaN included;
         # the scalar round reads only the entries it would have computed
         with np.errstate(all="ignore"):
-            while True:
-                if checkpoints is not None:
-                    checkpoints.append(
-                        Checkpoint(
-                            market.to_state(), tuple(seller_total), tuple(buyer_sum.tolist())
-                        )
-                    )
-                if tau > horizon:
-                    break
+            while tau <= horizon:
                 seller_u, buyer_u, money_res, good_res = _play_round(
-                    market, config, tau, adjustments, records, claims, rights_memo
+                    market, config, tau, records, claims, rights_memo
                 )
                 if money_res > max_money_res:
                     max_money_res = money_res
@@ -270,7 +244,8 @@ def implicit_price(money: np.ndarray, rights: np.ndarray) -> float:
     took 69-97 us a call against 54-75 us here, and a 300-buyer, 10-seller
     run played about 10% slower with it (2-core host, raw, interleaved).
     """
-    if np.count_nonzero(money < 0.0) or np.count_nonzero(rights < 0.0):
+    # ``not x >= 0.0`` also catches NaN
+    if np.count_nonzero(~(money >= 0.0)) or np.count_nonzero(~(rights >= 0.0)):
         raise PricingError("money and rights must be non-negative")
     total_rights = _sum(rights)
     if total_rights <= 0.0:
@@ -320,35 +295,26 @@ def _play_round(
     market: WideState,
     config: MarketConfig,
     tau: int,
-    adjustments: AdjustmentIndex,
-    records: list[RoundRecord] | None,
+    records: list[RoundRecord],
     claims: np.ndarray,
     rights_memo: dict,
 ):
-    """``engine._run_rights_round`` on columns: play round ``tau``, check it,
-    record it unless ``records`` is None, and return the seller and buyer
+    """``engine._run_rights_round`` of an all-greedy round on columns: play
+    round ``tau``, check it, record it, and return the seller and buyer
     utilities and the money and Good residuals."""
-    nb = claims.size
     money_start = market.money
-    round_adjustments = adjustments.get(tau, {})
 
-    volumes, offered = _offer_volumes(config, tau, round_adjustments, market.sellers)
+    volumes, offered = _offer_volumes(config, tau, {}, market.sellers)
     rights = rights_row(rights_memo, config, offered)
     if config.variant == "myopic_rights":
         price = _sum(money_start) / offered
     else:
         price = implicit_price(money_start, rights)
-    offers = _seller_offers(price * config.greedy_price_factor, volumes, round_adjustments)
+    offers = _seller_offers(price * config.greedy_price_factor, volumes, {})
     market.right = rights
 
     price_avg = mean_posted_price(offers)
     bids = greedy_bids(price_avg, offered, money_start, rights, config.variant)
-    for (side, b), adjs in round_adjustments.items():
-        if side == "buyer" and 0 <= b < nb:
-            for adj in adjs:
-                bids[OFFER, b] *= adj.right_offer_factor
-                bids[OFFER_PRICE, b] *= adj.price_factor
-                bids[RIGHT_CAP, b] *= adj.right_demand_factor
 
     result = clear(offers, bids, market, config.variant)
 
@@ -368,37 +334,36 @@ def _play_round(
             good_res = res
     _check_residuals(money_res, good_res, money_total, offered)
 
-    if records is not None:
-        myopic = config.variant == "myopic_rights"
-        right_offered = bids[OFFER]
-        offered_right = _sum(right_offered)
-        price_right = (
-            _sum(right_offered * bids[OFFER_PRICE]) / offered_right
-            if offered_right > 0.0
-            else 0.0
+    myopic = config.variant == "myopic_rights"
+    right_offered = bids[OFFER]
+    offered_right = _sum(right_offered)
+    price_right = (
+        _sum(right_offered * bids[OFFER_PRICE]) / offered_right
+        if offered_right > 0.0
+        else 0.0
+    )
+    good_end = market.good
+    with_rights = rights > 0.0
+    short_of = (rights - good_end) / rights
+    frustration = np.where(with_rights & (short_of > 0.0), short_of, 0.0)
+    records.append(
+        RoundRecord(
+            round_index=tau,
+            price_good=price_avg,
+            price_right=price_right,
+            money_start=tuple(money_start.tolist()),
+            good_end=tuple(good_end.tolist()),
+            right_assigned=mechanism_rights(config, offered),
+            frustration=tuple(frustration.tolist()),
+            right_offered=tuple(right_offered.tolist()),
+            right_demanded=tuple(bids[RIGHT_CAP].tolist()),
+            useful_money=sum(result.seller_revenue),
+            useless_money=0.0 if myopic else _sum(result.money_earned_right),
+            volume_offered=offered,
+            volume_sold=result.volume_sold,
+            rejections=result.rejected,
         )
-        good_end = market.good
-        with_rights = rights > 0.0
-        short_of = (rights - good_end) / rights
-        frustration = np.where(with_rights & (short_of > 0.0), short_of, 0.0)
-        records.append(
-            RoundRecord(
-                round_index=tau,
-                price_good=price_avg,
-                price_right=price_right,
-                money_start=tuple(money_start.tolist()),
-                good_end=tuple(good_end.tolist()),
-                right_assigned=mechanism_rights(config, offered),
-                frustration=tuple(frustration.tolist()),
-                right_offered=tuple(right_offered.tolist()),
-                right_demanded=tuple(bids[RIGHT_CAP].tolist()),
-                useful_money=sum(result.seller_revenue),
-                useless_money=0.0 if myopic else _sum(result.money_earned_right),
-                volume_offered=offered,
-                volume_sold=result.volume_sold,
-                rejections=result.rejected,
-            )
-        )
+    )
 
     c = config.seller_storage_cost
     seller_u = [s.money - c * s.good for s in sellers]

@@ -1,5 +1,10 @@
 """Shared scenario builders for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -57,3 +62,16 @@ def scenario_b():
         return make_benchmark(**kwargs)
 
     return make
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run ``python *args`` on this checkout's package, so that a call that
+    never returns fails the test at ``timeout`` seconds instead of hanging
+    the suite."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
+    )

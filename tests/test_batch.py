@@ -3,8 +3,8 @@
 ``engine.replay_batch`` plays the replays that resume at one checkpoint as
 the rows of ``batch.play_batch``'s arrays once replays x buyers reaches
 ``engine.WIDE_MIN_BUYERS``. These tests lower that constant to 1, so that
-every batch of two or more replays of a small market goes to the batch
-kernel, and require the ``repr`` of every total to equal that of the
+every batch of replays of a small market, a batch of one included, goes to
+the batch kernel, and require the ``repr`` of every total to equal that of the
 replays one at a time on the scalar round; when one of them fails, the
 batch must raise the first failure of the replays one at a time. The
 kernel's pieces, and the column layer it shares with ``wide``, are
@@ -36,9 +36,9 @@ from test_wide import adjustment_lists, markets, outcome, playing
 
 @st.composite
 def batches(draw):
-    """A config, a checkpoint index and two to six adjustment lists."""
+    """A config, a checkpoint index and one to six adjustment lists."""
     config, first = draw(markets(buyer_counts=(2, 3, 7)))
-    lists = [first] + draw(st.lists(adjustment_lists(config), min_size=1, max_size=5))
+    lists = [first] + draw(st.lists(adjustment_lists(config), max_size=5))
     return config, draw(st.integers(0, config.horizon - 1)), lists
 
 

@@ -9,9 +9,12 @@ markets, and the benchmark's 300-buyer references are compared to within
 ``random.Random``, whose stream is fixed across Python versions, so the
 digests do not depend on the installed numpy.
 
-Every case but the free market runs on the wide kernel (``wide``), since
-300 buyers is above ``engine.WIDE_MIN_BUYERS``; the digests predate it, so
-they also pin the kernel to the scalar round.
+Every all-greedy case but the free market runs on the wide kernel
+(``wide``), since 300 buyers is above ``engine.WIDE_MIN_BUYERS``; the
+digests predate it, so they also pin the kernel to the scalar round. The
+adjusted case runs on the scalar round, and its replay from round 1 runs
+on the batch kernel (``batch``) as a batch of one, which pins that kernel
+to the same totals.
 """
 
 import hashlib
@@ -20,10 +23,16 @@ import random
 
 import pytest
 
-from rightsmarket import wide
+from rightsmarket import batch, wide
 from rightsmarket.cli import write_trace_csv
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
-from rightsmarket.engine import BidAdjustment, SupplySchedule, run
+from rightsmarket.engine import (
+    BidAdjustment,
+    SupplySchedule,
+    replay_batch,
+    run,
+    run_with_checkpoints,
+)
 from rightsmarket.rights import DistributionMechanism
 
 NUM_BUYERS = 300
@@ -102,7 +111,7 @@ def test_adjustments_change_the_trace():
     assert trace_digest(mechanism, variant, adjustments) != trace_digest(mechanism, variant)
 
 
-def test_all_but_the_free_market_run_on_the_wide_kernel(monkeypatch):
+def test_the_greedy_rights_runs_play_on_the_wide_kernel(monkeypatch):
     played = []
     real = wide.play_rounds
 
@@ -117,6 +126,23 @@ def test_all_but_the_free_market_run_on_the_wide_kernel(monkeypatch):
         trace_digest(mechanism, variant, adjustments)
         if len(played) > before:
             on_wide.append(case)
-    assert on_wide == [
-        "rights-proportional", "rights-contested-garment", "myopic-rights", "rights-adjusted"
-    ]
+    assert on_wide == ["rights-proportional", "rights-contested-garment", "myopic-rights"]
+
+
+def test_a_replay_of_one_list_plays_on_the_batch_kernel(monkeypatch):
+    # two Right levels in round 7 keep stage 2's multi-level walk on a numpy
+    # kernel; the replay from round 1 must total what the adjusted run does
+    played = []
+    real = batch.play_batch
+
+    def spy(config, state, horizon, adjustments, *args):
+        played.append(len(adjustments))
+        return real(config, state, horizon, adjustments, *args)
+
+    config = crowd_config("contested_garment", "rights")
+    _, checkpoints = run_with_checkpoints(config)
+    monkeypatch.setattr(batch, "play_batch", spy)
+    [(sellers, buyers)] = replay_batch(config, checkpoints[0], HORIZON, [ADJUSTMENTS])
+    assert played == [1]
+    trace = run(config, adjustments=ADJUSTMENTS)
+    assert repr((sellers, buyers)) == repr((trace.seller_utilities, trace.buyer_utilities))

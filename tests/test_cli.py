@@ -22,6 +22,8 @@ from rightsmarket.cli import (
 from rightsmarket.engine import run
 from rightsmarket.errors import ScenarioError, SimulationError
 
+from conftest import run_python
+
 
 def minimal_scenario(**overrides):
     data = {
@@ -307,6 +309,24 @@ class TestCommands:
         assert err.startswith(f"cannot write {target}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("reason", ["No such file or directory", "Is a directory"])
+    @pytest.mark.parametrize("command", ["audit", "sweep"])
+    def test_an_unwritable_output_fails_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, command, reason
+    ):
+        def ran(*args, **kwargs):
+            raise AssertionError(f"{command} played before it checked --out")
+
+        monkeypatch.setattr(cli, "audit_unilateral", ran)
+        monkeypatch.setattr(cli, "generate_dirichlet_scenario", ran)
+        target = str(tmp_path / "missing" / "x.txt") if reason.startswith("No") else str(tmp_path)
+        argv = {
+            "audit": ["audit", "--scenario", "scenario-a-proportional", "--out", target],
+            "sweep": ["sweep", "--sizes", "3:4", "--out", target],
+        }[command]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == f"cannot write {target}: {reason}\n"
+
     @pytest.mark.parametrize(
         ("income", "code"),
         [
@@ -331,6 +351,46 @@ class TestCommands:
             assert "round 36" in capsys.readouterr().err
         else:
             assert len(out.read_text().splitlines()) == 61
+
+    @pytest.mark.parametrize(
+        ("incomes", "variant", "error"),
+        [
+            # money overflows to inf, and the round after its residual is NaN
+            ([{"kind": "constant", "level": 1e308}], "rights", "round 4: accounting residual"),
+            (
+                [{"kind": "cosine", "amplitude": 1e308, "period": 10, "offset": 1e308}],
+                "rights",
+                "round 1: cosine schedule overflows at round 1",
+            ),
+            (
+                [{"kind": "linear", "slope": 1e308, "intercept": 0.0}],
+                "rights",
+                "round 2: linear schedule overflows at round 2",
+            ),
+            (
+                [{"kind": "linear", "slope": 1e308, "intercept": 0.0}],
+                "free_market",
+                "round 2: linear schedule overflows at round 2",
+            ),
+            # two buyers' money sums to inf in round 1
+            ([{"kind": "constant", "level": 1e308}] * 2, "free_market", "round 1: accounting residual"),
+        ],
+        ids=("constant", "cosine", "linear", "linear-free-market", "constant-free-market"),
+    )
+    def test_overflowing_income_exits_4_naming_its_round(self, tmp_path, incomes, variant, error):
+        # in a subprocess: a round whose money overflowed once passed its
+        # conservation check, and the next price scan never ended
+        scn = scenario_to_dict(load_scenario("scenario-a-proportional"))
+        scn.update(variant=variant, horizon=6)
+        for buyer, income in zip(scn["buyers"][1:], incomes):
+            buyer["income"] = income
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(scn))
+        out = tmp_path / "overflow.csv"
+        done = run_python("-m", "rightsmarket", "simulate", "--scenario", str(path), "--out", str(out))
+        assert done.returncode == EXIT_RUNTIME
+        assert done.stderr.startswith(f"simulation failed: {error}")
+        assert not out.exists()
 
     def test_simulate_unknown_preset_exit_code(self):
         assert main(["simulate", "--scenario", "no-such-preset"]) == EXIT_PARSE

@@ -1,6 +1,7 @@
 """Repeated-market loop: price paths, frustration metrics, schedules,
 variants and the scenario generator."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -77,6 +78,23 @@ class TestSchedules:
         assert sched.value_at(35) == 0.0
         with pytest.raises(ConfigError, match="round 36"):
             sched.value_at(36)
+
+    @pytest.mark.parametrize(
+        ("sched", "round_index"),
+        [
+            (SupplySchedule.linear(1e308, 0.0), 2),
+            (SupplySchedule.cosine(1e308, 10.0, 1e308), 1),
+            # the exponential is finite, the product is not
+            (SupplySchedule.bullwhip(0.0, 1e308, 1e6, -1.0), 1),
+        ],
+        ids=("linear", "cosine", "bullwhip-product"),
+    )
+    def test_a_value_that_overflows_names_its_round(self, sched, round_index):
+        # a float ``*`` or ``+`` gives inf without raising OverflowError
+        if round_index > 1:
+            assert math.isfinite(sched.value_at(round_index - 1))
+        with pytest.raises(ConfigError, match=f"{sched.kind} schedule overflows at round {round_index}$"):
+            sched.value_at(round_index)
 
     def test_round_index_starts_at_one(self):
         with pytest.raises(ConfigError):

@@ -27,8 +27,31 @@ from rightsmarket.pricing import (
 )
 from rightsmarket.rights import DistributionMechanism
 
+from conftest import run_python
+
 BENCH_RIGHTS = [8 / 15, 6 / 15, 1 / 15]
 BENCH_MONEY = [0.0, 0.25, 0.75]
+
+
+NAN = float("nan")
+
+# each price solver on one input, printing what it raises
+NAN_SOLVERS = """
+import numpy as np
+from rightsmarket import batch, wide
+from rightsmarket.pricing import solve_implicit_price
+nan = float("nan")
+money, rights = {money}, {rights}
+for solve in (
+    lambda: solve_implicit_price(money, rights),
+    lambda: wide.implicit_price(np.array(money), np.array(rights)),
+    lambda: batch.implicit_price(np.array([money]), np.array([rights])),
+):
+    try:
+        print("returned", solve())
+    except Exception as exc:
+        print(exc)
+"""
 
 
 def residual(p, money, rights):
@@ -63,6 +86,18 @@ class TestImplicitPriceSolver:
     def test_no_rights_is_an_error(self):
         with pytest.raises(PricingError, match="no rights"):
             solve_implicit_price([1.0], [0.0])
+
+    @pytest.mark.parametrize(
+        ("money", "rights"),
+        [([NAN, 1.0], [1.0, 1.0]), ([1.0, 1.0], [NAN, 1.0]), ([NAN, -1.0], [1.0, NAN])],
+        ids=("nan-money", "nan-rights", "nan-and-negative"),
+    )
+    def test_nan_fails_the_input_check_of_every_solver(self, money, rights):
+        # in a subprocess: the scalar scan never ended on a NaN breakpoint
+        script = NAN_SOLVERS.format(money=money, rights=rights)
+        done = run_python("-c", script, timeout=30.0)
+        assert done.stderr == ""
+        assert done.stdout.splitlines() == ["money and rights must be non-negative"] * 3
 
     def test_mismatched_lengths(self):
         with pytest.raises(PricingError):

@@ -1,13 +1,14 @@
-"""The wide kernel against the scalar round, bit for bit.
+"""The numpy kernels against the scalar round, bit for bit.
 
-``engine`` plays a rights-variant market on numpy columns (``wide``) once it
-has ``engine.WIDE_MIN_BUYERS`` buyers, and on the scalar round below that.
-These tests play the same markets both ways, whatever their size, by moving
-that constant for the duration of a call, and require the same ``repr`` of
-every trace, checkpoint and replay total, and the same ``SimulationError``
-round and message when a run fails. The kernel's pieces are compared with
-the scalar ones here on single columns, and row by row in
-``tests/test_batch.py``.
+Once a rights-variant market has ``engine.WIDE_MIN_BUYERS`` buyers,
+``engine`` plays an all-greedy run of it on numpy columns (``wide``) and a
+replay of it as a batch of one (``batch``); below that, and for runs with
+adjustments or checkpoints, it plays the scalar round. These tests play
+the same markets both ways, whatever their size, by moving that constant
+for the duration of a call, and require the same ``repr`` of every trace
+and replay total, and the same ``SimulationError`` round and message when
+a run or a replay fails. The kernel's pieces are compared with the scalar
+ones here on single columns, and row by row in ``tests/test_batch.py``.
 """
 
 import re
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rightsmarket import engine, wide
+from rightsmarket import batch, engine, wide
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import (
     BidAdjustment,
@@ -54,7 +55,7 @@ def outcome(call):
 
 
 def both(call):
-    """The outcome of ``call`` on the scalar rounds and on the wide kernel."""
+    """The outcome of ``call`` on the scalar rounds and on the numpy kernels."""
     out = []
     for path in PATHS:
         with playing(path):
@@ -76,6 +77,9 @@ def test_each_path_runs_where_the_constant_says(monkeypatch):
     assert calls == []
     with playing("wide"):
         run(small)
+        # only all-greedy rights-variant runs: these stay scalar
+        run(small, adjustments=[BidAdjustment(2, ("seller", 0), price_factor=0.9)])
+        run_with_checkpoints(small)
         run(make_benchmark(variant="free_market", horizon=3))
     assert calls == [3]
 
@@ -166,23 +170,21 @@ def adjustment_lists(config):
 @settings(deadline=None)
 @given(markets())
 def test_both_paths_give_the_same_results(market):
+    # an all-greedy run plays on ``wide``, a replay as a batch of one on
+    # ``batch``; runs with adjustments or checkpoints are scalar either way
     config, adjustments = market
-    scalar, wide_ = both(lambda: run(config, adjustments=adjustments))
+    scalar, wide_ = both(lambda: run(config))
     assert scalar == wide_
 
-    with playing("scalar"):
-        try:
-            _, checkpoints = run_with_checkpoints(config)
-        except SimulationError:
-            checkpoints = ()
-    scalar, wide_ = both(lambda: run_with_checkpoints(config))
-    assert scalar == wide_
-
+    try:
+        _, checkpoints = run_with_checkpoints(config)
+    except SimulationError:
+        checkpoints = ()
     for k in {0, len(checkpoints) // 2} if checkpoints else ():
         # a replay from checkpoint k plays rounds k + 1 on
         later = [a for a in adjustments if a.round_index > k]
-        scalar, wide_ = both(lambda: replay_from(config, checkpoints[k], config.horizon, later))
-        assert scalar == wide_
+        scalar, batch_ = both(lambda: replay_from(config, checkpoints[k], config.horizon, later))
+        assert scalar == batch_
 
 
 def test_many_good_and_right_levels():
@@ -200,15 +202,20 @@ def test_many_good_and_right_levels():
                       right_offer_factor=1.5 if b % 9 == 0 else 0.75)
         for t in (2, 3) for b in range(engine.WIDE_MIN_BUYERS)
     ]
-    scalar, wide_ = both(lambda: run(config, adjustments=adjustments))
-    assert scalar == wide_
-    assert "Rejection(side='buyer'" in scalar
+    # the adjusted run is scalar; its replay from round 1 plays on ``batch``
+    trace = run(config, adjustments=adjustments)
+    assert "Rejection(side='buyer'" in repr(trace)
+    _, checkpoints = run_with_checkpoints(config)
+    scalar, batch_ = both(lambda: replay_from(config, checkpoints[0], 6, adjustments))
+    assert scalar == batch_
+    assert scalar == repr((trace.seller_utilities, trace.buyer_utilities))
 
 
 @pytest.mark.parametrize("variant", ["rights", "myopic_rights"])
 def test_nan_rights_agree(variant):
     # an infinite claim gives its holder a NaN right under the proportional
-    # rule: the implicit price fails on it, the myopic price does not
+    # rule: the implicit price's input check fails on it, the myopic price
+    # does not
     config = replace(
         make_benchmark(variant=variant, horizon=5),
         buyers=(
@@ -220,10 +227,31 @@ def test_nan_rights_agree(variant):
     assert scalar == wide_
     if variant == "rights":
         assert scalar == (
-            "SimulationError", 1, "round 1: interval scan found no admissible price"
+            "SimulationError", 1, "round 1: money and rights must be non-negative"
         )
     else:
         assert "right_assigned=(nan, 0.0, 0.0)" in scalar
+
+
+@pytest.mark.parametrize(("variant", "fails_at"), [("rights", 4), ("myopic_rights", 3)])
+def test_overflowing_money_fails_both_paths_alike(variant, fails_at):
+    # buyer 1's money reaches inf, and the round after, the last one played,
+    # its NaN residual must fail the conservation check on every path
+    benchmark = make_benchmark(variant=variant, horizon=fails_at)
+    config = replace(
+        benchmark,
+        buyers=(
+            benchmark.buyers[0],
+            replace(benchmark.buyers[1], income=SupplySchedule.constant(1e308)),
+            benchmark.buyers[2],
+        ),
+    )
+    runs = both(lambda: run(config))
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == ("SimulationError", fails_at)
+    assert "accounting residual money=nan" in runs[0][2]
+    _, checkpoints = run_with_checkpoints(config, 1)
+    assert both(lambda: replay_from(config, checkpoints[0], fails_at, [])) == runs
 
 
 # -- failing runs --------------------------------------------------------------
@@ -281,6 +309,23 @@ def scalar_clear(fault):
     return faulty
 
 
+def batch_clear(fault):
+    real = batch.clear
+
+    def faulty(volumes, prices, bids, markets, variant):
+        result = real(volumes, prices, bids, markets, variant)
+        if markets.round_index != FAULT_ROUND:
+            return result
+        flows = {name: getattr(result, name).copy() for name in FLOW_FIELDS}
+        for m in range(len(markets.money)):
+            # each row a view, so the fault writes through to ``flows``
+            row = {name: v[m] for name, v in flows.items()}
+            fault(row, markets.money[m].tolist(), markets.right[m].tolist())
+        return result._replace(**flows)
+
+    return faulty
+
+
 def wide_clear(fault):
     real = wide.clear
 
@@ -315,6 +360,8 @@ FAULTS = {
 @pytest.mark.parametrize("num_buyers", [3, engine.WIDE_MIN_BUYERS])
 @pytest.mark.parametrize("fault", FAULTS)
 def test_a_faulty_clearing_fails_both_paths_alike(monkeypatch, fault, num_buyers):
+    # a greedy run on ``wide`` and replays on ``batch`` fail as the scalar
+    # round does
     breaks, message = FAULTS[fault]
     horizon = 8
     config = make_benchmark(horizon=horizon)
@@ -324,13 +371,15 @@ def test_a_faulty_clearing_fails_both_paths_alike(monkeypatch, fault, num_buyers
     adjustments = [BidAdjustment(3, ("seller", 0), price_factor=0.9)]
     monkeypatch.setattr(engine, "clear", scalar_clear(breaks))
     monkeypatch.setattr(wide, "clear", wide_clear(breaks))
-    runs = both(lambda: run(config, horizon, adjustments))
-    assert runs[0] == runs[1]
-    assert runs[0][:2] == ("SimulationError", FAULT_ROUND)
-    assert message in runs[0][2]
-    for checkpoint in checkpoints[:3]:  # rounds 1 to 3, before the deviation
-        replays = both(lambda: replay_from(config, checkpoint, horizon, adjustments))
-        assert replays == runs
+    monkeypatch.setattr(batch, "clear", batch_clear(breaks))
+    for adjusted in ((), adjustments):
+        runs = both(lambda: run(config, horizon, adjusted))
+        assert runs[0] == runs[1]
+        assert runs[0][:2] == ("SimulationError", FAULT_ROUND)
+        assert message in runs[0][2]
+        for checkpoint in checkpoints[:3]:  # rounds 1 to 3, before the deviation
+            replays = both(lambda: replay_from(config, checkpoint, horizon, adjusted))
+            assert replays == runs
 
 
 @pytest.mark.parametrize("num_buyers", [3, engine.WIDE_MIN_BUYERS])
