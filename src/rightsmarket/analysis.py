@@ -5,12 +5,15 @@ deviating from greedy in one round and reverting afterwards, and compares
 total utilities against the all-greedy baseline. Rounds before the first
 deviating round are the baseline's, so each replay resumes from the
 baseline's checkpoint at that round instead of re-simulating from round 1;
-its gains equal those of a full replay bit for bit. The trials that resume
-at one checkpoint are replayed in one call of ``engine.replay_batch``,
-which plays them side by side on numpy arrays once trials x buyers
-reaches ``engine.WIDE_MIN_BUYERS``; the report keeps trial order, and a
-failing trial raises what replaying the trials one at a time would. A
-finite grid cannot certify the equilibrium; it is a falsification harness.
+its gains equal those of a full replay bit for bit. Each report replays
+all its trials in one call of ``engine.replay_batch``, and ``audit``
+replays the unilateral report and every coalition report of one config in
+one call, from one baseline. Once trials x buyers reaches
+``engine.WIDE_MIN_BUYERS`` the call plays them in one lockstep pass on
+numpy arrays, each trial joining the pass at its resume round; reports
+keep trial order, and a failing trial raises what replaying the trials
+one at a time would. A finite grid cannot certify the equilibrium; it is
+a falsification harness.
 The module also checks the price map's non-expansiveness along traces and
 cross-validates the interval-scan price solver against bisection.
 """
@@ -28,11 +31,10 @@ from .engine import (
     BidAdjustment,
     Trace,
     replay_batch,
-    replay_from,
     run,  # noqa: F401  kept importable: perfbench's tracer patches ``analysis.run``
     run_with_checkpoints,
 )
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 from .pricing import canonical_lower_bound, solve_implicit_price
 
 DEVIATION_KINDS = (
@@ -227,23 +229,25 @@ def default_coalition_menu(
     return _menu(member, round_index, amount, 0.10, baseline)
 
 
-# builds the (deviations, skip reason) pairs an audit plays from (T, baseline)
+# builds the (deviations, skip reason) pairs a report plays from (T, baseline)
 _Combos = Callable[[int, Trace], list[tuple[Sequence[Deviation], str]]]
 
 
 def _audit(
     config: MarketConfig,
     horizon: int | None,
-    combos: _Combos,
-    coalition: tuple[tuple[str, int], ...] = (),
-) -> AuditReport:
-    """Play every pair of ``combos`` against the all-greedy baseline.
+    reports: Sequence[tuple[_Combos, tuple[tuple[str, int], ...]]],
+) -> list[AuditReport]:
+    """One report per (combos, coalition) pair of ``reports``: every pair
+    of ``combos`` played against one all-greedy baseline.
 
     The audit covers the regime the equilibrium claim is stated for: total
     resupply and total income 1 in rounds 1, T/2 and T, and a variant whose
     round applies deviations, which ``free_market``'s does not. A played
-    combo resumes at the baseline checkpoint of its first deviating round,
-    together with the other combos that resume there.
+    combo resumes at the baseline checkpoint of its first deviating round.
+    Every played combo of every report goes to one ``replay_batch`` call,
+    in report and trial order, so a failing trial raises what the reports
+    made one after another would raise.
     """
     T = horizon if horizon is not None else config.horizon
     if config.variant == "free_market":
@@ -254,52 +258,34 @@ def _audit(
         raise ConfigError("audit needs sum g = sum m = 1 in rounds 1, T/2 and T")
     baseline, checkpoints = run_with_checkpoints(config, T)
     base_sellers, base_buyers = baseline.seller_utilities, baseline.buyer_utilities
-    played = combos(T, baseline)
-    # each played combo's adjustments, and the combos by the round their
-    # replays resume at, in trial order
-    replays: dict[int, tuple[int, list[BidAdjustment]]] = {}
-    groups: dict[int, list[int]] = {}
-    for i, (devs, reason) in enumerate(played):
+    played = [combos(T, baseline) for combos, _ in reports]
+    starts, lists = [], []
+    for devs, reason in itertools.chain.from_iterable(played):
         if not reason:
             adjustments = [a for d in devs for a in d.to_adjustments(config)]
-            first = min(a.round_index for a in adjustments)
-            replays[i] = (first, adjustments)
-            groups.setdefault(first, []).append(i)
-    totals = {}
-    try:
-        for first, members in groups.items():
-            lists = [replays[i][1] for i in members]
-            totals.update(zip(members, replay_batch(config, checkpoints[first - 1], T, lists)))
-    except SimulationError:
-        # a later trial may have failed first: replay one at a time in trial
-        # order, so that the first failing trial raises its own error
-        for first, adjustments in replays.values():
-            replay_from(config, checkpoints[first - 1], T, adjustments)
-        raise
-    trials: list[DeviationTrial] = []
-    for i, (devs, reason) in enumerate(played):
-        gains: tuple[float, ...] = ()
-        if not reason:
-            sellers, buyers = totals[i]
-            gains = tuple(
-                _utility(sellers, buyers, d.trader_key())
-                - _utility(base_sellers, base_buyers, d.trader_key())
-                for d in devs
-            )
-        trials.append(DeviationTrial(tuple(devs), gains, reason))
-    return AuditReport(base_sellers, base_buyers, tuple(trials), coalition)
+            starts.append(checkpoints[min(a.round_index for a in adjustments) - 1])
+            lists.append(adjustments)
+    totals = iter(replay_batch(config, starts, T, lists))
+    out = []
+    for (_, coalition), pairs in zip(reports, played):
+        trials: list[DeviationTrial] = []
+        for devs, reason in pairs:
+            gains: tuple[float, ...] = ()
+            if not reason:
+                sellers, buyers = next(totals)
+                gains = tuple(
+                    _utility(sellers, buyers, d.trader_key())
+                    - _utility(base_sellers, base_buyers, d.trader_key())
+                    for d in devs
+                )
+            trials.append(DeviationTrial(tuple(devs), gains, reason))
+        out.append(AuditReport(base_sellers, base_buyers, tuple(trials), coalition))
+    return out
 
 
-def audit_unilateral(
-    config: MarketConfig,
-    horizon: int | None = None,
-    deviation_grid: Sequence[Deviation] | None = None,
-) -> AuditReport:
-    """Replay the market once per deviation and report utility gains.
-
-    The deviating trader plays greedy in every other round. Any gain above
-    ``CONSERVATION_TOL`` is a witness against the equilibrium claim.
-    """
+def _unilateral(config: MarketConfig, deviation_grid: Sequence[Deviation] | None) -> _Combos:
+    """The unilateral report's combos: each deviation of ``deviation_grid``,
+    by default ``default_deviation_grid``, on its own."""
 
     def combos(T: int, baseline: Trace) -> list[tuple[Sequence[Deviation], str]]:
         grid = deviation_grid
@@ -307,24 +293,15 @@ def audit_unilateral(
             grid = default_deviation_grid(config, T, baseline)
         return [((d,), _skip_reason(d, baseline)) for d in grid]
 
-    return _audit(config, horizon, combos)
+    return combos
 
 
-def audit_coalition(
-    config: MarketConfig,
-    horizon: int | None = None,
-    coalition: Sequence[tuple[str, int]] = (),
-    joint_grid: Sequence[Sequence[Deviation]] | None = None,
-) -> AuditReport:
-    """Joint-deviation scan for one coalition.
-
-    A joint deviation wins only if every member gains more than
-    ``CONSERVATION_TOL``. Every combo of ``joint_grid`` whose traders are
-    exactly the coalition's members is played, and any other is skipped as
-    a menu/member mismatch; so is a combo with a deviation outside rounds
-    1 to T, as the unilateral audit skips one. The default grid is the
-    cartesian product of small per-member menus at mid-horizon.
-    """
+def _joint(
+    coalition: Sequence[tuple[str, int]], joint_grid: Sequence[Sequence[Deviation]] | None
+) -> _Combos:
+    """A coalition report's combos: each combo of ``joint_grid``, by default
+    the product of the members' ``default_coalition_menu`` at mid-horizon,
+    skipped as ``audit_coalition`` says."""
     members = set(coalition)
     if len(coalition) < 2:
         raise ConfigError("a coalition needs at least two members")
@@ -346,7 +323,59 @@ def audit_coalition(
 
         return [(combo, reason(combo)) for combo in grid]
 
-    return _audit(config, horizon, combos, tuple(coalition))
+    return combos
+
+
+def audit_unilateral(
+    config: MarketConfig,
+    horizon: int | None = None,
+    deviation_grid: Sequence[Deviation] | None = None,
+) -> AuditReport:
+    """Replay the market once per deviation and report utility gains.
+
+    The deviating trader plays greedy in every other round. Any gain above
+    ``CONSERVATION_TOL`` is a witness against the equilibrium claim. This
+    is ``audit``'s unilateral report, on its own and on any grid.
+    """
+    return _audit(config, horizon, [(_unilateral(config, deviation_grid), ())])[0]
+
+
+def audit_coalition(
+    config: MarketConfig,
+    horizon: int | None = None,
+    coalition: Sequence[tuple[str, int]] = (),
+    joint_grid: Sequence[Sequence[Deviation]] | None = None,
+) -> AuditReport:
+    """Joint-deviation scan for one coalition.
+
+    A joint deviation wins only if every member gains more than
+    ``CONSERVATION_TOL``. Every combo of ``joint_grid`` whose traders are
+    exactly the coalition's members is played, and any other is skipped as
+    a menu/member mismatch; so is a combo with a deviation outside rounds
+    1 to T, as the unilateral audit skips one. The default grid is the
+    cartesian product of small per-member menus at mid-horizon. This is
+    one of ``audit``'s coalition reports, on its own and on any grid.
+    """
+    return _audit(config, horizon, [(_joint(coalition, joint_grid), tuple(coalition))])[0]
+
+
+def audit(
+    config: MarketConfig,
+    horizon: int | None = None,
+    coalitions: Sequence[Sequence[tuple[str, int]]] = (),
+) -> list[AuditReport]:
+    """The unilateral report on the default grid, then one coalition report
+    per member of ``coalitions`` on its default grid, as ``audit_unilateral``
+    and ``audit_coalition`` give them, bit for bit.
+
+    The reports share one baseline, and all their trials are replayed in
+    one ``replay_batch`` call; a failing trial raises what those calls,
+    made one after another, would raise. A malformed coalition raises
+    ``ConfigError`` before anything is played.
+    """
+    plans = [(_unilateral(config, None), ())]
+    plans += [(_joint(c, None), tuple(c)) for c in coalitions]
+    return _audit(config, horizon, plans)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
 """Batches of markets that differ only in their bid adjustments, played in
 lockstep on numpy arrays.
 
-An audit replays one market many times from one checkpoint, each time with
-one trader's bid changed in one round. ``engine.replay_batch`` hands such a
-batch here once markets x buyers reaches ``engine.WIDE_MIN_BUYERS``, and
-``play_batch`` plays the M markets as the rows of one array: every buyer
-quantity is an (M, N) float64 array and every seller quantity an (M, S)
-one. Each round runs the same steps as ``engine._run_rights_round`` and
-makes the same checks, each step as array operations over all markets at
-once, so numpy's fixed cost per call is paid once per batch instead of once
-per market. ``clear`` walks each market's own good and Right levels, one
-step of every market per pass, until the last market is done; a market that
-is done trades no more.
+An audit replays one market many times, each time with one trader's bid
+changed in one round, from the baseline's checkpoint at that round.
+``engine.replay_batch`` hands such a batch here once markets x buyers
+reaches ``engine.WIDE_MIN_BUYERS``, and ``play_batch`` plays the M markets
+as the rows of one array: every buyer quantity is an (M, N) float64 array
+and every seller quantity an (M, S) one. The batch plays in one lockstep
+pass from the earliest checkpoint's round, and each market joins it as a
+new row at its own checkpoint's round, so each round is played once for
+all the markets that have reached it: an audit at T = 40 whose trials
+resume at rounds 1, 20 and 40 plays 40 rounds, not 40 + 21 + 1. Each round
+runs the same steps as ``engine._run_rights_round`` and makes the same
+checks, each step as array operations over all markets at once, so numpy's
+fixed cost per call is paid once per batch instead of once per market.
+``clear`` walks each market's own good and Right levels, one step of every
+market per pass, until the last market is done; a market that is done
+trades no more.
 
 The sums, bids, P, rights rows and settlement checks are ``wide``'s column
 layer, applied along each row, and every market's utility totals equal
@@ -38,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
-from .engine import AdjustmentIndex, _check_residuals
+from .engine import AdjustmentIndex, Checkpoint, _check_finite, _check_residuals
 from .errors import PricingError, SimulationError
 from .mechanism import BuyerBid, ClearingResult, Rejection, SellerOffer
 from .wide import (
@@ -60,60 +65,97 @@ from .wide import (
 class Markets:
     """``markets`` copies of a ``MarketState``, one per row: each buyer's
     Good, money and Right and each seller's Good and money as (M, N) and
-    (M, S) float64 arrays. Every array is replaced, never written in place,
-    so an array read at the start of a round keeps its values."""
+    (M, S) float64 arrays. ``join`` appends rows. Every array is replaced,
+    never written in place, so an array read at the start of a round keeps
+    its values."""
 
     __slots__ = ("round_index", "seller_good", "seller_money", "good", "money", "right")
 
     def __init__(self, state: MarketState, markets: int) -> None:
-        def rows(values: list[float]) -> np.ndarray:
-            return np.tile(np.array(values, dtype=float), (markets, 1))
-
         self.round_index = state.round_index
-        self.seller_good = rows([s.good for s in state.sellers])
-        self.seller_money = rows([s.money for s in state.sellers])
-        self.good = rows([b.good for b in state.buyers])
-        self.money = rows([b.money for b in state.buyers])
-        self.right = rows([b.right for b in state.buyers])
+        self.seller_good, self.seller_money, self.good, self.money, self.right = (
+            np.tile(np.array(row, dtype=float), (markets, 1)) for row in _rows(state)
+        )
+
+    def join(self, states: Sequence[MarketState]) -> None:
+        """Append a row for each of ``states``, in order, whatever their
+        round: the next round played is this one's."""
+        columns = zip(*(_rows(state) for state in states))
+        self.seller_good, self.seller_money, self.good, self.money, self.right = (
+            np.concatenate((held, np.array(rows, dtype=float)))
+            for held, rows in zip(
+                (self.seller_good, self.seller_money, self.good, self.money, self.right), columns
+            )
+        )
+
+
+def _rows(state: MarketState) -> tuple[list[float], ...]:
+    """The sellers' Good and money and the buyers' Good, money and Right of
+    ``state``, as ``Markets`` holds them."""
+    sellers, buyers = state.sellers, state.buyers
+    return (
+        [s.good for s in sellers],
+        [s.money for s in sellers],
+        [b.good for b in buyers],
+        [b.money for b in buyers],
+        [b.right for b in buyers],
+    )
 
 
 def play_batch(
     config: MarketConfig,
-    state: MarketState,
+    checkpoints: Sequence[Checkpoint],
     horizon: int,
     adjustments: Sequence[AdjustmentIndex],
-    seller_total: Sequence[float],
-    buyer_total: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """``engine._play_rounds`` of a rights variant for one market per entry
-    of ``adjustments``, without records: every market starts from
-    ``state`` and from the utility totals ``seller_total`` and
-    ``buyer_total``, and plays rounds ``state.round_index`` through
-    ``horizon`` under its own adjustments. Returns every market's seller
-    and buyer utility totals as (M, S) and (M, N) arrays. ``state`` is read
-    once and left as it was.
-    """
-    markets = len(adjustments)
-    market = Markets(state, markets)
-    claims = np.array(config.claims, dtype=float)
-    seller_sum = np.tile(np.array(seller_total, dtype=float), (markets, 1))
-    buyer_sum = np.tile(np.array(buyer_total, dtype=float), (markets, 1))
-    rights_memo: dict[float, np.ndarray] = {}
+    of ``adjustments``, without records: market m resumes at
+    ``checkpoints[m]``, from its state and utility totals, and plays its
+    rounds through ``horizon`` under its own adjustments.
 
-    tau = market.round_index
+    The markets play in one lockstep pass from the earliest checkpoint's
+    round; each market joins it as a new row at its own checkpoint's round,
+    and a checkpoint past the horizon joins at the end, with no round to
+    play. Returns every market's seller and buyer utility totals as (M, S)
+    and (M, N) arrays, in the order of ``adjustments``. The checkpoints are
+    read and left as they were.
+    """
+    starts = [min(c.state.round_index, horizon + 1) for c in checkpoints]
+    # the markets in the order they join the pass, which is their row order
+    order = sorted(range(len(checkpoints)), key=starts.__getitem__)
+    joins: dict[int, list[Checkpoint]] = {}
+    # each round's adjustments as (row, (side, index), adjustments), from
+    # the round a market joins at
+    moves: dict[int, list] = {}
+    for row, m in enumerate(order):
+        joins.setdefault(starts[m], []).append(checkpoints[m])
+        for tau, by_trader in adjustments[m].items():
+            if tau >= starts[m]:
+                moves.setdefault(tau, []).extend((row, key, adjs) for key, adjs in by_trader.items())
+
+    tau = starts[order[0]]
+    market = Markets(checkpoints[order[0]].state, 0)  # no rows until they join
+    claims = np.array(config.claims, dtype=float)
+    seller_sum = np.empty((0, config.num_sellers))
+    buyer_sum = np.empty((0, config.num_buyers))
+    rights_memo: dict[float, np.ndarray] = {}
     try:
         # divisions and comparisons run over whole arrays, NaN included;
         # the scalar round reads only the entries it would have computed
         with np.errstate(all="ignore"):
-            while tau <= horizon:
-                # each market's adjustments of this round, by trader
-                moves = [
-                    (m, key, adjs)
-                    for m, index in enumerate(adjustments)
-                    if tau in index
-                    for key, adjs in index[tau].items()
-                ]
-                seller_u, buyer_u = _play_round(market, config, tau, moves, claims, rights_memo)
+            while True:
+                joining = joins.get(tau)
+                if joining:
+                    market.join([c.state for c in joining])
+                    seller_sum = np.concatenate(
+                        (seller_sum, [c.seller_utilities for c in joining])
+                    )
+                    buyer_sum = np.concatenate((buyer_sum, [c.buyer_utilities for c in joining]))
+                if tau > horizon:
+                    break
+                seller_u, buyer_u = _play_round(
+                    market, config, tau, moves.get(tau, []), claims, rights_memo
+                )
                 seller_sum = seller_sum + seller_u
                 buyer_sum = buyer_sum + buyer_u
                 tau += 1
@@ -122,7 +164,11 @@ def play_batch(
         raise
     except Exception as exc:
         raise SimulationError(tau, str(exc)) from exc
-    return seller_sum, buyer_sum
+    sellers = np.empty(seller_sum.shape)
+    buyers = np.empty(buyer_sum.shape)
+    sellers[order] = seller_sum
+    buyers[order] = buyer_sum
+    return sellers, buyers
 
 
 def _transition(market: Markets, config: MarketConfig, claims: np.ndarray) -> None:
@@ -241,8 +287,9 @@ def _play_round(
         price = implicit_price(money_start, rights)
     # the sellers' offers: the posted price, scaled by any price deviation
     # (``engine._seller_offers``)
+    posted = price * config.greedy_price_factor
     prices = np.empty((markets, ns))
-    prices[:] = (price * config.greedy_price_factor)[:, None]
+    prices[:] = posted[:, None]
     for m, (side, s), adjs in moves:
         if side == "seller" and 0 <= s < ns:
             for adj in adjs:
@@ -272,11 +319,21 @@ def _play_round(
     # scalar ``max`` compares; a NaN round residual stays NaN
     sellers_res = np.fmax.reduce(np.abs(result.seller_sold + result.unsold_good - volumes), axis=1)
     good_res = np.where(np.isnan(good_res), good_res, np.fmax(good_res, sellers_res))
-    # ``not x <= tol`` also catches a NaN residual
-    failing = ~((money_res <= CONSERVATION_TOL) & (good_res <= CONSERVATION_TOL))
+    buyer_good = _sum(market.good)
+    seller_good = _sum(market.seller_good)
+    # ``not x <= tol`` also catches a NaN residual, and the sum of the
+    # prices and Good totals is finite where each of them is
+    failing = ~(
+        (money_res <= CONSERVATION_TOL)
+        & (good_res <= CONSERVATION_TOL)
+        & np.isfinite(posted + price_avg + buyer_good + seller_good)
+    )
     for m in failing.nonzero()[0].tolist():
         _check_residuals(
             float(money_res[m]), float(good_res[m]), float(money_total[m]), float(offered[m])
+        )
+        _check_finite(
+            tau, float(posted[m]), float(price_avg[m]), float(buyer_good[m]), float(seller_good[m])
         )
 
     c = config.seller_storage_cost

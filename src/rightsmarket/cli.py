@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, Sequence
 
-from .analysis import audit_coalition, audit_unilateral
+from .analysis import audit
 from .core import VARIANTS, BuyerSpec, MarketConfig, SellerSpec
 from .engine import SCHEDULE_PARAMS, SupplySchedule, Trace, generate_dirichlet_scenario, run
 from .errors import ConfigError, NegativeQuantityError, RightsMarketError, ScenarioError
@@ -401,28 +401,22 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if _unwritable(args.out):
         return EXIT_PARSE
     horizon = config.horizon
-    lines: list[str] = [f"equilibrium audit of {scn.name} (horizon {horizon})"]
-    found = False
+    coalitions = [] if args.unilateral_only else default_coalitions(config)
     try:
-        rep = audit_unilateral(config, horizon)
-        lines.append(rep.summary())
-        for w in rep.witnesses:
-            lines.append("  witness: " + w.describe())
-        found = found or not rep.passed
-        if not args.unilateral_only:
-            for coalition in default_coalitions(config):
-                crep = audit_coalition(config, horizon, coalition)
-                label = "+".join(f"{s}{i}" for s, i in coalition)
-                lines.append(f"[{label}] " + crep.summary())
-                for w in crep.witnesses:
-                    lines.append("  winner: " + w.describe())
-                found = found or not crep.passed
+        rep, *creps = audit(config, horizon, coalitions)
     except ConfigError as exc:  # a scenario outside the audited regime
         print(f"audit error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RightsMarketError as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    lines = [f"equilibrium audit of {scn.name} (horizon {horizon})", rep.summary()]
+    lines += ["  witness: " + w.describe() for w in rep.witnesses]
+    for coalition, crep in zip(coalitions, creps):
+        label = "+".join(f"{s}{i}" for s, i in coalition)
+        lines.append(f"[{label}] " + crep.summary())
+        lines += ["  winner: " + w.describe() for w in crep.witnesses]
+    found = not all(r.passed for r in (rep, *creps))
     report = "\n".join(lines) + "\n"
     return _write_out(args.out, report, "audit report", EXIT_DEVIATION if found else EXIT_OK)
 

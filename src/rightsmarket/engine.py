@@ -356,47 +356,48 @@ def replay_from(
     balances and the rights cap, so a failure raises what ``run`` raises.
     This is ``replay_batch`` of one list.
     """
-    return replay_batch(config, checkpoint, horizon, [adjustments])[0]
+    return replay_batch(config, [checkpoint], horizon, [adjustments])[0]
 
 
 def replay_batch(
     config: MarketConfig,
-    checkpoint: Checkpoint,
+    checkpoints: Sequence[Checkpoint],
     horizon: int,
     adjustment_lists: Sequence[Sequence[BidAdjustment]],
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """``replay_from`` of each list of ``adjustment_lists``, all resuming at
-    ``checkpoint``: one pair of seller and buyer utility totals per list,
-    each equal bit for bit to that list's replay on its own.
+    """``replay_from`` of each list of ``adjustment_lists`` from the
+    checkpoint at the same position of ``checkpoints``: one pair of seller
+    and buyer utility totals per list, in input order, each equal bit for
+    bit to that list's replay on its own.
 
     The replays are the same market with different bids, so once lists x
-    buyers reaches ``WIDE_MIN_BUYERS`` they run in lockstep, one market per
-    list, as the rows of ``batch.play_batch``'s arrays; a single list of a
-    large market runs there too, as a batch of one. If any of them
-    fails there, every list is replayed one at a time, in order, so that
-    the first failing list raises its own error, as a loop of
+    buyers reaches ``WIDE_MIN_BUYERS`` they run in one lockstep pass, one
+    market per list, as the rows of ``batch.play_batch``'s arrays; each
+    list's row joins the pass at its checkpoint's round, so the pass plays
+    each round once, however many rounds the lists resume at. A single
+    list of a large market runs there too, as a batch of one. If any of
+    them fails there, every list is replayed one at a time, in order, so
+    that the first failing list raises its own error, as a loop of
     ``replay_from`` would.
     """
+    if len(checkpoints) != len(adjustment_lists):
+        raise ConfigError(
+            f"{len(adjustment_lists)} adjustment lists need as many checkpoints, "
+            f"got {len(checkpoints)}"
+        )
     indexes = [_index_adjustments(adjustments) for adjustments in adjustment_lists]
     if _on_wide(config, len(indexes)):
         # imported here: the kernel reads this module's helpers
         from .batch import play_batch
 
         try:
-            sellers, buyers = play_batch(
-                config,
-                checkpoint.state,
-                horizon,
-                indexes,
-                checkpoint.seller_utilities,
-                checkpoint.buyer_utilities,
-            )
+            sellers, buyers = play_batch(config, checkpoints, horizon, indexes)
         except SimulationError:
             pass
         else:
             return [(tuple(s), tuple(b)) for s, b in zip(sellers.tolist(), buyers.tolist())]
     totals = []
-    for index in indexes:
+    for checkpoint, index in zip(checkpoints, indexes):
         seller_total = list(checkpoint.seller_utilities)
         buyer_total = list(checkpoint.buyer_utilities)
         _play_rounds(
@@ -466,9 +467,13 @@ def _run(
 # of 40 audit replays of 3 buyers plays a round in about 0.5 ms, against
 # about 4 ms for 40 scalar rounds; one 20-round replay of a 300-buyer,
 # 10-seller market takes about 15 ms on ``batch`` and 29 ms on the scalar
-# round. A run with adjustments or checkpoints stays scalar whatever its
-# size: no workload or command plays one of this size but an audit's one
-# baseline (about 40 ms scalar against 18 ms on ``wide`` at 300 buyers).
+# round. A unilateral audit of 3 buyers passes it (84 to 120 trials on the
+# shipped presets at T = 40), and so does ``analysis.audit`` of a whole
+# config, but an ``audit_coalition`` call of 3 to 9 trials of 3 buyers
+# stays scalar. A run with adjustments or checkpoints stays scalar
+# whatever its size: no workload or command plays one of this size but an
+# audit's one baseline (about 40 ms scalar against 18 ms on ``wide`` at
+# 300 buyers).
 WIDE_MIN_BUYERS = 60
 
 
@@ -552,6 +557,27 @@ def _check_residuals(
                 f"accounting residual money={money_res:g} good={good_res:g} "
                 f"exceeds tolerance money={money_tol:g} good={good_tol:g}"
             )
+
+
+def _check_finite(
+    tau: int, posted: float, price_avg: float, buyer_good: float, seller_good: float
+) -> None:
+    """Raise ``SimulationError`` naming round ``tau`` and the first of its
+    posted price, P, total buyer Good and total seller Good that is not
+    finite, as an overflow or a NaN leaves it. Money needs no test here:
+    money that is not finite leaves a money residual that fails
+    ``_check_residuals``, which runs first. Four numbers that add up to a
+    finite number are each finite, so a round pays one test; a sum that
+    overflows while each term is finite raises nothing."""
+    if not math.isfinite(posted + price_avg + buyer_good + seller_good):
+        for name, value in (
+            ("posted price", posted),
+            ("P", price_avg),
+            ("total buyer Good", buyer_good),
+            ("total seller Good", seller_good),
+        ):
+            if not math.isfinite(value):
+                raise SimulationError(tau, f"{name} is not finite")
 
 
 def _offer_volumes(
@@ -638,6 +664,7 @@ def _run_rights_round(
     good_tol = CONSERVATION_TOL * max(1.0, offered)
     over_cap = -1
     money_end: list[float] = []
+    good_end: list[float] = []
     for b, (buyer, m0, right, bought, bought_right, spent_good, spent_right, earned) in enumerate(
         zip(
             buyers, money_start, rights, result.good_bought, result.right_bought,
@@ -645,6 +672,7 @@ def _run_rights_round(
         )
     ):
         buyer.good += bought
+        good_end.append(buyer.good)
         money = m0 - spent_good - spent_right + earned
         if money < 0.0:
             # rounding dust scales with the buyer's money in play
@@ -669,6 +697,7 @@ def _run_rights_round(
             good_res, abs(result.seller_sold[s] + result.unsold_good[s] - offers[s].volume)
         )
     _check_residuals(money_res, good_res, money_total, offered)
+    _check_finite(tau, posted, price_avg, sum(good_end), sum(s.good for s in state.sellers))
 
     if records is not None:
         useful, useless = useful_useless_split(result)
@@ -679,14 +708,13 @@ def _run_rights_round(
             if offered_right > 0.0
             else 0.0
         )
-        good_end = tuple(b.good for b in buyers)
         records.append(
             RoundRecord(
                 round_index=tau,
                 price_good=price_avg,
                 price_right=price_right,
                 money_start=money_start,
-                good_end=good_end,
+                good_end=tuple(good_end),
                 right_assigned=tuple(rights),
                 frustration=tuple(map(frustration, rights, good_end)),
                 right_offered=right_offered,
@@ -730,12 +758,15 @@ def _run_free_round(
     for s in range(ns):
         state.sellers[s].good -= sold_total * share[s]
         state.sellers[s].money += price * sold_total * share[s]
+    good_end: list[float] = []
     for b in range(nb):
-        state.buyers[b].good += bought[b]
+        buyer = state.buyers[b]
+        buyer.good += bought[b]
+        good_end.append(buyer.good)
         # buyers spend their whole balance at the clearing price; keep real
         # leftovers from off-path rationing, snap away rounding dust
         leftover = money_start[b] - bought[b] * price
-        state.buyers[b].money = leftover if leftover > CONSERVATION_TOL else 0.0
+        buyer.money = leftover if leftover > CONSERVATION_TOL else 0.0
 
     money_total = sum(money_start)
     money_res = abs(
@@ -745,16 +776,17 @@ def _run_free_round(
     )
     good_res = abs(sum(bought) - sold_total)
     _check_residuals(money_res, good_res, money_total, offered)
+    # the posted price is P: every seller posts it
+    _check_finite(tau, price, price, sum(good_end), sum(s.good for s in state.sellers))
 
     if records is not None:
-        good_end = tuple(b.good for b in state.buyers)
         records.append(
             RoundRecord(
                 round_index=tau,
                 price_good=price,
                 price_right=0.0,
                 money_start=money_start,
-                good_end=good_end,
+                good_end=tuple(good_end),
                 right_assigned=rights_hyp,
                 frustration=tuple(map(frustration, rights_hyp, good_end)),
                 right_offered=(0.0,) * nb,

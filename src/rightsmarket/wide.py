@@ -50,7 +50,13 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
-from .engine import RoundRecord, _check_residuals, _offer_volumes, _seller_offers
+from .engine import (
+    RoundRecord,
+    _check_finite,
+    _check_residuals,
+    _offer_volumes,
+    _seller_offers,
+)
 from .errors import PricingError, SimulationError
 from .mechanism import BuyerBid, ClearingResult, GoodLevels, Rejection, SellerOffer
 from .pricing import mean_posted_price, mechanism_rights
@@ -310,7 +316,8 @@ def _play_round(
         price = _sum(money_start) / offered
     else:
         price = implicit_price(money_start, rights)
-    offers = _seller_offers(price * config.greedy_price_factor, volumes, {})
+    posted = price * config.greedy_price_factor
+    offers = _seller_offers(posted, volumes, {})
     market.right = rights
 
     price_avg = mean_posted_price(offers)
@@ -333,6 +340,7 @@ def _play_round(
         if res > good_res:
             good_res = res
     _check_residuals(money_res, good_res, money_total, offered)
+    _check_finite(tau, posted, price_avg, _sum(market.good), sum(s.good for s in sellers))
 
     myopic = config.variant == "myopic_rights"
     right_offered = bids[OFFER]

@@ -12,6 +12,7 @@ from rightsmarket.analysis import (
     DEFAULT_MAGNITUDES,
     DEVIATION_KINDS,
     Deviation,
+    audit,
     audit_coalition,
     audit_unilateral,
     bisection_price,
@@ -256,16 +257,32 @@ TRIAL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("horizon, name", TRIAL_DIGESTS)
-def test_every_audit_trial_is_pinned(horizon, name):
+def separate_reports(config, horizon):
+    """The unilateral report, then one call per default coalition."""
+    reports = [audit_unilateral(config, horizon)]
+    return reports + [audit_coalition(config, horizon, c) for c in default_coalitions(config)]
+
+
+def joint_reports(config, horizon):
+    """The same reports from one ``audit`` call."""
+    return audit(config, horizon, default_coalitions(config))
+
+
+@pytest.mark.parametrize(
+    "horizon, name, reports",
+    [
+        pytest.param(horizon, name, reports, id=f"{horizon}-{name}{suffix}")
+        for horizon, name in TRIAL_DIGESTS
+        for reports, suffix in ((separate_reports, ""), (joint_reports, "-audit"))
+    ],
+)
+def test_every_audit_trial_is_pinned(horizon, name, reports):
     preset, _, factor = name.partition("@price-factor-")
     config = load_scenario(preset).config
     if factor:
         config = dataclasses.replace(config, greedy_price_factor=float(factor))
     config = dataclasses.replace(config, horizon=horizon)
-    reports = [audit_unilateral(config, horizon)]
-    reports += [audit_coalition(config, horizon, c) for c in default_coalitions(config)]
-    trials = [(t.deviations, t.gains, t.reason) for r in reports for t in r.trials]
+    trials = [(t.deviations, t.gains, t.reason) for r in reports(config, horizon) for t in r.trials]
     digest = hashlib.sha256(repr(trials).encode()).hexdigest()
     assert digest == TRIAL_DIGESTS[horizon, name]
 

@@ -1,10 +1,11 @@
 """Batches of replays against replays one at a time, bit for bit.
 
-``engine.replay_batch`` plays the replays that resume at one checkpoint as
-the rows of ``batch.play_batch``'s arrays once replays x buyers reaches
-``engine.WIDE_MIN_BUYERS``. These tests lower that constant to 1, so that
-every batch of replays of a small market, a batch of one included, goes to
-the batch kernel, and require the ``repr`` of every total to equal that of the
+``engine.replay_batch`` plays its replays as the rows of one lockstep pass
+of ``batch.play_batch`` once replays x buyers reaches
+``engine.WIDE_MIN_BUYERS``, each row joining the pass at its own
+checkpoint's round. These tests lower that constant to 1, so that every
+batch of replays of a small market, a batch of one included, goes to the
+batch kernel, and require the ``repr`` of every total to equal that of the
 replays one at a time on the scalar round; when one of them fails, the
 batch must raise the first failure of the replays one at a time. The
 kernel's pieces, and the column layer it shares with ``wide``, are
@@ -25,8 +26,8 @@ from rightsmarket import batch, mechanism, wide
 from rightsmarket.analysis import Deviation, audit_coalition
 from rightsmarket.cli import load_scenario
 from rightsmarket.core import equal_rate_fill
-from rightsmarket.engine import replay_batch, replay_from, run_with_checkpoints
-from rightsmarket.errors import PricingError, SimulationError
+from rightsmarket.engine import BidAdjustment, replay_batch, replay_from, run_with_checkpoints
+from rightsmarket.errors import ConfigError, PricingError, SimulationError
 from rightsmarket.mechanism import SellerOffer
 from rightsmarket.pricing import greedy_buyer_bids, mean_posted_price, solve_implicit_price
 
@@ -68,7 +69,9 @@ def test_a_batch_equals_its_replays_one_at_a_time(case):
 
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(batch, "play_batch", spy)
-        together = outcome(lambda: replay_batch(config, checkpoint, config.horizon, lists))
+        together = outcome(
+            lambda: replay_batch(config, [checkpoint] * len(lists), config.horizon, lists)
+        )
     assert together == alone
     # the batch kernel played them all, unless one of them fails
     assert failed == [] or alone[0] == "SimulationError"
@@ -86,6 +89,79 @@ def test_the_first_failing_trial_fails_the_audit():
     with playing("wide"):
         with pytest.raises(SimulationError, match="^round 6: no good offered for sale$"):
             audit_coalition(config, coalition=[("buyer", 0), ("seller", 0)], joint_grid=joint)
+
+
+@st.composite
+def staggered_batches(draw):
+    """A config and two to six adjustment lists, each with the index of the
+    checkpoint it resumes at, the one past the horizon included."""
+    config, first = draw(markets(buyer_counts=(2, 3, 7)))
+    lists = [first] + draw(st.lists(adjustment_lists(config), min_size=1, max_size=5))
+    ks = draw(st.lists(st.integers(0, config.horizon), min_size=len(lists), max_size=len(lists)))
+    return config, ks, lists
+
+
+def counting_play_batch(mp):
+    """Count the calls of ``batch.play_batch`` in a list."""
+    calls = []
+    real = batch.play_batch
+
+    def spy(*args):
+        calls.append(True)
+        return real(*args)
+
+    mp.setattr(batch, "play_batch", spy)
+    return calls
+
+
+@settings(deadline=None)
+@given(staggered_batches())
+def test_lists_that_resume_at_different_rounds_play_in_one_pass(case):
+    config, ks, lists = case
+    with playing("scalar"):
+        try:
+            _, checkpoints = run_with_checkpoints(config)
+        except SimulationError:
+            return
+        starts = [checkpoints[k] for k in ks]
+        # a replay from checkpoint k plays rounds k + 1 on
+        lists = [[a for a in adjustments if a.round_index > k] for k, adjustments in zip(ks, lists)]
+        alone = outcome(
+            lambda: [replay_from(config, c, config.horizon, a) for c, a in zip(starts, lists)]
+        )
+
+    with playing("wide"), pytest.MonkeyPatch.context() as mp:
+        calls = counting_play_batch(mp)
+        together = outcome(lambda: replay_batch(config, starts, config.horizon, lists))
+    assert together == alone
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("early_fails_at", [4, None])
+def test_a_failing_list_that_joins_late_raises_its_own_error(early_fails_at):
+    # the first list resumes at round 5 and withholds all of seller 0's Good
+    # in round 6, so nothing is offered; the second resumes at round 1 and
+    # fails the same way in round 4, or does not fail. One replay at a time
+    # fails on the first list, and so must the one pass.
+    config = replace(load_scenario("scenario-a-proportional").config, horizon=8)
+    _, checkpoints = run_with_checkpoints(config)
+    withhold = -max(config.resupply_at(r)[0] for r in range(1, 9))
+    late = [BidAdjustment(6, ("seller", 0), volume_delta=withhold)]
+    early = [BidAdjustment(2, ("buyer", 0), price_factor=1.1)]
+    if early_fails_at:
+        early.append(BidAdjustment(early_fails_at, ("seller", 0), volume_delta=withhold))
+    with playing("wide"), pytest.MonkeyPatch.context() as mp:
+        calls = counting_play_batch(mp)
+        with pytest.raises(SimulationError, match="^round 6: no good offered for sale$"):
+            replay_batch(config, [checkpoints[4], checkpoints[0]], 8, [late, early])
+    assert calls == [True]
+
+
+def test_each_list_needs_a_checkpoint():
+    config = replace(load_scenario("scenario-a-proportional").config, horizon=4)
+    _, checkpoints = run_with_checkpoints(config)
+    with pytest.raises(ConfigError, match="^2 adjustment lists need as many checkpoints, got 1$"):
+        replay_batch(config, checkpoints[:1], 4, [[], []])
 
 
 # -- the kernel's pieces -------------------------------------------------------

@@ -135,14 +135,14 @@ def test_a_replay_of_one_list_plays_on_the_batch_kernel(monkeypatch):
     played = []
     real = batch.play_batch
 
-    def spy(config, state, horizon, adjustments, *args):
+    def spy(config, checkpoints, horizon, adjustments):
         played.append(len(adjustments))
-        return real(config, state, horizon, adjustments, *args)
+        return real(config, checkpoints, horizon, adjustments)
 
     config = crowd_config("contested_garment", "rights")
     _, checkpoints = run_with_checkpoints(config)
     monkeypatch.setattr(batch, "play_batch", spy)
-    [(sellers, buyers)] = replay_batch(config, checkpoints[0], HORIZON, [ADJUSTMENTS])
+    [(sellers, buyers)] = replay_batch(config, [checkpoints[0]], HORIZON, [ADJUSTMENTS])
     assert played == [1]
     trace = run(config, adjustments=ADJUSTMENTS)
     assert repr((sellers, buyers)) == repr((trace.seller_utilities, trace.buyer_utilities))

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,13 @@ from rightsmarket.engine import run
 from rightsmarket.errors import ScenarioError, SimulationError
 
 from conftest import run_python
+
+AUDIT_TEXT = Path(__file__).parent / "audit_text"
+# every preset's audit, and one audit without its coalitions, by golden name
+AUDIT_CASES = {p: [p] for p in list_presets()}
+AUDIT_CASES["scenario-a-contested-garment.unilateral-only"] = [
+    "scenario-a-contested-garment", "--unilateral-only"
+]
 
 
 def minimal_scenario(**overrides):
@@ -317,7 +325,7 @@ class TestCommands:
         def ran(*args, **kwargs):
             raise AssertionError(f"{command} played before it checked --out")
 
-        monkeypatch.setattr(cli, "audit_unilateral", ran)
+        monkeypatch.setattr(cli, "audit", ran)
         monkeypatch.setattr(cli, "generate_dirichlet_scenario", ran)
         target = str(tmp_path / "missing" / "x.txt") if reason.startswith("No") else str(tmp_path)
         argv = {
@@ -392,6 +400,28 @@ class TestCommands:
         assert done.stderr.startswith(f"simulation failed: {error}")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("variant", "level", "error"),
+        [
+            # money over a subnormal Good on sale: the posted price is inf
+            ("rights", 5e-324, "round 1: posted price is not finite"),
+            ("myopic_rights", 5e-324, "round 1: posted price is not finite"),
+            # a buyer's Good, bought at 1e308 a round, overflows in round 2
+            ("free_market", 1e308, "round 2: total buyer Good is not finite"),
+        ],
+    )
+    def test_a_round_that_is_not_finite_exits_4(self, tmp_path, capsys, variant, level, error):
+        scn = scenario_to_dict(load_scenario("scenario-a-proportional"))
+        scn["variant"] = variant
+        for seller in scn["sellers"]:
+            seller["resupply"] = {"kind": "constant", "level": level}
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(scn))
+        out = tmp_path / "extreme.csv"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"simulation failed: {error}\n"
+        assert not out.exists()
+
     def test_simulate_unknown_preset_exit_code(self):
         assert main(["simulate", "--scenario", "no-such-preset"]) == EXIT_PARSE
 
@@ -426,12 +456,22 @@ class TestCommands:
         assert "sum g = sum m = 1" in capsys.readouterr().err
 
     def test_audit_failure_inside_a_round_exits_4(self, monkeypatch, capsys):
-        def fail(config, horizon):
+        def fail(config, horizon, coalitions):
             raise SimulationError(3, "no good offered for sale")
 
-        monkeypatch.setattr(cli, "audit_unilateral", fail)
+        monkeypatch.setattr(cli, "audit", fail)
         assert main(["audit", "--scenario", "scenario-a-proportional"]) == EXIT_RUNTIME
         assert "round 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", AUDIT_CASES)
+    def test_audit_text_is_pinned(self, capsys, name):
+        # stdout, stderr and the exit code of ``audit --horizon 40``, as
+        # ``tests/audit_text/<name>.txt`` holds them; the CI step makes the
+        # same comparison through the shell
+        code = main(["audit", "--scenario", *AUDIT_CASES[name], "--horizon", "40"])
+        captured = capsys.readouterr()
+        want = (AUDIT_TEXT / f"{name}.txt").read_text()
+        assert captured.out + captured.err + f"exit {code}\n" == want
 
     def test_verify_mechanisms(self, capsys):
         assert main(["verify-mechanisms", "--samples", "200"]) == EXIT_OK

@@ -25,6 +25,7 @@ from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import (
     BidAdjustment,
     SupplySchedule,
+    generate_dirichlet_scenario,
     replay_from,
     run,
     run_with_checkpoints,
@@ -252,6 +253,24 @@ def test_overflowing_money_fails_both_paths_alike(variant, fails_at):
     assert "accounting residual money=nan" in runs[0][2]
     _, checkpoints = run_with_checkpoints(config, 1)
     assert both(lambda: replay_from(config, checkpoints[0], fails_at, [])) == runs
+
+
+def test_a_posted_price_that_overflows_fails_every_path_alike():
+    # 60 buyers, enough for ``wide`` as shipped: the resupply drops to the
+    # smallest subnormal in round 3, where the myopic price, money over the
+    # Good on sale, overflows to inf while the residuals stay 0
+    config = replace(
+        generate_dirichlet_scenario(60, float("inf"), 0, variant="myopic_rights", horizon=6),
+        sellers=(SellerSpec(SupplySchedule.step(1.0, 5e-324, 3)),),
+    )
+    assert engine._on_wide(config, 1)
+    runs = both(lambda: run(config))
+    assert runs == [("SimulationError", 3, "round 3: posted price is not finite")] * 2
+    _, checkpoints = run_with_checkpoints(config, 1)
+    assert both(lambda: replay_from(config, checkpoints[0], 6, [])) == runs
+    # the batch kernel fails on its own, before any replay one at a time
+    with pytest.raises(SimulationError, match="^round 3: "):
+        batch.play_batch(config, [checkpoints[0]], 6, [{}])
 
 
 # -- failing runs --------------------------------------------------------------
