@@ -8,12 +8,11 @@ baseline's checkpoint at that round instead of re-simulating from round 1;
 its gains equal those of a full replay bit for bit. Each report replays
 all its trials in one call of ``engine.replay_batch``, and ``audit``
 replays the unilateral report and every coalition report of one config in
-one call, from one baseline. Once trials x buyers reaches
-``engine.WIDE_MIN_BUYERS`` the call plays them in one lockstep pass on
-numpy arrays, each trial joining the pass at its resume round; reports
-keep trial order, and a failing trial raises what replaying the trials
-one at a time would. A finite grid cannot certify the equilibrium; it is
-a falsification harness.
+one call, from one baseline. The call plays them in one lockstep pass on
+numpy arrays (``batch``), however few they are, each trial joining the
+pass at its resume round; reports keep trial order, and a failing trial
+raises what replaying the trials one at a time would. A finite grid
+cannot certify the equilibrium; it is a falsification harness.
 The module also checks the price map's non-expansiveness along traces and
 cross-validates the interval-scan price solver against bisection.
 """
@@ -22,9 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig
 from .engine import (
@@ -141,6 +138,8 @@ class AuditReport:
 
     def summary(self) -> str:
         kind = "coalition" if self.coalition else "unilateral"
+        if not self.trials:  # not to be read as tested and passed
+            return f"{kind} audit: 0 trials, nothing to test"
         return (
             f"{kind} audit: {len(self.tested)} trials "
             f"({len(self.trials) - len(self.tested)} skipped), "
@@ -229,17 +228,14 @@ def default_coalition_menu(
     return _menu(member, round_index, amount, 0.10, baseline)
 
 
-# builds the (deviations, skip reason) pairs a report plays from (T, baseline)
-_Combos = Callable[[int, Trace], list[tuple[Sequence[Deviation], str]]]
+# a report to play: its coalition, () for the unilateral report, and its
+# grid, None for the default one
+_Plan = tuple[tuple[tuple[str, int], ...], Sequence | None]
 
 
-def _audit(
-    config: MarketConfig,
-    horizon: int | None,
-    reports: Sequence[tuple[_Combos, tuple[tuple[str, int], ...]]],
-) -> list[AuditReport]:
-    """One report per (combos, coalition) pair of ``reports``: every pair
-    of ``combos`` played against one all-greedy baseline.
+def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) -> list[AuditReport]:
+    """One report per plan: the ``_combos`` of each played against one
+    all-greedy baseline.
 
     The audit covers the regime the equilibrium claim is stated for: total
     resupply and total income 1 in rounds 1, T/2 and T, and a variant whose
@@ -258,7 +254,7 @@ def _audit(
         raise ConfigError("audit needs sum g = sum m = 1 in rounds 1, T/2 and T")
     baseline, checkpoints = run_with_checkpoints(config, T)
     base_sellers, base_buyers = baseline.seller_utilities, baseline.buyer_utilities
-    played = [combos(T, baseline) for combos, _ in reports]
+    played = [_combos(config, T, baseline, coalition, grid) for coalition, grid in plans]
     starts, lists = [], []
     for devs, reason in itertools.chain.from_iterable(played):
         if not reason:
@@ -267,7 +263,7 @@ def _audit(
             lists.append(adjustments)
     totals = iter(replay_batch(config, starts, T, lists))
     out = []
-    for (_, coalition), pairs in zip(reports, played):
+    for (coalition, _), pairs in zip(plans, played):
         trials: list[DeviationTrial] = []
         for devs, reason in pairs:
             gains: tuple[float, ...] = ()
@@ -283,47 +279,47 @@ def _audit(
     return out
 
 
-def _unilateral(config: MarketConfig, deviation_grid: Sequence[Deviation] | None) -> _Combos:
-    """The unilateral report's combos: each deviation of ``deviation_grid``,
-    by default ``default_deviation_grid``, on its own."""
-
-    def combos(T: int, baseline: Trace) -> list[tuple[Sequence[Deviation], str]]:
-        grid = deviation_grid
+def _combos(
+    config: MarketConfig,
+    T: int,
+    baseline: Trace,
+    coalition: tuple[tuple[str, int], ...],
+    grid: Sequence | None,
+) -> list[tuple[Sequence[Deviation], str]]:
+    """The (deviations, skip reason) pairs of one report. The unilateral
+    report, ``coalition`` (), plays each deviation of ``grid``, by default
+    ``default_deviation_grid``, on its own. A coalition report plays each
+    combo of ``grid``, by default the product of the members'
+    ``default_coalition_menu`` at mid-horizon, skipped as
+    ``audit_coalition`` says."""
+    if not coalition:
         if grid is None:
             grid = default_deviation_grid(config, T, baseline)
         return [((d,), _skip_reason(d, baseline)) for d in grid]
-
-    return combos
-
-
-def _joint(
-    coalition: Sequence[tuple[str, int]], joint_grid: Sequence[Sequence[Deviation]] | None
-) -> _Combos:
-    """A coalition report's combos: each combo of ``joint_grid``, by default
-    the product of the members' ``default_coalition_menu`` at mid-horizon,
-    skipped as ``audit_coalition`` says."""
+    if grid is None:
+        mid = _rounds(T)[1]
+        grid = itertools.product(*(default_coalition_menu(m, mid, baseline) for m in coalition))
     members = set(coalition)
+
+    def reason(combo: Sequence[Deviation]) -> str:
+        if {d.trader_key() for d in combo} != members:
+            return "menu/member mismatch"
+        if not all(1 <= d.round_index <= T for d in combo):
+            return OUTSIDE_HORIZON
+        return ""
+
+    return [(combo, reason(combo)) for combo in grid]
+
+
+def _coalition(members: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """``members`` as a tuple, or a ``ConfigError`` unless they are two or
+    more distinct traders."""
+    coalition = tuple(members)
     if len(coalition) < 2:
         raise ConfigError("a coalition needs at least two members")
-    if len(members) != len(coalition):
+    if len(set(coalition)) != len(coalition):
         raise ConfigError(f"coalition members must be distinct, got {list(coalition)!r}")
-
-    def combos(T: int, baseline: Trace) -> list[tuple[Sequence[Deviation], str]]:
-        grid = joint_grid
-        if grid is None:
-            mid = _rounds(T)[1]
-            grid = itertools.product(*(default_coalition_menu(m, mid, baseline) for m in coalition))
-
-        def reason(combo: Sequence[Deviation]) -> str:
-            if {d.trader_key() for d in combo} != members:
-                return "menu/member mismatch"
-            if not all(1 <= d.round_index <= T for d in combo):
-                return OUTSIDE_HORIZON
-            return ""
-
-        return [(combo, reason(combo)) for combo in grid]
-
-    return combos
+    return coalition
 
 
 def audit_unilateral(
@@ -337,7 +333,7 @@ def audit_unilateral(
     ``CONSERVATION_TOL`` is a witness against the equilibrium claim. This
     is ``audit``'s unilateral report, on its own and on any grid.
     """
-    return _audit(config, horizon, [(_unilateral(config, deviation_grid), ())])[0]
+    return _audit(config, horizon, [((), deviation_grid)])[0]
 
 
 def audit_coalition(
@@ -356,7 +352,7 @@ def audit_coalition(
     cartesian product of small per-member menus at mid-horizon. This is
     one of ``audit``'s coalition reports, on its own and on any grid.
     """
-    return _audit(config, horizon, [(_joint(coalition, joint_grid), tuple(coalition))])[0]
+    return _audit(config, horizon, [(_coalition(coalition), joint_grid)])[0]
 
 
 def audit(
@@ -373,8 +369,7 @@ def audit(
     made one after another, would raise. A malformed coalition raises
     ``ConfigError`` before anything is played.
     """
-    plans = [(_unilateral(config, None), ())]
-    plans += [(_joint(c, None), tuple(c)) for c in coalitions]
+    plans = [((), None)] + [(_coalition(c), None) for c in coalitions]
     return _audit(config, horizon, plans)
 
 
@@ -466,6 +461,8 @@ def cross_validate_price_solver(instances: int = 1000, rng_seed: int = 0) -> Sol
     Instances draw 1..8 buyers, money in [0, 2] with occasional exact zeros,
     and rights scaled to a random total in (0, 10].
     """
+    import numpy as np
+
     if instances < 1:
         raise ConfigError("instances must be >= 1")
     rng = np.random.default_rng(rng_seed)

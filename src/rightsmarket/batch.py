@@ -3,36 +3,36 @@ lockstep on numpy arrays.
 
 An audit replays one market many times, each time with one trader's bid
 changed in one round, from the baseline's checkpoint at that round.
-``engine.replay_batch`` hands such a batch here once markets x buyers
-reaches ``engine.WIDE_MIN_BUYERS``, and ``play_batch`` plays the M markets
-as the rows of one array: every buyer quantity is an (M, N) float64 array
-and every seller quantity an (M, S) one. The batch plays in one lockstep
-pass from the earliest checkpoint's round, and each market joins it as a
-new row at its own checkpoint's round, so each round is played once for
-all the markets that have reached it: an audit at T = 40 whose trials
-resume at rounds 1, 20 and 40 plays 40 rounds, not 40 + 21 + 1. Each round
-runs the same steps as ``engine._run_rights_round`` and makes the same
-checks, each step as array operations over all markets at once, so numpy's
-fixed cost per call is paid once per batch instead of once per market.
-``clear`` walks each market's own good and Right levels, one step of every
-market per pass, until the last market is done; a market that is done
-trades no more.
+``engine.replay_batch`` hands every such batch here, whatever its size,
+and ``play_batch`` plays the M markets as the rows of one array: every
+buyer quantity is an (M, N) float64 array and every seller quantity an
+(M, S) one. The batch plays in one lockstep pass from the earliest
+checkpoint's round, and each market joins it as a new row at its own
+checkpoint's round, so each round is played once for all the markets that
+have reached it: an audit at T = 40 whose trials resume at rounds 1, 20
+and 40 plays 40 rounds, not 40 + 21 + 1. Each round runs the same steps as
+``engine._run_rights_round`` and makes the same checks, each step as array
+operations over all markets at once, so numpy's fixed cost per call is
+paid once per batch instead of once per market. ``clear`` walks each
+market's own good and Right levels, one step of every market per pass,
+until the last market is done; a market that is done trades no more.
 
 The sums, bids, P, rights rows and settlement checks are ``wide``'s column
 layer, applied along each row, and every market's utility totals equal
-those of its own replay bit for bit by the rules in ``wide``'s docstring.
+those of the scalar round bit for bit by the rules in ``wide``'s docstring.
 The round, ``clear``, the implicit-price solve and the Right fill are this
 kernel's own.
 
 A check that fails in any market raises ``SimulationError``; the caller
-then replays the markets one at a time, so that the first failing one
-raises its own error. ``tests/test_batch.py`` compares batches with
-replays one at a time, and ``batch.clear`` with ``mechanism.clear``.
+then replays the markets one at a time, as batches of one, so that the
+first failing one raises its own error. ``tests/test_batch.py`` compares
+each replay with the scalar ``engine.run`` of its adjustments, and
+``batch.clear`` with ``mechanism.clear``.
 
-A replay of a single market of many buyers is played here too, as a batch
-of one: a 20-round replay of a 300-buyer, 10-seller market takes about
-15 ms here against about 29 ms on the scalar round (raw, 2-core host).
-An all-greedy run of such a market goes to ``wide``, whose arrays are one
+A single replay is played here too, as a batch of one: a 20-round replay
+of a 300-buyer, 10-seller market takes about 15 ms here against about
+29 ms on the scalar round (raw, 2-core host). An all-greedy run goes to
+``wide`` from ``engine.WIDE_MIN_BUYERS`` buyers, whose arrays are one
 market's columns: there a ``crowd`` round is about 1.5x faster than here.
 """
 
@@ -401,7 +401,7 @@ class GoodColumns:
         """Sell ``volume[m]`` from the cheapest good level of each market m
         that ``go`` marks, at the level's price."""
         level = self.level & go[:, None]
-        take = _equal_rate_fill(self.remaining, level, volume, self.remaining.shape[1] > 1)
+        take = _equal_rate_fill(self.remaining, level, volume)
         np.copyto(self.remaining, self.remaining - take, where=level)
         np.copyto(self.sold, self.sold + take, where=level)
         np.copyto(self.revenue, self.revenue + take * self.price_level[:, None], where=level)
@@ -574,13 +574,10 @@ def clear(
     )
 
 
-def _equal_rate_fill(
-    held: np.ndarray, members: np.ndarray, total: np.ndarray, several: bool = True
-) -> np.ndarray:
+def _equal_rate_fill(held: np.ndarray, members: np.ndarray, total: np.ndarray) -> np.ndarray:
     """``core.equal_rate_fill`` of the holdings ``members`` marks in each
     row of ``held``, for ``total[m]`` in row m, bit for bit; 0.0 elsewhere.
-    ``total`` is positive wherever a row has members, as in a clearing;
-    ``several`` is False when no row can have more than one member.
+    ``total`` is positive wherever a row has members, as in a clearing.
 
     A row of one member takes ``total if total < a else a``, as the scalar
     fill does; rows of more walk as ``wide._equal_rate_fill`` does. Past a
@@ -589,7 +586,7 @@ def _equal_rate_fill(
     """
     limit = total[:, None]
     out = np.where(members, np.where(limit < held, limit, held), 0.0)
-    if not several:
+    if held.shape[1] < 2:  # no row can have two members
         return out
     count = np.add.reduce(members, axis=1)
     multi = (count > 1).nonzero()[0]

@@ -27,7 +27,13 @@ from typing import IO, Sequence
 from .analysis import audit
 from .core import VARIANTS, BuyerSpec, MarketConfig, SellerSpec
 from .engine import SCHEDULE_PARAMS, SupplySchedule, Trace, generate_dirichlet_scenario, run
-from .errors import ConfigError, NegativeQuantityError, RightsMarketError, ScenarioError
+from .errors import (
+    ConfigError,
+    NegativeQuantityError,
+    RightsMarketError,
+    ScenarioError,
+    SimulationError,
+)
 from .rights import DistributionMechanism, verify_axioms
 
 EXIT_OK = 0
@@ -295,7 +301,12 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_csv(trace: Trace, out: IO[str], columns: str | tuple[str, ...] = "all") -> None:
-    """Emit one row per round; dot decimals, LF newlines, no trailing comma."""
+    """Emit one row per round; dot decimals, LF newlines, no trailing comma.
+
+    A number that is not finite, which an overflow can leave in a column
+    the round's checks do not cover (a Right assigned, the Right price), is
+    a ``SimulationError`` naming its round and column, raised before its
+    row is written."""
     base = BASE_COLUMNS if columns == "all" else tuple(c for c in BASE_COLUMNS if c in columns)
     with_buyers = columns == "all" or "buyers" in columns
     nb = trace.num_buyers
@@ -323,7 +334,12 @@ def write_trace_csv(trace: Trace, out: IO[str], columns: str | tuple[str, ...] =
                     _fmt(rec.right_assigned[j]),
                     _fmt(rec.frustration[j]),
                 ]
-        out.write(",".join(row) + "\n")
+        line = ",".join(row)
+        # a finite float's repr has no "n"; "inf" and "nan" do
+        if "n" in line:
+            column = next(name for name, x in zip(header, row) if "n" in x)
+            raise SimulationError(rec.round_index, f"{column} is not finite")
+        out.write(line + "\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -333,13 +349,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     config = _apply_overrides(scn.config, args)
+    csv = io.StringIO()
     try:
         trace = run(config)
+        write_trace_csv(trace, csv, scn.output.columns)
     except RightsMarketError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    csv = io.StringIO()
-    write_trace_csv(trace, csv, scn.output.columns)
     return _write_out(args.out or scn.output.csv, csv.getvalue(), f"{trace.horizon} rounds")
 
 

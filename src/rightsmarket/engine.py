@@ -8,10 +8,10 @@ round. Three variants share the loop: "rights" (the hybrid system),
 "myopic_rights" (right-sale proceeds spendable in the same round).
 
 The scalar round here is the reference. Two numpy kernels play the same
-rights-variant rounds bit for bit, each for one job, once the buyers they
-play reach ``WIDE_MIN_BUYERS``: ``wide`` plays all-greedy runs, and
-``batch`` plays the replays of ``replay_batch``, one market per row. Runs
-with adjustments or checkpoints, small markets and ``free_market`` stay
+rights-variant rounds bit for bit, each for one job: ``wide`` plays
+all-greedy runs of ``WIDE_MIN_BUYERS`` buyers or more, and ``batch`` plays
+every replay of ``replay_batch``, whatever its size, one market per row.
+Smaller runs, runs with adjustments or checkpoints and ``free_market`` stay
 here.
 """
 
@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .core import (
     CONSERVATION_TOL,
@@ -351,10 +349,10 @@ def replay_from(
     Utilities accumulate in the same order as in ``run``. So for a checkpoint
     of ``run_with_checkpoints(config, horizon)`` and no adjustment before its
     round, the totals equal those of ``run(config, horizon, adjustments)``
-    bit for bit. The replayed rounds build no ``RoundRecord``, but they make
-    every check a run makes: the money and Good residuals, negative
-    balances and the rights cap, so a failure raises what ``run`` raises.
-    This is ``replay_batch`` of one list.
+    bit for bit. This is ``replay_batch`` of one list, played on ``batch``:
+    it builds no ``RoundRecord``, but makes every check a run makes, the
+    money and Good residuals, negative balances and the rights cap, so a
+    failure raises what ``run`` raises.
     """
     return replay_batch(config, [checkpoint], horizon, [adjustments])[0]
 
@@ -367,44 +365,40 @@ def replay_batch(
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
     """``replay_from`` of each list of ``adjustment_lists`` from the
     checkpoint at the same position of ``checkpoints``: one pair of seller
-    and buyer utility totals per list, in input order, each equal bit for
-    bit to that list's replay on its own.
+    and buyer utility totals per list, in input order.
 
-    The replays are the same market with different bids, so once lists x
-    buyers reaches ``WIDE_MIN_BUYERS`` they run in one lockstep pass, one
-    market per list, as the rows of ``batch.play_batch``'s arrays; each
-    list's row joins the pass at its checkpoint's round, so the pass plays
-    each round once, however many rounds the lists resume at. A single
-    list of a large market runs there too, as a batch of one. If any of
-    them fails there, every list is replayed one at a time, in order, so
-    that the first failing list raises its own error, as a loop of
-    ``replay_from`` would.
+    The replays are the same market with different bids, so they run in one
+    lockstep pass, one market per list, as the rows of ``batch.play_batch``'s
+    arrays; each list's row joins the pass at its checkpoint's round, so the
+    pass plays each round once, however many rounds the lists resume at. If
+    any of them fails there, the lists are played again one at a time, as
+    batches of one, in order, so that the first failing list raises its own
+    error, as a loop of ``replay_from`` would. A call with no lists returns
+    ``[]``. A ``free_market`` config is a ``ConfigError``: its round ignores
+    deviations, and ``batch`` plays only the rights variants.
     """
     if len(checkpoints) != len(adjustment_lists):
         raise ConfigError(
             f"{len(adjustment_lists)} adjustment lists need as many checkpoints, "
             f"got {len(checkpoints)}"
         )
-    indexes = [_index_adjustments(adjustments) for adjustments in adjustment_lists]
-    if _on_wide(config, len(indexes)):
-        # imported here: the kernel reads this module's helpers
-        from .batch import play_batch
-
-        try:
-            sellers, buyers = play_batch(config, checkpoints, horizon, indexes)
-        except SimulationError:
-            pass
-        else:
-            return [(tuple(s), tuple(b)) for s, b in zip(sellers.tolist(), buyers.tolist())]
-    totals = []
-    for checkpoint, index in zip(checkpoints, indexes):
-        seller_total = list(checkpoint.seller_utilities)
-        buyer_total = list(checkpoint.buyer_utilities)
-        _play_rounds(
-            config, checkpoint.state.copy(), horizon, index, seller_total, buyer_total, None
+    if config.variant == "free_market":
+        raise ConfigError(
+            f"variant {config.variant!r} cannot be replayed: its round ignores deviations"
         )
-        totals.append((tuple(seller_total), tuple(buyer_total)))
-    return totals
+    if not checkpoints:
+        return []
+    # imported here: the kernel reads this module's helpers
+    from .batch import play_batch
+
+    indexes = [_index_adjustments(adjustments) for adjustments in adjustment_lists]
+    try:
+        sellers, buyers = play_batch(config, checkpoints, horizon, indexes)
+    except SimulationError:
+        for checkpoint, index in zip(checkpoints, indexes):
+            play_batch(config, [checkpoint], horizon, [index])
+        raise
+    return [(tuple(s), tuple(b)) for s, b in zip(sellers.tolist(), buyers.tolist())]
 
 
 def _run(
@@ -424,7 +418,8 @@ def _run(
     except Exception as exc:
         raise SimulationError(1, str(exc)) from exc
     records: list[RoundRecord] = []
-    if not adjustments and checkpoints is None and _on_wide(config, 1):
+    greedy = not adjustments and checkpoints is None
+    if greedy and config.num_buyers >= WIDE_MIN_BUYERS and config.variant != "free_market":
         # imported here: the kernel builds this module's records
         from .wide import play_rounds
 
@@ -457,31 +452,17 @@ def _run(
     )
 
 
-# The number of buyers, summed over the markets played side by side, from
-# which a rights-variant market is played on numpy arrays: an all-greedy
-# run on ``wide``, a batch of replays, one replay included, on ``batch``.
-# Below it the fixed cost of each numpy call outweighs the per-buyer loops
-# it replaces. Measured on 20-round greedy runs of one market, the two
-# paths break even between 50 buyers (10 sellers) and 60 (one seller); at
-# 3 buyers the kernel is about 3x slower, at 300 about 3x faster. A batch
-# of 40 audit replays of 3 buyers plays a round in about 0.5 ms, against
-# about 4 ms for 40 scalar rounds; one 20-round replay of a 300-buyer,
-# 10-seller market takes about 15 ms on ``batch`` and 29 ms on the scalar
-# round. A unilateral audit of 3 buyers passes it (84 to 120 trials on the
-# shipped presets at T = 40), and so does ``analysis.audit`` of a whole
-# config, but an ``audit_coalition`` call of 3 to 9 trials of 3 buyers
-# stays scalar. A run with adjustments or checkpoints stays scalar
-# whatever its size: no workload or command plays one of this size but an
-# audit's one baseline (about 40 ms scalar against 18 ms on ``wide`` at
-# 300 buyers).
+# The number of buyers from which an all-greedy rights-variant run is
+# played on ``wide``'s numpy columns. Below it the fixed cost of each numpy
+# call outweighs the per-buyer loops it replaces. Measured on 20-round
+# greedy runs of one market, the two paths break even between 50 buyers
+# (10 sellers) and 60 (one seller); at 3 buyers the kernel is about 3x
+# slower, at 300 about 3x faster. A run with adjustments or checkpoints
+# stays scalar whatever its size: no workload or command plays one of this
+# size but an audit's one baseline (about 40 ms scalar against 18 ms on
+# ``wide`` at 300 buyers). Replays take no part: ``replay_batch`` plays
+# every one of them on ``batch``, whatever its size.
 WIDE_MIN_BUYERS = 60
-
-
-def _on_wide(config: MarketConfig, markets: int) -> bool:
-    """Whether ``markets`` markets of ``config``, played side by side, go to
-    numpy arrays (``wide`` for an all-greedy run, ``batch`` for replays):
-    rights variants of at least ``WIDE_MIN_BUYERS`` buyers in all."""
-    return markets * config.num_buyers >= WIDE_MIN_BUYERS and config.variant != "free_market"
 
 
 def _play_rounds(
@@ -491,20 +472,19 @@ def _play_rounds(
     adjustments: AdjustmentIndex,
     seller_total: list[float],
     buyer_total: list[float],
-    records: list[RoundRecord] | None,
+    records: list[RoundRecord],
     checkpoints: list[Checkpoint] | None = None,
 ) -> tuple[float, float]:
     """Play rounds ``state.round_index`` through ``horizon``, adding each
-    round's utilities to ``seller_total`` and ``buyer_total`` in place.
+    round's utilities to ``seller_total`` and ``buyer_total`` in place and
+    its record to ``records``.
 
     This is the scalar round, the reference ``wide`` and ``batch`` are
     tested against. ``state`` is used up: the rounds mutate it. When
-    ``records`` is a list, each round's record is appended to it; a replay
-    that needs only the totals passes None and skips building them, but not
-    any check. When ``checkpoints`` is a list, a checkpoint is appended at
-    the start of every round and once more after the last. Returns the
-    largest money and Good residuals. A failure, including one in the
-    transition into round t, aborts with round index t.
+    ``checkpoints`` is a list, a checkpoint is appended at the start of
+    every round and once more after the last. Returns the largest money and
+    Good residuals. A failure, including one in the transition into round
+    t, aborts with round index t.
     """
     max_money_res = 0.0
     max_good_res = 0.0
@@ -621,11 +601,11 @@ def _run_rights_round(
     config: MarketConfig,
     tau: int,
     adjustments: AdjustmentIndex,
-    records: list[RoundRecord] | None,
+    records: list[RoundRecord],
 ):
     """Play round ``tau`` of a rights variant on ``state``, in place, and
-    check it. Appends the round's record to ``records`` unless it is None;
-    returns the round's utilities and its money and Good residuals."""
+    check it. Appends the round's record to ``records``; returns the round's
+    utilities and its money and Good residuals."""
     nb, ns = config.num_buyers, config.num_sellers
     buyers = state.buyers
     money_start = tuple(b.money for b in buyers)
@@ -699,38 +679,37 @@ def _run_rights_round(
     _check_residuals(money_res, good_res, money_total, offered)
     _check_finite(tau, posted, price_avg, sum(good_end), sum(s.good for s in state.sellers))
 
-    if records is not None:
-        useful, useless = useful_useless_split(result)
-        right_offered, right_prices, _, _, right_demanded, _ = zip(*bids)
-        offered_right = sum(right_offered)
-        price_right = (
-            sum(w * q for w, q in zip(right_offered, right_prices)) / offered_right
-            if offered_right > 0.0
-            else 0.0
+    useful, useless = useful_useless_split(result)
+    right_offered, right_prices, _, _, right_demanded, _ = zip(*bids)
+    offered_right = sum(right_offered)
+    price_right = (
+        sum(w * q for w, q in zip(right_offered, right_prices)) / offered_right
+        if offered_right > 0.0
+        else 0.0
+    )
+    records.append(
+        RoundRecord(
+            round_index=tau,
+            price_good=price_avg,
+            price_right=price_right,
+            money_start=money_start,
+            good_end=tuple(good_end),
+            right_assigned=tuple(rights),
+            frustration=tuple(map(frustration, rights, good_end)),
+            right_offered=right_offered,
+            right_demanded=right_demanded,
+            useful_money=useful,
+            useless_money=useless,
+            volume_offered=offered,
+            volume_sold=result.volume_sold,
+            rejections=result.rejected,
         )
-        records.append(
-            RoundRecord(
-                round_index=tau,
-                price_good=price_avg,
-                price_right=price_right,
-                money_start=money_start,
-                good_end=tuple(good_end),
-                right_assigned=tuple(rights),
-                frustration=tuple(map(frustration, rights, good_end)),
-                right_offered=right_offered,
-                right_demanded=right_demanded,
-                useful_money=useful,
-                useless_money=useless,
-                volume_offered=offered,
-                volume_sold=result.volume_sold,
-                rejections=result.rejected,
-            )
-        )
+    )
     return consumed_utility(state, config), money_res, good_res
 
 
 def _run_free_round(
-    state: MarketState, config: MarketConfig, tau: int, records: list[RoundRecord] | None
+    state: MarketState, config: MarketConfig, tau: int, records: list[RoundRecord]
 ):
     """Free-market baseline: no rights, everyone spends all money at the
     market-clearing price, frustration is still measured against the
@@ -779,24 +758,23 @@ def _run_free_round(
     # the posted price is P: every seller posts it
     _check_finite(tau, price, price, sum(good_end), sum(s.good for s in state.sellers))
 
-    if records is not None:
-        records.append(
-            RoundRecord(
-                round_index=tau,
-                price_good=price,
-                price_right=0.0,
-                money_start=money_start,
-                good_end=tuple(good_end),
-                right_assigned=rights_hyp,
-                frustration=tuple(map(frustration, rights_hyp, good_end)),
-                right_offered=(0.0,) * nb,
-                right_demanded=(0.0,) * nb,
-                useful_money=price * sold_total,
-                useless_money=0.0,
-                volume_offered=offered,
-                volume_sold=sold_total,
-            )
+    records.append(
+        RoundRecord(
+            round_index=tau,
+            price_good=price,
+            price_right=0.0,
+            money_start=money_start,
+            good_end=tuple(good_end),
+            right_assigned=rights_hyp,
+            frustration=tuple(map(frustration, rights_hyp, good_end)),
+            right_offered=(0.0,) * nb,
+            right_demanded=(0.0,) * nb,
+            useful_money=price * sold_total,
+            useless_money=0.0,
+            volume_offered=offered,
+            volume_sold=sold_total,
         )
+    )
     return consumed_utility(state, config), money_res, good_res
 
 
@@ -817,6 +795,8 @@ def generate_dirichlet_scenario(
     infinite. Total claim is 2 * ``claim_scale`` against a unit resupply, so
     the default regime is twice-over-demanded; incomes sum to 1.
     """
+    import numpy as np
+
     if num_buyers < 2:
         raise ConfigError("need at least two buyers")
     rng = np.random.default_rng(rng_seed)

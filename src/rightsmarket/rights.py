@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import CONSERVATION_TOL, EQ_TOL, water_level
 from .errors import ConfigError
 
@@ -221,6 +219,8 @@ def verify_axioms(mech, samples: int = 1000, rng_seed: int = 0) -> AxiomReport:
     volume, within ``EQ_TOL``) are checked as ordered pairs against downward
     perturbations. The first 10 counterexamples are reported.
     """
+    import numpy as np
+
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     rng = np.random.default_rng(rng_seed)

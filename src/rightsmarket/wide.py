@@ -16,10 +16,9 @@ stay ``SellerState`` objects and share the scalar code
 ``mechanism.ClearingResult``, with a float64 column in each buyer field.
 
 Every replay, the audit's one-round deviations, is played by ``batch``
-instead, one market per row, once replays x buyers reaches
-``engine.WIDE_MIN_BUYERS``; runs with adjustments or checkpoints, small
-markets and ``free_market`` stay on the scalar round, the reference both
-kernels are tested against. The column rules the two kernels share,
+instead, one market per row, whatever its size; smaller runs, runs with
+adjustments or checkpoints and ``free_market`` stay on the scalar round,
+the reference both kernels are tested against. The column rules the two kernels share,
 ``_sum`` through ``settle`` below, are stated once, here, over arrays of
 any leading shape: one market's columns, or the rows of M markets. Each
 kernel keeps its own round and ``clear``; the implicit-price solve and the
@@ -39,8 +38,8 @@ Every result equals the scalar round's bit for bit, in both kernels:
 - sorts are stable, so ties keep buyer order as Python's ``sorted`` does;
 - a step updates only the buyers the scalar loop updates.
 
-``tests/test_wide.py`` plays random all-greedy markets both ways and
-compares them. Below ``engine.WIDE_MIN_BUYERS`` the fixed cost of numpy
+``tests/test_wide.py`` plays random markets on the scalar round and on
+the kernels and compares them. Below ``engine.WIDE_MIN_BUYERS`` the fixed cost of numpy
 calls outweighs the per-buyer work they save, so small markets keep the
 scalar round.
 """

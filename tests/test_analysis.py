@@ -201,6 +201,14 @@ class TestCoalitionAudit:
         )
         assert len(report.tested) == len(report.trials) == 501
 
+    def test_a_report_with_no_trials_says_it_had_nothing_to_test(self):
+        # it passes, as before, but must not read as tested and passed
+        report = audit_coalition(
+            make_benchmark(horizon=4), coalition=[("seller", 0), ("buyer", 0)], joint_grid=[]
+        )
+        assert report.trials == () and report.passed
+        assert report.summary() == "coalition audit: 0 trials, nothing to test"
+
     def test_skips_a_combo_played_by_outsiders(self):
         # two traders, as in the coalition, but not its members
         outsiders = (Deviation("buyer_price", 1, 1, 0.1), Deviation("buyer_price", 2, 1, 0.1))

@@ -1,14 +1,13 @@
-"""Batches of replays against replays one at a time, bit for bit.
+"""Batches of replays against the scalar round, bit for bit.
 
-``engine.replay_batch`` plays its replays as the rows of one lockstep pass
-of ``batch.play_batch`` once replays x buyers reaches
-``engine.WIDE_MIN_BUYERS``, each row joining the pass at its own
-checkpoint's round. These tests lower that constant to 1, so that every
-batch of replays of a small market, a batch of one included, goes to the
-batch kernel, and require the ``repr`` of every total to equal that of the
-replays one at a time on the scalar round; when one of them fails, the
-batch must raise the first failure of the replays one at a time. The
-kernel's pieces, and the column layer it shares with ``wide``, are
+``engine.replay_batch`` plays every list of adjustments as a row of one
+lockstep pass of ``batch.play_batch``, whatever the number of lists, each
+row joining the pass at its own checkpoint's round. These tests require
+the ``repr`` of every list's totals to equal that of the scalar ``run`` of
+its adjustments, whose rounds before the checkpoint are the greedy ones;
+when one of them fails, the batch must raise the first failure, in list
+order, of those runs, having played the lists again one at a time up to
+it. The kernel's pieces, and the column layer it shares with ``wide``, are
 compared with their scalar counterparts row by row, and with ``wide``'s
 one-market forms, on batches of one to five rows.
 
@@ -32,7 +31,7 @@ from rightsmarket.mechanism import SellerOffer
 from rightsmarket.pricing import greedy_buyer_bids, mean_posted_price, solve_implicit_price
 
 from test_clear_oracle import clear_batch, market
-from test_wide import adjustment_lists, markets, outcome, playing
+from test_wide import adjustment_lists, markets, outcome, playing, scalar_totals
 
 
 @st.composite
@@ -41,6 +40,33 @@ def batches(draw):
     config, first = draw(markets(buyer_counts=(2, 3, 7)))
     lists = [first] + draw(st.lists(adjustment_lists(config), max_size=5))
     return config, draw(st.integers(0, config.horizon - 1)), lists
+
+
+def scalar_replays(config, lists):
+    """What ``replay_batch`` of ``lists`` to the horizon must return, from
+    checkpoints before their first rounds, and the ``play_batch`` calls it
+    must make: the totals of each list's scalar ``run`` in one call, or
+    else the first of those runs' errors, after one more call per list up
+    to the failing one."""
+    runs = [scalar_totals(config, config.horizon, a) for a in lists]
+    for i, run_ in enumerate(runs):
+        if run_[0] == "SimulationError":
+            return run_, 2 + i
+    # ``repr`` of the list of totals
+    return "[" + ", ".join(runs) + "]", 1
+
+
+def counting_play_batch(mp):
+    """Count the calls of ``batch.play_batch`` in a list."""
+    calls = []
+    real = batch.play_batch
+
+    def spy(*args):
+        calls.append(True)
+        return real(*args)
+
+    mp.setattr(batch, "play_batch", spy)
+    return calls
 
 
 @settings(deadline=None)
@@ -52,29 +78,23 @@ def test_a_batch_equals_its_replays_one_at_a_time(case):
             _, checkpoints = run_with_checkpoints(config)
         except SimulationError:
             return
-        checkpoint = checkpoints[k]
-        # a replay from checkpoint k plays rounds k + 1 on
-        lists = [[a for a in adjustments if a.round_index > k] for adjustments in lists]
-        alone = outcome(lambda: [replay_from(config, checkpoint, config.horizon, a) for a in lists])
+    checkpoint = checkpoints[k]
+    # a replay from checkpoint k plays rounds k + 1 on
+    lists = [[a for a in adjustments if a.round_index > k] for adjustments in lists]
+    alone, played = scalar_replays(config, lists)
 
-    failed = []
-    real = batch.play_batch
+    def one_at_a_time():
+        return [replay_from(config, checkpoint, config.horizon, a) for a in lists]
 
-    def spy(*args):
-        try:
-            return real(*args)
-        except SimulationError:
-            failed.append(True)
-            raise
+    assert outcome(one_at_a_time) == alone
 
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(batch, "play_batch", spy)
+        calls = counting_play_batch(mp)
         together = outcome(
             lambda: replay_batch(config, [checkpoint] * len(lists), config.horizon, lists)
         )
     assert together == alone
-    # the batch kernel played them all, unless one of them fails
-    assert failed == [] or alone[0] == "SimulationError"
+    assert len(calls) == played
 
 
 def test_the_first_failing_trial_fails_the_audit():
@@ -101,19 +121,6 @@ def staggered_batches(draw):
     return config, ks, lists
 
 
-def counting_play_batch(mp):
-    """Count the calls of ``batch.play_batch`` in a list."""
-    calls = []
-    real = batch.play_batch
-
-    def spy(*args):
-        calls.append(True)
-        return real(*args)
-
-    mp.setattr(batch, "play_batch", spy)
-    return calls
-
-
 @settings(deadline=None)
 @given(staggered_batches())
 def test_lists_that_resume_at_different_rounds_play_in_one_pass(case):
@@ -123,18 +130,17 @@ def test_lists_that_resume_at_different_rounds_play_in_one_pass(case):
             _, checkpoints = run_with_checkpoints(config)
         except SimulationError:
             return
-        starts = [checkpoints[k] for k in ks]
-        # a replay from checkpoint k plays rounds k + 1 on
-        lists = [[a for a in adjustments if a.round_index > k] for k, adjustments in zip(ks, lists)]
-        alone = outcome(
-            lambda: [replay_from(config, c, config.horizon, a) for c, a in zip(starts, lists)]
-        )
+    starts = [checkpoints[k] for k in ks]
+    # a replay from checkpoint k plays rounds k + 1 on
+    lists = [[a for a in adjustments if a.round_index > k] for k, adjustments in zip(ks, lists)]
+    alone, played = scalar_replays(config, lists)
 
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
         calls = counting_play_batch(mp)
         together = outcome(lambda: replay_batch(config, starts, config.horizon, lists))
     assert together == alone
-    assert calls == [True]
+    # one pass, unless a list fails
+    assert len(calls) == played
 
 
 @pytest.mark.parametrize("early_fails_at", [4, None])
@@ -150,10 +156,41 @@ def test_a_failing_list_that_joins_late_raises_its_own_error(early_fails_at):
     early = [BidAdjustment(2, ("buyer", 0), price_factor=1.1)]
     if early_fails_at:
         early.append(BidAdjustment(early_fails_at, ("seller", 0), volume_delta=withhold))
+    failure = ("SimulationError", 6, "round 6: no good offered for sale")
+    assert scalar_totals(config, 8, late) == failure
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
         calls = counting_play_batch(mp)
         with pytest.raises(SimulationError, match="^round 6: no good offered for sale$"):
             replay_batch(config, [checkpoints[4], checkpoints[0]], 8, [late, early])
+    # the pass, then the first list on its own
+    assert calls == [True, True]
+
+
+def test_a_call_with_no_lists_plays_nothing():
+    config = replace(load_scenario("scenario-a-proportional").config, horizon=4)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_play_batch(mp)
+        assert replay_batch(config, [], 4, []) == []
+    assert calls == []
+
+
+def test_a_free_market_replay_is_a_config_error():
+    # its round ignores deviations, and ``batch`` plays only rights variants
+    config = replace(load_scenario("scenario-a-proportional").config, horizon=4)
+    _, checkpoints = run_with_checkpoints(config)
+    free = replace(config, variant="free_market")
+    with pytest.raises(ConfigError, match="^variant 'free_market' cannot be replayed"):
+        replay_batch(free, checkpoints[:1], 4, [[]])
+
+
+def test_a_coalition_audit_of_three_trials_plays_on_batch():
+    # as shipped: no constant moved; one pass plays all three trials
+    config = load_scenario("scenario-a-proportional").config
+    coalition = [("seller", 0), ("buyer", 2)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_play_batch(mp)
+        report = audit_coalition(config, 40, coalition)
+    assert len(report.tested) == 3
     assert calls == [True]
 
 

@@ -473,6 +473,13 @@ class TestCommands:
         want = (AUDIT_TEXT / f"{name}.txt").read_text()
         assert captured.out + captured.err + f"exit {code}\n" == want
 
+    def test_importing_the_cli_leaves_numpy_unloaded(self):
+        # a small market plays on the scalar round, so a CLI process pays
+        # numpy's import time only where a numpy kernel or sampler runs
+        done = run_python("-c", "import sys, rightsmarket.cli; print('numpy' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
     def test_verify_mechanisms(self, capsys):
         assert main(["verify-mechanisms", "--samples", "200"]) == EXIT_OK
         out = capsys.readouterr().out

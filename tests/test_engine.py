@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rightsmarket import engine
+from rightsmarket import batch, engine
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import (
     BidAdjustment,
@@ -23,6 +23,7 @@ from rightsmarket.errors import ConfigError, SimulationError
 from rightsmarket.rights import DistributionMechanism
 
 from conftest import A_CLAIMS, A_INCOMES, make_benchmark
+from test_wide import FAULT_ROUND, batch_clear, scalar_clear
 
 
 class TestFrustration:
@@ -569,35 +570,27 @@ class TestConfigMemos:
 
 
 class TestReplayChecks:
-    """``replay_from`` builds no round records, but every check a round
-    makes still runs: a fault in a replayed round raises exactly what the
-    full run raises."""
-
-    FAULT_ROUND = 5
-
-    @staticmethod
-    def break_money(result, state):
-        revenue = list(result.seller_revenue)
-        revenue[0] += 0.01
-        return result._replace(seller_revenue=tuple(revenue))
+    """``replay_from`` plays on ``batch`` and builds no round records, but
+    every check a round makes still runs: a fault in a replayed round
+    raises exactly what the full run on the scalar round raises. Each fault
+    is injected into ``engine.clear`` for the run and into ``batch.clear``
+    for the replay, in round ``FAULT_ROUND``."""
 
     @staticmethod
-    def break_good(result, state):
-        sold = list(result.seller_sold)
-        sold[0] -= 0.01
-        return result._replace(seller_sold=tuple(sold))
+    def break_money(flows, money, right):
+        flows["seller_revenue"][0] += 0.01
 
     @staticmethod
-    def overspend(result, state):
-        spent = list(result.money_spent_good)
-        spent[2] = state.buyers[2].money + 0.5
-        return result._replace(money_spent_good=tuple(spent))
+    def break_good(flows, money, right):
+        flows["seller_sold"][0] -= 0.01
 
     @staticmethod
-    def overbuy(result, state):
-        good = list(result.good_bought)
-        good[1] = state.buyers[1].right + result.right_bought[1] + 0.5
-        return result._replace(good_bought=tuple(good))
+    def overspend(flows, money, right):
+        flows["money_spent_good"][2] = money[2] + 0.5
+
+    @staticmethod
+    def overbuy(flows, money, right):
+        flows["good_bought"][1] = right[1] + flows["right_bought"][1] + 0.5
 
     @pytest.mark.parametrize(
         ("fault", "message"),
@@ -613,19 +606,12 @@ class TestReplayChecks:
         cfg = make_benchmark(horizon=horizon)
         _, checkpoints = run_with_checkpoints(cfg)
         adjustments = [BidAdjustment(3, ("seller", 0), price_factor=0.9)]
-        real_clear = engine.clear
         breaks = getattr(self, fault)
-
-        def faulty_clear(offers, bids, state, variant):
-            result = real_clear(offers, bids, state, variant)
-            if state.round_index != self.FAULT_ROUND:
-                return result
-            return breaks(result, state)
-
-        monkeypatch.setattr(engine, "clear", faulty_clear)
+        monkeypatch.setattr(engine, "clear", scalar_clear(breaks))
+        monkeypatch.setattr(batch, "clear", batch_clear(breaks))
         with pytest.raises(SimulationError) as full:
             run(cfg, horizon, adjustments)
-        assert full.value.round_index == self.FAULT_ROUND
+        assert full.value.round_index == FAULT_ROUND
         assert message in str(full.value)
         for checkpoint in checkpoints[:3]:  # rounds 1 to 3, before the deviation
             with pytest.raises(SimulationError) as replayed:

@@ -1,14 +1,16 @@
 """The numpy kernels against the scalar round, bit for bit.
 
 Once a rights-variant market has ``engine.WIDE_MIN_BUYERS`` buyers,
-``engine`` plays an all-greedy run of it on numpy columns (``wide``) and a
-replay of it as a batch of one (``batch``); below that, and for runs with
-adjustments or checkpoints, it plays the scalar round. These tests play
-the same markets both ways, whatever their size, by moving that constant
-for the duration of a call, and require the same ``repr`` of every trace
-and replay total, and the same ``SimulationError`` round and message when
-a run or a replay fails. The kernel's pieces are compared with the scalar
-ones here on single columns, and row by row in ``tests/test_batch.py``.
+``engine`` plays an all-greedy run of it on numpy columns (``wide``);
+below that, and for runs with adjustments or checkpoints, it plays the
+scalar round. Every replay plays on ``batch``, whatever its size. These
+tests play the same runs both ways, whatever their size, by moving that
+constant for the duration of a call, and compare each replay with the
+scalar ``run`` of its adjustments: they require the same ``repr`` of every
+trace and utility total, and the same ``SimulationError`` round and
+message when a run or a replay fails. The kernel's pieces are compared
+with the scalar ones here on single columns, and row by row in
+``tests/test_batch.py``.
 """
 
 import re
@@ -40,7 +42,8 @@ PATHS = ("scalar", "wide")
 
 @contextmanager
 def playing(path: str):
-    """Play every rights-variant market on ``path``."""
+    """Play every all-greedy rights-variant run on ``path``; replays play
+    on ``batch`` either way."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "WIDE_MIN_BUYERS", 1 if path == "wide" else sys.maxsize)
         yield
@@ -56,12 +59,27 @@ def outcome(call):
 
 
 def both(call):
-    """The outcome of ``call`` on the scalar rounds and on the numpy kernels."""
+    """The outcome of ``call`` on the scalar rounds and on the numpy
+    kernels, in that order."""
     out = []
     for path in PATHS:
         with playing(path):
             out.append(outcome(call))
     return out
+
+
+def scalar_totals(config, horizon, adjustments=()):
+    """The outcome of ``run(config, horizon, adjustments)`` on the scalar
+    round, as its seller and buyer utility totals. A replay of
+    ``adjustments`` to ``horizon``, from a checkpoint no later than their
+    first round, must have this outcome bit for bit."""
+
+    def totals():
+        trace = run(config, horizon, adjustments)
+        return trace.seller_utilities, trace.buyer_utilities
+
+    with playing("scalar"):
+        return outcome(totals)
 
 
 def test_each_path_runs_where_the_constant_says(monkeypatch):
@@ -184,8 +202,8 @@ def test_both_paths_give_the_same_results(market):
     for k in {0, len(checkpoints) // 2} if checkpoints else ():
         # a replay from checkpoint k plays rounds k + 1 on
         later = [a for a in adjustments if a.round_index > k]
-        scalar, batch_ = both(lambda: replay_from(config, checkpoints[k], config.horizon, later))
-        assert scalar == batch_
+        replay = outcome(lambda: replay_from(config, checkpoints[k], config.horizon, later))
+        assert replay == scalar_totals(config, config.horizon, later)
 
 
 def test_many_good_and_right_levels():
@@ -207,9 +225,8 @@ def test_many_good_and_right_levels():
     trace = run(config, adjustments=adjustments)
     assert "Rejection(side='buyer'" in repr(trace)
     _, checkpoints = run_with_checkpoints(config)
-    scalar, batch_ = both(lambda: replay_from(config, checkpoints[0], 6, adjustments))
-    assert scalar == batch_
-    assert scalar == repr((trace.seller_utilities, trace.buyer_utilities))
+    replay = outcome(lambda: replay_from(config, checkpoints[0], 6, adjustments))
+    assert replay == repr((trace.seller_utilities, trace.buyer_utilities))
 
 
 @pytest.mark.parametrize("variant", ["rights", "myopic_rights"])
@@ -252,7 +269,7 @@ def test_overflowing_money_fails_both_paths_alike(variant, fails_at):
     assert runs[0][:2] == ("SimulationError", fails_at)
     assert "accounting residual money=nan" in runs[0][2]
     _, checkpoints = run_with_checkpoints(config, 1)
-    assert both(lambda: replay_from(config, checkpoints[0], fails_at, [])) == runs
+    assert outcome(lambda: replay_from(config, checkpoints[0], fails_at, [])) == runs[0]
 
 
 def test_a_posted_price_that_overflows_fails_every_path_alike():
@@ -263,11 +280,11 @@ def test_a_posted_price_that_overflows_fails_every_path_alike():
         generate_dirichlet_scenario(60, float("inf"), 0, variant="myopic_rights", horizon=6),
         sellers=(SellerSpec(SupplySchedule.step(1.0, 5e-324, 3)),),
     )
-    assert engine._on_wide(config, 1)
+    assert config.num_buyers >= engine.WIDE_MIN_BUYERS
     runs = both(lambda: run(config))
     assert runs == [("SimulationError", 3, "round 3: posted price is not finite")] * 2
     _, checkpoints = run_with_checkpoints(config, 1)
-    assert both(lambda: replay_from(config, checkpoints[0], 6, [])) == runs
+    assert outcome(lambda: replay_from(config, checkpoints[0], 6, [])) == runs[0]
     # the batch kernel fails on its own, before any replay one at a time
     with pytest.raises(SimulationError, match="^round 3: "):
         batch.play_batch(config, [checkpoints[0]], 6, [{}])
@@ -397,8 +414,8 @@ def test_a_faulty_clearing_fails_both_paths_alike(monkeypatch, fault, num_buyers
         assert runs[0][:2] == ("SimulationError", FAULT_ROUND)
         assert message in runs[0][2]
         for checkpoint in checkpoints[:3]:  # rounds 1 to 3, before the deviation
-            replays = both(lambda: replay_from(config, checkpoint, horizon, adjusted))
-            assert replays == runs
+            replay = outcome(lambda: replay_from(config, checkpoint, horizon, adjusted))
+            assert replay == runs[0]
 
 
 @pytest.mark.parametrize("num_buyers", [3, engine.WIDE_MIN_BUYERS])
@@ -411,8 +428,7 @@ def test_a_round_with_no_good_offered_fails_both_paths_alike(num_buyers):
     assert runs[0] == runs[1] == ("SimulationError", 3, "round 3: no good offered for sale")
     with playing("scalar"):
         _, checkpoints = run_with_checkpoints(replace(config, horizon=2))
-    replays = both(lambda: replay_from(config, checkpoints[1], 10, ()))
-    assert replays == runs
+    assert outcome(lambda: replay_from(config, checkpoints[1], 10, ())) == runs[0]
 
 
 # -- the kernel's pieces (row by row in tests/test_batch.py) ------------------
