@@ -3,10 +3,10 @@
 The audit replays the market with exactly one trader (or a small coalition)
 deviating from greedy in one round and reverting afterwards, and compares
 total utilities against the all-greedy baseline. Rounds before the first
-deviating round are the baseline's, so each replay resumes from the
-baseline's checkpoint at that round instead of re-simulating from round 1;
-its gains equal those of a full replay bit for bit. Each report replays
-all its trials in one call of ``engine.replay_batch``, and ``audit``
+deviating round are the baseline's, so ``engine.replay_batch``, given the
+baseline's checkpoints, resumes each replay at that round instead of
+re-simulating from round 1; its gains equal those of a full replay bit for
+bit. Each report replays all its trials in one such call, and ``audit``
 replays the unilateral report and every coalition report of one config in
 one call, from one baseline. The call plays them in one lockstep pass on
 numpy arrays (``batch``), however few they are, each trial joining the
@@ -239,9 +239,8 @@ def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) ->
 
     The audit covers the regime the equilibrium claim is stated for: total
     resupply and total income 1 in rounds 1, T/2 and T, and a variant whose
-    round applies deviations, which ``free_market``'s does not. A played
-    combo resumes at the baseline checkpoint of its first deviating round.
-    Every played combo of every report goes to one ``replay_batch`` call,
+    round applies deviations, which ``free_market``'s does not. Every
+    played combo of every report goes to one ``replay_batch`` call,
     in report and trial order, so a failing trial raises what the reports
     made one after another would raise.
     """
@@ -255,13 +254,12 @@ def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) ->
     baseline, checkpoints = run_with_checkpoints(config, T)
     base_sellers, base_buyers = baseline.seller_utilities, baseline.buyer_utilities
     played = [_combos(config, T, baseline, coalition, grid) for coalition, grid in plans]
-    starts, lists = [], []
-    for devs, reason in itertools.chain.from_iterable(played):
-        if not reason:
-            adjustments = [a for d in devs for a in d.to_adjustments(config)]
-            starts.append(checkpoints[min(a.round_index for a in adjustments) - 1])
-            lists.append(adjustments)
-    totals = iter(replay_batch(config, starts, T, lists))
+    lists = [
+        [a for d in devs for a in d.to_adjustments(config)]
+        for devs, reason in itertools.chain.from_iterable(played)
+        if not reason
+    ]
+    totals = iter(replay_batch(config, checkpoints, T, lists))
     out = []
     for (coalition, _), pairs in zip(plans, played):
         trials: list[DeviationTrial] = []

@@ -4,18 +4,19 @@ lockstep on numpy arrays.
 An audit replays one market many times, each time with one trader's bid
 changed in one round, from the baseline's checkpoint at that round.
 ``engine.replay_batch`` hands every such batch here, whatever its size,
-and ``play_batch`` plays the M markets as the rows of one array: every
-buyer quantity is an (M, N) float64 array and every seller quantity an
-(M, S) one. The batch plays in one lockstep pass from the earliest
-checkpoint's round, and each market joins it as a new row at its own
-checkpoint's round, so each round is played once for all the markets that
-have reached it: an audit at T = 40 whose trials resume at rounds 1, 20
-and 40 plays 40 rounds, not 40 + 21 + 1. Each round runs the same steps as
-``engine._run_rights_round`` and makes the same checks, each step as array
-operations over all markets at once, so numpy's fixed cost per call is
-paid once per batch instead of once per market. ``clear`` walks each
-market's own good and Right levels, one step of every market per pass,
-until the last market is done; a market that is done trades no more.
+with the baseline's checkpoints, and ``play_batch`` plays the M markets as
+the rows of one array: every buyer quantity is an (M, N) float64 array and
+every seller quantity an (M, S) one. Each market resumes at its first
+deviating round; the batch plays in one lockstep pass from the earliest of
+these, and each market joins it as a new row at its own, so each round is
+played once for all the markets that have reached it: an audit at T = 40
+whose trials resume at rounds 1, 20 and 40 plays 40 rounds, not 40 + 21 +
+1. Each round runs the same steps as ``engine._run_rights_round`` and
+makes the same checks, each step as array operations over all markets at
+once, so numpy's fixed cost per call is paid once per batch instead of
+once per market. ``clear`` walks each market's own good and Right levels,
+one step of every market per pass, until the last market is done; a
+market that is done trades no more.
 
 The sums, bids, P, rights rows and settlement checks are ``wide``'s column
 layer, applied along each row, and every market's utility totals equal
@@ -43,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
-from .engine import AdjustmentIndex, Checkpoint, _check_finite, _check_residuals
+from .engine import BidAdjustment, Checkpoint, _check_finite, _check_residuals
 from .errors import PricingError, SimulationError
 from .mechanism import BuyerBid, ClearingResult, Rejection, SellerOffer
 from .wide import (
@@ -106,35 +107,39 @@ def play_batch(
     config: MarketConfig,
     checkpoints: Sequence[Checkpoint],
     horizon: int,
-    adjustments: Sequence[AdjustmentIndex],
+    adjustment_lists: Sequence[Sequence[BidAdjustment]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``engine._play_rounds`` of a rights variant for one market per entry
-    of ``adjustments``, without records: market m resumes at
-    ``checkpoints[m]``, from its state and utility totals, and plays its
-    rounds through ``horizon`` under its own adjustments.
+    """``engine._play_rounds`` of a rights variant for one market per list
+    of ``adjustment_lists``, without records, from the all-greedy
+    baseline's ``checkpoints``: market m plays rounds through ``horizon``
+    under its own list.
 
-    The markets play in one lockstep pass from the earliest checkpoint's
-    round; each market joins it as a new row at its own checkpoint's round,
-    and a checkpoint past the horizon joins at the end, with no round to
-    play. Returns every market's seller and buyer utility totals as (M, S)
-    and (M, N) arrays, in the order of ``adjustments``. The checkpoints are
-    read and left as they were.
+    Market m resumes at ``checkpoints[i]``, from its state and utility
+    totals, where i + 1 is the least of its list's first adjusted round of
+    at least 1, ``horizon + 1`` and ``len(checkpoints)``: the baseline's
+    rounds before that one are m's own. The markets play in one lockstep
+    pass from the earliest of these rounds; each market joins it as a new
+    row at its own, and one at ``horizon + 1`` joins at the end, with no
+    round to play. Returns every market's seller and buyer utility totals
+    as (M, S) and (M, N) arrays, in list order. The checkpoints are read
+    and left as they were.
     """
-    starts = [min(c.state.round_index, horizon + 1) for c in checkpoints]
+    starts = [
+        min(horizon + 1, len(checkpoints), *(a.round_index for a in adjs if a.round_index >= 1))
+        for adjs in adjustment_lists
+    ]
     # the markets in the order they join the pass, which is their row order
-    order = sorted(range(len(checkpoints)), key=starts.__getitem__)
+    order = sorted(range(len(adjustment_lists)), key=starts.__getitem__)
     joins: dict[int, list[Checkpoint]] = {}
-    # each round's adjustments as (row, (side, index), adjustments), from
-    # the round a market joins at
-    moves: dict[int, list] = {}
+    # each round's adjustments as (row, adjustment), in list order
+    moves: dict[int, list[tuple[int, BidAdjustment]]] = {}
     for row, m in enumerate(order):
-        joins.setdefault(starts[m], []).append(checkpoints[m])
-        for tau, by_trader in adjustments[m].items():
-            if tau >= starts[m]:
-                moves.setdefault(tau, []).extend((row, key, adjs) for key, adjs in by_trader.items())
+        joins.setdefault(starts[m], []).append(checkpoints[starts[m] - 1])
+        for a in adjustment_lists[m]:
+            moves.setdefault(a.round_index, []).append((row, a))
 
     tau = starts[order[0]]
-    market = Markets(checkpoints[order[0]].state, 0)  # no rows until they join
+    market = Markets(joins[tau][0].state, 0)  # no rows until they join
     claims = np.array(config.claims, dtype=float)
     seller_sum = np.empty((0, config.num_sellers))
     buyer_sum = np.empty((0, config.num_buyers))
@@ -248,14 +253,14 @@ def _play_round(
     market: Markets,
     config: MarketConfig,
     tau: int,
-    moves: list,
+    moves: list[tuple[int, BidAdjustment]],
     claims: np.ndarray,
     rights_memo: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``engine._run_rights_round`` of every market: play round ``tau``,
     check it and return the seller and buyer utilities, one row per market.
-    ``moves`` lists each market's adjustments of the round as (market,
-    (side, index), adjustments)."""
+    ``moves`` lists the round's adjustments as (market, adjustment), each
+    market's in list order."""
     markets, nb = market.money.shape
     ns = market.seller_good.shape[1]
     money_start = market.money
@@ -264,10 +269,10 @@ def _play_round(
     # sees (``engine._offer_volumes``)
     volumes = np.empty((markets, ns))
     volumes[:] = config.resupply_at(tau)
-    for m, (side, s), adjs in moves:
+    for m, adj in moves:
+        side, s = adj.trader
         if side == "seller" and 0 <= s < ns:
-            for adj in adjs:
-                volumes[m, s] += adj.volume_delta
+            volumes[m, s] += adj.volume_delta
     volumes = np.where(volumes > 0.0, volumes, 0.0)
     stock = market.seller_good
     volumes = np.where(stock < volumes, stock, volumes)
@@ -290,20 +295,20 @@ def _play_round(
     posted = price * config.greedy_price_factor
     prices = np.empty((markets, ns))
     prices[:] = posted[:, None]
-    for m, (side, s), adjs in moves:
+    for m, adj in moves:
+        side, s = adj.trader
         if side == "seller" and 0 <= s < ns:
-            for adj in adjs:
-                prices[m, s] *= adj.price_factor
+            prices[m, s] *= adj.price_factor
     market.right = rights
 
     price_avg = mean_price(prices)
     bids = greedy_bids(price_avg[:, None], offered[:, None], money_start, rights, config.variant)
-    for m, (side, b), adjs in moves:
+    for m, adj in moves:
+        side, b = adj.trader
         if side == "buyer" and 0 <= b < nb:
-            for adj in adjs:
-                bids[OFFER, m, b] *= adj.right_offer_factor
-                bids[OFFER_PRICE, m, b] *= adj.price_factor
-                bids[RIGHT_CAP, m, b] *= adj.right_demand_factor
+            bids[OFFER, m, b] *= adj.right_offer_factor
+            bids[OFFER_PRICE, m, b] *= adj.price_factor
+            bids[RIGHT_CAP, m, b] *= adj.right_demand_factor
 
     result = clear(volumes, prices, bids, market, config.variant)
 

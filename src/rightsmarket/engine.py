@@ -10,7 +10,8 @@ round. Three variants share the loop: "rights" (the hybrid system),
 The scalar round here is the reference. Two numpy kernels play the same
 rights-variant rounds bit for bit, each for one job: ``wide`` plays
 all-greedy runs of ``WIDE_MIN_BUYERS`` buyers or more, and ``batch`` plays
-every replay of ``replay_batch``, whatever its size, one market per row.
+every replay of ``replay_batch``, whatever its size, one market per row,
+each from the baseline's checkpoint at its first deviating round.
 Smaller runs, runs with adjustments or checkpoints and ``free_market`` stay
 here.
 """
@@ -130,7 +131,10 @@ class SupplySchedule:
             v = a[0]
         elif k == "cosine":
             amplitude, period, offset = a
-            v = amplitude * math.cos(2.0 * math.pi * t / period) + offset
+            try:
+                v = amplitude * math.cos(2.0 * math.pi * t / period) + offset
+            except ValueError:  # an infinite phase
+                v = math.inf
         elif k == "linear":
             slope, intercept = a
             v = slope * t + intercept
@@ -147,7 +151,7 @@ class SupplySchedule:
             base, amplitude, period, decay = a
             try:
                 v = base + amplitude * math.cos(2.0 * math.pi * t / period) * math.exp(-decay * t)
-            except OverflowError:
+            except (OverflowError, ValueError):  # ValueError: an infinite phase
                 v = math.inf
         else:  # hubbert: logistic pulse peaking at `peak` for t == center
             peak, width, center = a
@@ -288,7 +292,7 @@ class Checkpoint:
     """The start of one round of a run: the state before the round is played
     and every trader's utility summed over the rounds before it.
 
-    ``state`` is never played; ``replay_from`` works on a copy.
+    ``state`` is never played; a replay resuming here works on a copy.
     """
 
     state: MarketState
@@ -337,66 +341,45 @@ def run_with_checkpoints(
     return trace, tuple(checkpoints)
 
 
-def replay_from(
-    config: MarketConfig,
-    checkpoint: Checkpoint,
-    horizon: int,
-    adjustments: Sequence[BidAdjustment],
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Seller and buyer utility totals over ``horizon`` rounds when play
-    resumes at ``checkpoint`` under ``adjustments``.
-
-    Utilities accumulate in the same order as in ``run``. So for a checkpoint
-    of ``run_with_checkpoints(config, horizon)`` and no adjustment before its
-    round, the totals equal those of ``run(config, horizon, adjustments)``
-    bit for bit. This is ``replay_batch`` of one list, played on ``batch``:
-    it builds no ``RoundRecord``, but makes every check a run makes, the
-    money and Good residuals, negative balances and the rights cap, so a
-    failure raises what ``run`` raises.
-    """
-    return replay_batch(config, [checkpoint], horizon, [adjustments])[0]
-
-
 def replay_batch(
     config: MarketConfig,
     checkpoints: Sequence[Checkpoint],
     horizon: int,
     adjustment_lists: Sequence[Sequence[BidAdjustment]],
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """``replay_from`` of each list of ``adjustment_lists`` from the
-    checkpoint at the same position of ``checkpoints``: one pair of seller
-    and buyer utility totals per list, in input order.
+    """Seller and buyer utility totals over ``horizon`` rounds of each list
+    of ``adjustment_lists``, in input order, replayed from the all-greedy
+    baseline's ``checkpoints`` as ``run_with_checkpoints(config, h)``
+    returns them, for any horizon h.
 
-    The replays are the same market with different bids, so they run in one
-    lockstep pass, one market per list, as the rows of ``batch.play_batch``'s
-    arrays; each list's row joins the pass at its checkpoint's round, so the
-    pass plays each round once, however many rounds the lists resume at. If
-    any of them fails there, the lists are played again one at a time, as
-    batches of one, in order, so that the first failing list raises its own
-    error, as a loop of ``replay_from`` would. A call with no lists returns
-    ``[]``. A ``free_market`` config is a ``ConfigError``: its round ignores
-    deviations, and ``batch`` plays only the rights variants.
+    Each list resumes at its first deviating round, from the baseline's
+    checkpoint there, or from its last one if the baseline ends sooner
+    (``batch.play_batch`` states the rule), and utilities
+    accumulate in the same order as in ``run``, so result k equals the
+    totals of ``run(config, horizon, adjustment_lists[k])`` bit for bit.
+    The lists play in one lockstep pass, one market per list, as the rows
+    of ``play_batch``'s arrays. It builds no ``RoundRecord``, but makes
+    every check a run makes, so a failure raises what ``run`` raises: if
+    any list fails in the pass, the lists are played again one at a time,
+    in order, so that the first failing list raises its own error. A call
+    with no lists returns ``[]``. A ``free_market`` config is a
+    ``ConfigError``: its round ignores deviations, and ``batch`` plays only
+    the rights variants.
     """
-    if len(checkpoints) != len(adjustment_lists):
-        raise ConfigError(
-            f"{len(adjustment_lists)} adjustment lists need as many checkpoints, "
-            f"got {len(checkpoints)}"
-        )
     if config.variant == "free_market":
         raise ConfigError(
             f"variant {config.variant!r} cannot be replayed: its round ignores deviations"
         )
-    if not checkpoints:
+    if not adjustment_lists:
         return []
     # imported here: the kernel reads this module's helpers
     from .batch import play_batch
 
-    indexes = [_index_adjustments(adjustments) for adjustments in adjustment_lists]
     try:
-        sellers, buyers = play_batch(config, checkpoints, horizon, indexes)
+        sellers, buyers = play_batch(config, checkpoints, horizon, adjustment_lists)
     except SimulationError:
-        for checkpoint, index in zip(checkpoints, indexes):
-            play_batch(config, [checkpoint], horizon, [index])
+        for adjustments in adjustment_lists:
+            play_batch(config, checkpoints, horizon, [adjustments])
         raise
     return [(tuple(s), tuple(b)) for s, b in zip(sellers.tolist(), buyers.tolist())]
 

@@ -2,12 +2,12 @@
 
 ``engine.replay_batch`` plays every list of adjustments as a row of one
 lockstep pass of ``batch.play_batch``, whatever the number of lists, each
-row joining the pass at its own checkpoint's round. These tests require
-the ``repr`` of every list's totals to equal that of the scalar ``run`` of
-its adjustments, whose rounds before the checkpoint are the greedy ones;
-when one of them fails, the batch must raise the first failure, in list
-order, of those runs, having played the lists again one at a time up to
-it. The kernel's pieces, and the column layer it shares with ``wide``, are
+row joining the pass at its first adjusted round, from the all-greedy
+baseline's checkpoint there. These tests require the ``repr`` of every
+list's totals to equal that of the scalar ``run`` of its adjustments, from
+baselines of any horizon; when one of them fails, the batch must raise
+the first failure, in list order, of those runs, having played the lists
+again one at a time up to it. The kernel's pieces, and the column layer it shares with ``wide``, are
 compared with their scalar counterparts row by row, and with ``wide``'s
 one-market forms, on batches of one to five rows.
 
@@ -25,7 +25,7 @@ from rightsmarket import batch, mechanism, wide
 from rightsmarket.analysis import Deviation, audit_coalition
 from rightsmarket.cli import load_scenario
 from rightsmarket.core import equal_rate_fill
-from rightsmarket.engine import BidAdjustment, replay_batch, replay_from, run_with_checkpoints
+from rightsmarket.engine import BidAdjustment, replay_batch, run_with_checkpoints
 from rightsmarket.errors import ConfigError, PricingError, SimulationError
 from rightsmarket.mechanism import SellerOffer
 from rightsmarket.pricing import greedy_buyer_bids, mean_posted_price, solve_implicit_price
@@ -36,18 +36,19 @@ from test_wide import adjustment_lists, markets, outcome, playing, scalar_totals
 
 @st.composite
 def batches(draw):
-    """A config, a checkpoint index and one to six adjustment lists."""
+    """A config, the number of its baseline's checkpoints to pass, one to
+    all of them, and one to six adjustment lists."""
     config, first = draw(markets(buyer_counts=(2, 3, 7)))
     lists = [first] + draw(st.lists(adjustment_lists(config), max_size=5))
-    return config, draw(st.integers(0, config.horizon - 1)), lists
+    return config, draw(st.integers(1, config.horizon + 1)), lists
 
 
 def scalar_replays(config, lists):
     """What ``replay_batch`` of ``lists`` to the horizon must return, from
-    checkpoints before their first rounds, and the ``play_batch`` calls it
-    must make: the totals of each list's scalar ``run`` in one call, or
-    else the first of those runs' errors, after one more call per list up
-    to the failing one."""
+    the baseline's checkpoints, and the ``play_batch`` calls it must make:
+    the totals of each list's scalar ``run`` in one call, or else the first
+    of those runs' errors, after one more call per list up to the failing
+    one."""
     runs = [scalar_totals(config, config.horizon, a) for a in lists]
     for i, run_ in enumerate(runs):
         if run_[0] == "SimulationError":
@@ -72,27 +73,24 @@ def counting_play_batch(mp):
 @settings(deadline=None)
 @given(batches())
 def test_a_batch_equals_its_replays_one_at_a_time(case):
-    config, k, lists = case
+    config, n, lists = case
     with playing("scalar"):
         try:
             _, checkpoints = run_with_checkpoints(config)
         except SimulationError:
             return
-    checkpoint = checkpoints[k]
-    # a replay from checkpoint k plays rounds k + 1 on
-    lists = [[a for a in adjustments if a.round_index > k] for adjustments in lists]
+    # the first n checkpoints: each list resumes at round n at the latest
+    checkpoints = checkpoints[:n]
     alone, played = scalar_replays(config, lists)
 
     def one_at_a_time():
-        return [replay_from(config, checkpoint, config.horizon, a) for a in lists]
+        return [replay_batch(config, checkpoints, config.horizon, [a])[0] for a in lists]
 
     assert outcome(one_at_a_time) == alone
 
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
         calls = counting_play_batch(mp)
-        together = outcome(
-            lambda: replay_batch(config, [checkpoint] * len(lists), config.horizon, lists)
-        )
+        together = outcome(lambda: replay_batch(config, checkpoints, config.horizon, lists))
     assert together == alone
     assert len(calls) == played
 
@@ -113,40 +111,74 @@ def test_the_first_failing_trial_fails_the_audit():
 
 @st.composite
 def staggered_batches(draw):
-    """A config and two to six adjustment lists, each with the index of the
-    checkpoint it resumes at, the one past the horizon included."""
-    config, first = draw(markets(buyer_counts=(2, 3, 7)))
-    lists = [first] + draw(st.lists(adjustment_lists(config), min_size=1, max_size=5))
-    ks = draw(st.lists(st.integers(0, config.horizon), min_size=len(lists), max_size=len(lists)))
-    return config, ks, lists
+    """A config and two to six adjustment lists with rounds from 0 to one
+    past the horizon, so that the lists resume at different rounds, the one
+    past the horizon included."""
+    config, _ = draw(markets(buyer_counts=(2, 3, 7)))
+    rounds = st.integers(0, config.horizon + 1)
+    return config, draw(st.lists(adjustment_lists(config, rounds), min_size=2, max_size=6))
 
 
 @settings(deadline=None)
 @given(staggered_batches())
 def test_lists_that_resume_at_different_rounds_play_in_one_pass(case):
-    config, ks, lists = case
+    config, lists = case
     with playing("scalar"):
         try:
             _, checkpoints = run_with_checkpoints(config)
         except SimulationError:
             return
-    starts = [checkpoints[k] for k in ks]
-    # a replay from checkpoint k plays rounds k + 1 on
-    lists = [[a for a in adjustments if a.round_index > k] for k, adjustments in zip(ks, lists)]
     alone, played = scalar_replays(config, lists)
 
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
         calls = counting_play_batch(mp)
-        together = outcome(lambda: replay_batch(config, starts, config.horizon, lists))
+        together = outcome(lambda: replay_batch(config, checkpoints, config.horizon, lists))
     assert together == alone
     # one pass, unless a list fails
     assert len(calls) == played
 
 
+@st.composite
+def replays(draw):
+    """A config, a baseline horizon from 1 to twice the config's, and one
+    to six adjustment lists with rounds from 0 to one past the config's
+    horizon, the last of them with no round inside it."""
+    config, _ = draw(markets(buyer_counts=(2, 3, 7)))
+    T = config.horizon
+    lists = draw(st.lists(adjustment_lists(config, st.integers(0, T + 1)), max_size=5))
+    outside = draw(adjustment_lists(config, st.sampled_from([0, T + 1])))
+    return config, draw(st.integers(1, 2 * T)), lists + [outside]
+
+
+@settings(deadline=None)
+@given(replays())
+def test_a_replay_from_a_baseline_of_any_horizon_equals_its_run(case):
+    # result k is what ``run(config, T, lists[k])`` gives, whether the
+    # baseline is shorter than T, as long or longer
+    config, base_horizon, lists = case
+    T = config.horizon
+    with playing("scalar"):
+        try:
+            _, checkpoints = run_with_checkpoints(config, base_horizon)
+        except SimulationError:
+            return
+    alone, _ = scalar_replays(config, lists)
+    assert outcome(lambda: replay_batch(config, checkpoints, T, lists)) == alone
+    for adjustments in lists:
+        replay = outcome(lambda: replay_batch(config, checkpoints, T, [adjustments])[0])
+        assert replay == scalar_totals(config, T, adjustments)
+    if base_horizon >= T:
+        # the list with nothing to adjust in rounds 1 to T plays no round:
+        # it returns the baseline's totals after round T, checkpoint T's
+        base = checkpoints[T]
+        [totals] = replay_batch(config, checkpoints, T, lists[-1:])
+        assert totals == (base.seller_utilities, base.buyer_utilities)
+
+
 @pytest.mark.parametrize("early_fails_at", [4, None])
 def test_a_failing_list_that_joins_late_raises_its_own_error(early_fails_at):
-    # the first list resumes at round 5 and withholds all of seller 0's Good
-    # in round 6, so nothing is offered; the second resumes at round 1 and
+    # the first list withholds all of seller 0's Good in round 6, where it
+    # resumes, so nothing is offered; the second resumes at round 2 and
     # fails the same way in round 4, or does not fail. One replay at a time
     # fails on the first list, and so must the one pass.
     config = replace(load_scenario("scenario-a-proportional").config, horizon=8)
@@ -161,7 +193,7 @@ def test_a_failing_list_that_joins_late_raises_its_own_error(early_fails_at):
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
         calls = counting_play_batch(mp)
         with pytest.raises(SimulationError, match="^round 6: no good offered for sale$"):
-            replay_batch(config, [checkpoints[4], checkpoints[0]], 8, [late, early])
+            replay_batch(config, checkpoints, 8, [late, early])
     # the pass, then the first list on its own
     assert calls == [True, True]
 
@@ -180,7 +212,7 @@ def test_a_free_market_replay_is_a_config_error():
     _, checkpoints = run_with_checkpoints(config)
     free = replace(config, variant="free_market")
     with pytest.raises(ConfigError, match="^variant 'free_market' cannot be replayed"):
-        replay_batch(free, checkpoints[:1], 4, [[]])
+        replay_batch(free, checkpoints, 4, [[]])
 
 
 def test_a_coalition_audit_of_three_trials_plays_on_batch():
@@ -192,13 +224,6 @@ def test_a_coalition_audit_of_three_trials_plays_on_batch():
         report = audit_coalition(config, 40, coalition)
     assert len(report.tested) == 3
     assert calls == [True]
-
-
-def test_each_list_needs_a_checkpoint():
-    config = replace(load_scenario("scenario-a-proportional").config, horizon=4)
-    _, checkpoints = run_with_checkpoints(config)
-    with pytest.raises(ConfigError, match="^2 adjustment lists need as many checkpoints, got 1$"):
-        replay_batch(config, checkpoints[:1], 4, [[], []])
 
 
 # -- the kernel's pieces -------------------------------------------------------

@@ -131,18 +131,19 @@ def test_the_greedy_rights_runs_play_on_the_wide_kernel(monkeypatch):
 
 def test_a_replay_of_one_list_plays_on_the_batch_kernel(monkeypatch):
     # two Right levels in round 7 keep stage 2's multi-level walk on a numpy
-    # kernel; the replay from round 1 must total what the adjusted run does
+    # kernel; the replay from round 4, its first adjusted round, must total
+    # what the adjusted run does
     played = []
     real = batch.play_batch
 
-    def spy(config, checkpoints, horizon, adjustments):
-        played.append(len(adjustments))
-        return real(config, checkpoints, horizon, adjustments)
+    def spy(config, checkpoints, horizon, adjustment_lists):
+        played.append(len(adjustment_lists))
+        return real(config, checkpoints, horizon, adjustment_lists)
 
     config = crowd_config("contested_garment", "rights")
     _, checkpoints = run_with_checkpoints(config)
     monkeypatch.setattr(batch, "play_batch", spy)
-    [(sellers, buyers)] = replay_batch(config, [checkpoints[0]], HORIZON, [ADJUSTMENTS])
+    [(sellers, buyers)] = replay_batch(config, checkpoints, HORIZON, [ADJUSTMENTS])
     assert played == [1]
     trace = run(config, adjustments=ADJUSTMENTS)
     assert repr((sellers, buyers)) == repr((trace.seller_utilities, trace.buyer_utilities))

@@ -401,6 +401,28 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "resupply",
+        [
+            {"kind": "cosine", "amplitude": 1.0, "period": 1e-308, "offset": 1.0},
+            {"kind": "bullwhip", "base": 1.0, "amplitude": 1.0, "period": 5e-324, "decay": 0.0},
+        ],
+        ids=("cosine", "bullwhip"),
+    )
+    def test_an_infinite_schedule_phase_is_an_overflow(self, tmp_path, capsys, resupply):
+        # 2 pi t / period is infinite, and its cosine a ``math`` domain error
+        scn = scenario_to_dict(load_scenario("scenario-a-proportional"))
+        scn["sellers"][0]["resupply"] = resupply
+        path = tmp_path / "phase.json"
+        path.write_text(json.dumps(scn))
+        overflow = f"{resupply['kind']} schedule overflows at round 1\n"
+        assert main(["audit", "--scenario", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"audit error: {overflow}"
+        out = tmp_path / "phase.csv"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"simulation failed: round 1: {overflow}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         ("variant", "level", "error"),
         [
             # money over a subnormal Good on sale: the posted price is inf

@@ -15,7 +15,7 @@ from rightsmarket.engine import (
     SupplySchedule,
     frustration,
     generate_dirichlet_scenario,
-    replay_from,
+    replay_batch,
     run,
     run_with_checkpoints,
 )
@@ -134,17 +134,18 @@ class TestCheckpoints:
     def test_replay_without_adjustments_reproduces_totals(self):
         cfg = make_benchmark(mechanism=DistributionMechanism.contested_garment(), horizon=12)
         trace, checkpoints = run_with_checkpoints(cfg)
-        for checkpoint in checkpoints:
-            assert replay_from(cfg, checkpoint, 12, ()) == (
-                trace.seller_utilities,
-                trace.buyer_utilities,
-            )
+        # with n checkpoints, a list with nothing to adjust resumes at round n
+        for n in range(1, len(checkpoints) + 1):
+            assert replay_batch(cfg, checkpoints[:n], 12, [()]) == [
+                (trace.seller_utilities, trace.buyer_utilities)
+            ]
 
     def test_replay_leaves_checkpoint_untouched(self):
         cfg = make_benchmark(horizon=8)
         _, checkpoints = run_with_checkpoints(cfg)
         before = checkpoints[3].state.copy()
-        replay_from(cfg, checkpoints[3], 8, [BidAdjustment(4, ("seller", 0), price_factor=0.9)])
+        # the replay resumes at round 4, from checkpoint 3
+        replay_batch(cfg, checkpoints, 8, [[BidAdjustment(4, ("seller", 0), price_factor=0.9)]])
         assert checkpoints[3].state == before
 
     def test_adjustments_apply_in_list_order(self):
@@ -570,7 +571,7 @@ class TestConfigMemos:
 
 
 class TestReplayChecks:
-    """``replay_from`` plays on ``batch`` and builds no round records, but
+    """``replay_batch`` plays on ``batch`` and builds no round records, but
     every check a round makes still runs: a fault in a replayed round
     raises exactly what the full run on the scalar round raises. Each fault
     is injected into ``engine.clear`` for the run and into ``batch.clear``
@@ -613,9 +614,9 @@ class TestReplayChecks:
             run(cfg, horizon, adjustments)
         assert full.value.round_index == FAULT_ROUND
         assert message in str(full.value)
-        for checkpoint in checkpoints[:3]:  # rounds 1 to 3, before the deviation
+        for n in (1, 2, 3):  # resume at rounds 1 to 3, before the deviation
             with pytest.raises(SimulationError) as replayed:
-                replay_from(cfg, checkpoint, horizon, adjustments)
+                replay_batch(cfg, checkpoints[:n], horizon, [adjustments])
             assert replayed.value.round_index == full.value.round_index
             assert str(replayed.value) == str(full.value)
 

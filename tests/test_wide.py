@@ -28,7 +28,7 @@ from rightsmarket.engine import (
     BidAdjustment,
     SupplySchedule,
     generate_dirichlet_scenario,
-    replay_from,
+    replay_batch,
     run,
     run_with_checkpoints,
 )
@@ -71,8 +71,9 @@ def both(call):
 def scalar_totals(config, horizon, adjustments=()):
     """The outcome of ``run(config, horizon, adjustments)`` on the scalar
     round, as its seller and buyer utility totals. A replay of
-    ``adjustments`` to ``horizon``, from a checkpoint no later than their
-    first round, must have this outcome bit for bit."""
+    ``adjustments`` to ``horizon``, from the checkpoints of the config's
+    all-greedy baseline of any horizon, must have this outcome bit for
+    bit."""
 
     def totals():
         trace = run(config, horizon, adjustments)
@@ -169,8 +170,9 @@ def markets(draw, buyer_counts=BUYER_COUNTS):
     return config, draw(adjustment_lists(config))
 
 
-def adjustment_lists(config):
-    """Up to eight random bid adjustments of ``config``'s traders."""
+def adjustment_lists(config, rounds=None):
+    """Up to eight random bid adjustments of ``config``'s traders, in
+    ``rounds``, by default 1 to the horizon."""
     traders = st.one_of(
         st.tuples(st.just("seller"), st.integers(0, config.num_sellers - 1)),
         st.tuples(st.just("buyer"), st.integers(0, config.num_buyers - 1)),
@@ -178,7 +180,7 @@ def adjustment_lists(config):
     return st.lists(
         st.builds(
             lambda r, t, kw: BidAdjustment(r, t, **kw),
-            st.integers(1, config.horizon),
+            st.integers(1, config.horizon) if rounds is None else rounds,
             traders,
             deviations,
         ),
@@ -199,11 +201,13 @@ def test_both_paths_give_the_same_results(market):
         _, checkpoints = run_with_checkpoints(config)
     except SimulationError:
         checkpoints = ()
-    for k in {0, len(checkpoints) // 2} if checkpoints else ():
-        # a replay from checkpoint k plays rounds k + 1 on
-        later = [a for a in adjustments if a.round_index > k]
-        replay = outcome(lambda: replay_from(config, checkpoints[k], config.horizon, later))
-        assert replay == scalar_totals(config, config.horizon, later)
+    expected = scalar_totals(config, config.horizon, adjustments)
+    for n in {1, len(checkpoints) // 2 + 1, len(checkpoints)} if checkpoints else ():
+        # the first n checkpoints: the replay resumes at round n at the latest
+        replay = outcome(
+            lambda: replay_batch(config, checkpoints[:n], config.horizon, [adjustments])[0]
+        )
+        assert replay == expected
 
 
 def test_many_good_and_right_levels():
@@ -221,11 +225,11 @@ def test_many_good_and_right_levels():
                       right_offer_factor=1.5 if b % 9 == 0 else 0.75)
         for t in (2, 3) for b in range(engine.WIDE_MIN_BUYERS)
     ]
-    # the adjusted run is scalar; its replay from round 1 plays on ``batch``
+    # the adjusted run is scalar; its replay from round 2 plays on ``batch``
     trace = run(config, adjustments=adjustments)
     assert "Rejection(side='buyer'" in repr(trace)
     _, checkpoints = run_with_checkpoints(config)
-    replay = outcome(lambda: replay_from(config, checkpoints[0], 6, adjustments))
+    replay = outcome(lambda: replay_batch(config, checkpoints, 6, [adjustments])[0])
     assert replay == repr((trace.seller_utilities, trace.buyer_utilities))
 
 
@@ -268,8 +272,10 @@ def test_overflowing_money_fails_both_paths_alike(variant, fails_at):
     assert runs[0] == runs[1]
     assert runs[0][:2] == ("SimulationError", fails_at)
     assert "accounting residual money=nan" in runs[0][2]
+    # a list with nothing to adjust resumes at the short baseline's last
+    # checkpoint, round 2
     _, checkpoints = run_with_checkpoints(config, 1)
-    assert outcome(lambda: replay_from(config, checkpoints[0], fails_at, [])) == runs[0]
+    assert outcome(lambda: replay_batch(config, checkpoints, fails_at, [[]])[0]) == runs[0]
 
 
 def test_a_posted_price_that_overflows_fails_every_path_alike():
@@ -283,11 +289,13 @@ def test_a_posted_price_that_overflows_fails_every_path_alike():
     assert config.num_buyers >= engine.WIDE_MIN_BUYERS
     runs = both(lambda: run(config))
     assert runs == [("SimulationError", 3, "round 3: posted price is not finite")] * 2
+    # a list with nothing to adjust resumes at the short baseline's last
+    # checkpoint, round 2
     _, checkpoints = run_with_checkpoints(config, 1)
-    assert outcome(lambda: replay_from(config, checkpoints[0], 6, [])) == runs[0]
+    assert outcome(lambda: replay_batch(config, checkpoints, 6, [[]])[0]) == runs[0]
     # the batch kernel fails on its own, before any replay one at a time
     with pytest.raises(SimulationError, match="^round 3: "):
-        batch.play_batch(config, [checkpoints[0]], 6, [{}])
+        batch.play_batch(config, checkpoints, 6, [[]])
 
 
 # -- failing runs --------------------------------------------------------------
@@ -413,8 +421,8 @@ def test_a_faulty_clearing_fails_both_paths_alike(monkeypatch, fault, num_buyers
         assert runs[0] == runs[1]
         assert runs[0][:2] == ("SimulationError", FAULT_ROUND)
         assert message in runs[0][2]
-        for checkpoint in checkpoints[:3]:  # rounds 1 to 3, before the deviation
-            replay = outcome(lambda: replay_from(config, checkpoint, horizon, adjusted))
+        for n in (1, 2, 3):  # resume at rounds 1 to 3, before the deviation
+            replay = outcome(lambda: replay_batch(config, checkpoints[:n], horizon, [adjusted])[0])
             assert replay == runs[0]
 
 
@@ -428,7 +436,8 @@ def test_a_round_with_no_good_offered_fails_both_paths_alike(num_buyers):
     assert runs[0] == runs[1] == ("SimulationError", 3, "round 3: no good offered for sale")
     with playing("scalar"):
         _, checkpoints = run_with_checkpoints(replace(config, horizon=2))
-    assert outcome(lambda: replay_from(config, checkpoints[1], 10, ())) == runs[0]
+    # a list with nothing to adjust resumes at the last checkpoint, round 3
+    assert outcome(lambda: replay_batch(config, checkpoints, 10, [()])[0]) == runs[0]
 
 
 # -- the kernel's pieces (row by row in tests/test_batch.py) ------------------
