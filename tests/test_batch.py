@@ -7,9 +7,10 @@ baseline's checkpoint there. These tests require the ``repr`` of every
 list's totals to equal that of the scalar ``run`` of its adjustments, from
 baselines of any horizon; when one of them fails, the batch must raise
 the first failure, in list order, of those runs, having played the lists
-again one at a time up to it. The kernel's pieces, and the column layer it shares with ``wide``, are
-compared with their scalar counterparts row by row, and with ``wide``'s
-one-market forms, on batches of one to five rows.
+again one at a time up to it. The kernel's pieces, and the column layer
+it shares with ``wide``, are compared with their scalar counterparts row
+by row, and with ``wide``'s one-market forms, on batches of one to five
+rows.
 
     PYTHONPATH=src python -m pytest tests/test_batch.py --hypothesis-profile=ci
 """
