@@ -19,8 +19,9 @@ here.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CONSERVATION_TOL,
@@ -364,14 +365,20 @@ def replay_batch(
     in order, so that the first failing list raises its own error. A call
     with no lists returns ``[]``. A ``free_market`` config is a
     ``ConfigError``: its round ignores deviations, and ``batch`` plays only
-    the rights variants.
+    the rights variants. So is a horizon below 1, which ``run`` refuses,
+    and, with any list, an empty ``checkpoints``, from which no list can
+    resume.
     """
     if config.variant == "free_market":
         raise ConfigError(
             f"variant {config.variant!r} cannot be replayed: its round ignores deviations"
         )
+    if horizon < 1:
+        raise ConfigError("horizon must be >= 1")
     if not adjustment_lists:
         return []
+    if not checkpoints:
+        raise ConfigError("a replay needs at least one checkpoint of the baseline")
     # imported here: the kernel reads this module's helpers
     from .batch import play_batch
 
@@ -468,9 +475,22 @@ def _play_rounds(
     every round and once more after the last. Returns the largest money and
     Good residuals. A failure, including one in the transition into round
     t, aborts with round index t.
+
+    Greedy play settles: the price goes to 1 and the poor buyers' money
+    alternates between two values, so a settled rights round starts as the
+    round one or two back did. The run keeps its last two unadjusted
+    rights rounds in ``recent``, each as a key, the bits of the offered
+    volumes and the buyers' start money, and the posted price, rights,
+    offers, P, bids and clearing computed from it, for
+    ``_run_rights_round`` to reuse. Two entries catch nearly every repeat
+    of the presets and the audit baselines; one per round would grow with
+    a run that never repeats, and entries kept on the config would outlive
+    the run.
     """
     max_money_res = 0.0
     max_good_res = 0.0
+    recent: list[tuple[bytes, tuple]] = []
+    pack = struct.Struct(f"{config.num_sellers + config.num_buyers}d").pack
 
     tau = state.round_index
     try:
@@ -485,7 +505,7 @@ def _play_rounds(
                 util, money_res, good_res = _run_free_round(state, config, tau, records)
             else:
                 util, money_res, good_res = _run_rights_round(
-                    state, config, tau, adjustments, records
+                    state, config, tau, adjustments, records, recent, pack
                 )
             if money_res > max_money_res:
                 max_money_res = money_res
@@ -585,10 +605,25 @@ def _run_rights_round(
     tau: int,
     adjustments: AdjustmentIndex,
     records: list[RoundRecord],
+    recent: list[tuple[bytes, tuple]],
+    pack: Callable[..., bytes],
 ):
     """Play round ``tau`` of a rights variant on ``state``, in place, and
     check it. Appends the round's record to ``records``; returns the round's
-    utilities and its money and Good residuals."""
+    utilities and its money and Good residuals.
+
+    A round without adjustments whose key, ``pack`` of its offered volumes
+    and the buyers' start money, matches the key of an entry of ``recent``
+    bit for bit takes that entry's posted price, rights, offers, P, bids
+    and clearing instead of computing them; otherwise it computes them and
+    makes them the newest of the two entries. Bits, not floats, are
+    compared, since -0.0 == 0.0. The reuse is exact: those values read only
+    the config, the offered volumes and the start money, and the rights
+    follow from the offered volume. Seller stock enters ``clear`` only
+    through its check ``volume > stock + CONSERVATION_TOL``, which cannot
+    trigger, as ``_offer_volumes`` clamps every volume to the stock.
+    Settlement, the checks, the record and the utilities run every round.
+    """
     nb, ns = config.num_buyers, config.num_sellers
     buyers = state.buyers
     money_start = tuple(b.money for b in buyers)
@@ -598,25 +633,36 @@ def _run_rights_round(
     # sees, and with public state the posted price accounts for the true
     # offered volume
     volumes, offered = _offer_volumes(config, tau, round_adjustments, state.sellers)
-    posted, rights = posted_greedy_price(state, config, offered)
-    offers = _seller_offers(posted, volumes, round_adjustments)
+    key = None if round_adjustments else pack(*volumes, *money_start)
+    for seen, values in recent:
+        if seen == key:
+            posted, rights, offers, price_avg, bids, result = values
+            for buyer, right in zip(buyers, rights):
+                buyer.right = right
+            break
+    else:
+        posted, rights = posted_greedy_price(state, config, offered)
+        offers = _seller_offers(posted, volumes, round_adjustments)
 
-    for buyer, right in zip(buyers, rights):
-        buyer.right = right
+        for buyer, right in zip(buyers, rights):
+            buyer.right = right
 
-    price_avg = mean_posted_price(offers)
-    bids = greedy_buyer_bids(price_avg, offered, money_start, rights, config.variant)
-    if round_adjustments:
-        for b in range(nb):
-            for adj in round_adjustments.get(("buyer", b), ()):
-                bid = bids[b]
-                bids[b] = bid._replace(
-                    right_offer_volume=bid.right_offer_volume * adj.right_offer_factor,
-                    right_offer_price=bid.right_offer_price * adj.price_factor,
-                    max_right_volume=bid.max_right_volume * adj.right_demand_factor,
-                )
+        price_avg = mean_posted_price(offers)
+        bids = greedy_buyer_bids(price_avg, offered, money_start, rights, config.variant)
+        if round_adjustments:
+            for b in range(nb):
+                for adj in round_adjustments.get(("buyer", b), ()):
+                    bid = bids[b]
+                    bids[b] = bid._replace(
+                        right_offer_volume=bid.right_offer_volume * adj.right_offer_factor,
+                        right_offer_price=bid.right_offer_price * adj.price_factor,
+                        max_right_volume=bid.max_right_volume * adj.right_demand_factor,
+                    )
 
-    result = clear(offers, bids, state, config.variant)
+        result = clear(offers, bids, state, config.variant)
+        if key is not None:
+            recent.append((key, (posted, rights, offers, price_avg, bids, result)))
+            del recent[:-2]
 
     for s in range(ns):
         state.sellers[s].good -= result.seller_sold[s]

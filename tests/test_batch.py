@@ -26,7 +26,7 @@ from rightsmarket import batch, mechanism, wide
 from rightsmarket.analysis import Deviation, audit_coalition
 from rightsmarket.cli import load_scenario
 from rightsmarket.core import equal_rate_fill
-from rightsmarket.engine import BidAdjustment, replay_batch, run_with_checkpoints
+from rightsmarket.engine import BidAdjustment, replay_batch, run, run_with_checkpoints
 from rightsmarket.errors import ConfigError, PricingError, SimulationError
 from rightsmarket.mechanism import SellerOffer
 from rightsmarket.pricing import greedy_buyer_bids, mean_posted_price, solve_implicit_price
@@ -205,6 +205,26 @@ def test_a_call_with_no_lists_plays_nothing():
         calls = counting_play_batch(mp)
         assert replay_batch(config, [], 4, []) == []
     assert calls == []
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_a_replay_below_horizon_one_is_a_config_error(horizon):
+    # as ``run``: a replay to horizon 0 played no round and returned zero
+    # totals, and one to -3 returned those of checkpoints[-3]
+    config = replace(load_scenario("scenario-a-proportional").config, horizon=4)
+    _, checkpoints = run_with_checkpoints(config)
+    adjustments = [BidAdjustment(2, ("seller", 0), price_factor=0.9)]
+    with pytest.raises(ConfigError, match="^horizon must be >= 1$"):
+        run(config, horizon, adjustments)
+    with pytest.raises(ConfigError, match="^horizon must be >= 1$"):
+        replay_batch(config, checkpoints, horizon, [adjustments])
+
+
+def test_a_replay_without_checkpoints_is_a_config_error():
+    # it used to raise an IndexError from ``play_batch``
+    config = replace(load_scenario("scenario-a-proportional").config, horizon=4)
+    with pytest.raises(ConfigError, match="^a replay needs at least one checkpoint"):
+        replay_batch(config, (), 4, [[]])
 
 
 def test_a_free_market_replay_is_a_config_error():

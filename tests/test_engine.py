@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rightsmarket import batch, engine
+from rightsmarket.cli import load_scenario
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import (
     BidAdjustment,
@@ -619,6 +620,73 @@ class TestReplayChecks:
                 replay_batch(cfg, checkpoints[:n], horizon, [adjustments])
             assert replayed.value.round_index == full.value.round_index
             assert str(replayed.value) == str(full.value)
+
+
+class TestSettledRounds:
+    """Greedy play settles: a rights round without adjustments that starts
+    with the offered volumes and buyer money of one of the last two such
+    rounds, bit for bit, reuses their price, bids and clearing."""
+
+    @staticmethod
+    def clearing_rounds(monkeypatch):
+        """The round of every ``engine.clear`` call from now on."""
+        rounds = []
+        real = engine.clear
+
+        def spy(offers, bids, state, variant):
+            rounds.append(state.round_index)
+            return real(offers, bids, state, variant)
+
+        monkeypatch.setattr(engine, "clear", spy)
+        return rounds
+
+    @pytest.mark.parametrize(
+        ("preset", "calls"),
+        [
+            ("canonical-rank3-a", 2),
+            ("scenario-a-proportional", 15),
+            ("myopic-a", 1),
+            ("scenario-b-proportional", 16),
+        ],
+    )
+    def test_a_settled_round_clears_no_more(self, monkeypatch, preset, calls):
+        config = load_scenario(preset).config
+        rounds = self.clearing_rounds(monkeypatch)
+        run(config)
+        assert len(rounds) == calls < config.horizon
+        assert rounds == list(range(1, calls + 1))
+
+    def test_a_reused_round_gives_the_buyers_its_rights(self, monkeypatch):
+        # as a computed round does; the transition resets every Right to 0,
+        # and rounds 3 to 60 are reused
+        config = load_scenario("canonical-rank3-a").config
+        held = []
+        real = engine.consumed_utility
+
+        def spy(state, config):
+            held.append(tuple(b.right for b in state.buyers))
+            return real(state, config)
+
+        monkeypatch.setattr(engine, "consumed_utility", spy)
+        trace = run(config)
+        assert held == [r.right_assigned for r in trace.records] == [(0.0, 0.0, 1.0)] * 60
+
+    def test_a_round_after_a_deviation_reuses_one_from_before_it(self, monkeypatch):
+        # from round 3 on, each round of canonical-rank3-a starts as round 1
+        # or round 2 did; buyer 1 asking for less Right in round 40 changes
+        # that round's record but not the state, so rounds 41 and 42 reuse
+        # rounds 1 and 2, from before the deviation, and the adjusted round
+        # is not reused
+        config = load_scenario("canonical-rank3-a").config
+        adjustments = [BidAdjustment(40, ("buyer", 1), right_demand_factor=0.5)]
+        greedy, checkpoints = run_with_checkpoints(config)
+        rounds = self.clearing_rounds(monkeypatch)
+        trace = run(config, adjustments=adjustments)
+        assert rounds == [1, 2, 40]
+        assert trace.records[39] != greedy.records[39]
+        assert trace.records[40:] == greedy.records[40:]
+        [totals] = replay_batch(config, checkpoints, config.horizon, [adjustments])
+        assert repr(totals) == repr((trace.seller_utilities, trace.buyer_utilities))
 
 
 class TestRunValidation:

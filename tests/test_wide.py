@@ -20,9 +20,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rightsmarket import batch, engine, wide
+from rightsmarket import batch, cli, engine, wide
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import (
     BidAdjustment,
@@ -438,6 +438,84 @@ def test_a_round_with_no_good_offered_fails_both_paths_alike(num_buyers):
         _, checkpoints = run_with_checkpoints(replace(config, horizon=2))
     # a list with nothing to adjust resumes at the last checkpoint, round 3
     assert outcome(lambda: replay_batch(config, checkpoints, 10, [()])[0]) == runs[0]
+
+
+# -- settled rounds ------------------------------------------------------------
+#
+# The scalar round reuses the price, bids and clearing of one of the last two
+# unadjusted rounds that started with the same offered volumes and buyer
+# money; ``wide`` and ``batch`` compute every round, so they are the oracle.
+
+RIGHTS_PRESETS = [
+    p for p in cli.list_presets() if cli.load_scenario(p).config.variant != "free_market"
+]
+
+
+@pytest.mark.parametrize("preset", RIGHTS_PRESETS)
+def test_a_preset_gives_the_same_trace_on_both_paths(preset):
+    config = cli.load_scenario(preset).config
+    scalar, wide_ = both(lambda: run(config))
+    assert scalar == wide_
+
+
+def test_a_sweep_writes_the_same_csv_on_both_paths(tmp_path):
+    # the sweep's free-market runs are scalar on both paths
+    written = []
+    for path in PATHS:
+        target = tmp_path / f"{path}.csv"
+        with playing(path):
+            assert cli.main(["sweep", "--sizes", "3:6", "--seeds", "2", "--out", str(target)]) == 0
+        written.append(target.read_bytes())
+    assert written[0] == written[1]
+
+
+@st.composite
+def settling_markets(draw):
+    """A constant-schedule market of 2 to 7 buyers and 1 to 3 sellers, with
+    incomes and resupply that each add up to 1, over 30 to 80 rounds, and up
+    to eight bid adjustments in its last ten rounds. Greedy play on many of
+    them settles into rounds that start as the one or two before did."""
+    num_buyers = draw(st.integers(2, 7))
+    num_sellers = draw(st.integers(1, 3))
+    horizon = draw(st.integers(30, 80))
+    positive = st.floats(0.01, 1.0)
+    claims = draw(st.lists(positive, min_size=num_buyers, max_size=num_buyers))
+    incomes = draw(st.lists(positive, min_size=num_buyers, max_size=num_buyers))
+    config = MarketConfig(
+        sellers=tuple(
+            SellerSpec(SupplySchedule.constant(1.0 / num_sellers)) for _ in range(num_sellers)
+        ),
+        buyers=tuple(
+            BuyerSpec(income=SupplySchedule.constant(m / sum(incomes)), claim=d)
+            for d, m in zip(claims, incomes)
+        ),
+        mechanism=draw(mechanisms(num_buyers)),
+        variant=draw(st.sampled_from(["rights", "myopic_rights"])),
+        horizon=horizon,
+    )
+    return config, draw(adjustment_lists(config, st.integers(horizon - 9, horizon)))
+
+
+@settings(deadline=None)
+@given(settling_markets())
+# round 40's deviation leaves the state as it was, so rounds 41 and 42
+# reuse rounds 1 and 2, from before it
+@example((
+    cli.load_scenario("canonical-rank3-a").config,
+    [BidAdjustment(40, ("buyer", 1), right_demand_factor=0.5)],
+))
+def test_settled_rounds_give_the_same_results(market):
+    config, adjustments = market
+    scalar, wide_ = both(lambda: run(config))
+    assert scalar == wide_
+    try:
+        _, checkpoints = run_with_checkpoints(config)
+    except SimulationError:
+        return
+    # the replay resumes at its first deviation and plays every round after
+    # it on ``batch``
+    replay = outcome(lambda: replay_batch(config, checkpoints, config.horizon, [adjustments])[0])
+    assert replay == scalar_totals(config, config.horizon, adjustments)
 
 
 # -- the kernel's pieces (row by row in tests/test_batch.py) ------------------
