@@ -18,11 +18,13 @@ once per market. ``clear`` walks each market's own good and Right levels,
 one step of every market per pass, until the last market is done; a
 market that is done trades no more.
 
-The sums, bids, P, rights rows and settlement checks are ``wide``'s column
-layer, applied along each row, and every market's utility totals equal
-those of the scalar round bit for bit by the rules in ``wide``'s docstring.
-The round, ``clear``, the implicit-price solve and the Right fill are this
-kernel's own.
+The state (``wide.WideState``, as rows), the sums, the offer clamp, the
+bids, P, the rights rows, the settlement, its checks, the utilities and
+the transition are ``wide``'s column layer, applied along each row, and
+every market's utility totals equal those of the scalar round bit for bit
+by the rules in ``wide``'s docstring. The round, ``clear``, the
+implicit-price solve and the Right fill are this kernel's own: ``clear``
+takes any bids, at any number of good and Right levels.
 
 A check that fails in any market raises ``SimulationError``; the caller
 then replays the markets one at a time, as batches of one, so that the
@@ -43,8 +45,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
-from .engine import BidAdjustment, Checkpoint, _check_finite, _check_residuals
+from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig
+from .engine import BidAdjustment, Checkpoint
 from .errors import PricingError, SimulationError
 from .mechanism import BuyerBid, ClearingResult, Rejection, SellerOffer
 from .wide import (
@@ -54,53 +56,16 @@ from .wide import (
     OFFER_PRICE,
     RIGHT_CAP,
     RIGHT_PRICE,
+    WideState,
     _positive,
     _sum,
     greedy_bids,
     mean_price,
+    offer_volumes,
     rights_row,
     settle,
+    transition,
 )
-
-
-class Markets:
-    """``markets`` copies of a ``MarketState``, one per row: each buyer's
-    Good, money and Right and each seller's Good and money as (M, N) and
-    (M, S) float64 arrays. ``join`` appends rows. Every array is replaced,
-    never written in place, so an array read at the start of a round keeps
-    its values."""
-
-    __slots__ = ("round_index", "seller_good", "seller_money", "good", "money", "right")
-
-    def __init__(self, state: MarketState, markets: int) -> None:
-        self.round_index = state.round_index
-        self.seller_good, self.seller_money, self.good, self.money, self.right = (
-            np.tile(np.array(row, dtype=float), (markets, 1)) for row in _rows(state)
-        )
-
-    def join(self, states: Sequence[MarketState]) -> None:
-        """Append a row for each of ``states``, in order, whatever their
-        round: the next round played is this one's."""
-        columns = zip(*(_rows(state) for state in states))
-        self.seller_good, self.seller_money, self.good, self.money, self.right = (
-            np.concatenate((held, np.array(rows, dtype=float)))
-            for held, rows in zip(
-                (self.seller_good, self.seller_money, self.good, self.money, self.right), columns
-            )
-        )
-
-
-def _rows(state: MarketState) -> tuple[list[float], ...]:
-    """The sellers' Good and money and the buyers' Good, money and Right of
-    ``state``, as ``Markets`` holds them."""
-    sellers, buyers = state.sellers, state.buyers
-    return (
-        [s.good for s in sellers],
-        [s.money for s in sellers],
-        [b.good for b in buyers],
-        [b.money for b in buyers],
-        [b.right for b in buyers],
-    )
 
 
 def play_batch(
@@ -139,7 +104,7 @@ def play_batch(
             moves.setdefault(a.round_index, []).append((row, a))
 
     tau = starts[order[0]]
-    market = Markets(joins[tau][0].state, 0)  # no rows until they join
+    market = WideState(joins[tau][0].state, 0)  # no rows until they join
     claims = np.array(config.claims, dtype=float)
     seller_sum = np.empty((0, config.num_sellers))
     buyer_sum = np.empty((0, config.num_buyers))
@@ -164,7 +129,7 @@ def play_batch(
                 seller_sum = seller_sum + seller_u
                 buyer_sum = buyer_sum + buyer_u
                 tau += 1
-                _transition(market, config, claims)
+                transition(market, config, claims)
     except SimulationError:
         raise
     except Exception as exc:
@@ -174,17 +139,6 @@ def play_batch(
     sellers[order] = seller_sum
     buyers[order] = buyer_sum
     return sellers, buyers
-
-
-def _transition(market: Markets, config: MarketConfig, claims: np.ndarray) -> None:
-    """``core.apply_transition`` of every market."""
-    nxt = market.round_index + 1
-    market.seller_good = market.seller_good + np.array(config.resupply_at(nxt), dtype=float)
-    market.seller_money = np.zeros(market.seller_money.shape)
-    market.good = _positive(market.good - claims)
-    market.money = np.array(config.income_at(nxt), dtype=float) + market.money
-    market.right = np.zeros(market.right.shape)
-    market.round_index = nxt
 
 
 def implicit_price(money: np.ndarray, rights: np.ndarray) -> np.ndarray:
@@ -250,7 +204,7 @@ def implicit_price(money: np.ndarray, rights: np.ndarray) -> np.ndarray:
 
 
 def _play_round(
-    market: Markets,
+    market: WideState,
     config: MarketConfig,
     tau: int,
     moves: list[tuple[int, BidAdjustment]],
@@ -273,12 +227,7 @@ def _play_round(
         side, s = adj.trader
         if side == "seller" and 0 <= s < ns:
             volumes[m, s] += adj.volume_delta
-    volumes = np.where(volumes > 0.0, volumes, 0.0)
-    stock = market.seller_good
-    volumes = np.where(stock < volumes, stock, volumes)
-    offered = _sum(volumes)
-    if np.count_nonzero(offered <= 0.0):
-        raise SimulationError(tau, "no good offered for sale")
+    volumes, offered = offer_volumes(tau, volumes, market.seller_good)
 
     rights = np.empty((markets, nb))
     offered_list = offered.tolist()
@@ -311,40 +260,10 @@ def _play_round(
             bids[RIGHT_CAP, m, b] *= adj.right_demand_factor
 
     result = clear(volumes, prices, bids, market, config.variant)
-
-    market.seller_good = stock - result.seller_sold
-    market.seller_money = market.seller_money + result.seller_revenue
-    settle(market, tau, money_start, result, rights, offered[:, None])
-
-    # money only changes hands; good shipped must equal good received
-    money_total = _sum(money_start)
-    money_res = np.abs(_sum(market.seller_money) + _sum(market.money) - money_total)
-    good_res = np.abs(_sum(result.good_bought) - _sum(result.seller_sold))
-    # each seller's residual raises the round's unless it is NaN, as the
-    # scalar ``max`` compares; a NaN round residual stays NaN
-    sellers_res = np.fmax.reduce(np.abs(result.seller_sold + result.unsold_good - volumes), axis=1)
-    good_res = np.where(np.isnan(good_res), good_res, np.fmax(good_res, sellers_res))
-    buyer_good = _sum(market.good)
-    seller_good = _sum(market.seller_good)
-    # ``not x <= tol`` also catches a NaN residual, and the sum of the
-    # prices and Good totals is finite where each of them is
-    failing = ~(
-        (money_res <= CONSERVATION_TOL)
-        & (good_res <= CONSERVATION_TOL)
-        & np.isfinite(posted + price_avg + buyer_good + seller_good)
+    seller_u, buyer_u, _, _ = settle(
+        market, config, tau, result, volumes, offered, posted, price_avg, claims
     )
-    for m in failing.nonzero()[0].tolist():
-        _check_residuals(
-            float(money_res[m]), float(good_res[m]), float(money_total[m]), float(offered[m])
-        )
-        _check_finite(
-            tau, float(posted[m]), float(price_avg[m]), float(buyer_good[m]), float(seller_good[m])
-        )
-
-    c = config.seller_storage_cost
-    seller_u = market.seller_money - c * market.seller_good
-    good = market.good
-    return seller_u, np.where(good < claims, good, claims)
+    return seller_u, buyer_u
 
 
 class GoodColumns:
@@ -422,7 +341,7 @@ def clear(
     volumes: np.ndarray,
     prices: np.ndarray,
     bids: np.ndarray,
-    market: Markets,
+    market: WideState,
     variant: str,
 ) -> ClearingResult:
     """``mechanism.clear`` of every market: market m's sellers offer
@@ -431,8 +350,10 @@ def clear(
     holds one row per market, and ``rejected`` one tuple per market.
 
     The rules, and why the loops end, are in ``mechanism``'s docstring, and
-    why each pass matches the scalar one in ``wide.clear``'s. A pass steps
-    every market with demand at its cheapest level. A market without one
+    why each pass matches the scalar one in ``wide.clear``'s; here a buyer
+    whose price ceiling is below the price is left out of a step too, as
+    the scalar pass leaves them out. A pass steps every market with demand
+    at its cheapest level. A market without one
     stops there, as the scalar pass does: it trades no more, so its demand
     stays as it was.
     """

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import CONSERVATION_TOL, EQ_TOL, MarketState, SellerState, equal_rate_fill
+from .core import CONSERVATION_TOL, EQ_TOL, MarketState, equal_rate_fill
 from .errors import ClearingError
 
 
@@ -98,12 +98,13 @@ class ClearingResult(NamedTuple):
     """What one clearing traded: the six buyer fields, then the three
     seller fields, each with one entry per trader.
 
-    ``mechanism.clear`` returns the buyer fields as tuples of floats and
-    ``wide.clear`` as float64 columns; the seller fields and ``rejected``
-    are tuples from both. ``proceeds_deferred`` is False in the
-    ``myopic_rights`` variant, where right-sale proceeds are spent inside
-    the round. A named tuple, as ``BuyerBid`` is: a round builds one, and
-    ``result._replace(...)`` returns a modified copy.
+    ``mechanism.clear`` returns the nine fields as tuples of floats, and
+    ``wide.clear`` as float64 columns, one per field; ``batch.clear``
+    returns one row of each per market. ``rejected`` is a tuple.
+    ``proceeds_deferred`` is False in the ``myopic_rights`` variant, where
+    right-sale proceeds are spent inside the round. A named tuple, as
+    ``BuyerBid`` is: a round builds one, and ``result._replace(...)``
+    returns a modified copy.
     """
 
     good_bought: Sequence[float]
@@ -112,9 +113,9 @@ class ClearingResult(NamedTuple):
     money_spent_good: Sequence[float]
     money_spent_right: Sequence[float]
     money_earned_right: Sequence[float]
-    seller_revenue: tuple[float, ...]
-    seller_sold: tuple[float, ...]
-    unsold_good: tuple[float, ...]
+    seller_revenue: Sequence[float]
+    seller_sold: Sequence[float]
+    unsold_good: Sequence[float]
     proceeds_deferred: bool
     rejected: tuple[Rejection, ...] = ()
 
@@ -126,12 +127,12 @@ class ClearingResult(NamedTuple):
 class GoodLevels:
     """The sellers' side of one clearing.
 
-    An offer with a negative or NaN entry, or a volume above its seller's
-    ``good`` by more than ``CONSERVATION_TOL``, is appended to ``rejected``
-    and keeps the seller out of the round. The live sellers go into good
-    levels by price, in index order, and ``levels`` lists them cheapest
-    last (see the module docstring). ``remaining``, ``sold`` and
-    ``revenue`` are per seller.
+    ``stock`` holds each seller's Good, as floats. An offer with a negative
+    or NaN entry, or a volume above its seller's stock by more than
+    ``CONSERVATION_TOL``, is appended to ``rejected`` and keeps the seller
+    out of the round. The live sellers go into good levels by price, in
+    index order, and ``levels`` lists them cheapest last (see the module
+    docstring). ``remaining``, ``sold`` and ``revenue`` are per seller.
     """
 
     __slots__ = ("levels", "price", "remaining", "accepted", "sold", "revenue")
@@ -139,7 +140,7 @@ class GoodLevels:
     def __init__(
         self,
         offers: Sequence[SellerOffer],
-        sellers: Sequence[SellerState],
+        stock: Sequence[float],
         rejected: list[Rejection],
     ) -> None:
         ns = len(offers)
@@ -149,12 +150,11 @@ class GoodLevels:
         self.sold = [0.0] * ns
         self.revenue = [0.0] * ns
         by_price: dict[float, list[int]] = {}
-        for s, off in enumerate(offers):
+        for s, (off, held) in enumerate(zip(offers, stock)):
             # ``not x >= 0.0`` also catches NaN, which fails every comparison
-            stock = sellers[s].good
             volume = off.volume
-            if not volume >= 0.0 or not off.price >= 0.0 or volume > stock + CONSERVATION_TOL:
-                reason = f"offer {off} infeasible against stock {stock!r}"
+            if not volume >= 0.0 or not off.price >= 0.0 or volume > held + CONSERVATION_TOL:
+                reason = f"offer {off} infeasible against stock {held!r}"
                 rejected.append(Rejection("seller", s, reason))
                 continue
             accepted[s] = volume
@@ -212,7 +212,7 @@ def clear(
     myopic = variant == "myopic_rights"
 
     rejected: list[Rejection] = []
-    book = GoodLevels(offers, state.sellers, rejected)
+    book = GoodLevels(offers, [s.good for s in state.sellers], rejected)
     good_levels, sell_price, sell_rem = book.levels, book.price, book.remaining
     sell_good = book.sell
 

@@ -150,11 +150,16 @@ def mechanism_rank_weights(mech, claims: Sequence[float]) -> list[float]:
 def mechanism_rights(config: MarketConfig, offered_volume: float) -> tuple[float, ...]:
     """The rights ``config.mechanism`` assigns when ``offered_volume`` is on
     sale. The allocation depends on nothing else, so it is memoized per
-    config and offered volume."""
+    config and offered volume. An allocation with an entry that is not
+    finite, such as the NaN an infinite claim gets under the proportional
+    rule, raises ``PricingError`` and is not kept: every kernel reads its
+    rights here, so each stops at the round that assigns it."""
     memo = config._rights_memo
     rights = memo.get(offered_volume)
     if rights is None:
         rights = tuple(allocate(config.mechanism, offered_volume, config.claims))
+        if not all(map(math.isfinite, rights)):
+            raise PricingError("Right assigned is not finite")
         memo[offered_volume] = rights
     return rights
 

@@ -5,27 +5,30 @@ rules that ``batch`` shares.
 ``play_rounds`` once it has ``engine.WIDE_MIN_BUYERS`` buyers and every
 trader plays greedy: no bid adjustments and no checkpoints. The kernel
 plays the same round as ``engine._run_rights_round`` and makes the same
-checks and records, but holds each buyer quantity as one float64 column
-and runs every per-buyer pass (the implicit-price solve, the bids, each
-clearing step, the balance and rights-cap checks, the record, the
-utilities and the transition) as array operations. Sellers are few: they
-stay ``SellerState`` objects and share the scalar code
-(``mechanism.GoodLevels`` and ``engine``'s offer helpers), and so does
-``clear``'s walk over good and Right levels. The buyers' price P is
-``pricing.mean_posted_price``, and ``clear`` returns the scalar
-``mechanism.ClearingResult``, with a float64 column in each buyer field.
+checks and records, but holds each trader quantity as one float64 column
+and runs every pass over the traders (the offered volumes, the
+implicit-price solve, the bids, each clearing step, the settlement, the
+checks, the record, the utilities and the transition) as array
+operations. The buyers' price P is ``pricing.mean_posted_price``, and
+``clear`` returns the scalar ``mechanism.ClearingResult``, with a float64
+column in each field.
+
+Greedy play is all ``clear`` has to handle here: every seller posts one
+price, and every buyer prices the Right at P and is on one side of it at
+most. So ``clear`` has one good level, one Right level, and no per-buyer
+price ceilings (its docstring says why each rule of ``mechanism.clear``
+it leaves out cannot change a greedy round). The several levels and the
+arbitrary bids of the audit's deviations are ``batch``'s.
 
 Every replay, the audit's one-round deviations, is played by ``batch``
 instead, one market per row, whatever its size; smaller runs, runs with
 adjustments or checkpoints and ``free_market`` stay on the scalar round,
-the reference both kernels are tested against. The column rules the two kernels share,
-``_sum`` through ``settle`` below, are stated once, here, over arrays of
-any leading shape: one market's columns, or the rows of M markets. Each
-kernel keeps its own round and ``clear``; the implicit-price solve and the
-Right fill keep a one-market form here, which is faster (see their
-docstrings). ``clear`` also keeps the rejections and the several Right
-levels that greedy play never reaches: ``tests/test_clear_oracle.py``
-calls it directly.
+the reference both kernels are tested against. The state and the column
+rules the two kernels share, ``WideState`` through ``transition`` below,
+are stated once, here, over arrays of any leading shape: one market's
+columns, or the rows of M markets. Each kernel keeps its own round and
+``clear``; the implicit-price solve and the Right fill keep a one-market
+form here, which is faster (see their docstrings).
 
 Every result equals the scalar round's bit for bit, in both kernels:
 
@@ -39,23 +42,19 @@ Every result equals the scalar round's bit for bit, in both kernels:
 - a step updates only the buyers the scalar loop updates.
 
 ``tests/test_wide.py`` plays random markets on the scalar round and on
-the kernels and compares them. Below ``engine.WIDE_MIN_BUYERS`` the fixed cost of numpy
-calls outweighs the per-buyer work they save, so small markets keep the
-scalar round.
+the kernels and compares them. Below ``engine.WIDE_MIN_BUYERS`` the fixed
+cost of numpy calls outweighs the per-buyer work they save, so small
+markets keep the scalar round.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
-from .engine import (
-    RoundRecord,
-    _check_finite,
-    _check_residuals,
-    _offer_volumes,
-    _seller_offers,
-)
+from .engine import RoundRecord, _check_finite, _check_residuals
 from .errors import PricingError, SimulationError
 from .mechanism import BuyerBid, ClearingResult, GoodLevels, Rejection, SellerOffer
 from .pricing import mean_posted_price, mechanism_rights
@@ -128,12 +127,44 @@ def greedy_bids(price_avg, offered_volume, money: np.ndarray, rights: np.ndarray
     return bids
 
 
-def settle(market, tau: int, money_start: np.ndarray, result: ClearingResult, rights, offered):
-    """Pay the clearing ``result`` into the buyers' Good and money columns
-    of ``market`` (a ``WideState`` or ``batch.Markets``), checking as
-    ``engine._run_rights_round`` does that no money goes negative beyond
-    rounding dust and no Good is bought beyond the buyer's rights.
-    ``offered`` broadcasts against the columns, as in ``greedy_bids``."""
+def offer_volumes(tau: int, volumes: np.ndarray, stock: np.ndarray):
+    """``engine._offer_volumes`` on columns: each seller's volume, clamped
+    to [0, ``stock``], and each market's total. Raises when a market offers
+    nothing."""
+    volumes = np.where(volumes > 0.0, volumes, 0.0)
+    volumes = np.where(stock < volumes, stock, volumes)
+    offered = _sum(volumes)
+    if np.count_nonzero(offered <= 0.0):
+        raise SimulationError(tau, "no good offered for sale")
+    return volumes, offered
+
+
+def settle(
+    market: WideState,
+    config: MarketConfig,
+    tau: int,
+    result: ClearingResult,
+    volumes: np.ndarray,
+    offered,
+    posted,
+    price_avg,
+    claims: np.ndarray,
+):
+    """The tail of ``engine._run_rights_round`` on columns: pay the
+    clearing ``result`` into the columns of ``market``, which still hold
+    the round's start money and rights, check the round and return the
+    seller and buyer utilities and the money and Good residuals.
+
+    The checks run in the scalar round's order: no money goes negative
+    beyond rounding dust, no Good is bought beyond the buyer's rights, the
+    residuals pass ``engine._check_residuals`` and the prices and Good
+    totals are finite. The first market that fails raises. The offered
+    volume, the posted price and P are floats for one market's columns and
+    one entry per market for rows.
+    """
+    money_start = market.money
+    market.seller_good = market.seller_good - result.seller_sold
+    market.seller_money = market.seller_money + result.seller_revenue
     market.good = market.good + result.good_bought
     # deferred proceeds join the balance only now, after the trading window
     # closed; rounding dust scales with the buyer's money in play
@@ -147,10 +178,44 @@ def settle(market, tau: int, money_start: np.ndarray, result: ClearingResult, ri
         _fail(tau, broke, "money went negative")
         money = np.where(short, 0.0, money)
     # rights cap: purchases in the round never exceed licence held + bought
-    good_tol = CONSERVATION_TOL * np.fmax(offered, 1.0)
-    over_cap = result.good_bought > rights + result.right_bought + good_tol
+    good_tol = CONSERVATION_TOL * np.fmax(offered, 1.0)[..., None]
+    over_cap = result.good_bought > market.right + result.right_bought + good_tol
     _fail(tau, over_cap, "bought good beyond their rights")
     market.money = money
+
+    # money only changes hands; good shipped must equal good received
+    money_total = _sum(money_start)
+    money_res = abs(_sum(market.seller_money) + _sum(money) - money_total)
+    good_res = abs(_sum(result.good_bought) - _sum(result.seller_sold))
+    # each seller's residual raises the round's unless it is NaN, as the
+    # scalar ``max`` compares; a NaN round residual stays NaN
+    sellers_res = np.fmax.reduce(np.abs(result.seller_sold + result.unsold_good - volumes), axis=-1)
+    good_res = np.where(np.isnan(good_res), good_res, np.fmax(good_res, sellers_res))
+    buyer_good = _sum(market.good)
+    seller_good = _sum(market.seller_good)
+    # ``not x <= tol`` also catches a NaN residual, and the sum of the
+    # prices and Good totals is finite where each of them is
+    failing = ~(
+        (money_res <= CONSERVATION_TOL)
+        & (good_res <= CONSERVATION_TOL)
+        & np.isfinite(posted + price_avg + buyer_good + seller_good)
+    )
+    if np.count_nonzero(failing):
+        for m in np.flatnonzero(failing).tolist():
+            money_m, good_m, total_m, offered_m, *finite = (
+                float(np.ravel(a)[m])
+                for a in (
+                    money_res, good_res, money_total, offered,
+                    posted, price_avg, buyer_good, seller_good,
+                )
+            )
+            _check_residuals(money_m, good_m, total_m, offered_m)
+            _check_finite(tau, *finite)
+
+    c = config.seller_storage_cost
+    good = market.good
+    seller_u = market.seller_money - c * market.seller_good
+    return seller_u, np.where(good < claims, good, claims), money_res, good_res
 
 
 def _fail(tau: int, mask: np.ndarray, what: str) -> None:
@@ -160,20 +225,55 @@ def _fail(tau: int, mask: np.ndarray, what: str) -> None:
 
 
 class WideState:
-    """A ``MarketState`` with the buyers as columns: their Good, money and
-    Right as float64 arrays, which are replaced, never written in place, so
-    a column read at the start of a round keeps its values. The sellers are
-    few and stay ``SellerState`` objects, updated in place as the scalar
-    round does."""
+    """A ``MarketState`` as float64 columns: each seller's Good and money
+    and each buyer's Good, money and Right. ``WideState(state)`` holds one
+    market's columns; ``WideState(state, M)`` holds M copies of it as the
+    rows of (M, S) and (M, N) arrays, and ``join`` appends rows. Every
+    array is replaced, never written in place, so an array read at the
+    start of a round keeps its values."""
 
-    __slots__ = ("round_index", "sellers", "good", "money", "right")
+    __slots__ = ("round_index", "seller_good", "seller_money", "good", "money", "right")
 
-    def __init__(self, state: MarketState) -> None:
+    def __init__(self, state: MarketState, *markets: int) -> None:
         self.round_index = state.round_index
-        self.sellers = [s.copy() for s in state.sellers]
-        self.good = np.array([b.good for b in state.buyers], dtype=float)
-        self.money = np.array([b.money for b in state.buyers], dtype=float)
-        self.right = np.array([b.right for b in state.buyers], dtype=float)
+        self.seller_good, self.seller_money, self.good, self.money, self.right = (
+            np.tile(np.array(column, dtype=float), (*markets, 1)) for column in _columns(state)
+        )
+
+    def join(self, states: Sequence[MarketState]) -> None:
+        """Append a row for each of ``states``, in order, whatever their
+        round: the next round played is this one's."""
+        columns = zip(*(_columns(state) for state in states))
+        self.seller_good, self.seller_money, self.good, self.money, self.right = (
+            np.concatenate((held, np.array(rows, dtype=float)))
+            for held, rows in zip(
+                (self.seller_good, self.seller_money, self.good, self.money, self.right), columns
+            )
+        )
+
+
+def _columns(state: MarketState) -> tuple[list[float], ...]:
+    """The sellers' Good and money and the buyers' Good, money and Right of
+    ``state``, in ``WideState``'s order."""
+    sellers, buyers = state.sellers, state.buyers
+    return (
+        [s.good for s in sellers],
+        [s.money for s in sellers],
+        [b.good for b in buyers],
+        [b.money for b in buyers],
+        [b.right for b in buyers],
+    )
+
+
+def transition(market: WideState, config: MarketConfig, claims: np.ndarray) -> None:
+    """``core.apply_transition`` of every market."""
+    nxt = market.round_index + 1
+    market.seller_good = market.seller_good + np.array(config.resupply_at(nxt), dtype=float)
+    market.seller_money = np.zeros(market.seller_money.shape)
+    market.good = _positive(market.good - claims)
+    market.money = np.array(config.income_at(nxt), dtype=float) + market.money
+    market.right = np.zeros(market.right.shape)
+    market.round_index = nxt
 
 
 def play_rounds(
@@ -189,6 +289,7 @@ def play_rounds(
     ``state`` is read once and left as it was."""
     market = WideState(state)
     claims = np.array(config.claims, dtype=float)
+    seller_sum = np.array(seller_total, dtype=float)
     buyer_sum = np.array(buyer_total, dtype=float)
     rights_memo: dict[float, np.ndarray] = {}
     max_money_res = 0.0
@@ -207,30 +308,17 @@ def play_rounds(
                     max_money_res = money_res
                 if good_res > max_good_res:
                     max_good_res = good_res
-                seller_total[:] = [total + u for total, u in zip(seller_total, seller_u)]
+                seller_sum = seller_sum + seller_u
                 buyer_sum = buyer_sum + buyer_u
                 tau += 1
-                _transition(market, config, claims)
+                transition(market, config, claims)
     except SimulationError:
         raise
     except Exception as exc:
         raise SimulationError(tau, str(exc)) from exc
+    seller_total[:] = seller_sum.tolist()
     buyer_total[:] = buyer_sum.tolist()
     return max_money_res, max_good_res
-
-
-def _transition(market: WideState, config: MarketConfig, claims: np.ndarray) -> None:
-    """``core.apply_transition`` on columns."""
-    nxt = market.round_index + 1
-    g = config.resupply_at(nxt)
-    m = config.income_at(nxt)
-    for seller, resupply in zip(market.sellers, g):
-        seller.good = seller.good + resupply
-        seller.money = 0.0
-    market.good = _positive(market.good - claims)
-    market.money = np.fromiter(m, float, len(m)) + market.money
-    market.right = np.zeros(len(m))
-    market.round_index = nxt
 
 
 def implicit_price(money: np.ndarray, rights: np.ndarray) -> float:
@@ -309,37 +397,23 @@ def _play_round(
     utilities and the money and Good residuals."""
     money_start = market.money
 
-    volumes, offered = _offer_volumes(config, tau, {}, market.sellers)
+    volumes, offered = offer_volumes(tau, np.array(config.resupply_at(tau)), market.seller_good)
     rights = rights_row(rights_memo, config, offered)
     if config.variant == "myopic_rights":
         price = _sum(money_start) / offered
     else:
         price = implicit_price(money_start, rights)
     posted = price * config.greedy_price_factor
-    offers = _seller_offers(posted, volumes, {})
+    offers = [SellerOffer(volume, posted) for volume in volumes.tolist()]
     market.right = rights
 
     price_avg = mean_posted_price(offers)
     bids = greedy_bids(price_avg, offered, money_start, rights, config.variant)
 
     result = clear(offers, bids, market, config.variant)
-
-    sellers = market.sellers
-    for seller, sold, revenue in zip(sellers, result.seller_sold, result.seller_revenue):
-        seller.good -= sold
-        seller.money += revenue
-    settle(market, tau, money_start, result, rights, offered)
-
-    # money only changes hands; good shipped must equal good received
-    money_total = _sum(money_start)
-    money_res = abs(sum(s.money for s in sellers) + _sum(market.money) - money_total)
-    good_res = abs(_sum(result.good_bought) - sum(result.seller_sold))
-    for sold, unsold, volume in zip(result.seller_sold, result.unsold_good, volumes):
-        res = abs(sold + unsold - volume)
-        if res > good_res:
-            good_res = res
-    _check_residuals(money_res, good_res, money_total, offered)
-    _check_finite(tau, posted, price_avg, _sum(market.good), sum(s.good for s in sellers))
+    seller_u, buyer_u, money_res, good_res = settle(
+        market, config, tau, result, volumes, offered, posted, price_avg, claims
+    )
 
     myopic = config.variant == "myopic_rights"
     right_offered = bids[OFFER]
@@ -353,6 +427,8 @@ def _play_round(
     with_rights = rights > 0.0
     short_of = (rights - good_end) / rights
     frustration = np.where(with_rights & (short_of > 0.0), short_of, 0.0)
+    # record fields and residuals are floats: ``_sum`` of a column is one,
+    # where ``sum`` would give a numpy scalar
     records.append(
         RoundRecord(
             round_index=tau,
@@ -364,57 +440,71 @@ def _play_round(
             frustration=tuple(frustration.tolist()),
             right_offered=tuple(right_offered.tolist()),
             right_demanded=tuple(bids[RIGHT_CAP].tolist()),
-            useful_money=sum(result.seller_revenue),
+            useful_money=_sum(result.seller_revenue),
             useless_money=0.0 if myopic else _sum(result.money_earned_right),
             volume_offered=offered,
-            volume_sold=result.volume_sold,
+            volume_sold=_sum(result.seller_sold),
             rejections=result.rejected,
         )
     )
-
-    c = config.seller_storage_cost
-    seller_u = [s.money - c * s.good for s in sellers]
-    good = market.good
-    return seller_u, np.where(good < claims, good, claims), money_res, good_res
+    return seller_u, buyer_u, money_res, float(good_res)
 
 
 def clear(
     offers: list[SellerOffer], bids: np.ndarray, market: WideState, variant: str
 ) -> ClearingResult:
-    """``mechanism.clear`` on columns, for a bid matrix laid out as
-    ``greedy_bids`` builds it. The ``ClearingResult`` holds a float64
-    column in each buyer field. The rules, and why the loops end without an
-    iteration cap, are in ``mechanism``'s docstring.
+    """``mechanism.clear`` on columns, for the offers of one posted price
+    and the bid matrix ``greedy_bids`` builds. The ``ClearingResult`` holds
+    a float64 column in each field. The rules, and why the loops end
+    without an iteration cap, are in ``mechanism``'s docstring.
+
+    Greedy play leaves four of ``mechanism.clear``'s rules without effect,
+    so they are left out here:
+
+    - every price row of the bids is P, so the buyers' price ceilings are
+      one test, ``P >= pg``, before each step, and stage 2 has one Right
+      level, at P;
+    - no offer exceeds its Right: psi = max(0, R - M/P) with M/P >= 0 is at
+      most R, halved in the myopic variant, and 0 in the free-Good branch
+      and for a NaN Right, so the offer clamp ``min(offer, right)`` is the
+      offer;
+    - no buyer offers more than ``EQ_TOL`` and also has xi > 0: psi > 0
+      means M/P < R, which makes xi 0, so zeroing a Right seller's Right
+      cap changes nothing;
+    - every seller posts one price, so ``GoodLevels`` holds one good
+      level; it still sells at an equal rate and rejects bad offers.
+
+    The bid rejections stay as a check on the bids, with the scalar
+    reasons, although no run reaches them: a NaN Right, whose bid they
+    would reject, now stops the round before any bid is built
+    (``pricing.mechanism_rights``).
 
     Each pass over the buyers is an array operation over all of them: a
-    buyer the scalar pass skips (no Good cap, licence or Right cap left, or
-    a price ceiling below the price) has a demand of at most 0 here and is
-    not updated. ``vbar_rem`` and ``wbar_rem`` are never NaN (a NaN cap is
-    rejected and a cap only falls through ``_positive``), so an ``np.fmin``
-    chain that starts from them skips a NaN bound as the scalar ``v if v <
-    cap else cap`` does. A buyer whose licence is not positive, NaN
-    included, is left out of a stage-1 pass explicitly, as the scalar pass
-    leaves them out.
+    buyer the scalar pass skips (no Good cap, licence or Right cap left)
+    has a demand of at most 0 here and is not updated. ``vbar_rem`` and
+    ``wbar_rem`` are never NaN (a NaN cap is rejected and a cap only falls
+    through ``_positive``), so an ``np.fmin`` chain that starts from them
+    skips a NaN bound as the scalar ``v if v < cap else cap`` does. A
+    buyer whose licence is not positive, NaN included, is left out of a
+    stage-1 pass explicitly, as the scalar pass leaves them out.
     """
     nb = market.money.size
     myopic = variant == "myopic_rights"
+    price_avg = float(bids[GOOD_PRICE, 0])  # every price row is P
 
     rejected: list[Rejection] = []
-    book = GoodLevels(offers, market.sellers, rejected)
+    book = GoodLevels(offers, market.seller_good.tolist(), rejected)
     good_levels, sell_price, sell_rem = book.levels, book.price, book.remaining
 
     right = market.right
-    offer = bids[OFFER]
-    offer_rem = np.where(right < offer, right, offer)
+    offer_rem = bids[OFFER].copy()
     rights_use = right - offer_rem
     spend = market.money.copy()
     vbar_rem = bids[GOOD_CAP].copy()
     wbar_rem = bids[RIGHT_CAP].copy()
-    # a buyer who sells Right buys none (``mechanism``'s docstring)
-    wbar_rem[offer_rem > EQ_TOL] = 0.0
     # ``not x >= 0.0`` also catches NaN
     feasible = bids >= 0.0
-    over = offer > right + CONSERVATION_TOL
+    over = offer_rem > right + CONSERVATION_TOL
     if not feasible.all() or np.count_nonzero(over):
         bad = ~feasible.all(axis=0) | over
         for b in bad.nonzero()[0].tolist():
@@ -424,10 +514,6 @@ def clear(
         # zero caps and no Right on sale keep them out of every pass
         for column in (spend, offer_rem, rights_use, vbar_rem, wbar_rem):
             column[bad] = 0.0
-    # a rejected buyer's ceilings may be NaN; their zero caps decide first
-    good_ceiling = bids[GOOD_PRICE]
-    right_ceiling = bids[RIGHT_PRICE]
-    right_price = bids[OFFER_PRICE]
 
     flows = np.zeros((6, nb))
     good_bought, right_bought, right_sold, spent_good, spent_right, earned = flows
@@ -437,11 +523,13 @@ def clear(
         while good_levels:
             level = good_levels[-1]
             pg = sell_price[level[0]]
+            # ``not x >= pg`` also catches a NaN P
+            if not price_avg >= pg:
+                return
             cap = np.fmin(vbar_rem, licence)
             if pg > 0.0:
                 cap = np.fmin(cap, spend / pg)
-            wants = (cap > 0.0) & (licence > 0.0) & (good_ceiling >= pg)
-            demanders = wants.nonzero()[0]
+            demanders = ((cap > 0.0) & (licence > 0.0)).nonzero()[0]
             demand = cap[demanders]
             # no buyer left sums to 0.0
             total_demand = _sum(demand)
@@ -463,25 +551,21 @@ def clear(
     # -- stage 1: right-licensed Good purchases --------------------------
     run_good_for_rights_pass(rights_use)
 
-    # -- stage 2: paired Good+Right purchases -----------------------------
-    # Right levels by price, cheapest last, each listing its sellers in
-    # buyer order. A set keeps the first of equal keys, as the scalar dict
-    # does, so a level holding -0.0 and 0.0 trades at its first seller's
-    # price.
-    sellers = (offer_rem > EQ_TOL).nonzero()[0]
-    prices = right_price[sellers]
-    right_levels = [(q, sellers[prices == q]) for q in sorted(set(prices.tolist()), reverse=True)]
-    while good_levels and right_levels:
+    # -- stage 2: paired Good+Right purchases, the Right at P -------------
+    # the Right sellers, in buyer order
+    members = (offer_rem > EQ_TOL).nonzero()[0]
+    while good_levels and members.size:
         good_level = good_levels[-1]
         pg = sell_price[good_level[0]]
-        qr, members = right_levels[-1]
+        if not price_avg >= pg:
+            break
         good_avail = sum([sell_rem[s] for s in good_level])
         right_avail = _sum(offer_rem[members])
-        unit = pg + qr
+        unit = pg + price_avg
         cap = np.fmin(np.fmin(vbar_rem, wbar_rem), right_avail)
         if unit > 0.0:  # at unit price 0 even a buyer without money buys
             cap = np.fmin(cap, spend / unit)
-        demanders = ((cap > 0.0) & (good_ceiling >= pg) & (right_ceiling >= qr)).nonzero()[0]
+        demanders = (cap > 0.0).nonzero()[0]
         demand = cap[demanders]
         total_demand = _sum(demand)
         if total_demand <= EQ_TOL:
@@ -496,7 +580,7 @@ def clear(
         take = _equal_rate_fill(offer_rem[members], volume)
         offer_rem[members] -= take
         right_sold[members] += take
-        proceeds = take * qr
+        proceeds = take * price_avg
         earned[members] += proceeds
         if myopic:
             spend[members] += proceeds
@@ -507,18 +591,13 @@ def clear(
         wbar_rem[demanders] = _positive(wbar_rem[demanders] - x)
         spend[demanders] = _positive(spend[demanders] - x * unit)
         spent_good[demanders] += x * pg
-        spent_right[demanders] += x * qr
+        spent_right[demanders] += x * price_avg
         members = members[offer_rem[members] > EQ_TOL]
-        if members.size:
-            right_levels[-1] = (qr, members)
-        else:
-            right_levels.pop()
 
     # -- myopic extra pass: spend same-round proceeds on licensed Good ----
     if myopic:
         # the right-sale window is closed; unsold offers revert to licences
         rights_use += offer_rem
-        offer_rem[:] = 0.0
         run_good_for_rights_pass(rights_use)
 
     return ClearingResult(
@@ -528,9 +607,9 @@ def clear(
         money_spent_good=spent_good,
         money_spent_right=spent_right,
         money_earned_right=earned,
-        seller_revenue=tuple(book.revenue),
-        seller_sold=tuple(book.sold),
-        unsold_good=book.unsold(),
+        seller_revenue=np.array(book.revenue),
+        seller_sold=np.array(book.sold),
+        unsold_good=np.array(book.unsold()),
         proceeds_deferred=not myopic,
         rejected=tuple(rejected),
     )

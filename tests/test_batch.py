@@ -374,7 +374,8 @@ def test_greedy_bids_match_the_scalar_bids_row_by_row(cells, prices, offered, va
 @pytest.mark.parametrize(
     "name",
     ["_sum", "_positive", "OFFER", "OFFER_PRICE", "GOOD_CAP", "GOOD_PRICE", "RIGHT_CAP",
-     "RIGHT_PRICE", "greedy_bids", "mean_price", "rights_row", "settle"],
+     "RIGHT_PRICE", "greedy_bids", "mean_price", "rights_row", "settle", "WideState",
+     "offer_volumes", "transition"],
 )
 def test_the_column_layer_is_shared_with_wide(name):
     # one definition each: a rule fixed in one kernel is fixed in both

@@ -1,7 +1,8 @@
 """Differential oracle: ``mechanism.clear`` must return exactly what the
 previous clearing, kept in ``clear_reference.py``, returns, bit for bit, and
-``wide.clear`` exactly what ``mechanism.clear`` returns; ``tests/test_batch.py``
-holds ``batch.clear`` to it too.
+``wide.clear`` exactly what ``mechanism.clear`` returns on the greedy bids it
+is built for; ``tests/test_batch.py`` holds ``batch.clear`` to it on any
+bids.
 
 Prices come from a five-value grid so that price levels tie, pairs share a
 unit price and zero-price pairs occur; buyers may hold no money, and offers
@@ -29,6 +30,7 @@ import clear_reference
 from rightsmarket import batch, mechanism, wide
 from rightsmarket.core import EQ_TOL, BuyerState, MarketState, SellerState
 from rightsmarket.mechanism import BuyerBid, ClearingResult, GoodLevels, SellerOffer
+from rightsmarket.pricing import mean_posted_price
 
 PRICE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 # hypothesis starts from and shrinks toward the first value of each list
@@ -194,13 +196,12 @@ def test_right_dust_leaves_its_level():
 
 
 def clear_wide(offers, bids, state, variant):
-    """``wide.clear`` on the bid matrix of ``bids``, with its buyer columns
+    """``wide.clear`` on the bid matrix of ``bids``, with its nine columns
     turned into tuples as ``mechanism.clear`` returns them."""
     matrix = np.array(bids, dtype=float).T.copy()
     with np.errstate(all="ignore"):
         got = wide.clear(offers, matrix, wide.WideState(state), variant)
-    buyer_fields = got._fields[:6]
-    return got._replace(**{name: tuple(getattr(got, name).tolist()) for name in buyer_fields})
+    return got._replace(**{name: tuple(getattr(got, name).tolist()) for name in got._fields[:9]})
 
 
 def clear_batch(markets, variant):
@@ -219,7 +220,7 @@ def clear_batch(markets, variant):
         for b, (bid, buyer) in enumerate(zip(bids, state.buyers)):
             bid_rows[:, m, b] = bid
             money[m, b], right[m, b] = buyer.money, buyer.right
-    rows = batch.Markets(MarketState(1, [SellerState(0.0)] * ns, [BuyerState(0.0, 0.0)] * nb), 1)
+    rows = wide.WideState(MarketState(1, [SellerState(0.0)] * ns, [BuyerState(0.0, 0.0)] * nb), 1)
     rows.seller_good, rows.money, rows.right = stock, money, right
     with np.errstate(all="ignore"):
         got = batch.clear(volumes, prices, bid_rows, rows, variant)
@@ -234,18 +235,70 @@ def clear_batch(markets, variant):
     return out
 
 
+# the clearings of any bids; ``wide.clear`` takes greedy bids only
 KERNELS = {
     "scalar": mechanism.clear,
-    "wide": clear_wide,
     # the market and a copy of it as one batch
     "batch": lambda offers, bids, state, variant: clear_batch([(offers, bids, state)] * 2, variant)[0],
 }
 
+# ten sellers whose float mean price rounds one ulp below their price
+# (``tests/test_pricing.py``), so no buyer's P reaches their offers
+ULP_BELOW = 1.0001748401014516
+
+
+@st.composite
+def greedy_market(draw):
+    """A state, the offers of its sellers at one posted price and the bids
+    ``wide.greedy_bids`` builds against them, as ``wide`` plays a round, and
+    the variant. P is the mean posted price: one ulp below it for ten
+    sellers at ``ULP_BELOW``, and 0 or -0.0 in the free-Good branch. Stocks
+    hold at least the volume offered, as ``engine._offer_volumes`` clamps
+    it, and buyer 0 may hold a NaN Right, whose bid is rejected."""
+    variant = draw(st.sampled_from(VARIANTS))
+    posted = draw(st.sampled_from([0.5, 1.0, 0.25, ULP_BELOW, 0.0, -0.0]))
+    ns = 10 if posted == ULP_BELOW else draw(st.integers(1, 8))
+    volumes = [draw(AMOUNTS) for _ in range(ns)]
+    sellers = [SellerState(good=v + draw(st.sampled_from([0.0, 0.5]))) for v in volumes]
+    offers = [SellerOffer(v, posted) for v in volumes]
+    nb = draw(st.integers(1, 12))
+    money = [draw(MONEY) for _ in range(nb)]
+    rights = [draw(st.one_of(AMOUNTS, st.just(float("nan")))) if b == 0 else draw(AMOUNTS)
+              for b in range(nb)]
+    price_avg = mean_posted_price(offers)
+    with np.errstate(all="ignore"):
+        matrix = wide.greedy_bids(
+            price_avg, sum(volumes), np.array(money), np.array(rights), variant
+        )
+    bids = [BuyerBid(*column) for column in matrix.T.tolist()]
+    buyers = [BuyerState(good=0.0, money=m, right=r) for m, r in zip(money, rights)]
+    return (offers, bids, MarketState(1, sellers, buyers)), variant
+
 
 @settings(deadline=None)
-@given(market=market(), variant=st.sampled_from(VARIANTS))
-def test_wide_clear_matches_clear(market, variant):
+@given(
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=20, max_size=20),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    st.sampled_from(VARIANTS),
+)
+def test_greedy_bids_keep_the_contract_wide_clear_relies_on(money, rights, price_avg, variant):
+    rights = np.array(rights[: len(money)])
+    with np.errstate(all="ignore"):
+        bids = wide.greedy_bids(price_avg, 1.0, np.array(money), rights, variant)
+    # one Right price and one ceiling: P
+    for row in (wide.OFFER_PRICE, wide.GOOD_PRICE, wide.RIGHT_PRICE):
+        assert (bids[row] == price_avg).all()
+    # no offer above its Right, and no buyer on both sides
+    assert (bids[wide.OFFER] <= rights).all()
+    assert not ((bids[wide.OFFER] > EQ_TOL) & (bids[wide.RIGHT_CAP] > 0.0)).any()
+
+
+@settings(deadline=None)
+@given(greedy_market())
+def test_wide_clear_matches_clear(case):
     # ``repr`` tells -0.0 from 0.0, and lists every rejection reason
+    market, variant = case
     assert repr(clear_wide(*market, variant)) == repr(mechanism.clear(*market, variant))
 
 
@@ -297,15 +350,18 @@ def counting_trades(call, *args):
 
 @settings(deadline=None)
 @given(
-    market=market(),
-    variant=st.sampled_from(VARIANTS),
+    case=st.one_of(
+        st.tuples(st.sampled_from(sorted(KERNELS)), market(), st.sampled_from(VARIANTS)),
+        greedy_market().map(lambda case: ("wide", *case)),
+    ),
     scale=st.sampled_from([1.0, 1e50, 1e100]),
-    kernel=st.sampled_from(sorted(KERNELS)),
 )
-def test_trades_are_bounded_by_levels_and_buyers(market, variant, scale, kernel):
-    offers, bids, state = scaled(*market, scale)
-    result, trades = counting_trades(KERNELS[kernel], offers, bids, state, variant)
-    good_levels = len(GoodLevels(offers, state.sellers, []).levels)
+def test_trades_are_bounded_by_levels_and_buyers(case, scale):
+    # the general clearings on any market, ``wide.clear`` on greedy ones
+    kernel, market_, variant = case
+    offers, bids, state = scaled(*market_, scale)
+    result, trades = counting_trades(KERNELS.get(kernel, clear_wide), offers, bids, state, variant)
+    good_levels = len(GoodLevels(offers, [s.good for s in state.sellers], []).levels)
     rejected = {r.index for r in result.rejected if r.side == "buyer"}
     right_levels = len({
         bid.right_offer_price

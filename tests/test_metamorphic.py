@@ -1,0 +1,164 @@
+"""Metamorphic tests: transform a market, and require what the model says
+the trace must do.
+
+Scaling every buyer's income by c = 2^k scales every money amount by c and
+moves no Good: the implicit price, P, the posted and Right prices scale by
+c, while M/P, the rights, the bids' volumes and every clearing step stay
+the same numbers. A power of two scales a float exactly, so the scaled
+trace must hold c times each price and money amount, and the same Good,
+rights, frustration, Right volumes and buyer utilities, bit for bit. This
+is checked on the scalar round (every preset), on ``wide`` (Dirichlet
+markets of ``engine.WIDE_MIN_BUYERS`` buyers and more) and on ``batch``
+(the audit's unilateral trials).
+
+    PYTHONPATH=src python -m pytest tests/test_metamorphic.py --hypothesis-profile=ci
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from rightsmarket import cli, engine
+from rightsmarket.analysis import default_deviation_grid
+from rightsmarket.core import SellerSpec
+from rightsmarket.engine import (
+    SupplySchedule,
+    generate_dirichlet_scenario,
+    replay_batch,
+    run,
+    run_with_checkpoints,
+)
+
+POWERS = (-10, -3, 3, 10, 30)
+
+# the amount parameters of each schedule kind, the ones an income scales by
+AMOUNTS = {
+    "constant": (0,),
+    "cosine": (0, 2),
+    "linear": (0, 1),
+    "step": (0, 1),
+    "logistic": (0,),
+    "bullwhip": (0, 1),
+    "hubbert": (0,),
+}
+
+# per record: the fields that scale with money, and the fields that must not move
+MONEY_FIELDS = ("price_good", "price_right", "money_start", "useful_money", "useless_money")
+GOOD_FIELDS = (
+    "good_end", "right_assigned", "frustration", "right_offered", "right_demanded",
+    "volume_offered", "volume_sold",
+)
+
+
+def scale_incomes(config, c):
+    """``config`` with every buyer's income schedule times ``c``."""
+
+    def scaled(schedule):
+        args = list(schedule.args)
+        for i in AMOUNTS[schedule.kind]:
+            args[i] *= c
+        return SupplySchedule(schedule.kind, tuple(args))
+
+    return replace(
+        config, buyers=tuple(replace(b, income=scaled(b.income)) for b in config.buyers)
+    )
+
+
+def times(c, value):
+    """``c`` times a field's value, a float or a tuple of floats."""
+    if isinstance(value, tuple):
+        return tuple(c * v for v in value)
+    return c * value
+
+
+def assert_scaled_trace(config, k):
+    c = 2.0**k
+    base = run(config)
+    scaled = run(scale_incomes(config, c))
+    assert len(scaled.records) == len(base.records)
+    for want, got in zip(base.records, scaled.records):
+        # ``repr`` tells -0.0 from 0.0 and NaN from NaN
+        for name in MONEY_FIELDS:
+            assert repr(getattr(got, name)) == repr(times(c, getattr(want, name))), (
+                want.round_index, name
+            )
+        for name in GOOD_FIELDS:
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), (want.round_index, name)
+    assert repr(scaled.buyer_utilities) == repr(base.buyer_utilities)
+    assert repr(scaled.expected_frustration_path) == repr(base.expected_frustration_path)
+
+
+@pytest.mark.parametrize("k", POWERS)
+@pytest.mark.parametrize("preset", cli.list_presets())
+def test_scaling_incomes_scales_a_preset_trace(preset, k):
+    # three buyers: the scalar round
+    assert_scaled_trace(cli.load_scenario(preset).config, k)
+
+
+def crowd(num_buyers, num_sellers):
+    """A Dirichlet market whose ``num_sellers`` sellers share a unit
+    resupply, as the benchmark's ``crowd`` markets do."""
+    config = generate_dirichlet_scenario(num_buyers, 20.0, rng_seed=0, horizon=20)
+    return replace(
+        config,
+        sellers=tuple(
+            SellerSpec(SupplySchedule.constant(1.0 / num_sellers)) for _ in range(num_sellers)
+        ),
+    )
+
+
+@pytest.mark.parametrize("k", POWERS)
+@pytest.mark.parametrize(("num_buyers", "num_sellers"), [(300, 10), (60, 1)])
+def test_scaling_incomes_scales_a_wide_trace(num_buyers, num_sellers, k):
+    assert num_buyers >= engine.WIDE_MIN_BUYERS
+    assert_scaled_trace(crowd(num_buyers, num_sellers), k)
+
+
+AUDIT_PRESETS = (
+    "scenario-a-proportional",
+    "scenario-a-contested-garment",
+    "canonical-rank3-a",
+    "myopic-a",
+)
+AUDIT_HORIZON = 40
+
+
+def unilateral_totals(config, lists):
+    """The utility totals of every list of adjustments replayed on
+    ``batch`` to ``AUDIT_HORIZON``, from ``config``'s own baseline."""
+    _, checkpoints = run_with_checkpoints(config, AUDIT_HORIZON)
+    return replay_batch(config, checkpoints, AUDIT_HORIZON, lists)
+
+
+@pytest.mark.parametrize(
+    ("preset", "k"),
+    [(p, k) for p in AUDIT_PRESETS for k in POWERS]
+    + [
+        pytest.param(
+            "scenario-a-contested-garment",
+            -20,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the price solvers admit a candidate within EQ_TOL * max(1, p) of its "
+                "interval, a slack that is absolute below a price of 1: at c = 2^-20 the "
+                "trials seller_price(-0.1) and (-0.25) by seller 0 at round 20 diverge from "
+                "round 25, on the scalar round too, and agree once the slack is scaled by c "
+                "(ROADMAP item 11)",
+            ),
+        )
+    ],
+)
+def test_scaling_incomes_keeps_the_buyer_totals_of_every_audit_trial(preset, k):
+    # the audit's own menu, from the unscaled baseline: a scaled config is
+    # no longer normalized, so ``audit_unilateral`` refuses it
+    config = cli.load_scenario(preset).config
+    baseline = run(config, AUDIT_HORIZON)
+    lists = [
+        list(d.to_adjustments(config))
+        for d in default_deviation_grid(config, AUDIT_HORIZON, baseline)
+    ]
+    base = unilateral_totals(config, lists)
+    scaled = unilateral_totals(scale_incomes(config, 2.0**k), lists)
+    assert len(base) == len(lists) > 0
+    for (_, want), (_, got) in zip(base, scaled):
+        assert repr(got) == repr(want)

@@ -236,8 +236,8 @@ def test_many_good_and_right_levels():
 @pytest.mark.parametrize("variant", ["rights", "myopic_rights"])
 def test_nan_rights_agree(variant):
     # an infinite claim gives its holder a NaN right under the proportional
-    # rule: the implicit price's input check fails on it, the myopic price
-    # does not
+    # rule: the allocation's finiteness check stops both variants at round
+    # 1 on every path, where the myopic run used to return the NaN silently
     config = replace(
         make_benchmark(variant=variant, horizon=5),
         buyers=(
@@ -245,14 +245,9 @@ def test_nan_rights_agree(variant):
             *make_benchmark().buyers[1:],
         ),
     )
-    scalar, wide_ = both(lambda: run(config))
-    assert scalar == wide_
-    if variant == "rights":
-        assert scalar == (
-            "SimulationError", 1, "round 1: money and rights must be non-negative"
-        )
-    else:
-        assert "right_assigned=(nan, 0.0, 0.0)" in scalar
+    assert both(lambda: run(config)) == [
+        ("SimulationError", 1, "round 1: Right assigned is not finite")
+    ] * 2
 
 
 @pytest.mark.parametrize(("variant", "fails_at"), [("rights", 4), ("myopic_rights", 3)])
@@ -377,14 +372,9 @@ def wide_clear(fault):
         result = real(offers, bids, market, variant)
         if market.round_index != FAULT_ROUND:
             return result
-        flows = {name: list(getattr(result, name)) for name in FLOW_FIELDS}
+        flows = {name: getattr(result, name).copy() for name in FLOW_FIELDS}
         fault(flows, market.money.tolist(), market.right.tolist())
-        return result._replace(
-            **{
-                name: v if name.startswith("seller") else np.array(v, dtype=float)
-                for name, v in flows.items()
-            }
-        )
+        return result._replace(**flows)
 
     return faulty
 
