@@ -260,8 +260,15 @@ def _play_round(
             bids[RIGHT_CAP, m, b] *= adj.right_demand_factor
 
     result = clear(volumes, prices, bids, market, config.variant)
+    # each market's Right price, as its record would hold it: ``settle``
+    # checks that it is finite
+    right_offered = bids[OFFER]
+    offered_right = _sum(right_offered)
+    price_right = np.where(
+        offered_right > 0.0, _sum(right_offered * bids[OFFER_PRICE]) / offered_right, 0.0
+    )
     seller_u, buyer_u, _, _ = settle(
-        market, config, tau, result, volumes, offered, posted, price_avg, claims
+        market, config, tau, result, volumes, offered, posted, price_avg, price_right, claims
     )
     return seller_u, buyer_u
 

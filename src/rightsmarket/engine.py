@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     CONSERVATION_TOL,
@@ -176,9 +176,14 @@ def frustration(right_assigned: float, good_end: float) -> float:
     return f if f > 0.0 else 0.0  # max(0.0, f), without the builtin's call cost
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Everything observable about one cleared round."""
+class RoundRecord(NamedTuple):
+    """Everything observable about one cleared round.
+
+    A named tuple, as ``BuyerBid`` is: every round builds one, by position
+    in 0.4 us against 2.1 us for a frozen dataclass (1.0 against 2.9 us by
+    keyword; 2-core host). It is immutable and hashable, has the
+    dataclass's repr, and ``record._replace(...)`` returns a modified copy
+    where ``dataclasses.replace`` did."""
 
     round_index: int
     price_good: float
@@ -481,11 +486,15 @@ def _play_rounds(
     round one or two back did. The run keeps its last two unadjusted
     rights rounds in ``recent``, each as a key, the bits of the offered
     volumes and the buyers' start money, and the posted price, rights,
-    offers, P, bids and clearing computed from it, for
-    ``_run_rights_round`` to reuse. Two entries catch nearly every repeat
-    of the presets and the audit baselines; one per round would grow with
-    a run that never repeats, and entries kept on the config would outlive
-    the run.
+    offers, P and clearing computed from it, with the record fields that
+    follow from the bids and the clearing alone: the Right price, the
+    Right offered and demanded, the useful and useless money and the
+    volume sold. ``_run_rights_round`` reuses them; each is a pure function
+    of the entry's bids and clearing, so a reused field is the one the
+    round would compute. Two entries catch nearly every repeat of the
+    presets and the audit baselines; one per round would grow with a run
+    that never repeats, and entries kept on the config would outlive the
+    run.
     """
     max_money_res = 0.0
     max_good_res = 0.0
@@ -543,21 +552,27 @@ def _check_residuals(
 
 
 def _check_finite(
-    tau: int, posted: float, price_avg: float, buyer_good: float, seller_good: float
+    tau: int,
+    posted: float,
+    price_avg: float,
+    buyer_good: float,
+    seller_good: float,
+    price_right: float,
 ) -> None:
     """Raise ``SimulationError`` naming round ``tau`` and the first of its
-    posted price, P, total buyer Good and total seller Good that is not
-    finite, as an overflow or a NaN leaves it. Money needs no test here:
-    money that is not finite leaves a money residual that fails
-    ``_check_residuals``, which runs first. Four numbers that add up to a
+    posted price, P, total buyer Good, total seller Good and Right price
+    that is not finite, as an overflow or a NaN leaves it. Money needs no
+    test here: money that is not finite leaves a money residual that fails
+    ``_check_residuals``, which runs first. Five numbers that add up to a
     finite number are each finite, so a round pays one test; a sum that
     overflows while each term is finite raises nothing."""
-    if not math.isfinite(posted + price_avg + buyer_good + seller_good):
+    if not math.isfinite(posted + price_avg + buyer_good + seller_good + price_right):
         for name, value in (
             ("posted price", posted),
             ("P", price_avg),
             ("total buyer Good", buyer_good),
             ("total seller Good", seller_good),
+            ("Right price", price_right),
         ):
             if not math.isfinite(value):
                 raise SimulationError(tau, f"{name} is not finite")
@@ -573,10 +588,11 @@ def _offer_volumes(
     resupply moved by any volume deviation, clamped to [0, stock]. Raises
     when nothing is offered."""
     volumes = list(config.resupply_at(tau))
-    for s in range(len(volumes)):
-        for adj in round_adjustments.get(("seller", s), ()):
-            volumes[s] += adj.volume_delta
-        volumes[s] = min(max(0.0, volumes[s]), sellers[s].good)
+    if round_adjustments:
+        for s in range(len(volumes)):
+            for adj in round_adjustments.get(("seller", s), ()):
+                volumes[s] += adj.volume_delta
+    volumes = [min(max(0.0, v), seller.good) for v, seller in zip(volumes, sellers)]
     offered = sum(volumes)
     if offered <= 0.0:
         raise SimulationError(tau, "no good offered for sale")
@@ -614,19 +630,22 @@ def _run_rights_round(
 
     A round without adjustments whose key, ``pack`` of its offered volumes
     and the buyers' start money, matches the key of an entry of ``recent``
-    bit for bit takes that entry's posted price, rights, offers, P, bids
-    and clearing instead of computing them; otherwise it computes them and
-    makes them the newest of the two entries. Bits, not floats, are
-    compared, since -0.0 == 0.0. The reuse is exact: those values read only
-    the config, the offered volumes and the start money, and the rights
-    follow from the offered volume. Seller stock enters ``clear`` only
-    through its check ``volume > stock + CONSERVATION_TOL``, which cannot
-    trigger, as ``_offer_volumes`` clamps every volume to the stock.
-    Settlement, the checks, the record and the utilities run every round.
+    bit for bit takes that entry's posted price, rights, offers, P and
+    clearing, and the record fields derived from its bids and clearing,
+    instead of computing them; otherwise it computes them and makes them
+    the newest of the two entries. Bits, not floats, are compared, since
+    -0.0 == 0.0. The reuse is exact: those values read only the config,
+    the offered volumes and the start money, and the rights follow from the
+    offered volume. Seller stock enters ``clear`` only through its check
+    ``volume > stock + CONSERVATION_TOL``, which cannot trigger, as
+    ``_offer_volumes`` clamps every volume to the stock. The derived fields
+    read nothing but the bids and the clearing. Settlement, the money, Good
+    and rights-cap checks, ``_check_residuals``, ``_check_finite``, the
+    rest of the record and the utilities run every round.
     """
-    nb, ns = config.num_buyers, config.num_sellers
+    nb = config.num_buyers
     buyers = state.buyers
-    money_start = tuple(b.money for b in buyers)
+    money_start = tuple([b.money for b in buyers])
     round_adjustments = adjustments.get(tau, {})
 
     # offered volumes first: a volume deviation changes the rights everyone
@@ -636,7 +655,7 @@ def _run_rights_round(
     key = None if round_adjustments else pack(*volumes, *money_start)
     for seen, values in recent:
         if seen == key:
-            posted, rights, offers, price_avg, bids, result = values
+            posted, rights, offers, price_avg, result, fields = values
             for buyer, right in zip(buyers, rights):
                 buyer.right = right
             break
@@ -660,17 +679,30 @@ def _run_rights_round(
                     )
 
         result = clear(offers, bids, state, config.variant)
+        useful, useless = useful_useless_split(result)
+        right_offered, right_prices, _, _, right_demanded, _ = zip(*bids)
+        offered_right = sum(right_offered)
+        price_right = (
+            sum(w * q for w, q in zip(right_offered, right_prices)) / offered_right
+            if offered_right > 0.0
+            else 0.0
+        )
+        fields = (
+            price_right, right_offered, right_demanded, useful, useless, result.volume_sold
+        )
         if key is not None:
-            recent.append((key, (posted, rights, offers, price_avg, bids, result)))
+            recent.append((key, (posted, rights, offers, price_avg, result, fields)))
             del recent[:-2]
+    price_right, right_offered, right_demanded, useful, useless, volume_sold = fields
 
-    for s in range(ns):
-        state.sellers[s].good -= result.seller_sold[s]
-        state.sellers[s].money += result.seller_revenue[s]
+    sellers = state.sellers
+    for seller, sold, revenue in zip(sellers, result.seller_sold, result.seller_revenue):
+        seller.good -= sold
+        seller.money += revenue
     # one pass over the buyers folds the clearing into their state and
     # checks it; deferred proceeds join the balance only now, after the
     # trading window closed
-    good_tol = CONSERVATION_TOL * max(1.0, offered)
+    good_tol = CONSERVATION_TOL * (offered if offered > 1.0 else 1.0)
     over_cap = -1
     money_end: list[float] = []
     good_end: list[float] = []
@@ -699,39 +731,21 @@ def _run_rights_round(
 
     # money only changes hands; good shipped must equal good received
     money_total = sum(money_start)
-    money_res = abs(sum(s.money for s in state.sellers) + sum(money_end) - money_total)
+    money_res = abs(sum([s.money for s in sellers]) + sum(money_end) - money_total)
     good_res = abs(sum(result.good_bought) - sum(result.seller_sold))
-    for s in range(ns):
-        good_res = max(
-            good_res, abs(result.seller_sold[s] + result.unsold_good[s] - offers[s].volume)
-        )
+    for sold, unsold, offer in zip(result.seller_sold, result.unsold_good, offers):
+        res = abs(sold + unsold - offer.volume)
+        good_res = res if res > good_res else good_res  # max(good_res, res)
     _check_residuals(money_res, good_res, money_total, offered)
-    _check_finite(tau, posted, price_avg, sum(good_end), sum(s.good for s in state.sellers))
-
-    useful, useless = useful_useless_split(result)
-    right_offered, right_prices, _, _, right_demanded, _ = zip(*bids)
-    offered_right = sum(right_offered)
-    price_right = (
-        sum(w * q for w, q in zip(right_offered, right_prices)) / offered_right
-        if offered_right > 0.0
-        else 0.0
+    _check_finite(
+        tau, posted, price_avg, sum(good_end), sum([s.good for s in sellers]), price_right
     )
+
     records.append(
         RoundRecord(
-            round_index=tau,
-            price_good=price_avg,
-            price_right=price_right,
-            money_start=money_start,
-            good_end=tuple(good_end),
-            right_assigned=tuple(rights),
-            frustration=tuple(map(frustration, rights, good_end)),
-            right_offered=right_offered,
-            right_demanded=right_demanded,
-            useful_money=useful,
-            useless_money=useless,
-            volume_offered=offered,
-            volume_sold=result.volume_sold,
-            rejections=result.rejected,
+            tau, price_avg, price_right, money_start, tuple(good_end), rights,
+            tuple(map(frustration, rights, good_end)), right_offered, right_demanded,
+            useful, useless, offered, volume_sold, result.rejected,
         )
     )
     return consumed_utility(state, config), money_res, good_res
@@ -784,24 +798,16 @@ def _run_free_round(
     )
     good_res = abs(sum(bought) - sold_total)
     _check_residuals(money_res, good_res, money_total, offered)
-    # the posted price is P: every seller posts it
-    _check_finite(tau, price, price, sum(good_end), sum(s.good for s in state.sellers))
+    # the posted price is P, as every seller posts it; no Right is traded,
+    # so its price is 0.0
+    _check_finite(tau, price, price, sum(good_end), sum(s.good for s in state.sellers), 0.0)
 
+    no_right = (0.0,) * nb
     records.append(
         RoundRecord(
-            round_index=tau,
-            price_good=price,
-            price_right=0.0,
-            money_start=money_start,
-            good_end=tuple(good_end),
-            right_assigned=rights_hyp,
-            frustration=tuple(map(frustration, rights_hyp, good_end)),
-            right_offered=(0.0,) * nb,
-            right_demanded=(0.0,) * nb,
-            useful_money=price * sold_total,
-            useless_money=0.0,
-            volume_offered=offered,
-            volume_sold=sold_total,
+            tau, price, 0.0, money_start, tuple(good_end), rights_hyp,
+            tuple(map(frustration, rights_hyp, good_end)), no_right, no_right,
+            price * sold_total, 0.0, offered, sold_total,
         )
     )
     return consumed_utility(state, config), money_res, good_res

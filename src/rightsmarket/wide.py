@@ -148,6 +148,7 @@ def settle(
     offered,
     posted,
     price_avg,
+    price_right,
     claims: np.ndarray,
 ):
     """The tail of ``engine._run_rights_round`` on columns: pay the
@@ -158,9 +159,10 @@ def settle(
     The checks run in the scalar round's order: no money goes negative
     beyond rounding dust, no Good is bought beyond the buyer's rights, the
     residuals pass ``engine._check_residuals`` and the prices and Good
-    totals are finite. The first market that fails raises. The offered
-    volume, the posted price and P are floats for one market's columns and
-    one entry per market for rows.
+    totals are finite (``engine._check_finite``). The first market that
+    fails raises. The offered volume, the posted price, P and the Right
+    price are floats for one market's columns and one entry per market for
+    rows.
     """
     money_start = market.money
     market.seller_good = market.seller_good - result.seller_sold
@@ -198,7 +200,7 @@ def settle(
     failing = ~(
         (money_res <= CONSERVATION_TOL)
         & (good_res <= CONSERVATION_TOL)
-        & np.isfinite(posted + price_avg + buyer_good + seller_good)
+        & np.isfinite(posted + price_avg + buyer_good + seller_good + price_right)
     )
     if np.count_nonzero(failing):
         for m in np.flatnonzero(failing).tolist():
@@ -206,7 +208,7 @@ def settle(
                 float(np.ravel(a)[m])
                 for a in (
                     money_res, good_res, money_total, offered,
-                    posted, price_avg, buyer_good, seller_good,
+                    posted, price_avg, buyer_good, seller_good, price_right,
                 )
             )
             _check_residuals(money_m, good_m, total_m, offered_m)
@@ -411,11 +413,6 @@ def _play_round(
     bids = greedy_bids(price_avg, offered, money_start, rights, config.variant)
 
     result = clear(offers, bids, market, config.variant)
-    seller_u, buyer_u, money_res, good_res = settle(
-        market, config, tau, result, volumes, offered, posted, price_avg, claims
-    )
-
-    myopic = config.variant == "myopic_rights"
     right_offered = bids[OFFER]
     offered_right = _sum(right_offered)
     price_right = (
@@ -423,6 +420,11 @@ def _play_round(
         if offered_right > 0.0
         else 0.0
     )
+    seller_u, buyer_u, money_res, good_res = settle(
+        market, config, tau, result, volumes, offered, posted, price_avg, price_right, claims
+    )
+
+    myopic = config.variant == "myopic_rights"
     good_end = market.good
     with_rights = rights > 0.0
     short_of = (rights - good_end) / rights
@@ -431,20 +433,12 @@ def _play_round(
     # where ``sum`` would give a numpy scalar
     records.append(
         RoundRecord(
-            round_index=tau,
-            price_good=price_avg,
-            price_right=price_right,
-            money_start=tuple(money_start.tolist()),
-            good_end=tuple(good_end.tolist()),
-            right_assigned=mechanism_rights(config, offered),
-            frustration=tuple(frustration.tolist()),
-            right_offered=tuple(right_offered.tolist()),
-            right_demanded=tuple(bids[RIGHT_CAP].tolist()),
-            useful_money=_sum(result.seller_revenue),
-            useless_money=0.0 if myopic else _sum(result.money_earned_right),
-            volume_offered=offered,
-            volume_sold=_sum(result.seller_sold),
-            rejections=result.rejected,
+            tau, price_avg, price_right, tuple(money_start.tolist()),
+            tuple(good_end.tolist()), mechanism_rights(config, offered),
+            tuple(frustration.tolist()), tuple(right_offered.tolist()),
+            tuple(bids[RIGHT_CAP].tolist()), _sum(result.seller_revenue),
+            0.0 if myopic else _sum(result.money_earned_right), offered,
+            _sum(result.seller_sold), result.rejected,
         )
     )
     return seller_u, buyer_u, money_res, float(good_res)

@@ -2,9 +2,11 @@
 
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rightsmarket import cli
 from rightsmarket.cli import (
@@ -20,7 +22,7 @@ from rightsmarket.cli import (
     scenario_to_dict,
     write_trace_csv,
 )
-from rightsmarket.engine import run
+from rightsmarket.engine import RoundRecord, Trace, run
 from rightsmarket.errors import ScenarioError, SimulationError
 
 from conftest import run_python
@@ -141,6 +143,132 @@ class TestCsvOutput:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "tau,price_good"
         assert len(lines) == 2
+
+
+BUYER_FIELDS = ("money_start", "good_end", "right_assigned", "frustration")
+
+
+def reference_csv(trace, columns="all"):
+    """What ``write_trace_csv`` writes, with each number formatted on its
+    own as ``repr(float(x))``."""
+    base = BASE_COLUMNS if columns == "all" else tuple(c for c in BASE_COLUMNS if c in columns)
+    with_buyers = columns == "all" or "buyers" in columns
+    header = ["tau", *base]
+    if with_buyers:
+        for j in range(trace.num_buyers):
+            header += [f"b{j}_money", f"b{j}_good", f"b{j}_right", f"b{j}_frustration"]
+    lines = [",".join(header)]
+    for rec, ef in zip(trace.records, trace.expected_frustration_path):
+        named = rec._asdict()
+        named["expected_frustration"] = ef
+        row = [str(rec.round_index)] + [repr(float(named[c])) for c in base]
+        if with_buyers:
+            for j in range(trace.num_buyers):
+                row += [repr(float(named[f][j])) for f in BUYER_FIELDS]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def make_trace(rows, num_buyers):
+    """A trace whose record fields take the numbers of ``rows``, one list
+    per round: the seven base columns in ``BASE_COLUMNS``' order, then each
+    buyer's money, Good, Right and frustration."""
+    records, ef = [], []
+    for t, row in enumerate(rows, 1):
+        pg, pr, e, useful, useless, offered, sold, *per_buyer = row
+        money, good, right, frus = (tuple(per_buyer[k::4]) for k in range(4))
+        records.append(
+            RoundRecord(
+                t, pg, pr, money, good, right, frus, (0.0,) * num_buyers, (0.0,) * num_buyers,
+                useful, useless, offered, sold,
+            )
+        )
+        ef.append(e)
+    return Trace(tuple(records), tuple(ef), (), (), 0.0, 0.0)
+
+
+def written(trace, columns="all"):
+    buf = io.StringIO()
+    write_trace_csv(trace, buf, columns)
+    return buf.getvalue()
+
+
+@st.composite
+def traces(draw):
+    """Traces of zero to three buyers whose numbers repeat often, as a
+    settled trace's do: a few drawn floats, zeros of both signs and ints."""
+    num_buyers = draw(st.integers(0, 3))
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+    numbers = st.one_of(
+        st.sampled_from(pool),
+        st.sampled_from([0.0, -0.0]),
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    width = 7 + 4 * num_buyers
+    rows = draw(st.lists(st.lists(numbers, min_size=width, max_size=width), min_size=1, max_size=6))
+    return make_trace(rows, num_buyers)
+
+
+column_choices = st.one_of(
+    st.just("all"),
+    st.lists(st.sampled_from(BASE_COLUMNS + ("buyers",)), unique=True).map(tuple),
+)
+
+
+class TestCsvNumbers:
+    """``write_trace_csv`` keeps a memo of the texts of the numbers it has
+    written; every byte must still be ``repr(float(x))`` of its number."""
+
+    @given(traces(), column_choices)
+    def test_every_number_is_its_repr(self, trace, columns):
+        want = reference_csv(trace, columns)
+        assert written(trace, columns) == want
+        # a memo that fills after three numbers starts again every few
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CSV_MEMO_SIZE", 3)
+            assert written(trace, columns) == want
+
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_zeros_of_both_signs_keep_their_sign(self, zeros):
+        first, second = zeros
+        rows = [[first, 1.5, second, 0, 2, first, second, first, second, 1.5, 0]] * 2
+        rows.append([second] * 7 + [first] * 4)
+        trace = make_trace(rows, 1)
+        text = written(trace)
+        assert text == reference_csv(trace)
+        assert text.splitlines()[1].split(",")[1:4] == [repr(first), "1.5", repr(second)]
+        assert {repr(first), repr(second)} == {"0.0", "-0.0"}
+
+    def test_the_memo_keeps_at_most_its_bound_and_no_zero(self, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_MEMO_SIZE", 3)
+        memo = cli._NumberText()
+        for x in (1.5, 2.5, 1.5, 0.0, 3.5, -0.0, 4.5, 5, 2.5, 0):
+            assert memo[x] == repr(float(x))
+            assert len(memo) <= 3
+            assert 0.0 not in memo
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        ("position", "column"),
+        [(0, "price_good"), (2, "expected_frustration"), (6, "volume_sold"),
+         (8, "b0_good"), (13, "b1_right")],
+    )
+    def test_a_number_that_is_not_finite_names_its_column(self, bad, position, column):
+        rows = [[1.0] * 15 for _ in range(3)]
+        rows[1][position] = bad
+        trace = make_trace(rows, 2)
+        buf = io.StringIO()
+        with pytest.raises(SimulationError, match=f"^round 2: {column} is not finite$"):
+            write_trace_csv(trace, buf)
+        # the rows before it are written, its own is not
+        assert buf.getvalue() == reference_csv(make_trace(rows[:1], 2))
+
+    def test_a_column_left_out_is_not_checked(self):
+        rows = [[1.0] * 11, [math.inf] + [1.0] * 10]
+        trace = make_trace(rows, 1)
+        assert written(trace, ("volume_sold",)) == reference_csv(trace, ("volume_sold",))
+        assert written(trace, ("buyers",)) == reference_csv(trace, ("buyers",))
 
 
 class TestCommands:

@@ -13,6 +13,7 @@ from rightsmarket.cli import load_scenario
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec
 from rightsmarket.engine import (
     BidAdjustment,
+    RoundRecord,
     SupplySchedule,
     frustration,
     generate_dirichlet_scenario,
@@ -21,6 +22,7 @@ from rightsmarket.engine import (
     run_with_checkpoints,
 )
 from rightsmarket.errors import ConfigError, SimulationError
+from rightsmarket.mechanism import Rejection
 from rightsmarket.rights import DistributionMechanism
 
 from conftest import A_CLAIMS, A_INCOMES, make_benchmark
@@ -193,6 +195,47 @@ class TestCheckpoints:
             BidAdjustment(2, ("buyer", -1), right_offer_factor=0.0),
         ]
         assert run(cfg, adjustments=adjustments) == run(cfg)
+
+
+class TestRoundRecord:
+    """A record is an immutable, hashable named tuple whose repr is the one
+    the frozen dataclass it replaced printed."""
+
+    RECORD = RoundRecord(
+        2, 1.25, 0.0, (0.5, -0.0), (1e-300, 2.0), (0.75, 0.25), (1.0, 0.0), (0.0, 0.125),
+        (0.5, 0.0), 1.5, 0.0, 1.0, 0.875,
+        (Rejection("seller", 0, "offer SellerOffer(volume=2.0, price=1.0) infeasible"),),
+    )
+
+    def test_a_field_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.RECORD.price_good = 2.0
+
+    def test_replace_returns_a_modified_copy(self):
+        changed = self.RECORD._replace(price_good=2.0, rejections=())
+        assert (changed.price_good, changed.rejections) == (2.0, ())
+        assert changed[2:-1] == self.RECORD[2:-1]
+        assert self.RECORD.price_good == 1.25
+
+    def test_records_are_hashable(self):
+        same = RoundRecord(*self.RECORD)
+        assert hash(same) == hash(self.RECORD)
+        assert len({self.RECORD, same, self.RECORD._replace(round_index=3)}) == 2
+
+    def test_repr_is_the_dataclass_repr(self):
+        # printed by the frozen dataclass that ``RoundRecord`` used to be
+        assert repr(self.RECORD) == (
+            "RoundRecord(round_index=2, price_good=1.25, price_right=0.0, "
+            "money_start=(0.5, -0.0), good_end=(1e-300, 2.0), right_assigned=(0.75, 0.25), "
+            "frustration=(1.0, 0.0), right_offered=(0.0, 0.125), right_demanded=(0.5, 0.0), "
+            "useful_money=1.5, useless_money=0.0, volume_offered=1.0, volume_sold=0.875, "
+            "rejections=(Rejection(side='seller', index=0, "
+            "reason='offer SellerOffer(volume=2.0, price=1.0) infeasible'),))"
+        )
+
+    def test_rejections_default_to_none(self):
+        assert RoundRecord(*self.RECORD[:-1]).rejections == ()
+        assert run(make_benchmark(horizon=1)).records[0].rejections == ()
 
 
 class TestBenchmarkTrace:

@@ -19,11 +19,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rightsmarket import cli
 from rightsmarket.core import VARIANTS
-from rightsmarket.engine import SCHEDULE_PARAMS
+from rightsmarket.engine import SCHEDULE_PARAMS, run
+from rightsmarket.errors import SimulationError
 
 EDGES = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1e308)
 
@@ -107,6 +109,35 @@ def logistic(high):
     return {"kind": "logistic", "high": high, "rate": 1e-300, "midpoint": 1.0}
 
 
+RIGHT_PRICE_OVERFLOW = {
+    "name": "fuzz",
+    "variant": "rights",
+    "horizon": 5,
+    "mechanism": {"kind": "canonical", "rank": 2},
+    "sellers": [{"resupply": logistic(1e300)}, {"resupply": logistic(1e300)}],
+    "buyers": [
+        {
+            "claim": 2.6931805709437023e-70,
+            "income": {"kind": "step", "before": 5e-324, "after": -1.0, "switch_round": 1e-300},
+        },
+        {"claim": 1e-300, "income": logistic(1e300)},
+    ],
+    "greedy_price_factor": 1e300,
+}
+
+
+def test_an_overflowing_right_price_stops_the_run():
+    # the round checks it, so a library caller gets the error ``simulate``
+    # reports, not a trace holding inf
+    config = cli.parse_scenario(RIGHT_PRICE_OVERFLOW).config
+    with pytest.raises(SimulationError, match="^round 1: Right price is not finite$"):
+        run(config)
+    code, err, csv = command("simulate", RIGHT_PRICE_OVERFLOW)
+    assert (code, err, csv) == (
+        cli.EXIT_RUNTIME, "simulation failed: round 1: Right price is not finite\n", None
+    )
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 # the free market's hypothetical Right, 1e308 * 1e308 / 1e308, overflows:
@@ -122,25 +153,9 @@ def logistic(high):
         "buyers": [{"claim": 1e308, "income": constant(1.0)}],
     }
 )
-# the Right price, a mean weighted by Right volumes near 1e300, overflows
-# while every round check passes: it used to be written as inf with exit 0
-@example(
-    {
-        "name": "fuzz",
-        "variant": "rights",
-        "horizon": 5,
-        "mechanism": {"kind": "canonical", "rank": 2},
-        "sellers": [{"resupply": logistic(1e300)}, {"resupply": logistic(1e300)}],
-        "buyers": [
-            {
-                "claim": 2.6931805709437023e-70,
-                "income": {"kind": "step", "before": 5e-324, "after": -1.0, "switch_round": 1e-300},
-            },
-            {"claim": 1e-300, "income": logistic(1e300)},
-        ],
-        "greedy_price_factor": 1e300,
-    }
-)
+# the Right price, a mean weighted by Right volumes near 1e300, overflows:
+# it used to be written as inf with exit 0, and now stops the run
+@example(RIGHT_PRICE_OVERFLOW)
 # the phase 2 pi t / period of a subnormal period is infinite, and its
 # cosine a ``math`` domain error: ``audit`` used to exit 1 with a traceback
 @example(

@@ -293,6 +293,37 @@ def test_a_posted_price_that_overflows_fails_every_path_alike():
         batch.play_batch(config, checkpoints, 6, [[]])
 
 
+@pytest.mark.parametrize("num_buyers", [3, 60])
+def test_a_right_price_that_overflows_fails_every_path_alike(num_buyers):
+    # 60 buyers are enough for ``wide`` as shipped. From round 3 the Good on
+    # sale and every income are 1e300 times larger, so the buyers hold
+    # Right near 1e298 each and, with money worth so little at a price
+    # factor of 1e20, offer nearly all of it at P near 1e20: the Right
+    # price, a mean weighted by the Right on sale, overflows to inf while
+    # every other check passes. It used to be returned in the trace.
+    base = generate_dirichlet_scenario(num_buyers, float("inf"), 0, horizon=5)
+    config = replace(
+        base,
+        sellers=(SellerSpec(SupplySchedule.step(1.0, 1e300, 3)),),
+        buyers=tuple(
+            replace(b, income=SupplySchedule.step(b.income.args[0], b.income.args[0] * 1e300, 3))
+            for b in base.buyers
+        ),
+        greedy_price_factor=1e20,
+    )
+    failure = ("SimulationError", 3, "round 3: Right price is not finite")
+    assert both(lambda: run(config)) == [failure] * 2
+    if num_buyers >= engine.WIDE_MIN_BUYERS:
+        assert outcome(lambda: run(config)) == failure
+    # a list with nothing to adjust resumes at the short baseline's last
+    # checkpoint, round 2
+    _, checkpoints = run_with_checkpoints(config, 1)
+    assert outcome(lambda: replay_batch(config, checkpoints, 5, [[]])[0]) == failure
+    # the batch kernel fails on its own, before any replay one at a time
+    with pytest.raises(SimulationError, match="^round 3: Right price is not finite$"):
+        batch.play_batch(config, checkpoints, 5, [[], []])
+
+
 # -- failing runs --------------------------------------------------------------
 
 
