@@ -459,6 +459,18 @@ def _run(
 # every one of them on ``batch``, whatever its size.
 WIDE_MIN_BUYERS = 60
 
+# The number of settled rounds ``_play_rounds`` keeps for reuse, the
+# oldest evicted first: greedy play settles into cycles of a few rounds,
+# and a longer cycle needs more entries. Counted in ``engine.clear`` calls,
+# one per round not reused, with 2, 4, 8 and 16 entries: ``sweep 3:10``
+# with 10 seeds makes 3,922, 3,681, 3,517 and 3,505; the 590 rounds of
+# ``generate_dirichlet_scenario(59, 20.0, 0)`` make 590, then 55 from 4
+# entries on (about 80 ms a run against 250 ms with 2, 2-core host, raw);
+# the 14 presets make 669 up to 8. 8 is the knee. A run that never
+# repeats, ``(59, 20.0, 1)``, keeps its peak RSS (40.1 MB with 2 or 8),
+# and ``(10, 20.0, 0)``, which repeats 22 rounds back, stays uncaught.
+SETTLED_ROUNDS = 8
+
 
 def _play_rounds(
     config: MarketConfig,
@@ -481,24 +493,25 @@ def _play_rounds(
     Good residuals. A failure, including one in the transition into round
     t, aborts with round index t.
 
-    Greedy play settles: the price goes to 1 and the poor buyers' money
-    alternates between two values, so a settled rights round starts as the
-    round one or two back did. The run keeps its last two unadjusted
-    rights rounds in ``recent``, each as a key, the bits of the offered
-    volumes and the buyers' start money, and the posted price, rights,
-    offers, P and clearing computed from it, with the record fields that
-    follow from the bids and the clearing alone: the Right price, the
-    Right offered and demanded, the useful and useless money and the
-    volume sold. ``_run_rights_round`` reuses them; each is a pure function
-    of the entry's bids and clearing, so a reused field is the one the
-    round would compute. Two entries catch nearly every repeat of the
-    presets and the audit baselines; one per round would grow with a run
-    that never repeats, and entries kept on the config would outlive the
-    run.
+    Greedy play settles: the price goes to 1 and the buyers' money cycles
+    through a few values, so a settled rights round starts as a round a
+    few back did (one or two back in the presets, four back in
+    ``generate_dirichlet_scenario(59, 20.0, 0)``). The run keeps its last
+    ``SETTLED_ROUNDS`` unadjusted rights rounds in ``recent``, a dict from
+    a key, the bits of the offered volumes and the buyers' start money, to
+    the posted price, rights, offers, P and clearing computed from it,
+    with the record fields that follow from the bids and the clearing
+    alone: the Right price, the Right offered and demanded, the useful and
+    useless money and the volume sold. ``_run_rights_round`` reuses them;
+    each is a pure function of the entry's bids and clearing, so a reused
+    field is the one the round would compute. A lookup is one hash; the
+    oldest entry is evicted first, so a run that never repeats holds no
+    more than ``SETTLED_ROUNDS`` entries. Entries kept on the config would
+    outlive the run.
     """
     max_money_res = 0.0
     max_good_res = 0.0
-    recent: list[tuple[bytes, tuple]] = []
+    recent: dict[bytes, tuple] = {}
     pack = struct.Struct(f"{config.num_sellers + config.num_buyers}d").pack
 
     tau = state.round_index
@@ -621,7 +634,7 @@ def _run_rights_round(
     tau: int,
     adjustments: AdjustmentIndex,
     records: list[RoundRecord],
-    recent: list[tuple[bytes, tuple]],
+    recent: dict[bytes, tuple],
     pack: Callable[..., bytes],
 ):
     """Play round ``tau`` of a rights variant on ``state``, in place, and
@@ -632,16 +645,18 @@ def _run_rights_round(
     and the buyers' start money, matches the key of an entry of ``recent``
     bit for bit takes that entry's posted price, rights, offers, P and
     clearing, and the record fields derived from its bids and clearing,
-    instead of computing them; otherwise it computes them and makes them
-    the newest of the two entries. Bits, not floats, are compared, since
-    -0.0 == 0.0. The reuse is exact: those values read only the config,
-    the offered volumes and the start money, and the rights follow from the
-    offered volume. Seller stock enters ``clear`` only through its check
-    ``volume > stock + CONSERVATION_TOL``, which cannot trigger, as
-    ``_offer_volumes`` clamps every volume to the stock. The derived fields
-    read nothing but the bids and the clearing. Settlement, the money, Good
-    and rights-cap checks, ``_check_residuals``, ``_check_finite``, the
-    rest of the record and the utilities run every round.
+    instead of computing them; otherwise it computes them and adds them as
+    the newest entry, evicting the oldest past ``SETTLED_ROUNDS``. Either
+    way the buyers then hold the round's rights, which ``clear`` reads.
+    Bits, not floats, are compared, since -0.0 == 0.0. The reuse is exact:
+    those values read only the config, the offered volumes and the start
+    money, and the rights follow from the offered volume. Seller stock
+    enters ``clear`` only through its check ``volume > stock +
+    CONSERVATION_TOL``, which cannot trigger, as ``_offer_volumes`` clamps
+    every volume to the stock. The derived fields read nothing but the bids
+    and the clearing. Settlement, the money, Good and rights-cap checks,
+    ``_check_residuals``, ``_check_finite``, the rest of the record and the
+    utilities run every round.
     """
     nb = config.num_buyers
     buyers = state.buyers
@@ -653,19 +668,15 @@ def _run_rights_round(
     # offered volume
     volumes, offered = _offer_volumes(config, tau, round_adjustments, state.sellers)
     key = None if round_adjustments else pack(*volumes, *money_start)
-    for seen, values in recent:
-        if seen == key:
-            posted, rights, offers, price_avg, result, fields = values
-            for buyer, right in zip(buyers, rights):
-                buyer.right = right
-            break
-    else:
+    entry = recent.get(key)
+    if entry is None:
         posted, rights = posted_greedy_price(state, config, offered)
+    else:
+        posted, rights, offers, price_avg, result, fields = entry
+    for buyer, right in zip(buyers, rights):
+        buyer.right = right
+    if entry is None:
         offers = _seller_offers(posted, volumes, round_adjustments)
-
-        for buyer, right in zip(buyers, rights):
-            buyer.right = right
-
         price_avg = mean_posted_price(offers)
         bids = greedy_buyer_bids(price_avg, offered, money_start, rights, config.variant)
         if round_adjustments:
@@ -691,8 +702,9 @@ def _run_rights_round(
             price_right, right_offered, right_demanded, useful, useless, result.volume_sold
         )
         if key is not None:
-            recent.append((key, (posted, rights, offers, price_avg, result, fields)))
-            del recent[:-2]
+            recent[key] = (posted, rights, offers, price_avg, result, fields)
+            if len(recent) > SETTLED_ROUNDS:
+                del recent[next(iter(recent))]  # the oldest entry
     price_right, right_offered, right_demanded, useful, useless, volume_sold = fields
 
     sellers = state.sellers

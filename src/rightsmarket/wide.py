@@ -15,10 +15,12 @@ column in each field.
 
 Greedy play is all ``clear`` has to handle here: every seller posts one
 price, and every buyer prices the Right at P and is on one side of it at
-most. So ``clear`` has one good level, one Right level, and no per-buyer
-price ceilings (its docstring says why each rule of ``mechanism.clear``
-it leaves out cannot change a greedy round). The several levels and the
-arbitrary bids of the audit's deviations are ``batch``'s.
+most. So ``clear`` has one good level, one Right level, no per-buyer
+price ceilings and no bid rejections: its docstring states the contract
+of greedy bids it relies on, and why each rule of ``mechanism.clear`` it
+leaves out cannot change a greedy round. The several levels and the
+arbitrary bids of the audit's deviations are ``batch``'s, which rejects
+bids as ``mechanism.clear`` does.
 
 Every replay, the audit's one-round deviations, is played by ``batch``
 instead, one market per row, whatever its size; smaller runs, runs with
@@ -56,7 +58,7 @@ import numpy as np
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
 from .engine import RoundRecord, _check_finite, _check_residuals
 from .errors import PricingError, SimulationError
-from .mechanism import BuyerBid, ClearingResult, GoodLevels, Rejection, SellerOffer
+from .mechanism import ClearingResult, GoodLevels, SellerOffer
 from .pricing import mean_posted_price, mechanism_rights
 
 # rows of a bid array, in ``BuyerBid`` field order, each shaped as the
@@ -452,62 +454,54 @@ def clear(
     a float64 column in each field. The rules, and why the loops end
     without an iteration cap, are in ``mechanism``'s docstring.
 
-    Greedy play leaves four of ``mechanism.clear``'s rules without effect,
+    The bids are cleared as given, with no bid rejections. ``clear`` relies
+    on this contract of greedy bids, which
+    ``tests/test_clear_oracle.py::test_greedy_bids_keep_the_contract_wide_clear_relies_on``
+    pins:
+
+    - no bid entry is NaN or negative (caps may be infinite): a round
+      starts with money that is neither, and with finite rights
+      (``pricing.mechanism_rights`` stops the round on any other), and
+      ``_positive`` turns the NaN of an infinite M/P into 0.0;
+    - every price row is P;
+    - no offer is above its Right: psi = max(0, R - M/P) with M/P >= 0 is
+      at most R, halved in the myopic variant, and 0 in the free-Good
+      branch;
+    - no buyer both offers more than ``EQ_TOL`` and has a Right cap above
+      0: psi > 0 means M/P < R, which makes xi 0.
+
+    The one exception is a NaN P, which only a NaN posted price gives: then
+    ``GoodLevels`` rejects every offer, nothing trades, and ``settle``
+    stops the round. Under the contract four of ``mechanism.clear``'s rules have no effect,
     so they are left out here:
 
-    - every price row of the bids is P, so the buyers' price ceilings are
-      one test, ``P >= pg``, before each step, and stage 2 has one Right
-      level, at P;
-    - no offer exceeds its Right: psi = max(0, R - M/P) with M/P >= 0 is at
-      most R, halved in the myopic variant, and 0 in the free-Good branch
-      and for a NaN Right, so the offer clamp ``min(offer, right)`` is the
-      offer;
-    - no buyer offers more than ``EQ_TOL`` and also has xi > 0: psi > 0
-      means M/P < R, which makes xi 0, so zeroing a Right seller's Right
-      cap changes nothing;
+    - the buyers' price ceilings are one test, ``P >= pg``, before each
+      step, and stage 2 has one Right level, at P;
+    - the offer clamp ``min(offer, right)`` is the offer;
+    - zeroing a Right seller's Right cap changes nothing;
     - every seller posts one price, so ``GoodLevels`` holds one good
       level; it still sells at an equal rate and rejects bad offers.
 
-    The bid rejections stay as a check on the bids, with the scalar
-    reasons, although no run reaches them: a NaN Right, whose bid they
-    would reject, now stops the round before any bid is built
-    (``pricing.mechanism_rights``).
-
     Each pass over the buyers is an array operation over all of them: a
     buyer the scalar pass skips (no Good cap, licence or Right cap left)
-    has a demand of at most 0 here and is not updated. ``vbar_rem`` and
-    ``wbar_rem`` are never NaN (a NaN cap is rejected and a cap only falls
-    through ``_positive``), so an ``np.fmin`` chain that starts from them
-    skips a NaN bound as the scalar ``v if v < cap else cap`` does. A
-    buyer whose licence is not positive, NaN included, is left out of a
-    stage-1 pass explicitly, as the scalar pass leaves them out.
+    has a demand of at most 0 here and is not updated. No cap or licence
+    is NaN, and each only falls through ``_positive``, so an ``np.fmin``
+    chain that starts from them skips a NaN bound as the scalar ``v if v <
+    cap else cap`` does, and a stage-1 cap above 0 means a licence above 0.
     """
     nb = market.money.size
     myopic = variant == "myopic_rights"
     price_avg = float(bids[GOOD_PRICE, 0])  # every price row is P
 
-    rejected: list[Rejection] = []
+    rejected: list = []  # the offers ``GoodLevels`` rejects
     book = GoodLevels(offers, market.seller_good.tolist(), rejected)
     good_levels, sell_price, sell_rem = book.levels, book.price, book.remaining
 
-    right = market.right
     offer_rem = bids[OFFER].copy()
-    rights_use = right - offer_rem
+    rights_use = market.right - offer_rem
     spend = market.money.copy()
     vbar_rem = bids[GOOD_CAP].copy()
     wbar_rem = bids[RIGHT_CAP].copy()
-    # ``not x >= 0.0`` also catches NaN
-    feasible = bids >= 0.0
-    over = offer_rem > right + CONSERVATION_TOL
-    if not feasible.all() or np.count_nonzero(over):
-        bad = ~feasible.all(axis=0) | over
-        for b in bad.nonzero()[0].tolist():
-            bid = BuyerBid(*bids[:, b].tolist())
-            reason = f"bid {bid} infeasible against right {float(right[b])!r}"
-            rejected.append(Rejection("buyer", b, reason))
-        # zero caps and no Right on sale keep them out of every pass
-        for column in (spend, offer_rem, rights_use, vbar_rem, wbar_rem):
-            column[bad] = 0.0
 
     flows = np.zeros((6, nb))
     good_bought, right_bought, right_sold, spent_good, spent_right, earned = flows
@@ -523,7 +517,7 @@ def clear(
             cap = np.fmin(vbar_rem, licence)
             if pg > 0.0:
                 cap = np.fmin(cap, spend / pg)
-            demanders = ((cap > 0.0) & (licence > 0.0)).nonzero()[0]
+            demanders = (cap > 0.0).nonzero()[0]
             demand = cap[demanders]
             # no buyer left sums to 0.0
             total_demand = _sum(demand)

@@ -254,7 +254,8 @@ def greedy_market(draw):
     the variant. P is the mean posted price: one ulp below it for ten
     sellers at ``ULP_BELOW``, and 0 or -0.0 in the free-Good branch. Stocks
     hold at least the volume offered, as ``engine._offer_volumes`` clamps
-    it, and buyer 0 may hold a NaN Right, whose bid is rejected."""
+    it. Every Right is finite, as ``pricing.mechanism_rights`` assigns
+    them."""
     variant = draw(st.sampled_from(VARIANTS))
     posted = draw(st.sampled_from([0.5, 1.0, 0.25, ULP_BELOW, 0.0, -0.0]))
     ns = 10 if posted == ULP_BELOW else draw(st.integers(1, 8))
@@ -263,8 +264,7 @@ def greedy_market(draw):
     offers = [SellerOffer(v, posted) for v in volumes]
     nb = draw(st.integers(1, 12))
     money = [draw(MONEY) for _ in range(nb)]
-    rights = [draw(st.one_of(AMOUNTS, st.just(float("nan")))) if b == 0 else draw(AMOUNTS)
-              for b in range(nb)]
+    rights = [draw(AMOUNTS) for _ in range(nb)]
     price_avg = mean_posted_price(offers)
     with np.errstate(all="ignore"):
         matrix = wide.greedy_bids(
@@ -275,17 +275,25 @@ def greedy_market(draw):
     return (offers, bids, MarketState(1, sellers, buyers)), variant
 
 
+# money a run can hold: not negative, and infinite once it overflows
+RUN_MONEY = st.one_of(st.sampled_from([0.0, float("inf")]), st.floats(0.0, 1e300))
+
+
 @settings(deadline=None)
 @given(
-    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20),
+    st.lists(RUN_MONEY, min_size=1, max_size=20),
     st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=20, max_size=20),
-    st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    st.one_of(st.sampled_from([0.0, -0.0, float("inf")]), st.floats(0.0, 1e300)),
     st.sampled_from(VARIANTS),
 )
 def test_greedy_bids_keep_the_contract_wide_clear_relies_on(money, rights, price_avg, variant):
+    # the contract of ``wide.clear``'s docstring, which clears these bids
+    # without rejecting any
     rights = np.array(rights[: len(money)])
     with np.errstate(all="ignore"):
         bids = wide.greedy_bids(price_avg, 1.0, np.array(money), rights, variant)
+    # no entry NaN or negative; a cap may be infinite
+    assert (bids >= 0.0).all()
     # one Right price and one ceiling: P
     for row in (wide.OFFER_PRICE, wide.GOOD_PRICE, wide.RIGHT_PRICE):
         assert (bids[row] == price_avg).all()
@@ -297,9 +305,36 @@ def test_greedy_bids_keep_the_contract_wide_clear_relies_on(money, rights, price
 @settings(deadline=None)
 @given(greedy_market())
 def test_wide_clear_matches_clear(case):
-    # ``repr`` tells -0.0 from 0.0, and lists every rejection reason
+    # ``repr`` tells -0.0 from 0.0
     market, variant = case
     assert repr(clear_wide(*market, variant)) == repr(mechanism.clear(*market, variant))
+
+
+@pytest.mark.parametrize("field", [*BuyerBid._fields, "right"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_nan_bid_is_rejected_on_batch_as_on_clear(field, variant):
+    # a bid ``wide.clear`` never gets: buyer 0 is rejected with the scalar
+    # reason, and buyer 1 still trades; "right" is the greedy bid of a NaN
+    # Right, which ``pricing.mechanism_rights`` stops before any bid is built
+    state = MarketState(
+        1,
+        [SellerState(good=1.0)],
+        [BuyerState(good=0.0, money=1.0, right=0.5), BuyerState(good=0.0, money=1.0, right=0.5)],
+    )
+    offers = [SellerOffer(1.0, 0.5)]
+    bids = [BuyerBid(0.0, 0.5, 1.0, 0.5, 0.5, 0.5)] * 2
+    if field == "right":
+        state.buyers[0].right = float("nan")
+        with np.errstate(all="ignore"):
+            greedy = wide.greedy_bids(0.5, 1.0, np.array([1.0]), np.array([np.nan]), variant)
+        bids[0] = BuyerBid(*greedy[:, 0].tolist())
+    else:
+        bids[0] = bids[0]._replace(**{field: float("nan")})
+    want = mechanism.clear(offers, bids, state, variant)
+    assert [(r.side, r.index) for r in want.rejected] == [("buyer", 0)]
+    assert want.good_bought[0] == 0.0 < want.good_bought[1]
+    # ``repr`` compares the rejection reasons, NaN included
+    assert repr(clear_batch([(offers, bids, state)] * 2, variant)[0]) == repr(want)
 
 
 # -- termination ---------------------------------------------------------------

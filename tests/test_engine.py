@@ -667,8 +667,9 @@ class TestReplayChecks:
 
 class TestSettledRounds:
     """Greedy play settles: a rights round without adjustments that starts
-    with the offered volumes and buyer money of one of the last two such
-    rounds, bit for bit, reuses their price, bids and clearing."""
+    with the offered volumes and buyer money of one of the last
+    ``engine.SETTLED_ROUNDS`` such rounds, bit for bit, reuses their price,
+    bids and clearing."""
 
     @staticmethod
     def clearing_rounds(monkeypatch):
@@ -713,6 +714,23 @@ class TestSettledRounds:
         monkeypatch.setattr(engine, "consumed_utility", spy)
         trace = run(config)
         assert held == [r.right_assigned for r in trace.records] == [(0.0, 0.0, 1.0)] * 60
+
+    def test_a_cycle_of_four_rounds_is_reused(self, monkeypatch):
+        # from round 56 on, each round of this scalar market starts as the
+        # round four back did, which two entries missed: the run cleared
+        # 590 times. ``generate_dirichlet_scenario(10, 20.0, 0)`` repeats 22
+        # rounds back, past ``engine.SETTLED_ROUNDS``, and stays uncaught
+        config = generate_dirichlet_scenario(59, 20.0, rng_seed=0)
+        assert config.num_buyers < engine.WIDE_MIN_BUYERS
+        assert config.horizon == 590
+        rounds = self.clearing_rounds(monkeypatch)
+        trace = run(config)
+        assert rounds == list(range(1, 56))
+        # with no entry kept, every round clears, to the same trace
+        monkeypatch.setattr(engine, "SETTLED_ROUNDS", 0)
+        rounds.clear()
+        assert repr(run(config)) == repr(trace)
+        assert len(rounds) == 590
 
     def test_a_round_after_a_deviation_reuses_one_from_before_it(self, monkeypatch):
         # from round 3 on, each round of canonical-rank3-a starts as round 1

@@ -1,6 +1,20 @@
 """Metamorphic tests: transform a market, and require what the model says
 the trace must do.
 
+Reversing the buyers' order relabels them and changes nothing else under a
+mechanism that reads claims and not indexes (proportional and contested
+garment): the trace must be the same, with each buyer's fields reversed.
+The sums over buyers then add in another order, so each value may move by
+``ULPS`` ulps of its size. This is checked on the presets and on Dirichlet
+markets on both sides of ``engine.WIDE_MIN_BUYERS``.
+
+Splitting the one seller of the four scenario presets into k sellers that
+each resupply 1/k is the same market too. With k a power of two 1/k is
+exact and the trace must be bit for bit the same; with k = 3 it must stay
+within ``ULPS``. Where it does not, the sellers' float mean price P rounds
+below their common price and rounds stall (ROADMAP item 2), and the case
+is a strict ``xfail`` that names it.
+
 Scaling every buyer's income by c = 2^k scales every money amount by c and
 moves no Good: the implicit price, P, the posted and Right prices scale by
 c, while M/P, the rights, the bids' volumes and every clearing step stay
@@ -14,6 +28,7 @@ markets of ``engine.WIDE_MIN_BUYERS`` buyers and more) and on ``batch``
     PYTHONPATH=src python -m pytest tests/test_metamorphic.py --hypothesis-profile=ci
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -28,6 +43,7 @@ from rightsmarket.engine import (
     run,
     run_with_checkpoints,
 )
+from rightsmarket.rights import DistributionMechanism
 
 POWERS = (-10, -3, 3, 10, 30)
 
@@ -162,3 +178,120 @@ def test_scaling_incomes_keeps_the_buyer_totals_of_every_audit_trial(preset, k):
     assert len(base) == len(lists) > 0
     for (_, want), (_, got) in zip(base, scaled):
         assert repr(got) == repr(want)
+
+
+# -- relabelling buyers and splitting sellers ---------------------------------
+
+# A transform that the model leaves exact but floats do not, such as adding
+# in another order or dividing by 3, moves a value v by at most ULPS ulps of
+# max(1, |v|); a utility total, a sum over the rounds, by that many for
+# each round. Frustration, (R - Good) / R, is left out: it follows from the
+# Right and Good held to the bound, and dividing by a small R grows their
+# ulps.
+ULPS = 16
+ULP = sys.float_info.epsilon
+CLOSE_FIELDS = MONEY_FIELDS + tuple(name for name in GOOD_FIELDS if name != "frustration")
+
+
+def assert_close(got, want, where, rounds=1):
+    """Each float of ``got`` within ``rounds`` times ``ULPS`` ulps of
+    ``want``'s, at the larger of 1 and its size."""
+    assert len(got) == len(want), where
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rounds * ULPS * ULP * max(1.0, abs(w)), (where, g, w)
+
+
+def assert_trace_close(got, want, relabel=lambda buyers: buyers):
+    """``got`` within ``ULPS`` of ``want`` in every record field but
+    frustration and in the buyer totals, each per-buyer tuple of ``got``
+    read through ``relabel``."""
+    assert len(got.records) == len(want.records)
+    for g, w in zip(got.records, want.records):
+        for name in CLOSE_FIELDS:
+            value, expected = getattr(g, name), getattr(w, name)
+            if isinstance(value, tuple):
+                value = relabel(value)
+            else:
+                value, expected = (value,), (expected,)
+            assert_close(value, expected, (w.round_index, name))
+    rounds = len(want.records)
+    assert_close(relabel(got.buyer_utilities), want.buyer_utilities, "buyer totals", rounds)
+
+
+def reversed_buyers(config):
+    return replace(config, buyers=config.buyers[::-1])
+
+
+RELABEL_PRESETS = [
+    p for p in cli.list_presets()
+    if cli.load_scenario(p).config.mechanism.kind in ("proportional", "contested_garment")
+]
+
+
+@pytest.mark.parametrize("preset", RELABEL_PRESETS)
+def test_reversing_the_buyers_reverses_a_preset_trace(preset):
+    # three buyers: the scalar round
+    config = cli.load_scenario(preset).config
+    assert_trace_close(run(reversed_buyers(config)), run(config), lambda b: b[::-1])
+
+
+@pytest.mark.parametrize("kind", ["proportional", "contested_garment"])
+@pytest.mark.parametrize("num_buyers", [10, 300])
+def test_reversing_the_buyers_reverses_a_dirichlet_trace(num_buyers, kind):
+    # 10 buyers play on the scalar round, 300 on ``wide``
+    config = replace(
+        generate_dirichlet_scenario(num_buyers, 20.0, rng_seed=0, horizon=20),
+        mechanism=getattr(DistributionMechanism, kind)(),
+    )
+    assert (num_buyers >= engine.WIDE_MIN_BUYERS) == (num_buyers == 300)
+    assert_trace_close(run(reversed_buyers(config)), run(config), lambda b: b[::-1])
+
+
+SPLIT_PRESETS = (
+    "scenario-a-proportional",
+    "scenario-a-contested-garment",
+    "scenario-b-proportional",
+    "scenario-b-contested-garment",
+)
+STALLS = (
+    "the sellers' float mean price P rounds one ulp below their common price, so no "
+    "buyer reaches an offer and rounds sell nothing (ROADMAP item 2)"
+)
+
+
+def split_seller(config, k):
+    """``config`` with its one constant-resupply seller split into ``k``
+    sellers that each resupply 1/k of it."""
+    [seller] = config.sellers
+    assert seller.resupply.kind == "constant"
+    level = seller.resupply.args[0]
+    return replace(config, sellers=(SellerSpec(SupplySchedule.constant(level / k)),) * k)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("preset", SPLIT_PRESETS)
+def test_splitting_the_seller_in_a_power_of_two_keeps_the_trace(preset, k):
+    config = cli.load_scenario(preset).config
+    want, got = run(config), run(split_seller(config, k))
+    # ``repr`` tells -0.0 from 0.0
+    assert repr(got.records) == repr(want.records)
+    assert repr(got.buyer_utilities) == repr(want.buyer_utilities)
+    assert repr(got.expected_frustration_path) == repr(want.expected_frustration_path)
+    # the k sellers together earn what the one did
+    assert sum(got.seller_utilities) == want.seller_utilities[0]
+
+
+@pytest.mark.parametrize(
+    ("preset", "k"),
+    [
+        pytest.param(
+            p, k, marks=pytest.mark.xfail(strict=True, reason=STALLS)
+            if k == 10 or p.endswith("contested-garment") else ()
+        )
+        for p in SPLIT_PRESETS
+        for k in (3, 10)
+    ],
+)
+def test_splitting_the_seller_stays_within_the_bound(preset, k):
+    config = cli.load_scenario(preset).config
+    assert_trace_close(run(split_seller(config, k)), run(config))

@@ -24,8 +24,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rightsmarket import cli
 from rightsmarket.core import VARIANTS
-from rightsmarket.engine import SCHEDULE_PARAMS, run
-from rightsmarket.errors import SimulationError
+from rightsmarket.engine import SCHEDULE_PARAMS, WIDE_MIN_BUYERS, run
+from rightsmarket.errors import RightsMarketError, SimulationError
 
 EDGES = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1e308)
 
@@ -189,3 +189,25 @@ def test_a_scenario_exits_cleanly(scenario):
             fields = row.split(",")
             assert len(fields) == len(header.split(","))
             assert all(math.isfinite(float(x)) for x in fields), row
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=("scalar", "wide"))
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=scenarios())
+def test_a_greedy_trace_rejects_nothing(wide, scenario):
+    # ``simulate`` plays every trader greedy, and greedy offers and bids are
+    # never rejected: on the scalar round, and on ``wide``, whose ``clear``
+    # clears bids as given, once the drawn buyers are repeated up to
+    # ``WIDE_MIN_BUYERS`` or more
+    if wide:
+        buyers = scenario["buyers"]
+        repeats = -(-WIDE_MIN_BUYERS // len(buyers))
+        scenario = {**scenario, "buyers": buyers * repeats}
+    try:
+        config = cli.parse_scenario(scenario).config
+        trace = run(config)
+    except RightsMarketError:
+        return  # exit 2 or 4
+    assert (config.num_buyers >= WIDE_MIN_BUYERS) == wide
+    for record in trace.records:
+        assert record.rejections == (), record.round_index

@@ -463,9 +463,10 @@ def test_a_round_with_no_good_offered_fails_both_paths_alike(num_buyers):
 
 # -- settled rounds ------------------------------------------------------------
 #
-# The scalar round reuses the price, bids and clearing of one of the last two
-# unadjusted rounds that started with the same offered volumes and buyer
-# money; ``wide`` and ``batch`` compute every round, so they are the oracle.
+# The scalar round reuses the price, bids and clearing of one of the last
+# ``engine.SETTLED_ROUNDS`` unadjusted rounds that started with the same
+# offered volumes and buyer money; ``wide`` and ``batch`` compute every round,
+# so they are the oracle.
 
 RIGHTS_PRESETS = [
     p for p in cli.list_presets() if cli.load_scenario(p).config.variant != "free_market"
@@ -495,7 +496,7 @@ def settling_markets(draw):
     """A constant-schedule market of 2 to 7 buyers and 1 to 3 sellers, with
     incomes and resupply that each add up to 1, over 30 to 80 rounds, and up
     to eight bid adjustments in its last ten rounds. Greedy play on many of
-    them settles into rounds that start as the one or two before did."""
+    them settles into rounds that start as one a few before did."""
     num_buyers = draw(st.integers(2, 7))
     num_sellers = draw(st.integers(1, 3))
     horizon = draw(st.integers(30, 80))
