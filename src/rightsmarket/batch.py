@@ -34,9 +34,10 @@ each replay with the scalar ``engine.run`` of its adjustments, and
 
 A single replay is played here too, as a batch of one: a 20-round replay
 of a 300-buyer, 10-seller market takes about 15 ms here against about
-29 ms on the scalar round (raw, 2-core host). An all-greedy run goes to
-``wide`` from ``engine.WIDE_MIN_BUYERS`` buyers, whose arrays are one
-market's columns: there a ``crowd`` round is about 1.5x faster than here.
+29 ms on the scalar round (raw, 2-core host). An all-greedy ``rights``
+run goes to ``wide`` from ``engine.WIDE_MIN_BUYERS`` buyers, whose arrays
+are one market's columns: there a ``crowd`` round is about 1.5x faster
+than here.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ and no function or scenario key takes another value:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol, Sequence
@@ -85,6 +86,11 @@ class MarketConfig:
     ``greedy_price_factor`` multiplies the price greedy sellers post; values
     other than 1.0 deliberately move the profile off the equilibrium and are
     used as a negative control in audits.
+
+    ``horizon`` must be an integer (not a bool) of at least 1,
+    ``seller_storage_cost`` finite and non-negative and
+    ``greedy_price_factor`` finite and positive; anything else, NaN
+    included, is a ``ConfigError`` naming the field.
     """
 
     sellers: tuple[SellerSpec, ...]
@@ -104,12 +110,13 @@ class MarketConfig:
             raise ConfigError("at least one buyer is required")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be a positive integer")
-        if self.seller_storage_cost < 0:
-            raise ConfigError("seller_storage_cost must be non-negative")
-        if self.greedy_price_factor <= 0:
-            raise ConfigError("greedy_price_factor must be positive")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 1:
+            raise ConfigError(f"horizon must be a positive integer, got {self.horizon!r}")
+        cost, factor = self.seller_storage_cost, self.greedy_price_factor
+        if not (math.isfinite(cost) and cost >= 0.0):
+            raise ConfigError(f"seller_storage_cost must be finite and non-negative, got {cost!r}")
+        if not (math.isfinite(factor) and factor > 0.0):
+            raise ConfigError(f"greedy_price_factor must be finite and positive, got {factor!r}")
         # the claim ranks a canonical or weighted mechanism gives Right to
         kind = getattr(self.mechanism, "kind", None)
         ranks = [self.mechanism.rank] if kind == "canonical" else []

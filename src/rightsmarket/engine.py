@@ -8,12 +8,12 @@ round. Three variants share the loop: "rights" (the hybrid system),
 "myopic_rights" (right-sale proceeds spendable in the same round).
 
 The scalar round here is the reference. Two numpy kernels play the same
-rights-variant rounds bit for bit, each for one job: ``wide`` plays
-all-greedy runs of ``WIDE_MIN_BUYERS`` buyers or more, and ``batch`` plays
-every replay of ``replay_batch``, whatever its size, one market per row,
-each from the baseline's checkpoint at its first deviating round.
-Smaller runs, runs with adjustments or checkpoints and ``free_market`` stay
-here.
+rounds bit for bit, each for one job: ``wide`` plays all-greedy
+``rights`` runs of ``WIDE_MIN_BUYERS`` buyers or more, and ``batch``
+plays every replay of ``replay_batch`` of either rights variant, whatever
+its size, one market per row, each from the baseline's checkpoint at its
+first deviating round. Smaller runs, runs with adjustments or
+checkpoints, ``myopic_rights`` runs and ``free_market`` stay here.
 """
 
 from __future__ import annotations
@@ -329,8 +329,11 @@ def run(
     (used by the equilibrium audit). Money, Good and the rights cap are
     checked every round against ``CONSERVATION_TOL``, scaled by the money or
     Good in play where that exceeds 1; a violation aborts the trace with the
-    failing round index.
+    failing round index. Adjustments to a ``free_market`` config are a
+    ``ConfigError``, as in ``replay_batch``: its round ignores them.
     """
+    if adjustments:
+        _refuse_free_market(config)
     return _run(config, horizon, adjustments)
 
 
@@ -374,10 +377,7 @@ def replay_batch(
     and, with any list, an empty ``checkpoints``, from which no list can
     resume.
     """
-    if config.variant == "free_market":
-        raise ConfigError(
-            f"variant {config.variant!r} cannot be replayed: its round ignores deviations"
-        )
+    _refuse_free_market(config)
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
     if not adjustment_lists:
@@ -394,6 +394,15 @@ def replay_batch(
             play_batch(config, checkpoints, horizon, [adjustments])
         raise
     return [(tuple(s), tuple(b)) for s, b in zip(sellers.tolist(), buyers.tolist())]
+
+
+def _refuse_free_market(config: MarketConfig) -> None:
+    """Raise ``ConfigError`` for a ``free_market`` config, whose round
+    ignores every deviation."""
+    if config.variant == "free_market":
+        raise ConfigError(
+            f"variant {config.variant!r} cannot be replayed: its round ignores deviations"
+        )
 
 
 def _run(
@@ -414,7 +423,7 @@ def _run(
         raise SimulationError(1, str(exc)) from exc
     records: list[RoundRecord] = []
     greedy = not adjustments and checkpoints is None
-    if greedy and config.num_buyers >= WIDE_MIN_BUYERS and config.variant != "free_market":
+    if greedy and config.num_buyers >= WIDE_MIN_BUYERS and config.variant == "rights":
         # imported here: the kernel builds this module's records
         from .wide import play_rounds
 
@@ -447,16 +456,25 @@ def _run(
     )
 
 
-# The number of buyers from which an all-greedy rights-variant run is
-# played on ``wide``'s numpy columns. Below it the fixed cost of each numpy
-# call outweighs the per-buyer loops it replaces. Measured on 20-round
-# greedy runs of one market, the two paths break even between 50 buyers
-# (10 sellers) and 60 (one seller); at 3 buyers the kernel is about 3x
-# slower, at 300 about 3x faster. A run with adjustments or checkpoints
-# stays scalar whatever its size: no workload or command plays one of this
-# size but an audit's one baseline (about 40 ms scalar against 18 ms on
-# ``wide`` at 300 buyers). Replays take no part: ``replay_batch`` plays
-# every one of them on ``batch``, whatever its size.
+# The number of buyers from which an all-greedy ``rights`` run is played
+# on ``wide``'s numpy columns. Below it the fixed cost of each numpy call
+# outweighs the per-buyer loops it replaces. Measured on 20-round greedy
+# runs of one market, the two paths break even between 50 buyers (10
+# sellers) and 60 (one seller); at 3 buyers the kernel is about 3x slower,
+# at 300 about 3x faster. A run with adjustments or checkpoints stays
+# scalar whatever its size: no workload or command plays one of this size
+# but an audit's one baseline (about 40 ms scalar against 18 ms on ``wide``
+# at 300 buyers). A ``myopic_rights`` run stays scalar too: at the default
+# horizon of 10 rounds a buyer, the scalar round's settled-round reuse
+# beats the kernel, which computes every round. A run of
+# ``generate_dirichlet_scenario(n, 20.0, 0, variant="myopic_rights")``
+# took 44 ms scalar against 158 ms on ``wide`` at 60 buyers, 110 against
+# 305 at 100 and 929 against 1,339 at 300. Short runs lose: over 20
+# rounds with 10 sellers, 17.5 ms against 13.2 at 300 buyers and 37 against
+# 19 at 1,000 (2-core host, raw, one run per process, medians of 7
+# alternating processes). No workload, preset or script plays one.
+# Replays take no part: ``replay_batch`` plays every one of them on
+# ``batch``, whatever its size.
 WIDE_MIN_BUYERS = 60
 
 # The number of settled rounds ``_play_rounds`` keeps for reuse, the

@@ -1,17 +1,16 @@
 """All-greedy runs of many buyers, played on numpy columns, and the column
 rules that ``batch`` shares.
 
-``engine.run`` hands a ``rights`` or ``myopic_rights`` market to
-``play_rounds`` once it has ``engine.WIDE_MIN_BUYERS`` buyers and every
-trader plays greedy: no bid adjustments and no checkpoints. The kernel
-plays the same round as ``engine._run_rights_round`` and makes the same
-checks and records, but holds each trader quantity as one float64 column
-and runs every pass over the traders (the offered volumes, the
-implicit-price solve, the bids, each clearing step, the settlement, the
-checks, the record, the utilities and the transition) as array
-operations. The buyers' price P is ``pricing.mean_posted_price``, and
-``clear`` returns the scalar ``mechanism.ClearingResult``, with a float64
-column in each field.
+``engine.run`` hands a ``rights`` market to ``play_rounds`` once it has
+``engine.WIDE_MIN_BUYERS`` buyers and every trader plays greedy: no bid
+adjustments and no checkpoints. The kernel plays the same round as
+``engine._run_rights_round`` and makes the same checks and records, but
+holds each trader quantity as one float64 column and runs every pass
+over the traders (the offered volumes, the implicit-price solve, the
+bids, each clearing step, the settlement, the checks, the record, the
+utilities and the transition) as array operations. The buyers' price P
+is ``pricing.mean_posted_price``, and ``clear`` returns the scalar
+``mechanism.ClearingResult``, with a float64 column in each field.
 
 Greedy play is all ``clear`` has to handle here: every seller posts one
 price, and every buyer prices the Right at P and is on one side of it at
@@ -24,13 +23,16 @@ bids as ``mechanism.clear`` does.
 
 Every replay, the audit's one-round deviations, is played by ``batch``
 instead, one market per row, whatever its size; smaller runs, runs with
-adjustments or checkpoints and ``free_market`` stay on the scalar round,
-the reference both kernels are tested against. The state and the column
-rules the two kernels share, ``WideState`` through ``transition`` below,
-are stated once, here, over arrays of any leading shape: one market's
-columns, or the rows of M markets. Each kernel keeps its own round and
-``clear``; the implicit-price solve and the Right fill keep a one-market
-form here, which is faster (see their docstrings).
+adjustments or checkpoints, ``myopic_rights`` and ``free_market`` stay
+on the scalar round, the reference both kernels are tested against. (A
+myopic run of the default horizon plays faster there, as its settled
+rounds are reused; see ``engine.WIDE_MIN_BUYERS``.) The state and the
+column rules the two kernels share, ``WideState`` through ``transition``
+below, are stated once, here, over arrays of any leading shape: one
+market's columns, or the rows of M markets; ``greedy_bids`` takes either
+rights variant, as ``batch`` replays both. Each kernel keeps its own
+round and ``clear``; the implicit-price solve and the Right fill keep a
+one-market form here, which is faster (see their docstrings).
 
 Every result equals the scalar round's bit for bit, in both kernels:
 
@@ -288,8 +290,8 @@ def play_rounds(
     buyer_total: list[float],
     records: list[RoundRecord],
 ) -> tuple[float, float]:
-    """``engine._play_rounds`` of an all-greedy rights-variant run, on
-    columns: the same rounds, checks, records, utility totals and residuals.
+    """``engine._play_rounds`` of an all-greedy ``rights`` run, on columns:
+    the same rounds, checks, records, utility totals and residuals.
     ``state`` is read once and left as it was."""
     market = WideState(state)
     claims = np.array(config.claims, dtype=float)
@@ -403,18 +405,14 @@ def _play_round(
 
     volumes, offered = offer_volumes(tau, np.array(config.resupply_at(tau)), market.seller_good)
     rights = rights_row(rights_memo, config, offered)
-    if config.variant == "myopic_rights":
-        price = _sum(money_start) / offered
-    else:
-        price = implicit_price(money_start, rights)
-    posted = price * config.greedy_price_factor
+    posted = implicit_price(money_start, rights) * config.greedy_price_factor
     offers = [SellerOffer(volume, posted) for volume in volumes.tolist()]
     market.right = rights
 
     price_avg = mean_posted_price(offers)
-    bids = greedy_bids(price_avg, offered, money_start, rights, config.variant)
+    bids = greedy_bids(price_avg, offered, money_start, rights, "rights")
 
-    result = clear(offers, bids, market, config.variant)
+    result = clear(offers, bids, market)
     right_offered = bids[OFFER]
     offered_right = _sum(right_offered)
     price_right = (
@@ -426,7 +424,6 @@ def _play_round(
         market, config, tau, result, volumes, offered, posted, price_avg, price_right, claims
     )
 
-    myopic = config.variant == "myopic_rights"
     good_end = market.good
     with_rights = rights > 0.0
     short_of = (rights - good_end) / rights
@@ -439,20 +436,20 @@ def _play_round(
             tuple(good_end.tolist()), mechanism_rights(config, offered),
             tuple(frustration.tolist()), tuple(right_offered.tolist()),
             tuple(bids[RIGHT_CAP].tolist()), _sum(result.seller_revenue),
-            0.0 if myopic else _sum(result.money_earned_right), offered,
+            _sum(result.money_earned_right), offered,
             _sum(result.seller_sold), result.rejected,
         )
     )
     return seller_u, buyer_u, money_res, float(good_res)
 
 
-def clear(
-    offers: list[SellerOffer], bids: np.ndarray, market: WideState, variant: str
-) -> ClearingResult:
-    """``mechanism.clear`` on columns, for the offers of one posted price
-    and the bid matrix ``greedy_bids`` builds. The ``ClearingResult`` holds
-    a float64 column in each field. The rules, and why the loops end
-    without an iteration cap, are in ``mechanism``'s docstring.
+def clear(offers: list[SellerOffer], bids: np.ndarray, market: WideState) -> ClearingResult:
+    """``mechanism.clear`` of the ``rights`` variant on columns, for the
+    offers of one posted price and the bid matrix ``greedy_bids`` builds:
+    Right-sale proceeds are deferred to the next round, so stage 1 runs
+    once, before stage 2. The ``ClearingResult`` holds a float64 column in
+    each field. The rules, and why the loops end without an iteration cap,
+    are in ``mechanism``'s docstring.
 
     The bids are cleared as given, with no bid rejections. ``clear`` relies
     on this contract of greedy bids, which
@@ -465,14 +462,11 @@ def clear(
       ``_positive`` turns the NaN of an infinite M/P into 0.0;
     - every price row is P;
     - no offer is above its Right: psi = max(0, R - M/P) with M/P >= 0 is
-      at most R, halved in the myopic variant, and 0 in the free-Good
-      branch;
+      at most R, and 0 in the free-Good branch;
     - no buyer both offers more than ``EQ_TOL`` and has a Right cap above
       0: psi > 0 means M/P < R, which makes xi 0.
 
-    The one exception is a NaN P, which only a NaN posted price gives: then
-    ``GoodLevels`` rejects every offer, nothing trades, and ``settle``
-    stops the round. Under the contract four of ``mechanism.clear``'s rules have no effect,
+    Under the contract four of ``mechanism.clear``'s rules have no effect,
     so they are left out here:
 
     - the buyers' price ceilings are one test, ``P >= pg``, before each
@@ -490,7 +484,6 @@ def clear(
     cap else cap`` does, and a stage-1 cap above 0 means a licence above 0.
     """
     nb = market.money.size
-    myopic = variant == "myopic_rights"
     price_avg = float(bids[GOOD_PRICE, 0])  # every price row is P
 
     rejected: list = []  # the offers ``GoodLevels`` rejects
@@ -498,7 +491,7 @@ def clear(
     good_levels, sell_price, sell_rem = book.levels, book.price, book.remaining
 
     offer_rem = bids[OFFER].copy()
-    rights_use = market.right - offer_rem
+    licence = market.right - offer_rem
     spend = market.money.copy()
     vbar_rem = bids[GOOD_CAP].copy()
     wbar_rem = bids[RIGHT_CAP].copy()
@@ -506,38 +499,33 @@ def clear(
     flows = np.zeros((6, nb))
     good_bought, right_bought, right_sold, spent_good, spent_right, earned = flows
 
-    def run_good_for_rights_pass(licence: np.ndarray) -> None:
-        """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
-        while good_levels:
-            level = good_levels[-1]
-            pg = sell_price[level[0]]
-            # ``not x >= pg`` also catches a NaN P
-            if not price_avg >= pg:
-                return
-            cap = np.fmin(vbar_rem, licence)
-            if pg > 0.0:
-                cap = np.fmin(cap, spend / pg)
-            demanders = (cap > 0.0).nonzero()[0]
-            demand = cap[demanders]
-            # no buyer left sums to 0.0
-            total_demand = _sum(demand)
-            if total_demand <= EQ_TOL:
-                # the cheapest level is the easiest to be compatible with,
-                # so no demand here means no demand anywhere
-                return
-            supply = sum([sell_rem[s] for s in level])
-            volume = supply if supply < total_demand else total_demand
-            book.sell(pg, volume)
-            x = volume * demand / total_demand
-            good_bought[demanders] += x
-            licence[demanders] = _positive(licence[demanders] - x)
-            vbar_rem[demanders] = _positive(vbar_rem[demanders] - x)
-            pay = x * pg
-            spend[demanders] = _positive(spend[demanders] - pay)
-            spent_good[demanders] += pay
-
-    # -- stage 1: right-licensed Good purchases --------------------------
-    run_good_for_rights_pass(rights_use)
+    # -- stage 1: Good purchases licensed unit-for-unit by the Right held --
+    while good_levels:
+        level = good_levels[-1]
+        pg = sell_price[level[0]]
+        if not price_avg >= pg:
+            break
+        cap = np.fmin(vbar_rem, licence)
+        if pg > 0.0:
+            cap = np.fmin(cap, spend / pg)
+        demanders = (cap > 0.0).nonzero()[0]
+        demand = cap[demanders]
+        # no buyer left sums to 0.0
+        total_demand = _sum(demand)
+        if total_demand <= EQ_TOL:
+            # the cheapest level is the easiest to be compatible with, so no
+            # demand here means no demand anywhere
+            break
+        supply = sum([sell_rem[s] for s in level])
+        volume = supply if supply < total_demand else total_demand
+        book.sell(pg, volume)
+        x = volume * demand / total_demand
+        good_bought[demanders] += x
+        licence[demanders] = _positive(licence[demanders] - x)
+        vbar_rem[demanders] = _positive(vbar_rem[demanders] - x)
+        pay = x * pg
+        spend[demanders] = _positive(spend[demanders] - pay)
+        spent_good[demanders] += pay
 
     # -- stage 2: paired Good+Right purchases, the Right at P -------------
     # the Right sellers, in buyer order
@@ -568,10 +556,7 @@ def clear(
         take = _equal_rate_fill(offer_rem[members], volume)
         offer_rem[members] -= take
         right_sold[members] += take
-        proceeds = take * price_avg
-        earned[members] += proceeds
-        if myopic:
-            spend[members] += proceeds
+        earned[members] += take * price_avg
         x = volume * demand / total_demand
         good_bought[demanders] += x
         right_bought[demanders] += x
@@ -581,12 +566,6 @@ def clear(
         spent_good[demanders] += x * pg
         spent_right[demanders] += x * price_avg
         members = members[offer_rem[members] > EQ_TOL]
-
-    # -- myopic extra pass: spend same-round proceeds on licensed Good ----
-    if myopic:
-        # the right-sale window is closed; unsold offers revert to licences
-        rights_use += offer_rem
-        run_good_for_rights_pass(rights_use)
 
     return ClearingResult(
         good_bought=good_bought,
@@ -598,7 +577,7 @@ def clear(
         seller_revenue=np.array(book.revenue),
         seller_sold=np.array(book.sold),
         unsold_good=np.array(book.unsold()),
-        proceeds_deferred=not myopic,
+        proceeds_deferred=True,
         rejected=tuple(rejected),
     )
 
@@ -614,9 +593,6 @@ def _equal_rate_fill(held: np.ndarray, total: float) -> np.ndarray:
     n = held.size
     if total <= 0.0:
         return np.zeros(n)
-    if n == 1:
-        a = float(held[0])
-        return np.array([total if total < a else a])
     caps = np.sort(held, kind="stable")
     prev = np.concatenate(([0.0], caps[:-1]))
     steps = (caps - prev) * np.arange(n, 0, -1)

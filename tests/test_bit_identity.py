@@ -9,12 +9,12 @@ markets, and the benchmark's 300-buyer references are compared to within
 ``random.Random``, whose stream is fixed across Python versions, so the
 digests do not depend on the installed numpy.
 
-Every all-greedy case but the free market runs on the wide kernel
-(``wide``), since 300 buyers is above ``engine.WIDE_MIN_BUYERS``; the
-digests predate it, so they also pin the kernel to the scalar round. The
-adjusted case runs on the scalar round, and its replay from round 1 runs
-on the batch kernel (``batch``) as a batch of one, which pins that kernel
-to the same totals.
+The two all-greedy ``rights`` cases run on the wide kernel (``wide``),
+since 300 buyers is above ``engine.WIDE_MIN_BUYERS``; the digests predate
+it, so they also pin the kernel to the scalar round. The myopic and
+free-market cases, and the adjusted case, run on the scalar round, and
+the adjusted case's replay from round 1 runs on the batch kernel
+(``batch``) as a batch of one, which pins that kernel to the same totals.
 """
 
 import hashlib
@@ -126,7 +126,7 @@ def test_the_greedy_rights_runs_play_on_the_wide_kernel(monkeypatch):
         trace_digest(mechanism, variant, adjustments)
         if len(played) > before:
             on_wide.append(case)
-    assert on_wide == ["rights-proportional", "rights-contested-garment", "myopic-rights"]
+    assert on_wide == ["rights-proportional", "rights-contested-garment"]
 
 
 def test_a_replay_of_one_list_plays_on_the_batch_kernel(monkeypatch):

@@ -1,8 +1,8 @@
 """Differential oracle: ``mechanism.clear`` must return exactly what the
 previous clearing, kept in ``clear_reference.py``, returns, bit for bit, and
-``wide.clear`` exactly what ``mechanism.clear`` returns on the greedy bids it
-is built for; ``tests/test_batch.py`` holds ``batch.clear`` to it on any
-bids.
+``wide.clear`` exactly what ``mechanism.clear`` returns on the greedy
+``rights`` bids it is built for; ``tests/test_batch.py`` holds
+``batch.clear`` to it on any bids.
 
 Prices come from a five-value grid so that price levels tie, pairs share a
 unit price and zero-price pairs occur; buyers may hold no money, and offers
@@ -195,12 +195,13 @@ def test_right_dust_leaves_its_level():
 # -- wide.clear against mechanism.clear ----------------------------------------
 
 
-def clear_wide(offers, bids, state, variant):
+def clear_wide(offers, bids, state):
     """``wide.clear`` on the bid matrix of ``bids``, with its nine columns
-    turned into tuples as ``mechanism.clear`` returns them."""
+    turned into tuples as ``mechanism.clear`` of the ``rights`` variant
+    returns them."""
     matrix = np.array(bids, dtype=float).T.copy()
     with np.errstate(all="ignore"):
-        got = wide.clear(offers, matrix, wide.WideState(state), variant)
+        got = wide.clear(offers, matrix, wide.WideState(state))
     return got._replace(**{name: tuple(getattr(got, name).tolist()) for name in got._fields[:9]})
 
 
@@ -250,13 +251,12 @@ ULP_BELOW = 1.0001748401014516
 @st.composite
 def greedy_market(draw):
     """A state, the offers of its sellers at one posted price and the bids
-    ``wide.greedy_bids`` builds against them, as ``wide`` plays a round, and
-    the variant. P is the mean posted price: one ulp below it for ten
-    sellers at ``ULP_BELOW``, and 0 or -0.0 in the free-Good branch. Stocks
-    hold at least the volume offered, as ``engine._offer_volumes`` clamps
-    it. Every Right is finite, as ``pricing.mechanism_rights`` assigns
-    them."""
-    variant = draw(st.sampled_from(VARIANTS))
+    ``wide.greedy_bids`` builds against them, as ``wide`` plays a round of
+    the ``rights`` variant, the one it plays. P is the mean posted price:
+    one ulp below it for ten sellers at ``ULP_BELOW``, and 0 or -0.0 in the
+    free-Good branch. Stocks hold at least the volume offered, as
+    ``engine._offer_volumes`` clamps it. Every Right is finite, as
+    ``pricing.mechanism_rights`` assigns them."""
     posted = draw(st.sampled_from([0.5, 1.0, 0.25, ULP_BELOW, 0.0, -0.0]))
     ns = 10 if posted == ULP_BELOW else draw(st.integers(1, 8))
     volumes = [draw(AMOUNTS) for _ in range(ns)]
@@ -268,11 +268,11 @@ def greedy_market(draw):
     price_avg = mean_posted_price(offers)
     with np.errstate(all="ignore"):
         matrix = wide.greedy_bids(
-            price_avg, sum(volumes), np.array(money), np.array(rights), variant
+            price_avg, sum(volumes), np.array(money), np.array(rights), "rights"
         )
     bids = [BuyerBid(*column) for column in matrix.T.tolist()]
     buyers = [BuyerState(good=0.0, money=m, right=r) for m, r in zip(money, rights)]
-    return (offers, bids, MarketState(1, sellers, buyers)), variant
+    return offers, bids, MarketState(1, sellers, buyers)
 
 
 # money a run can hold: not negative, and infinite once it overflows
@@ -304,10 +304,9 @@ def test_greedy_bids_keep_the_contract_wide_clear_relies_on(money, rights, price
 
 @settings(deadline=None)
 @given(greedy_market())
-def test_wide_clear_matches_clear(case):
+def test_wide_clear_matches_clear(market):
     # ``repr`` tells -0.0 from 0.0
-    market, variant = case
-    assert repr(clear_wide(*market, variant)) == repr(mechanism.clear(*market, variant))
+    assert repr(clear_wide(*market)) == repr(mechanism.clear(*market, "rights"))
 
 
 @pytest.mark.parametrize("field", [*BuyerBid._fields, "right"])
@@ -387,7 +386,7 @@ def counting_trades(call, *args):
 @given(
     case=st.one_of(
         st.tuples(st.sampled_from(sorted(KERNELS)), market(), st.sampled_from(VARIANTS)),
-        greedy_market().map(lambda case: ("wide", *case)),
+        greedy_market().map(lambda market: ("wide", market, "rights")),
     ),
     scale=st.sampled_from([1.0, 1e50, 1e100]),
 )
@@ -395,7 +394,10 @@ def test_trades_are_bounded_by_levels_and_buyers(case, scale):
     # the general clearings on any market, ``wide.clear`` on greedy ones
     kernel, market_, variant = case
     offers, bids, state = scaled(*market_, scale)
-    result, trades = counting_trades(KERNELS.get(kernel, clear_wide), offers, bids, state, variant)
+    if kernel == "wide":
+        result, trades = counting_trades(clear_wide, offers, bids, state)
+    else:
+        result, trades = counting_trades(KERNELS[kernel], offers, bids, state, variant)
     good_levels = len(GoodLevels(offers, [s.good for s in state.sellers], []).levels)
     rejected = {r.index for r in result.rejected if r.side == "buyer"}
     right_levels = len({

@@ -130,6 +130,33 @@ class TestConfigValidation:
             _config([-0.1], [0.5])
 
     @pytest.mark.parametrize(
+        ("field", "bad"),
+        [
+            ("greedy_price_factor", 0.0),
+            ("greedy_price_factor", -1.0),
+            ("greedy_price_factor", math.nan),
+            ("greedy_price_factor", math.inf),
+            ("seller_storage_cost", -0.5),
+            ("seller_storage_cost", math.nan),
+            ("seller_storage_cost", math.inf),
+            ("horizon", 0),
+            ("horizon", 2.5),
+            ("horizon", True),
+        ],
+    )
+    def test_rejects_a_bad_number_naming_its_field(self, field, bad):
+        # each used to build: a NaN or infinite storage cost made every
+        # seller utility NaN, which the audit read as no gain; a NaN or
+        # infinite factor failed in round 1 on a misleading residual or
+        # price check; a horizon of 2.5 played 2 rounds
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            _config([1.0], [0.5], **{field: bad})
+
+    def test_accepts_the_edges_of_each_number(self):
+        cfg = _config([1.0], [0.5], horizon=1, seller_storage_cost=0.0, greedy_price_factor=5e-324)
+        assert (cfg.horizon, cfg.seller_storage_cost, cfg.greedy_price_factor) == (1, 0.0, 5e-324)
+
+    @pytest.mark.parametrize(
         "mechanism",
         [
             DistributionMechanism.canonical(5),

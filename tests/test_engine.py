@@ -751,6 +751,15 @@ class TestSettledRounds:
 
 
 class TestRunValidation:
+    def test_free_market_adjustments_are_refused(self):
+        # the free-market round ignores deviations: this run used to return
+        # a trace with the same ``repr`` as the baseline's
+        config = load_scenario("free-market-a").config
+        adjustment = BidAdjustment(2, ("seller", 0), volume_delta=-0.5, price_factor=0.5)
+        with pytest.raises(ConfigError, match="^variant 'free_market' cannot be replayed: "):
+            run(config, 6, [adjustment])
+        assert run(config, 6, []) == run(config, 6)
+
     def test_zero_supply_round_aborts_with_round_index(self):
         cfg = MarketConfig(
             sellers=(SellerSpec(SupplySchedule.step(1.0, 0.0, 3)),),

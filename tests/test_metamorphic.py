@@ -6,7 +6,9 @@ mechanism that reads claims and not indexes (proportional and contested
 garment): the trace must be the same, with each buyer's fields reversed.
 The sums over buyers then add in another order, so each value may move by
 ``ULPS`` ulps of its size. This is checked on the presets and on Dirichlet
-markets on both sides of ``engine.WIDE_MIN_BUYERS``.
+markets on both sides of ``engine.WIDE_MIN_BUYERS``, and on the audit's
+unilateral trials, which replay on ``batch``: a buyer's trial must become
+the same trial of the relabelled buyer, with the same gain.
 
 Splitting the one seller of the four scenario presets into k sellers that
 each resupply 1/k is the same market too. With k a power of two 1/k is
@@ -34,7 +36,7 @@ from dataclasses import replace
 import pytest
 
 from rightsmarket import cli, engine
-from rightsmarket.analysis import default_deviation_grid
+from rightsmarket.analysis import audit_unilateral, default_deviation_grid
 from rightsmarket.core import SellerSpec
 from rightsmarket.engine import (
     SupplySchedule,
@@ -245,6 +247,49 @@ def test_reversing_the_buyers_reverses_a_dirichlet_trace(num_buyers, kind):
     )
     assert (num_buyers >= engine.WIDE_MIN_BUYERS) == (num_buyers == 300)
     assert_trace_close(run(reversed_buyers(config)), run(config), lambda b: b[::-1])
+
+
+def relabelled_trials(trials, relabel=lambda buyer: buyer):
+    """Audit ``trials`` keyed by their deviations, each buyer's index read
+    through ``relabel``."""
+    return {
+        tuple(
+            replace(d, trader=relabel(d.trader)) if d.kind.startswith("buyer") else d
+            for d in trial.deviations
+        ): trial
+        for trial in trials
+    }
+
+
+@pytest.mark.parametrize("preset", ["scenario-a-proportional", "scenario-a-contested-garment"])
+def test_reversing_the_buyers_relabels_every_audit_trial(preset):
+    # buyer j's trials become buyer 2 - j's, and seller trials stay
+    # seller trials; a gain, the difference of two utility totals, keeps
+    # the totals' bound, at the larger of 1 and the gain's size
+    config = cli.load_scenario(preset).config
+    last = config.num_buyers - 1
+    base = audit_unilateral(config, AUDIT_HORIZON)
+    flipped = audit_unilateral(reversed_buyers(config), AUDIT_HORIZON)
+    want = relabelled_trials(base.trials)
+    got = relabelled_trials(flipped.trials, lambda b: last - b)
+    assert got.keys() == want.keys()
+    assert len(want) == len(base.trials) > 100
+    for deviations, trial in want.items():
+        where = deviations[0].describe()
+        assert got[deviations].reason == trial.reason, where
+        assert_close(got[deviations].gains, trial.gains, where, AUDIT_HORIZON)
+    # the same trials are witnesses: none under the proportional rule, and
+    # under contested garment a seller price cut that gains +9.9e-09
+    assert relabelled_trials(flipped.witnesses, lambda b: last - b).keys() == (
+        relabelled_trials(base.witnesses).keys()
+    )
+    witnesses = [(t.deviations[0].describe(), t.gains) for t in base.witnesses]
+    if preset == "scenario-a-proportional":
+        assert witnesses == []
+    else:
+        [(what, (gain,))] = witnesses
+        assert what == "seller_price(-0.5) by seller 0 at round 20"
+        assert 9.9e-09 < gain < 1e-08
 
 
 SPLIT_PRESETS = (

@@ -197,8 +197,9 @@ def test_a_scenario_exits_cleanly(scenario):
 def test_a_greedy_trace_rejects_nothing(wide, scenario):
     # ``simulate`` plays every trader greedy, and greedy offers and bids are
     # never rejected: on the scalar round, and on ``wide``, whose ``clear``
-    # clears bids as given, once the drawn buyers are repeated up to
-    # ``WIDE_MIN_BUYERS`` or more
+    # clears bids as given, once the drawn buyers of a ``rights`` scenario
+    # are repeated up to ``WIDE_MIN_BUYERS`` or more (the other variants
+    # play the scalar round at any size)
     if wide:
         buyers = scenario["buyers"]
         repeats = -(-WIDE_MIN_BUYERS // len(buyers))

@@ -1,16 +1,16 @@
 """The numpy kernels against the scalar round, bit for bit.
 
-Once a rights-variant market has ``engine.WIDE_MIN_BUYERS`` buyers,
+Once a ``rights`` market has ``engine.WIDE_MIN_BUYERS`` buyers,
 ``engine`` plays an all-greedy run of it on numpy columns (``wide``);
-below that, and for runs with adjustments or checkpoints, it plays the
-scalar round. Every replay plays on ``batch``, whatever its size. These
-tests play the same runs both ways, whatever their size, by moving that
-constant for the duration of a call, and compare each replay with the
-scalar ``run`` of its adjustments: they require the same ``repr`` of every
-trace and utility total, and the same ``SimulationError`` round and
-message when a run or a replay fails. The kernel's pieces are compared
-with the scalar ones here on single columns, and row by row in
-``tests/test_batch.py``.
+below that, for runs with adjustments or checkpoints and for the other
+variants, it plays the scalar round. Every replay plays on ``batch``,
+whatever its size. These tests play the same runs both ways, whatever
+their size, by moving that constant for the duration of a call, and
+compare each replay with the scalar ``run`` of its adjustments: they
+require the same ``repr`` of every trace and utility total, and the same
+``SimulationError`` round and message when a run or a replay fails. The
+kernel's pieces are compared with the scalar ones here on single
+columns, and row by row in ``tests/test_batch.py``.
 """
 
 import re
@@ -42,8 +42,8 @@ PATHS = ("scalar", "wide")
 
 @contextmanager
 def playing(path: str):
-    """Play every all-greedy rights-variant run on ``path``; replays play
-    on ``batch`` either way."""
+    """Play every all-greedy ``rights`` run on ``path``; replays play on
+    ``batch`` either way."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "WIDE_MIN_BUYERS", 1 if path == "wide" else sys.maxsize)
         yield
@@ -97,9 +97,10 @@ def test_each_path_runs_where_the_constant_says(monkeypatch):
     assert calls == []
     with playing("wide"):
         run(small)
-        # only all-greedy rights-variant runs: these stay scalar
+        # only all-greedy ``rights`` runs: these stay scalar
         run(small, adjustments=[BidAdjustment(2, ("seller", 0), price_factor=0.9)])
         run_with_checkpoints(small)
+        run(make_benchmark(variant="myopic_rights", horizon=3))
         run(make_benchmark(variant="free_market", horizon=3))
     assert calls == [3]
 
@@ -237,7 +238,8 @@ def test_many_good_and_right_levels():
 def test_nan_rights_agree(variant):
     # an infinite claim gives its holder a NaN right under the proportional
     # rule: the allocation's finiteness check stops both variants at round
-    # 1 on every path, where the myopic run used to return the NaN silently
+    # 1 on every path, where the myopic run used to return the NaN silently;
+    # a myopic run plays the scalar round on both paths
     config = replace(
         make_benchmark(variant=variant, horizon=5),
         buyers=(
@@ -253,7 +255,8 @@ def test_nan_rights_agree(variant):
 @pytest.mark.parametrize(("variant", "fails_at"), [("rights", 4), ("myopic_rights", 3)])
 def test_overflowing_money_fails_both_paths_alike(variant, fails_at):
     # buyer 1's money reaches inf, and the round after, the last one played,
-    # its NaN residual must fail the conservation check on every path
+    # its NaN residual must fail the conservation check on every path; a
+    # myopic run plays the scalar round on both, and its replay on ``batch``
     benchmark = make_benchmark(variant=variant, horizon=fails_at)
     config = replace(
         benchmark,
@@ -273,13 +276,18 @@ def test_overflowing_money_fails_both_paths_alike(variant, fails_at):
     assert outcome(lambda: replay_batch(config, checkpoints, fails_at, [[]])[0]) == runs[0]
 
 
-def test_a_posted_price_that_overflows_fails_every_path_alike():
-    # 60 buyers, enough for ``wide`` as shipped: the resupply drops to the
-    # smallest subnormal in round 3, where the myopic price, money over the
-    # Good on sale, overflows to inf while the residuals stay 0
+@pytest.mark.parametrize(
+    ("variant", "resupply"), [("rights", 1e-310), ("myopic_rights", 5e-324)]
+)
+def test_a_posted_price_that_overflows_fails_every_path_alike(variant, resupply):
+    # 60 buyers, enough for ``wide`` to play the rights run as shipped; a
+    # myopic run plays the scalar round on both paths. The resupply drops to
+    # a subnormal in round 3, where the price, the buyers' money over their
+    # subnormal rights or, in the myopic variant, over the Good on sale,
+    # overflows to inf while the residuals stay 0
     config = replace(
-        generate_dirichlet_scenario(60, float("inf"), 0, variant="myopic_rights", horizon=6),
-        sellers=(SellerSpec(SupplySchedule.step(1.0, 5e-324, 3)),),
+        generate_dirichlet_scenario(60, float("inf"), 0, variant=variant, horizon=6),
+        sellers=(SellerSpec(SupplySchedule.step(1.0, resupply, 3)),),
     )
     assert config.num_buyers >= engine.WIDE_MIN_BUYERS
     runs = both(lambda: run(config))
@@ -399,8 +407,8 @@ def batch_clear(fault):
 def wide_clear(fault):
     real = wide.clear
 
-    def faulty(offers, bids, market, variant):
-        result = real(offers, bids, market, variant)
+    def faulty(offers, bids, market):
+        result = real(offers, bids, market)
         if market.round_index != FAULT_ROUND:
             return result
         flows = {name: getattr(result, name).copy() for name in FLOW_FIELDS}
@@ -567,6 +575,12 @@ def test_implicit_price_matches_the_scan(pairs):
 
 @settings(deadline=None)
 @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40), st.floats(0.0, 1.0))
+# one holder, with the total below, at and above what it holds, and a NaN
+# holding
+@example([2.0], 0.25)
+@example([2.0], 1.0)
+@example([2.0], 1.5)
+@example([float("nan")], 0.5)
 def test_equal_rate_fill_matches_the_scalar_fill(amounts, share):
     from rightsmarket.core import equal_rate_fill
 
