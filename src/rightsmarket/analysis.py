@@ -20,7 +20,7 @@ cross-validates the interval-scan price solver against bisection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig
@@ -45,6 +45,10 @@ DEVIATION_KINDS = (
 DEFAULT_MAGNITUDES = (0.05, 0.10, 0.25, 0.50)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Deviation:
     """One trader's single-round departure from greedy.
@@ -52,7 +56,9 @@ class Deviation:
     ``magnitude`` is the multiplicative size: the withheld fraction of the
     round's resupply, the fraction of right not sold / not bought, or the
     signed relative price change. A withholding seller sells the stored
-    amount in the following round.
+    amount in the following round. ``trader`` must be an integer (not a
+    bool) of at least 0 and ``round_index`` an integer; the audit skips a
+    round outside the horizon and refuses a trader the config lacks.
     """
 
     kind: str
@@ -63,6 +69,8 @@ class Deviation:
     def __post_init__(self) -> None:
         if self.kind not in DEVIATION_KINDS:
             raise ConfigError(f"unknown deviation kind {self.kind!r}")
+        if not (_is_int(self.trader) and self.trader >= 0 and _is_int(self.round_index)):
+            raise ConfigError(f"{self!r} needs an integer trader >= 0 and an integer round")
 
     def trader_key(self) -> tuple[str, int]:
         side = "seller" if self.kind.startswith("seller") else "buyer"
@@ -155,9 +163,9 @@ def _utility(
     return sellers[idx] if side == "seller" else buyers[idx]
 
 
-def _rounds(horizon: int) -> tuple[int, int, int]:
-    """The rounds the audit samples: 1, T/2 and T."""
-    return (1, max(1, horizon // 2), horizon)
+def _rounds(horizon: int) -> list[int]:
+    """The rounds the audit samples, each once and in order: 1, T/2 and T."""
+    return sorted({1, max(1, horizon // 2), horizon})
 
 
 OUTSIDE_HORIZON = "round outside horizon"
@@ -235,23 +243,33 @@ _Plan = tuple[tuple[tuple[str, int], ...], Sequence | None]
 
 def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) -> list[AuditReport]:
     """One report per plan: the ``_combos`` of each played against one
-    all-greedy baseline.
+    all-greedy baseline of T = ``config.horizon`` rounds, or of ``horizon``
+    rounds when given, which replaces the config's and is checked as it is.
 
     The audit covers the regime the equilibrium claim is stated for: total
     resupply and total income 1 in rounds 1, T/2 and T, and a variant whose
-    round applies deviations, which ``free_market``'s does not. Every
-    played combo of every report goes to one ``replay_batch`` call,
-    in report and trial order, so a failing trial raises what the reports
-    made one after another would raise.
+    round applies deviations, which ``free_market``'s does not. A given
+    grid that names a trader the config lacks is refused before anything
+    is played. Every played combo of every report goes to one
+    ``replay_batch`` call, in report and trial order, so a failing trial
+    raises what the reports made one after another would raise.
     """
-    T = horizon if horizon is not None else config.horizon
+    if horizon is not None:
+        config = replace(config, horizon=horizon)
+    T = config.horizon
     if config.variant == "free_market":
         raise ConfigError(
             f"variant {config.variant!r} cannot be audited: its round ignores deviations"
         )
     if not all(config.is_normalized(r) for r in _rounds(T)):
         raise ConfigError("audit needs sum g = sum m = 1 in rounds 1, T/2 and T")
-    baseline, checkpoints = run_with_checkpoints(config, T)
+    for coalition, grid in plans:
+        for entry in grid or ():
+            for dev in entry if coalition else (entry,):
+                side, idx = dev.trader_key()
+                if idx >= (config.num_sellers if side == "seller" else config.num_buyers):
+                    raise ConfigError(f"{dev!r} names a {side} the config lacks")
+    baseline, checkpoints = run_with_checkpoints(config)
     base_sellers, base_buyers = baseline.seller_utilities, baseline.buyer_utilities
     played = [_combos(config, T, baseline, coalition, grid) for coalition, grid in plans]
     lists = [
@@ -259,7 +277,7 @@ def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) ->
         for devs, reason in itertools.chain.from_iterable(played)
         if not reason
     ]
-    totals = iter(replay_batch(config, checkpoints, T, lists))
+    totals = iter(replay_batch(config, checkpoints, lists))
     out = []
     for (coalition, _), pairs in zip(plans, played):
         trials: list[DeviationTrial] = []
@@ -295,7 +313,7 @@ def _combos(
             grid = default_deviation_grid(config, T, baseline)
         return [((d,), _skip_reason(d, baseline)) for d in grid]
     if grid is None:
-        mid = _rounds(T)[1]
+        mid = max(1, T // 2)
         grid = itertools.product(*(default_coalition_menu(m, mid, baseline) for m in coalition))
     members = set(coalition)
 
@@ -329,7 +347,9 @@ def audit_unilateral(
 
     The deviating trader plays greedy in every other round. Any gain above
     ``CONSERVATION_TOL`` is a witness against the equilibrium claim. This
-    is ``audit``'s unilateral report, on its own and on any grid.
+    is ``audit``'s unilateral report, on its own and on any grid. A
+    ``horizon`` given stands for ``config``'s, as in every audit, and a bad
+    one is the ``ConfigError`` the config would raise.
     """
     return _audit(config, horizon, [((), deviation_grid)])[0]
 

@@ -72,26 +72,26 @@ from .wide import (
 def play_batch(
     config: MarketConfig,
     checkpoints: Sequence[Checkpoint],
-    horizon: int,
     adjustment_lists: Sequence[Sequence[BidAdjustment]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """``engine._play_rounds`` of a rights variant for one market per list
     of ``adjustment_lists``, without records, from the all-greedy
-    baseline's ``checkpoints``: market m plays rounds through ``horizon``
-    under its own list.
+    baseline's ``checkpoints``, taken at any horizon: market m plays rounds
+    through ``config.horizon`` = T under its own list.
 
     Market m resumes at ``checkpoints[i]``, from its state and utility
     totals, where i + 1 is the least of its list's first adjusted round of
-    at least 1, ``horizon + 1`` and ``len(checkpoints)``: the baseline's
-    rounds before that one are m's own. The markets play in one lockstep
-    pass from the earliest of these rounds; each market joins it as a new
-    row at its own, and one at ``horizon + 1`` joins at the end, with no
-    round to play. Returns every market's seller and buyer utility totals
-    as (M, S) and (M, N) arrays, in list order. The checkpoints are read
-    and left as they were.
+    at least 1, T + 1 and ``len(checkpoints)``: the baseline's rounds
+    before that one are m's own. The markets play in one lockstep pass
+    from the earliest of these rounds; each market joins it as a new row at
+    its own, and one at T + 1 joins at the end, with no round to play.
+    Returns every market's seller and buyer utility totals as (M, S) and
+    (M, N) arrays, in list order. The checkpoints are read and left as
+    they were.
     """
+    T = config.horizon
     starts = [
-        min(horizon + 1, len(checkpoints), *(a.round_index for a in adjs if a.round_index >= 1))
+        min(T + 1, len(checkpoints), *(a.round_index for a in adjs if a.round_index >= 1))
         for adjs in adjustment_lists
     ]
     # the markets in the order they join the pass, which is their row order
@@ -122,7 +122,7 @@ def play_batch(
                         (seller_sum, [c.seller_utilities for c in joining])
                     )
                     buyer_sum = np.concatenate((buyer_sum, [c.buyer_utilities for c in joining]))
-                if tau > horizon:
+                if tau > T:
                     break
                 seller_u, buyer_u = _play_round(
                     market, config, tau, moves.get(tau, []), claims, rights_memo

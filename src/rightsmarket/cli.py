@@ -446,17 +446,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
     config = _apply_overrides(scn.config, args)
     if _unwritable(args.out):
         return EXIT_PARSE
-    horizon = config.horizon
     coalitions = [] if args.unilateral_only else default_coalitions(config)
     try:
-        rep, *creps = audit(config, horizon, coalitions)
+        rep, *creps = audit(config, coalitions=coalitions)
     except ConfigError as exc:  # a scenario outside the audited regime
         print(f"audit error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RightsMarketError as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    lines = [f"equilibrium audit of {scn.name} (horizon {horizon})", rep.summary()]
+    lines = [f"equilibrium audit of {scn.name} (horizon {config.horizon})", rep.summary()]
     lines += ["  witness: " + w.describe() for w in rep.witnesses]
     for coalition, crep in zip(coalitions, creps):
         label = "+".join(f"{s}{i}" for s, i in coalition)
@@ -490,15 +489,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         for nb in range(lo, hi + 1):
             scale = 1.0 / nb if args.claim_scale == "inv" else args.claim_scale
-            horizon = 10 * nb
-            window = _asymptotic_window(horizon)
             stats = {"rf": [], "ff": [], "rp": [], "fp": []}
             for k in range(args.seeds):
                 cfg = generate_dirichlet_scenario(
                     nb, args.concentration, rng_seed=args.seed + k, claim_scale=scale
                 )
-                tr_rights = run(cfg, horizon)
-                tr_free = run(replace(cfg, variant="free_market"), horizon)
+                window = _asymptotic_window(cfg.horizon)
+                tr_rights = run(cfg)
+                tr_free = run(replace(cfg, variant="free_market"))
                 stats["rf"].append(tr_rights.per_round_mean_frustration(window))
                 stats["ff"].append(tr_free.per_round_mean_frustration(window))
                 stats["rp"].append(float(np.mean(tr_rights.price_path()[-window:])))

@@ -318,12 +318,9 @@ def _index_adjustments(adjustments: Sequence[BidAdjustment]) -> AdjustmentIndex:
     return index
 
 
-def run(
-    config: MarketConfig,
-    horizon: int | None = None,
-    adjustments: Sequence[BidAdjustment] = (),
-) -> Trace:
-    """Simulate the repeated market and return its trace.
+def run(config: MarketConfig, *, adjustments: Sequence[BidAdjustment] = ()) -> Trace:
+    """Simulate the repeated market over ``config.horizon`` rounds and
+    return its trace.
 
     Every trader plays greedy except where ``adjustments`` modify a bid
     (used by the equilibrium audit). Money, Good and the rights cap are
@@ -334,38 +331,35 @@ def run(
     """
     if adjustments:
         _refuse_free_market(config)
-    return _run(config, horizon, adjustments)
+    return _run(config, adjustments)
 
 
-def run_with_checkpoints(
-    config: MarketConfig, horizon: int | None = None
-) -> tuple[Trace, tuple[Checkpoint, ...]]:
+def run_with_checkpoints(config: MarketConfig) -> tuple[Trace, tuple[Checkpoint, ...]]:
     """The all-greedy ``run`` plus a checkpoint at the start of every round.
 
     Checkpoint ``k`` is the start of round ``k + 1``; the last one, past the
     horizon, holds the final state and the trace's utility totals.
     """
     checkpoints: list[Checkpoint] = []
-    trace = _run(config, horizon, (), checkpoints)
+    trace = _run(config, (), checkpoints)
     return trace, tuple(checkpoints)
 
 
 def replay_batch(
     config: MarketConfig,
     checkpoints: Sequence[Checkpoint],
-    horizon: int,
     adjustment_lists: Sequence[Sequence[BidAdjustment]],
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Seller and buyer utility totals over ``horizon`` rounds of each list
-    of ``adjustment_lists``, in input order, replayed from the all-greedy
-    baseline's ``checkpoints`` as ``run_with_checkpoints(config, h)``
-    returns them, for any horizon h.
+    """Seller and buyer utility totals over ``config.horizon`` rounds of
+    each list of ``adjustment_lists``, in input order, replayed from the
+    all-greedy baseline's ``checkpoints`` as ``run_with_checkpoints``
+    returns them for ``config`` at any horizon.
 
     Each list resumes at its first deviating round, from the baseline's
     checkpoint there, or from its last one if the baseline ends sooner
     (``batch.play_batch`` states the rule), and utilities
     accumulate in the same order as in ``run``, so result k equals the
-    totals of ``run(config, horizon, adjustment_lists[k])`` bit for bit.
+    totals of ``run(config, adjustments=adjustment_lists[k])`` bit for bit.
     The lists play in one lockstep pass, one market per list, as the rows
     of ``play_batch``'s arrays. It builds no ``RoundRecord``, but makes
     every check a run makes, so a failure raises what ``run`` raises: if
@@ -373,13 +367,10 @@ def replay_batch(
     in order, so that the first failing list raises its own error. A call
     with no lists returns ``[]``. A ``free_market`` config is a
     ``ConfigError``: its round ignores deviations, and ``batch`` plays only
-    the rights variants. So is a horizon below 1, which ``run`` refuses,
-    and, with any list, an empty ``checkpoints``, from which no list can
-    resume.
+    the rights variants. So is, with any list, an empty ``checkpoints``,
+    from which no list can resume.
     """
     _refuse_free_market(config)
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
     if not adjustment_lists:
         return []
     if not checkpoints:
@@ -388,10 +379,10 @@ def replay_batch(
     from .batch import play_batch
 
     try:
-        sellers, buyers = play_batch(config, checkpoints, horizon, adjustment_lists)
+        sellers, buyers = play_batch(config, checkpoints, adjustment_lists)
     except SimulationError:
         for adjustments in adjustment_lists:
-            play_batch(config, checkpoints, horizon, [adjustments])
+            play_batch(config, checkpoints, [adjustments])
         raise
     return [(tuple(s), tuple(b)) for s, b in zip(sellers.tolist(), buyers.tolist())]
 
@@ -407,13 +398,9 @@ def _refuse_free_market(config: MarketConfig) -> None:
 
 def _run(
     config: MarketConfig,
-    horizon: int | None,
     adjustments: Sequence[BidAdjustment],
     checkpoints: list[Checkpoint] | None = None,
 ) -> Trace:
-    T = horizon if horizon is not None else config.horizon
-    if T < 1:
-        raise ConfigError("horizon must be >= 1")
     nb = config.num_buyers
     seller_total = [0.0] * config.num_sellers
     buyer_total = [0.0] * nb
@@ -427,14 +414,11 @@ def _run(
         # imported here: the kernel builds this module's records
         from .wide import play_rounds
 
-        max_money_res, max_good_res = play_rounds(
-            config, state, T, seller_total, buyer_total, records
-        )
+        max_money_res, max_good_res = play_rounds(config, state, seller_total, buyer_total, records)
     else:
         max_money_res, max_good_res = _play_rounds(
             config,
             state,
-            T,
             _index_adjustments(adjustments),
             seller_total,
             buyer_total,
@@ -493,16 +477,15 @@ SETTLED_ROUNDS = 8
 def _play_rounds(
     config: MarketConfig,
     state: MarketState,
-    horizon: int,
     adjustments: AdjustmentIndex,
     seller_total: list[float],
     buyer_total: list[float],
     records: list[RoundRecord],
     checkpoints: list[Checkpoint] | None = None,
 ) -> tuple[float, float]:
-    """Play rounds ``state.round_index`` through ``horizon``, adding each
-    round's utilities to ``seller_total`` and ``buyer_total`` in place and
-    its record to ``records``.
+    """Play rounds ``state.round_index`` through ``config.horizon``,
+    adding each round's utilities to ``seller_total`` and ``buyer_total``
+    in place and its record to ``records``.
 
     This is the scalar round, the reference ``wide`` and ``batch`` are
     tested against. ``state`` is used up: the rounds mutate it. When
@@ -539,7 +522,7 @@ def _play_rounds(
                 checkpoints.append(
                     Checkpoint(state.copy(), tuple(seller_total), tuple(buyer_total))
                 )
-            if tau > horizon:
+            if tau > config.horizon:
                 break
             if config.variant == "free_market":
                 util, money_res, good_res = _run_free_round(state, config, tau, records)

@@ -285,7 +285,6 @@ def transition(market: WideState, config: MarketConfig, claims: np.ndarray) -> N
 def play_rounds(
     config: MarketConfig,
     state: MarketState,
-    horizon: int,
     seller_total: list[float],
     buyer_total: list[float],
     records: list[RoundRecord],
@@ -306,7 +305,7 @@ def play_rounds(
         # divisions and comparisons run over whole columns, NaN included;
         # the scalar round reads only the entries it would have computed
         with np.errstate(all="ignore"):
-            while tau <= horizon:
+            while tau <= config.horizon:
                 seller_u, buyer_u, money_res, good_res = _play_round(
                     market, config, tau, records, claims, rights_memo
                 )

@@ -50,7 +50,7 @@ def test_criterion_01_exact_rights_values():
 
 def test_criterion_02_canonical_closed_forms():
     # the rank-3 buyer of the benchmark claims holds income 3/4
-    trace = run(make_benchmark(mechanism=DistributionMechanism.canonical(3)), horizon=30)
+    trace = run(make_benchmark(mechanism=DistributionMechanism.canonical(3), horizon=30))
     prices = trace.price_path()
     first_ok = abs(prices[0] - 7 / 8) <= 1e-12
     rest_ok = all(abs(p - 1.0) <= 1e-12 for p in prices[1:])
@@ -63,7 +63,7 @@ def test_criterion_02_canonical_closed_forms():
 
 
 def test_criterion_03_price_convergence():
-    trace = run(make_benchmark(), horizon=50)
+    trace = run(make_benchmark(horizon=50))
     gaps = [abs(p - 1.0) for p in trace.price_path()]
     monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     converged = gaps[49] < 1e-6
@@ -75,8 +75,8 @@ def test_criterion_03_price_convergence():
 
 
 def test_criterion_04_frustration_halving():
-    rights_trace = run(make_benchmark(), horizon=1000)
-    free_trace = run(make_benchmark(variant="free_market"), horizon=1000)
+    rights_trace = run(make_benchmark(horizon=1000))
+    free_trace = run(make_benchmark(variant="free_market", horizon=1000))
     ratio = rights_trace.per_round_mean_frustration(100) / free_trace.per_round_mean_frustration(100)
     ratio_ok = abs(ratio - 0.5) <= 1e-3
     rights = (8 / 15, 6 / 15, 1 / 15)
@@ -196,10 +196,10 @@ def test_criterion_10_mechanism_axioms():
 
 def test_criterion_11_conservation_suite():
     traces = [
-        run(make_benchmark(mechanism=DistributionMechanism.canonical(3)), horizon=30),
-        run(make_benchmark(), horizon=50),
-        run(make_benchmark(), horizon=1000),
-        run(make_benchmark(variant="free_market"), horizon=1000),
+        run(make_benchmark(mechanism=DistributionMechanism.canonical(3), horizon=30)),
+        run(make_benchmark(horizon=50)),
+        run(make_benchmark(horizon=1000)),
+        run(make_benchmark(variant="free_market", horizon=1000)),
         run(make_benchmark(claim_scale=0.2, horizon=200)),
         run(
             make_benchmark(

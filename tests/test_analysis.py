@@ -3,11 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from rightsmarket import analysis
 from rightsmarket.analysis import (
     DEFAULT_MAGNITUDES,
     DEVIATION_KINDS,
@@ -118,13 +120,55 @@ class TestUnilateralAudit:
 class TestAuditScope:
     """What the audit plays: its default menus and the regime it covers."""
 
+    @pytest.mark.parametrize(("horizon", "trials"), [(1, 40), (2, 80), (3, 80)])
+    def test_samples_each_round_once(self, horizon, trials):
+        # rounds 1, T/2 and T coincide below T = 4: each report used to list
+        # 120 trials, and at T = 3 count each of its 4 witnesses twice
+        config = load_scenario("scenario-a-proportional").config
+        for report in audit(config, horizon, default_coalitions(config)):
+            deviations = [t.deviations for t in report.trials]
+            assert len(set(deviations)) == len(deviations)
+        assert len(audit_unilateral(config, horizon).trials) == trials
+
+    @pytest.mark.parametrize(("call", "horizon"), [(audit_unilateral, 6.5), (audit, 0)])
+    def test_a_bad_horizon_is_the_config_error_naming_it(self, call, horizon):
+        # 6.5 used to fail with a raw TypeError in the skip check
+        config = load_scenario("scenario-a-proportional").config
+        message = f"^horizon must be a positive integer, got {horizon}$"
+        with pytest.raises(ConfigError, match=message):
+            call(config, horizon)
+
+    @pytest.mark.parametrize(
+        ("kind", "trader", "round_index"),
+        [
+            ("buyer_price", 5, 2),
+            ("seller_price", 3, 2),
+            ("seller_price", 0, 2.5),
+            ("buyer_price", -1, 2),
+        ],
+        ids=["buyer-5", "seller-3", "round-2.5", "buyer-minus-1"],
+    )
+    def test_refuses_a_deviation_the_config_lacks(self, monkeypatch, kind, trader, round_index):
+        # the first three raised a raw IndexError or TypeError, and buyer -1
+        # read the last buyer's record, then played no deviation and
+        # reported a tested gain of 0; each is refused before the baseline
+        config = make_benchmark(horizon=6)  # 1 seller, 3 buyers
+        monkeypatch.setattr(analysis, "run_with_checkpoints", None)
+        named = re.escape(f"Deviation(kind={kind!r}, trader={trader!r}, round_index={round_index}")
+        with pytest.raises(ConfigError, match=named):
+            audit_unilateral(config, deviation_grid=[Deviation(kind, trader, round_index, 0.1)])
+        with pytest.raises(ConfigError, match=named):
+            seller = Deviation("seller_price", 0, 2, 0.1)
+            joint = [(seller, Deviation(kind, trader, round_index, 0.1))]
+            audit_coalition(config, coalition=[("seller", 0), ("buyer", 0)], joint_grid=joint)
+
     def test_default_menus_are_pinned(self):
         # recorded when the unilateral grid and the coalition menus were
         # still listed separately, as (kind, trader, round, magnitude)
         pins = json.loads((Path(__file__).parent / "audit_menus.json").read_text())
         config = load_scenario(pins["scenario"]).config
         T = pins["horizon"]
-        baseline = run(config, T)
+        baseline = run(dataclasses.replace(config, horizon=T))
 
         def rows(devs):
             return [[d.kind, d.trader, d.round_index, d.magnitude] for d in devs]
@@ -299,7 +343,7 @@ def test_every_audit_trial_is_pinned(horizon, name, reports):
 
 DIFF_HORIZON = 7
 DIFF_CONFIGS = {
-    name: load_scenario(name).config
+    name: dataclasses.replace(load_scenario(name).config, horizon=DIFF_HORIZON)
     for name in ("scenario-a-proportional", "scenario-a-contested-garment")
 }
 
@@ -320,8 +364,8 @@ def deviations(draw, buyer=None):
 def full_replay_gains(config, devs):
     """Gains from re-simulating every round with the deviations applied."""
     adjustments = [a for d in devs for a in d.to_adjustments(config)]
-    baseline = run(config, DIFF_HORIZON)
-    trace = run(config, DIFF_HORIZON, adjustments=adjustments)
+    baseline = run(config)
+    trace = run(config, adjustments=adjustments)
 
     def utility(tr, d):
         side, idx = d.trader_key()
@@ -331,7 +375,7 @@ def full_replay_gains(config, devs):
 
 
 def assert_baseline_matches(report, config):
-    full = run(config, DIFF_HORIZON)
+    full = run(config)
     assert report.baseline_seller_utilities == full.seller_utilities
     assert report.baseline_buyer_utilities == full.buyer_utilities
 
@@ -353,7 +397,7 @@ class TestIncrementalReplayIsExact:
     )
     def test_unilateral_gains_equal_full_replay(self, name, dev):
         config = DIFF_CONFIGS[name]
-        report = audit_unilateral(config, DIFF_HORIZON, deviation_grid=[dev])
+        report = audit_unilateral(config, deviation_grid=[dev])
         assert_baseline_matches(report, config)
         for trial in report.tested:
             assert trial.gains == full_replay_gains(config, trial.deviations)
@@ -374,7 +418,7 @@ class TestIncrementalReplayIsExact:
         config = DIFF_CONFIGS[name]
         coalition = [first.trader_key(), second.trader_key()]
         report = audit_coalition(
-            config, DIFF_HORIZON, coalition=coalition, joint_grid=[(first, second)]
+            config, coalition=coalition, joint_grid=[(first, second)]
         )
         assert_baseline_matches(report, config)
         (trial,) = report.tested
@@ -382,7 +426,7 @@ class TestIncrementalReplayIsExact:
 
     def test_every_default_trial_equals_full_replay(self):
         config = DIFF_CONFIGS["scenario-a-proportional"]
-        report = audit_unilateral(config, DIFF_HORIZON)
+        report = audit_unilateral(config)
         assert len(report.tested) > 30
         for trial in report.tested:
             assert trial.gains == full_replay_gains(config, trial.deviations)
@@ -390,7 +434,7 @@ class TestIncrementalReplayIsExact:
 
 class TestNonexpansive:
     def test_benchmark_trace_passes(self):
-        trace = run(make_benchmark(), horizon=60)
+        trace = run(make_benchmark(horizon=60))
         report = check_nonexpansive(trace)
         assert report.passed
         gaps = [abs(p - 1) for p in trace.price_path()[:2]]
@@ -411,18 +455,18 @@ class TestNonexpansive:
             mechanism=DistributionMechanism.proportional(),
             horizon=30,
         )
-        trace = run(cfg, horizon=30)
+        trace = run(cfg)
         assert all(p == pytest.approx(1.0, abs=1e-9) for p in trace.price_path())
 
     def test_random_normalized_scenarios_pass(self):
         for seed in range(100):
-            cfg = generate_dirichlet_scenario(2 + seed % 6, 15.0, rng_seed=seed)
-            trace = run(cfg, horizon=40)
+            cfg = generate_dirichlet_scenario(2 + seed % 6, 15.0, rng_seed=seed, horizon=40)
+            trace = run(cfg)
             report = check_nonexpansive(trace)
             assert report.passed, f"seed {seed}: {report.detail}"
 
     def test_detects_violations(self):
-        trace = run(make_benchmark(variant="free_market", price_factor=2.0), horizon=5)
+        trace = run(make_benchmark(variant="free_market", price_factor=2.0, horizon=5))
         # constant price 2.0: |p-1| never shrinks but never grows; perturb
         # via a fabricated trace is overkill, assert the guard on oscillation
         report = check_nonexpansive(trace)
@@ -447,15 +491,15 @@ class TestSolverCrossValidation:
 
 class TestPriceLowerBound:
     def test_holds_on_canonical_trace(self):
-        cfg = make_benchmark(mechanism=DistributionMechanism.canonical(3))
-        trace = run(cfg, horizon=20)
+        cfg = make_benchmark(mechanism=DistributionMechanism.canonical(3), horizon=20)
+        trace = run(cfg)
         weights = mechanism_rank_weights(cfg.mechanism, cfg.claims)
         report = check_price_lower_bound(trace, weights)
         assert report.holds
 
     def test_holds_on_proportional_benchmark(self):
-        cfg = make_benchmark()
-        trace = run(cfg, horizon=20)
+        cfg = make_benchmark(horizon=20)
+        trace = run(cfg)
         weights = mechanism_rank_weights(cfg.mechanism, cfg.claims)
         report = check_price_lower_bound(trace, weights)
         assert report.holds

@@ -5,7 +5,8 @@ lockstep pass of ``batch.play_batch``, whatever the number of lists, each
 row joining the pass at its first adjusted round, from the all-greedy
 baseline's checkpoint there. These tests require the ``repr`` of every
 list's totals to equal that of the scalar ``run`` of its adjustments, from
-baselines of any horizon; when one of them fails, the batch must raise
+baselines of the config set to any horizon; when one of them fails, the
+batch must raise
 the first failure, in list order, of those runs, having played the lists
 again one at a time up to it. The kernel's pieces, and the column layer
 it shares with ``wide``, are compared with their scalar counterparts row
@@ -20,13 +21,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rightsmarket import batch, mechanism, wide
 from rightsmarket.analysis import Deviation, audit_coalition
 from rightsmarket.cli import load_scenario
 from rightsmarket.core import equal_rate_fill
-from rightsmarket.engine import BidAdjustment, replay_batch, run, run_with_checkpoints
+from rightsmarket.engine import BidAdjustment, replay_batch, run_with_checkpoints
 from rightsmarket.errors import ConfigError, PricingError, SimulationError
 from rightsmarket.mechanism import SellerOffer
 from rightsmarket.pricing import greedy_buyer_bids, mean_posted_price, solve_implicit_price
@@ -50,7 +51,7 @@ def scalar_replays(config, lists):
     the totals of each list's scalar ``run`` in one call, or else the first
     of those runs' errors, after one more call per list up to the failing
     one."""
-    runs = [scalar_totals(config, config.horizon, a) for a in lists]
+    runs = [scalar_totals(config, a) for a in lists]
     for i, run_ in enumerate(runs):
         if run_[0] == "SimulationError":
             return run_, 2 + i
@@ -85,13 +86,13 @@ def test_a_batch_equals_its_replays_one_at_a_time(case):
     alone, played = scalar_replays(config, lists)
 
     def one_at_a_time():
-        return [replay_batch(config, checkpoints, config.horizon, [a])[0] for a in lists]
+        return [replay_batch(config, checkpoints, [a])[0] for a in lists]
 
     assert outcome(one_at_a_time) == alone
 
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
         calls = counting_play_batch(mp)
-        together = outcome(lambda: replay_batch(config, checkpoints, config.horizon, lists))
+        together = outcome(lambda: replay_batch(config, checkpoints, lists))
     assert together == alone
     assert len(calls) == played
 
@@ -133,7 +134,7 @@ def test_lists_that_resume_at_different_rounds_play_in_one_pass(case):
 
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
         calls = counting_play_batch(mp)
-        together = outcome(lambda: replay_batch(config, checkpoints, config.horizon, lists))
+        together = outcome(lambda: replay_batch(config, checkpoints, lists))
     assert together == alone
     # one pass, unless a list fails
     assert len(calls) == played
@@ -151,28 +152,42 @@ def replays(draw):
     return config, draw(st.integers(1, 2 * T)), lists + [outside]
 
 
+# a config of 8 rounds and two lists: one deviates in round 6, and one only
+# in round 9, outside the horizon, so it plays no round
+EIGHT_ROUNDS = (
+    replace(load_scenario("scenario-a-proportional").config, horizon=8),
+    [[BidAdjustment(6, ("seller", 0), price_factor=0.9)],
+     [BidAdjustment(9, ("buyer", 1), price_factor=1.1)]],
+)
+
+
 @settings(deadline=None)
 @given(replays())
+# from baselines of 3 and 12 rounds: the first list resumes at the short
+# one's last checkpoint, round 4, and at round 6 of the long one
+@example((EIGHT_ROUNDS[0], 3, EIGHT_ROUNDS[1]))
+@example((EIGHT_ROUNDS[0], 12, EIGHT_ROUNDS[1]))
 def test_a_replay_from_a_baseline_of_any_horizon_equals_its_run(case):
-    # result k is what ``run(config, T, lists[k])`` gives, whether the
-    # baseline is shorter than T, as long or longer
+    # result k is what ``run(config, adjustments=lists[k])`` gives, whether
+    # the baseline, the config set to another horizon, is shorter than its
+    # T, as long or longer
     config, base_horizon, lists = case
     T = config.horizon
     with playing("scalar"):
         try:
-            _, checkpoints = run_with_checkpoints(config, base_horizon)
+            _, checkpoints = run_with_checkpoints(replace(config, horizon=base_horizon))
         except SimulationError:
             return
     alone, _ = scalar_replays(config, lists)
-    assert outcome(lambda: replay_batch(config, checkpoints, T, lists)) == alone
+    assert outcome(lambda: replay_batch(config, checkpoints, lists)) == alone
     for adjustments in lists:
-        replay = outcome(lambda: replay_batch(config, checkpoints, T, [adjustments])[0])
-        assert replay == scalar_totals(config, T, adjustments)
+        replay = outcome(lambda: replay_batch(config, checkpoints, [adjustments])[0])
+        assert replay == scalar_totals(config, adjustments)
     if base_horizon >= T:
         # the list with nothing to adjust in rounds 1 to T plays no round:
         # it returns the baseline's totals after round T, checkpoint T's
         base = checkpoints[T]
-        [totals] = replay_batch(config, checkpoints, T, lists[-1:])
+        [totals] = replay_batch(config, checkpoints, lists[-1:])
         assert totals == (base.seller_utilities, base.buyer_utilities)
 
 
@@ -190,11 +205,11 @@ def test_a_failing_list_that_joins_late_raises_its_own_error(early_fails_at):
     if early_fails_at:
         early.append(BidAdjustment(early_fails_at, ("seller", 0), volume_delta=withhold))
     failure = ("SimulationError", 6, "round 6: no good offered for sale")
-    assert scalar_totals(config, 8, late) == failure
+    assert scalar_totals(config, late) == failure
     with playing("wide"), pytest.MonkeyPatch.context() as mp:
         calls = counting_play_batch(mp)
         with pytest.raises(SimulationError, match="^round 6: no good offered for sale$"):
-            replay_batch(config, checkpoints, 8, [late, early])
+            replay_batch(config, checkpoints, [late, early])
     # the pass, then the first list on its own
     assert calls == [True, True]
 
@@ -203,28 +218,15 @@ def test_a_call_with_no_lists_plays_nothing():
     config = replace(load_scenario("scenario-a-proportional").config, horizon=4)
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_play_batch(mp)
-        assert replay_batch(config, [], 4, []) == []
+        assert replay_batch(config, [], []) == []
     assert calls == []
-
-
-@pytest.mark.parametrize("horizon", [0, -3])
-def test_a_replay_below_horizon_one_is_a_config_error(horizon):
-    # as ``run``: a replay to horizon 0 played no round and returned zero
-    # totals, and one to -3 returned those of checkpoints[-3]
-    config = replace(load_scenario("scenario-a-proportional").config, horizon=4)
-    _, checkpoints = run_with_checkpoints(config)
-    adjustments = [BidAdjustment(2, ("seller", 0), price_factor=0.9)]
-    with pytest.raises(ConfigError, match="^horizon must be >= 1$"):
-        run(config, horizon, adjustments)
-    with pytest.raises(ConfigError, match="^horizon must be >= 1$"):
-        replay_batch(config, checkpoints, horizon, [adjustments])
 
 
 def test_a_replay_without_checkpoints_is_a_config_error():
     # it used to raise an IndexError from ``play_batch``
     config = replace(load_scenario("scenario-a-proportional").config, horizon=4)
     with pytest.raises(ConfigError, match="^a replay needs at least one checkpoint"):
-        replay_batch(config, (), 4, [[]])
+        replay_batch(config, (), [[]])
 
 
 def test_a_free_market_replay_is_a_config_error():
@@ -233,7 +235,7 @@ def test_a_free_market_replay_is_a_config_error():
     _, checkpoints = run_with_checkpoints(config)
     free = replace(config, variant="free_market")
     with pytest.raises(ConfigError, match="^variant 'free_market' cannot be replayed"):
-        replay_batch(free, checkpoints, 4, [[]])
+        replay_batch(free, checkpoints, [[]])
 
 
 def test_a_coalition_audit_of_three_trials_plays_on_batch():

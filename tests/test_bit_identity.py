@@ -136,14 +136,14 @@ def test_a_replay_of_one_list_plays_on_the_batch_kernel(monkeypatch):
     played = []
     real = batch.play_batch
 
-    def spy(config, checkpoints, horizon, adjustment_lists):
+    def spy(config, checkpoints, adjustment_lists):
         played.append(len(adjustment_lists))
-        return real(config, checkpoints, horizon, adjustment_lists)
+        return real(config, checkpoints, adjustment_lists)
 
     config = crowd_config("contested_garment", "rights")
     _, checkpoints = run_with_checkpoints(config)
     monkeypatch.setattr(batch, "play_batch", spy)
-    [(sellers, buyers)] = replay_batch(config, checkpoints, HORIZON, [ADJUSTMENTS])
+    [(sellers, buyers)] = replay_batch(config, checkpoints, [ADJUSTMENTS])
     assert played == [1]
     trace = run(config, adjustments=ADJUSTMENTS)
     assert repr((sellers, buyers)) == repr((trace.seller_utilities, trace.buyer_utilities))

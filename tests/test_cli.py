@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,10 +29,14 @@ from rightsmarket.errors import ScenarioError, SimulationError
 from conftest import run_python
 
 AUDIT_TEXT = Path(__file__).parent / "audit_text"
-# every preset's audit, and one audit without its coalitions, by golden name
-AUDIT_CASES = {p: [p] for p in list_presets()}
+# every preset's audit, one audit without its coalitions and one at horizon
+# 3, where rounds 1 and T/2 coincide, by golden name
+AUDIT_CASES = {p: ["--scenario", p] for p in list_presets()}
 AUDIT_CASES["scenario-a-contested-garment.unilateral-only"] = [
-    "scenario-a-contested-garment", "--unilateral-only"
+    "--scenario", "scenario-a-contested-garment", "--unilateral-only"
+]
+AUDIT_CASES["scenario-a-proportional.horizon-3"] = [
+    "--scenario", "scenario-a-proportional", "--horizon", "3"
 ]
 
 
@@ -110,7 +115,7 @@ class TestScenarioParsing:
 class TestCsvOutput:
     def test_header_layout(self):
         scn = load_scenario("scenario-a-proportional")
-        trace = run(scn.config, horizon=2)
+        trace = run(replace(scn.config, horizon=2))
         buf = io.StringIO()
         write_trace_csv(trace, buf)
         lines = buf.getvalue().splitlines()
@@ -130,14 +135,14 @@ class TestCsvOutput:
         outputs = []
         for _ in range(2):
             buf = io.StringIO()
-            write_trace_csv(run(scn.config, horizon=30), buf)
+            write_trace_csv(run(replace(scn.config, horizon=30)), buf)
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
         assert "\r" not in outputs[0]
 
     def test_column_selection(self):
         scn = load_scenario("scenario-a-proportional")
-        trace = run(scn.config, horizon=1)
+        trace = run(replace(scn.config, horizon=1))
         buf = io.StringIO()
         write_trace_csv(trace, buf, columns=("price_good",))
         lines = buf.getvalue().splitlines()
@@ -606,7 +611,7 @@ class TestCommands:
         assert "sum g = sum m = 1" in capsys.readouterr().err
 
     def test_audit_failure_inside_a_round_exits_4(self, monkeypatch, capsys):
-        def fail(config, horizon, coalitions):
+        def fail(config, coalitions):
             raise SimulationError(3, "no good offered for sale")
 
         monkeypatch.setattr(cli, "audit", fail)
@@ -615,10 +620,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("name", AUDIT_CASES)
     def test_audit_text_is_pinned(self, capsys, name):
-        # stdout, stderr and the exit code of ``audit --horizon 40``, as
-        # ``tests/audit_text/<name>.txt`` holds them; the CI step makes the
-        # same comparison through the shell
-        code = main(["audit", "--scenario", *AUDIT_CASES[name], "--horizon", "40"])
+        # stdout, stderr and the exit code of ``audit --horizon 40``, where a
+        # later ``--horizon`` wins, as ``tests/audit_text/<name>.txt`` holds
+        # them; the CI step makes the same comparison through the shell
+        code = main(["audit", "--horizon", "40", *AUDIT_CASES[name]])
         captured = capsys.readouterr()
         want = (AUDIT_TEXT / f"{name}.txt").read_text()
         assert captured.out + captured.err + f"exit {code}\n" == want

@@ -139,7 +139,7 @@ class TestCheckpoints:
         trace, checkpoints = run_with_checkpoints(cfg)
         # with n checkpoints, a list with nothing to adjust resumes at round n
         for n in range(1, len(checkpoints) + 1):
-            assert replay_batch(cfg, checkpoints[:n], 12, [()]) == [
+            assert replay_batch(cfg, checkpoints[:n], [()]) == [
                 (trace.seller_utilities, trace.buyer_utilities)
             ]
 
@@ -148,7 +148,7 @@ class TestCheckpoints:
         _, checkpoints = run_with_checkpoints(cfg)
         before = checkpoints[3].state.copy()
         # the replay resumes at round 4, from checkpoint 3
-        replay_batch(cfg, checkpoints, 8, [[BidAdjustment(4, ("seller", 0), price_factor=0.9)]])
+        replay_batch(cfg, checkpoints, [[BidAdjustment(4, ("seller", 0), price_factor=0.9)]])
         assert checkpoints[3].state == before
 
     def test_adjustments_apply_in_list_order(self):
@@ -240,7 +240,7 @@ class TestRoundRecord:
 
 class TestBenchmarkTrace:
     def test_price_path_contracts_oscillating(self):
-        trace = run(make_benchmark(), horizon=10)
+        trace = run(make_benchmark(horizon=10))
         prices = trace.price_path()
         assert prices[0] == pytest.approx(75 / 116, abs=1e-12)
         assert prices[1] == pytest.approx(1.0121878715814507, abs=1e-9)
@@ -248,7 +248,7 @@ class TestBenchmarkTrace:
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
     def test_round_one_record(self):
-        trace = run(make_benchmark(), horizon=1)
+        trace = run(make_benchmark(horizon=1))
         rec = trace.records[0]
         assert rec.frustration == pytest.approx((1.0, 1 / 30, 0.0), abs=1e-12)
         assert rec.good_end == pytest.approx((0.0, 29 / 75, 46 / 75), abs=1e-12)
@@ -259,7 +259,7 @@ class TestBenchmarkTrace:
         assert rec.price_right == pytest.approx(rec.price_good, abs=1e-12)
 
     def test_next_money_law_along_trace(self):
-        trace = run(make_benchmark(), horizon=40)
+        trace = run(make_benchmark(horizon=40))
         incomes = (0.0, 0.25, 0.75)
         for prev, nxt in zip(trace.records, trace.records[1:]):
             for b in range(3):
@@ -269,12 +269,12 @@ class TestBenchmarkTrace:
                 assert nxt.money_start[b] == pytest.approx(expected, abs=1e-9)
 
     def test_all_good_sold_every_round(self):
-        trace = run(make_benchmark(), horizon=40)
+        trace = run(make_benchmark(horizon=40))
         for rec in trace.records:
             assert rec.volume_sold == pytest.approx(rec.volume_offered, abs=1e-9)
 
     def test_expected_frustration_path_recomputable(self):
-        trace = run(make_benchmark(), horizon=25)
+        trace = run(make_benchmark(horizon=25))
         total = 0.0
         for tau, rec in enumerate(trace.records, start=1):
             total += sum(rec.frustration)
@@ -285,7 +285,7 @@ class TestBenchmarkTrace:
     def test_asymptotic_money_two_round_average(self):
         # poor buyers' money settles into a two-round cycle whose mean is
         # (income + right) / 2 at the limiting unit price
-        trace = run(make_benchmark(), horizon=1000)
+        trace = run(make_benchmark(horizon=1000))
         last, prev = trace.records[-1], trace.records[-2]
         rights = (8 / 15, 6 / 15, 1 / 15)
         incomes = (0.0, 0.25, 0.75)
@@ -294,14 +294,14 @@ class TestBenchmarkTrace:
             assert avg == pytest.approx((incomes[b] + rights[b]) / 2, abs=1e-6)
 
     def test_conservation_residuals_tracked(self):
-        trace = run(make_benchmark(), horizon=100)
+        trace = run(make_benchmark(horizon=100))
         assert trace.max_money_residual <= 1e-9
         assert trace.max_good_residual <= 1e-9
 
 
 class TestScenarioB:
     def test_proportional_frustration_dies_out(self, scenario_b):
-        trace = run(scenario_b(), horizon=60)
+        trace = run(scenario_b(horizon=60))
         start = trace.first_all_zero_frustration_round()
         assert start is not None
         # Why round 6 (TestScenarioBExact recomputes it exactly): buyer 0 has
@@ -318,18 +318,18 @@ class TestScenarioB:
             assert all(f <= 1e-12 for f in rec.frustration)
 
     def test_contested_garment_takes_much_longer(self, scenario_b):
-        trace = run(scenario_b(mechanism=DistributionMechanism.contested_garment()), horizon=120)
+        trace = run(scenario_b(mechanism=DistributionMechanism.contested_garment(), horizon=120))
         start = trace.first_all_zero_frustration_round()
         # buyer 0's right is only 49/120 here, so its stock grows by about
         # (49/120)/2 - 1/5 = 1/240 a round (exact reference: round 48)
         assert start is not None and 44 <= start <= 50
 
     def test_free_market_approaches_one_third(self, scenario_b):
-        trace = run(scenario_b(variant="free_market"), horizon=200)
+        trace = run(scenario_b(variant="free_market", horizon=200))
         assert trace.expected_frustration() == pytest.approx(1 / 3, abs=1e-3)
 
     def test_free_market_price_is_one(self, scenario_b):
-        trace = run(scenario_b(variant="free_market"), horizon=10)
+        trace = run(scenario_b(variant="free_market", horizon=10))
         assert all(p == pytest.approx(1.0, abs=1e-12) for p in trace.price_path())
 
 
@@ -418,7 +418,7 @@ class TestScenarioBExact:
     @pytest.mark.parametrize("kind", ["proportional", "contested_garment"])
     def test_engine_matches_exact_trace(self, scenario_b, kind):
         mechanism = DistributionMechanism(kind)
-        trace = run(scenario_b(mechanism=mechanism), horizon=12)
+        trace = run(scenario_b(mechanism=mechanism, horizon=12))
         for rec, (p, frus) in zip(trace.records, _exact_scenario_b(kind, 12), strict=True):
             assert rec.price_good == pytest.approx(float(p), abs=1e-12)
             assert rec.frustration == pytest.approx(tuple(float(f) for f in frus), abs=1e-12)
@@ -426,8 +426,8 @@ class TestScenarioBExact:
 
 class TestFrustrationHalving:
     def test_ratio_and_componentwise_identities(self):
-        rights_trace = run(make_benchmark(), horizon=1000)
-        free_trace = run(make_benchmark(variant="free_market"), horizon=1000)
+        rights_trace = run(make_benchmark(horizon=1000))
+        free_trace = run(make_benchmark(variant="free_market", horizon=1000))
         ratio = rights_trace.per_round_mean_frustration(100) / free_trace.per_round_mean_frustration(100)
         assert ratio == pytest.approx(0.5, abs=1e-3)
         rights = (8 / 15, 6 / 15, 1 / 15)
@@ -442,31 +442,31 @@ class TestFrustrationHalving:
 
 class TestCanonicalTrace:
     def test_prices_follow_closed_form(self):
-        trace = run(make_benchmark(mechanism=DistributionMechanism.canonical(3)), horizon=8)
+        trace = run(make_benchmark(mechanism=DistributionMechanism.canonical(3), horizon=8))
         prices = trace.price_path()
         assert prices[0] == pytest.approx(7 / 8, abs=1e-12)
         for p in prices[1:]:
             assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_unassigned_buyers_have_zero_frustration(self):
-        trace = run(make_benchmark(mechanism=DistributionMechanism.canonical(3)), horizon=3)
+        trace = run(make_benchmark(mechanism=DistributionMechanism.canonical(3), horizon=3))
         for rec in trace.records:
             assert rec.frustration[0] == 0.0 and rec.frustration[1] == 0.0
 
 
 class TestMyopicVariant:
     def test_sellers_post_free_market_price(self):
-        trace = run(make_benchmark(variant="myopic_rights"), horizon=5)
+        trace = run(make_benchmark(variant="myopic_rights", horizon=5))
         assert all(p == pytest.approx(1.0, abs=1e-12) for p in trace.price_path())
 
     def test_frustration_at_most_half(self):
-        trace = run(make_benchmark(variant="myopic_rights"), horizon=10)
+        trace = run(make_benchmark(variant="myopic_rights", horizon=10))
         for rec in trace.records:
             for f in rec.frustration:
                 assert f <= 0.5 + 1e-12
 
     def test_rounds_decouple(self):
-        trace = run(make_benchmark(variant="myopic_rights"), horizon=6)
+        trace = run(make_benchmark(variant="myopic_rights", horizon=6))
         first = trace.records[0]
         for rec in trace.records[1:]:
             assert rec.money_start == pytest.approx(first.money_start, abs=1e-9)
@@ -647,20 +647,19 @@ class TestReplayChecks:
         ],
     )
     def test_replay_raises_what_the_run_raises(self, monkeypatch, fault, message):
-        horizon = 8
-        cfg = make_benchmark(horizon=horizon)
+        cfg = make_benchmark(horizon=8)
         _, checkpoints = run_with_checkpoints(cfg)
         adjustments = [BidAdjustment(3, ("seller", 0), price_factor=0.9)]
         breaks = getattr(self, fault)
         monkeypatch.setattr(engine, "clear", scalar_clear(breaks))
         monkeypatch.setattr(batch, "clear", batch_clear(breaks))
         with pytest.raises(SimulationError) as full:
-            run(cfg, horizon, adjustments)
+            run(cfg, adjustments=adjustments)
         assert full.value.round_index == FAULT_ROUND
         assert message in str(full.value)
         for n in (1, 2, 3):  # resume at rounds 1 to 3, before the deviation
             with pytest.raises(SimulationError) as replayed:
-                replay_batch(cfg, checkpoints[:n], horizon, [adjustments])
+                replay_batch(cfg, checkpoints[:n], [adjustments])
             assert replayed.value.round_index == full.value.round_index
             assert str(replayed.value) == str(full.value)
 
@@ -746,7 +745,7 @@ class TestSettledRounds:
         assert rounds == [1, 2, 40]
         assert trace.records[39] != greedy.records[39]
         assert trace.records[40:] == greedy.records[40:]
-        [totals] = replay_batch(config, checkpoints, config.horizon, [adjustments])
+        [totals] = replay_batch(config, checkpoints, [adjustments])
         assert repr(totals) == repr((trace.seller_utilities, trace.buyer_utilities))
 
 
@@ -754,11 +753,19 @@ class TestRunValidation:
     def test_free_market_adjustments_are_refused(self):
         # the free-market round ignores deviations: this run used to return
         # a trace with the same ``repr`` as the baseline's
-        config = load_scenario("free-market-a").config
+        config = replace(load_scenario("free-market-a").config, horizon=6)
         adjustment = BidAdjustment(2, ("seller", 0), volume_delta=-0.5, price_factor=0.5)
         with pytest.raises(ConfigError, match="^variant 'free_market' cannot be replayed: "):
-            run(config, 6, [adjustment])
-        assert run(config, 6, []) == run(config, 6)
+            run(config, adjustments=[adjustment])
+        assert run(config, adjustments=[]) == run(config)
+
+    @pytest.mark.parametrize("stale", [2.5, True, 5])
+    def test_a_second_positional_argument_is_a_type_error(self, stale):
+        # the horizon is the config's alone, and adjustments are keyword-only:
+        # ``run(config, 2.5)`` used to play 2 rounds and ``run(config, True)`` 1
+        config = make_benchmark(horizon=4)
+        with pytest.raises(TypeError):
+            run(config, stale)
 
     def test_zero_supply_round_aborts_with_round_index(self):
         cfg = MarketConfig(
@@ -827,14 +834,14 @@ class TestTraceWindows:
     @pytest.mark.parametrize("window", [0, -3])
     def test_window_below_one_is_rejected(self, window):
         # records[-0:] is the whole trace, so a window of 0 must not reach it
-        trace = run(make_benchmark(), horizon=20)
+        trace = run(make_benchmark(horizon=20))
         with pytest.raises(ValueError, match="window must be at least 1"):
             trace.per_round_mean_frustration(window)
         with pytest.raises(ValueError, match="window must be at least 1"):
             trace.per_buyer_mean_frustration(window)
 
     def test_window_longer_than_the_trace_averages_all_of_it(self):
-        trace = run(make_benchmark(), horizon=20)
+        trace = run(make_benchmark(horizon=20))
         assert trace.per_round_mean_frustration(50) == trace.per_round_mean_frustration(20)
         assert trace.per_round_mean_frustration() == trace.per_round_mean_frustration(20)
         assert trace.per_round_mean_frustration(2) != trace.per_round_mean_frustration(20)

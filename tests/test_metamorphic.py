@@ -143,9 +143,9 @@ AUDIT_HORIZON = 40
 
 def unilateral_totals(config, lists):
     """The utility totals of every list of adjustments replayed on
-    ``batch`` to ``AUDIT_HORIZON``, from ``config``'s own baseline."""
-    _, checkpoints = run_with_checkpoints(config, AUDIT_HORIZON)
-    return replay_batch(config, checkpoints, AUDIT_HORIZON, lists)
+    ``batch``, from ``config``'s own baseline."""
+    _, checkpoints = run_with_checkpoints(config)
+    return replay_batch(config, checkpoints, lists)
 
 
 @pytest.mark.parametrize(
@@ -169,8 +169,8 @@ def unilateral_totals(config, lists):
 def test_scaling_incomes_keeps_the_buyer_totals_of_every_audit_trial(preset, k):
     # the audit's own menu, from the unscaled baseline: a scaled config is
     # no longer normalized, so ``audit_unilateral`` refuses it
-    config = cli.load_scenario(preset).config
-    baseline = run(config, AUDIT_HORIZON)
+    config = replace(cli.load_scenario(preset).config, horizon=AUDIT_HORIZON)
+    baseline = run(config)
     lists = [
         list(d.to_adjustments(config))
         for d in default_deviation_grid(config, AUDIT_HORIZON, baseline)

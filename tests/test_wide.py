@@ -6,11 +6,14 @@ below that, for runs with adjustments or checkpoints and for the other
 variants, it plays the scalar round. Every replay plays on ``batch``,
 whatever its size. These tests play the same runs both ways, whatever
 their size, by moving that constant for the duration of a call, and
-compare each replay with the scalar ``run`` of its adjustments: they
-require the same ``repr`` of every trace and utility total, and the same
-``SimulationError`` round and message when a run or a replay fails. The
-kernel's pieces are compared with the scalar ones here on single
-columns, and row by row in ``tests/test_batch.py``.
+compare each replay with the scalar ``run`` of its adjustments. A run that
+stays on the scalar round, as every ``myopic_rights`` run does, plays the
+second way with the scalar round's settled-round reuse off
+(``engine.SETTLED_ROUNDS`` 0), so that it computes every round, as the
+kernels do. The tests require the same ``repr`` of every trace and
+utility total, and the same ``SimulationError`` round and message when a
+run or a replay fails. The kernel's pieces are compared with the scalar
+ones here on single columns, and row by row in ``tests/test_batch.py``.
 """
 
 import re
@@ -42,10 +45,13 @@ PATHS = ("scalar", "wide")
 
 @contextmanager
 def playing(path: str):
-    """Play every all-greedy ``rights`` run on ``path``; replays play on
-    ``batch`` either way."""
+    """Play every all-greedy ``rights`` run on ``path``, and on "wide" every
+    run left to the scalar round without its settled-round reuse; replays
+    play on ``batch`` either way."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "WIDE_MIN_BUYERS", 1 if path == "wide" else sys.maxsize)
+        if path == "wide":
+            mp.setattr(engine, "SETTLED_ROUNDS", 0)
         yield
 
 
@@ -60,7 +66,8 @@ def outcome(call):
 
 def both(call):
     """The outcome of ``call`` on the scalar rounds and on the numpy
-    kernels, in that order."""
+    kernels, or the scalar round without reuse where they do not play, in
+    that order."""
     out = []
     for path in PATHS:
         with playing(path):
@@ -68,15 +75,14 @@ def both(call):
     return out
 
 
-def scalar_totals(config, horizon, adjustments=()):
-    """The outcome of ``run(config, horizon, adjustments)`` on the scalar
-    round, as its seller and buyer utility totals. A replay of
-    ``adjustments`` to ``horizon``, from the checkpoints of the config's
-    all-greedy baseline of any horizon, must have this outcome bit for
-    bit."""
+def scalar_totals(config, adjustments=()):
+    """The outcome of ``run(config, adjustments=adjustments)`` on the
+    scalar round, as its seller and buyer utility totals. A replay of
+    ``adjustments``, from the checkpoints of the all-greedy baseline of the
+    config set to any horizon, must have this outcome bit for bit."""
 
     def totals():
-        trace = run(config, horizon, adjustments)
+        trace = run(config, adjustments=adjustments)
         return trace.seller_utilities, trace.buyer_utilities
 
     with playing("scalar"):
@@ -192,8 +198,9 @@ def adjustment_lists(config, rounds=None):
 @settings(deadline=None)
 @given(markets())
 def test_both_paths_give_the_same_results(market):
-    # an all-greedy run plays on ``wide``, a replay as a batch of one on
-    # ``batch``; runs with adjustments or checkpoints are scalar either way
+    # an all-greedy rights run plays on ``wide`` and a myopic one on the
+    # scalar round without reuse, a replay as a batch of one on ``batch``;
+    # runs with adjustments or checkpoints are scalar either way
     config, adjustments = market
     scalar, wide_ = both(lambda: run(config))
     assert scalar == wide_
@@ -202,12 +209,10 @@ def test_both_paths_give_the_same_results(market):
         _, checkpoints = run_with_checkpoints(config)
     except SimulationError:
         checkpoints = ()
-    expected = scalar_totals(config, config.horizon, adjustments)
+    expected = scalar_totals(config, adjustments)
     for n in {1, len(checkpoints)} if checkpoints else ():
         # the first n checkpoints: the replay resumes at round n at the latest
-        replay = outcome(
-            lambda: replay_batch(config, checkpoints[:n], config.horizon, [adjustments])[0]
-        )
+        replay = outcome(lambda: replay_batch(config, checkpoints[:n], [adjustments])[0])
         assert replay == expected
 
 
@@ -230,7 +235,7 @@ def test_many_good_and_right_levels():
     trace = run(config, adjustments=adjustments)
     assert "Rejection(side='buyer'" in repr(trace)
     _, checkpoints = run_with_checkpoints(config)
-    replay = outcome(lambda: replay_batch(config, checkpoints, 6, [adjustments])[0])
+    replay = outcome(lambda: replay_batch(config, checkpoints, [adjustments])[0])
     assert replay == repr((trace.seller_utilities, trace.buyer_utilities))
 
 
@@ -239,7 +244,7 @@ def test_nan_rights_agree(variant):
     # an infinite claim gives its holder a NaN right under the proportional
     # rule: the allocation's finiteness check stops both variants at round
     # 1 on every path, where the myopic run used to return the NaN silently;
-    # a myopic run plays the scalar round on both paths
+    # a myopic run plays the scalar round, with and without reuse
     config = replace(
         make_benchmark(variant=variant, horizon=5),
         buyers=(
@@ -256,7 +261,8 @@ def test_nan_rights_agree(variant):
 def test_overflowing_money_fails_both_paths_alike(variant, fails_at):
     # buyer 1's money reaches inf, and the round after, the last one played,
     # its NaN residual must fail the conservation check on every path; a
-    # myopic run plays the scalar round on both, and its replay on ``batch``
+    # myopic run plays the scalar round, with and without reuse, and its
+    # replay on ``batch``
     benchmark = make_benchmark(variant=variant, horizon=fails_at)
     config = replace(
         benchmark,
@@ -272,8 +278,8 @@ def test_overflowing_money_fails_both_paths_alike(variant, fails_at):
     assert "accounting residual money=nan" in runs[0][2]
     # a list with nothing to adjust resumes at the short baseline's last
     # checkpoint, round 2
-    _, checkpoints = run_with_checkpoints(config, 1)
-    assert outcome(lambda: replay_batch(config, checkpoints, fails_at, [[]])[0]) == runs[0]
+    _, checkpoints = run_with_checkpoints(replace(config, horizon=1))
+    assert outcome(lambda: replay_batch(config, checkpoints, [[]])[0]) == runs[0]
 
 
 @pytest.mark.parametrize(
@@ -281,10 +287,10 @@ def test_overflowing_money_fails_both_paths_alike(variant, fails_at):
 )
 def test_a_posted_price_that_overflows_fails_every_path_alike(variant, resupply):
     # 60 buyers, enough for ``wide`` to play the rights run as shipped; a
-    # myopic run plays the scalar round on both paths. The resupply drops to
-    # a subnormal in round 3, where the price, the buyers' money over their
-    # subnormal rights or, in the myopic variant, over the Good on sale,
-    # overflows to inf while the residuals stay 0
+    # myopic run plays the scalar round, with and without reuse. The
+    # resupply drops to a subnormal in round 3, where the price, the buyers'
+    # money over their subnormal rights or, in the myopic variant, over the
+    # Good on sale, overflows to inf while the residuals stay 0
     config = replace(
         generate_dirichlet_scenario(60, float("inf"), 0, variant=variant, horizon=6),
         sellers=(SellerSpec(SupplySchedule.step(1.0, resupply, 3)),),
@@ -294,11 +300,11 @@ def test_a_posted_price_that_overflows_fails_every_path_alike(variant, resupply)
     assert runs == [("SimulationError", 3, "round 3: posted price is not finite")] * 2
     # a list with nothing to adjust resumes at the short baseline's last
     # checkpoint, round 2
-    _, checkpoints = run_with_checkpoints(config, 1)
-    assert outcome(lambda: replay_batch(config, checkpoints, 6, [[]])[0]) == runs[0]
+    _, checkpoints = run_with_checkpoints(replace(config, horizon=1))
+    assert outcome(lambda: replay_batch(config, checkpoints, [[]])[0]) == runs[0]
     # the batch kernel fails on its own, before any replay one at a time
     with pytest.raises(SimulationError, match="^round 3: "):
-        batch.play_batch(config, checkpoints, 6, [[]])
+        batch.play_batch(config, checkpoints, [[]])
 
 
 @pytest.mark.parametrize("num_buyers", [3, 60])
@@ -325,11 +331,11 @@ def test_a_right_price_that_overflows_fails_every_path_alike(num_buyers):
         assert outcome(lambda: run(config)) == failure
     # a list with nothing to adjust resumes at the short baseline's last
     # checkpoint, round 2
-    _, checkpoints = run_with_checkpoints(config, 1)
-    assert outcome(lambda: replay_batch(config, checkpoints, 5, [[]])[0]) == failure
+    _, checkpoints = run_with_checkpoints(replace(config, horizon=1))
+    assert outcome(lambda: replay_batch(config, checkpoints, [[]])[0]) == failure
     # the batch kernel fails on its own, before any replay one at a time
     with pytest.raises(SimulationError, match="^round 3: Right price is not finite$"):
-        batch.play_batch(config, checkpoints, 5, [[], []])
+        batch.play_batch(config, checkpoints, [[], []])
 
 
 # -- failing runs --------------------------------------------------------------
@@ -446,12 +452,12 @@ def test_a_faulty_clearing_fails_both_paths_alike(monkeypatch, fault, num_buyers
     monkeypatch.setattr(wide, "clear", wide_clear(breaks))
     monkeypatch.setattr(batch, "clear", batch_clear(breaks))
     for adjusted in ((), adjustments):
-        runs = both(lambda: run(config, horizon, adjusted))
+        runs = both(lambda: run(config, adjustments=adjusted))
         assert runs[0] == runs[1]
         assert runs[0][:2] == ("SimulationError", FAULT_ROUND)
         assert message in runs[0][2]
         for n in (1, 2, 3):  # resume at rounds 1 to 3, before the deviation
-            replay = outcome(lambda: replay_batch(config, checkpoints[:n], horizon, [adjusted])[0])
+            replay = outcome(lambda: replay_batch(config, checkpoints[:n], [adjusted])[0])
             assert replay == runs[0]
 
 
@@ -466,7 +472,7 @@ def test_a_round_with_no_good_offered_fails_both_paths_alike(num_buyers):
     with playing("scalar"):
         _, checkpoints = run_with_checkpoints(replace(config, horizon=2))
     # a list with nothing to adjust resumes at the last checkpoint, round 3
-    assert outcome(lambda: replay_batch(config, checkpoints, 10, [()])[0]) == runs[0]
+    assert outcome(lambda: replay_batch(config, checkpoints, [()])[0]) == runs[0]
 
 
 # -- settled rounds ------------------------------------------------------------
@@ -474,7 +480,8 @@ def test_a_round_with_no_good_offered_fails_both_paths_alike(num_buyers):
 # The scalar round reuses the price, bids and clearing of one of the last
 # ``engine.SETTLED_ROUNDS`` unadjusted rounds that started with the same
 # offered volumes and buyer money; ``wide`` and ``batch`` compute every round,
-# so they are the oracle.
+# so they are the oracle, and for a run left to the scalar round, a
+# ``myopic_rights`` one included, so is that round with reuse off.
 
 RIGHTS_PRESETS = [
     p for p in cli.list_presets() if cli.load_scenario(p).config.variant != "free_market"
@@ -544,8 +551,8 @@ def test_settled_rounds_give_the_same_results(market):
         return
     # the replay resumes at its first deviation and plays every round after
     # it on ``batch``
-    replay = outcome(lambda: replay_batch(config, checkpoints, config.horizon, [adjustments])[0])
-    assert replay == scalar_totals(config, config.horizon, adjustments)
+    replay = outcome(lambda: replay_batch(config, checkpoints, [adjustments])[0])
+    assert replay == scalar_totals(config, adjustments)
 
 
 # -- the kernel's pieces (row by row in tests/test_batch.py) ------------------
