@@ -20,6 +20,7 @@ cross-validates the interval-scan price solver against bisection.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig
 from .engine import (
     BidAdjustment,
     Trace,
+    check_reference,
     replay_batch,
     run,  # noqa: F401  kept importable: perfbench's tracer patches ``analysis.run``
     run_with_checkpoints,
@@ -45,10 +47,6 @@ DEVIATION_KINDS = (
 DEFAULT_MAGNITUDES = (0.05, 0.10, 0.25, 0.50)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Deviation:
     """One trader's single-round departure from greedy.
@@ -56,9 +54,11 @@ class Deviation:
     ``magnitude`` is the multiplicative size: the withheld fraction of the
     round's resupply, the fraction of right not sold / not bought, or the
     signed relative price change. A withholding seller sells the stored
-    amount in the following round. ``trader`` must be an integer (not a
-    bool) of at least 0 and ``round_index`` an integer; the audit skips a
-    round outside the horizon and refuses a trader the config lacks.
+    amount in the following round. The side the kind names, ``trader`` and
+    ``round_index`` must pass ``engine.check_reference`` and ``magnitude``
+    must be finite, or the ``Deviation`` is a ``ConfigError`` that names
+    it; the audit skips a round outside the horizon and refuses a trader
+    the config lacks.
     """
 
     kind: str
@@ -69,8 +69,9 @@ class Deviation:
     def __post_init__(self) -> None:
         if self.kind not in DEVIATION_KINDS:
             raise ConfigError(f"unknown deviation kind {self.kind!r}")
-        if not (_is_int(self.trader) and self.trader >= 0 and _is_int(self.round_index)):
-            raise ConfigError(f"{self!r} needs an integer trader >= 0 and an integer round")
+        check_reference(self, self.trader_key(), self.round_index)
+        if not math.isfinite(self.magnitude):
+            raise ConfigError(f"{self!r} needs a finite magnitude")
 
     def trader_key(self) -> tuple[str, int]:
         side = "seller" if self.kind.startswith("seller") else "buyer"
@@ -111,9 +112,9 @@ class DeviationTrial:
         return max(self.gains) if self.gains else float("-inf")
 
     def describe(self) -> str:
-        if self.skipped:
-            return f"SKIP {self.deviations[0].describe()}: {self.reason}"
         parts = "; ".join(d.describe() for d in self.deviations)
+        if self.skipped:
+            return f"SKIP {parts}: {self.reason}"
         gains = ", ".join(f"{g:+.3e}" for g in self.gains)
         return f"{parts} -> gain {gains}"
 
@@ -146,12 +147,13 @@ class AuditReport:
 
     def summary(self) -> str:
         kind = "coalition" if self.coalition else "unilateral"
-        if not self.trials:  # not to be read as tested and passed
-            return f"{kind} audit: 0 trials, nothing to test"
+        counted = f"{kind} audit: {len(self.tested)} trials"
+        if self.trials:
+            counted += f" ({len(self.trials) - len(self.tested)} skipped)"
+        if not self.tested:  # not to be read as tested and passed
+            return f"{counted}, nothing to test"
         return (
-            f"{kind} audit: {len(self.tested)} trials "
-            f"({len(self.trials) - len(self.tested)} skipped), "
-            f"max gain {self.max_gain:+.3e}, "
+            f"{counted}, max gain {self.max_gain:+.3e}, "
             f"{len(self.witnesses)} profitable deviation(s)"
         )
 
@@ -168,9 +170,6 @@ def _rounds(horizon: int) -> list[int]:
     return sorted({1, max(1, horizon // 2), horizon})
 
 
-OUTSIDE_HORIZON = "round outside horizon"
-
-
 def _skip_reason(dev: Deviation, baseline: Trace) -> str:
     """Why ``dev`` cannot be played against ``baseline``, or "" if it can.
 
@@ -178,7 +177,7 @@ def _skip_reason(dev: Deviation, baseline: Trace) -> str:
     offered some that round (poor); buying less needs one who demanded some.
     """
     if not 1 <= dev.round_index <= baseline.horizon:
-        return OUTSIDE_HORIZON
+        return "round outside horizon"
     if dev.kind.startswith("seller"):
         return ""
     rec = baseline.records[dev.round_index - 1]
@@ -213,15 +212,15 @@ def _menu(
     return [d for d in menu if not _skip_reason(d, baseline)]
 
 
-def default_deviation_grid(config: MarketConfig, horizon: int, baseline: Trace) -> list[Deviation]:
+def default_deviation_grid(config: MarketConfig, baseline: Trace) -> list[Deviation]:
     """Every trader's menu at each ``DEFAULT_MAGNITUDES`` size in rounds 1,
-    T/2 and T, sellers first."""
+    T/2 and T of ``baseline``, sellers first."""
     members = [("seller", s) for s in range(config.num_sellers)]
     members += [("buyer", b) for b in range(config.num_buyers)]
     return [
         d
         for member in members
-        for r in _rounds(horizon)
+        for r in _rounds(baseline.horizon)
         for m in DEFAULT_MAGNITUDES
         for d in _menu(member, r, m, m, baseline)
     ]
@@ -236,23 +235,32 @@ def default_coalition_menu(
     return _menu(member, round_index, amount, 0.10, baseline)
 
 
-# a report to play: its coalition, () for the unilateral report, and its
-# grid, None for the default one
-_Plan = tuple[tuple[tuple[str, int], ...], Sequence | None]
+# a report to play: its coalition as given, None for the unilateral report,
+# and its grid, None for the default one
+_Plan = tuple[Sequence | None, Sequence | None]
 
 
 def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) -> list[AuditReport]:
-    """One report per plan: the ``_combos`` of each played against one
+    """One report per plan, each a list of combos played against one
     all-greedy baseline of T = ``config.horizon`` rounds, or of ``horizon``
     rounds when given, which replaces the config's and is checked as it is.
 
     The audit covers the regime the equilibrium claim is stated for: total
     resupply and total income 1 in rounds 1, T/2 and T, and a variant whose
-    round applies deviations, which ``free_market``'s does not. A given
-    grid that names a trader the config lacks is refused before anything
-    is played. Every played combo of every report goes to one
-    ``replay_batch`` call, in report and trial order, so a failing trial
-    raises what the reports made one after another would raise.
+    round applies deviations, which ``free_market``'s does not. Before
+    anything is played, one gate refuses a coalition that is not two or
+    more distinct members, each read as ``tuple(member)`` when it is a list,
+    passing ``engine.check_reference`` and naming a trader the config has,
+    and a given grid with a deviation that names a trader the config lacks.
+    The unilateral report plays each deviation of its grid, by default
+    ``default_deviation_grid``, as a combo of one, and a coalition report
+    each combo of its grid, by default the product of the members'
+    ``default_coalition_menu`` at mid-horizon. A combo whose traders are not
+    the coalition's is skipped as a menu/member mismatch, and any other for
+    the first of its deviations that ``_skip_reason`` rules out. Every
+    played combo of every report goes to one ``replay_batch`` call, in
+    report and trial order, so a failing trial raises what the reports made
+    one after another would raise.
     """
     if horizon is not None:
         config = replace(config, horizon=horizon)
@@ -263,15 +271,31 @@ def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) ->
         )
     if not all(config.is_normalized(r) for r in _rounds(T)):
         raise ConfigError("audit needs sum g = sum m = 1 in rounds 1, T/2 and T")
-    for coalition, grid in plans:
-        for entry in grid or ():
-            for dev in entry if coalition else (entry,):
-                side, idx = dev.trader_key()
-                if idx >= (config.num_sellers if side == "seller" else config.num_buyers):
-                    raise ConfigError(f"{dev!r} names a {side} the config lacks")
+    sizes = {"seller": config.num_sellers, "buyer": config.num_buyers}
+    reports = []
+    for members, grid in plans:
+        if grid is not None:  # read once, as it is walked twice; a deviation is a combo of one
+            grid = [(d,) if members is None else tuple(d) for d in grid]
+        coalition = tuple(tuple(m) if isinstance(m, list) else m for m in members or ())
+        for member in coalition:
+            check_reference(member, member)
+        if members is not None and len(set(coalition)) < max(2, len(coalition)):
+            raise ConfigError(f"coalition members must be distinct, two or more: {members!r}")
+        named = [(d, d.trader_key()) for combo in grid or () for d in combo]
+        for owner, (side, idx) in named + [(m, m) for m in coalition]:
+            if idx >= sizes[side]:
+                raise ConfigError(f"{owner!r} names a {side} the config lacks")
+        reports.append((coalition, grid))
     baseline, checkpoints = run_with_checkpoints(config)
     base_sellers, base_buyers = baseline.seller_utilities, baseline.buyer_utilities
-    played = [_combos(config, T, baseline, coalition, grid) for coalition, grid in plans]
+    played = []
+    for coalition, grid in reports:
+        if grid is None and coalition:
+            menus = (default_coalition_menu(m, max(1, T // 2), baseline) for m in coalition)
+            grid = itertools.product(*menus)
+        elif grid is None:
+            grid = [(d,) for d in default_deviation_grid(config, baseline)]
+        played.append([(combo, _skip(combo, coalition, baseline)) for combo in grid])
     lists = [
         [a for d in devs for a in d.to_adjustments(config)]
         for devs, reason in itertools.chain.from_iterable(played)
@@ -279,7 +303,7 @@ def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) ->
     ]
     totals = iter(replay_batch(config, checkpoints, lists))
     out = []
-    for (coalition, _), pairs in zip(plans, played):
+    for (coalition, _), pairs in zip(reports, played):
         trials: list[DeviationTrial] = []
         for devs, reason in pairs:
             gains: tuple[float, ...] = ()
@@ -295,47 +319,12 @@ def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) ->
     return out
 
 
-def _combos(
-    config: MarketConfig,
-    T: int,
-    baseline: Trace,
-    coalition: tuple[tuple[str, int], ...],
-    grid: Sequence | None,
-) -> list[tuple[Sequence[Deviation], str]]:
-    """The (deviations, skip reason) pairs of one report. The unilateral
-    report, ``coalition`` (), plays each deviation of ``grid``, by default
-    ``default_deviation_grid``, on its own. A coalition report plays each
-    combo of ``grid``, by default the product of the members'
-    ``default_coalition_menu`` at mid-horizon, skipped as
-    ``audit_coalition`` says."""
-    if not coalition:
-        if grid is None:
-            grid = default_deviation_grid(config, T, baseline)
-        return [((d,), _skip_reason(d, baseline)) for d in grid]
-    if grid is None:
-        mid = max(1, T // 2)
-        grid = itertools.product(*(default_coalition_menu(m, mid, baseline) for m in coalition))
-    members = set(coalition)
-
-    def reason(combo: Sequence[Deviation]) -> str:
-        if {d.trader_key() for d in combo} != members:
-            return "menu/member mismatch"
-        if not all(1 <= d.round_index <= T for d in combo):
-            return OUTSIDE_HORIZON
-        return ""
-
-    return [(combo, reason(combo)) for combo in grid]
-
-
-def _coalition(members: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """``members`` as a tuple, or a ``ConfigError`` unless they are two or
-    more distinct traders."""
-    coalition = tuple(members)
-    if len(coalition) < 2:
-        raise ConfigError("a coalition needs at least two members")
-    if len(set(coalition)) != len(coalition):
-        raise ConfigError(f"coalition members must be distinct, got {list(coalition)!r}")
-    return coalition
+def _skip(combo: Sequence[Deviation], coalition: tuple, baseline: Trace) -> str:
+    """Why ``combo`` is not played in the report of ``coalition``, () for
+    the unilateral one, or "" if it is."""
+    if coalition and {d.trader_key() for d in combo} != set(coalition):
+        return "menu/member mismatch"
+    return next(filter(None, (_skip_reason(d, baseline) for d in combo)), "")
 
 
 def audit_unilateral(
@@ -351,7 +340,7 @@ def audit_unilateral(
     ``horizon`` given stands for ``config``'s, as in every audit, and a bad
     one is the ``ConfigError`` the config would raise.
     """
-    return _audit(config, horizon, [((), deviation_grid)])[0]
+    return _audit(config, horizon, [(None, deviation_grid)])[0]
 
 
 def audit_coalition(
@@ -362,15 +351,19 @@ def audit_coalition(
 ) -> AuditReport:
     """Joint-deviation scan for one coalition.
 
-    A joint deviation wins only if every member gains more than
-    ``CONSERVATION_TOL``. Every combo of ``joint_grid`` whose traders are
-    exactly the coalition's members is played, and any other is skipped as
-    a menu/member mismatch; so is a combo with a deviation outside rounds
-    1 to T, as the unilateral audit skips one. The default grid is the
-    cartesian product of small per-member menus at mid-horizon. This is
-    one of ``audit``'s coalition reports, on its own and on any grid.
+    ``coalition`` must be two or more distinct members, each a trader the
+    config has that passes ``engine.check_reference``; a list member, as
+    JSON gives one, is read as its tuple. Anything else is a
+    ``ConfigError`` raised before anything is played. A joint deviation
+    wins only if every member gains more than ``CONSERVATION_TOL``. Every
+    combo of ``joint_grid`` whose traders are exactly the coalition's
+    members is played unless one of its deviations is one the unilateral
+    audit skips, for the first such reason; any other is skipped as a
+    menu/member mismatch. The default grid is the cartesian product of
+    small per-member menus at mid-horizon. This is one of ``audit``'s
+    coalition reports, on its own and on any grid.
     """
-    return _audit(config, horizon, [(_coalition(coalition), joint_grid)])[0]
+    return _audit(config, horizon, [(coalition, joint_grid)])[0]
 
 
 def audit(
@@ -387,8 +380,7 @@ def audit(
     made one after another, would raise. A malformed coalition raises
     ``ConfigError`` before anything is played.
     """
-    plans = [((), None)] + [(_coalition(c), None) for c in coalitions]
-    return _audit(config, horizon, plans)
+    return _audit(config, horizon, [(None, None)] + [(c, None) for c in coalitions])
 
 
 @dataclass(frozen=True)

@@ -226,7 +226,7 @@ def _play_round(
     volumes[:] = config.resupply_at(tau)
     for m, adj in moves:
         side, s = adj.trader
-        if side == "seller" and 0 <= s < ns:
+        if side == "seller" and s < ns:
             volumes[m, s] += adj.volume_delta
     volumes, offered = offer_volumes(tau, volumes, market.seller_good)
 
@@ -247,7 +247,7 @@ def _play_round(
     prices[:] = posted[:, None]
     for m, adj in moves:
         side, s = adj.trader
-        if side == "seller" and 0 <= s < ns:
+        if side == "seller" and s < ns:
             prices[m, s] *= adj.price_factor
     market.right = rights
 
@@ -255,7 +255,7 @@ def _play_round(
     bids = greedy_bids(price_avg[:, None], offered[:, None], money_start, rights, config.variant)
     for m, adj in moves:
         side, b = adj.trader
-        if side == "buyer" and 0 <= b < nb:
+        if side == "buyer" and b < nb:
             bids[OFFER, m, b] *= adj.right_offer_factor
             bids[OFFER_PRICE, m, b] *= adj.price_factor
             bids[RIGHT_CAP, m, b] *= adj.right_demand_factor

@@ -266,16 +266,34 @@ class Trace:
         return start
 
 
+def check_reference(owner: object, trader: object, round_index: object = 1) -> None:
+    """The reference rule for what a deviation may name: ``trader`` is a
+    tuple pair of a side, "seller" or "buyer", and an index, an integer of
+    at least 0, and ``round_index`` is an integer; a bool is neither.
+    Anything else is a ``ConfigError`` that names ``owner``. The rule
+    knows no config: an index past its last trader passes it."""
+    if not (isinstance(trader, tuple) and len(trader) == 2):
+        raise ConfigError(f"{owner!r}: a trader is a pair (side, index), got {trader!r}")
+    side, index = trader
+    if side not in ("seller", "buyer"):
+        raise ConfigError(f"{owner!r}: trader side must be 'seller' or 'buyer', got {side!r}")
+    integers = all(isinstance(v, int) and not isinstance(v, bool) for v in (index, round_index))
+    if not (integers and index >= 0):
+        raise ConfigError(f"{owner!r}: a trader index is an integer >= 0, a round an integer")
+
+
 @dataclass(frozen=True)
 class BidAdjustment:
     """A one-round modification of one trader's greedy bid.
 
-    ``trader`` is ("seller", i) or ("buyer", j); any other side is a
-    ``ConfigError``, while an index with no such trader changes nothing.
-    A delta or factor that is NaN or infinite is a ``ConfigError`` too.
-    Volume deltas apply to the seller's offered volume; factors multiply the
-    posted price, the buyer's right-sale volume, or the buyer's
-    right-purchase cap.
+    ``trader`` and ``round_index`` must pass ``check_reference``: a trader
+    that is not a pair, a side other than "seller" or "buyer", an index
+    that is not an integer of at least 0 and a round that is not an integer
+    are each a ``ConfigError``, while an index with no such trader, or a
+    round outside the horizon, changes nothing. A delta or factor that is
+    NaN or infinite is a ``ConfigError`` too. Volume deltas apply to the
+    seller's offered volume; factors multiply the posted price, the buyer's
+    right-sale volume, or the buyer's right-purchase cap.
     """
 
     round_index: int
@@ -286,8 +304,7 @@ class BidAdjustment:
     right_demand_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.trader[0] not in ("seller", "buyer"):
-            raise ConfigError(f"trader side must be 'seller' or 'buyer', got {self.trader[0]!r}")
+        check_reference(self, self.trader, self.round_index)
         for name in ("volume_delta", "price_factor", "right_offer_factor", "right_demand_factor"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -314,7 +331,7 @@ def _index_adjustments(adjustments: Sequence[BidAdjustment]) -> AdjustmentIndex:
     given order."""
     index: AdjustmentIndex = {}
     for a in adjustments:
-        index.setdefault(a.round_index, {}).setdefault(tuple(a.trader), []).append(a)
+        index.setdefault(a.round_index, {}).setdefault(a.trader, []).append(a)
     return index
 
 

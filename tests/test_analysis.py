@@ -162,6 +162,18 @@ class TestAuditScope:
             joint = [(seller, Deviation(kind, trader, round_index, 0.1))]
             audit_coalition(config, coalition=[("seller", 0), ("buyer", 0)], joint_grid=joint)
 
+    @pytest.mark.parametrize("magnitude", [float("nan"), float("inf"), float("-inf")])
+    def test_refuses_a_non_finite_magnitude(self, monkeypatch, magnitude):
+        # NaN used to reach the baseline and fail there with "price_factor
+        # must be finite, got nan", a message that names no deviation
+        monkeypatch.setattr(analysis, "run_with_checkpoints", None)
+        named = re.escape("Deviation(kind='seller_price', trader=0, round_index=20, magnitude=")
+        with pytest.raises(ConfigError, match=f"^{named}{magnitude}\\)"):
+            audit_unilateral(
+                make_benchmark(horizon=40),
+                deviation_grid=[Deviation("seller_price", 0, 20, magnitude)],
+            )
+
     def test_default_menus_are_pinned(self):
         # recorded when the unilateral grid and the coalition menus were
         # still listed separately, as (kind, trader, round, magnitude)
@@ -173,7 +185,7 @@ class TestAuditScope:
         def rows(devs):
             return [[d.kind, d.trader, d.round_index, d.magnitude] for d in devs]
 
-        assert rows(default_deviation_grid(config, T, baseline)) == pins["grid"]
+        assert rows(default_deviation_grid(config, baseline)) == pins["grid"]
         for coalition in default_coalitions(config):
             for side, idx in coalition:
                 menu = default_coalition_menu((side, idx), T // 2, baseline)
@@ -234,16 +246,63 @@ class TestCoalitionAudit:
                 make_benchmark(horizon=AUDIT_HORIZON), coalition=[("buyer", 0), ("buyer", 0)]
             )
 
+    @pytest.mark.parametrize(
+        "member",
+        [("buyer", 5), ("sellr", 0), ("buyer", True), ("buyer", -1), ("buyer", 0, 1), "buyer"],
+    )
+    def test_refuses_a_member_outside_the_rule_or_the_config(self, monkeypatch, member):
+        # buyer 5 raised a raw IndexError, and a misspelt side got a buyer's
+        # menu, skipped every combo and passed with 0 trials tested
+        config = load_scenario("scenario-a-proportional").config  # 1 seller, 3 buyers
+        monkeypatch.setattr(analysis, "run_with_checkpoints", None)
+        coalition = [("buyer", 0), member]
+        named = f"^{re.escape(repr(member))}"
+        with pytest.raises(ConfigError, match=named):
+            audit_coalition(config, coalition=coalition)
+        with pytest.raises(ConfigError, match=named):
+            audit(config, coalitions=[coalition])
+
+    def test_reads_a_list_member_as_its_pair(self):
+        # as JSON gives a member
+        config = make_benchmark(horizon=6)
+        report = audit_coalition(config, coalition=[["buyer", 0], ["buyer", 1]])
+        assert report == audit_coalition(config, coalition=[("buyer", 0), ("buyer", 1)])
+        assert report.coalition == (("buyer", 0), ("buyer", 1))
+
+    def test_skips_a_combo_for_its_first_deviation_that_cannot_be_played(self):
+        # buyer 0 demands no Right in round 20, so buying less of it changes
+        # no bid: the combo used to be played and counted as a winner, gains
+        # +9.9e-09 and +1.2e-01, while the unilateral audit skips the same
+        # buyer deviation
+        config = load_scenario("scenario-a-contested-garment").config
+        cut = Deviation("seller_price", 0, 20, -0.5)
+        joint = [
+            (cut, Deviation("buyer_buy_less_right", 0, 20, 0.5)),
+            (cut, Deviation("buyer_sell_less_right", 0, 20, 0.5)),
+        ]
+        report = audit_coalition(
+            config, 40, coalition=[("seller", 0), ("buyer", 0)], joint_grid=joint
+        )
+        skipped, played = report.trials
+        assert skipped.describe() == (
+            "SKIP seller_price(-0.5) by seller 0 at round 20; "
+            "buyer_buy_less_right(+0.5) by buyer 0 at round 20: buyer demanded no right"
+        )
+        assert not played.skipped and len(played.gains) == 2
+        unilateral = audit_unilateral(config, 40, deviation_grid=[joint[0][1]])
+        assert [t.reason for t in unilateral.trials] == [skipped.reason]
+
     def test_plays_every_combo_of_a_long_joint_grid(self):
         # a caller's grid is played whole, with no cap on its length
         grid = [
             (Deviation("seller_price", 0, 1 + k % 4, k / 1000), Deviation("buyer_price", 0, 1, 0.1))
             for k in range(501)
         ]
-        report = audit_coalition(
-            make_benchmark(horizon=4), coalition=[("seller", 0), ("buyer", 0)], joint_grid=grid
-        )
+        config, coalition = make_benchmark(horizon=4), [("seller", 0), ("buyer", 0)]
+        report = audit_coalition(config, coalition=coalition, joint_grid=grid)
         assert len(report.tested) == len(report.trials) == 501
+        # an iterator too: the gate used to exhaust it, and no trial was left
+        assert audit_coalition(config, coalition=coalition, joint_grid=iter(grid)) == report
 
     def test_a_report_with_no_trials_says_it_had_nothing_to_test(self):
         # it passes, as before, but must not read as tested and passed
@@ -264,7 +323,12 @@ class TestCoalitionAudit:
         )
         assert report.tested == ()
         assert [t.reason for t in report.trials] == ["menu/member mismatch"]
-
+        # every deviation is named, and no max gain is made up
+        assert report.trials[0].describe() == (
+            "SKIP buyer_price(+0.1) by buyer 1 at round 1; "
+            "buyer_price(+0.1) by buyer 2 at round 1: menu/member mismatch"
+        )
+        assert report.summary() == "coalition audit: 0 trials (1 skipped), nothing to test"
 
     @pytest.mark.parametrize("round_index", [25, 0])
     def test_skips_a_combo_outside_the_horizon(self, round_index):
@@ -411,6 +475,11 @@ class TestIncrementalReplayIsExact:
     @example(  # members deviating in the first and in the last round
         name="scenario-a-contested-garment",
         first=Deviation("seller_withhold", 0, DIFF_HORIZON, 0.5),
+        second=Deviation("buyer_buy_less_right", 1, 1, 0.5),
+    )
+    @example(  # buyer 1 offers no Right to reprice in round 1: skipped
+        name="scenario-a-contested-garment",
+        first=Deviation("seller_withhold", 0, DIFF_HORIZON, 0.5),
         second=Deviation("buyer_price", 1, 1, 0.1),
     )
     def test_joint_gains_equal_full_replay(self, name, first, second):
@@ -421,8 +490,14 @@ class TestIncrementalReplayIsExact:
             config, coalition=coalition, joint_grid=[(first, second)]
         )
         assert_baseline_matches(report, config)
-        (trial,) = report.tested
-        assert trial.gains == full_replay_gains(config, trial.deviations)
+        # skipped for the first deviation the unilateral audit skips
+        first_reason, second_reason = (
+            audit_unilateral(config, deviation_grid=[d]).trials[0].reason for d in (first, second)
+        )
+        (trial,) = report.trials
+        assert trial.reason == (first_reason or second_reason)
+        if not trial.skipped:
+            assert trial.gains == full_replay_gains(config, trial.deviations)
 
     def test_every_default_trial_equals_full_replay(self):
         config = DIFF_CONFIGS["scenario-a-proportional"]

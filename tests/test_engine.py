@@ -2,6 +2,7 @@
 variants and the scenario generator."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -189,12 +190,40 @@ class TestCheckpoints:
             BidAdjustment(2, ("seller", 0), **{field: value})
 
     def test_trader_without_such_index_changes_nothing(self):
+        # on the scalar round and on ``batch``: the reference rule knows no
+        # config, so it lets the index through
         cfg = make_benchmark(horizon=5)
         adjustments = [
             BidAdjustment(2, ("seller", 7), price_factor=2.0),
-            BidAdjustment(2, ("buyer", -1), right_offer_factor=0.0),
+            BidAdjustment(2, ("buyer", 3), right_offer_factor=0.0),
         ]
-        assert run(cfg, adjustments=adjustments) == run(cfg)
+        greedy, checkpoints = run_with_checkpoints(cfg)
+        assert run(cfg, adjustments=adjustments) == greedy
+        [totals] = replay_batch(cfg, checkpoints, [adjustments])
+        assert totals == (greedy.seller_utilities, greedy.buyer_utilities)
+
+    @pytest.mark.parametrize(
+        ("round_index", "trader"),
+        [
+            (2, ("buyer", 1.5)),
+            (2, ("buyer", 1.0)),
+            (2, ("buyer", True)),
+            (2, ("buyer", -1)),
+            (2, ("buyer", 0, 1)),
+            (2, ["buyer", 0]),
+            (2, "buyer"),
+            (2.5, ("buyer", 0)),
+            (2.0, ("buyer", 0)),
+            (True, ("buyer", 0)),
+        ],
+    )
+    def test_a_reference_outside_the_rule_is_refused(self, round_index, trader):
+        # ``run`` ignored 1.5, the triple and round 2.5 and applied 1.0, True
+        # and round 2.0; ``replay_batch`` crashed on all but True, on which
+        # it gave other totals than ``run``, and -1 changed nothing on both
+        adjustment = f"BidAdjustment(round_index={round_index!r}, trader={trader!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(adjustment)}"):
+            BidAdjustment(round_index, trader, price_factor=0.9)
 
 
 class TestRoundRecord:

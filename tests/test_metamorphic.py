@@ -173,7 +173,7 @@ def test_scaling_incomes_keeps_the_buyer_totals_of_every_audit_trial(preset, k):
     baseline = run(config)
     lists = [
         list(d.to_adjustments(config))
-        for d in default_deviation_grid(config, AUDIT_HORIZON, baseline)
+        for d in default_deviation_grid(config, baseline)
     ]
     base = unilateral_totals(config, lists)
     scaled = unilateral_totals(scale_incomes(config, 2.0**k), lists)

@@ -178,11 +178,12 @@ def markets(draw, buyer_counts=BUYER_COUNTS):
 
 
 def adjustment_lists(config, rounds=None):
-    """Up to eight random bid adjustments of ``config``'s traders, in
-    ``rounds``, by default 1 to the horizon."""
+    """Up to eight random bid adjustments of ``config``'s traders, or of
+    indexes up to two past the last seller or buyer, which change nothing,
+    in ``rounds``, by default 1 to the horizon."""
     traders = st.one_of(
-        st.tuples(st.just("seller"), st.integers(0, config.num_sellers - 1)),
-        st.tuples(st.just("buyer"), st.integers(0, config.num_buyers - 1)),
+        st.tuples(st.just("seller"), st.integers(0, config.num_sellers + 1)),
+        st.tuples(st.just("buyer"), st.integers(0, config.num_buyers + 1)),
     )
     return st.lists(
         st.builds(
