@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -251,7 +252,9 @@ def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) ->
     anything is played, one gate refuses a coalition that is not two or
     more distinct members, each read as ``tuple(member)`` when it is a list,
     passing ``engine.check_reference`` and naming a trader the config has,
-    and a given grid with a deviation that names a trader the config lacks.
+    and a given grid with an item that is not a ``Deviation`` (unilateral)
+    or an iterable of them (joint), or with a deviation that names a trader
+    the config lacks.
     The unilateral report plays each deviation of its grid, by default
     ``default_deviation_grid``, as a combo of one, and a coalition report
     each combo of its grid, by default the product of the members'
@@ -274,8 +277,8 @@ def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) ->
     sizes = {"seller": config.num_sellers, "buyer": config.num_buyers}
     reports = []
     for members, grid in plans:
-        if grid is not None:  # read once, as it is walked twice; a deviation is a combo of one
-            grid = [(d,) if members is None else tuple(d) for d in grid]
+        if grid is not None:  # read once, as it is walked twice
+            grid = [_combo(item, members is None) for item in grid]
         coalition = tuple(tuple(m) if isinstance(m, list) else m for m in members or ())
         for member in coalition:
             check_reference(member, member)
@@ -317,6 +320,17 @@ def _audit(config: MarketConfig, horizon: int | None, plans: Sequence[_Plan]) ->
             trials.append(DeviationTrial(tuple(devs), gains, reason))
         out.append(AuditReport(base_sellers, base_buyers, tuple(trials), coalition))
     return out
+
+
+def _combo(item, unilateral: bool) -> tuple[Deviation, ...]:
+    """The combo a grid item stands for: a deviation of the unilateral grid
+    is a combo of one, and an item of a joint grid the tuple of its
+    deviations. Anything else is a ``ConfigError`` that names the item."""
+    combo = (item,) if unilateral else tuple(item) if isinstance(item, Iterable) else None
+    if combo is None or not all(isinstance(d, Deviation) for d in combo):
+        want = "a Deviation" if unilateral else "an iterable of Deviations"
+        raise ConfigError(f"grid item {item!r} is not {want}")
+    return combo
 
 
 def _skip(combo: Sequence[Deviation], coalition: tuple, baseline: Trace) -> str:

@@ -117,12 +117,8 @@ class MarketConfig:
             raise ConfigError(f"seller_storage_cost must be finite and non-negative, got {cost!r}")
         if not (math.isfinite(factor) and factor > 0.0):
             raise ConfigError(f"greedy_price_factor must be finite and positive, got {factor!r}")
-        # the claim ranks a canonical or weighted mechanism gives Right to
-        kind = getattr(self.mechanism, "kind", None)
-        ranks = [self.mechanism.rank] if kind == "canonical" else []
-        if kind == "weighted":
-            ranks = [rank for _, rank in self.mechanism.components]
-        for rank in ranks:
+        # the claim ranks a rank-based mechanism gives Right to
+        for _, rank in getattr(self.mechanism, "components", None) or ():
             if not 1 <= rank <= len(self.buyers):
                 raise ConfigError(f"rank {rank} out of range for {len(self.buyers)} buyers")
 

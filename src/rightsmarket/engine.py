@@ -859,11 +859,19 @@ def generate_dirichlet_scenario(
     draws around those means, or the exact means when ``concentration`` is
     infinite. Total claim is 2 * ``claim_scale`` against a unit resupply, so
     the default regime is twice-over-demanded; incomes sum to 1.
+
+    ``num_buyers`` must be an integer (not a bool) of at least 2,
+    ``concentration`` positive and ``claim_scale`` finite and non-negative;
+    anything else, NaN included, is a ``ConfigError`` naming the argument.
     """
     import numpy as np
 
-    if num_buyers < 2:
-        raise ConfigError("need at least two buyers")
+    if isinstance(num_buyers, bool) or not isinstance(num_buyers, int) or num_buyers < 2:
+        raise ConfigError(f"num_buyers must be an integer of at least 2, got {num_buyers!r}")
+    if not concentration > 0.0:
+        raise ConfigError(f"concentration must be positive, got {concentration!r}")
+    if not 0.0 <= claim_scale < math.inf:
+        raise ConfigError(f"claim_scale must be finite and non-negative, got {claim_scale!r}")
     rng = np.random.default_rng(rng_seed)
     pos = np.arange(1, num_buyers + 1, dtype=float)
     claim_means = (1.0 / pos) / np.sum(1.0 / pos)
@@ -871,8 +879,6 @@ def generate_dirichlet_scenario(
     if math.isinf(concentration):
         claim_shares, income_shares = claim_means, income_means
     else:
-        if concentration <= 0:
-            raise ConfigError("concentration must be positive")
         claim_shares = rng.dirichlet(concentration * claim_means)
         income_shares = rng.dirichlet(concentration * income_means)
     claims = 2.0 * claim_scale * claim_shares

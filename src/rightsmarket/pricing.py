@@ -130,21 +130,19 @@ def canonical_lower_bound(weights: Sequence[float], money: Sequence[float]) -> f
 def mechanism_rank_weights(mech, claims: Sequence[float]) -> list[float]:
     """Decomposition weights alpha_n (indexed by claim rank) of a mechanism.
 
-    Canonical and weighted mechanisms carry their weights explicitly; for
-    the others the weights are read off one allocation of a unit volume
-    (exact for proportional, a per-volume proxy for contested garment).
+    Rank-based mechanisms, canonical and weighted, carry their weights in
+    ``components``; for the others the weights are read off one allocation
+    of a unit volume (exact for proportional, a per-volume proxy for
+    contested garment).
     """
-    nb = len(claims)
-    order = claim_rank_order(claims)
-    if getattr(mech, "kind", None) == "canonical":
-        return [1.0 if n == mech.rank else 0.0 for n in range(1, nb + 1)]
-    if getattr(mech, "kind", None) == "weighted":
-        out = [0.0] * nb
-        for alpha, rank in mech.components:
-            out[rank - 1] += alpha
-        return out
-    shares = allocate(mech, 1.0, claims)
-    return [shares[order[n]] for n in range(nb)]
+    components = getattr(mech, "components", None)
+    if components is None:
+        shares = allocate(mech, 1.0, claims)
+        return [shares[i] for i in claim_rank_order(claims)]
+    out = [0.0] * len(claims)
+    for alpha, rank in components:
+        out[rank - 1] += alpha
+    return out
 
 
 def mechanism_rights(config: MarketConfig, offered_volume: float) -> tuple[float, ...]:

@@ -67,12 +67,7 @@ def contested_garment_rule(total_volume: float, claims: Sequence[float]) -> list
 
 def canonical_rule(total_volume: float, claims: Sequence[float], rank: int) -> list[float]:
     """All rights to the buyer with the ``rank``-th largest claim (1-based)."""
-    _check_inputs(total_volume, claims)
-    if not 1 <= rank <= len(claims):
-        raise ConfigError(f"canonical rank {rank} out of range for {len(claims)} buyers")
-    out = [0.0] * len(claims)
-    out[claim_rank_order(claims)[rank - 1]] = float(total_volume)
-    return out
+    return weighted_rule(total_volume, claims, ((1.0, rank),))
 
 
 def weighted_rule(
@@ -91,7 +86,7 @@ def weighted_rule(
     order = claim_rank_order(claims)
     for alpha, rank in components:
         if not 1 <= rank <= len(claims):
-            raise ConfigError(f"weighted component rank {rank} out of range")
+            raise ConfigError(f"rank {rank} out of range for {len(claims)} buyers")
         out[order[rank - 1]] += alpha * float(total_volume)
     return out
 
@@ -116,12 +111,22 @@ def _check_weights(components: Sequence[tuple[float, int]]) -> None:
         raise ConfigError(f"weighted coefficients must sum to 1, got {sum(weights)!r}")
 
 
+# the parameter of each rank-based kind; the others take none
+TAKES = {"canonical": "a rank", "weighted": "components"}
+
+
 @dataclass(frozen=True)
 class DistributionMechanism:
     """Descriptor of a rights-distribution rule.
 
-    ``kind`` is one of "proportional", "contested_garment", "canonical"
-    (with ``rank``) or "weighted" (with ``components`` of (weight, rank)).
+    ``kind`` is one of "proportional", "contested_garment", "weighted" (with
+    ``components`` of (weight, rank)) or "canonical" (with ``rank``), which
+    is weighted with the one component (1.0, rank) and stores it so. Every
+    rank is an integer (not a bool) of at least 1, and a kind takes no
+    parameter it does not name; anything else is a ``ConfigError``.
+
+    >>> DistributionMechanism.canonical(2).components
+    ((1.0, 2),)
     """
 
     kind: str
@@ -129,18 +134,27 @@ class DistributionMechanism:
     components: tuple[tuple[float, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("proportional", "contested_garment", "canonical", "weighted"):
+        if self.kind not in ("proportional", "contested_garment", *TAKES):
             raise ConfigError(f"unknown mechanism kind {self.kind!r}")
+        rank, components = self.rank, self.components
         if self.kind == "canonical":
-            if self.rank is None or self.rank < 1:
-                raise ConfigError("canonical mechanism needs a 1-based rank")
-        if self.kind == "weighted":
-            if self.components is None:
-                raise ConfigError("weighted mechanism needs components")
-            object.__setattr__(
-                self, "components", tuple((float(a), int(n)) for a, n in self.components)
+            # stored as weighted with one component, a form it accepts again
+            # so that ``dataclasses.replace`` works; other components fail
+            # the test below
+            stored = ((1.0, rank),)
+            rank, components = (None, stored) if components in (None, stored) else (rank, None)
+        if rank is not None or (components is None) == (self.kind in TAKES):
+            raise ConfigError(
+                f"{self.kind} mechanism takes {TAKES.get(self.kind, 'no parameter')}, "
+                f"got rank={self.rank!r} and components={self.components!r}"
             )
-            _check_weights(self.components)
+        if components is not None:
+            components = tuple((float(a), n) for a, n in components)
+            for _, n in components:
+                if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                    raise ConfigError(f"rank must be an integer of at least 1, got {n!r}")
+            _check_weights(components)
+            object.__setattr__(self, "components", components)
 
     @classmethod
     def proportional(cls) -> "DistributionMechanism":
@@ -163,8 +177,6 @@ class DistributionMechanism:
             return proportional_rule(total_volume, claims)
         if self.kind == "contested_garment":
             return contested_garment_rule(total_volume, claims)
-        if self.kind == "canonical":
-            return canonical_rule(total_volume, claims, self.rank)  # type: ignore[arg-type]
         return weighted_rule(total_volume, claims, self.components)  # type: ignore[arg-type]
 
     def label(self) -> str:
@@ -224,12 +236,7 @@ def verify_axioms(mech, samples: int = 1000, rng_seed: int = 0) -> AxiomReport:
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    min_buyers = 2
-    if isinstance(mech, DistributionMechanism):
-        if mech.kind == "canonical":
-            min_buyers = max(min_buyers, mech.rank)
-        if mech.kind == "weighted":
-            min_buyers = max([min_buyers] + [n for _, n in mech.components])
+    min_buyers = max([2] + [n for _, n in getattr(mech, "components", None) or ()])
     label = mech.label() if isinstance(mech, DistributionMechanism) else getattr(
         mech, "__name__", repr(mech)
     )

@@ -162,6 +162,28 @@ class TestAuditScope:
             joint = [(seller, Deviation(kind, trader, round_index, 0.1))]
             audit_coalition(config, coalition=[("seller", 0), ("buyer", 0)], joint_grid=joint)
 
+    def test_refuses_a_grid_item_of_the_wrong_shape(self, monkeypatch):
+        # a flat joint grid raised "'Deviation' object is not iterable" and a
+        # unilateral grid of tuples "'tuple' object has no attribute
+        # 'trader_key'"; each is refused before the baseline
+        config = make_benchmark(horizon=6)  # 1 seller, 3 buyers
+        monkeypatch.setattr(analysis, "run_with_checkpoints", None)
+        seller, buyer = Deviation("seller_price", 0, 2, 0.1), Deviation("buyer_price", 0, 2, 0.1)
+        named = re.escape(f"grid item {seller!r} is not an iterable of Deviations")
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            audit_coalition(
+                config, coalition=[("seller", 0), ("buyer", 0)], joint_grid=[seller, buyer]
+            )
+        with pytest.raises(ConfigError, match=re.escape("grid item ('seller', 0) is not an")):
+            audit_coalition(
+                config, coalition=[("seller", 0), ("buyer", 0)], joint_grid=[("seller", 0)]
+            )
+        item = ("seller_price", 0, 2, 0.1)
+        with pytest.raises(ConfigError, match=re.escape(f"grid item {item!r} is not a Deviation")):
+            audit_unilateral(config, deviation_grid=[item])
+        with pytest.raises(ConfigError, match="is not a Deviation$"):
+            audit_unilateral(config, deviation_grid=[(seller,)])
+
     @pytest.mark.parametrize("magnitude", [float("nan"), float("inf"), float("-inf")])
     def test_refuses_a_non_finite_magnitude(self, monkeypatch, magnitude):
         # NaN used to reach the baseline and fail there with "price_factor

@@ -29,6 +29,7 @@ from rightsmarket.errors import ScenarioError, SimulationError
 from conftest import run_python
 
 AUDIT_TEXT = Path(__file__).parent / "audit_text"
+VERIFY_TEXT = Path(__file__).parent / "verify-mechanisms.txt"
 # every preset's audit, one audit without its coalitions and one at horizon
 # 3, where rounds 1 and T/2 coincide, by golden name
 AUDIT_CASES = {p: ["--scenario", p] for p in list_presets()}
@@ -639,6 +640,13 @@ class TestCommands:
         assert main(["verify-mechanisms", "--samples", "200"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "proportional" in out and "contested_garment" in out
+
+    def test_verify_mechanisms_text_is_pinned(self, capsys):
+        # stdout and the exit code of ``verify-mechanisms`` at its defaults,
+        # as ``tests/verify-mechanisms.txt`` holds them; the CI step makes
+        # the same comparison through the shell
+        code = main(["verify-mechanisms"])
+        assert capsys.readouterr().out + f"exit {code}\n" == VERIFY_TEXT.read_text()
 
     def test_sweep_deterministic(self, tmp_path):
         args = [

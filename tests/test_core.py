@@ -162,12 +162,13 @@ class TestConfigValidation:
             DistributionMechanism.canonical(5),
             DistributionMechanism.canonical(4),
             DistributionMechanism.weighted([(0.5, 1), (0.5, 4)]),
-            DistributionMechanism.weighted([(0.5, 0), (0.5, 2)]),
         ],
-        ids=("canonical-5", "canonical-4", "weighted-4", "weighted-0"),
+        ids=("canonical-5", "canonical-4", "weighted-4"),
     )
     def test_rejects_a_rank_no_buyer_holds(self, mechanism):
-        # the config used to build, and ``run`` failed in round 1
+        # the config used to build, and ``run`` failed in round 1; a rank
+        # below 1 is refused where the mechanism is built
+        # (``tests/test_rights.py``)
         with pytest.raises(ConfigError, match="out of range for 3 buyers"):
             make_benchmark(mechanism=mechanism, horizon=3)
 

@@ -579,6 +579,27 @@ class TestDirichletGenerator:
         with pytest.raises(ConfigError):
             generate_dirichlet_scenario(1, 10.0, rng_seed=0)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("num_buyers", {"num_buyers": 2.5}),
+            ("num_buyers", {"num_buyers": True}),
+            ("concentration", {"concentration": math.nan}),
+            ("concentration", {"concentration": -math.inf}),
+            ("concentration", {"concentration": 0.0}),
+            ("claim_scale", {"claim_scale": -0.5}),
+            ("claim_scale", {"claim_scale": math.nan}),
+            ("claim_scale", {"claim_scale": math.inf}),
+        ],
+    )
+    def test_refuses_a_bad_argument_by_name(self, field, kwargs):
+        # NaN concentration failed as "schedule 'constant': level must be
+        # finite", 2.5 buyers as a raw TypeError, -inf concentration gave
+        # the exact means, and a negative claim scale failed on a claim
+        args = {"num_buyers": 4, "concentration": 20.0, "claim_scale": 1.0} | kwargs
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            generate_dirichlet_scenario(rng_seed=0, **args)
+
 
 class TestConfigMemos:
     """A config memoizes its schedules per round and its rights per offered

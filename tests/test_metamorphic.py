@@ -5,10 +5,14 @@ Reversing the buyers' order relabels them and changes nothing else under a
 mechanism that reads claims and not indexes (proportional and contested
 garment): the trace must be the same, with each buyer's fields reversed.
 The sums over buyers then add in another order, so each value may move by
-``ULPS`` ulps of its size. This is checked on the presets and on Dirichlet
-markets on both sides of ``engine.WIDE_MIN_BUYERS``, and on the audit's
-unilateral trials, which replay on ``batch``: a buyer's trial must become
-the same trial of the relabelled buyer, with the same gain.
+``ULPS`` ulps of its size. This is checked on the presets, on Dirichlet
+markets on both sides of ``engine.WIDE_MIN_BUYERS``, with drawn claims and
+with tied ones, and on the audit's unilateral trials, which replay on
+``batch``: a buyer's trial must become the same trial of the relabelled
+buyer, with the same gain. The canonical and weighted rules read ranks,
+and a tie of claims goes to the lower index, so there reversing tied
+buyers with unequal incomes gives the Right to the other buyer of the tie
+and changes the trace.
 
 Splitting the one seller of the four scenario presets into k sellers that
 each resupply 1/k is the same market too. With k a power of two 1/k is
@@ -45,7 +49,7 @@ from rightsmarket.engine import (
     run,
     run_with_checkpoints,
 )
-from rightsmarket.rights import DistributionMechanism
+from rightsmarket.rights import DistributionMechanism, claim_rank_order
 
 POWERS = (-10, -3, 3, 10, 30)
 
@@ -237,16 +241,53 @@ def test_reversing_the_buyers_reverses_a_preset_trace(preset):
     assert_trace_close(run(reversed_buyers(config)), run(config), lambda b: b[::-1])
 
 
+def dirichlet_market(num_buyers, mechanism, tied=False):
+    """A Dirichlet market under ``mechanism``. Tied, buyers j and N-1-j
+    both claim the mean of their drawn claims, a tie that reversing the
+    buyers keeps, while their drawn incomes stay unequal."""
+    config = replace(
+        generate_dirichlet_scenario(num_buyers, 20.0, rng_seed=0, horizon=20), mechanism=mechanism
+    )
+    if not tied:
+        return config
+    claims = config.claims
+    return replace(config, buyers=tuple(
+        replace(b, claim=(claims[j] + claims[-1 - j]) / 2) for j, b in enumerate(config.buyers)
+    ))
+
+
 @pytest.mark.parametrize("kind", ["proportional", "contested_garment"])
 @pytest.mark.parametrize("num_buyers", [10, 300])
 def test_reversing_the_buyers_reverses_a_dirichlet_trace(num_buyers, kind):
-    # 10 buyers play on the scalar round, 300 on ``wide``
-    config = replace(
-        generate_dirichlet_scenario(num_buyers, 20.0, rng_seed=0, horizon=20),
-        mechanism=getattr(DistributionMechanism, kind)(),
-    )
+    # 10 buyers play on the scalar round, 300 on ``wide``; these rules read
+    # claims alone, so tied buyers are relabelled like any others
     assert (num_buyers >= engine.WIDE_MIN_BUYERS) == (num_buyers == 300)
-    assert_trace_close(run(reversed_buyers(config)), run(config), lambda b: b[::-1])
+    for tied in (False, True):
+        config = dirichlet_market(num_buyers, getattr(DistributionMechanism, kind)(), tied)
+        assert_trace_close(run(reversed_buyers(config)), run(config), lambda b: b[::-1])
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [DistributionMechanism.canonical(1), DistributionMechanism.weighted([(0.6, 1), (0.4, 2)])],
+    ids=lambda mech: mech.label(),
+)
+@pytest.mark.parametrize("num_buyers", [10, 300])
+def test_a_rank_rule_gives_a_tied_claim_to_the_lower_index(num_buyers, mechanism):
+    # buyers 0 and N-1 tie for the largest claim, and rank 1 goes to the
+    # lower index. Reversed, that is position 0 again, now the old buyer
+    # N-1, who has another income: the Right goes to the other buyer of
+    # the tie, and the trace is not a relabel
+    config = dirichlet_market(num_buyers, mechanism, tied=True)
+    last = num_buyers - 1
+    assert claim_rank_order(config.claims)[:2] == [0, last]
+    assert config.income_at(1)[0] != config.income_at(1)[last]
+    want, got = run(config), run(reversed_buyers(config))
+    assigned = want.records[0].right_assigned
+    assert assigned[0] > assigned[last]
+    assert got.records[0].right_assigned == assigned
+    with pytest.raises(AssertionError):
+        assert_trace_close(got, want, lambda b: b[::-1])
 
 
 def relabelled_trials(trials, relabel=lambda buyer: buyer):

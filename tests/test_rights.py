@@ -1,5 +1,6 @@
 """Distribution mechanisms: exact benchmark values, regimes and axioms."""
 
+import dataclasses
 import math
 
 import pytest
@@ -121,6 +122,66 @@ class TestCanonicalAndWeighted:
             DistributionMechanism.weighted(components)
         with pytest.raises(ConfigError, match="must lie in"):
             weighted_rule(1.0, BENCH_CLAIMS, components)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_canonical_is_weighted_with_one_component(self, rank):
+        mech = DistributionMechanism.canonical(rank)
+        assert mech.components == ((1.0, rank),)
+        assert mech.label() == f"canonical({rank})"
+        one = DistributionMechanism.weighted([(1.0, rank)])
+        for volume in (0.0, 5e-324, 0.3, 1.0, 7.5):
+            assert mech.allocate(volume, BENCH_CLAIMS) == one.allocate(volume, BENCH_CLAIMS)
+            assert canonical_rule(volume, BENCH_CLAIMS, rank)[rank - 1] == volume
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DistributionMechanism.canonical(2.0),
+            lambda: DistributionMechanism.canonical(True),
+            lambda: DistributionMechanism.canonical(0),
+            lambda: DistributionMechanism("canonical"),
+            lambda: DistributionMechanism.weighted([(0.5, 1.5), (0.5, 2)]),
+            lambda: DistributionMechanism.weighted([(0.5, True), (0.5, 2)]),
+            lambda: DistributionMechanism.weighted([(0.5, 0), (0.5, 2)]),
+        ],
+        ids=("canonical-2.0", "canonical-True", "canonical-0", "canonical-None",
+             "weighted-1.5", "weighted-True", "weighted-0"),
+    )
+    def test_rejects_a_rank_that_is_not_a_positive_integer(self, build):
+        # a float rank was truncated or failed in round 1, True played rank
+        # 1 and a weighted rank of 0 built
+        with pytest.raises(ConfigError, match="rank must be an integer of at least 1"):
+            build()
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("proportional", {"rank": 3}),
+            ("contested_garment", {"rank": 1}),
+            ("weighted", {"rank": 1, "components": ((1.0, 1),)}),
+            ("proportional", {"components": ((1.0, 1),)}),
+            ("contested_garment", {"components": ((1.0, 1),)}),
+            ("canonical", {"rank": 2, "components": ((1.0, 1),)}),
+            ("canonical", {"components": ((1.0, 1),)}),
+        ],
+    )
+    def test_rejects_a_parameter_the_kind_does_not_take(self, kind, params):
+        # ``DistributionMechanism("proportional", rank=3)`` built and did not
+        # equal ``proportional()``
+        with pytest.raises(ConfigError, match="mechanism takes"):
+            DistributionMechanism(kind, **params)
+
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            DistributionMechanism.proportional(),
+            DistributionMechanism.canonical(2),
+            DistributionMechanism.weighted([(0.5, 1), (0.5, 3)]),
+        ],
+        ids=lambda mech: mech.label(),
+    )
+    def test_replace_accepts_the_stored_form(self, mech):
+        assert dataclasses.replace(mech) == mech
 
     def test_mechanism_descriptor_dispatch(self):
         mech = DistributionMechanism.weighted([(0.6, 1), (0.4, 2)])
