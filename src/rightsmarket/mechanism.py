@@ -40,9 +40,23 @@ there are good levels, Right levels and buyers together.
 The live sellers are grouped into good levels by price and the levels
 sorted once per clear; as a seller's remaining volume only falls, the
 cheapest level is trimmed as it sells and dropped once it empties. Right
-on sale is grouped the same way. So a step finds both cheapest levels at
-once and costs one pass over the buyers that still have cap left, not a
-pass over every seller, pair and buyer.
+on sale is grouped the same way. A level with one holder, the common case
+when prices differ, sells ``equal_rate_fill`` of that holder alone, reads
+its supply as the holder's remainder and is dropped once that is at most
+``EQ_TOL``, without the lists a level of several holders builds. So a
+step finds both cheapest levels at once and walks only the buyers that
+demanded at the step before and still have cap left, not every seller,
+pair and buyer.
+
+That walk is exact: a buyer who demands nothing at a step cannot demand
+again in the same stage-1 pass or in stage 2. Prices only rise, so a
+failed price ceiling stays failed. A buyer who does not trade keeps their
+money and caps, and as float division is monotone, a money bound of 0
+stays 0 at a dearer level or pair. The Right on sale, the one bound that
+can grow, exceeds ``EQ_TOL`` at every Right level. The one buyer whose
+money rises, a Right seller under ``myopic_rights``, has a Right cap of 0
+and so is never among stage 2's buyers; the extra pass builds its buyers
+afresh.
 """
 
 from __future__ import annotations
@@ -168,6 +182,16 @@ class GoodLevels:
         """Sell ``volume`` from the cheapest good level at ``pg``."""
         level = self.levels[-1]
         remaining, sold, revenue = self.remaining, self.sold, self.revenue
+        if len(level) == 1:
+            # one holder: the general path below without its lists
+            s = level[0]
+            x = equal_rate_fill([remaining[s]], volume)[0]
+            remaining[s] -= x
+            sold[s] += x
+            revenue[s] += x * pg
+            if not remaining[s] > EQ_TOL:
+                self.levels.pop()
+            return
         take = equal_rate_fill([remaining[s] for s in level], volume)
         for k, s in enumerate(level):
             remaining[s] -= take[k]
@@ -204,8 +228,11 @@ def clear(
     Malformed offers/bids (volume above the trader's holding by more than
     ``CONSERVATION_TOL``, negative or NaN entries) exclude that trader from
     the round and are listed in ``rejected``; everyone else still trades.
-    Volumes at or below ``EQ_TOL`` count as exhausted.
+    Volumes at or below ``EQ_TOL`` count as exhausted. ``variant`` is
+    "rights" or "myopic_rights"; anything else is a ``ClearingError``.
     """
+    if variant not in ("rights", "myopic_rights"):
+        raise ClearingError(f"unknown clearing variant {variant!r}")
     ns, nb = len(state.sellers), len(state.buyers)
     if len(offers) != ns or len(bids) != nb:
         raise ClearingError("offers/bids do not match the trader lists")
@@ -289,9 +316,13 @@ def clear(
                 # the cheapest level is the easiest to be compatible with,
                 # so no demand here means no demand anywhere
                 return
-            supply = sum([sell_rem[s] for s in level])
+            # a one-holder level's supply is its one-element sum
+            supply = sell_rem[level[0]] if len(level) == 1 else sum([sell_rem[s] for s in level])
             volume = supply if supply < total_demand else total_demand
             sell_good(pg, volume)
+            # the next step walks the demanders with cap left: no other
+            # buyer demands again in this pass (module docstring)
+            buyers = []
             for b, d in zip(demanders, demand):
                 x = volume * d / total_demand
                 good_bought[b] += x
@@ -303,7 +334,8 @@ def clear(
                 v = spend[b] - pay
                 spend[b] = v if v > 0.0 else 0.0
                 spent_good[b] += pay
-            buyers = [b for b in buyers if vbar_rem[b] > 0.0 and licence[b] > 0.0]
+                if vbar_rem[b] > 0.0 and licence[b] > 0.0:
+                    buyers.append(b)
 
     # -- stage 1: right-licensed Good purchases --------------------------
     run_good_for_rights_pass(rights_use)
@@ -322,8 +354,14 @@ def clear(
         good_level = good_levels[-1]
         pg = sell_price[good_level[0]]
         qr, right_level = right_levels[-1]
-        good_avail = sum([sell_rem[s] for s in good_level])
-        right_avail = sum([offer_rem[b] for b in right_level])
+        good_avail = (
+            sell_rem[good_level[0]] if len(good_level) == 1
+            else sum([sell_rem[s] for s in good_level])
+        )
+        right_avail = (
+            offer_rem[right_level[0]] if len(right_level) == 1
+            else sum([offer_rem[b] for b in right_level])
+        )
         unit = pg + qr
         demanders, demand = [], []
         for b in buyers:
@@ -352,14 +390,31 @@ def clear(
             volume = right_avail
 
         sell_good(pg, volume)
-        take_right = equal_rate_fill([offer_rem[b] for b in right_level], volume)
-        for k, b in enumerate(right_level):
-            offer_rem[b] -= take_right[k]
-            right_sold[b] += take_right[k]
-            proceeds = take_right[k] * qr
+        if len(right_level) == 1:
+            # one holder, as in ``GoodLevels.sell``
+            b = right_level[0]
+            take = equal_rate_fill([offer_rem[b]], volume)[0]
+            offer_rem[b] -= take
+            right_sold[b] += take
+            proceeds = take * qr
             earned[b] += proceeds
             if myopic:
                 spend[b] += proceeds
+            if not offer_rem[b] > EQ_TOL:
+                right_levels.pop()
+        else:
+            take_right = equal_rate_fill([offer_rem[b] for b in right_level], volume)
+            for k, b in enumerate(right_level):
+                offer_rem[b] -= take_right[k]
+                right_sold[b] += take_right[k]
+                proceeds = take_right[k] * qr
+                earned[b] += proceeds
+                if myopic:
+                    spend[b] += proceeds
+            right_level[:] = [b for b in right_level if offer_rem[b] > EQ_TOL]
+            if not right_level:
+                right_levels.pop()
+        buyers = []  # the demanders with cap left, as in stage 1
         for b, d in zip(demanders, demand):
             x = volume * d / total_demand
             good_bought[b] += x
@@ -372,10 +427,8 @@ def clear(
             spend[b] = v if v > 0.0 else 0.0
             spent_good[b] += x * pg
             spent_right[b] += x * qr
-        right_level[:] = [b for b in right_level if offer_rem[b] > EQ_TOL]
-        if not right_level:
-            right_levels.pop()
-        buyers = [b for b in buyers if vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
+            if vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0:
+                buyers.append(b)
 
     # -- myopic extra pass: spend same-round proceeds on licensed Good ----
     if myopic:

@@ -78,10 +78,10 @@ def weighted_rule(
     """Convex combination of canonical allocations, component-wise.
 
     ``components`` is a sequence of (weight, rank) pairs with weights in
-    [0, 1] summing to 1.
+    [0, 1] summing to 1, checked as ``DistributionMechanism`` checks them.
     """
     _check_inputs(total_volume, claims)
-    _check_weights(components)
+    components = _check_components(components)
     out = [0.0] * len(claims)
     order = claim_rank_order(claims)
     for alpha, rank in components:
@@ -100,15 +100,40 @@ def _check_inputs(total_volume: float, claims: Sequence[float]) -> None:
         raise ConfigError("claims must be non-negative")
 
 
-def _check_weights(components: Sequence[tuple[float, int]]) -> None:
-    if not components:
+def _check_components(components: Sequence[tuple[float, int]]) -> tuple[tuple[float, int], ...]:
+    """``components`` as a tuple of (float weight, rank) pairs. Each is a
+    pair of a number and a rank, an ``int`` (not a ``bool``) of at least 1,
+    and the weights lie in [0, 1] and sum to 1; anything else is a
+    ``ConfigError`` that names the bad component or rank."""
+    try:
+        components = tuple(components)
+    except TypeError:
+        raise ConfigError(
+            f"weighted components must be (weight, rank) pairs, got {components!r}"
+        ) from None
+    pairs = []
+    for component in components:
+        try:
+            alpha, rank = component
+            alpha = float(alpha)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"weighted component {component!r} is not a (weight, rank) pair"
+            ) from None
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+            raise ConfigError(
+                f"rank must be an integer of at least 1, got {rank!r} in component {component!r}"
+            )
+        pairs.append((alpha, rank))
+    if not pairs:
         raise ConfigError("weighted mechanism needs at least one component")
-    weights = [float(a) for a, _ in components]
+    weights = [alpha for alpha, _ in pairs]
     # spelled so that NaN, which fails every comparison, is out of range
     if any(not 0.0 <= w <= 1.0 for w in weights):
         raise ConfigError("weighted coefficients must lie in [0, 1]")
     if abs(sum(weights) - 1.0) > EQ_TOL:
         raise ConfigError(f"weighted coefficients must sum to 1, got {sum(weights)!r}")
+    return tuple(pairs)
 
 
 # the parameter of each rank-based kind; the others take none
@@ -149,12 +174,7 @@ class DistributionMechanism:
                 f"got rank={self.rank!r} and components={self.components!r}"
             )
         if components is not None:
-            components = tuple((float(a), n) for a, n in components)
-            for _, n in components:
-                if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                    raise ConfigError(f"rank must be an integer of at least 1, got {n!r}")
-            _check_weights(components)
-            object.__setattr__(self, "components", components)
+            object.__setattr__(self, "components", _check_components(components))
 
     @classmethod
     def proportional(cls) -> "DistributionMechanism":
@@ -170,7 +190,7 @@ class DistributionMechanism:
 
     @classmethod
     def weighted(cls, components: Sequence[tuple[float, int]]) -> "DistributionMechanism":
-        return cls("weighted", components=tuple(components))
+        return cls("weighted", components=components)
 
     def allocate(self, total_volume: float, claims: Sequence[float]) -> list[float]:
         if self.kind == "proportional":

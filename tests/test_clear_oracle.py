@@ -7,8 +7,10 @@ previous clearing, kept in ``clear_reference.py``, returns, bit for bit, and
 Prices come from a five-value grid so that price levels tie, pairs share a
 unit price and zero-price pairs occur; buyers may hold no money, and offers
 or bids may exceed the trader's holding so that rejections occur too. The
-benchmark's ``hetero-clear`` profiles add the many-level case, and two
-hand-built markets leave a trader with a remainder at or below ``EQ_TOL``.
+benchmark's ``hetero-clear`` profiles add the many-level case, and
+hand-built markets leave a trader with a remainder at or below ``EQ_TOL``,
+in levels of several holders and of one, and check the walk over the
+previous step's demanders.
 
 The same markets, scaled up to 1e100, bound the number of trades every
 clearing makes: they stop because every trade empties a level or fills the
@@ -190,6 +192,134 @@ def test_right_dust_leaves_its_level():
     assert 0.0 < 1.0 - result.right_sold[1] <= EQ_TOL
     assert result.seller_sold[1] > 0.0
     assert_same(offers, bids, state, "rights")
+
+
+# -- one-holder levels and the demander walk -----------------------------------
+#
+# Each market below is cleared under both variants and compared with the
+# reference. A level with one holder sells without the general fill loop,
+# and each step walks only the buyers that demanded at the step before.
+
+
+def rich(right=0.0):
+    return BuyerState(good=0.0, money=10.0, right=right)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_a_buyer_priced_out_between_two_good_levels(stage):
+    # buyer 0's ceiling of 0.5 lies between the levels at 0.25 and 0.75:
+    # both buyers split the cheap unit, then buyer 1 alone buys at 0.75;
+    # in stage 2 the Right comes from buyer 2
+    right = 2.0 if stage == 1 else 0.0
+    state = MarketState(
+        1,
+        [SellerState(good=1.0), SellerState(good=1.0)],
+        [rich(right), rich(right), BuyerState(good=0.0, money=0.0, right=4.0)],
+    )
+    offers = [SellerOffer(1.0, 0.25), SellerOffer(1.0, 0.75)]
+    bids = [
+        BuyerBid(0.0, 0.0, 2.0, 0.5, 2.0, 1.0),
+        BuyerBid(0.0, 0.0, 2.0, 1.0, 2.0, 1.0),
+        BuyerBid(4.0 if stage == 2 else 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    ]
+    for variant in VARIANTS:
+        assert_same(offers, bids, state, variant)
+        assert mechanism.clear(offers, bids, state, variant).good_bought == (0.5, 1.5, 0.0)
+
+
+def test_a_buyer_without_money_drops_out_after_a_zero_price_pair():
+    # at the pair (0, 0) both buyers split seller 0's half unit; at (0.5, 0)
+    # buyer 0 has no money and buyer 1 buys seller 1's unit alone
+    state = MarketState(
+        1,
+        [SellerState(good=0.5), SellerState(good=1.0)],
+        [
+            BuyerState(good=0.0, money=0.0, right=0.0),
+            BuyerState(good=0.0, money=1.0, right=0.0),
+            BuyerState(good=0.0, money=0.0, right=2.0),
+        ],
+    )
+    offers = [SellerOffer(0.5, 0.0), SellerOffer(1.0, 0.5)]
+    bids = [
+        BuyerBid(0.0, 0.0, 2.0, 1.0, 2.0, 1.0),
+        BuyerBid(0.0, 0.0, 2.0, 1.0, 2.0, 1.0),
+        BuyerBid(2.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    ]
+    for variant in VARIANTS:
+        assert_same(offers, bids, state, variant)
+        result = mechanism.clear(offers, bids, state, variant)
+        assert result.good_bought == (0.25, 1.25, 0.0)
+        assert result.money_spent_good == (0.0, 0.5, 0.0)
+
+
+# a one-holder level left with 1e-13 of its unit
+ONE_DUST_VOLUME = 1.0 - 1e-13
+
+
+def test_good_dust_leaves_a_one_holder_level():
+    # buyer 0's licence takes ONE_DUST_VOLUME from seller 0 alone in stage 1;
+    # stage 2 then sells buyer 1 seller 1's Good at 0.75, not the dust
+    state = MarketState(
+        1,
+        [SellerState(good=1.0), SellerState(good=1.0)],
+        [rich(ONE_DUST_VOLUME), rich(), BuyerState(good=0.0, money=0.0, right=1.0)],
+    )
+    offers = [SellerOffer(1.0, 0.5), SellerOffer(1.0, 0.75)]
+    bids = [
+        BuyerBid(0.0, 0.0, ONE_DUST_VOLUME, 1.0, 0.0, 0.0),
+        BuyerBid(0.0, 0.0, 1.0, 1.0, 1.0, 1.0),
+        BuyerBid(1.0, 0.25, 0.0, 0.0, 0.0, 0.0),
+    ]
+    for variant in VARIANTS:
+        assert_same(offers, bids, state, variant)
+        result = mechanism.clear(offers, bids, state, variant)
+        assert 0.0 < 1.0 - result.seller_sold[0] <= EQ_TOL
+        assert result.seller_sold[1] == 1.0
+
+
+def test_right_dust_leaves_a_one_holder_level():
+    # seller 0's ONE_DUST_VOLUME empties at the pair (0.5, 0.25) and leaves
+    # buyer 1 with dust of Right; the rest trades at (0.75, 0.5) with
+    # buyer 2's Right
+    state = MarketState(
+        1,
+        [SellerState(good=ONE_DUST_VOLUME), SellerState(good=5.0)],
+        [
+            rich(),
+            BuyerState(good=0.0, money=0.0, right=1.0),
+            BuyerState(good=0.0, money=0.0, right=5.0),
+        ],
+    )
+    offers = [SellerOffer(ONE_DUST_VOLUME, 0.5), SellerOffer(5.0, 0.75)]
+    bids = [
+        BuyerBid(0.0, 0.0, 3.0, 1.0, 3.0, 1.0),
+        BuyerBid(1.0, 0.25, 0.0, 0.0, 0.0, 0.0),
+        BuyerBid(5.0, 0.5, 0.0, 0.0, 0.0, 0.0),
+    ]
+    for variant in VARIANTS:
+        assert_same(offers, bids, state, variant)
+        result = mechanism.clear(offers, bids, state, variant)
+        assert 0.0 < 1.0 - result.right_sold[1] <= EQ_TOL
+        assert result.right_sold[2] > 0.0
+
+
+def test_one_holder_right_proceeds_fund_the_myopic_pass():
+    # buyer 1, without money, sells buyer 0 one of their two units of
+    # Right at 0.5; under ``myopic_rights`` the 0.5 earned buys Good at
+    # 0.25 licensed by the unsold unit, and under ``rights`` it waits
+    state = MarketState(
+        1,
+        [SellerState(good=2.0)],
+        [rich(), BuyerState(good=0.0, money=0.0, right=2.0)],
+    )
+    offers = [SellerOffer(2.0, 0.25)]
+    bids = [BuyerBid(0.0, 0.0, 1.0, 1.0, 1.0, 1.0), BuyerBid(2.0, 0.5, 1.0, 1.0, 0.0, 0.0)]
+    for variant in VARIANTS:
+        assert_same(offers, bids, state, variant)
+    assert mechanism.clear(offers, bids, state, "rights").good_bought == (1.0, 0.0)
+    result = mechanism.clear(offers, bids, state, "myopic_rights")
+    assert result.good_bought == (1.0, 1.0)
+    assert result.money_spent_good == (0.25, 0.25)
 
 
 # -- wide.clear against mechanism.clear ----------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rightsmarket.core import BuyerState, MarketState, SellerState
+from rightsmarket.errors import ClearingError
 from rightsmarket.mechanism import BuyerBid, SellerOffer, clear, useful_useless_split
 
 P = 75 / 116
@@ -129,6 +130,12 @@ class TestSimpleRounds:
         assert [(r.side, r.index) for r in result.rejected] == [("seller", 0)]
         assert result.volume_sold == 0.0
         assert result.unsold_good == (0.0,)  # a rejected offer never reached the market
+
+    @pytest.mark.parametrize("variant", ["myopic", "free_market", "", None])
+    def test_unknown_variant_is_refused_by_name(self, variant):
+        # "myopic" used to clear as "rights" without a word
+        with pytest.raises(ClearingError, match=f"unknown clearing variant {variant!r}"):
+            clear([SellerOffer(1.0, P)], benchmark_bids(), benchmark_state(), variant)
 
     def test_cheaper_seller_trades_first(self):
         state = MarketState(

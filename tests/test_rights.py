@@ -153,6 +153,30 @@ class TestCanonicalAndWeighted:
         with pytest.raises(ConfigError, match="rank must be an integer of at least 1"):
             build()
 
+    def test_a_component_that_is_not_a_pair_is_named(self):
+        # raised ValueError: not enough values to unpack
+        with pytest.raises(ConfigError, match=r"component \(0\.5,\) is not a \(weight, rank\)"):
+            DistributionMechanism.weighted([(0.5,), (0.5, 2)])
+
+    def test_a_weight_that_is_not_a_number_is_named(self):
+        # raised ValueError: could not convert string to float
+        with pytest.raises(ConfigError, match=r"component \('x', 1\) is not a \(weight, rank\)"):
+            DistributionMechanism.weighted([("x", 1)])
+
+    def test_components_that_are_not_a_sequence_are_named(self):
+        # raised TypeError: 'int' object is not iterable
+        with pytest.raises(ConfigError, match=r"must be \(weight, rank\) pairs, got 5"):
+            DistributionMechanism.weighted(5)
+
+    def test_weighted_rule_checks_ranks_as_the_mechanism_does(self):
+        # raised TypeError: list indices must be integers or slices, not float
+        components = [(0.5, 1.5), (0.5, 2)]
+        match = r"rank must be an integer of at least 1, got 1\.5 in component \(0\.5, 1\.5\)"
+        with pytest.raises(ConfigError, match=match):
+            weighted_rule(1.0, [1.0, 0.5], components)
+        with pytest.raises(ConfigError, match=match):
+            DistributionMechanism.weighted(components)
+
     @pytest.mark.parametrize(
         "kind, params",
         [
