@@ -15,8 +15,9 @@ whose trials resume at rounds 1, 20 and 40 plays 40 rounds, not 40 + 21 +
 makes the same checks, each step as array operations over all markets at
 once, so numpy's fixed cost per call is paid once per batch instead of
 once per market. ``clear`` walks each market's own good and Right levels,
-one step of every market per pass, until the last market is done; a
-market that is done trades no more.
+each side one ``Columns`` book, the rows of ``mechanism.Levels``, one
+step of every market per pass, until the last market is done; a market
+that is done trades no more.
 
 The state (``wide.WideState``, as rows), the sums, the offer clamp, the
 bids, P, the rights rows, the settlement, its checks, the utilities and
@@ -48,7 +49,7 @@ import numpy as np
 
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig
 from .engine import BidAdjustment, Checkpoint
-from .errors import PricingError, SimulationError
+from .errors import ClearingError, PricingError, SimulationError
 from .mechanism import BuyerBid, ClearingResult, Rejection, SellerOffer
 from .wide import (
     GOOD_CAP,
@@ -274,24 +275,72 @@ def _play_round(
     return seller_u, buyer_u
 
 
-class GoodColumns:
-    """``mechanism.GoodLevels`` of M markets: each seller's accepted,
-    remaining, sold and revenue as (M, S) arrays.
+class Columns:
+    """``mechanism.Levels`` of M markets: each holder's price, remaining,
+    sold and revenue as (M, K) arrays, ``remaining`` the caller's, drawn
+    down as the book sells.
 
-    An offer with a negative or NaN entry, or a volume above its seller's
-    stock by more than ``CONSERVATION_TOL``, is appended to its market's
-    list in ``rejected`` and keeps the seller out of the round. A market's
-    live sellers are those with more than ``EQ_TOL`` left; its cheapest
-    good level, ``level``, is its live sellers at the lowest price, and
-    ``price_level`` is the price of the level's first live seller, as
-    ``GoodLevels`` reads it. Both are found again whenever a sale leaves a
-    seller of a level with ``EQ_TOL`` or less; ``has_level`` tells the
+    A market's live holders are those with more than ``EQ_TOL`` left; its
+    cheapest level, ``level``, is its live holders at the lowest price, and
+    ``price_level`` is the price of the level's first live holder, as
+    ``Levels`` reads it. Both are found again whenever a sale leaves a
+    holder of a level with ``EQ_TOL`` or less; ``has_level`` tells the
     markets with a level left.
     """
 
-    __slots__ = (
-        "price", "remaining", "accepted", "sold", "revenue", "level", "price_level", "has_level"
-    )
+    __slots__ = ("price", "remaining", "sold", "revenue", "level", "price_level", "has_level")
+
+    def __init__(self, prices: np.ndarray, remaining: np.ndarray) -> None:
+        self.price = prices
+        self.remaining = remaining
+        self.sold = np.zeros(remaining.shape)
+        self.revenue = np.zeros(remaining.shape)
+        self._find_levels(remaining > EQ_TOL)
+
+    def _find_levels(self, live: np.ndarray) -> None:
+        if live.shape[1] == 1 or not np.count_nonzero(live):
+            # one holder per market, or none live: a market's level is its
+            # live holders, priced at holder 0's price as below
+            self.level, self.price_level, self.has_level = live, self.price[:, 0], live[:, 0]
+            return
+        prices = np.where(live, self.price, np.inf)
+        self.level = level = live & (prices == np.minimum.reduce(prices, axis=1)[:, None])
+        # each level's first member, or holder 0 of a market without one
+        first = (np.arange(len(level)), level.argmax(axis=1))
+        self.price_level, self.has_level = self.price[first], level[first]
+
+    def supply(self) -> np.ndarray:
+        """Each market's volume on sale at its cheapest level."""
+        return _sum(np.where(self.level, self.remaining, 0.0))
+
+    def sell(self, go: np.ndarray, volume: np.ndarray, credit: np.ndarray | None = None) -> None:
+        """Sell ``volume[m]`` from the cheapest level of each market m that
+        ``go`` marks, at the level's price, adding the proceeds to
+        ``revenue`` and, when given, to ``credit``."""
+        level = self.level & go[:, None]
+        take = _equal_rate_fill(self.remaining, level, volume)
+        np.copyto(self.remaining, self.remaining - take, where=level)
+        np.copyto(self.sold, self.sold + take, where=level)
+        proceeds = take * self.price_level[:, None]
+        np.copyto(self.revenue, self.revenue + proceeds, where=level)
+        if credit is not None:
+            np.copyto(credit, credit + proceeds, where=level)
+        # a member of a level that sold has ``EQ_TOL`` or less left
+        live = self.remaining > EQ_TOL
+        if np.count_nonzero(level > live):
+            self._find_levels(live)
+
+
+class GoodColumns(Columns):
+    """``mechanism.GoodLevels`` of M markets: the ``Columns`` of the
+    sellers' offers, with each seller's accepted volume as an (M, S) array.
+
+    An offer with a negative or NaN entry, or a volume above its seller's
+    stock by more than ``CONSERVATION_TOL``, is appended to its market's
+    list in ``rejected`` and keeps the seller out of the round.
+    """
+
+    __slots__ = ("accepted",)
 
     def __init__(
         self,
@@ -309,36 +358,7 @@ class GoodColumns:
                 rejected[m].append(Rejection("seller", s, reason))
             volumes = np.where(ok, volumes, 0.0)
         self.accepted = volumes
-        self.remaining = volumes.copy()
-        self.price = prices
-        self.sold = np.zeros(volumes.shape)
-        self.revenue = np.zeros(volumes.shape)
-        self._find_levels()
-
-    def _find_levels(self) -> None:
-        live = self.remaining > EQ_TOL
-        if live.shape[1] == 1:
-            self.level, self.price_level, self.has_level = live, self.price[:, 0], live[:, 0]
-            return
-        prices = np.where(live, self.price, np.inf)
-        self.level = level = live & (prices == np.minimum.reduce(prices, axis=1)[:, None])
-        self.price_level = self.price[np.arange(len(level)), level.argmax(axis=1)]
-        self.has_level = np.logical_or.reduce(live, axis=1)
-
-    def supply(self) -> np.ndarray:
-        """Each market's Good on sale at its cheapest level."""
-        return _sum(np.where(self.level, self.remaining, 0.0))
-
-    def sell(self, go: np.ndarray, volume: np.ndarray) -> None:
-        """Sell ``volume[m]`` from the cheapest good level of each market m
-        that ``go`` marks, at the level's price."""
-        level = self.level & go[:, None]
-        take = _equal_rate_fill(self.remaining, level, volume)
-        np.copyto(self.remaining, self.remaining - take, where=level)
-        np.copyto(self.sold, self.sold + take, where=level)
-        np.copyto(self.revenue, self.revenue + take * self.price_level[:, None], where=level)
-        if np.count_nonzero(level & ~(self.remaining > EQ_TOL)):
-            self._find_levels()
+        super().__init__(prices, volumes.copy())
 
     def unsold(self) -> np.ndarray:
         """Each seller's accepted volume left unsold."""
@@ -360,11 +380,16 @@ def clear(
     The rules, and why the loops end, are in ``mechanism``'s docstring, and
     why each pass matches the scalar one in ``wide.clear``'s; here a buyer
     whose price ceiling is below the price is left out of a step too, as
-    the scalar pass leaves them out. A pass steps every market with demand
-    at its cheapest level. A market without one
-    stops there, as the scalar pass does: it trades no more, so its demand
-    stays as it was.
+    the scalar pass leaves them out. The sellers' Good and the Right on
+    sale are each one ``Columns`` book, which prices a level as
+    ``mechanism.Levels`` does. A pass steps every market with demand at
+    its cheapest level. A market without one stops there, as the scalar
+    pass does: it trades no more, so its demand stays as it was.
+    ``variant`` is "rights" or "myopic_rights"; anything else is a
+    ``ClearingError``.
     """
+    if variant not in ("rights", "myopic_rights"):
+        raise ClearingError(f"unknown clearing variant {variant!r}")
     markets, nb = market.money.shape
     myopic = variant == "myopic_rights"
 
@@ -394,11 +419,10 @@ def clear(
     # a rejected buyer's ceilings may be NaN; their zero caps decide first
     good_ceiling = bids[GOOD_PRICE]
     right_ceiling = bids[RIGHT_PRICE]
-    right_price = bids[OFFER_PRICE]
 
     # every column below is written in place, only where a step trades
-    flows = np.zeros((6, markets, nb))
-    good_bought, right_bought, right_sold, spent_good, spent_right, earned = flows
+    flows = np.zeros((4, markets, nb))
+    good_bought, right_bought, spent_good, spent_right = flows
 
     def buy(wants, demand, total_demand, volume, unit, licence) -> np.ndarray:
         """Share ``volume`` among the demanders ``wants`` marks pro rata to
@@ -437,25 +461,15 @@ def clear(
     run_good_for_rights_pass(rights_use)
 
     # -- stage 2: paired Good+Right purchases -----------------------------
-    # Each market's Right levels are its buyers with more than ``EQ_TOL``
-    # on sale, by price; as a dict does, a level holding -0.0 and 0.0
-    # trades at the price of its first buyer, read once here.
-    selling = offer_rem > EQ_TOL
-    zero_price = selling & (right_price == 0.0)
-    if np.count_nonzero(zero_price):
-        first_zero = right_price[np.arange(markets), zero_price.argmax(axis=1)]
-        right_price = np.where(zero_price, first_zero[:, None], right_price)
-    while np.count_nonzero(book.has_level):
-        selling = offer_rem > EQ_TOL
-        if not np.count_nonzero(selling):
-            break
-        # a market without Right on sale asks infinity, which leaves every
-        # buyer a cap of 0 there
-        asks = np.where(selling, right_price, np.inf)
-        qr = np.minimum.reduce(asks, axis=1)[:, None]
-        members = selling & (asks == qr)
+    # the Right on sale is a second book, whose proceeds a myopic seller
+    # spends at once; a market without Right on sale has no supply there,
+    # which leaves every buyer a cap of 0
+    right_book = Columns(bids[OFFER_PRICE], offer_rem)
+    credit = spend if myopic else None
+    while np.count_nonzero(book.has_level & right_book.has_level):
         good_avail = book.supply()
-        right_avail = _sum(np.where(members, offer_rem, 0.0))
+        right_avail = right_book.supply()
+        qr = right_book.price_level[:, None]
         price = book.price_level[:, None]
         unit = price + qr
         cap = np.fmin(np.fmin(vbar_rem, wbar_rem), right_avail[:, None])
@@ -470,18 +484,11 @@ def clear(
         if not np.count_nonzero(go):
             break
         wants &= go[:, None]
-        members &= go[:, None]
         volume = np.where(good_avail < total_demand, good_avail, total_demand)
         volume = np.where(right_avail < volume, right_avail, volume)
 
         book.sell(go, volume)
-        take = _equal_rate_fill(offer_rem, members, volume)
-        np.copyto(offer_rem, offer_rem - take, where=members)
-        np.copyto(right_sold, right_sold + take, where=members)
-        proceeds = take * qr
-        np.copyto(earned, earned + proceeds, where=members)
-        if myopic:
-            np.copyto(spend, spend + proceeds, where=members)
+        right_book.sell(go, volume, credit)
         x = buy(wants, demand, total_demand, volume, unit, wbar_rem)
         np.copyto(right_bought, right_bought + x, where=wants)
         np.copyto(spent_good, spent_good + x * price, where=wants)
@@ -496,10 +503,10 @@ def clear(
     return ClearingResult(
         good_bought=good_bought,
         right_bought=right_bought,
-        right_sold=right_sold,
+        right_sold=right_book.sold,
         money_spent_good=spent_good,
         money_spent_right=spent_right,
-        money_earned_right=earned,
+        money_earned_right=right_book.revenue,
         seller_revenue=book.revenue,
         seller_sold=book.sold,
         unsold_good=book.unsold(),

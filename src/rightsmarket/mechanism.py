@@ -37,16 +37,19 @@ cheapest level is at most ``EQ_TOL``. ``tests/test_clear_oracle.py``
 checks, at amounts up to 1e100, that a clearing makes no more trades than
 there are good levels, Right levels and buyers together.
 
-The live sellers are grouped into good levels by price and the levels
-sorted once per clear; as a seller's remaining volume only falls, the
-cheapest level is trimmed as it sells and dropped once it empties. Right
-on sale is grouped the same way. A level with one holder, the common case
-when prices differ, sells ``equal_rate_fill`` of that holder alone, reads
-its supply as the holder's remainder and is dropped once that is at most
-``EQ_TOL``, without the lists a level of several holders builds. So a
-step finds both cheapest levels at once and walks only the buyers that
-demanded at the step before and still have cap left, not every seller,
-pair and buyer.
+Each side of a clearing is one book, ``Levels``: the sellers' Good
+(``GoodLevels``) and the Right on sale, whose holders are the buyers who
+offer it. A book groups its live holders into levels by price and sorts
+the levels once per clear; as a holder's remaining volume only falls, the
+cheapest level is trimmed as it sells and dropped once it empties. On
+both sides a level trades at the price of its first live holder, which
+settles whether a level holding -0.0 and 0.0 trades at -0.0 or 0.0. A
+level with one holder, the common case when prices differ, sells
+``equal_rate_fill`` of that holder alone, reads its supply as the
+holder's remainder and is dropped once that is at most ``EQ_TOL``,
+without the lists a level of several holders builds. So a step finds both
+cheapest levels at once and walks only the buyers that demanded at the
+step before and still have cap left, not every seller, pair and buyer.
 
 That walk is exact: a buyer who demands nothing at a step cannot demand
 again in the same stage-1 pass or in stage 2. Prices only rise, so a
@@ -138,18 +141,88 @@ class ClearingResult(NamedTuple):
         return sum(self.seller_sold)
 
 
-class GoodLevels:
+class Levels:
+    """One side of a clearing: each holder's ``remaining`` volume on sale at
+    their ``price``, as lists of floats, one entry per holder.
+
+    The holders with more than ``EQ_TOL`` go into levels by price, in index
+    order, and ``levels`` lists them cheapest last. A level trades at the
+    price of its first live holder, which settles whether a level holding
+    -0.0 and 0.0 trades at -0.0 or 0.0, and sells at an equal rate (see the
+    module docstring). ``remaining`` is the caller's list, drawn down as the
+    book sells; ``sold`` and ``revenue`` are per holder.
+
+    >>> right = Levels([0.75, 0.25, 0.5], [1.0, 0.0, 2.0])
+    >>> right.levels
+    [[0], [2]]
+    >>> right.cheapest()
+    (0.5, 2.0)
+    """
+
+    __slots__ = ("levels", "price", "remaining", "sold", "revenue")
+
+    def __init__(self, price: list[float], remaining: list[float]) -> None:
+        self.price, self.remaining = price, remaining
+        self.sold = [0.0] * len(price)
+        self.revenue = [0.0] * len(price)
+        by_price: dict[float, list[int]] = {}
+        for h, held in enumerate(remaining):
+            if held > EQ_TOL:
+                by_price.setdefault(price[h], []).append(h)
+        self.levels = [by_price[p] for p in sorted(by_price, reverse=True)]
+
+    def cheapest(self) -> tuple[float, float]:
+        """The cheapest level's price and the volume it holds."""
+        level = self.levels[-1]
+        h = level[0]
+        if len(level) == 1:
+            # a one-holder level's supply is its one-element sum
+            return self.price[h], self.remaining[h]
+        remaining = self.remaining
+        return self.price[h], sum([remaining[k] for k in level])
+
+    def sell(self, price: float, volume: float, credit: list[float] | None = None) -> None:
+        """Sell ``volume`` from the cheapest level at ``price``, its
+        ``cheapest()`` one, adding the proceeds to ``revenue`` and, when
+        given, to ``credit``."""
+        level = self.levels[-1]
+        remaining, sold, revenue = self.remaining, self.sold, self.revenue
+        if len(level) == 1:
+            # one holder: the general path below without its lists
+            h = level[0]
+            x = equal_rate_fill([remaining[h]], volume)[0]
+            remaining[h] -= x
+            sold[h] += x
+            revenue[h] += x * price
+            if credit is not None:
+                credit[h] += x * price
+            if not remaining[h] > EQ_TOL:
+                self.levels.pop()
+            return
+        take = equal_rate_fill([remaining[h] for h in level], volume)
+        for h, x in zip(level, take):
+            remaining[h] -= x
+            sold[h] += x
+            revenue[h] += x * price
+        if credit is not None:
+            for h, x in zip(level, take):
+                credit[h] += x * price
+        level[:] = [h for h in level if remaining[h] > EQ_TOL]
+        if not level:
+            self.levels.pop()
+
+
+class GoodLevels(Levels):
     """The sellers' side of one clearing.
 
     ``stock`` holds each seller's Good, as floats. An offer with a negative
     or NaN entry, or a volume above its seller's stock by more than
     ``CONSERVATION_TOL``, is appended to ``rejected`` and keeps the seller
-    out of the round. The live sellers go into good levels by price, in
-    index order, and ``levels`` lists them cheapest last (see the module
-    docstring). ``remaining``, ``sold`` and ``revenue`` are per seller.
+    out of the round; the others are the ``Levels`` of their offers.
+    ``accepted`` is each seller's offered volume, 0.0 when rejected.
     """
 
-    __slots__ = ("levels", "price", "remaining", "accepted", "sold", "revenue")
+    __slots__ = ("accepted",)
 
     def __init__(
         self,
@@ -159,11 +232,8 @@ class GoodLevels:
     ) -> None:
         ns = len(offers)
         self.accepted = accepted = [0.0] * ns
-        self.remaining = remaining = [0.0] * ns
-        self.price = price = [0.0] * ns
-        self.sold = [0.0] * ns
-        self.revenue = [0.0] * ns
-        by_price: dict[float, list[int]] = {}
+        remaining = [0.0] * ns
+        price = [0.0] * ns
         for s, (off, held) in enumerate(zip(offers, stock)):
             # ``not x >= 0.0`` also catches NaN, which fails every comparison
             volume = off.volume
@@ -174,32 +244,7 @@ class GoodLevels:
             accepted[s] = volume
             remaining[s] = float(volume)
             price[s] = float(off.price)
-            if remaining[s] > EQ_TOL:
-                by_price.setdefault(price[s], []).append(s)
-        self.levels = [by_price[p] for p in sorted(by_price, reverse=True)]
-
-    def sell(self, pg: float, volume: float) -> None:
-        """Sell ``volume`` from the cheapest good level at ``pg``."""
-        level = self.levels[-1]
-        remaining, sold, revenue = self.remaining, self.sold, self.revenue
-        if len(level) == 1:
-            # one holder: the general path below without its lists
-            s = level[0]
-            x = equal_rate_fill([remaining[s]], volume)[0]
-            remaining[s] -= x
-            sold[s] += x
-            revenue[s] += x * pg
-            if not remaining[s] > EQ_TOL:
-                self.levels.pop()
-            return
-        take = equal_rate_fill([remaining[s] for s in level], volume)
-        for k, s in enumerate(level):
-            remaining[s] -= take[k]
-            sold[s] += take[k]
-            revenue[s] += take[k] * pg
-        level[:] = [s for s in level if remaining[s] > EQ_TOL]
-        if not level:
-            self.levels.pop()
+        super().__init__(price, remaining)
 
     def unsold(self) -> tuple[float, ...]:
         """Each seller's accepted volume left unsold."""
@@ -240,8 +285,7 @@ def clear(
 
     rejected: list[Rejection] = []
     book = GoodLevels(offers, [s.good for s in state.sellers], rejected)
-    good_levels, sell_price, sell_rem = book.levels, book.price, book.remaining
-    sell_good = book.sell
+    good_levels, cheapest_good, sell_good = book.levels, book.cheapest, book.sell
 
     # the buyer loops below spell min(a, b) as ``b if b < a else a`` and
     # max(0.0, v) as ``v if v > 0.0 else 0.0``, which is how the builtins
@@ -278,10 +322,8 @@ def clear(
 
     good_bought = [0.0] * nb
     right_bought = [0.0] * nb
-    right_sold = [0.0] * nb
     spent_good = [0.0] * nb
     spent_right = [0.0] * nb
-    earned = [0.0] * nb
 
     def run_good_for_rights_pass(licence: list[float]) -> None:
         """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
@@ -290,10 +332,7 @@ def clear(
         buyers = [b for b in range(nb) if vbar_rem[b] > 0.0 and licence[b] > 0.0]
         # with no buyer left the demand sum below would be 0.0
         while buyers and good_levels:
-            level = good_levels[-1]
-            # a level's price is its first live seller's, which settles
-            # whether a level holding -0.0 and 0.0 trades at -0.0 or 0.0
-            pg = sell_price[level[0]]
+            pg, supply = cheapest_good()
             # positive demands only, in buyer order: the zeros a scan of
             # every buyer would add leave each sum bit-identical
             demanders, demand = [], []
@@ -316,8 +355,6 @@ def clear(
                 # the cheapest level is the easiest to be compatible with,
                 # so no demand here means no demand anywhere
                 return
-            # a one-holder level's supply is its one-element sum
-            supply = sell_rem[level[0]] if len(level) == 1 else sum([sell_rem[s] for s in level])
             volume = supply if supply < total_demand else total_demand
             sell_good(pg, volume)
             # the next step walks the demanders with cap left: no other
@@ -341,27 +378,18 @@ def clear(
     run_good_for_rights_pass(rights_use)
 
     # -- stage 2: paired Good+Right purchases -----------------------------
-    # Right on sale grouped by price in buyer order, cheapest last, and the
-    # buyers with Good and Right cap left: both only shrink, so they are
-    # kept across steps and trimmed after each trade.
-    by_price: dict[float, list[int]] = {}
-    for b in range(nb):
-        if offer_rem[b] > EQ_TOL:
-            by_price.setdefault(right_price[b], []).append(b)
-    right_levels = [(q, by_price[q]) for q in sorted(by_price, reverse=True)]
+    # the Right on sale is a second book, whose proceeds a myopic seller
+    # spends at once; the buyers with Good and Right cap left only shrink,
+    # so they are kept across steps and trimmed after each trade
+    right_book = Levels(right_price, offer_rem)
+    right_levels, cheapest_right, sell_right = (
+        right_book.levels, right_book.cheapest, right_book.sell
+    )
+    credit = spend if myopic else None
     buyers = [b for b in range(nb) if vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
     while buyers and good_levels and right_levels:
-        good_level = good_levels[-1]
-        pg = sell_price[good_level[0]]
-        qr, right_level = right_levels[-1]
-        good_avail = (
-            sell_rem[good_level[0]] if len(good_level) == 1
-            else sum([sell_rem[s] for s in good_level])
-        )
-        right_avail = (
-            offer_rem[right_level[0]] if len(right_level) == 1
-            else sum([offer_rem[b] for b in right_level])
-        )
+        pg, good_avail = cheapest_good()
+        qr, right_avail = cheapest_right()
         unit = pg + qr
         demanders, demand = [], []
         for b in buyers:
@@ -390,30 +418,7 @@ def clear(
             volume = right_avail
 
         sell_good(pg, volume)
-        if len(right_level) == 1:
-            # one holder, as in ``GoodLevels.sell``
-            b = right_level[0]
-            take = equal_rate_fill([offer_rem[b]], volume)[0]
-            offer_rem[b] -= take
-            right_sold[b] += take
-            proceeds = take * qr
-            earned[b] += proceeds
-            if myopic:
-                spend[b] += proceeds
-            if not offer_rem[b] > EQ_TOL:
-                right_levels.pop()
-        else:
-            take_right = equal_rate_fill([offer_rem[b] for b in right_level], volume)
-            for k, b in enumerate(right_level):
-                offer_rem[b] -= take_right[k]
-                right_sold[b] += take_right[k]
-                proceeds = take_right[k] * qr
-                earned[b] += proceeds
-                if myopic:
-                    spend[b] += proceeds
-            right_level[:] = [b for b in right_level if offer_rem[b] > EQ_TOL]
-            if not right_level:
-                right_levels.pop()
+        sell_right(qr, volume, credit)
         buyers = []  # the demanders with cap left, as in stage 1
         for b, d in zip(demanders, demand):
             x = volume * d / total_demand
@@ -441,10 +446,10 @@ def clear(
     return ClearingResult(
         good_bought=tuple(good_bought),
         right_bought=tuple(right_bought),
-        right_sold=tuple(right_sold),
+        right_sold=tuple(right_book.sold),
         money_spent_good=tuple(spent_good),
         money_spent_right=tuple(spent_right),
-        money_earned_right=tuple(earned),
+        money_earned_right=tuple(right_book.revenue),
         seller_revenue=tuple(book.revenue),
         seller_sold=tuple(book.sold),
         unsold_good=book.unsold(),

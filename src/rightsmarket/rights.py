@@ -81,7 +81,16 @@ def weighted_rule(
     [0, 1] summing to 1, checked as ``DistributionMechanism`` checks them.
     """
     _check_inputs(total_volume, claims)
-    components = _check_components(components)
+    return _weighted_rule(total_volume, claims, _check_components(components))
+
+
+def _weighted_rule(
+    total_volume: float,
+    claims: Sequence[float],
+    components: tuple[tuple[float, int], ...],
+) -> list[float]:
+    """``weighted_rule`` of inputs and components already checked; only
+    the ranks are checked against the number of claims."""
     out = [0.0] * len(claims)
     order = claim_rank_order(claims)
     for alpha, rank in components:
@@ -197,7 +206,9 @@ class DistributionMechanism:
             return proportional_rule(total_volume, claims)
         if self.kind == "contested_garment":
             return contested_garment_rule(total_volume, claims)
-        return weighted_rule(total_volume, claims, self.components)  # type: ignore[arg-type]
+        # ``__post_init__`` checked the components
+        _check_inputs(total_volume, claims)
+        return _weighted_rule(total_volume, claims, self.components)  # type: ignore[arg-type]
 
     def label(self) -> str:
         if self.kind == "canonical":

@@ -473,7 +473,9 @@ def clear(offers: list[SellerOffer], bids: np.ndarray, market: WideState) -> Cle
     - the offer clamp ``min(offer, right)`` is the offer;
     - zeroing a Right seller's Right cap changes nothing;
     - every seller posts one price, so ``GoodLevels`` holds one good
-      level; it still sells at an equal rate and rejects bad offers.
+      level, whose price and supply ``cheapest`` reads as
+      ``mechanism.clear`` reads them; it still sells at an equal rate and
+      rejects bad offers.
 
     Each pass over the buyers is an array operation over all of them: a
     buyer the scalar pass skips (no Good cap, licence or Right cap left)
@@ -487,7 +489,7 @@ def clear(offers: list[SellerOffer], bids: np.ndarray, market: WideState) -> Cle
 
     rejected: list = []  # the offers ``GoodLevels`` rejects
     book = GoodLevels(offers, market.seller_good.tolist(), rejected)
-    good_levels, sell_price, sell_rem = book.levels, book.price, book.remaining
+    good_levels = book.levels
 
     offer_rem = bids[OFFER].copy()
     licence = market.right - offer_rem
@@ -500,8 +502,7 @@ def clear(offers: list[SellerOffer], bids: np.ndarray, market: WideState) -> Cle
 
     # -- stage 1: Good purchases licensed unit-for-unit by the Right held --
     while good_levels:
-        level = good_levels[-1]
-        pg = sell_price[level[0]]
+        pg, supply = book.cheapest()
         if not price_avg >= pg:
             break
         cap = np.fmin(vbar_rem, licence)
@@ -515,7 +516,6 @@ def clear(offers: list[SellerOffer], bids: np.ndarray, market: WideState) -> Cle
             # the cheapest level is the easiest to be compatible with, so no
             # demand here means no demand anywhere
             break
-        supply = sum([sell_rem[s] for s in level])
         volume = supply if supply < total_demand else total_demand
         book.sell(pg, volume)
         x = volume * demand / total_demand
@@ -530,11 +530,9 @@ def clear(offers: list[SellerOffer], bids: np.ndarray, market: WideState) -> Cle
     # the Right sellers, in buyer order
     members = (offer_rem > EQ_TOL).nonzero()[0]
     while good_levels and members.size:
-        good_level = good_levels[-1]
-        pg = sell_price[good_level[0]]
+        pg, good_avail = book.cheapest()
         if not price_avg >= pg:
             break
-        good_avail = sum([sell_rem[s] for s in good_level])
         right_avail = _sum(offer_rem[members])
         unit = pg + price_avg
         cap = np.fmin(np.fmin(vbar_rem, wbar_rem), right_avail)

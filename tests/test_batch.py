@@ -319,6 +319,85 @@ def test_equal_rate_fill_matches_the_scalar_fill_row_by_row(cells, shares):
         assert repr(got[m].tolist()) == repr(want)
 
 
+def sell_row_by_row(prices, held, steps, credited):
+    """Sell ``steps[k][m]`` from row m's cheapest level at step k, in the
+    ``Columns`` of the rows and in each row's ``Levels``, a volume of 0.0
+    selling nothing, and require every row to hold what its book holds after
+    each step: the cheapest level, its price and supply, and each holder's
+    remaining, sold, revenue and, when ``credited``, credit."""
+    columns = batch.Columns(prices, held.copy())
+    books = [mechanism.Levels(p.tolist(), h.tolist()) for p, h in zip(prices, held)]
+    credit = np.ones(held.shape) if credited else None
+    credits = [[1.0] * held.shape[1] if credited else None for _ in books]
+    for k in range(len(steps) + 1):
+        supply = columns.supply()
+        for m, book in enumerate(books):
+            assert columns.has_level[m] == bool(book.levels)
+            if book.levels:
+                price, held_m = book.cheapest()
+                assert columns.level[m].nonzero()[0].tolist() == book.levels[-1]
+                assert repr(float(columns.price_level[m])) == repr(price)
+                assert repr(float(supply[m])) == repr(held_m)
+            for name in ("remaining", "sold", "revenue"):
+                assert repr(getattr(columns, name)[m].tolist()) == repr(getattr(book, name))
+            if credited:
+                assert repr(credit[m].tolist()) == repr(credits[m])
+        if k == len(steps):
+            return
+        volume = np.array(steps[k])
+        go = columns.has_level & (volume > 0.0)
+        for m, book in enumerate(books):
+            if go[m]:
+                book.sell(book.cheapest()[0], float(volume[m]), credits[m])
+        columns.sell(go, volume, credit)
+
+
+# each book's prices and holdings, padded to five holders with empty ones,
+# and the volume it sells at each step
+BOOK_SCRIPTS = (
+    # levels in holder order, cheapest last; 2**-40 is at most EQ_TOL
+    ([0.5, 0.25, 0.5, 0.25, 0.75], [1.0, 0.5, 0.25, 2**-40, 0.5], [0.5, 0.75, 0.5]),
+    # a level of -0.0 and 0.0 trades at its first live holder's price
+    ([0.0, -0.0, 0.5, 0.0, 0.0], [0.25, 0.5, 1.0, 0.0, 0.0], [0.5, 0.25, 0.5]),
+    ([-0.0, 0.0, 0.5, 0.0, 0.0], [0.25, 0.5, 1.0, 0.0, 0.0], [0.5, 0.25, 0.5]),
+    # a one-holder level left with 2**-40 is popped, with 2**-39 it is not
+    ([0.5, 0.25, 0.0, 0.0, 0.0], [1.0, 0.5 + 2**-40, 0.0, 0.0, 0.0], [0.5, 0.5]),
+    ([0.5, 0.25, 0.0, 0.0, 0.0], [1.0, 0.5 + 2**-39, 0.0, 0.0, 0.0], [0.5, 2**-39, 0.5]),
+)
+
+
+@pytest.mark.parametrize("credited", [False, True], ids=("rights", "myopic-credit"))
+def test_columns_hold_the_hand_built_books_row_by_row(credited):
+    prices = np.array([script[0] for script in BOOK_SCRIPTS])
+    held = np.array([script[1] for script in BOOK_SCRIPTS])
+    steps = [[script[2][k] if k < len(script[2]) else 0.0 for script in BOOK_SCRIPTS]
+             for k in range(3)]
+    with np.errstate(all="ignore"):
+        sell_row_by_row(prices, held, steps, credited)
+
+
+@settings(deadline=None)
+@given(
+    rows(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5]),
+                   st.sampled_from([0.0, 0.25, 0.5, 1.0, 2**-40, 2**-39, 0.5 + 2**-40])), 1, 6),
+    st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=5, max_size=5),
+             max_size=8),
+    st.booleans(),
+)
+def test_columns_sell_as_levels_do_row_by_row(cells, shares, credited):
+    # each step sells a share of every row's cheapest level, all of it or none
+    prices = np.array([[p for p, _ in row] for row in cells])
+    held = np.array([[h for _, h in row] for row in cells])
+    steps = []
+    with np.errstate(all="ignore"):
+        columns = batch.Columns(prices, held.copy())
+        for share in shares:
+            volume = np.array(share[:len(cells)]) * columns.supply()
+            columns.sell(columns.has_level & (volume > 0.0), volume)
+            steps.append(volume.tolist())
+        sell_row_by_row(prices, held, steps, credited)
+
+
 @given(rows(st.floats(-1e8, 1e8), 0, 300))
 def test_sum_adds_each_row_left_to_right_from_zero(cells):
     # an empty row sums to 0.0; one column sums to a float, as records need

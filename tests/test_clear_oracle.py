@@ -4,9 +4,11 @@ previous clearing, kept in ``clear_reference.py``, returns, bit for bit, and
 ``rights`` bids it is built for; ``tests/test_batch.py`` holds
 ``batch.clear`` to it on any bids.
 
-Prices come from a five-value grid so that price levels tie, pairs share a
-unit price and zero-price pairs occur; buyers may hold no money, and offers
-or bids may exceed the trader's holding so that rejections occur too. The
+Prices come from a six-value grid so that price levels tie, pairs share a
+unit price and zero-price pairs occur; the grid holds 0.0 and -0.0, which
+share a level, and results are compared by ``repr``, so the sign of a zero
+counts. Buyers may hold no money, and offers or bids may exceed the
+trader's holding so that rejections occur too. The
 benchmark's ``hetero-clear`` profiles add the many-level case, and
 hand-built markets leave a trader with a remainder at or below ``EQ_TOL``,
 in levels of several holders and of one, and check the walk over the
@@ -34,7 +36,8 @@ from rightsmarket.core import EQ_TOL, BuyerState, MarketState, SellerState
 from rightsmarket.mechanism import BuyerBid, ClearingResult, GoodLevels, SellerOffer
 from rightsmarket.pricing import mean_posted_price
 
-PRICE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+# -0.0 and 0.0 share a level, which trades at its first live holder's price
+PRICE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, -0.0)
 # hypothesis starts from and shrinks toward the first value of each list
 AMOUNTS = st.sampled_from([1.0, 0.5, 1.5, 0.25, 0.0])
 MONEY = st.sampled_from([0.0, 0.0, 0.0, 0.1, 1.0, 3.0])
@@ -46,12 +49,14 @@ VARIANTS = ("rights", "myopic_rights")
 def assert_same(offers, bids, state, variant):
     want = clear_reference.clear(offers, bids, state, variant)
     got = mechanism.clear(offers, bids, state, variant)
-    assert tuple(got) == tuple(want)
+    # ``repr`` tells -0.0 from 0.0
+    assert repr(got) == repr(want)
 
 
 def some_of(grid):
     """Draws from a few values of ``grid``, chosen once per market."""
-    return st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid), unique=True).map(
+    # unique by ``repr``, as -0.0 == 0.0, so that a market may draw both
+    return st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid), unique_by=repr).map(
         st.sampled_from
     )
 
@@ -93,7 +98,7 @@ def test_clear_matches_reference(market, variant):
 # buyer without money still buys there
 @settings(deadline=None)
 @given(
-    market=market(st.just(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]))),
+    market=market(st.just(st.sampled_from([0.0, 0.0, -0.0, 0.5, 1.0]))),
     variant=st.sampled_from(VARIANTS),
 )
 def test_clear_matches_reference_at_zero_prices(market, variant):

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from rightsmarket.core import BuyerState, MarketState, SellerState
 from rightsmarket.errors import ClearingError
-from rightsmarket.mechanism import BuyerBid, SellerOffer, clear, useful_useless_split
+from rightsmarket.mechanism import BuyerBid, Levels, SellerOffer, clear, useful_useless_split
+
+from test_clear_oracle import KERNELS
 
 P = 75 / 116
 RIGHTS = (8 / 15, 6 / 15, 1 / 15)
@@ -133,9 +135,10 @@ class TestSimpleRounds:
 
     @pytest.mark.parametrize("variant", ["myopic", "free_market", "", None])
     def test_unknown_variant_is_refused_by_name(self, variant):
-        # "myopic" used to clear as "rights" without a word
-        with pytest.raises(ClearingError, match=f"unknown clearing variant {variant!r}"):
-            clear([SellerOffer(1.0, P)], benchmark_bids(), benchmark_state(), variant)
+        # "myopic" used to clear as "rights" without a word, on both kernels
+        for kernel in KERNELS.values():
+            with pytest.raises(ClearingError, match=f"unknown clearing variant {variant!r}"):
+                kernel([SellerOffer(1.0, P)], benchmark_bids(), benchmark_state(), variant)
 
     def test_cheaper_seller_trades_first(self):
         state = MarketState(
@@ -295,10 +298,11 @@ class TestNaNRejection:
 
 
 class TestGoodLevels:
-    """``clear`` groups the live sellers into price levels once and trims
-    the cheapest as it sells. These markets empty a level mid-pass and check
-    that the next level up trades. Every amount is exact in binary, so each
-    result is pinned exactly."""
+    """``clear`` groups the live sellers, and the Right on sale, into price
+    levels once (``Levels``) and trims the cheapest as it sells. These
+    markets empty a level mid-pass and check that the next level up trades;
+    the book's own cases follow them. Every amount is exact in binary, so
+    each result is pinned exactly."""
 
     def test_stage_one_moves_up_when_the_cheap_level_empties(self):
         # the level at 0.5 holds sellers 1 and 2 in index order; it fills
@@ -378,6 +382,91 @@ class TestGoodLevels:
         assert result.money_spent_right == (0.25, 0.0)
         assert result.money_earned_right == (0.0, 0.25)
         assert not result.proceeds_deferred
+
+    def test_right_levels_list_buyers_in_order_cheapest_last(self):
+        # buyer 3's 2**-40 is at most EQ_TOL, so they sell nothing
+        book = Levels([0.5, 0.25, 0.5, 0.25, 0.75], [1.0, 0.5, 0.25, 2**-40, 0.5])
+        assert book.levels == [[4], [0, 2], [1]]
+        assert book.cheapest() == (0.25, 0.5)
+        # stage 2 sells buyers 2 and 3's Right at 0.25 first, at an equal
+        # rate, then 0.25 of buyer 1's at 0.5, on both kernels
+        state = MarketState(
+            1,
+            [SellerState(2.0)],
+            [BuyerState(0.0, 2.0, right=0.0), BuyerState(0.0, 0.0, right=0.5),
+             BuyerState(0.0, 0.0, right=0.25), BuyerState(0.0, 0.0, right=0.5)],
+        )
+        bids = [BuyerBid(0.0, 1.0, 1.0, 1.0, 1.0, 1.0), BuyerBid(0.5, 0.5, 0.0, 0.0, 0.0, 0.0),
+                BuyerBid(0.25, 0.25, 0.0, 0.0, 0.0, 0.0), BuyerBid(0.5, 0.25, 0.0, 0.0, 0.0, 0.0)]
+        for kernel in KERNELS.values():
+            result = kernel([SellerOffer(2.0, 0.5)], bids, state, "rights")
+            assert result.right_sold == (0.0, 0.25, 0.25, 0.5)
+            assert result.money_earned_right == (0.0, 0.125, 0.0625, 0.125)
+            assert result.right_bought == (1.0, 0.0, 0.0, 0.0)
+            assert result.money_spent_right == (0.3125, 0.0, 0.0, 0.0)
+            assert result.money_spent_good == (0.5, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "prices", [(0.0, -0.0), (-0.0, 0.0)], ids=("zero-first", "minus-zero-first")
+    )
+    def test_a_level_of_minus_zero_and_zero_trades_at_its_first_live_holder(self, prices):
+        book = Levels([*prices, 0.5], [0.25, 0.5, 1.0])
+        assert book.levels == [[2], [0, 1]]
+        price, supply = book.cheapest()
+        assert (repr(price), supply) == (repr(prices[0]), 0.75)
+        # holder 0 empties at an equal rate, and holder 1 prices the level
+        book.sell(price, 0.5)
+        assert book.levels == [[2], [1]]
+        price, supply = book.cheapest()
+        assert (repr(price), supply) == (repr(prices[1]), 0.25)
+        assert book.sold == [0.25, 0.25, 0.0]
+
+    @pytest.mark.parametrize(
+        ("left", "levels"), [(2**-40, [[0]]), (2**-39, [[0], [1]])], ids=("dust", "above-dust")
+    )
+    def test_a_one_holder_level_is_popped_at_eq_tol(self, left, levels):
+        # 2**-40 is at most EQ_TOL and 2**-39 is above it
+        book = Levels([0.5, 0.25], [1.0, 0.5 + left])
+        book.sell(0.25, 0.5)
+        assert book.levels == levels
+        assert book.remaining == [1.0, left]
+        assert (book.sold, book.revenue) == ([0.0, 0.5], [0.0, 0.125])
+
+    @pytest.mark.parametrize("holders", [1, 2])
+    def test_proceeds_are_credited_only_when_asked(self, holders):
+        # a one-holder level and a level of two, each selling 0.5 at 0.5
+        held = [0.5, 0.25][:holders]
+        volume = sum(held)
+        credit = [1.0] * holders
+        book = Levels([0.5] * holders, list(held))
+        book.sell(0.5, volume, credit)
+        assert book.revenue == [0.25, 0.125][:holders]
+        assert credit == [1.25, 1.125][:holders]
+        uncredited = Levels([0.5] * holders, list(held))
+        uncredited.sell(0.5, volume)
+        assert (uncredited.sold, uncredited.revenue) == (book.sold, book.revenue)
+
+    @pytest.mark.parametrize("variant", ["rights", "myopic_rights"])
+    def test_myopic_proceeds_go_to_spend_and_nowhere_under_rights(self, variant):
+        # buyers 1 and 2 sell Right at 0.5 from one level to buyer 0, and
+        # keep 0.5 of Right as licences but no money: under myopic_rights
+        # each spends their own proceeds on Good in the extra pass, on both
+        # kernels
+        state = MarketState(
+            1,
+            [SellerState(2.0)],
+            [BuyerState(0.0, 2.0, right=0.0), BuyerState(0.0, 0.0, right=1.0),
+             BuyerState(0.0, 0.0, right=0.75)],
+        )
+        bids = [BuyerBid(0.0, 1.0, 1.0, 1.0, 1.0, 1.0), BuyerBid(0.5, 0.5, 1.0, 1.0, 0.0, 1.0),
+                BuyerBid(0.25, 0.5, 1.0, 1.0, 0.0, 1.0)]
+        extra = (0.5, 0.25) if variant == "myopic_rights" else (0.0, 0.0)
+        for kernel in KERNELS.values():
+            result = kernel([SellerOffer(2.0, 0.5)], bids, state, variant)
+            assert result.right_sold == (0.0, 0.5, 0.25)
+            assert result.money_earned_right == (0.0, 0.25, 0.125)
+            assert result.good_bought == (0.75, *extra)
+            assert result.money_spent_good == (0.375, *(x * 0.5 for x in extra))
 
 
 class TestPermutationInvariance:

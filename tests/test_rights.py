@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from rightsmarket.errors import ConfigError
 from rightsmarket.rights import (
     DistributionMechanism,
+    _check_components,
     allocate,
     canonical_rule,
     claim_rank_order,
@@ -176,6 +177,28 @@ class TestCanonicalAndWeighted:
             weighted_rule(1.0, [1.0, 0.5], components)
         with pytest.raises(ConfigError, match=match):
             DistributionMechanism.weighted(components)
+
+    @pytest.mark.parametrize(
+        "mech",
+        [DistributionMechanism.canonical(2), DistributionMechanism.weighted([(0.5, 1), (0.5, 3)])],
+        ids=("canonical", "weighted"),
+    )
+    def test_allocate_does_not_check_the_components_again(self, mech, monkeypatch):
+        # ``__post_init__`` checked them, so a round's allocation does not;
+        # a bare ``weighted_rule`` call still does
+        calls = []
+        monkeypatch.setattr(
+            "rightsmarket.rights._check_components",
+            lambda c: calls.append(c) or _check_components(c),
+        )
+        want = weighted_rule(1.0, BENCH_CLAIMS, mech.components)
+        assert calls == [mech.components]
+        assert mech.allocate(1.0, BENCH_CLAIMS) == want
+        assert allocate(mech, 1.0, BENCH_CLAIMS) == want
+        assert calls == [mech.components]
+        # the ranks are still checked against the claims
+        with pytest.raises(ConfigError, match="rank 3 out of range for 2 buyers"):
+            DistributionMechanism.canonical(3).allocate(1.0, [1.0, 0.5])
 
     @pytest.mark.parametrize(
         "kind, params",
