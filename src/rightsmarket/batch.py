@@ -14,18 +14,19 @@ whose trials resume at rounds 1, 20 and 40 plays 40 rounds, not 40 + 21 +
 1. Each round runs the same steps as ``engine._run_rights_round`` and
 makes the same checks, each step as array operations over all markets at
 once, so numpy's fixed cost per call is paid once per batch instead of
-once per market. ``clear`` walks each market's own good and Right levels,
-each side one ``Columns`` book, the rows of ``mechanism.Levels``, one
-step of every market per pass, until the last market is done; a market
-that is done trades no more.
+once per market. ``clear`` runs ``mechanism.clear``'s one ``walk``
+over each market's own good and Right levels, both books of one class,
+``Columns``, the rows of ``mechanism.Levels``: one step of every market
+per pass, until the last market is done; a market that is done trades no
+more.
 
 The state (``wide.WideState``, as rows), the sums, the offer clamp, the
-bids, P, the rights rows, the settlement, its checks, the utilities and
-the transition are ``wide``'s column layer, applied along each row, and
-every market's utility totals equal those of the scalar round bit for bit
-by the rules in ``wide``'s docstring. The round, ``clear``, the
-implicit-price solve and the Right fill are this kernel's own: ``clear``
-takes any bids, at any number of good and Right levels.
+bids, P, the Right price, the rights rows, the settlement, its checks,
+the utilities and the transition are ``wide``'s column layer, applied
+along each row, and every market's utility totals equal those of the
+scalar round bit for bit by the rules in ``wide``'s docstring. The round,
+``clear``, the implicit-price solve and the Right fill are this kernel's
+own: ``clear`` takes any bids, at any number of good and Right levels.
 
 A check that fails in any market raises ``SimulationError``; the caller
 then replays the markets one at a time, as batches of one, so that the
@@ -63,6 +64,7 @@ from .wide import (
     _sum,
     greedy_bids,
     mean_price,
+    mean_right_price,
     offer_volumes,
     rights_row,
     settle,
@@ -264,11 +266,7 @@ def _play_round(
     result = clear(volumes, prices, bids, market, config.variant)
     # each market's Right price, as its record would hold it: ``settle``
     # checks that it is finite
-    right_offered = bids[OFFER]
-    offered_right = _sum(right_offered)
-    price_right = np.where(
-        offered_right > 0.0, _sum(right_offered * bids[OFFER_PRICE]) / offered_right, 0.0
-    )
+    price_right = mean_right_price(bids[OFFER], bids[OFFER_PRICE])
     seller_u, buyer_u, _, _ = settle(
         market, config, tau, result, volumes, offered, posted, price_avg, price_right, claims
     )
@@ -276,9 +274,9 @@ def _play_round(
 
 
 class Columns:
-    """``mechanism.Levels`` of M markets: each holder's price, remaining,
-    sold and revenue as (M, K) arrays, ``remaining`` the caller's, drawn
-    down as the book sells.
+    """``mechanism.Levels`` of M markets: each holder's price, volume
+    offered, remaining, sold and revenue as (M, K) arrays, ``remaining`` a
+    copy of ``offered`` drawn down as the book sells.
 
     A market's live holders are those with more than ``EQ_TOL`` left; its
     cheapest level, ``level``, is its live holders at the lowest price, and
@@ -288,14 +286,17 @@ class Columns:
     markets with a level left.
     """
 
-    __slots__ = ("price", "remaining", "sold", "revenue", "level", "price_level", "has_level")
+    __slots__ = (
+        "price", "offered", "remaining", "sold", "revenue", "level", "price_level", "has_level"
+    )
 
-    def __init__(self, prices: np.ndarray, remaining: np.ndarray) -> None:
+    def __init__(self, prices: np.ndarray, offered: np.ndarray) -> None:
         self.price = prices
-        self.remaining = remaining
-        self.sold = np.zeros(remaining.shape)
-        self.revenue = np.zeros(remaining.shape)
-        self._find_levels(remaining > EQ_TOL)
+        self.offered = offered
+        self.remaining = offered.copy()
+        self.sold = np.zeros(offered.shape)
+        self.revenue = np.zeros(offered.shape)
+        self._find_levels(offered > EQ_TOL)
 
     def _find_levels(self, live: np.ndarray) -> None:
         if live.shape[1] == 1 or not np.count_nonzero(live):
@@ -330,39 +331,31 @@ class Columns:
         if np.count_nonzero(level > live):
             self._find_levels(live)
 
+    def unsold(self) -> np.ndarray:
+        """Each holder's offered volume left unsold."""
+        return _positive(self.offered - self.sold)
 
-class GoodColumns(Columns):
-    """``mechanism.GoodLevels`` of M markets: the ``Columns`` of the
-    sellers' offers, with each seller's accepted volume as an (M, S) array.
+
+def seller_columns(
+    volumes: np.ndarray, prices: np.ndarray, stock: np.ndarray, rejected: list[list[Rejection]]
+) -> Columns:
+    """``mechanism.seller_levels`` of M markets: the ``Columns`` of the
+    sellers' offers.
 
     An offer with a negative or NaN entry, or a volume above its seller's
     stock by more than ``CONSERVATION_TOL``, is appended to its market's
-    list in ``rejected`` and keeps the seller out of the round.
+    list in ``rejected`` and keeps the seller out of the round, as an offer
+    of 0.0.
     """
-
-    __slots__ = ("accepted",)
-
-    def __init__(
-        self,
-        volumes: np.ndarray,
-        prices: np.ndarray,
-        stock: np.ndarray,
-        rejected: list[list[Rejection]],
-    ) -> None:
-        # ``not x >= 0.0`` also catches NaN
-        ok = (volumes >= 0.0) & (prices >= 0.0) & ~(volumes > stock + CONSERVATION_TOL)
-        if np.count_nonzero(~ok):
-            for m, s in np.argwhere(~ok).tolist():
-                offer = SellerOffer(float(volumes[m, s]), float(prices[m, s]))
-                reason = f"offer {offer} infeasible against stock {float(stock[m, s])!r}"
-                rejected[m].append(Rejection("seller", s, reason))
-            volumes = np.where(ok, volumes, 0.0)
-        self.accepted = volumes
-        super().__init__(prices, volumes.copy())
-
-    def unsold(self) -> np.ndarray:
-        """Each seller's accepted volume left unsold."""
-        return _positive(self.accepted - self.sold)
+    # ``not x >= 0.0`` also catches NaN
+    ok = (volumes >= 0.0) & (prices >= 0.0) & ~(volumes > stock + CONSERVATION_TOL)
+    if np.count_nonzero(~ok):
+        for m, s in np.argwhere(~ok).tolist():
+            offer = SellerOffer(float(volumes[m, s]), float(prices[m, s]))
+            reason = f"offer {offer} infeasible against stock {float(stock[m, s])!r}"
+            rejected[m].append(Rejection("seller", s, reason))
+        volumes = np.where(ok, volumes, 0.0)
+    return Columns(prices, volumes)
 
 
 def clear(
@@ -378,15 +371,16 @@ def clear(
     holds one row per market, and ``rejected`` one tuple per market.
 
     The rules, and why the loops end, are in ``mechanism``'s docstring, and
-    why each pass matches the scalar one in ``wide.clear``'s; here a buyer
+    why each step matches the scalar one in ``wide.clear``'s; here a buyer
     whose price ceiling is below the price is left out of a step too, as
-    the scalar pass leaves them out. The sellers' Good and the Right on
-    sale are each one ``Columns`` book, which prices a level as
-    ``mechanism.Levels`` does. A pass steps every market with demand at
-    its cheapest level. A market without one stops there, as the scalar
-    pass does: it trades no more, so its demand stays as it was.
-    ``variant`` is "rights" or "myopic_rights"; anything else is a
-    ``ClearingError``.
+    the scalar step leaves them out. The sellers' Good and the Right on
+    sale are each a ``Columns`` book, which prices a level as
+    ``mechanism.Levels`` does, and each stage is one ``walk``, as in
+    ``mechanism.clear``. A step of a walk steps every market with demand
+    at its cheapest level. A market without one stops there, as the
+    scalar walk does: it trades no more in that walk, so its demand stays
+    as it was. ``variant`` is "rights" or "myopic_rights"; anything else
+    is a ``ClearingError``.
     """
     if variant not in ("rights", "myopic_rights"):
         raise ClearingError(f"unknown clearing variant {variant!r}")
@@ -394,7 +388,7 @@ def clear(
     myopic = variant == "myopic_rights"
 
     rejected: list[list[Rejection]] = [[] for _ in range(markets)]
-    book = GoodColumns(volumes, prices, market.seller_good, rejected)
+    book = seller_columns(volumes, prices, market.seller_good, rejected)
 
     right = market.right
     offer = bids[OFFER]
@@ -411,7 +405,7 @@ def clear(
             bid = BuyerBid(*bids[:, m, b].tolist())
             reason = f"bid {bid} infeasible against right {float(right[m, b])!r}"
             rejected[m].append(Rejection("buyer", b, reason))
-        # zero caps and no Right on sale keep them out of every pass
+        # zero caps and no Right on sale keep them out of every walk
         spend, offer_rem, rights_use, vbar_rem, wbar_rem = (
             np.where(feasible, column, 0.0)
             for column in (spend, offer_rem, rights_use, vbar_rem, wbar_rem)
@@ -423,82 +417,67 @@ def clear(
     # every column below is written in place, only where a step trades
     flows = np.zeros((4, markets, nb))
     good_bought, right_bought, spent_good, spent_right = flows
+    # the Right on sale, whose proceeds a myopic seller spends at once; a
+    # market without Right on sale has no supply there, which leaves every
+    # buyer a cap of 0
+    right_book = Columns(bids[OFFER_PRICE], offer_rem)
+    credit = spend if myopic else None
 
-    def buy(wants, demand, total_demand, volume, unit, licence) -> np.ndarray:
-        """Share ``volume`` among the demanders ``wants`` marks pro rata to
-        their ``demand``, as the scalar step does, charging ``unit`` per
-        unit and drawing down ``vbar_rem`` and ``licence``; return each
-        buyer's share."""
-        x = volume[:, None] * demand / total_demand[:, None]
-        np.copyto(good_bought, good_bought + x, where=wants)
-        np.copyto(vbar_rem, _positive(vbar_rem - x), where=wants)
-        np.copyto(licence, _positive(licence - x), where=wants)
-        np.copyto(spend, _positive(spend - x * unit), where=wants)
-        return x
-
-    def run_good_for_rights_pass(licence: np.ndarray) -> None:
-        """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
-        while np.count_nonzero(book.has_level):
+    def walk(licence: np.ndarray, right: Columns | None) -> None:
+        """``mechanism.clear``'s walk of every market: Good at ascending
+        prices, each unit drawing down a unit of ``licence`` and, with
+        ``right``, buying a unit of Right from that book's cheapest level.
+        Without it a step leaves the Right out: the scalar walk reads its
+        price as 0.0 and its supply as infinity, which change no cap and no
+        test (``mechanism``'s docstring), and here that would cost array
+        operations that only add 0.0 or take a minimum with infinity."""
+        while np.count_nonzero(
+            book.has_level if right is None else book.has_level & right.has_level
+        ):
             price = book.price_level[:, None]
+            unit = price
             cap = np.fmin(vbar_rem, licence)
-            np.fmin(cap, spend / price, out=cap, where=price > 0.0)
-            wants = (cap > 0.0) & (licence > 0.0) & (good_ceiling >= price)
+            wants = good_ceiling >= price
+            if right is not None:
+                qr, right_avail = right.price_level[:, None], right.supply()
+                unit = price + qr
+                np.fmin(cap, right_avail[:, None], out=cap)
+                wants &= right_ceiling >= qr
+            # at unit price 0 even a buyer without money buys
+            np.fmin(cap, spend / unit, out=cap, where=unit > 0.0)
+            wants &= (cap > 0.0) & (licence > 0.0)
             demand = np.where(wants, cap, 0.0)
             total_demand = _sum(demand)
-            # the cheapest level is the easiest to be compatible with, so
-            # no demand here means no demand anywhere
+            # the cheapest level or pair is the easiest to be compatible
+            # with, so no demand here means no demand anywhere
             go = book.has_level & (total_demand > EQ_TOL)
             if not np.count_nonzero(go):
                 return
             wants &= go[:, None]
             supply = book.supply()
             volume = np.where(supply < total_demand, supply, total_demand)
+            if right is not None:
+                volume = np.where(right_avail < volume, right_avail, volume)
+                right.sell(go, volume, credit)
             book.sell(go, volume)
-            x = buy(wants, demand, total_demand, volume, price, licence)
+            # each demander's share, pro rata to their demand, as the
+            # scalar step shares it
+            x = volume[:, None] * demand / total_demand[:, None]
+            np.copyto(good_bought, good_bought + x, where=wants)
+            np.copyto(vbar_rem, _positive(vbar_rem - x), where=wants)
+            np.copyto(licence, _positive(licence - x), where=wants)
+            np.copyto(spend, _positive(spend - x * unit), where=wants)
             np.copyto(spent_good, spent_good + x * price, where=wants)
+            if right is not None:
+                np.copyto(right_bought, right_bought + x, where=wants)
+                np.copyto(spent_right, spent_right + x * qr, where=wants)
 
-    # -- stage 1: right-licensed Good purchases --------------------------
-    run_good_for_rights_pass(rights_use)
-
-    # -- stage 2: paired Good+Right purchases -----------------------------
-    # the Right on sale is a second book, whose proceeds a myopic seller
-    # spends at once; a market without Right on sale has no supply there,
-    # which leaves every buyer a cap of 0
-    right_book = Columns(bids[OFFER_PRICE], offer_rem)
-    credit = spend if myopic else None
-    while np.count_nonzero(book.has_level & right_book.has_level):
-        good_avail = book.supply()
-        right_avail = right_book.supply()
-        qr = right_book.price_level[:, None]
-        price = book.price_level[:, None]
-        unit = price + qr
-        cap = np.fmin(np.fmin(vbar_rem, wbar_rem), right_avail[:, None])
-        # at unit price 0 even a buyer without money buys
-        np.fmin(cap, spend / unit, out=cap, where=unit > 0.0)
-        wants = (cap > 0.0) & (good_ceiling >= price) & (right_ceiling >= qr)
-        demand = np.where(wants, cap, 0.0)
-        total_demand = _sum(demand)
-        # the cheapest pair is the easiest to be compatible with, so no
-        # demand here means no demand at any pair
-        go = book.has_level & (total_demand > EQ_TOL)
-        if not np.count_nonzero(go):
-            break
-        wants &= go[:, None]
-        volume = np.where(good_avail < total_demand, good_avail, total_demand)
-        volume = np.where(right_avail < volume, right_avail, volume)
-
-        book.sell(go, volume)
-        right_book.sell(go, volume, credit)
-        x = buy(wants, demand, total_demand, volume, unit, wbar_rem)
-        np.copyto(right_bought, right_bought + x, where=wants)
-        np.copyto(spent_good, spent_good + x * price, where=wants)
-        np.copyto(spent_right, spent_right + x * qr, where=wants)
-
-    # -- myopic extra pass: spend same-round proceeds on licensed Good ----
+    # stage 1, stage 2 and the myopic extra pass, as in ``mechanism.clear``
+    walk(rights_use, None)
+    walk(wbar_rem, right_book)
     if myopic:
         # the right-sale window is closed; unsold offers revert to licences
-        rights_use += offer_rem
-        run_good_for_rights_pass(rights_use)
+        walk(rights_use + right_book.remaining, None)
 
     return ClearingResult(
         good_bought=good_bought,

@@ -9,16 +9,30 @@ deferred to the next round, except in the ``myopic_rights`` variant where it
 is spendable immediately and a final pass lets buyers put it toward Good
 backed by their unused Right.
 
+Both stages, and that pass, are one step, ``walk(licence, right)`` in
+``clear``: it sells Good at ascending prices to the buyers with Good cap
+and ``licence`` left, and with ``right``, the book of Right on sale, each
+unit also takes a unit of Right from that book's cheapest level, whose
+supply caps the step. Stage 1 and the pass walk ``rights_use`` without a
+Right book, stage 2 walks the Right caps with it. A walk without a Right
+book reads the Right's price as 0.0 and its supply as infinity, which
+leaves every comparison as it would be without them, for any buyer in
+the walk: a buyer with Good cap passed the bid check, so their Right
+ceiling is at least 0.0, and no cap is NaN. The unit price ``pg + 0.0``
+differs from ``pg`` only in the sign of a zero, and money at a zero unit
+price is clamped to 0.0 either way.
+
 A buyer who puts more than ``EQ_TOL`` of Right on sale gets a Right cap
 of 0: as in the paper's greedy profile, a buyer sells the Right their money
 cannot back or buys the Right their spare money licenses, never both. So no
 buyer buys back Right, from themselves or from anyone else.
 
-Each stage-2 step trades at the cheapest live good price ``pg`` and the
-cheapest live right-offer price ``qr``, and stage 2 ends once buyers demand
-nothing there, because then no pair has demand. A dearer pair passes no
-price ceiling the cheapest one fails, and as float addition and division
-are monotone it allows no buyer more money-bound volume. Only the Right on
+Each step with a Right book trades at the cheapest live good price
+``pg`` and the cheapest live right-offer price ``qr``, and the walk ends
+once buyers demand nothing there, because then no pair has demand. A
+dearer pair passes no price ceiling the cheapest one fails, and as float
+addition and division are monotone it allows no buyer more money-bound
+volume. Only the Right on
 sale can be larger at a dearer Right level. But the cheapest level holds
 more than ``EQ_TOL``, so a demand it caps exceeds ``EQ_TOL`` by itself.
 Without the rule above, a buyer's offer could sit in that level and
@@ -31,17 +45,18 @@ level's supply, the Right level's supply and the demand. It therefore
 empties its good level, empties its Right level or fills every demand it
 met, down to rounding dust in the caps it used; dust above ``EQ_TOL``,
 which only large amounts leave, is a few units in the last place of a cap
-and shrinks as fast again at each later step. A stage-1 pass or stage 2
-ends when no level or no buyer with cap is left, or when the demand at the
-cheapest level is at most ``EQ_TOL``. ``tests/test_clear_oracle.py``
-checks, at amounts up to 1e100, that a clearing makes no more trades than
-there are good levels, Right levels and buyers together.
+and shrinks as fast again at each later step. A walk ends when no level
+or no buyer with cap is left, or when the demand at the cheapest level is
+at most ``EQ_TOL``. ``tests/test_clear_oracle.py`` checks, at amounts up
+to 1e100, that a clearing makes no more trades than there are good
+levels, Right levels and buyers together.
 
-Each side of a clearing is one book, ``Levels``: the sellers' Good
-(``GoodLevels``) and the Right on sale, whose holders are the buyers who
-offer it. A book groups its live holders into levels by price and sorts
-the levels once per clear; as a holder's remaining volume only falls, the
-cheapest level is trimmed as it sells and dropped once it empties. On
+Each side of a clearing is one book of one class, ``Levels``: the
+sellers' Good, which ``seller_levels`` builds from the offers it accepts,
+and the Right on sale, whose holders are the buyers who offer it. A book
+groups its live holders into levels by price and sorts the levels once
+per clear; as a holder's remaining volume only falls, the cheapest level
+is trimmed as it sells and dropped once it empties. On
 both sides a level trades at the price of its first live holder, which
 settles whether a level holding -0.0 and 0.0 trades at -0.0 or 0.0. A
 level with one holder, the common case when prices differ, sells
@@ -52,18 +67,19 @@ cheapest levels at once and walks only the buyers that demanded at the
 step before and still have cap left, not every seller, pair and buyer.
 
 That walk is exact: a buyer who demands nothing at a step cannot demand
-again in the same stage-1 pass or in stage 2. Prices only rise, so a
-failed price ceiling stays failed. A buyer who does not trade keeps their
-money and caps, and as float division is monotone, a money bound of 0
-stays 0 at a dearer level or pair. The Right on sale, the one bound that
+again in the same walk. Prices only rise, so a failed price ceiling stays
+failed. A buyer who does not trade keeps their money and caps, and as
+float division is monotone, a money bound of 0 stays 0 at a dearer level
+or pair. The Right on sale, the one bound that
 can grow, exceeds ``EQ_TOL`` at every Right level. The one buyer whose
 money rises, a Right seller under ``myopic_rights``, has a Right cap of 0
-and so is never among stage 2's buyers; the extra pass builds its buyers
+and so is never among stage 2's buyers; each walk builds its buyers
 afresh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -142,15 +158,17 @@ class ClearingResult(NamedTuple):
 
 
 class Levels:
-    """One side of a clearing: each holder's ``remaining`` volume on sale at
-    their ``price``, as lists of floats, one entry per holder.
+    """One side of a clearing: the volume each holder ``offered`` at their
+    ``price``, as lists of floats, one entry per holder.
 
-    The holders with more than ``EQ_TOL`` go into levels by price, in index
-    order, and ``levels`` lists them cheapest last. A level trades at the
-    price of its first live holder, which settles whether a level holding
-    -0.0 and 0.0 trades at -0.0 or 0.0, and sells at an equal rate (see the
-    module docstring). ``remaining`` is the caller's list, drawn down as the
-    book sells; ``sold`` and ``revenue`` are per holder.
+    The holders who offered more than ``EQ_TOL`` go into levels by price,
+    in index order, and ``levels`` lists them cheapest last. A level trades
+    at the price of its first live holder, which settles whether a level
+    holding -0.0 and 0.0 trades at -0.0 or 0.0, and sells at an equal rate
+    (see the module docstring). ``remaining`` starts as a copy of
+    ``offered`` and is drawn down as the book sells; ``sold`` and
+    ``revenue`` are per holder. The sellers' book comes from
+    ``seller_levels``, the Right on sale is built directly.
 
     >>> right = Levels([0.75, 0.25, 0.5], [1.0, 0.0, 2.0])
     >>> right.levels
@@ -159,14 +177,15 @@ class Levels:
     (0.5, 2.0)
     """
 
-    __slots__ = ("levels", "price", "remaining", "sold", "revenue")
+    __slots__ = ("levels", "price", "offered", "remaining", "sold", "revenue")
 
-    def __init__(self, price: list[float], remaining: list[float]) -> None:
-        self.price, self.remaining = price, remaining
+    def __init__(self, price: list[float], offered: list[float]) -> None:
+        self.price, self.offered = price, offered
+        self.remaining = list(offered)
         self.sold = [0.0] * len(price)
         self.revenue = [0.0] * len(price)
         by_price: dict[float, list[int]] = {}
-        for h, held in enumerate(remaining):
+        for h, held in enumerate(offered):
             if held > EQ_TOL:
                 by_price.setdefault(price[h], []).append(h)
         self.levels = [by_price[p] for p in sorted(by_price, reverse=True)]
@@ -211,46 +230,34 @@ class Levels:
         if not level:
             self.levels.pop()
 
+    def unsold(self) -> tuple[float, ...]:
+        """Each holder's offered volume left unsold."""
+        return tuple(
+            [v if (v := a - x) > 0.0 else 0.0 for a, x in zip(self.offered, self.sold)]
+        )
 
-class GoodLevels(Levels):
-    """The sellers' side of one clearing.
+
+def seller_levels(
+    offers: Sequence[SellerOffer], stock: Sequence[float], rejected: list[Rejection]
+) -> Levels:
+    """The sellers' side of one clearing: the ``Levels`` of their offers.
 
     ``stock`` holds each seller's Good, as floats. An offer with a negative
     or NaN entry, or a volume above its seller's stock by more than
     ``CONSERVATION_TOL``, is appended to ``rejected`` and keeps the seller
-    out of the round; the others are the ``Levels`` of their offers.
-    ``accepted`` is each seller's offered volume, 0.0 when rejected.
+    out of the round, as an offer of 0.0 at price 0.0.
     """
-
-    __slots__ = ("accepted",)
-
-    def __init__(
-        self,
-        offers: Sequence[SellerOffer],
-        stock: Sequence[float],
-        rejected: list[Rejection],
-    ) -> None:
-        ns = len(offers)
-        self.accepted = accepted = [0.0] * ns
-        remaining = [0.0] * ns
-        price = [0.0] * ns
-        for s, (off, held) in enumerate(zip(offers, stock)):
-            # ``not x >= 0.0`` also catches NaN, which fails every comparison
-            volume = off.volume
-            if not volume >= 0.0 or not off.price >= 0.0 or volume > held + CONSERVATION_TOL:
-                reason = f"offer {off} infeasible against stock {held!r}"
-                rejected.append(Rejection("seller", s, reason))
-                continue
-            accepted[s] = volume
-            remaining[s] = float(volume)
-            price[s] = float(off.price)
-        super().__init__(price, remaining)
-
-    def unsold(self) -> tuple[float, ...]:
-        """Each seller's accepted volume left unsold."""
-        return tuple(
-            [v if (v := a - x) > 0.0 else 0.0 for a, x in zip(self.accepted, self.sold)]
-        )
+    volume = [0.0] * len(offers)
+    price = [0.0] * len(offers)
+    for s, (off, held) in enumerate(zip(offers, stock)):
+        # ``not x >= 0.0`` also catches NaN, which fails every comparison
+        if not off.volume >= 0.0 or not off.price >= 0.0 or off.volume > held + CONSERVATION_TOL:
+            reason = f"offer {off} infeasible against stock {held!r}"
+            rejected.append(Rejection("seller", s, reason))
+            continue
+        volume[s] = float(off.volume)
+        price[s] = float(off.price)
+    return Levels(price, volume)
 
 
 def useful_useless_split(result: ClearingResult) -> tuple[float, float]:
@@ -284,7 +291,7 @@ def clear(
     myopic = variant == "myopic_rights"
 
     rejected: list[Rejection] = []
-    book = GoodLevels(offers, [s.good for s in state.sellers], rejected)
+    book = seller_levels(offers, [s.good for s in state.sellers], rejected)
     good_levels, cheapest_good, sell_good = book.levels, book.cheapest, book.sell
 
     # the buyer loops below spell min(a, b) as ``b if b < a else a`` and
@@ -324,27 +331,41 @@ def clear(
     right_bought = [0.0] * nb
     spent_good = [0.0] * nb
     spent_right = [0.0] * nb
+    # the Right on sale, whose proceeds a myopic seller spends at once
+    right_book = Levels(right_price, offer_rem)
+    credit = spend if myopic else None
 
-    def run_good_for_rights_pass(licence: list[float]) -> None:
-        """Ascending-price Good sales licensed unit-for-unit by ``licence``."""
+    def walk(licence: list[float], right: Levels | None) -> None:
+        """Sell Good at ascending prices to the buyers with Good cap and
+        ``licence`` left, each unit drawing down a unit of ``licence``;
+        with ``right``, each unit also buys a unit of Right from that book's
+        cheapest level, whose supply caps the step. Without a Right book
+        the Right reads as price 0.0 and supply infinity, which leaves each
+        comparison as it is for a buyer with Good cap (module docstring)."""
         # a buyer without Good cap or licence left demands nothing, and
-        # neither comes back during a pass
+        # neither comes back during a walk
         buyers = [b for b in range(nb) if vbar_rem[b] > 0.0 and licence[b] > 0.0]
+        qr, right_avail = 0.0, math.inf
         # with no buyer left the demand sum below would be 0.0
-        while buyers and good_levels:
-            pg, supply = cheapest_good()
+        while buyers and good_levels and (right is None or right.levels):
+            pg, good_avail = cheapest_good()
+            if right is not None:
+                qr, right_avail = right.cheapest()
+            unit = pg + qr
             # positive demands only, in buyer order: the zeros a scan of
             # every buyer would add leave each sum bit-identical
             demanders, demand = [], []
             for b in buyers:
-                if good_ceiling[b] < pg:
+                if good_ceiling[b] < pg or right_ceiling[b] < qr:
                     continue
                 cap = vbar_rem[b]
                 v = licence[b]
                 if v < cap:
                     cap = v
-                if pg > 0.0:
-                    v = spend[b] / pg
+                if right_avail < cap:
+                    cap = right_avail
+                if unit > 0.0:  # at unit price 0 even a buyer without money buys
+                    v = spend[b] / unit
                     if v < cap:
                         cap = v
                 if cap > 0.0:
@@ -352,96 +373,42 @@ def clear(
                     demand.append(cap)
             total_demand = sum(demand)
             if total_demand <= EQ_TOL:
-                # the cheapest level is the easiest to be compatible with,
-                # so no demand here means no demand anywhere
+                # the cheapest level or pair is the easiest to be compatible
+                # with, so no demand here means no demand anywhere
                 return
-            volume = supply if supply < total_demand else total_demand
+            volume = good_avail if good_avail < total_demand else total_demand
+            if right_avail < volume:
+                volume = right_avail
             sell_good(pg, volume)
+            if right is not None:
+                right.sell(qr, volume, credit)
             # the next step walks the demanders with cap left: no other
-            # buyer demands again in this pass (module docstring)
+            # buyer demands again in this walk (module docstring)
             buyers = []
             for b, d in zip(demanders, demand):
                 x = volume * d / total_demand
                 good_bought[b] += x
-                v = licence[b] - x
-                licence[b] = v if v > 0.0 else 0.0
                 v = vbar_rem[b] - x
                 vbar_rem[b] = v if v > 0.0 else 0.0
-                pay = x * pg
-                v = spend[b] - pay
+                v = licence[b] - x
+                licence[b] = v if v > 0.0 else 0.0
+                v = spend[b] - x * unit
                 spend[b] = v if v > 0.0 else 0.0
-                spent_good[b] += pay
+                spent_good[b] += x * pg
+                if right is not None:
+                    right_bought[b] += x
+                    spent_right[b] += x * qr
                 if vbar_rem[b] > 0.0 and licence[b] > 0.0:
                     buyers.append(b)
 
-    # -- stage 1: right-licensed Good purchases --------------------------
-    run_good_for_rights_pass(rights_use)
-
-    # -- stage 2: paired Good+Right purchases -----------------------------
-    # the Right on sale is a second book, whose proceeds a myopic seller
-    # spends at once; the buyers with Good and Right cap left only shrink,
-    # so they are kept across steps and trimmed after each trade
-    right_book = Levels(right_price, offer_rem)
-    right_levels, cheapest_right, sell_right = (
-        right_book.levels, right_book.cheapest, right_book.sell
-    )
-    credit = spend if myopic else None
-    buyers = [b for b in range(nb) if vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0]
-    while buyers and good_levels and right_levels:
-        pg, good_avail = cheapest_good()
-        qr, right_avail = cheapest_right()
-        unit = pg + qr
-        demanders, demand = [], []
-        for b in buyers:
-            if good_ceiling[b] < pg or right_ceiling[b] < qr:
-                continue
-            cap = vbar_rem[b]
-            v = wbar_rem[b]
-            if v < cap:
-                cap = v
-            if right_avail < cap:
-                cap = right_avail
-            if unit > 0.0:  # at unit price 0 even a buyer without money buys
-                v = spend[b] / unit
-                if v < cap:
-                    cap = v
-            if cap > 0.0:
-                demanders.append(b)
-                demand.append(cap)
-        total_demand = sum(demand)
-        if total_demand <= EQ_TOL:
-            # the cheapest pair is the easiest to be compatible with, so no
-            # demand here means no demand at any pair (module docstring)
-            break
-        volume = good_avail if good_avail < total_demand else total_demand
-        if right_avail < volume:
-            volume = right_avail
-
-        sell_good(pg, volume)
-        sell_right(qr, volume, credit)
-        buyers = []  # the demanders with cap left, as in stage 1
-        for b, d in zip(demanders, demand):
-            x = volume * d / total_demand
-            good_bought[b] += x
-            right_bought[b] += x
-            v = vbar_rem[b] - x
-            vbar_rem[b] = v if v > 0.0 else 0.0
-            v = wbar_rem[b] - x
-            wbar_rem[b] = v if v > 0.0 else 0.0
-            v = spend[b] - x * unit
-            spend[b] = v if v > 0.0 else 0.0
-            spent_good[b] += x * pg
-            spent_right[b] += x * qr
-            if vbar_rem[b] > 0.0 and wbar_rem[b] > 0.0:
-                buyers.append(b)
-
-    # -- myopic extra pass: spend same-round proceeds on licensed Good ----
+    # stage 1: Good licensed by the Right held; stage 2: Good and Right in
+    # equal volume, up to each buyer's Right cap
+    walk(rights_use, None)
+    walk(wbar_rem, right_book)
     if myopic:
-        # the right-sale window is closed; unsold offers revert to licences
-        for b in range(nb):
-            rights_use[b] += offer_rem[b]
-            offer_rem[b] = 0.0
-        run_good_for_rights_pass(rights_use)
+        # the right-sale window is closed; unsold offers revert to licences,
+        # and same-round proceeds buy Good they license
+        walk([u + r for u, r in zip(rights_use, right_book.remaining)], None)
 
     return ClearingResult(
         good_bought=tuple(good_bought),

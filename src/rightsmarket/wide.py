@@ -60,7 +60,7 @@ import numpy as np
 from .core import CONSERVATION_TOL, EQ_TOL, MarketConfig, MarketState
 from .engine import RoundRecord, _check_finite, _check_residuals
 from .errors import PricingError, SimulationError
-from .mechanism import ClearingResult, GoodLevels, SellerOffer
+from .mechanism import ClearingResult, SellerOffer, seller_levels
 from .pricing import mean_posted_price, mechanism_rights
 
 # rows of a bid array, in ``BuyerBid`` field order, each shaped as the
@@ -95,6 +95,18 @@ def mean_price(prices: np.ndarray):
     """``pricing.mean_posted_price`` of the posted prices along the last axis
     of ``prices``, bit for bit: P of each market."""
     return _sum(prices) / prices.shape[-1]
+
+
+def mean_right_price(offer: np.ndarray, offer_price: np.ndarray):
+    """The Right price of ``engine._run_rights_round`` along the last axis,
+    bit for bit: the mean of the Right offer prices ``offer_price``
+    weighted by the volumes ``offer``, or 0.0 where no Right is offered. A
+    float for one column, an array for rows, as ``_sum`` returns."""
+    offered = _sum(offer)
+    weighted = _sum(offer * offer_price)
+    if offer.ndim == 1:
+        return weighted / offered if offered > 0.0 else 0.0
+    return np.divide(weighted, offered, out=np.zeros(offered.shape), where=offered > 0.0)
 
 
 def rights_row(memo: dict, config: MarketConfig, offered: float) -> np.ndarray:
@@ -413,12 +425,7 @@ def _play_round(
 
     result = clear(offers, bids, market)
     right_offered = bids[OFFER]
-    offered_right = _sum(right_offered)
-    price_right = (
-        _sum(right_offered * bids[OFFER_PRICE]) / offered_right
-        if offered_right > 0.0
-        else 0.0
-    )
+    price_right = mean_right_price(right_offered, bids[OFFER_PRICE])
     seller_u, buyer_u, money_res, good_res = settle(
         market, config, tau, result, volumes, offered, posted, price_avg, price_right, claims
     )
@@ -472,10 +479,16 @@ def clear(offers: list[SellerOffer], bids: np.ndarray, market: WideState) -> Cle
       step, and stage 2 has one Right level, at P;
     - the offer clamp ``min(offer, right)`` is the offer;
     - zeroing a Right seller's Right cap changes nothing;
-    - every seller posts one price, so ``GoodLevels`` holds one good
-      level, whose price and supply ``cheapest`` reads as
-      ``mechanism.clear`` reads them; it still sells at an equal rate and
-      rejects bad offers.
+    - every seller posts one price, so the ``mechanism.seller_levels``
+      book holds one good level, whose price and supply ``cheapest``
+      reads as ``mechanism.clear`` reads them; it still sells at an equal
+      rate and rejects bad offers.
+
+    The two stages stay two loops here, not ``mechanism.clear``'s one
+    walk: a single walk saved 13 code lines but played 300-buyer,
+    10-seller runs 1.6% and 0.8% slower in two rounds of 24 interleaved
+    pairs (median pair ratios, 2-core host), as stage 2's one Right level
+    is a column of offers, not a book.
 
     Each pass over the buyers is an array operation over all of them: a
     buyer the scalar pass skips (no Good cap, licence or Right cap left)
@@ -487,8 +500,8 @@ def clear(offers: list[SellerOffer], bids: np.ndarray, market: WideState) -> Cle
     nb = market.money.size
     price_avg = float(bids[GOOD_PRICE, 0])  # every price row is P
 
-    rejected: list = []  # the offers ``GoodLevels`` rejects
-    book = GoodLevels(offers, market.seller_good.tolist(), rejected)
+    rejected: list = []  # the offers ``seller_levels`` rejects
+    book = seller_levels(offers, market.seller_good.tolist(), rejected)
     good_levels = book.levels
 
     offer_rem = bids[OFFER].copy()

@@ -26,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 from rightsmarket import batch, mechanism, wide
 from rightsmarket.analysis import Deviation, audit_coalition
 from rightsmarket.cli import load_scenario
-from rightsmarket.core import equal_rate_fill
+from rightsmarket.core import CONSERVATION_TOL, equal_rate_fill
 from rightsmarket.engine import BidAdjustment, replay_batch, run_with_checkpoints
 from rightsmarket.errors import ConfigError, PricingError, SimulationError
 from rightsmarket.mechanism import SellerOffer
@@ -431,6 +431,64 @@ def test_mean_price_of_equal_prices_is_the_mean_posted_price():
     assert repr(wide.mean_price(prices[None]).tolist()) == repr([want])
 
 
+@given(rows(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+                     st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 10.0))), 1, 30))
+@example([[(0.0, 0.5), (0.0, -0.0)], [(0.5, -0.0), (0.25, 0.0)], [(0.25, -0.0), (0.0, 1.0)]])
+def test_mean_right_price_is_the_scalar_right_price(cells):
+    # a row that offers no Right prices it at 0.0; -0.0 prices are weighted
+    # as the scalar round weighs them
+    offer = np.array([[w for w, _ in row] for row in cells])
+    price = np.array([[q for _, q in row] for row in cells])
+    want = []
+    for row in cells:
+        right_offered = [w for w, _ in row]
+        offered_right = sum(right_offered)
+        want.append(
+            sum(w * q for w, q in row) / offered_right if offered_right > 0.0 else 0.0
+        )
+    assert repr(wide.mean_right_price(offer, price).tolist()) == repr(want)
+    assert repr([wide.mean_right_price(w, q) for w, q in zip(offer, price)]) == repr(want)
+
+
+def test_seller_books_reject_as_the_scalar_book_does_row_by_row():
+    # market 0 offers at a negative price, market 1 a NaN volume, market 2
+    # above its stock by more than CONSERVATION_TOL, market 3 nothing amiss;
+    # each book then sells a third of its cheaper level, the rest of it and
+    # a third of its dearer level twice, so every level is the cheapest once
+    stock = np.array([[1.0, 0.5, 0.75]] * 4)
+    volumes, prices = np.array([
+        [[1.0, 0.5, 0.75], [0.5, -0.25, 0.75]],
+        [[1.0, float("nan"), 0.75], [0.5, 0.25, 0.75]],
+        [[1.0, 0.5, 0.75 + 2 * CONSERVATION_TOL], [0.5, 0.25, 0.5]],
+        [[1.0, 0.5, 0.7], [0.5, 0.25, 0.5]],
+    ]).transpose(1, 0, 2)
+    rejected = [[] for _ in stock]
+    with np.errstate(all="ignore"):
+        columns = batch.seller_columns(volumes, prices, stock, rejected)
+        books = []
+        for m, row in enumerate(rejected):
+            offers = [SellerOffer(v, p) for v, p in zip(volumes[m].tolist(), prices[m].tolist())]
+            scalar_rejected = []
+            books.append(mechanism.seller_levels(offers, stock[m].tolist(), scalar_rejected))
+            assert repr(row) == repr(scalar_rejected)
+        assert [[r.index for r in row] for row in rejected] == [[1], [1], [2], []]
+        for share in (3.0, 1.0, 3.0, 3.0):
+            volume = columns.supply() / share
+            go = columns.has_level.copy()
+            for m, book in enumerate(books):
+                out = {r.index for r in rejected[m]}
+                assert not out & {h for level in book.levels for h in level}
+                assert not out & set(columns.level[m].nonzero()[0].tolist())
+                assert go[m] == bool(book.levels)
+                if go[m]:
+                    book.sell(book.cheapest()[0], float(volume[m]))
+            columns.sell(go, volume)
+    for m, book in enumerate(books):
+        assert repr(columns.unsold()[m].tolist()) == repr(list(book.unsold()))
+        assert all(book.unsold()[r.index] == 0.0 for r in rejected[m])
+        assert not book.levels[:-1] and any(v > 0.0 for v in book.unsold())
+
+
 @settings(deadline=None)
 @given(
     rows(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), st.floats(0.0, 1.0)), 1, 8),
@@ -455,7 +513,8 @@ def test_greedy_bids_match_the_scalar_bids_row_by_row(cells, prices, offered, va
 @pytest.mark.parametrize(
     "name",
     ["_sum", "_positive", "OFFER", "OFFER_PRICE", "GOOD_CAP", "GOOD_PRICE", "RIGHT_CAP",
-     "RIGHT_PRICE", "greedy_bids", "mean_price", "rights_row", "settle", "WideState",
+     "RIGHT_PRICE", "greedy_bids", "mean_price", "mean_right_price", "rights_row", "settle",
+     "WideState",
      "offer_volumes", "transition"],
 )
 def test_the_column_layer_is_shared_with_wide(name):

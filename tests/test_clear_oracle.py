@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 import clear_reference
 from rightsmarket import batch, mechanism, wide
 from rightsmarket.core import EQ_TOL, BuyerState, MarketState, SellerState
-from rightsmarket.mechanism import BuyerBid, ClearingResult, GoodLevels, SellerOffer
+from rightsmarket.mechanism import BuyerBid, ClearingResult, SellerOffer
 from rightsmarket.pricing import mean_posted_price
 
 # -0.0 and 0.0 share a level, which trades at its first live holder's price
@@ -496,24 +496,38 @@ def scaled(offers, bids, state, k):
 
 def counting_trades(call, *args):
     """What ``call(*args)`` returns, and how many trades it made: every
-    trade of either stage sells Good through ``GoodLevels.sell``, or
-    through ``batch.GoodColumns.sell``, counted for the first market."""
+    trade of either stage sells Good from the sellers' book, the one
+    ``mechanism.seller_levels`` or ``batch.seller_columns`` returns, and
+    the ``sell`` calls of that book are counted, for the first market of a
+    batch. A Right book is of the same class, so its sales are told apart
+    by the object that makes them."""
     trades = []
-    real = GoodLevels.sell
-    real_batch = batch.GoodColumns.sell
+    books = []
+    real_sell, real_batch_sell = mechanism.Levels.sell, batch.Columns.sell
+    real_levels, real_columns = mechanism.seller_levels, batch.seller_columns
 
-    def sell(self, pg, volume):
-        trades.append(volume)
-        real(self, pg, volume)
+    def seller_book(real):
+        def build(*book_args):
+            books.append(real(*book_args))
+            return books[-1]
+        return build
 
-    def sell_batch(self, go, volume):
-        if go[0] and self.has_level[0]:
+    def sell(self, pg, volume, credit=None):
+        if self in books:
+            trades.append(volume)
+        real_sell(self, pg, volume, credit)
+
+    def sell_batch(self, go, volume, credit=None):
+        if self in books and go[0] and self.has_level[0]:
             trades.append(volume[0])
-        real_batch(self, go, volume)
+        real_batch_sell(self, go, volume, credit)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(GoodLevels, "sell", sell)
-        mp.setattr(batch.GoodColumns, "sell", sell_batch)
+        for module in (mechanism, wide):
+            mp.setattr(module, "seller_levels", seller_book(real_levels))
+        mp.setattr(batch, "seller_columns", seller_book(real_columns))
+        mp.setattr(mechanism.Levels, "sell", sell)
+        mp.setattr(batch.Columns, "sell", sell_batch)
         return call(*args), len(trades)
 
 
@@ -533,7 +547,7 @@ def test_trades_are_bounded_by_levels_and_buyers(case, scale):
         result, trades = counting_trades(clear_wide, offers, bids, state)
     else:
         result, trades = counting_trades(KERNELS[kernel], offers, bids, state, variant)
-    good_levels = len(GoodLevels(offers, [s.good for s in state.sellers], []).levels)
+    good_levels = len(mechanism.seller_levels(offers, [s.good for s in state.sellers], []).levels)
     rejected = {r.index for r in result.rejected if r.side == "buyer"}
     right_levels = len({
         bid.right_offer_price

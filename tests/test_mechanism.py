@@ -297,7 +297,7 @@ class TestNaNRejection:
         assert result.good_bought == (0.5,)  # money-bound: 0.25 / 0.5
 
 
-class TestGoodLevels:
+class TestLevels:
     """``clear`` groups the live sellers, and the Right on sale, into price
     levels once (``Levels``) and trims the cheapest as it sells. These
     markets empty a level mid-pass and check that the next level up trades;
