@@ -155,13 +155,13 @@ def implicit_price(money: np.ndarray, rights: np.ndarray) -> np.ndarray:
     k of a row is the one whose poor set is its first k holders: interval
     0, then each k past the zero breakpoints whose floor and ceiling,
     breakpoints k - 1 and k, differ. Its poor sums are read off running
-    sums, and the row's price is the first candidate that lands inside its
-    interval, as in the scan. A breakpoint of infinity ends the scan as it
-    does there.
+    sums, and the row's price is the first candidate at or below its
+    interval's ceiling, as in the scan. A breakpoint of infinity ends the
+    scan as it does there.
     """
     # ``not x >= 0.0`` also catches NaN, which ``np.minimum`` propagates
-    if np.count_nonzero(~(np.minimum(money, rights) >= 0.0)):
-        raise PricingError("money and rights must be non-negative")
+    if np.count_nonzero(~((np.minimum(money, rights) >= 0.0) & (rights < np.inf))):
+        raise PricingError("money and rights must be non-negative, and rights finite")
     total_rights = _sum(rights)
     if np.count_nonzero(total_rights <= 0.0):
         raise PricingError("no rights in circulation")
@@ -188,14 +188,11 @@ def implicit_price(money: np.ndarray, rights: np.ndarray) -> np.ndarray:
     first = np.add.reduce(hi <= 0.0, axis=1)[:, None]
     interval = (hi != lo) | (np.arange(n + 1) == first)
 
-    # money and Right are not negative, so a candidate is at least 0.0 or
-    # NaN, and the scan's ``p >= 0.0`` on interval 0, whose floor is 0.0,
-    # is the slack test of the other floors; a NaN candidate fails both,
-    # so an infinite ceiling needs no test of its own
+    # the ceiling is the one test, as ``pricing.solve_implicit_price`` says
+    # why; a NaN candidate fails it, and any other passes an infinite one
     p = (total_money[:, None] + poor_money) / (total_rights[:, None] + poor_rights)
     slack = EQ_TOL
     inside = p <= hi + slack * np.where(p > 1.0, p, 1.0)
-    inside &= p > lo - slack * np.where(lo > 1.0, lo, 1.0)
     # the scan stops at the first interval without a ceiling
     last = (interval & (hi == np.inf)).argmax(axis=1)[:, None]
     found = interval & inside & (np.arange(n + 1) <= last)

@@ -609,6 +609,18 @@ def _check_finite(
                 raise SimulationError(tau, f"{name} is not finite")
 
 
+def _stock(tau: int, s: int, good: float, good_tol: float) -> float:
+    """Seller ``s``'s stock ``good`` after the sales of round ``tau``. A
+    seller's fills can add up to an ulp more than its offer, so a stock
+    below 0.0 by at most ``good_tol`` is rounding dust and reads 0.0, as a
+    buyer's money does; below that it raises ``SimulationError``."""
+    if good < 0.0:
+        if good < -good_tol:
+            raise SimulationError(tau, f"seller {s} stock went negative")
+        return 0.0
+    return good
+
+
 def _offer_volumes(
     config: MarketConfig,
     tau: int,
@@ -726,13 +738,15 @@ def _run_rights_round(
     price_right, right_offered, right_demanded, useful, useless, volume_sold = fields
 
     sellers = state.sellers
-    for seller, sold, revenue in zip(sellers, result.seller_sold, result.seller_revenue):
-        seller.good -= sold
+    good_tol = CONSERVATION_TOL * (offered if offered > 1.0 else 1.0)
+    for s, (seller, sold, revenue) in enumerate(
+        zip(sellers, result.seller_sold, result.seller_revenue)
+    ):
+        seller.good = _stock(tau, s, seller.good - sold, good_tol)
         seller.money += revenue
     # one pass over the buyers folds the clearing into their state and
     # checks it; deferred proceeds join the balance only now, after the
     # trading window closed
-    good_tol = CONSERVATION_TOL * (offered if offered > 1.0 else 1.0)
     over_cap = -1
     money_end: list[float] = []
     good_end: list[float] = []
@@ -807,9 +821,11 @@ def _run_free_round(
         bought = [x * offered / demand for x in bought]
     sold_total = min(offered, demand)
     share = [v / offered for v in volumes]
+    good_tol = CONSERVATION_TOL * max(1.0, offered)
     for s in range(ns):
-        state.sellers[s].good -= sold_total * share[s]
-        state.sellers[s].money += price * sold_total * share[s]
+        seller = state.sellers[s]
+        seller.good = _stock(tau, s, seller.good - sold_total * share[s], good_tol)
+        seller.money += price * sold_total * share[s]
     good_end: list[float] = []
     for b in range(nb):
         buyer = state.buyers[b]

@@ -33,18 +33,22 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> flo
         p = (sum(M) + sum_poor(M)) / (sum(R) + sum_poor(R)),
 
     and uniqueness means exactly one candidate lands inside its own
-    interval. Returns that price. A buyer is poor when p * R_b > M_b, so a
-    buyer exactly on a breakpoint counts as rich. O(n log n) in the number
-    of buyers.
+    interval. Returns the first candidate, in ascending order, at or below
+    its interval's ceiling, which is that price: the floor needs no test
+    (see the comment at the test). A buyer is poor when p * R_b > M_b, so
+    a buyer exactly on a breakpoint counts as rich. O(n log n) in the
+    number of buyers.
     """
     m = [float(x) for x in money]
     r = [float(x) for x in rights]
     if len(m) != len(r):
         raise PricingError("money and rights vectors differ in length")
     for x, y in zip(m, r):
-        # ``not x >= 0.0`` also catches NaN, on which the scan never ends
-        if not (x >= 0.0 and y >= 0.0):
-            raise PricingError("money and rights must be non-negative")
+        # ``not x >= 0.0`` also catches NaN, and an infinite Right makes the
+        # breakpoint NaN if its money is infinite too: on either the scan
+        # would never end
+        if not (x >= 0.0 and 0.0 <= y < math.inf):
+            raise PricingError("money and rights must be non-negative, and rights finite")
     total_rights = sum(r)
     if total_rights <= 0.0:
         raise PricingError("no rights in circulation")
@@ -64,7 +68,6 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> flo
     poor_rights = 0.0
     k = 0
     lo = 0.0
-    first = True
     while True:
         # absorb every holder whose breakpoint is at or below the interval floor
         while k < num_holders and holders[k][0] <= lo:
@@ -74,16 +77,21 @@ def solve_implicit_price(money: Sequence[float], rights: Sequence[float]) -> flo
             k += 1
         hi = holders[k][0] if k < num_holders else math.inf
         p = (total_money + poor_money) / (total_rights + poor_rights)
-        # the roots of the intervals below the solution lie above their
-        # ceilings, so test the ceiling first; ``x if x > 1.0 else 1.0`` is
-        # max(1.0, x), as the builtin compares
-        if hi == math.inf or p <= hi + slack * (p if p > 1.0 else 1.0):
-            if p >= 0.0 if first else p > lo - slack * (lo if lo > 1.0 else 1.0):
-                return p
+        # The ceiling is the one test: the roots of the intervals below the
+        # solution lie above their ceilings, and no candidate lies below its
+        # floor. Interval 0's floor is 0.0, and money and Right are not
+        # negative. The scan reaches interval k > 0 only when candidate
+        # k - 1 lay above its ceiling, which is interval k's floor, and
+        # candidate k is a mediant of candidate k - 1 and the ratios of the
+        # holders it absorbs, which sit at that floor; so, up to rounding,
+        # it is at or above the floor. An infinite ceiling passes every
+        # candidate but NaN. ``x if x > 1.0 else 1.0`` is max(1.0, x), as
+        # the builtin compares.
+        if p <= hi + slack * (p if p > 1.0 else 1.0):
+            return p
         if hi == math.inf:
             raise PricingError("interval scan found no admissible price")
         lo = hi
-        first = False
 
 
 def free_market_clearing_price(money: Sequence[float], offered_good: float) -> float:

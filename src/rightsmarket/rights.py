@@ -65,32 +65,16 @@ def contested_garment_rule(total_volume: float, claims: Sequence[float]) -> list
     return [c + surplus for c in d]
 
 
-def canonical_rule(total_volume: float, claims: Sequence[float], rank: int) -> list[float]:
-    """All rights to the buyer with the ``rank``-th largest claim (1-based)."""
-    return weighted_rule(total_volume, claims, ((1.0, rank),))
-
-
-def weighted_rule(
-    total_volume: float,
-    claims: Sequence[float],
-    components: Sequence[tuple[float, int]],
-) -> list[float]:
-    """Convex combination of canonical allocations, component-wise.
-
-    ``components`` is a sequence of (weight, rank) pairs with weights in
-    [0, 1] summing to 1, checked as ``DistributionMechanism`` checks them.
-    """
-    _check_inputs(total_volume, claims)
-    return _weighted_rule(total_volume, claims, _check_components(components))
-
-
 def _weighted_rule(
     total_volume: float,
     claims: Sequence[float],
     components: tuple[tuple[float, int], ...],
 ) -> list[float]:
-    """``weighted_rule`` of inputs and components already checked; only
-    the ranks are checked against the number of claims."""
+    """Convex combination of canonical allocations, component-wise: weight
+    alpha of ``total_volume`` goes to the buyer of each component's claim
+    rank (1-based). The inputs and the (weight, rank) ``components`` are
+    checked already; only the ranks are checked against the number of
+    claims."""
     out = [0.0] * len(claims)
     order = claim_rank_order(claims)
     for alpha, rank in components:

@@ -16,11 +16,9 @@ from rightsmarket.core import MarketConfig, SellerSpec
 from rightsmarket.engine import SupplySchedule, generate_dirichlet_scenario, run
 from rightsmarket.rights import (
     DistributionMechanism,
-    canonical_rule,
     contested_garment_rule,
     proportional_rule,
     verify_axioms,
-    weighted_rule,
 )
 
 from conftest import make_benchmark
@@ -179,10 +177,10 @@ def test_criterion_10_mechanism_axioms():
     ]
     reports = [verify_axioms(m, samples=1000, rng_seed=i) for i, m in enumerate(mechanisms)]
     axioms_ok = all(r.passed for r in reports)
-    weighted = weighted_rule(1.0, BENCH_CLAIMS, [(8 / 15, 1), (6 / 15, 2), (1 / 15, 3)])
+    weighted = mechanisms[3].allocate(1.0, BENCH_CLAIMS)
     decomposed = [0.0, 0.0, 0.0]
-    for alpha, rank in ((8 / 15, 1), (6 / 15, 2), (1 / 15, 3)):
-        part = canonical_rule(1.0, BENCH_CLAIMS, rank)
+    for alpha, rank in mechanisms[3].components:
+        part = DistributionMechanism.canonical(rank).allocate(1.0, BENCH_CLAIMS)
         decomposed = [d + alpha * p for d, p in zip(decomposed, part)]
     decomp_ok = all(abs(a - b) <= 1e-12 for a, b in zip(weighted, decomposed))
     assert verdict(

@@ -6,9 +6,12 @@ monotone residual of the implicit price equation; the oracle lives in
 asserted on the solver.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import price_reference
+from rightsmarket import batch, wide
 from rightsmarket.analysis import bisection_price
 from rightsmarket.core import BuyerSpec, MarketConfig, SellerSpec, initial_state
 from rightsmarket.engine import SupplySchedule
@@ -34,13 +37,14 @@ BENCH_MONEY = [0.0, 0.25, 0.75]
 
 
 NAN = float("nan")
+INF = float("inf")
 
 # each price solver on one input, printing what it raises
 NAN_SOLVERS = """
 import numpy as np
 from rightsmarket import batch, wide
 from rightsmarket.pricing import solve_implicit_price
-nan = float("nan")
+nan, inf = float("nan"), float("inf")
 money, rights = {money}, {rights}
 for solve in (
     lambda: solve_implicit_price(money, rights),
@@ -89,15 +93,22 @@ class TestImplicitPriceSolver:
 
     @pytest.mark.parametrize(
         ("money", "rights"),
-        [([NAN, 1.0], [1.0, 1.0]), ([1.0, 1.0], [NAN, 1.0]), ([NAN, -1.0], [1.0, NAN])],
-        ids=("nan-money", "nan-rights", "nan-and-negative"),
+        [
+            ([NAN, 1.0], [1.0, 1.0]),
+            ([1.0, 1.0], [NAN, 1.0]),
+            ([NAN, -1.0], [1.0, NAN]),
+            ([INF], [INF]),
+        ],
+        ids=("nan-money", "nan-rights", "nan-and-negative", "infinite-right"),
     )
     def test_nan_fails_the_input_check_of_every_solver(self, money, rights):
-        # in a subprocess: the scalar scan never ended on a NaN breakpoint
+        # in a subprocess: the scalar scan never ended on a NaN breakpoint,
+        # which an infinite Right with infinite money makes too
         script = NAN_SOLVERS.format(money=money, rights=rights)
         done = run_python("-c", script, timeout=30.0)
         assert done.stderr == ""
-        assert done.stdout.splitlines() == ["money and rights must be non-negative"] * 3
+        want = "money and rights must be non-negative, and rights finite"
+        assert done.stdout.splitlines() == [want] * 3
 
     def test_mismatched_lengths(self):
         with pytest.raises(PricingError):
@@ -147,6 +158,55 @@ class TestImplicitPriceSolver:
         assert higher >= base - 1e-12
         if any(r > 0.0 and base * r > m for m, r in zip(money, rights)):
             assert higher > base
+
+
+@st.composite
+def scan_inputs(draw):
+    """Money and Right of 1 to 300 buyers, from a drawn seed. Each column has
+    a scale from 1e-300 to 1e300, spreads over up to 30 decades, repeats
+    values from a pool of drawn size, so that breakpoints tie, and has a
+    drawn share of zeros. A drawn share of the buyers then loses 1 to 300
+    decades of money, which makes them poor: the scan passes their
+    breakpoints before it reaches its price."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column():
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        decades = draw(st.integers(0, 30))
+        ties = draw(st.integers(1, n))
+        zeros = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9)))
+        pool = rng.random(ties) * 10.0 ** -rng.integers(0, decades + 1, ties)
+        values = pool[rng.integers(0, ties, n)]
+        return np.where(rng.random(n) < zeros, 0.0, values * scale)
+
+    money, rights = column(), column()
+    poor = rng.random(n) < draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))
+    return np.where(poor, money * 10.0 ** -draw(st.integers(1, 300)), money), rights
+
+
+def outcome(solve):
+    """``repr`` of the price ``solve()`` returns, or of the ``PricingError``
+    it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return repr(float(solve()))
+    except PricingError as exc:
+        return repr(exc)
+
+
+@settings(deadline=None)
+@given(scan_inputs())
+def test_every_solver_gives_the_price_of_the_scan_with_a_floor_test(columns):
+    # the floor test never refused a candidate, so without it every solver
+    # returns what the frozen scan returns
+    money, rights = columns
+    want = outcome(lambda: price_reference.solve_implicit_price(money.tolist(), rights.tolist()))
+    assert [
+        outcome(lambda: solve_implicit_price(money.tolist(), rights.tolist())),
+        outcome(lambda: wide.implicit_price(money, rights)),
+        outcome(lambda: batch.implicit_price(money[None], rights[None])[0]),
+    ] == [want] * 3
 
 
 class TestMeanPostedPrice:

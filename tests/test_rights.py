@@ -11,12 +11,10 @@ from rightsmarket.rights import (
     DistributionMechanism,
     _check_components,
     allocate,
-    canonical_rule,
     claim_rank_order,
     contested_garment_rule,
     proportional_rule,
     verify_axioms,
-    weighted_rule,
 )
 
 BENCH_CLAIMS = [1.0, 0.75, 0.125]
@@ -88,32 +86,33 @@ class TestContestedGarment:
 
 class TestCanonicalAndWeighted:
     def test_canonical_rank_one_takes_everything(self):
-        assert canonical_rule(1.0, BENCH_CLAIMS, 1) == [1.0, 0.0, 0.0]
+        assert DistributionMechanism.canonical(1).allocate(1.0, BENCH_CLAIMS) == [1.0, 0.0, 0.0]
 
     def test_canonical_ties_break_by_lower_index(self):
-        assert canonical_rule(1.0, [0.5, 0.5, 0.2], 1) == [1.0, 0.0, 0.0]
-        assert canonical_rule(1.0, [0.5, 0.5, 0.2], 2) == [0.0, 1.0, 0.0]
+        claims = [0.5, 0.5, 0.2]
+        assert DistributionMechanism.canonical(1).allocate(1.0, claims) == [1.0, 0.0, 0.0]
+        assert DistributionMechanism.canonical(2).allocate(1.0, claims) == [0.0, 1.0, 0.0]
 
     def test_canonical_rank_out_of_range(self):
-        with pytest.raises(ConfigError):
-            canonical_rule(1.0, BENCH_CLAIMS, 4)
+        with pytest.raises(ConfigError, match="rank 4 out of range for 3 buyers"):
+            DistributionMechanism.canonical(4).allocate(1.0, BENCH_CLAIMS)
 
     def test_rank_order(self):
         assert claim_rank_order([0.125, 1.0, 0.75]) == [1, 2, 0]
 
     def test_weighted_equals_canonical_decomposition(self):
         components = [(8 / 15, 1), (6 / 15, 2), (1 / 15, 3)]
-        combined = weighted_rule(1.0, BENCH_CLAIMS, components)
+        combined = DistributionMechanism.weighted(components).allocate(1.0, BENCH_CLAIMS)
         expected = [0.0, 0.0, 0.0]
         for alpha, rank in components:
-            part = canonical_rule(1.0, BENCH_CLAIMS, rank)
+            part = DistributionMechanism.canonical(rank).allocate(1.0, BENCH_CLAIMS)
             expected = [e + alpha * p for e, p in zip(expected, part)]
         for a, b in zip(combined, expected):
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_weighted_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            weighted_rule(1.0, BENCH_CLAIMS, [(0.5, 1), (0.4, 2)])
+        with pytest.raises(ConfigError, match="must sum to 1"):
+            DistributionMechanism.weighted([(0.5, 1), (0.4, 2)])
 
     @pytest.mark.parametrize("weight", [math.nan, -0.5, 1.5])
     def test_weights_outside_the_unit_interval_are_rejected(self, weight):
@@ -121,8 +120,6 @@ class TestCanonicalAndWeighted:
         components = [(weight, 1), (1.0, 2)]
         with pytest.raises(ConfigError, match="must lie in"):
             DistributionMechanism.weighted(components)
-        with pytest.raises(ConfigError, match="must lie in"):
-            weighted_rule(1.0, BENCH_CLAIMS, components)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_canonical_is_weighted_with_one_component(self, rank):
@@ -132,7 +129,7 @@ class TestCanonicalAndWeighted:
         one = DistributionMechanism.weighted([(1.0, rank)])
         for volume in (0.0, 5e-324, 0.3, 1.0, 7.5):
             assert mech.allocate(volume, BENCH_CLAIMS) == one.allocate(volume, BENCH_CLAIMS)
-            assert canonical_rule(volume, BENCH_CLAIMS, rank)[rank - 1] == volume
+            assert mech.allocate(volume, BENCH_CLAIMS)[rank - 1] == volume
 
     @pytest.mark.parametrize(
         "build",
@@ -169,12 +166,10 @@ class TestCanonicalAndWeighted:
         with pytest.raises(ConfigError, match=r"must be \(weight, rank\) pairs, got 5"):
             DistributionMechanism.weighted(5)
 
-    def test_weighted_rule_checks_ranks_as_the_mechanism_does(self):
+    def test_a_rank_that_is_not_an_integer_is_named_with_its_component(self):
         # raised TypeError: list indices must be integers or slices, not float
         components = [(0.5, 1.5), (0.5, 2)]
         match = r"rank must be an integer of at least 1, got 1\.5 in component \(0\.5, 1\.5\)"
-        with pytest.raises(ConfigError, match=match):
-            weighted_rule(1.0, [1.0, 0.5], components)
         with pytest.raises(ConfigError, match=match):
             DistributionMechanism.weighted(components)
 
@@ -184,17 +179,17 @@ class TestCanonicalAndWeighted:
         ids=("canonical", "weighted"),
     )
     def test_allocate_does_not_check_the_components_again(self, mech, monkeypatch):
-        # ``__post_init__`` checked them, so a round's allocation does not;
-        # a bare ``weighted_rule`` call still does
+        # ``__post_init__`` checks them once, so a round's allocation does not
+        want = mech.allocate(1.0, BENCH_CLAIMS)
         calls = []
         monkeypatch.setattr(
             "rightsmarket.rights._check_components",
             lambda c: calls.append(c) or _check_components(c),
         )
-        want = weighted_rule(1.0, BENCH_CLAIMS, mech.components)
+        built = dataclasses.replace(mech)
         assert calls == [mech.components]
-        assert mech.allocate(1.0, BENCH_CLAIMS) == want
-        assert allocate(mech, 1.0, BENCH_CLAIMS) == want
+        assert built.allocate(1.0, BENCH_CLAIMS) == want
+        assert allocate(built, 1.0, BENCH_CLAIMS) == want
         assert calls == [mech.components]
         # the ranks are still checked against the claims
         with pytest.raises(ConfigError, match="rank 3 out of range for 2 buyers"):
@@ -232,8 +227,8 @@ class TestCanonicalAndWeighted:
 
     def test_mechanism_descriptor_dispatch(self):
         mech = DistributionMechanism.weighted([(0.6, 1), (0.4, 2)])
-        direct = weighted_rule(2.0, BENCH_CLAIMS, [(0.6, 1), (0.4, 2)])
-        assert allocate(mech, 2.0, BENCH_CLAIMS) == direct
+        assert allocate(mech, 2.0, BENCH_CLAIMS) == mech.allocate(2.0, BENCH_CLAIMS)
+        assert mech.allocate(2.0, BENCH_CLAIMS) == [1.2, 0.8, 0.0]
 
 
 class TestVerifyAxioms:

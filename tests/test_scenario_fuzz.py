@@ -17,15 +17,25 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rightsmarket import cli
-from rightsmarket.core import VARIANTS
-from rightsmarket.engine import SCHEDULE_PARAMS, WIDE_MIN_BUYERS, run
+from rightsmarket import batch, cli, engine, wide
+from rightsmarket.core import VARIANTS, BuyerSpec, MarketConfig, SellerSpec
+from rightsmarket.engine import (
+    SCHEDULE_PARAMS,
+    WIDE_MIN_BUYERS,
+    BidAdjustment,
+    SupplySchedule,
+    replay_batch,
+    run,
+    run_with_checkpoints,
+)
 from rightsmarket.errors import RightsMarketError, SimulationError
+from rightsmarket.rights import DistributionMechanism
 
 EDGES = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1e308)
 
@@ -214,15 +224,13 @@ def test_a_greedy_trace_rejects_nothing(wide, scenario):
         assert record.rejections == (), record.round_index
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a seller's fills over several steps can add up to one ulp more than its "
-    "offer (round 5: 2.149611899470544 offered, 2.1496118994705444 sold in three "
-    "fills), so the engine's stock update leaves -4.4e-16 and round 6 rejects that "
-    "seller's greedy offer of its whole stock",
-)
 def test_a_greedy_trace_rejects_nothing_after_a_seller_sells_out_in_three_fills():
-    # drawn by ``test_a_greedy_trace_rejects_nothing`` under the ci profile
+    # drawn by ``test_a_greedy_trace_rejects_nothing`` under the ci profile: a
+    # seller's fills over several steps can add up to one ulp more than its
+    # offer (round 5: 2.149611899470544 offered, 2.1496118994705444 sold in
+    # three fills). The stock update used to leave -4.4e-16, and round 6
+    # rejected that seller's greedy offer of its whole stock; settlement now
+    # reads the dust as 0.0
     scenario = {
         "name": "fuzz",
         "variant": "myopic_rights",
@@ -243,3 +251,88 @@ def test_a_greedy_trace_rejects_nothing_after_a_seller_sells_out_in_three_fills(
     }
     trace = run(cli.parse_scenario(scenario).config)
     assert [record.rejections for record in trace.records] == [()] * 6
+
+
+amounts = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+
+
+@st.composite
+def stock_markets(draw, variants):
+    """A market of two to five sellers and two to six buyers, with constant
+    resupplies and incomes, a variant from ``variants``, a horizon of at
+    most 6, and up to six seller price deviations, which part the sellers
+    into price levels."""
+    ns, nb = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    horizon = draw(st.integers(1, 6))
+    mechanism = draw(
+        st.one_of(
+            st.sampled_from(
+                [DistributionMechanism.proportional(), DistributionMechanism.contested_garment()]
+            ),
+            st.integers(1, nb).map(DistributionMechanism.canonical),
+        )
+    )
+    config = MarketConfig(
+        sellers=tuple(SellerSpec(SupplySchedule.constant(draw(amounts))) for _ in range(ns)),
+        buyers=tuple(
+            BuyerSpec(income=SupplySchedule.constant(draw(amounts)), claim=draw(amounts))
+            for _ in range(nb)
+        ),
+        mechanism=mechanism,
+        variant=draw(st.sampled_from(variants)),
+        horizon=horizon,
+    )
+    moves = st.builds(
+        lambda tau, s, factor: BidAdjustment(tau, ("seller", s), price_factor=factor),
+        st.integers(1, horizon), st.integers(0, ns - 1), st.floats(0.5, 1.5),
+    )
+    return config, draw(st.lists(moves, max_size=6))
+
+
+# the variants each kernel plays: ``wide`` plays greedy ``rights`` markets
+# without deviations, ``batch`` replays both rights variants
+KERNEL_VARIANTS = {"scalar": VARIANTS, "wide": ("rights",), "batch": ("rights", "myopic_rights")}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_VARIANTS))
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_no_seller_stock_goes_below_zero(kernel, data):
+    # a seller's fills can add up to an ulp more than its offer; settlement
+    # reads the dust as 0.0 on every kernel, so no round leaves a seller
+    # below 0.0
+    config, moves = data.draw(stock_markets(KERNEL_VARIANTS[kernel]))
+    lowest = []
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel == "scalar":
+            # the scalar rounds hand the settled state to ``consumed_utility``
+            utility = engine.consumed_utility
+
+            def spy(state, config):
+                lowest.append(min(s.good for s in state.sellers))
+                return utility(state, config)
+
+            mp.setattr(engine, "consumed_utility", spy)
+        else:
+            module = wide if kernel == "wide" else batch
+            settle = module.settle
+
+            def spy(market, *args):
+                paid = settle(market, *args)
+                lowest.append(float(market.seller_good.min()))
+                return paid
+
+            mp.setattr(module, "settle", spy)
+        try:
+            if kernel == "scalar":
+                run(config, adjustments=moves)
+            elif kernel == "wide":
+                repeats = -(-WIDE_MIN_BUYERS // config.num_buyers)
+                run(replace(config, buyers=config.buyers * repeats))
+            else:
+                _, checkpoints = run_with_checkpoints(config)
+                lowest.clear()
+                replay_batch(config, checkpoints, [moves])
+        except RightsMarketError:
+            pass
+    assert not any(x < 0.0 for x in lowest), lowest
